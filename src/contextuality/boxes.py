@@ -159,6 +159,11 @@ class Hypergraph:
     def joint_dim(self) -> int:
         return int(np.prod(self.cardinalities, dtype=object))
 
+    @cached_property
+    def incidence(self) -> "ContextIncidence":
+        """The context-incidence operator of this hypergraph, built once."""
+        return ContextIncidence(self)
+
     def find_context(self, observables: Iterable[int]) -> int:
         """Index of the context equal (as a set) to ``observables``; -1 if absent."""
         key = frozenset(observables)
@@ -166,6 +171,91 @@ class Hypergraph:
             if s == key:
                 return ci
         return -1
+
+
+def _marginal_axes(axes: Sequence[int], subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Plan to marginalize a tensor whose axis j carries observable ``axes[j]``.
+
+    Returns the axes to sum out and the transpose that orders the kept axes
+    as ``subset``.
+    """
+    keep = [axes.index(i) for i in subset]
+    kept_sorted = sorted(keep)
+    other = tuple(a for a in range(len(axes)) if a not in keep)
+    return other, tuple(kept_sorted.index(a) for a in keep)
+
+
+def _marginalize(tensor: np.ndarray, plan: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    other, perm = plan
+    return np.transpose(tensor.sum(axis=other) if other else tensor, perm)
+
+
+class ContextIncidence:
+    """The context-incidence map M of a hypergraph, kept implicit.
+
+    Rows of M are the stacked context outcomes: every context's outcome
+    vector (row-major in the context's observable order), concatenated in
+    context order.  Columns are joint outcomes (row-major over all
+    observables), and column lambda has a single 1 per context, at the row
+    of lambda's restriction to that context.  So ``marginals(p) = M p`` is
+    the stacked vector of context marginals, ``lift(y) = M^T y`` is the
+    joint tensor ``sum_c y_c(lambda_c)``, and ``rows(lambda)`` lists the
+    rows of column lambda.  Both products are tensor reductions and
+    broadcasts; M itself is never materialized, so memory stays
+    O(joint_dim).  This is the only code that knows the stacked layout.
+    """
+
+    def __init__(self, g: Hypergraph):
+        k = g.n_observables
+        self.joint_shape = g.joint_shape
+        self.contexts = g.contexts
+        self.context_shapes = tuple(g.context_shape(ci) for ci in range(g.n_contexts))
+        self.dims = tuple(g.context_dim(ci) for ci in range(g.n_contexts))
+        self.offsets = tuple(itertools.accumulate(self.dims, initial=0))
+        self.dim = self.offsets[-1]
+        self._plans = tuple(_marginal_axes(range(k), ctx) for ctx in g.contexts)
+        self._to_sorted = tuple(tuple(ctx.index(i) for i in sorted(ctx)) for ctx in g.contexts)
+        self._broadcast_shapes = tuple(
+            tuple(g.cardinalities[i] if i in ctx else 1 for i in range(k)) for ctx in g.contexts
+        )
+
+    def stack(self, parts: Sequence) -> np.ndarray:
+        """One vector per context, concatenated in context order (inverse of ``split``)."""
+        if len(parts) != len(self.dims) or any(np.size(v) != d for v, d in zip(parts, self.dims)):
+            raise InvalidBoxError("need one vector per context, sized to its outcome space")
+        return np.concatenate([np.asarray(v, dtype=float).ravel() for v in parts])
+
+    def split(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Per-context views of a stacked vector."""
+        return [stacked[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+
+    def marginals(self, p: np.ndarray) -> np.ndarray:
+        """``M p``: stacked context marginals of a joint tensor (or flat joint vector)."""
+        p = np.reshape(p, self.joint_shape)
+        return np.concatenate([_marginalize(p, plan).ravel() for plan in self._plans])
+
+    def broadcast(self, values: np.ndarray, ci: int) -> np.ndarray:
+        """Context ``ci``'s outcome vector as an array broadcastable to the joint shape."""
+        values = np.reshape(values, self.context_shapes[ci])
+        return np.transpose(values, self._to_sorted[ci]).reshape(self._broadcast_shapes[ci])
+
+    def lift(self, stacked: np.ndarray) -> np.ndarray:
+        """``M^T y``: joint tensor ``sum_c y_c(lambda_c)``, added in context order."""
+        out = np.zeros(self.joint_shape)
+        for ci, values in enumerate(self.split(stacked)):
+            out += self.broadcast(values, ci)
+        return out
+
+    def rows(self, joint_indices) -> np.ndarray:
+        """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``."""
+        digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
+        return np.stack(
+            [
+                offset + np.ravel_multi_index(tuple(digits[i] for i in ctx), shape)
+                for offset, ctx, shape in zip(self.offsets, self.contexts, self.context_shapes)
+            ],
+            axis=-1,
+        )
 
 
 @dataclass(frozen=True)
@@ -222,7 +312,7 @@ class Box:
 
     def stacked(self) -> np.ndarray:
         """All context vectors concatenated in context order."""
-        return np.concatenate([d.ravel() for d in self.distributions])
+        return self.hypergraph.incidence.stack(self.distributions)
 
 
 @dataclass(frozen=True)
@@ -273,18 +363,6 @@ def require_valid(box: Box) -> None:
         raise InvalidBoxError(f"invalid box: {lines}")
 
 
-def _context_subset_marginal(box: Box, ci: int, subset: Sequence[int]) -> np.ndarray:
-    """Marginal of context ``ci``'s distribution onto ``subset`` (given order)."""
-    ctx = box.hypergraph.contexts[ci]
-    tensor = box.context_tensor(ci)
-    keep = [ctx.index(i) for i in subset]
-    other = tuple(a for a in range(len(ctx)) if a not in keep)
-    marg = tensor.sum(axis=other) if other else tensor
-    kept_sorted = sorted(keep)
-    perm = tuple(kept_sorted.index(a) for a in keep)
-    return np.transpose(marg, perm).reshape(-1)
-
-
 @dataclass(frozen=True)
 class ConsistencyViolation:
     context_a: int
@@ -314,8 +392,8 @@ def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
         shared = tuple(sorted(g.context_sets[a] & g.context_sets[b]))
         if not shared:
             continue
-        ma = _context_subset_marginal(box, a, shared)
-        mb = _context_subset_marginal(box, b, shared)
+        ma = _marginalize(box.context_tensor(a), _marginal_axes(g.contexts[a], shared))
+        mb = _marginalize(box.context_tensor(b), _marginal_axes(g.contexts[b], shared))
         tv = 0.5 * float(np.abs(ma - mb).sum())
         worst = max(worst, tv)
         if tv > tol:
@@ -366,12 +444,7 @@ def marginal(joint: JointDistribution, subset: Sequence[int]) -> np.ndarray:
     k = joint.hypergraph.n_observables
     if len(set(subset)) != len(subset) or any(i < 0 or i >= k for i in subset):
         raise InvalidBoxError(f"invalid marginal subset {subset}")
-    tensor = joint.tensor()
-    other = tuple(a for a in range(k) if a not in subset)
-    marg = tensor.sum(axis=other) if other else tensor
-    kept_sorted = sorted(subset)
-    perm = tuple(kept_sorted.index(i) for i in subset)
-    return np.transpose(marg, perm).reshape(-1)
+    return _marginalize(joint.tensor(), _marginal_axes(range(k), subset)).reshape(-1)
 
 
 def box_of_joint(joint: JointDistribution, hypergraph: Hypergraph | None = None) -> Box:
@@ -379,7 +452,7 @@ def box_of_joint(joint: JointDistribution, hypergraph: Hypergraph | None = None)
     g = hypergraph if hypergraph is not None else joint.hypergraph
     if g != joint.hypergraph:
         raise HypergraphMismatchError("joint is not defined on the given hypergraph")
-    return Box(g, [marginal(joint, c) for c in g.contexts])
+    return Box(g, g.incidence.split(g.incidence.marginals(joint.probabilities)))
 
 
 def deterministic_joint(assignment: DeterministicAssignment, g: Hypergraph) -> JointDistribution:
@@ -427,7 +500,7 @@ def parity_distribution(m: int, parity: int) -> np.ndarray:
     return vec
 
 
-def _parity_of_context(box: Box, ci: int, tol: float = 1e-9) -> int | None:
+def context_parity(box: Box, ci: int, tol: float = 1e-9) -> int | None:
     """0/1 if the context distribution is exactly P_even/P_odd, else None."""
     ctx = box.hypergraph.contexts[ci]
     if any(box.hypergraph.cardinalities[i] != 2 for i in ctx):
@@ -447,7 +520,7 @@ def opposite(box: Box) -> Box:
     require_valid(box)
     dists = []
     for ci in range(box.hypergraph.n_contexts):
-        parity = _parity_of_context(box, ci)
+        parity = context_parity(box, ci)
         if parity is None:
             raise NotXorBoxError(
                 f"context {ci} is not a parity-class distribution; opposite() needs an xor-box"

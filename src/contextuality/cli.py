@@ -138,7 +138,7 @@ def _measure_one(source: str, measure: str, args) -> ResultRow:
 def _emit_rows(rows: list[ResultRow], args, out) -> None:
     if args.format == "csv":
         print(f"# tol={args.tol!r} max_iters={args.max_iters} weights={args.weights}", file=out)
-        print(f"# seed={args.seed} workers={args.workers}", file=out)
+        print(f"# workers={args.workers}", file=out)
         print(CSV_HEADER, file=out)
         for row in rows:
             print(row.csv(), file=out)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'uniform', 'optimize', or a JSON file with one weight per context",
     )
     p_measure.add_argument("--reference", default=None, help="reference box for beta")
-    p_measure.add_argument("--seed", type=int, default=0)
     p_measure.add_argument("--format", choices=("csv", "plain"), default="csv")
     p_measure.add_argument("--workers", type=int, default=default_workers)
     p_measure.set_defaults(func=cmd_measure)

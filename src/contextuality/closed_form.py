@@ -55,7 +55,7 @@ def xu_isotropic(n: int, alpha: float) -> float:
     lo, hi = nc_interval(n)
     if alpha >= hi:
         return max(0.0, math.log2(n) - alpha * math.log2(n - 1.0) - binary_entropy(alpha))
-    if alpha <= lo:
+    if alpha < lo:
         # Only reachable for even n; for odd n the interval starts at 0.
         return max(
             0.0, math.log2(n) + (alpha - 1.0) * math.log2(n - 1.0) - binary_entropy(alpha)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, parity_distribution, require_valid
+from .boxes import Box, context_parity, require_valid
 from .errors import HypergraphMismatchError, NotXorBoxError
 
 # Entries above this threshold count as support (guards file round-trips).
@@ -52,19 +52,13 @@ def classify_xor(box: Box, tol: float = 1e-9) -> XorBoxProfile | None:
     if len(sizes) != 1:
         return None
     m = sizes.pop()
-    parities = []
-    for ci in range(g.n_contexts):
-        vec = box.distributions[ci]
-        for parity in (0, 1):
-            if np.allclose(vec, parity_distribution(m, parity), rtol=0.0, atol=tol):
-                parities.append(parity)
-                break
-        else:
-            return None
+    parities = tuple(context_parity(box, ci, tol) for ci in range(g.n_contexts))
+    if None in parities:
+        return None
     return XorBoxProfile(
         n_contexts=g.n_contexts,
         context_size=m,
-        parities=tuple(parities),
+        parities=parities,
         degrees=g.degrees,
     )
 

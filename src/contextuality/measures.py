@@ -107,37 +107,6 @@ class MeasureReport:
     trace: tuple[tuple[int, float, float], ...] = ()
 
 
-class _Workspace:
-    """Per-hypergraph marginalization machinery for the joint tensor."""
-
-    def __init__(self, g: Hypergraph):
-        self.hypergraph = g
-        self.shape = g.joint_shape
-        self.dim = g.joint_dim
-        k = g.n_observables
-        self.sum_axes = []
-        self.to_context = []
-        self.to_sorted = []
-        self.broadcast_shape = []
-        for ctx in g.contexts:
-            others = tuple(a for a in range(k) if a not in ctx)
-            sorted_ctx = tuple(sorted(ctx))
-            self.sum_axes.append(others)
-            self.to_context.append(tuple(sorted_ctx.index(i) for i in ctx))
-            self.to_sorted.append(tuple(ctx.index(i) for i in sorted_ctx))
-            self.broadcast_shape.append(
-                tuple(g.cardinalities[i] if i in ctx else 1 for i in range(k))
-            )
-
-    def marginal(self, tensor: np.ndarray, ci: int) -> np.ndarray:
-        m = tensor.sum(axis=self.sum_axes[ci]) if self.sum_axes[ci] else tensor
-        return np.transpose(m, self.to_context[ci])
-
-    def broadcast(self, values: np.ndarray, ci: int) -> np.ndarray:
-        """Context-order array lifted to a joint-shape broadcastable view."""
-        return np.transpose(values, self.to_sorted[ci]).reshape(self.broadcast_shape[ci])
-
-
 def _connected_components(g: Hypergraph) -> list[list[int]]:
     parent = list(range(g.n_observables))
 
@@ -180,64 +149,51 @@ def _factorize_components(p_tensor: np.ndarray, g: Hypergraph) -> np.ndarray:
 
 
 class _FixedWeightProblem:
+    """F(p) = sum_c w_c D(g_c || (M p)_c) on the stacked context outcomes.
+
+    Only the active support (target > 0 in a context of positive weight)
+    enters the value, the multiplier field and the line search.
+    """
+
     def __init__(self, box: Box, weights: ContextWeights):
-        self.box = box
         self.g = box.hypergraph
-        self.ws = _Workspace(self.g)
-        self.w = weights.weights
-        self.active = [ci for ci in range(self.g.n_contexts) if self.w[ci] > 0.0]
-        self.targets = [box.context_tensor(ci) for ci in range(self.g.n_contexts)]
-        self.masks = [t > 0.0 for t in self.targets]
+        self.op = self.g.incidence
+        self.targets = box.stacked()
+        w_rows = np.repeat(weights.weights, self.op.dims)
+        self.support = np.flatnonzero((self.targets > 0.0) & (w_rows > 0.0))
+        self.t_s = self.targets[self.support]
+        self.w_s = w_rows[self.support]
+        self.wt_s = self.w_s * self.t_s
 
     def evaluate(self, p_tensor: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective value (bits), multiplier field r, and duality gap (bits)."""
-        value = 0.0
-        r = np.zeros(self.ws.shape)
-        for ci in self.active:
-            target, mask = self.targets[ci], self.masks[ci]
-            m = self.ws.marginal(p_tensor, ci)
-            supported = m[mask]
-            if np.any(supported <= 0.0):
-                return float("inf"), r, float("inf")
-            value += self.w[ci] * float(
-                np.sum(target[mask] * np.log2(target[mask] / supported))
-            )
-            ratio = np.zeros_like(target)
-            ratio[mask] = target[mask] / supported
-            r += self.ws.broadcast(ratio, ci) * self.w[ci]
+        m = self.op.marginals(p_tensor)[self.support]
+        if np.any(m <= 0.0):
+            return float("inf"), np.zeros(self.g.joint_shape), float("inf")
+        ratio = self.t_s / m
+        value = float(self.wt_s @ np.log2(ratio))
+        y = np.zeros(self.op.dim)
+        y[self.support] = ratio * self.w_s
+        r = self.op.lift(y)
         gap = (float(r.max()) - 1.0) * LOG2E
         return value, r, max(gap, 0.0)
 
     def divergences(self, p_tensor: np.ndarray) -> np.ndarray:
         """Per-context D(g_c || p_c) in bits at the given joint."""
-        out = np.empty(self.g.n_contexts)
-        for ci in range(self.g.n_contexts):
-            target, mask = self.targets[ci], self.masks[ci]
-            m = self.ws.marginal(p_tensor, ci)
-            supported = m[mask]
-            if np.any(supported <= 0.0):
-                out[ci] = float("inf")
-            else:
-                out[ci] = float(np.sum(target[mask] * np.log2(target[mask] / supported)))
-        return out
+        pairs = zip(self.op.split(self.targets), self.op.split(self.op.marginals(p_tensor)))
+        return np.array([relative_entropy(target, m) for target, m in pairs])
 
-    def line_search(self, p_tensor: np.ndarray, vertex: tuple[int, ...]) -> float:
-        """Exact step length toward a vertex: root of the 1-D directional derivative."""
-        marginals = []
-        for ci in self.active:
-            m = self.ws.marginal(p_tensor, ci)
-            s = np.zeros_like(m)
-            s[tuple(vertex[i] for i in self.g.contexts[ci])] = 1.0
-            marginals.append((self.targets[ci], self.masks[ci], m, s, self.w[ci]))
+    def line_search(self, p_tensor: np.ndarray, vertex: int) -> float:
+        """Exact step toward the vertex at flat joint index ``vertex``: root of
+        the 1-D directional derivative."""
+        m = self.op.marginals(p_tensor)[self.support]
+        s = np.zeros(self.op.dim)
+        s[self.op.rows(vertex)] = 1.0
+        s = s[self.support]
+        step = s - m
 
         def derivative(gamma: float) -> float:
-            total = 0.0
-            for target, mask, m, s, wc in marginals:
-                mg = (1.0 - gamma) * m + gamma * s
-                total -= wc * float(
-                    np.sum(target[mask] * (s[mask] - m[mask]) / mg[mask])
-                )
-            return total * LOG2E
+            return -float(self.wt_s @ (step / ((1.0 - gamma) * m + gamma * s)))
 
         lo, hi = 0.0, 1.0 - 1e-12
         if derivative(hi) <= 0.0:
@@ -260,8 +216,8 @@ def _solve_fixed(
     init: np.ndarray | None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     problem = _FixedWeightProblem(box, weights)
-    dim = problem.ws.dim
-    p = np.full(problem.ws.shape, 1.0 / dim) if init is None else init.reshape(problem.ws.shape).copy()
+    shape = problem.g.joint_shape
+    p = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape).copy()
 
     trace: list[tuple[int, float, float]] = []
     next_trace = 1
@@ -273,10 +229,10 @@ def _solve_fixed(
         if gap <= tol:
             break
         if method == "fw" or (method == "auto" and stall >= 3):
-            vertex = np.unravel_index(int(np.argmax(r)), problem.ws.shape)
+            vertex = int(np.argmax(r))
             gamma = problem.line_search(p, vertex)
             p *= 1.0 - gamma
-            p[vertex] += gamma
+            p.flat[vertex] += gamma
             stall = 0
         else:
             p *= r
@@ -416,7 +372,7 @@ def x_max(
         total_inner += iters
         warm = p_flat
         p_sum = p_flat.copy() if p_sum is None else p_sum + p_flat
-        divergences = problem.divergences(p_flat.reshape(problem.ws.shape))
+        divergences = problem.divergences(p_flat)
         finite = divergences[np.isfinite(divergences)]
         if finite.size == n:
             upper = min(upper, float(divergences.max()))
@@ -432,7 +388,7 @@ def x_max(
         log_w = log_w + eta * np.where(np.isfinite(divergences), divergences, 0.0)
     if p_sum is not None:
         avg = p_sum / p_sum.sum()
-        div_avg = problem.divergences(avg.reshape(problem.ws.shape))
+        div_avg = problem.divergences(avg)
         if np.all(np.isfinite(div_avg)):
             upper = min(upper, float(div_avg.max()))
     assert best_weights is not None and best_p is not None
@@ -478,31 +434,28 @@ def verify_equivalence(
     if report.optimizer is None:
         raise InvalidBoxError("equivalence check needs a solver report with a minimizer")
     g = box.hypergraph
-    ws = _Workspace(g)
-    p_tensor = report.optimizer.probabilities.reshape(ws.shape)
+    op = g.incidence
+    p_tensor = report.optimizer.probabilities.reshape(g.joint_shape)
     w = weights.weights
     extensions = []
-    active = [ci for ci in range(g.n_contexts) if w[ci] > 0.0]
-    for ci in active:
-        target = box.context_tensor(ci)
-        m = ws.marginal(p_tensor, ci)
+    pairs = zip(op.split(box.stacked()), op.split(op.marginals(p_tensor)))
+    for ci, (target, m) in enumerate(pairs):
+        if w[ci] <= 0.0:
+            continue
         ratio = np.zeros_like(target)
         ok = m > 0.0
         ratio[ok] = target[ok] / m[ok]
-        ext = p_tensor * ws.broadcast(ratio, ci)
+        ext = p_tensor * op.broadcast(ratio, ci)
         leftover = target * (~ok)
         if np.any(leftover > 0.0):
-            cell_size = ws.dim // target.size
-            ext = ext + np.broadcast_to(
-                ws.broadcast(leftover / cell_size, ci), ws.shape
-            )
-        extensions.append(ext.reshape(-1))
-    mixture = np.zeros(ws.dim)
-    for ci, ext in zip(active, extensions):
-        mixture += w[ci] * ext
+            ext = ext + op.broadcast(leftover / (g.joint_dim // target.size), ci)
+        extensions.append((w[ci], ext.reshape(-1)))
+    mixture = np.zeros(g.joint_dim)
+    for wc, ext in extensions:
+        mixture += wc * ext
     mutual = 0.0
-    for ci, ext in zip(active, extensions):
-        mutual += w[ci] * relative_entropy(ext, mixture)
+    for wc, ext in extensions:
+        mutual += wc * relative_entropy(ext, mixture)
     return EquivalenceReport(
         residual=abs(mutual - report.value),
         mutual_information=mutual,
@@ -511,37 +464,18 @@ def verify_equivalence(
     )
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi] to interval width ``tol``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def x_u_isotropic_reduced(
     reference: Box,
     alpha: float,
     group=None,
-    tol: float = 1e-12,
 ) -> float:
-    """Symmetry-reduced X_u for an isotropic family: one-dimensional search.
+    """Symmetry-reduced X_u for an isotropic family, in closed form.
 
     For the family ``alpha*ref + (1-alpha)*ref'`` the measure collapses to a
     single binary divergence ``min_a0 chi(alpha, a0)`` over the non-contextual
-    interval, so it stays exact for chain sizes far beyond the joint solver.
+    interval ``[lo, hi]``.  ``chi(alpha, a0)`` is convex in ``a0`` with its
+    minimum at ``a0 = alpha``, so the minimizer is ``alpha`` clipped to the
+    interval; this stays exact for chain sizes far beyond the joint solver.
     """
     from .inequalities import classify_xor, nc_alpha_interval
 
@@ -559,9 +493,5 @@ def x_u_isotropic_reduced(
                 raise InvalidBoxError("reference is not fixed by the supplied group")
 
     eps = 1e-15
-
-    def objective(a0: float) -> float:
-        return chi(alpha, min(max(a0, eps), 1.0 - eps))
-
-    _, value = _golden_section(objective, lo, hi, tol)
-    return max(0.0, value)
+    a0 = min(max(alpha, lo), hi)
+    return max(0.0, chi(alpha, min(max(a0, eps), 1.0 - eps)))

@@ -7,8 +7,10 @@ hypergraph.  The contextuality cost of a consistent box b solves
 
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
-Dense mode materializes all columns; above the dense cap a column-generation
-loop prices columns by an exhaustive vectorized scan over assignments.
+Columns are joint indices, and a column's rows come from the hypergraph's
+context-incidence operator.  Dense mode materializes all columns; above the
+dense cap a column-generation loop prices every assignment at once as the
+lifted dual ``M^T y`` (a joint tensor) and enters the cheapest ones.
 """
 
 from __future__ import annotations
@@ -60,42 +62,10 @@ def enumerate_vertices(g: Hypergraph, cap: int = DENSE_VERTEX_CAP) -> NCPolytope
     return NCPolytope(g, assignments)
 
 
-def _stack_offsets(g: Hypergraph) -> np.ndarray:
-    dims = [g.context_dim(ci) for ci in range(g.n_contexts)]
-    return np.concatenate([[0], np.cumsum(dims)])
-
-
-def _context_strides(g: Hypergraph, ci: int) -> np.ndarray:
-    shape = g.context_shape(ci)
-    strides = np.ones(len(shape), dtype=np.int64)
-    for j in range(len(shape) - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    return strides
-
-
-def _stacked_rows(g: Hypergraph, assignments: np.ndarray) -> np.ndarray:
-    """Stacked-entry row index hit by each assignment, per context: (N, n_contexts)."""
-    offsets = _stack_offsets(g)
-    rows = np.empty((assignments.shape[0], g.n_contexts), dtype=np.int64)
-    for ci, ctx in enumerate(g.contexts):
-        strides = _context_strides(g, ci)
-        idx = np.zeros(assignments.shape[0], dtype=np.int64)
-        for j, i in enumerate(ctx):
-            idx += assignments[:, i] * strides[j]
-        rows[:, ci] = offsets[ci] + idx
-    return rows
-
-
-def _vertex_matrix(g: Hypergraph, assignments: np.ndarray) -> np.ndarray:
-    """Dense constraint matrix: one column per assignment, one row per stacked entry."""
-    offsets = _stack_offsets(g)
-    total = int(offsets[-1])
-    n = assignments.shape[0]
-    a_mat = np.zeros((total, n))
-    rows = _stacked_rows(g, assignments)
-    cols = np.arange(n)
-    for ci in range(g.n_contexts):
-        a_mat[rows[:, ci], cols] = 1.0
+def _vertex_matrix(g: Hypergraph, columns: np.ndarray) -> np.ndarray:
+    """Dense constraint matrix: one column per joint index, one row per stacked entry."""
+    a_mat = np.zeros((g.incidence.dim, columns.size))
+    a_mat[g.incidence.rows(columns), np.arange(columns.size)[:, None]] = 1.0
     return a_mat
 
 
@@ -114,33 +84,16 @@ class CostReport:
         return sum(self.witness_weights.values())
 
 
-def _assignment_chunks(g: Hypergraph, chunk: int = 1 << 16):
-    total = g.joint_dim
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        grid = np.unravel_index(idx, g.joint_shape)
-        yield np.stack(grid, axis=1).astype(np.int64)
-
-
 def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float, np.ndarray]:
-    """Scan all assignments for the smallest dual score sum_c y[row(D, c)].
+    """Smallest dual score ``sum_c y[row(D, c)]`` over all assignments D.
 
-    Returns the minimum score and up to ``count`` assignments with the
-    smallest scores (candidate entering columns).
+    Returns the minimum score and the joint indices of up to ``count``
+    assignments with the smallest scores (candidate entering columns).
     """
-    best_score = np.inf
-    best_rows: list[np.ndarray] = []
-    for chunk in _assignment_chunks(g):
-        rows = _stacked_rows(g, chunk)
-        scores = duals[rows].sum(axis=1)
-        order = np.argsort(scores)[:count]
-        for j in order:
-            best_rows.append(np.array([scores[j], *chunk[j]]))
-        best_score = min(best_score, float(scores.min()))
-        best_rows.sort(key=lambda r: r[0])
-        best_rows = best_rows[:count]
-    picked = np.array([r[1:] for r in best_rows], dtype=np.int64)
-    return best_score, picked
+    scores = g.incidence.lift(duals).ravel()
+    count = min(count, scores.size)
+    picked = np.argpartition(scores, count - 1)[:count]
+    return float(scores[picked].min()), picked
 
 
 def _solve_restricted(stacked: np.ndarray, a_mat: np.ndarray):
@@ -171,10 +124,8 @@ def contextuality_cost(
     stacked = box.stacked()
 
     if g.joint_dim <= dense_cap:
-        polytope = enumerate_vertices(g, cap=dense_cap)
-        assignments = np.asarray(polytope.assignments)
-        a_mat = _vertex_matrix(g, assignments)
-        res = _solve_restricted(stacked, a_mat)
+        columns = np.arange(g.joint_dim)
+        res = _solve_restricted(stacked, _vertex_matrix(g, columns))
         if res.status != 0:
             raise ContextualityError(f"cost LP failed: {res.message}")
         duals = -np.asarray(res.ineqlin.marginals)
@@ -184,54 +135,47 @@ def contextuality_cost(
             raise CapExceededError(
                 f"{g.joint_dim} vertices exceed the pricing scan cap {pricing_cap}"
             )
-        total = int(_stack_offsets(g)[-1])
-        seed_idx = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
-        grid = np.unravel_index(seed_idx, g.joint_shape)
-        assignments = np.stack(grid, axis=1).astype(np.int64)
-        res = None
-        duals = np.zeros(total)
+        columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
         for _ in range(200):
-            a_mat = _vertex_matrix(g, assignments)
-            res = _solve_restricted(stacked, a_mat)
+            res = _solve_restricted(stacked, _vertex_matrix(g, columns))
             if res.status != 0:
                 raise ContextualityError(f"cost LP failed: {res.message}")
             duals = -np.asarray(res.ineqlin.marginals)
             min_score, candidates = _price_columns(g, duals, count=64)
             if min_score >= 1.0 - 1e-9:
                 break
-            merged = np.vstack([assignments, candidates])
-            merged = np.unique(merged, axis=0)
-            if merged.shape[0] == assignments.shape[0]:
+            merged = np.union1d(columns, candidates)
+            if merged.size == columns.size:
                 break
-            assignments = merged
+            columns = merged
         else:
             raise ContextualityError("column generation did not converge in 200 rounds")
         # The pricing bound certifies y / min_score is dual feasible.
-        min_score = max(min(1.0, float(min_score)), 1e-12) if res is not None else 1.0
-        dual_value = float(duals @ stacked) / min_score
+        dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
 
     primal_value = -float(res.fun)
     weights = np.asarray(res.x)
+    # Both bounds are clamped into [0, 1] and ordered, so rounding in the LP
+    # solution cannot invert the bracket.
     cost = min(1.0, max(0.0, 1.0 - primal_value))
-    interval = (
-        max(0.0, 1.0 - dual_value),
-        min(1.0, 1.0 - primal_value),
-    )
+    interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
 
-    witness: dict[DeterministicAssignment, float] = {}
-    mass = np.zeros_like(stacked)
-    rows = _stacked_rows(g, assignments)
-    for j in np.nonzero(weights > 1e-12)[0]:
-        witness[DeterministicAssignment(assignments[j])] = float(weights[j])
-        mass[rows[j]] += weights[j]
+    used = np.flatnonzero(weights > 1e-12)
+    witness = {
+        DeterministicAssignment(np.unravel_index(columns[j], g.joint_shape)): float(weights[j])
+        for j in used
+    }
+    mass = np.bincount(
+        g.incidence.rows(columns[used]).ravel(),
+        weights=np.repeat(weights[used], g.n_contexts),
+        minlength=g.incidence.dim,
+    )
 
     residual = None
     if cost > tol:
-        offsets = _stack_offsets(g)
         res_stacked = np.maximum(stacked - mass, 0.0) / cost
         dists = []
-        for ci in range(g.n_contexts):
-            vec = res_stacked[offsets[ci] : offsets[ci + 1]]
+        for vec in g.incidence.split(res_stacked):
             total_mass = vec.sum()
             dists.append(vec / total_mass if total_mass > 0 else vec)
         residual = Box(g, dists)
@@ -265,32 +209,18 @@ def optimize_linear(
     """Extremum of a per-(context, outcome) linear functional over NC_G.
 
     The optimum of a linear functional over the polytope is attained at a
-    deterministic vertex, so an exhaustive vectorized scan is exact.
+    deterministic vertex; all vertex scores at once are the lifted weights
+    ``M^T w``, and ties go to the first assignment in lexicographic order.
     """
     if direction not in ("max", "min"):
         raise InvalidBoxError(f"direction must be 'max' or 'min', got {direction!r}")
     if g.joint_dim > cap:
         raise CapExceededError(f"{g.joint_dim} assignments exceed scan cap {cap}")
-    if len(weights) != g.n_contexts:
-        raise InvalidBoxError("need one weight vector per context")
-    stacked_w = np.concatenate([np.asarray(w, dtype=float).ravel() for w in weights])
-    offsets = _stack_offsets(g)
-    if stacked_w.size != int(offsets[-1]):
-        raise InvalidBoxError("weight vector lengths do not match context outcome spaces")
-
+    scores = g.incidence.lift(g.incidence.stack(weights))
     sign = 1.0 if direction == "max" else -1.0
-    best = -np.inf
-    best_assignment: np.ndarray | None = None
-    for chunk in _assignment_chunks(g):
-        rows = _stacked_rows(g, chunk)
-        scores = sign * stacked_w[rows].sum(axis=1)
-        j = int(np.argmax(scores))
-        if scores[j] > best:
-            best = float(scores[j])
-            best_assignment = chunk[j]
-    assert best_assignment is not None
+    best = int(np.argmax(sign * scores))
     return LinearOptimum(
-        value=sign * best,
-        argopt=DeterministicAssignment(best_assignment),
+        value=float(scores.flat[best]),
+        argopt=DeterministicAssignment(np.unravel_index(best, g.joint_shape)),
         direction=direction,
     )

@@ -154,15 +154,10 @@ class TwirlGroup:
         return len(self.elements)
 
     @cached_property
-    def _stack_offsets(self) -> np.ndarray:
-        dims = [self.hypergraph.context_dim(ci) for ci in range(self.hypergraph.n_contexts)]
-        return np.concatenate([[0], np.cumsum(dims)])
-
-    @cached_property
     def transfer_matrix(self) -> np.ndarray:
         """Linear map on stacked context vectors implementing the twirl."""
-        offsets = self._stack_offsets
-        total = int(offsets[-1])
+        offsets = self.hypergraph.incidence.offsets
+        total = self.hypergraph.incidence.dim
         t_mat = np.zeros((total, total))
         rows = np.arange(total)
         for element in self.elements:
@@ -172,13 +167,6 @@ class TwirlGroup:
                 src_flat[offsets[tprime] : offsets[tprime + 1]] = offsets[t] + src
             t_mat[rows, src_flat] += 1.0 / self.order
         return t_mat
-
-    def unstack(self, stacked: np.ndarray) -> list[np.ndarray]:
-        offsets = self._stack_offsets
-        return [
-            stacked[offsets[ci] : offsets[ci + 1]]
-            for ci in range(self.hypergraph.n_contexts)
-        ]
 
 
 def generate_group(
@@ -221,7 +209,7 @@ def twirl(group: TwirlGroup, box: Box) -> Box:
         raise HypergraphMismatchError("group and box live on different hypergraphs")
     require_valid(box)
     stacked = group.transfer_matrix @ box.stacked()
-    return Box(box.hypergraph, group.unstack(stacked))
+    return Box(box.hypergraph, box.hypergraph.incidence.split(stacked))
 
 
 def _binary_flip_element(

@@ -213,7 +213,7 @@ class TestEmit:
 def test_csv_deterministic_modulo_timing(capsys):
     def rows_without_seconds():
         code, out, _ = run_cli(
-            capsys, "measure", "builtin:PR", "builtin:KCBS", "xu", "--seed", "7"
+            capsys, "measure", "builtin:PR", "builtin:KCBS", "xu"
         )
         assert code == EXIT_OK
         return [r.rsplit(",", 1)[0] for r in out.splitlines() if not r.startswith("#")]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextuality import chain_box, x_u
 from contextuality import closed_form as cf
 
 LOG2_4_3 = 0.41503749927884376
@@ -65,6 +66,12 @@ class TestXuIsotropic:
         lo = 1 / n
         assert cf.xu_isotropic(n, lo) == pytest.approx(0.0, abs=1e-10)
         assert cf.xu_isotropic(n, lo - 1e-11) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    def test_alpha_zero_matches_joint_solver(self, n):
+        # alpha = 0 is the opposite box: non-contextual for odd n, so zero.
+        solved = x_u(chain_box(n, 0.0))
+        assert cf.xu_isotropic(n, 0.0) == pytest.approx(solved.value, abs=1e-5)
 
     @given(alpha=st.floats(0, 1))
     @settings(max_examples=50, deadline=None)

@@ -1,0 +1,117 @@
+"""The context-incidence operator against a brute-force loop over joint outcomes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import contextuality as cx
+from contextuality.polytope import _price_columns
+
+
+@st.composite
+def hypergraphs(draw):
+    """Random hypergraphs with binary, or binary and ternary, observables.
+
+    Contexts list their observables in a random order, so the row-major
+    layout of a context differs from the joint one.
+    """
+    k = draw(st.integers(2, 5))
+    max_card = draw(st.sampled_from([2, 3]))
+    cards = [draw(st.integers(2, max_card)) for _ in range(k)]
+    contexts, seen = [], set()
+    for _ in range(draw(st.integers(1, 5))):
+        ctx = tuple(draw(st.permutations(range(k)))[: draw(st.integers(1, k))])
+        if frozenset(ctx) not in seen:
+            seen.add(frozenset(ctx))
+            contexts.append(ctx)
+    uncovered = tuple(i for i in range(k) if not any(i in c for c in contexts))
+    if uncovered:
+        contexts.append(uncovered)
+    return cx.Hypergraph([(f"O{i}", d) for i, d in enumerate(cards)], contexts)
+
+
+def brute_rows(g):
+    """Stacked row hit in each context, per joint index, from np.ndindex."""
+    offsets = np.cumsum([0] + [g.context_dim(ci) for ci in range(g.n_contexts)])
+    table = []
+    for outcome in np.ndindex(g.joint_shape):
+        row = []
+        for ci, ctx in enumerate(g.contexts):
+            index = 0
+            for i in ctx:
+                index = index * g.cardinalities[i] + outcome[i]
+            row.append(offsets[ci] + index)
+        table.append(row)
+    return np.array(table, dtype=np.int64)
+
+
+def sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def stacked_values(g, rng):
+    """Random stacked weights; small integers half the time, to force ties."""
+    dim = sum(g.context_dim(ci) for ci in range(g.n_contexts))
+    if rng.uniform() < 0.5:
+        return rng.integers(0, 3, size=dim).astype(float)
+    return rng.normal(size=dim)
+
+
+@seed(20240613)
+@settings(max_examples=60, deadline=None)
+@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+def test_operator_matches_bruteforce(g, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    op = g.incidence
+    table = brute_rows(g)
+    assert op.dim == int(table.max()) + 1
+
+    # rows: every joint index, and each column is its deterministic box.
+    assert np.array_equal(op.rows(np.arange(g.joint_dim)), table)
+    for j in rng.choice(g.joint_dim, size=min(4, g.joint_dim), replace=False):
+        assert np.array_equal(op.rows(int(j)), table[j])
+        outputs = np.unravel_index(int(j), g.joint_shape)
+        det = cx.deterministic_box(cx.DeterministicAssignment(outputs), g)
+        assert np.array_equal(np.flatnonzero(det.stacked()), table[j])
+
+    # marginals: M p accumulated outcome by outcome.
+    p = rng.dirichlet(np.ones(g.joint_dim))
+    expected = np.zeros(op.dim)
+    for j, row in enumerate(table):
+        expected[row] += p[j]
+    assert np.allclose(op.marginals(p), expected, rtol=0.0, atol=1e-14)
+    joint = cx.JointDistribution(g, p)
+    for part, ctx in zip(op.split(op.marginals(p)), g.contexts):
+        assert np.allclose(part, cx.marginal(joint, ctx), rtol=0.0, atol=1e-14)
+
+    # lift: M^T y, summed in context order, hence bit for bit.
+    y = stacked_values(g, rng)
+    scores = np.array([sequential_sum(y[row]) for row in table])
+    assert np.array_equal(op.lift(y).ravel(), scores)
+
+    # Pricing: the minimum score and the cheapest columns.
+    count = int(rng.integers(1, g.joint_dim + 2))
+    min_score, picked = _price_columns(g, y, count)
+    assert min_score == scores.min()
+    assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
+    rest = np.setdiff1d(np.arange(g.joint_dim), picked)
+    assert rest.size == 0 or scores[picked].max() <= scores[rest].min()
+
+    # split and stack are inverse; stack refuses a wrong context count or size.
+    weights = op.split(y)
+    assert np.array_equal(op.stack(weights), y)
+    with pytest.raises(cx.InvalidBoxError):
+        op.stack(weights[:-1])
+    with pytest.raises(cx.InvalidBoxError):
+        cx.optimize_linear(g, [np.append(w, 0.0) for w in weights])
+
+    # optimize_linear: value and first optimal assignment in lexicographic order.
+    for direction, sign in (("max", 1.0), ("min", -1.0)):
+        result = cx.optimize_linear(g, weights, direction)
+        best = int(np.argmax(sign * scores))
+        assert result.value == scores[best]
+        assert result.argopt.outputs == tuple(int(v) for v in np.unravel_index(best, g.joint_shape))

@@ -5,7 +5,7 @@ import pytest
 
 import contextuality as cx
 from contextuality.inequalities import support_weights
-from contextuality.polytope import _stacked_rows, _vertex_matrix
+from contextuality.polytope import DENSE_VERTEX_CAP, _vertex_matrix
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -98,6 +98,33 @@ class TestContextualityCost:
     def test_pricing_cap_exceeded(self):
         with pytest.raises(cx.CapExceededError):
             cx.contextuality_cost(cx.chain_box(30), pricing_cap=2**22)
+
+
+class TestCostBracket:
+    """``0 <= lo <= cost <= hi <= 1`` on the dense and column-generation paths."""
+
+    @staticmethod
+    def assert_ordered(report):
+        lo, hi = report.interval
+        assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+
+    @pytest.mark.parametrize("dense_cap", [DENSE_VERTEX_CAP, 1])
+    def test_mermin_ninety(self, dense_cap):
+        # The dense LP once returned lo = 0.5000000000000001 > hi = 0.5 here.
+        self.assert_ordered(cx.contextuality_cost(cx.mermin_box(0.9), dense_cap=dense_cap))
+
+    def test_chain16_ninety(self):
+        # Column generation once returned hi = -4.4e-16 here.
+        self.assert_ordered(cx.contextuality_cost(cx.chain_box(16, 0.9)))
+
+    def test_seeded_boxes_on_both_paths(self):
+        rng = np.random.default_rng(2024)
+        anchors = [cx.pr_box(), cx.kcbs_box(), cx.chain_box(6), cx.mermin_box()]
+        for _ in range(6):
+            for anchor in anchors:
+                box = random_consistent_box(anchor.hypergraph, rng, anchor=anchor)
+                for dense_cap in (DENSE_VERTEX_CAP, 1):
+                    self.assert_ordered(cx.contextuality_cost(box, dense_cap=dense_cap))
 
 
 class TestIsNoncontextual:
@@ -194,17 +221,19 @@ class TestOptimizeLinear:
 
 
 def test_vertex_matrix_columns_are_deterministic_boxes(pr):
-    poly = cx.enumerate_vertices(pr.hypergraph)
-    a_mat = _vertex_matrix(pr.hypergraph, np.asarray(poly.assignments))
+    g = pr.hypergraph
+    poly = cx.enumerate_vertices(g)
+    a_mat = _vertex_matrix(g, np.arange(poly.vertex_count))
     for j in (0, 7, 15):
-        det = cx.deterministic_box(poly.assignment(j), pr.hypergraph)
-        assert np.allclose(a_mat[:, j], det.stacked())
+        det = cx.deterministic_box(poly.assignment(j), g)
+        assert np.array_equal(a_mat[:, j], det.stacked())
 
 
 def test_stacked_rows_match_outcome_indices(pm):
     g = pm.hypergraph
     poly = cx.enumerate_vertices(g)
-    rows = _stacked_rows(g, np.asarray(poly.assignments[:8]))
+    rows = g.incidence.rows(np.arange(8))
     det = cx.deterministic_box(poly.assignment(3), g)
     stacked = det.stacked()
     assert np.allclose(stacked[rows[3]], 1.0)
+    assert stacked.sum() == g.n_contexts

@@ -121,7 +121,7 @@ class BetaBoundsReport:
     ok: bool
 
 
-def verify_bounds_by_lp(reference: Box, cap: int = 2**22) -> BetaBoundsReport:
+def verify_bounds_by_lp(reference: Box) -> BetaBoundsReport:
     """Confirm the KS bounds by optimizing beta over the NC polytope vertices."""
     from .polytope import optimize_linear
 
@@ -129,8 +129,8 @@ def verify_bounds_by_lp(reference: Box, cap: int = 2**22) -> BetaBoundsReport:
     if profile is None:
         raise NotXorBoxError("bound verification needs an xor-box reference")
     weights = support_weights(reference)
-    hi = optimize_linear(reference.hypergraph, weights, "max", cap=cap)
-    lo = optimize_linear(reference.hypergraph, weights, "min", cap=cap)
+    hi = optimize_linear(reference.hypergraph, weights, "max")
+    lo = optimize_linear(reference.hypergraph, weights, "min")
     n = profile.n_contexts
     expected_max = float(n - 1)
     expected_min = 1.0 if n % 2 == 0 else 0.0

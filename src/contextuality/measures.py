@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,16 +313,7 @@ def i_fixed(box: Box, weights: ContextWeights, tol: float = DEFAULT_TOL, **kwarg
     report's method field records the route.
     """
     report = x_fixed(box, weights, tol=tol, **kwargs)
-    return MeasureReport(
-        value=report.value,
-        optimizer=report.optimizer,
-        duality_gap=report.duality_gap,
-        iterations=report.iterations,
-        wall_time_s=report.wall_time_s,
-        converged=report.converged,
-        method=report.method + "+mutual-information-equivalence",
-        trace=report.trace,
-    )
+    return replace(report, method=report.method + "+mutual-information-equivalence")
 
 
 def x_max(

@@ -8,9 +8,11 @@ hypergraph.  The contextuality cost of a consistent box b solves
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
 Columns are joint indices, and a column's rows come from the hypergraph's
-context-incidence operator.  Dense mode materializes all columns; above the
-dense cap a column-generation loop prices every assignment at once as the
-lifted dual ``M^T y`` (a joint tensor) and enters the cheapest ones.
+context-incidence operator.  One column-generation loop solves every box: it
+starts from up to 512 evenly spaced columns (all of them for small boxes),
+prices every assignment at once as the lifted dual ``M^T y`` (a joint
+tensor) and enters the cheapest ones until every assignment scores at least
+1.  The final pricing bound certifies the lower end of the bracket.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .boxes import (
 )
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
-DENSE_VERTEX_CAP = 2**14
+DENSE_VERTEX_CAP = 2**14  # default cap of enumerate_vertices
 PRICING_SCAN_CAP = 2**22
 _LP_TOL = 1e-9
 
@@ -53,9 +55,7 @@ def enumerate_vertices(g: Hypergraph, cap: int = DENSE_VERTEX_CAP) -> NCPolytope
     """All deterministic assignments of ``g``; refuses above ``cap``."""
     total = g.joint_dim
     if total > cap:
-        raise CapExceededError(
-            f"{total} vertices exceed cap {cap}; use column-generation mode"
-        )
+        raise CapExceededError(f"{total} vertices exceed the enumeration cap {cap}")
     grid = np.unravel_index(np.arange(total), g.joint_shape)
     assignments = np.stack(grid, axis=1).astype(np.int64)
     assignments.flags.writeable = False
@@ -96,23 +96,7 @@ def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float,
     return float(scores[picked].min()), picked
 
 
-def _solve_restricted(stacked: np.ndarray, a_mat: np.ndarray):
-    res = linprog(
-        c=-np.ones(a_mat.shape[1]),
-        A_ub=a_mat,
-        b_ub=stacked,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    return res
-
-
-def contextuality_cost(
-    box: Box,
-    tol: float = _LP_TOL,
-    dense_cap: int = DENSE_VERTEX_CAP,
-    pricing_cap: int = PRICING_SCAN_CAP,
-) -> CostReport:
+def contextuality_cost(box: Box, tol: float = _LP_TOL) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
     Defined only for consistent boxes; inconsistent input is refused rather
@@ -121,37 +105,34 @@ def contextuality_cost(
     require_valid(box)
     require_consistent(box)
     g = box.hypergraph
+    if g.joint_dim > PRICING_SCAN_CAP:
+        raise CapExceededError(
+            f"{g.joint_dim} vertices exceed the pricing scan cap {PRICING_SCAN_CAP}"
+        )
     stacked = box.stacked()
-
-    if g.joint_dim <= dense_cap:
-        columns = np.arange(g.joint_dim)
-        res = _solve_restricted(stacked, _vertex_matrix(g, columns))
+    columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
+    for _ in range(200):
+        res = linprog(
+            c=-np.ones(columns.size),
+            A_ub=_vertex_matrix(g, columns),
+            b_ub=stacked,
+            bounds=(0.0, None),
+            method="highs",
+        )
         if res.status != 0:
             raise ContextualityError(f"cost LP failed: {res.message}")
         duals = -np.asarray(res.ineqlin.marginals)
-        dual_value = float(duals @ stacked)
+        min_score, candidates = _price_columns(g, duals, count=256)
+        if min_score >= 1.0 - 1e-9:
+            break
+        merged = np.union1d(columns, candidates)
+        if merged.size == columns.size:
+            break
+        columns = merged
     else:
-        if g.joint_dim > pricing_cap:
-            raise CapExceededError(
-                f"{g.joint_dim} vertices exceed the pricing scan cap {pricing_cap}"
-            )
-        columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
-        for _ in range(200):
-            res = _solve_restricted(stacked, _vertex_matrix(g, columns))
-            if res.status != 0:
-                raise ContextualityError(f"cost LP failed: {res.message}")
-            duals = -np.asarray(res.ineqlin.marginals)
-            min_score, candidates = _price_columns(g, duals, count=64)
-            if min_score >= 1.0 - 1e-9:
-                break
-            merged = np.union1d(columns, candidates)
-            if merged.size == columns.size:
-                break
-            columns = merged
-        else:
-            raise ContextualityError("column generation did not converge in 200 rounds")
-        # The pricing bound certifies y / min_score is dual feasible.
-        dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
+        raise ContextualityError("column generation did not converge in 200 rounds")
+    # The pricing bound certifies y / min_score is dual feasible.
+    dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
 
     primal_value = -float(res.fun)
     weights = np.asarray(res.x)

@@ -106,16 +106,21 @@ def identity_element(g: Hypergraph) -> GroupElement:
     )
 
 
+def _compose_key(second: GroupElement, first: GroupElement) -> tuple:
+    """``(perm, relabelings)`` of ``first`` then ``second``, without validation."""
+    perm = tuple(second.perm[j] for j in first.perm)
+    relabelings = tuple(
+        tuple(second.relabelings[j][v] for v in r)
+        for j, r in zip(first.perm, first.relabelings)
+    )
+    return perm, relabelings
+
+
 def compose(second: GroupElement, first: GroupElement) -> GroupElement:
     """Apply ``first``, then ``second``."""
     if second.hypergraph != first.hypergraph:
         raise HypergraphMismatchError("cannot compose elements on different hypergraphs")
-    perm = tuple(second.perm[first.perm[i]] for i in range(len(first.perm)))
-    relabelings = tuple(
-        tuple(second.relabelings[first.perm[i]][v] for v in first.relabelings[i])
-        for i in range(len(first.perm))
-    )
-    return GroupElement(first.hypergraph, perm, relabelings)
+    return GroupElement(first.hypergraph, *_compose_key(second, first))
 
 
 def inverse(element: GroupElement) -> GroupElement:
@@ -192,11 +197,12 @@ def generate_group(
         new_frontier = []
         for element in frontier:
             for gen in generators:
-                candidate = compose(gen, element)
-                key = candidate.key()
+                # Only unseen products are built, and so validated.
+                key = _compose_key(gen, element)
                 if key not in elements:
                     if len(elements) >= cap:
                         raise CapExceededError(f"group closure exceeded cap {cap}")
+                    candidate = GroupElement(g, *key)
                     elements[key] = candidate
                     new_frontier.append(candidate)
         frontier = new_frontier

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import contextuality as cx
 from contextuality.inequalities import support_weights
@@ -11,6 +12,65 @@ from contextuality.sampling import (
     random_consistent_box,
     random_noncontextual_box,
 )
+
+
+def dense_reference_cost(box, n_columns=None):
+    """Cost from one LP over vertex columns, independent of column generation.
+
+    Uses every vertex column, or only the first ``n_columns`` of them; with
+    fewer than all, the result is an upper bound on the cost.
+    """
+    g = box.hypergraph
+    columns = np.arange(min(g.joint_dim, n_columns or g.joint_dim))
+    res = linprog(
+        c=-np.ones(columns.size),
+        A_ub=_vertex_matrix(g, columns),
+        b_ub=box.stacked(),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return 1.0 + float(res.fun)
+
+
+def ternary_cycle_box(n):
+    """Ternary n-cycle: equal outputs on every context but the last, a shift by one there.
+
+    The shifts around the cycle sum to 1 mod 3, so no deterministic assignment
+    fits the support and the cost is 1.
+    """
+    g = cx.Hypergraph([(f"A{i}", 3) for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    dists = []
+    for i in range(n):
+        shift = 1 if i == n - 1 else 0
+        dist = np.zeros(9)
+        dist[[3 * a + (a + shift) % 3 for a in range(3)]] = 1 / 3
+        dists.append(dist)
+    return cx.Box(g, dists)
+
+
+def seeded_boxes(seed=2024, rounds=3):
+    """Binary and ternary boxes, with joint_dim both within and beyond 512."""
+    rng = np.random.default_rng(seed)
+    anchors = [
+        cx.pr_box(),
+        cx.kcbs_box(),
+        cx.chain_box(6),
+        cx.chain_box(10),
+        cx.mermin_box(),
+        ternary_cycle_box(4),
+        ternary_cycle_box(6),
+    ]
+    boxes = []
+    for _ in range(rounds):
+        for anchor in anchors:
+            weight = float(rng.uniform(0.5, 1.0))
+            boxes.append(
+                random_consistent_box(anchor.hypergraph, rng, anchor=anchor, anchor_weight=weight)
+            )
+        # Noncontextual Mermin-star boxes: cost 0, reached in more than one round.
+        boxes.append(random_noncontextual_box(cx.mermin_box().hypergraph, rng))
+    return boxes
 
 
 class TestEnumerateVertices:
@@ -49,20 +109,22 @@ class TestContextualityCost:
         assert report.cost == pytest.approx(0.5, abs=1e-8)
 
     def test_report_invariants(self):
-        box = cx.pm_box(alpha=11 / 12)
-        report = cx.contextuality_cost(box)
-        weights = report.witness_weights
-        assert all(w >= 0 for w in weights.values())
-        assert sum(weights.values()) == pytest.approx(1 - report.cost, abs=1e-8)
-        # Reconstruction: cost * residual + sum_D w_D * det_D == box.
-        recon = [np.zeros(box.hypergraph.context_dim(ci)) for ci in range(6)]
-        for assignment, w in weights.items():
-            det = cx.deterministic_box(assignment, box.hypergraph)
-            for ci in range(6):
-                recon[ci] += w * det.distributions[ci]
-        for ci in range(6):
-            recon[ci] += report.cost * report.residual_box.distributions[ci]
-            assert np.allclose(recon[ci], box.distributions[ci], atol=1e-8)
+        # Mermin at 0.9 enters columns over more than one round.
+        for box in (cx.pm_box(alpha=11 / 12), cx.mermin_box(0.9)):
+            g = box.hypergraph
+            report = cx.contextuality_cost(box)
+            weights = report.witness_weights
+            assert all(w >= 0 for w in weights.values())
+            assert sum(weights.values()) == pytest.approx(1 - report.cost, abs=1e-8)
+            # Reconstruction: cost * residual + sum_D w_D * det_D == box.
+            recon = [np.zeros(g.context_dim(ci)) for ci in range(g.n_contexts)]
+            for assignment, w in weights.items():
+                det = cx.deterministic_box(assignment, g)
+                for ci in range(g.n_contexts):
+                    recon[ci] += w * det.distributions[ci]
+            for ci in range(g.n_contexts):
+                recon[ci] += report.cost * report.residual_box.distributions[ci]
+                assert np.allclose(recon[ci], box.distributions[ci], atol=1e-8)
 
     def test_residual_is_consistent_box(self):
         report = cx.contextuality_cost(cx.pm_box(alpha=11 / 12))
@@ -83,49 +145,54 @@ class TestContextualityCost:
             cx.contextuality_cost(cx.Box(pr.hypergraph, dists))
 
     def test_column_generation_matches_dense(self):
-        # Same box through both LP routes; the dense cap forces the CG path.
-        box = cx.chain_box(6, 0.9)
-        dense = cx.contextuality_cost(box)
-        cg = cx.contextuality_cost(box, dense_cap=1)
-        assert cg.cost == pytest.approx(dense.cost, abs=1e-9)
+        for box in [cx.chain_box(6, 0.9), cx.mermin_box(0.9), *seeded_boxes()]:
+            cost = cx.contextuality_cost(box).cost
+            assert cost == pytest.approx(dense_reference_cost(box), abs=1e-9)
+        for n in (4, 6):
+            assert cx.contextuality_cost(ternary_cycle_box(n)).cost == pytest.approx(1.0, abs=1e-9)
 
     def test_column_generation_beyond_dense_cap(self):
-        # 2^16 vertices exceed the dense cap; the formula value is 16a - 15.
+        # 2^16 vertices exceed the enumeration cap; the formula value is 16a - 15.
         box = cx.chain_box(16, 0.95)
         report = cx.contextuality_cost(box)
         assert report.cost == pytest.approx(0.2, abs=1e-7)
 
     def test_pricing_cap_exceeded(self):
         with pytest.raises(cx.CapExceededError):
-            cx.contextuality_cost(cx.chain_box(30), pricing_cap=2**22)
+            cx.contextuality_cost(cx.chain_box(30))
 
 
 class TestCostBracket:
-    """``0 <= lo <= cost <= hi <= 1`` on the dense and column-generation paths."""
+    """``0 <= lo <= cost <= hi <= 1``, and the cost of the full vertex LP."""
 
     @staticmethod
     def assert_ordered(report):
         lo, hi = report.interval
         assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
 
-    @pytest.mark.parametrize("dense_cap", [DENSE_VERTEX_CAP, 1])
-    def test_mermin_ninety(self, dense_cap):
+    @pytest.mark.parametrize("reference_columns", [DENSE_VERTEX_CAP, 1])
+    def test_mermin_ninety(self, reference_columns):
         # The dense LP once returned lo = 0.5000000000000001 > hi = 0.5 here.
-        self.assert_ordered(cx.contextuality_cost(cx.mermin_box(0.9), dense_cap=dense_cap))
+        box = cx.mermin_box(0.9)
+        report = cx.contextuality_cost(box)
+        self.assert_ordered(report)
+        # The reference LP is exact over every vertex column, an upper bound over fewer.
+        reference = dense_reference_cost(box, reference_columns)
+        if reference_columns >= box.hypergraph.joint_dim:
+            assert report.cost == pytest.approx(reference, abs=1e-9)
+        else:
+            assert report.cost <= reference + 1e-9
 
     def test_chain16_ninety(self):
         # Column generation once returned hi = -4.4e-16 here.
         self.assert_ordered(cx.contextuality_cost(cx.chain_box(16, 0.9)))
 
     def test_seeded_boxes_on_both_paths(self):
-        rng = np.random.default_rng(2024)
-        anchors = [cx.pr_box(), cx.kcbs_box(), cx.chain_box(6), cx.mermin_box()]
-        for _ in range(6):
-            for anchor in anchors:
-                box = random_consistent_box(anchor.hypergraph, rng, anchor=anchor)
-                for dense_cap in (DENSE_VERTEX_CAP, 1):
-                    self.assert_ordered(cx.contextuality_cost(box, dense_cap=dense_cap))
-
+        # Column generation against the full vertex LP.
+        for box in seeded_boxes(seed=7, rounds=4):
+            report = cx.contextuality_cost(box)
+            self.assert_ordered(report)
+            assert report.cost == pytest.approx(dense_reference_cost(box), abs=1e-9)
 
 class TestIsNoncontextual:
     def test_joint_box_is_member(self, rng):

@@ -85,6 +85,30 @@ class TestGenerateGroup:
         with pytest.raises(cx.CapExceededError):
             cx.generate_group(list(gens), cap=10)
 
+    @pytest.mark.parametrize("name,n", [("PM", None), ("M", None), ("KCBS", None), ("CH", 5)])
+    def test_closure_matches_reference(self, name, n):
+        # Breadth-first closure that builds and validates every product, each
+        # composed as a map on (observable, output) pairs: first, then second.
+        gens = cx.builtin_generators(name, n)
+        g = gens[0].hypergraph
+
+        def product(second, first):
+            images = [
+                [(second.perm[j], second.relabelings[j][w]) for j, w in
+                 ((first.perm[i], first.relabelings[i][v]) for v in range(d))]
+                for i, d in enumerate(g.cardinalities)
+            ]
+            return cx.GroupElement(g, [row[0][0] for row in images],
+                                   [[w for _, w in row] for row in images])
+
+        ident = identity_element(g)
+        seen, frontier = {ident.key(): ident}, [ident]
+        while frontier:
+            products = [product(gen, element) for element in frontier for gen in gens]
+            frontier = [p for p in products if seen.setdefault(p.key(), p) is p]
+        grp = cx.generate_group(gens)
+        assert [e.key() for e in grp.elements] == list(seen)
+
 
 class TestBuiltinGenerators:
     @pytest.mark.parametrize(

@@ -191,7 +191,7 @@ def _marginalize(tensor: np.ndarray, plan: tuple[tuple[int, ...], ...]) -> np.nd
 
 
 class ContextIncidence:
-    """The context-incidence map M of a hypergraph, kept implicit.
+    """The context-incidence map M of a hypergraph.
 
     Rows of M are the stacked context outcomes: every context's outcome
     vector (row-major in the context's observable order), concatenated in
@@ -201,8 +201,10 @@ class ContextIncidence:
     the stacked vector of context marginals, ``lift(y) = M^T y`` is the
     joint tensor ``sum_c y_c(lambda_c)``, and ``rows(lambda)`` lists the
     rows of column lambda.  Both products are tensor reductions and
-    broadcasts; M itself is never materialized, so memory stays
-    O(joint_dim).  This is the only code that knows the stacked layout.
+    broadcasts, so their memory stays O(joint_dim); ``columns`` builds a
+    dense block of M only for the callers that ask for one (the cost LP's
+    constraint matrix, and the entropy solver on small boxes).  This is the
+    only code that knows the stacked layout.
     """
 
     def __init__(self, g: Hypergraph):
@@ -256,6 +258,17 @@ class ContextIncidence:
             ],
             axis=-1,
         )
+
+    def columns(self, joint_indices, support=None) -> np.ndarray:
+        """Dense ``M[support][:, joint_indices]``, with every stacked row when ``support`` is None."""
+        joint_indices = np.ravel(joint_indices)
+        support = np.arange(self.dim) if support is None else np.asarray(support)
+        # Rows off the support land in a spare last row, dropped on return.
+        position = np.full(self.dim, support.size)
+        position[support] = np.arange(support.size)
+        out = np.zeros((support.size + 1, joint_indices.size))
+        out[position[self.rows(joint_indices)], np.arange(joint_indices.size)[:, None]] = 1.0
+        return out[:-1]
 
 
 @dataclass(frozen=True)

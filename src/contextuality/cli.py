@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,8 +105,6 @@ def _measure_one(source: str, measure: str, args) -> ResultRow:
             converged=report.converged,
         )
     if measure == "cost":
-        import time
-
         t0 = time.perf_counter()
         report = contextuality_cost(box)
         lo, hi = report.interval
@@ -113,15 +112,11 @@ def _measure_one(source: str, measure: str, args) -> ResultRow:
             source, "cost", report.cost, hi - lo, 0, time.perf_counter() - t0
         )
     if measure == "beta":
-        import time
-
         t0 = time.perf_counter()
         reference = load_box(args.reference) if args.reference else box
         value = beta(reference, box)
         return ResultRow(source, "beta", value, 0.0, 0, time.perf_counter() - t0)
     if measure == "consistency":
-        import time
-
         t0 = time.perf_counter()
         report = check_consistency(box, tol=args.tol)
         return ResultRow(
@@ -233,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("CONTEXTUALITY_WORKERS", "1"))
-
     p_measure = sub.add_parser("measure", help="evaluate a measure on one or more boxes")
     p_measure.add_argument(
         "source_and_measure",
@@ -251,7 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_measure.add_argument("--reference", default=None, help="reference box for beta")
     p_measure.add_argument("--format", choices=("csv", "plain"), default="csv")
-    p_measure.add_argument("--workers", type=int, default=default_workers)
+    # A string default goes through ``type`` too, so a malformed environment
+    # value is reported like a malformed flag (exit code 2).
+    p_measure.add_argument(
+        "--workers",
+        type=int,
+        default=os.environ.get("CONTEXTUALITY_WORKERS", "1"),
+        help="worker threads (default: $CONTEXTUALITY_WORKERS, else 1)",
+    )
     p_measure.set_defaults(func=cmd_measure)
 
     p_fig = sub.add_parser("figure-chain", help="chain-family figure data as CSV")

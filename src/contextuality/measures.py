@@ -45,6 +45,11 @@ LOG2E = math.log2(math.e)
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
 DEFAULT_DIM_CAP = 2**22
+# Largest support-restricted incidence matrix (support rows x joint_dim
+# entries, 8 MB) the solver keeps dense: below it two matrix-vector products
+# beat the per-context tensor reductions on every box measured, above it the
+# gain shrinks and turns into a loss on boxes with many rows per context.
+DENSE_ENTRIES_CAP = 2**20
 
 
 def relative_entropy(g, p) -> float:
@@ -152,10 +157,16 @@ class _FixedWeightProblem:
     """F(p) = sum_c w_c D(g_c || (M p)_c) on the stacked context outcomes.
 
     Only the active support (target > 0 in a context of positive weight)
-    enters the value, the multiplier field and the line search.
+    enters the value, the multiplier field and the line search.  When the
+    support rows of M have at most ``DENSE_ENTRIES_CAP`` entries they are
+    kept as one dense matrix, so a step costs two matrix-vector products;
+    above the cap the operator's tensor reductions keep memory O(joint_dim).
+    A problem passed as ``like`` lends its matrix when the support is the same.
     """
 
-    def __init__(self, box: Box, weights: ContextWeights):
+    def __init__(
+        self, box: Box, weights: ContextWeights, like: "_FixedWeightProblem | None" = None
+    ):
         self.g = box.hypergraph
         self.op = self.g.incidence
         self.targets = box.stacked()
@@ -164,17 +175,30 @@ class _FixedWeightProblem:
         self.t_s = self.targets[self.support]
         self.w_s = w_rows[self.support]
         self.wt_s = self.w_s * self.t_s
+        self.dense: np.ndarray | None = None
+        if like is not None and np.array_equal(like.support, self.support):
+            self.dense = like.dense
+        elif self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
+            self.dense = self.op.columns(np.arange(self.g.joint_dim), self.support)
+
+    def _support_marginals(self, p_tensor: np.ndarray) -> np.ndarray:
+        if self.dense is None:
+            return self.op.marginals(p_tensor)[self.support]
+        return self.dense @ p_tensor.reshape(-1)
 
     def evaluate(self, p_tensor: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective value (bits), multiplier field r, and duality gap (bits)."""
-        m = self.op.marginals(p_tensor)[self.support]
+        m = self._support_marginals(p_tensor)
         if np.any(m <= 0.0):
             return float("inf"), np.zeros(self.g.joint_shape), float("inf")
         ratio = self.t_s / m
         value = float(self.wt_s @ np.log2(ratio))
-        y = np.zeros(self.op.dim)
-        y[self.support] = ratio * self.w_s
-        r = self.op.lift(y)
+        if self.dense is None:
+            y = np.zeros(self.op.dim)
+            y[self.support] = ratio * self.w_s
+            r = self.op.lift(y)
+        else:
+            r = ((ratio * self.w_s) @ self.dense).reshape(self.g.joint_shape)
         gap = (float(r.max()) - 1.0) * LOG2E
         return value, r, max(gap, 0.0)
 
@@ -186,7 +210,7 @@ class _FixedWeightProblem:
     def line_search(self, p_tensor: np.ndarray, vertex: int) -> float:
         """Exact step toward the vertex at flat joint index ``vertex``: root of
         the 1-D directional derivative."""
-        m = self.op.marginals(p_tensor)[self.support]
+        m = self._support_marginals(p_tensor)
         s = np.zeros(self.op.dim)
         s[self.op.rows(vertex)] = 1.0
         s = s[self.support]
@@ -208,14 +232,12 @@ class _FixedWeightProblem:
 
 
 def _solve_fixed(
-    box: Box,
-    weights: ContextWeights,
+    problem: _FixedWeightProblem,
     tol: float,
     max_iters: int,
     method: str,
     init: np.ndarray | None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
-    problem = _FixedWeightProblem(box, weights)
     shape = problem.g.joint_shape
     p = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape).copy()
 
@@ -264,6 +286,11 @@ def _check_dims(box: Box, dim_cap: int) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def x_fixed(
     box: Box,
     weights: ContextWeights,
@@ -281,13 +308,14 @@ def x_fixed(
     require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
+    _check_tol(tol)
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
     if method not in ("auto", "em", "fw"):
         raise InvalidBoxError(f"unknown method {method!r}")
     start = time.perf_counter()
     value, p_flat, gap, iters, converged, trace = _solve_fixed(
-        box, weights, tol, max_iters, method, init
+        _FixedWeightProblem(box, weights), tol, max_iters, method, init
     )
     return MeasureReport(
         value=value,
@@ -338,6 +366,7 @@ def x_max(
     require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
+    _check_tol(tol)
     start = time.perf_counter()
     n = box.hypergraph.n_contexts
     log_w = np.zeros(n)
@@ -358,7 +387,7 @@ def x_max(
         w_vec /= w_vec.sum()
         weights = ContextWeights(w_vec)
         value, p_flat, gap, iters, _, _ = _solve_fixed(
-            box, weights, tol, max_iters, method, warm
+            _FixedWeightProblem(box, weights, like=problem), tol, max_iters, method, warm
         )
         total_inner += iters
         warm = p_flat

@@ -7,12 +7,14 @@ hypergraph.  The contextuality cost of a consistent box b solves
 
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
-Columns are joint indices, and a column's rows come from the hypergraph's
-context-incidence operator.  One column-generation loop solves every box: it
-starts from up to 512 evenly spaced columns (all of them for small boxes),
-prices every assignment at once as the lifted dual ``M^T y`` (a joint
-tensor) and enters the cheapest ones until every assignment scores at least
-1.  The final pricing bound certifies the lower end of the bracket.
+Columns are joint indices.  The LP's constraint matrix is the dense block
+``M[:, columns]`` of the hypergraph's context-incidence operator M, built
+for the current columns only; pricing never materializes M.  One
+column-generation loop solves every box: it starts from up to 512 evenly
+spaced columns (all of them for small boxes), prices every assignment at
+once as the lifted dual ``M^T y`` (a joint tensor) and enters the cheapest
+ones until every assignment scores at least 1.  The final pricing bound
+certifies the lower end of the bracket.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ def enumerate_vertices(g: Hypergraph, cap: int = DENSE_VERTEX_CAP) -> NCPolytope
     return NCPolytope(g, assignments)
 
 
-def _vertex_matrix(g: Hypergraph, columns: np.ndarray) -> np.ndarray:
-    """Dense constraint matrix: one column per joint index, one row per stacked entry."""
-    a_mat = np.zeros((g.incidence.dim, columns.size))
-    a_mat[g.incidence.rows(columns), np.arange(columns.size)[:, None]] = 1.0
-    return a_mat
-
-
 @dataclass(frozen=True)
 class CostReport:
     """Optimal decomposition data for the contextuality cost LP."""
@@ -114,7 +109,7 @@ def contextuality_cost(box: Box, tol: float = _LP_TOL) -> CostReport:
     for _ in range(200):
         res = linprog(
             c=-np.ones(columns.size),
-            A_ub=_vertex_matrix(g, columns),
+            A_ub=g.incidence.columns(columns),
             b_ub=stacked,
             bounds=(0.0, None),
             method="highs",

@@ -132,6 +132,24 @@ class TestExitCodes:
         )
         assert code == EXIT_NO_CONVERGENCE
 
+    def test_negative_tolerance(self, capsys):
+        code, _, err = run_cli(capsys, "measure", "builtin:PR", "xu", "--tol", "-1")
+        assert code == EXIT_INVALID_INPUT
+        assert "tolerance" in err
+
+    def test_workers_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTEXTUALITY_WORKERS", "3")
+        code, out, _ = run_cli(capsys, "measure", "builtin:PR", "builtin:PM", "cost")
+        assert code == EXIT_OK
+        assert "# workers=3" in out.splitlines()
+        monkeypatch.setenv("CONTEXTUALITY_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "builtin:PR", "xu"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "--workers" in capsys.readouterr().err
+        code, _, _ = run_cli(capsys, "measure", "builtin:PR", "xu", "--workers", "1")
+        assert code == EXIT_OK
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "measure", "builtin:CH:30", "xu")
         assert code == EXIT_CAP_EXCEEDED

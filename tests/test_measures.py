@@ -105,6 +105,12 @@ class TestXFixed:
         assert not report.converged
         assert report.duality_gap > 1e-7
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+    @pytest.mark.parametrize("solve", [cx.x_u, cx.x_max])
+    def test_bad_tolerance_refused(self, pr, solve, tol):
+        with pytest.raises(cx.InvalidBoxError, match="tolerance"):
+            solve(pr, tol=tol)
+
 
 class TestXu:
     def test_pm(self, pm):

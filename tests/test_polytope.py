@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 import contextuality as cx
 from contextuality.inequalities import support_weights
-from contextuality.polytope import DENSE_VERTEX_CAP, _vertex_matrix
+from contextuality.polytope import DENSE_VERTEX_CAP
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -24,7 +24,7 @@ def dense_reference_cost(box, n_columns=None):
     columns = np.arange(min(g.joint_dim, n_columns or g.joint_dim))
     res = linprog(
         c=-np.ones(columns.size),
-        A_ub=_vertex_matrix(g, columns),
+        A_ub=g.incidence.columns(columns),
         b_ub=box.stacked(),
         bounds=(0.0, None),
         method="highs",
@@ -290,7 +290,7 @@ class TestOptimizeLinear:
 def test_vertex_matrix_columns_are_deterministic_boxes(pr):
     g = pr.hypergraph
     poly = cx.enumerate_vertices(g)
-    a_mat = _vertex_matrix(g, np.arange(poly.vertex_count))
+    a_mat = g.incidence.columns(np.arange(poly.vertex_count))
     for j in (0, 7, 15):
         det = cx.deterministic_box(poly.assignment(j), g)
         assert np.array_equal(a_mat[:, j], det.stacked())

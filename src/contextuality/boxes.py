@@ -260,7 +260,7 @@ class ContextIncidence:
         )
 
     def columns(self, joint_indices, support=None) -> np.ndarray:
-        """Dense ``M[support][:, joint_indices]``, with every stacked row when ``support`` is None."""
+        """Dense ``M[support][:, joint_indices]``; every stacked row when ``support`` is None."""
         joint_indices = np.ravel(joint_indices)
         support = np.arange(self.dim) if support is None else np.asarray(support)
         # Rows off the support land in a spare last row, dropped on return.

@@ -164,9 +164,7 @@ class _FixedWeightProblem:
     A problem passed as ``like`` lends its matrix when the support is the same.
     """
 
-    def __init__(
-        self, box: Box, weights: ContextWeights, like: "_FixedWeightProblem | None" = None
-    ):
+    def __init__(self, box: Box, weights: ContextWeights, like: _FixedWeightProblem | None = None):
         self.g = box.hypergraph
         self.op = self.g.incidence
         self.targets = box.stacked()

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_incidence import hypergraphs
+from test_polytope import ternary_cycle_box
 
 import contextuality as cx
 from contextuality import measures
@@ -50,13 +51,6 @@ def shuffled(box, rng):
         contexts.append(tuple(g.contexts[ci][a] for a in axes))
         dists.append(np.transpose(box.context_tensor(ci), axes).ravel())
     return cx.Box(cx.Hypergraph(g.observables, contexts), dists)
-
-
-def ternary_cycle_box(n):
-    """Ternary n-cycle, equal outputs on all contexts but a shift by one on the last."""
-    g = cx.Hypergraph([(f"O{i}", 3) for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
-    equal, shift = np.eye(3) / 3.0, np.roll(np.eye(3), 1, axis=1) / 3.0
-    return cx.Box(g, [equal.ravel()] * (n - 1) + [shift.ravel()])
 
 
 ANCHORS = (

@@ -248,8 +248,17 @@ class ContextIncidence:
             out += self.broadcast(values, ci)
         return out
 
-    def rows(self, joint_indices) -> np.ndarray:
-        """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``."""
+    def rows(self, joint_indices=None) -> np.ndarray:
+        """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.
+
+        ``None`` stands for every joint index in order; then each context's
+        rows are its broadcast row table, with no index arithmetic.
+        """
+        if joint_indices is None:
+            out = np.empty((len(self.dims),) + self.joint_shape, dtype=np.int64)
+            for ci, (offset, dim) in enumerate(zip(self.offsets, self.dims)):
+                out[ci] = offset + self.broadcast(np.arange(dim), ci)
+            return out.reshape(len(self.dims), -1).T
         digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
         return np.stack(
             [
@@ -259,15 +268,16 @@ class ContextIncidence:
             axis=-1,
         )
 
-    def columns(self, joint_indices, support=None) -> np.ndarray:
-        """Dense ``M[support][:, joint_indices]``; every stacked row when ``support`` is None."""
-        joint_indices = np.ravel(joint_indices)
+    def columns(self, joint_indices=None, support=None) -> np.ndarray:
+        """Dense ``M[support][:, joint_indices]``; every joint index when
+        ``joint_indices`` is None, every stacked row when ``support`` is None."""
+        rows = self.rows(None if joint_indices is None else np.ravel(joint_indices))
         support = np.arange(self.dim) if support is None else np.asarray(support)
         # Rows off the support land in a spare last row, dropped on return.
         position = np.full(self.dim, support.size)
         position[support] = np.arange(support.size)
-        out = np.zeros((support.size + 1, joint_indices.size))
-        out[position[self.rows(joint_indices)], np.arange(joint_indices.size)[:, None]] = 1.0
+        out = np.zeros((support.size + 1, rows.shape[0]))
+        out[position[rows], np.arange(rows.shape[0])[:, None]] = 1.0
         return out[:-1]
 
 

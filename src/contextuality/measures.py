@@ -11,12 +11,16 @@ gradient coordinate at lambda is ``-log2(e) * r(lambda)`` with
     r(lambda) = sum_c w_c * g_c(lambda_c) / p_c(lambda_c),
 
 so the Frank-Wolfe linear-minimization step is a coordinate argmax of r and
-the duality gap ``(max r - 1) * log2(e)`` is free.  The default iteration is
+the duality gap ``(max r - 1) * log2(e)`` is free.  The plain iteration is
 the multiplicative step ``p <- p * r`` (an EM / iterative-scaling update that
 never increases F and keeps every context marginal bounded below by
-``w_c * g_c``), with Frank-Wolfe line-search steps as a stall fallback; every
-iterate carries the same gap certificate, and ``value - gap`` is always a
-valid lower bound on the optimum.
+``w_c * g_c``).  The default iteration over-relaxes it adaptively
+(Salakhutdinov & Roweis 2003): it tries ``p <- p * r**omega`` (normalized),
+keeps the trial only if F falls strictly and then grows omega, and otherwise
+takes the plain step from the same point and resets omega to 1, so F still
+never increases.  Frank-Wolfe steps with an exact (Newton) line search are
+the stall fallback.  Every iterate carries the same gap certificate, and
+``value - gap`` is always a valid lower bound on the optimum.
 
 The maximized measure sup_w min_p is computed by multiplicative-weights
 ascent on the context simplex; the supergradient at w is the vector of
@@ -50,6 +54,13 @@ DEFAULT_DIM_CAP = 2**22
 # beat the per-context tensor reductions on every box measured, above it the
 # gain shrinks and turns into a loss on boxes with many rows per context.
 DENSE_ENTRIES_CAP = 2**20
+# Adaptive over-relaxation of the multiplicative step (method "auto"): the
+# exponent on r grows by this factor after each accepted step, up to the cap,
+# and falls back to 1 (plain EM) after a trial that does not lower F.  On the
+# benchmark's small-batch solves 1.5 and 16 took fewer iterations than a cap
+# of 64 or a factor of 2 (10,392 against 10,616 and 11,252).
+OVERRELAX_GROWTH = 1.5
+OVERRELAX_CAP = 16.0
 
 
 def relative_entropy(g, p) -> float:
@@ -177,7 +188,7 @@ class _FixedWeightProblem:
         if like is not None and np.array_equal(like.support, self.support):
             self.dense = like.dense
         elif self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
-            self.dense = self.op.columns(np.arange(self.g.joint_dim), self.support)
+            self.dense = self.op.columns(support=self.support)
 
     def _support_marginals(self, p_tensor: np.ndarray) -> np.ndarray:
         if self.dense is None:
@@ -207,26 +218,41 @@ class _FixedWeightProblem:
 
     def line_search(self, p_tensor: np.ndarray, vertex: int) -> float:
         """Exact step toward the vertex at flat joint index ``vertex``: root of
-        the 1-D directional derivative."""
+        the 1-D directional derivative.
+
+        The derivative is increasing (F is convex along the segment), so
+        Newton steps on it, with its closed-form second derivative, fall back
+        to bisection of the sign bracket whenever they leave the bracket.
+        """
         m = self._support_marginals(p_tensor)
         s = np.zeros(self.op.dim)
         s[self.op.rows(vertex)] = 1.0
         s = s[self.support]
         step = s - m
 
-        def derivative(gamma: float) -> float:
-            return -float(self.wt_s @ (step / ((1.0 - gamma) * m + gamma * s)))
+        def derivatives(gamma: float) -> tuple[float, float]:
+            q = step / ((1.0 - gamma) * m + gamma * s)
+            return -float(self.wt_s @ q), float(self.wt_s @ (q * q))
 
         lo, hi = 0.0, 1.0 - 1e-12
-        if derivative(hi) <= 0.0:
+        if derivatives(hi)[0] <= 0.0:
             return hi
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if derivative(mid) > 0.0:
-                hi = mid
+        gamma = lo
+        for _ in range(64):
+            d1, d2 = derivatives(gamma)
+            if d1 == 0.0:
+                return gamma
+            if d1 > 0.0:
+                hi = gamma
             else:
-                lo = mid
-        return 0.5 * (lo + hi)
+                lo = gamma
+            nxt = gamma - d1 / d2
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - gamma) <= 1e-15:
+                return nxt
+            gamma = nxt
+        return gamma
 
 
 def _solve_fixed(
@@ -241,25 +267,40 @@ def _solve_fixed(
 
     trace: list[tuple[int, float, float]] = []
     next_trace = 1
-    prev_value = float("inf")
     stall = 0
+    omega = 1.0
     value, r, gap = problem.evaluate(p)
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
+        prev_value = value
         if method == "fw" or (method == "auto" and stall >= 3):
             vertex = int(np.argmax(r))
             gamma = problem.line_search(p, vertex)
             p *= 1.0 - gamma
             p.flat[vertex] += gamma
             stall = 0
+            value, r, gap = problem.evaluate(p)
+        elif omega > 1.0:
+            # Over-relaxed trial; scaling r by its maximum keeps the power <= 1.
+            trial = p * (r / r.max()) ** omega
+            trial /= trial.sum()
+            trial_value, trial_r, trial_gap = problem.evaluate(trial)
+            if trial_value < value:
+                p, value, r, gap = trial, trial_value, trial_r, trial_gap
+                omega = min(omega * OVERRELAX_GROWTH, OVERRELAX_CAP)
+            else:
+                p *= r
+                p /= p.sum()
+                value, r, gap = problem.evaluate(p)
+                omega = 1.0
         else:
             p *= r
-            total = p.sum()
-            p /= total
-        prev_value = value
-        value, r, gap = problem.evaluate(p)
+            p /= p.sum()
+            value, r, gap = problem.evaluate(p)
+            if method == "auto" and value < prev_value:
+                omega = OVERRELAX_GROWTH
         if method == "auto":
             stall = stall + 1 if prev_value - value < 1e-15 * max(1.0, abs(value)) else 0
         if iteration >= next_trace:
@@ -274,7 +315,10 @@ def _solve_fixed(
         value, _, gap = problem.evaluate(p)
     p_flat = np.maximum(p.reshape(-1), 0.0)
     p_flat /= p_flat.sum()
-    return value, p_flat, gap, iteration, gap <= tol + 1e-14, tuple(trace)
+    # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
+    # clamped value is still an upper bound and [value - gap, value] still
+    # brackets it.
+    return max(value, 0.0), p_flat, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
 def _check_dims(box: Box, dim_cap: int) -> None:
@@ -300,8 +344,12 @@ def x_fixed(
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    ``method``: "auto" (multiplicative steps with Frank-Wolfe fallback),
-    "em" (multiplicative only), or "fw" (Frank-Wolfe with exact line search).
+    ``method``: "auto" (adaptively over-relaxed multiplicative steps, falling
+    back to the plain step whenever a trial does not lower the objective, and
+    to Frank-Wolfe steps on a stall), "em" (plain multiplicative steps only),
+    or "fw" (Frank-Wolfe with exact line search).  The value is clamped at 0,
+    the optimum's lower bound, so rounding never reports a negative
+    divergence; ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_valid(box)
     require_consistent(box)

@@ -87,6 +87,16 @@ def test_evaluate_paths_agree(g, draw_seed):
         assert np.max(np.abs(r1 - r2)) <= 1e-12
 
 
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(g=hypergraphs())
+def test_rows_of_every_joint_match_indexed_rows(g):
+    op = g.incidence
+    everything = np.arange(g.joint_dim)
+    assert np.array_equal(op.rows(), op.rows(everything))
+    assert np.array_equal(op.columns(), op.columns(everything))
+
+
 @seed(20261019)
 @settings(max_examples=16, deadline=None)
 @given(

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from test_dense_solver import ANCHORS, shuffled, sparse_box, sparse_weights
+from test_polytope import ternary_cycle_box
 
 import contextuality as cx
-from contextuality import closed_form
+from contextuality import closed_form, measures
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -289,3 +293,147 @@ def test_xu_of_joint_box_zero_for_any_weights(rng):
     w = rng.dirichlet(np.ones(6))
     report = cx.x_fixed(box, cx.ContextWeights(w))
     assert report.value <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "box, ceiling",
+    [
+        (cx.pr_box(), 10),
+        (cx.pm_box(), 15),
+        (cx.mermin_box(), 12),
+        (cx.kcbs_box(), 25),
+        (cx.chain_box(14), 25),
+    ],
+    ids=["PR", "PM", "M", "KCBS", "CH14"],
+)
+def test_xu_iteration_budget(box, ceiling):
+    report = cx.x_u(box)
+    assert report.converged
+    assert report.iterations <= ceiling
+
+
+def crawl_box():
+    """Ternary 4-cycle mixed with a sparse joint, reordered: its optimum is a
+    noncontextual point on a face, where plain EM steps crawl (28,843 of them
+    at the default tolerance)."""
+    g = cx.Hypergraph([(f"A{i}", 3) for i in range(4)], [(0, 3), (2, 3), (1, 2), (0, 1)])
+    dists = [
+        [
+            0.02783734762222601, 0.04197792267537837, 0.2009353563514011,
+            0.20156634367895981, 0.06831894004247656, 0.0790995639098273,
+            0.05908373872167494, 0.2443338011497713, 0.0768469858482846,
+        ],
+        [
+            0.18712813753043062, 0.08690721844099802, 0.06479015231585024,
+            0.04414809932698259, 0.18568015314376443, 0.032538150078950515,
+            0.05721119316544754, 0.08204329228286378, 0.25955360371471226,
+        ],
+        [
+            0.19083560859894788, 0.02323092515074189, 0.12419163119768142,
+            0.04257531542812758, 0.21857494575855446, 0.04597243481743948,
+            0.10541458426020343, 0.020560531640401163, 0.22864402314790266,
+        ],
+        [
+            0.20678682797877135, 0.03091626246650351, 0.03304753620373064,
+            0.052773976210208226, 0.2261357939120093, 0.07007507750904614,
+            0.0786973607583916, 0.05007063962560872, 0.2514965253357305,
+        ],
+    ]
+    weights = cx.ContextWeights(
+        [0.0020287626226696527, 0.4141470594216534, 0.17274020868561632, 0.4110839692700606]
+    )
+    return cx.Box(g, dists), weights
+
+
+def test_crawl_box_converges_within_budget():
+    box, weights = crawl_box()
+    report = cx.x_fixed(box, weights)
+    assert report.converged
+    assert report.iterations <= 10_000
+    assert 0.0 <= report.value <= 1e-7
+
+
+@pytest.mark.parametrize("draw_seed", [4, 17, 53])
+def test_value_never_negative(draw_seed):
+    # Optimum 0 at these weights; rounding used to leave values near -4e-16.
+    anchor = ternary_cycle_box(4)
+    box = cx.mix(anchor, sparse_box(anchor.hypergraph, np.random.default_rng(draw_seed)), 0.5)
+    weights = cx.ContextWeights(np.array([0.0, 0.41, 0.17, 0.41]) / 0.99)
+    reports = [
+        cx.x_fixed(box, weights, tol=tol, method=method)
+        for tol in (1e-7, 1e-9, 1e-10, 1e-12)
+        for method in ("auto", "em")
+    ]
+    reports.append(cx.x_max(box, outer_window=10))
+    for report in reports:
+        assert 0.0 <= report.value
+        assert report.value - report.duality_gap <= report.value
+
+
+@seed(20261020)
+@settings(max_examples=6, deadline=None)
+@given(draw_seed=st.integers(0, 2**32 - 1))
+def test_overrelaxed_step_against_em(draw_seed):
+    """One box per binary and ternary anchor: the over-relaxed "auto" step
+    reaches the plain EM value, never raises F, and needs at most half the
+    iterations on the boxes where EM converges within the budget."""
+    rng = np.random.default_rng(draw_seed)
+    auto_iters = em_iters = 0
+    for anchor in ANCHORS:
+        mixed = cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
+        box = shuffled(mixed, rng)
+        weights = sparse_weights(box.hypergraph.n_contexts, rng)
+        auto = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
+        em = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000, method="em")
+        # Each value lies within its gap above the same optimum.
+        assert abs(auto.value - em.value) <= max(1e-9, auto.duality_gap, em.duality_gap)
+        values = [value for _, value, _ in auto.trace]
+        # Slack for rounding only: a plain EM step at a fixed point can move F
+        # by an ulp.
+        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+        if em.converged:
+            auto_iters += auto.iterations
+            em_iters += em.iterations
+    assert 2 * auto_iters <= em_iters
+
+
+def bisection_line_search(problem, p_tensor, vertex):
+    """The 48-step bisection the Newton line search replaced, as the reference."""
+    m = problem._support_marginals(p_tensor)
+    s = np.zeros(problem.op.dim)
+    s[problem.op.rows(vertex)] = 1.0
+    s = s[problem.support]
+    step = s - m
+
+    def derivative(gamma):
+        return -float(problem.wt_s @ (step / ((1.0 - gamma) * m + gamma * s)))
+
+    lo, hi = 0.0, 1.0 - 1e-12
+    if derivative(hi) <= 0.0:
+        return hi
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if derivative(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(
+    anchor=st.sampled_from(ANCHORS),
+    concentration=st.sampled_from([0.1, 1.0, 10.0]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_line_search_matches_bisection(anchor, concentration, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    g = anchor.hypergraph
+    box = cx.mix(anchor, sparse_box(g, rng), float(rng.uniform(0.5, 1.0)))
+    problem = measures._FixedWeightProblem(box, sparse_weights(g.n_contexts, rng))
+    p = rng.dirichlet(np.full(g.joint_dim, concentration)).reshape(g.joint_shape)
+    _, r, _ = problem.evaluate(p)
+    for vertex in (int(np.argmax(r)), int(rng.integers(g.joint_dim))):
+        newton = problem.line_search(p, vertex)
+        assert abs(newton - bisection_line_search(problem, p, vertex)) <= 1e-10

@@ -478,13 +478,6 @@ def box_of_joint(joint: JointDistribution, hypergraph: Hypergraph | None = None)
     return Box(g, g.incidence.split(g.incidence.marginals(joint.probabilities)))
 
 
-def deterministic_joint(assignment: DeterministicAssignment, g: Hypergraph) -> JointDistribution:
-    assignment.validate_for(g)
-    vec = np.zeros(g.joint_dim)
-    vec[np.ravel_multi_index(assignment.outputs, g.joint_shape)] = 1.0
-    return JointDistribution(g, vec)
-
-
 def deterministic_box(assignment: DeterministicAssignment, g: Hypergraph) -> Box:
     """The box whose every context distribution is the point mass induced by ``assignment``."""
     assignment.validate_for(g)
@@ -646,7 +639,3 @@ def apply_channels_to_joint(
             )
         out = out + w * t.reshape(-1)
     return JointDistribution(g, out)
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())

@@ -14,7 +14,7 @@ so the Frank-Wolfe linear-minimization step is a coordinate argmax of r and
 the duality gap ``(max r - 1) * log2(e)`` is free.  The plain iteration is
 the multiplicative step ``p <- p * r`` (an EM / iterative-scaling update that
 never increases F and keeps every context marginal bounded below by
-``w_c * g_c``).  The default iteration over-relaxes it adaptively
+``w_c * g_c``).  The iteration over-relaxes it adaptively
 (Salakhutdinov & Roweis 2003): it tries ``p <- p * r**omega`` (normalized),
 keeps the trial only if F falls strictly and then grows omega, and otherwise
 takes the plain step from the same point and resets omega to 1, so F still
@@ -54,13 +54,18 @@ DEFAULT_DIM_CAP = 2**22
 # beat the per-context tensor reductions on every box measured, above it the
 # gain shrinks and turns into a loss on boxes with many rows per context.
 DENSE_ENTRIES_CAP = 2**20
-# Adaptive over-relaxation of the multiplicative step (method "auto"): the
+# Adaptive over-relaxation of the multiplicative step: the
 # exponent on r grows by this factor after each accepted step, up to the cap,
 # and falls back to 1 (plain EM) after a trial that does not lower F.  On the
 # benchmark's small-batch solves 1.5 and 16 took fewer iterations than a cap
 # of 64 or a factor of 2 (10,392 against 10,616 and 11,252).
 OVERRELAX_GROWTH = 1.5
 OVERRELAX_CAP = 16.0
+# x_max's ascent: the least improvement that counts (and the stopping gap to
+# the upper bound), the round cap, and the step scale (round t: eta0/sqrt(t)).
+_XMAX_IMPROVE_TOL = 1e-7
+_XMAX_MAX_OUTER = 2000
+_XMAX_ETA0 = 4.0
 
 
 def relative_entropy(g, p) -> float:
@@ -85,6 +90,8 @@ class ContextWeights:
         vec = np.asarray(weights, dtype=float).copy()
         if vec.ndim != 1 or vec.size == 0:
             raise InvalidBoxError("context weights must be a non-empty vector")
+        if not np.all(np.isfinite(vec)):
+            raise InvalidBoxError("context weights must be finite")
         if np.any(vec < -1e-15):
             raise InvalidBoxError("context weights must be nonnegative")
         vec = np.where(vec < 0.0, 0.0, vec)
@@ -259,8 +266,7 @@ def _solve_fixed(
     problem: _FixedWeightProblem,
     tol: float,
     max_iters: int,
-    method: str,
-    init: np.ndarray | None,
+    init: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     shape = problem.g.joint_shape
     p = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape).copy()
@@ -275,7 +281,7 @@ def _solve_fixed(
         if gap <= tol:
             break
         prev_value = value
-        if method == "fw" or (method == "auto" and stall >= 3):
+        if stall >= 3:
             vertex = int(np.argmax(r))
             gamma = problem.line_search(p, vertex)
             p *= 1.0 - gamma
@@ -299,10 +305,9 @@ def _solve_fixed(
             p *= r
             p /= p.sum()
             value, r, gap = problem.evaluate(p)
-            if method == "auto" and value < prev_value:
+            if value < prev_value:
                 omega = OVERRELAX_GROWTH
-        if method == "auto":
-            stall = stall + 1 if prev_value - value < 1e-15 * max(1.0, abs(value)) else 0
+        stall = stall + 1 if prev_value - value < 1e-15 * max(1.0, abs(value)) else 0
         if iteration >= next_trace:
             trace.append((iteration, value, gap))
             next_trace *= 2
@@ -328,9 +333,11 @@ def _check_dims(box: Box, dim_cap: int) -> None:
         )
 
 
-def _check_tol(tol: float) -> None:
+def _check_stopping(tol: float, max_iters: int) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    if max_iters < 0:
+        raise InvalidBoxError(f"max_iters must be nonnegative, got {max_iters!r}")
 
 
 def x_fixed(
@@ -338,30 +345,27 @@ def x_fixed(
     weights: ContextWeights,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    method: str = "auto",
     dim_cap: int = DEFAULT_DIM_CAP,
-    init: np.ndarray | None = None,
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    ``method``: "auto" (adaptively over-relaxed multiplicative steps, falling
-    back to the plain step whenever a trial does not lower the objective, and
-    to Frank-Wolfe steps on a stall), "em" (plain multiplicative steps only),
-    or "fw" (Frank-Wolfe with exact line search).  The value is clamped at 0,
-    the optimum's lower bound, so rounding never reports a negative
-    divergence; ``[value - duality_gap, value]`` still brackets the optimum.
+    Solved from the uniform joint by adaptively over-relaxed multiplicative
+    steps, which fall back to the plain step whenever a trial does not lower
+    the objective and to Frank-Wolfe steps on a stall (report method
+    "auto").  The solve stops once the duality gap is at most ``tol`` or after
+    ``max_iters`` iterations.  The value is clamped at 0, the optimum's lower
+    bound, so rounding never reports a negative divergence;
+    ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
-    _check_tol(tol)
+    _check_stopping(tol, max_iters)
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
-    if method not in ("auto", "em", "fw"):
-        raise InvalidBoxError(f"unknown method {method!r}")
     start = time.perf_counter()
     value, p_flat, gap, iters, converged, trace = _solve_fixed(
-        _FixedWeightProblem(box, weights), tol, max_iters, method, init
+        _FixedWeightProblem(box, weights), tol, max_iters
     )
     return MeasureReport(
         value=value,
@@ -370,7 +374,7 @@ def x_fixed(
         iterations=iters,
         wall_time_s=time.perf_counter() - start,
         converged=converged,
-        method=method,
+        method="auto",
         trace=trace,
     )
 
@@ -394,25 +398,24 @@ def x_max(
     box: Box,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    method: str = "auto",
     dim_cap: int = DEFAULT_DIM_CAP,
-    outer_improve_tol: float = 1e-7,
     outer_window: int = 200,
-    max_outer: int = 2000,
-    eta0: float = 4.0,
 ) -> MeasureReport:
     """Weight-maximized relative entropy of contextuality.
 
     Multiplicative-weights supergradient ascent over the context simplex;
-    each inner solve supplies the supergradient (the per-context divergence
-    vector) and a candidate upper bound ``max_c D_c`` at its minimizer.  The
-    reported value is the best certified inner value found; no claim is made
-    that the supremum is attained.
+    each inner solve (the ``x_fixed`` policy, warm-started from the previous
+    minimizer, with ``tol`` and ``max_iters``) supplies the supergradient
+    (the per-context divergence vector) and a candidate upper bound
+    ``max_c D_c`` at its minimizer; the ascent stops after ``outer_window``
+    rounds without improvement, or once that bound meets the best value.
+    The reported value is the best certified inner value found; no claim is
+    made that the supremum is attained.
     """
     require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
-    _check_tol(tol)
+    _check_stopping(tol, max_iters)
     start = time.perf_counter()
     n = box.hypergraph.n_contexts
     log_w = np.zeros(n)
@@ -427,13 +430,13 @@ def x_max(
     p_sum: np.ndarray | None = None
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
     outer = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _XMAX_MAX_OUTER + 1):
         shifted = log_w - log_w.max()
         w_vec = np.exp(shifted)
         w_vec /= w_vec.sum()
         weights = ContextWeights(w_vec)
         value, p_flat, gap, iters, _, _ = _solve_fixed(
-            _FixedWeightProblem(box, weights, like=problem), tol, max_iters, method, warm
+            _FixedWeightProblem(box, weights, like=problem), tol, max_iters, warm
         )
         total_inner += iters
         warm = p_flat
@@ -442,15 +445,15 @@ def x_max(
         finite = divergences[np.isfinite(divergences)]
         if finite.size == n:
             upper = min(upper, float(divergences.max()))
-        if value > best_value + outer_improve_tol:
+        if value > best_value + _XMAX_IMPROVE_TOL:
             last_improve = outer
         if value > best_value:
             best_value, best_gap, best_weights, best_p = value, gap, weights, p_flat
         if outer - last_improve >= outer_window:
             break
-        if upper - best_value <= outer_improve_tol:
+        if upper - best_value <= _XMAX_IMPROVE_TOL:
             break
-        eta = eta0 / math.sqrt(outer)
+        eta = _XMAX_ETA0 / math.sqrt(outer)
         log_w = log_w + eta * np.where(np.isfinite(divergences), divergences, 0.0)
     if p_sum is not None:
         avg = p_sum / p_sum.sum()
@@ -464,8 +467,8 @@ def x_max(
         duality_gap=best_gap,
         iterations=total_inner,
         wall_time_s=time.perf_counter() - start,
-        converged=best_gap <= tol and outer < max_outer,
-        method=f"mw-ascent({method})",
+        converged=best_gap <= tol and outer < _XMAX_MAX_OUTER,
+        method="mw-ascent(auto)",
         outer_weights=best_weights,
         outer_gap=max(0.0, upper - best_value) if math.isfinite(upper) else None,
     )
@@ -483,22 +486,18 @@ def verify_equivalence(
     box: Box,
     weights: ContextWeights,
     tol: float = DEFAULT_TOL,
-    report: MeasureReport | None = None,
-    **kwargs,
 ) -> EquivalenceReport:
     """Numerically certify that the mutual-information game value matches X_w.
 
-    From the optimal joint p* build the per-context extensions
+    Solves ``x_fixed(box, weights, tol=tol)``; from its optimal joint p*
+    build the per-context extensions
     ``ext_c(lambda) = p*(lambda'_c | lambda_c) * g_c(lambda_c)`` and evaluate
     the mutual information directly as
     ``sum_c w_c D(ext_c || sum_c' w_c' ext_c')``; the absolute difference
     from the minimized value is the residual.  Conditionals where
     ``p*(lambda_c) = 0`` are taken uniform (those branches carry no weight).
     """
-    if report is None:
-        report = x_fixed(box, weights, tol=tol, **kwargs)
-    if report.optimizer is None:
-        raise InvalidBoxError("equivalence check needs a solver report with a minimizer")
+    report = x_fixed(box, weights, tol=tol)
     g = box.hypergraph
     op = g.incidence
     p_tensor = report.optimizer.probabilities.reshape(g.joint_shape)

@@ -33,7 +33,7 @@ from .boxes import (
 )
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
-DENSE_VERTEX_CAP = 2**14  # default cap of enumerate_vertices
+DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
 PRICING_SCAN_CAP = 2**22
 _LP_TOL = 1e-9
 
@@ -53,11 +53,11 @@ class NCPolytope:
         return DeterministicAssignment(self.assignments[index])
 
 
-def enumerate_vertices(g: Hypergraph, cap: int = DENSE_VERTEX_CAP) -> NCPolytope:
-    """All deterministic assignments of ``g``; refuses above ``cap``."""
+def enumerate_vertices(g: Hypergraph) -> NCPolytope:
+    """All deterministic assignments of ``g``; refuses above ``DENSE_VERTEX_CAP``."""
     total = g.joint_dim
-    if total > cap:
-        raise CapExceededError(f"{total} vertices exceed the enumeration cap {cap}")
+    if total > DENSE_VERTEX_CAP:
+        raise CapExceededError(f"{total} vertices exceed the enumeration cap {DENSE_VERTEX_CAP}")
     grid = np.unravel_index(np.arange(total), g.joint_shape)
     assignments = np.stack(grid, axis=1).astype(np.int64)
     assignments.flags.writeable = False
@@ -91,7 +91,7 @@ def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float,
     return float(scores[picked].min()), picked
 
 
-def contextuality_cost(box: Box, tol: float = _LP_TOL) -> CostReport:
+def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
     Defined only for consistent boxes; inconsistent input is refused rather
@@ -148,7 +148,7 @@ def contextuality_cost(box: Box, tol: float = _LP_TOL) -> CostReport:
     )
 
     residual = None
-    if cost > tol:
+    if cost > _LP_TOL:
         res_stacked = np.maximum(stacked - mass, 0.0) / cost
         dists = []
         for vec in g.incidence.split(res_stacked):
@@ -180,7 +180,6 @@ def optimize_linear(
     g: Hypergraph,
     weights: list[np.ndarray],
     direction: str = "max",
-    cap: int = PRICING_SCAN_CAP,
 ) -> LinearOptimum:
     """Extremum of a per-(context, outcome) linear functional over NC_G.
 
@@ -190,8 +189,8 @@ def optimize_linear(
     """
     if direction not in ("max", "min"):
         raise InvalidBoxError(f"direction must be 'max' or 'min', got {direction!r}")
-    if g.joint_dim > cap:
-        raise CapExceededError(f"{g.joint_dim} assignments exceed scan cap {cap}")
+    if g.joint_dim > PRICING_SCAN_CAP:
+        raise CapExceededError(f"{g.joint_dim} assignments exceed scan cap {PRICING_SCAN_CAP}")
     scores = g.incidence.lift(g.incidence.stack(weights))
     sign = 1.0 if direction == "max" else -1.0
     best = int(np.argmax(sign * scores))

@@ -320,8 +320,8 @@ def builtin_generators(name: str, n: int | None = None) -> tuple[GroupElement, .
     raise InvalidBoxError(f"no builtin generators named {name!r}")
 
 
-def builtin_group(name: str, n: int | None = None, cap: int = DEFAULT_GROUP_CAP) -> TwirlGroup:
-    return generate_group(list(builtin_generators(name, n)), cap=cap)
+def builtin_group(name: str, n: int | None = None) -> TwirlGroup:
+    return generate_group(list(builtin_generators(name, n)))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,21 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("measure", ["xu", "xmax"])
+    def test_negative_max_iters(self, capsys, measure):
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", measure, "--max-iters", "-1")
+        assert code == EXIT_INVALID_INPUT
+        assert "max_iters" in err
+        assert out == ""
+
+    def test_nan_weights_file(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("[NaN, NaN, NaN, NaN]")
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", "xu", "--weights", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert "finite" in err
+        assert out == ""
+
     def test_workers_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEXTUALITY_WORKERS", "3")
         code, out, _ = run_cli(capsys, "measure", "builtin:PR", "builtin:PM", "cost")

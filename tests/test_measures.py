@@ -56,6 +56,13 @@ class TestContextWeights:
         with pytest.raises(cx.InvalidBoxError):
             cx.ContextWeights([1.5, -0.5])
 
+    @pytest.mark.parametrize(
+        "weights", [[float("nan"), 0.5, 0.25, 0.25], [float("nan")] * 4], ids=["one", "all"]
+    )
+    def test_nan_rejected(self, weights):
+        with pytest.raises(cx.InvalidBoxError, match="finite"):
+            cx.ContextWeights(weights)
+
 
 class TestXFixed:
     def test_noncontextual_box_gives_zero(self, rng):
@@ -85,14 +92,17 @@ class TestXFixed:
         box = cx.box_of_joint(report.optimizer)
         assert box.allclose(target, atol=1e-4)
 
-    def test_fw_method_agrees(self, pr):
-        # Frank-Wolfe's gap decays like 1/t; check the path at a tolerance it
-        # certifies quickly, with the bracket against the tight default solve.
-        em = cx.x_fixed(pr, cx.ContextWeights.uniform(4), tol=1e-8)
-        fw = cx.x_fixed(pr, cx.ContextWeights.uniform(4), tol=1e-3, method="fw", max_iters=5000)
-        assert fw.converged
-        assert fw.value == pytest.approx(em.value, abs=1e-3)
-        assert fw.value - fw.duality_gap - 1e-12 <= em.value <= fw.value + 1e-12
+    def test_frank_wolfe_fallback_leaves_stalled_face(self, pr):
+        # Multiplicative steps never leave the face A1 = A2 they start on;
+        # plain EM stalls there at 0.4387 (gap 0.18 after 20,000 steps), and
+        # only the Frank-Wolfe steps taken on the stall reach the optimum.
+        init = np.zeros(pr.hypergraph.joint_shape)
+        init[0, 0] = init[1, 1] = 1.0 / 8
+        problem = measures._FixedWeightProblem(pr, cx.ContextWeights.uniform(4))
+        value, _, gap, _, converged, _ = measures._solve_fixed(problem, 1e-7, 20_000, init)
+        assert converged
+        assert gap <= 1e-7
+        assert value - gap - 1e-12 <= LOG2_4_3 <= value + 1e-12
 
     def test_dim_cap(self):
         with pytest.raises(cx.CapExceededError):
@@ -108,6 +118,17 @@ class TestXFixed:
         report = cx.x_u(kcbs, max_iters=2)
         assert not report.converged
         assert report.duality_gap > 1e-7
+
+    @pytest.mark.parametrize("solve", [cx.x_u, cx.x_max])
+    def test_negative_max_iters_refused(self, pr, solve):
+        with pytest.raises(cx.InvalidBoxError, match="max_iters"):
+            solve(pr, max_iters=-1)
+
+    def test_zero_max_iters_reports_start(self, pr):
+        report = cx.x_u(pr, max_iters=0)
+        assert report.iterations == 0
+        assert not report.converged
+        assert report.value - report.duality_gap <= LOG2_4_3 <= report.value
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
     @pytest.mark.parametrize("solve", [cx.x_u, cx.x_max])
@@ -359,15 +380,28 @@ def test_value_never_negative(draw_seed):
     anchor = ternary_cycle_box(4)
     box = cx.mix(anchor, sparse_box(anchor.hypergraph, np.random.default_rng(draw_seed)), 0.5)
     weights = cx.ContextWeights(np.array([0.0, 0.41, 0.17, 0.41]) / 0.99)
-    reports = [
-        cx.x_fixed(box, weights, tol=tol, method=method)
-        for tol in (1e-7, 1e-9, 1e-10, 1e-12)
-        for method in ("auto", "em")
-    ]
+    reports = [cx.x_fixed(box, weights, tol=tol) for tol in (1e-7, 1e-9, 1e-10, 1e-12)]
     reports.append(cx.x_max(box, outer_window=10))
     for report in reports:
         assert 0.0 <= report.value
         assert report.value - report.duality_gap <= report.value
+
+
+def plain_em(box, weights, tol, max_iters):
+    """Plain multiplicative steps ``p <- p * r`` from the uniform joint, the
+    reference for the over-relaxed step; returns (value, gap, iterations,
+    converged), counted as the solver counts them."""
+    problem = measures._FixedWeightProblem(box, weights)
+    p = np.full(problem.g.joint_shape, 1.0 / problem.g.joint_dim)
+    value, r, gap = problem.evaluate(p)
+    iteration = 0
+    for iteration in range(1, max_iters + 1):
+        if gap <= tol:
+            break
+        p *= r
+        p /= p.sum()
+        value, r, gap = problem.evaluate(p)
+    return max(value, 0.0), gap, iteration, gap <= tol + 1e-14
 
 
 @seed(20261020)
@@ -384,16 +418,16 @@ def test_overrelaxed_step_against_em(draw_seed):
         box = shuffled(mixed, rng)
         weights = sparse_weights(box.hypergraph.n_contexts, rng)
         auto = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
-        em = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000, method="em")
+        em_value, em_gap, em_iterations, em_converged = plain_em(box, weights, 1e-9, 5000)
         # Each value lies within its gap above the same optimum.
-        assert abs(auto.value - em.value) <= max(1e-9, auto.duality_gap, em.duality_gap)
+        assert abs(auto.value - em_value) <= max(1e-9, auto.duality_gap, em_gap)
         values = [value for _, value, _ in auto.trace]
         # Slack for rounding only: a plain EM step at a fixed point can move F
         # by an ulp.
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-        if em.converged:
+        if em_converged:
             auto_iters += auto.iterations
-            em_iters += em.iterations
+            em_iters += em_iterations
     assert 2 * auto_iters <= em_iters
 
 

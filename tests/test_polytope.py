@@ -84,7 +84,7 @@ class TestEnumerateVertices:
 
     def test_cap_exceeded(self):
         with pytest.raises(cx.CapExceededError):
-            cx.enumerate_vertices(cx.chain_box(20).hypergraph, cap=2**14)
+            cx.enumerate_vertices(cx.chain_box(20).hypergraph)
 
     def test_every_vertex_is_consistent_deterministic_box(self):
         g = cx.chain_box(4).hypergraph

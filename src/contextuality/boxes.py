@@ -337,6 +337,15 @@ class Box:
         """All context vectors concatenated in context order."""
         return self.hypergraph.incidence.stack(self.distributions)
 
+    # A box and its arrays are immutable, so each check runs once per box.
+    @cached_property
+    def _validation(self) -> BoxValidationReport:
+        return _validation_report(self)
+
+    @cached_property
+    def _max_shared_tv(self) -> float:
+        return max((tv for *_, tv in _shared_marginal_tvs(self)), default=0.0)
+
 
 @dataclass(frozen=True)
 class BoxIssue:
@@ -352,7 +361,14 @@ class BoxValidationReport:
 
 
 def validate_box(box: Box) -> BoxValidationReport:
-    """Report-style check of the Box invariants (shape, nonnegativity, sums)."""
+    """Report-style check of the Box invariants (shape, nonnegativity, sums).
+
+    The report is computed once per box and cached on it.
+    """
+    return box._validation
+
+
+def _validation_report(box: Box) -> BoxValidationReport:
     issues: list[BoxIssue] = []
     for ci in range(box.hypergraph.n_contexts):
         vec = box.distributions[ci]
@@ -401,28 +417,35 @@ class ConsistencyReport:
     violations: tuple[ConsistencyViolation, ...]
 
 
-def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
-    """Pairwise shared-marginal agreement in total-variation distance.
-
-    True iff for every pair of contexts with non-empty intersection the two
-    marginals on the shared observables agree within ``tol``.
-    """
-    require_valid(box)
+def _shared_marginal_tvs(box: Box):
+    """``(a, b, shared observables, TV distance)`` per pair of overlapping contexts."""
     g = box.hypergraph
-    worst = 0.0
-    violations: list[ConsistencyViolation] = []
     for a, b in itertools.combinations(range(g.n_contexts), 2):
         shared = tuple(sorted(g.context_sets[a] & g.context_sets[b]))
         if not shared:
             continue
         ma = _marginalize(box.context_tensor(a), _marginal_axes(g.contexts[a], shared))
         mb = _marginalize(box.context_tensor(b), _marginal_axes(g.contexts[b], shared))
-        tv = 0.5 * float(np.abs(ma - mb).sum())
-        worst = max(worst, tv)
-        if tv > tol:
-            violations.append(ConsistencyViolation(a, b, shared, tv))
+        yield a, b, shared, 0.5 * float(np.abs(ma - mb).sum())
+
+
+def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
+    """Pairwise shared-marginal agreement in total-variation distance.
+
+    True iff for every pair of contexts with non-empty intersection the two
+    marginals on the shared observables agree within ``tol``.  The largest
+    distance is computed once per box and cached on it; the pairs are
+    visited again only to list the violations when it exceeds ``tol``.
+    """
+    require_valid(box)
+    worst = box._max_shared_tv
+    violations = () if worst <= tol else tuple(
+        ConsistencyViolation(a, b, shared, tv)
+        for a, b, shared, tv in _shared_marginal_tvs(box)
+        if tv > tol
+    )
     return ConsistencyReport(
-        consistent=not violations, max_deviation=worst, violations=tuple(violations)
+        consistent=not violations, max_deviation=worst, violations=violations
     )
 
 

@@ -154,6 +154,10 @@ def cmd_measure(args, out=None) -> int:
     if not sources:
         print("error: need at least one box source", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    if measure == "xmax" and args.weights not in ("uniform", "optimize"):
+        print("error: --weights FILE does not apply to xmax, which optimizes the weights",
+              file=sys.stderr)
+        return EXIT_INVALID_INPUT
     workers = max(1, args.workers)
     if workers == 1 or len(sources) == 1:
         rows = [_measure_one(src, measure, args) for src in sources]

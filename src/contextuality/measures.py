@@ -30,6 +30,7 @@ per-context divergences at the inner minimizer.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -40,7 +41,6 @@ from .boxes import (
     Hypergraph,
     JointDistribution,
     require_consistent,
-    require_valid,
 )
 from .closed_form import chi
 from .errors import CapExceededError, InvalidBoxError, NotXorBoxError
@@ -336,6 +336,8 @@ def _check_dims(box: Box, dim_cap: int) -> None:
 def _check_stopping(tol: float, max_iters: int) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise InvalidBoxError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 0:
         raise InvalidBoxError(f"max_iters must be nonnegative, got {max_iters!r}")
 
@@ -357,7 +359,6 @@ def x_fixed(
     bound, so rounding never reports a negative divergence;
     ``[value - duality_gap, value]`` still brackets the optimum.
     """
-    require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
     _check_stopping(tol, max_iters)
@@ -412,7 +413,6 @@ def x_max(
     The reported value is the best certified inner value found; no claim is
     made that the supremum is attained.
     """
-    require_valid(box)
     require_consistent(box)
     _check_dims(box, dim_cap)
     _check_stopping(tol, max_iters)

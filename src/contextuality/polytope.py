@@ -7,14 +7,21 @@ hypergraph.  The contextuality cost of a consistent box b solves
 
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
-Columns are joint indices.  The LP's constraint matrix is the dense block
-``M[:, columns]`` of the hypergraph's context-incidence operator M, built
-for the current columns only; pricing never materializes M.  One
-column-generation loop solves every box: it starts from up to 512 evenly
-spaced columns (all of them for small boxes), prices every assignment at
-once as the lifted dual ``M^T y`` (a joint tensor) and enters the cheapest
-ones until every assignment scores at least 1.  The final pricing bound
-certifies the lower end of the bracket.
+Columns are joint indices.  One column-generation loop solves every box: it
+starts from up to 512 evenly spaced columns (all of them for small boxes),
+prices every assignment at once as the lifted dual ``M^T y`` (a joint
+tensor) and enters the cheapest ones until every assignment scores at least
+1.  HiGHS is handed the restricted LP in its dual form,
+
+    minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
+
+whose constraint matrix is the transposed dense block ``M[:, columns]`` of
+the hypergraph's context-incidence operator M (built for the current columns
+only; pricing never materializes M).  The dual has one variable per stacked
+context outcome (tens) where the primal has one per column (hundreds), so
+HiGHS needs far fewer simplex iterations; the witness weights w are the
+dual's constraint multipliers.  The final pricing bound certifies the lower
+end of the bracket.
 """
 
 from __future__ import annotations
@@ -24,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .boxes import (
-    Box,
-    DeterministicAssignment,
-    Hypergraph,
-    require_consistent,
-    require_valid,
-)
+from .boxes import Box, DeterministicAssignment, Hypergraph, require_consistent
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
 DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
@@ -94,10 +95,12 @@ def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float,
 def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
-    Defined only for consistent boxes; inconsistent input is refused rather
-    than given a misleading number.
+    Each column-generation round solves the restricted LP's dual (see the
+    module docstring): its solution y prices the columns, and the witness
+    weights are the multipliers of its constraints, so the cost ``1 - sum w``
+    belongs to the reported witness.  Defined only for consistent boxes;
+    inconsistent input is refused rather than given a misleading number.
     """
-    require_valid(box)
     require_consistent(box)
     g = box.hypergraph
     if g.joint_dim > PRICING_SCAN_CAP:
@@ -107,16 +110,19 @@ def contextuality_cost(box: Box) -> CostReport:
     stacked = box.stacked()
     columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
     for _ in range(200):
+        # -M[:, columns], negated in place; its transpose is the dual's A_ub.
+        block = g.incidence.columns(columns)
+        np.negative(block, out=block)
         res = linprog(
-            c=-np.ones(columns.size),
-            A_ub=g.incidence.columns(columns),
-            b_ub=stacked,
+            c=stacked,
+            A_ub=block.T,
+            b_ub=-np.ones(columns.size),
             bounds=(0.0, None),
             method="highs",
         )
         if res.status != 0:
             raise ContextualityError(f"cost LP failed: {res.message}")
-        duals = -np.asarray(res.ineqlin.marginals)
+        duals = res.x
         min_score, candidates = _price_columns(g, duals, count=256)
         if min_score >= 1.0 - 1e-9:
             break
@@ -129,23 +135,18 @@ def contextuality_cost(box: Box) -> CostReport:
     # The pricing bound certifies y / min_score is dual feasible.
     dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
 
-    primal_value = -float(res.fun)
-    weights = np.asarray(res.x)
+    weights = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
     # Both bounds are clamped into [0, 1] and ordered, so rounding in the LP
     # solution cannot invert the bracket.
-    cost = min(1.0, max(0.0, 1.0 - primal_value))
+    cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
     interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
 
     used = np.flatnonzero(weights > 1e-12)
+    digits = np.transpose(np.unravel_index(columns[used], g.joint_shape)).tolist()
     witness = {
-        DeterministicAssignment(np.unravel_index(columns[j], g.joint_shape)): float(weights[j])
-        for j in used
+        DeterministicAssignment(d): w for d, w in zip(digits, weights[used].tolist())
     }
-    mass = np.bincount(
-        g.incidence.rows(columns[used]).ravel(),
-        weights=np.repeat(weights[used], g.n_contexts),
-        minlength=g.incidence.dim,
-    )
+    mass = -(block[:, used] @ weights[used])
 
     residual = None
     if cost > _LP_TOL:

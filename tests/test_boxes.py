@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextuality as cx
+from contextuality import boxes
 from contextuality.boxes import parity_distribution
 from contextuality.sampling import random_joint
 
@@ -82,6 +83,68 @@ class TestConsistency:
         report = cx.check_consistency(cx.Box(pr.hypergraph, dists), 1e-9)
         assert not report.consistent
         assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+
+
+def nudged_pr(eps):
+    """PR(0.9) with ``eps`` moved from outcome 00 to 10 of context 0: max shared TV is eps."""
+    pr = cx.pr_box(0.9)
+    dists = list(pr.distributions)
+    dists[0] = dists[0] + eps * np.array([-1.0, 0.0, 1.0, 0.0])
+    return cx.Box(pr.hypergraph, dists)
+
+
+class TestValidatedOnce:
+    """A box's validity and largest shared-marginal distance are computed once."""
+
+    def test_pairwise_marginals_computed_once(self, monkeypatch):
+        box = cx.mix(cx.pm_box(), cx.box_of_joint(random_joint(cx.pm_box().hypergraph,
+                                                                np.random.default_rng(3))), 0.8)
+        g = box.hypergraph
+        pairs = sum(bool(a & b) for i, a in enumerate(g.context_sets)
+                    for b in g.context_sets[i + 1:])
+        calls = []
+
+        def counting(tensor, plan):
+            calls.append(tensor.ndim)
+            return marginalize(tensor, plan)
+
+        marginalize = boxes._marginalize
+        monkeypatch.setattr(boxes, "_marginalize", counting)
+        cx.x_u(box)
+        cx.contextuality_cost(box)
+        cx.x_max(box, outer_window=20)
+        cx.check_consistency(box, 1e-9)
+        # Joint tensors (the solver's marginals) have one axis per observable.
+        assert sum(ndim < g.n_observables for ndim in calls) == 2 * pairs
+
+    @pytest.mark.parametrize(
+        "solve", [cx.x_u, cx.contextuality_cost, lambda box: cx.x_max(box, outer_window=5)],
+        ids=["x_u", "contextuality_cost", "x_max"],
+    )
+    def test_bad_boxes_refused_on_every_call(self, pr, solve):
+        invalid = cx.Box(pr.hypergraph, [2.0 * pr.distributions[0], *pr.distributions[1:]])
+        inconsistent = nudged_pr(1e-3)
+        for _ in range(3):
+            assert not cx.validate_box(invalid).ok
+            with pytest.raises(cx.InvalidBoxError):
+                solve(invalid)
+            with pytest.raises(cx.InvalidBoxError):
+                cx.check_consistency(invalid)
+            with pytest.raises(cx.InconsistentBoxError):
+                solve(inconsistent)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-10, 1e-8, 1e-6])
+    def test_cached_report_matches_fresh_box(self, eps):
+        box = nudged_pr(eps)
+        assert box.distributions[0].min() > 0.0
+        tols = [1e-7, 1e-12, 1e-9, 1e-12, 1e-7]
+        for tol in tols:
+            fresh = cx.Box(box.hypergraph, box.distributions)
+            report = cx.check_consistency(box, tol)
+            assert report == cx.check_consistency(fresh, tol)
+            assert report.consistent == (report.max_deviation <= tol)
+            assert report.consistent == (not report.violations)
+        assert cx.check_consistency(box, 1e-12).max_deviation == pytest.approx(eps, abs=1e-15)
 
 
 class TestMarginal:

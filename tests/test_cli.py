@@ -152,6 +152,14 @@ class TestExitCodes:
         assert "finite" in err
         assert out == ""
 
+    def test_weights_file_with_xmax(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("[NaN, NaN, NaN, NaN]")
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", "xmax", "--weights", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert "--weights" in err
+        assert out == ""
+
     def test_workers_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEXTUALITY_WORKERS", "3")
         code, out, _ = run_cli(capsys, "measure", "builtin:PR", "builtin:PM", "cost")

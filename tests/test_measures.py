@@ -124,6 +124,24 @@ class TestXFixed:
         with pytest.raises(cx.InvalidBoxError, match="max_iters"):
             solve(pr, max_iters=-1)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, "3", None])
+    @pytest.mark.parametrize(
+        "solve",
+        [cx.x_u, cx.x_max, lambda box, **kw: cx.x_fixed(box, cx.ContextWeights.uniform(4), **kw)],
+        ids=["x_u", "x_max", "x_fixed"],
+    )
+    def test_non_integer_max_iters_refused(self, pr, solve, max_iters, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(measures, "_solve_fixed", no_solve)
+        with pytest.raises(cx.InvalidBoxError, match="max_iters"):
+            solve(pr, max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self, pr):
+        report = cx.x_u(pr, max_iters=np.int64(3))
+        assert report.iterations <= 3
+
     def test_zero_max_iters_reports_start(self, pr):
         report = cx.x_u(pr, max_iters=0)
         assert report.iterations == 0

@@ -32,6 +32,8 @@ from .errors import (
 # clamped to zero, anything more negative is rejected (file round-trip rule).
 NORMALIZATION_TOL = 1e-9
 NEGATIVE_TOL = -1e-12
+# Absolute tolerance within which a context counts as P_even or P_odd.
+PARITY_TOL = 1e-9
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -127,10 +129,6 @@ class Hypergraph:
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(card for _, card in self.observables)
-
-    @cached_property
-    def name_to_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
     def context_sets(self) -> tuple[frozenset[int], ...]:
@@ -539,8 +537,8 @@ def parity_distribution(m: int, parity: int) -> np.ndarray:
     return vec
 
 
-def context_parity(box: Box, ci: int, tol: float = 1e-9) -> int | None:
-    """0/1 if the context distribution is exactly P_even/P_odd, else None."""
+def context_parity(box: Box, ci: int) -> int | None:
+    """0/1 if the context distribution is P_even/P_odd within ``PARITY_TOL``, else None."""
     ctx = box.hypergraph.contexts[ci]
     if any(box.hypergraph.cardinalities[i] != 2 for i in ctx):
         return None
@@ -549,7 +547,7 @@ def context_parity(box: Box, ci: int, tol: float = 1e-9) -> int | None:
     if vec.size != 2**m:
         return None
     for parity in (0, 1):
-        if np.allclose(vec, parity_distribution(m, parity), rtol=0.0, atol=tol):
+        if np.allclose(vec, parity_distribution(m, parity), rtol=0.0, atol=PARITY_TOL):
             return parity
     return None
 

@@ -28,7 +28,7 @@ from . import closed_form
 from .boxes import Box, check_consistency
 from .boxfile import emit_box, parse_box
 from .builders import chain_box, parse_builtin_uri
-from .errors import CapExceededError, ContextualityError
+from .errors import CapExceededError, ContextualityError, InvalidBoxError
 from .inequalities import beta
 from .measures import ContextWeights, x_fixed, x_max, x_u_isotropic_reduced
 from .polytope import contextuality_cost
@@ -72,32 +72,29 @@ def load_box(source: str) -> Box:
     return parse_box(source)
 
 
-def _resolve_weights(spec: str, n: int) -> ContextWeights | None:
-    """None means 'optimize' (use the maximized measure)."""
+def _resolve_weights(spec: str, n: int) -> ContextWeights:
+    """'uniform', or a JSON file holding a list of numbers (not bools), one per context."""
     if spec == "uniform":
         return ContextWeights.uniform(n)
-    if spec == "optimize":
-        return None
     data = json.loads(Path(spec).read_text())
+    if not isinstance(data, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
+    ):
+        raise InvalidBoxError(f"--weights {spec} must hold a JSON list of numbers")
     return ContextWeights(np.asarray(data, dtype=float))
 
 
 def _measure_one(source: str, measure: str, args) -> ResultRow:
     box = load_box(source)
-    n = box.hypergraph.n_contexts
     if measure in ("xu", "xmax"):
-        weights = (
-            None if measure == "xmax" else _resolve_weights(args.weights, n)
-        )
-        if weights is None:
+        if measure == "xmax":
             report = x_max(box, tol=args.tol, max_iters=args.max_iters)
-            label = "xmax"
         else:
+            weights = _resolve_weights(args.weights, box.hypergraph.n_contexts)
             report = x_fixed(box, weights, tol=args.tol, max_iters=args.max_iters)
-            label = measure
         return ResultRow(
             source,
-            label,
+            measure,
             report.value,
             report.duality_gap,
             report.iterations,
@@ -154,7 +151,7 @@ def cmd_measure(args, out=None) -> int:
     if not sources:
         print("error: need at least one box source", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if measure == "xmax" and args.weights not in ("uniform", "optimize"):
+    if measure == "xmax" and args.weights != "uniform":
         print("error: --weights FILE does not apply to xmax, which optimizes the weights",
               file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument(
         "--weights",
         default="uniform",
-        help="'uniform', 'optimize', or a JSON file with one weight per context",
+        help="'uniform', or a JSON file with one weight per context (xu only)",
     )
     p_measure.add_argument("--reference", default=None, help="reference box for beta")
     p_measure.add_argument("--format", choices=("csv", "plain"), default="csv")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, context_parity, require_valid
+from .closed_form import nc_interval
 from .errors import HypergraphMismatchError, NotXorBoxError
+from .polytope import optimize_linear
 
 # Entries above this threshold count as support (guards file round-trips).
 SUPPORT_THRESHOLD = 1e-12
@@ -37,13 +39,13 @@ class XorBoxProfile:
     def single_odd_context(self) -> bool:
         return sum(self.parities) == 1
 
-    @property
-    def n_even(self) -> bool:
-        return self.n_contexts % 2 == 0
 
+def classify_xor(box: Box) -> XorBoxProfile | None:
+    """Profile of ``box`` if every context is P_even or P_odd, else None.
 
-def classify_xor(box: Box, tol: float = 1e-9) -> XorBoxProfile | None:
-    """Profile of ``box`` if every context is exactly P_even or P_odd, else None."""
+    Parities are read by :func:`~contextuality.boxes.context_parity`, within
+    ``PARITY_TOL``.
+    """
     require_valid(box)
     g = box.hypergraph
     if any(card != 2 for card in g.cardinalities):
@@ -52,7 +54,7 @@ def classify_xor(box: Box, tol: float = 1e-9) -> XorBoxProfile | None:
     if len(sizes) != 1:
         return None
     m = sizes.pop()
-    parities = tuple(context_parity(box, ci, tol) for ci in range(g.n_contexts))
+    parities = tuple(context_parity(box, ci) for ci in range(g.n_contexts))
     if None in parities:
         return None
     return XorBoxProfile(
@@ -105,9 +107,7 @@ def nc_alpha_interval(profile: XorBoxProfile) -> tuple[float, float]:
         )
     if not profile.all_degrees_even:
         raise NotXorBoxError("alpha interval needs every observable in an even number of contexts")
-    n = profile.n_contexts
-    lo = 1.0 / n if n % 2 == 0 else 0.0
-    return lo, (n - 1.0) / n
+    return nc_interval(profile.n_contexts)
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,6 @@ class BetaBoundsReport:
 
 def verify_bounds_by_lp(reference: Box) -> BetaBoundsReport:
     """Confirm the KS bounds by optimizing beta over the NC polytope vertices."""
-    from .polytope import optimize_linear
-
     profile = classify_xor(reference)
     if profile is None:
         raise NotXorBoxError("bound verification needs an xor-box reference")

@@ -44,6 +44,8 @@ from .boxes import (
 )
 from .closed_form import chi
 from .errors import CapExceededError, InvalidBoxError, NotXorBoxError
+from .inequalities import classify_xor, nc_alpha_interval
+from .symmetry import apply
 
 LOG2E = math.log2(math.e)
 DEFAULT_TOL = 1e-7
@@ -542,8 +544,6 @@ def x_u_isotropic_reduced(
     minimum at ``a0 = alpha``, so the minimizer is ``alpha`` clipped to the
     interval; this stays exact for chain sizes far beyond the joint solver.
     """
-    from .inequalities import classify_xor, nc_alpha_interval
-
     if not 0.0 <= alpha <= 1.0:
         raise InvalidBoxError(f"alpha {alpha} outside [0, 1]")
     profile = classify_xor(reference)
@@ -551,8 +551,6 @@ def x_u_isotropic_reduced(
         raise NotXorBoxError("reduced solver needs an xor-box reference")
     lo, hi = nc_alpha_interval(profile)
     if group is not None:
-        from .symmetry import apply
-
         for gen in group.generators:
             if not apply(gen, reference).allclose(reference, atol=1e-9):
                 raise InvalidBoxError("reference is not fixed by the supplied group")

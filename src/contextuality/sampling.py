@@ -19,6 +19,11 @@ from .boxes import (
     mix,
 )
 
+# Independent channels mixed by ``random_channel_mixture``.
+CHANNEL_TERMS = 2
+# Smallest and largest context size drawn by ``random_hypergraph``.
+CONTEXT_SIZES = (2, 3)
+
 
 def random_joint(g: Hypergraph, rng: np.random.Generator) -> JointDistribution:
     return JointDistribution(g, rng.dirichlet(np.ones(g.joint_dim)))
@@ -48,11 +53,9 @@ def random_stochastic_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(d), size=d).T
 
 
-def random_channel_mixture(
-    g: Hypergraph, rng: np.random.Generator, terms: int = 2
-) -> ChannelMixture:
-    """Random mixture of independent per-observable channels."""
-    weights = rng.dirichlet(np.ones(terms))
+def random_channel_mixture(g: Hypergraph, rng: np.random.Generator) -> ChannelMixture:
+    """Random mixture of ``CHANNEL_TERMS`` independent per-observable channels."""
+    weights = rng.dirichlet(np.ones(CHANNEL_TERMS))
     return [
         (
             float(w),
@@ -62,14 +65,13 @@ def random_channel_mixture(
     ]
 
 
-def random_hypergraph(
-    rng: np.random.Generator,
-    n_observables: int,
-    n_contexts: int,
-    context_size_range: tuple[int, int] = (2, 3),
-) -> Hypergraph:
-    """Random binary hypergraph covering every observable, no duplicate contexts."""
-    lo, hi = context_size_range
+def random_hypergraph(rng: np.random.Generator, n_observables: int, n_contexts: int) -> Hypergraph:
+    """Random binary hypergraph covering every observable, no duplicate contexts.
+
+    Context sizes are drawn uniformly from ``CONTEXT_SIZES``, capped at
+    ``n_observables``.
+    """
+    lo, hi = CONTEXT_SIZES
     hi = min(hi, n_observables)
     while True:
         seen: set[frozenset[int]] = set()

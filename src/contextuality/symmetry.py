@@ -3,8 +3,12 @@
 A group element is an observable permutation composed with per-observable
 output relabelings (bit flips, in the binary case).  Such maps send contexts
 to contexts, preserve consistency, and map non-contextual boxes to
-non-contextual boxes; averaging a box over a finite group of its
-automorphisms (twirling) projects onto the invariant family.
+non-contextual boxes.  On the stacked context outcomes (see
+:class:`~contextuality.boxes.ContextIncidence`) an element acts as one
+permutation of rows, ``GroupElement.stacked_source``.  Averaging a box over a
+finite group of its automorphisms (twirling) projects onto the invariant
+family; that average is the mean over each stacked row's orbit, and the
+generators alone give the orbits.
 """
 
 from __future__ import annotations
@@ -16,9 +20,16 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import Box, Hypergraph, require_valid
+from .builders import chain_hypergraph, mermin_hypergraph, pm_hypergraph
 from .errors import CapExceededError, HypergraphMismatchError, InvalidBoxError
+from .inequalities import beta
+from .sampling import random_consistent_box
 
 DEFAULT_GROUP_CAP = 2_000_000
+# Largest idempotence or generator-invariance error of a sampled twirl.
+INVARIANCE_TOL = 1e-12
+# Largest deviation of a box from its twirl that still counts as isotropic.
+ISOTROPY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,27 +88,25 @@ class GroupElement:
         )
 
     @cached_property
-    def index_maps(self) -> tuple[np.ndarray, ...]:
-        """Per source context t: array src with new[t'][y] = old[t][src_t[y]].
+    def stacked_source(self) -> np.ndarray:
+        """The action as one gather of stacked rows.
 
-        ``t'`` is ``context_image[t]``; ``src_t[y]`` is the flat source
-        outcome obtained by undoing the relabelings and positions.
+        ``apply(self, box).stacked() == box.stacked()[stacked_source]``: row
+        ``y`` of image context ``t' = context_image[t]`` reads the outcome of
+        source context ``t`` obtained by undoing the relabelings and positions.
         """
         g = self.hypergraph
-        inverse = [np.argsort(np.asarray(r)) for r in self.relabelings]
-        maps = []
-        for t, ctx in enumerate(g.contexts):
-            tprime = self.context_image[t]
+        offsets = g.incidence.offsets
+        inverse = [np.argsort(r) for r in self.relabelings]
+        source = np.empty(g.incidence.dim, dtype=np.int64)
+        for t, (ctx, tprime) in enumerate(zip(g.contexts, self.context_image)):
             tgt_ctx = g.contexts[tprime]
-            tgt_shape = g.context_shape(tprime)
-            src_shape = g.context_shape(t)
-            ys = np.unravel_index(np.arange(int(np.prod(tgt_shape))), tgt_shape)
-            xs = []
-            for a, i in enumerate(ctx):
-                q = tgt_ctx.index(self.perm[i])
-                xs.append(inverse[i][ys[q]])
-            maps.append(np.ravel_multi_index(tuple(xs), src_shape))
-        return tuple(maps)
+            ys = np.unravel_index(np.arange(g.context_dim(tprime)), g.context_shape(tprime))
+            xs = tuple(inverse[i][ys[tgt_ctx.index(self.perm[i])]] for i in ctx)
+            src = np.ravel_multi_index(xs, g.context_shape(t))
+            source[offsets[tprime] : offsets[tprime + 1]] = offsets[t] + src
+        source.flags.writeable = False
+        return source
 
 
 def identity_element(g: Hypergraph) -> GroupElement:
@@ -140,10 +149,8 @@ def apply(element: GroupElement, box: Box) -> Box:
     if element.hypergraph != box.hypergraph:
         raise HypergraphMismatchError("element and box live on different hypergraphs")
     require_valid(box)
-    new_dists: list[np.ndarray | None] = [None] * box.hypergraph.n_contexts
-    for t, src in enumerate(element.index_maps):
-        new_dists[element.context_image[t]] = box.distributions[t][src]
-    return Box(box.hypergraph, new_dists)
+    stacked = box.stacked()[element.stacked_source]
+    return Box(box.hypergraph, box.hypergraph.incidence.split(stacked))
 
 
 @dataclass(frozen=True)
@@ -159,19 +166,20 @@ class TwirlGroup:
         return len(self.elements)
 
     @cached_property
-    def transfer_matrix(self) -> np.ndarray:
-        """Linear map on stacked context vectors implementing the twirl."""
-        offsets = self.hypergraph.incidence.offsets
-        total = self.hypergraph.incidence.dim
-        t_mat = np.zeros((total, total))
-        rows = np.arange(total)
-        for element in self.elements:
-            src_flat = np.empty(total, dtype=np.int64)
-            for t, src in enumerate(element.index_maps):
-                tprime = element.context_image[t]
-                src_flat[offsets[tprime] : offsets[tprime + 1]] = offsets[t] + src
-            t_mat[rows, src_flat] += 1.0 / self.order
-        return t_mat
+    def orbits(self) -> np.ndarray:
+        """Orbit label (0, 1, ...) of each stacked row under the generators.
+
+        Each row takes the least label it can reach through the generators'
+        ``stacked_source`` maps; inverses are powers of those maps, so the
+        fixed point is constant exactly on the group's orbits.
+        """
+        labels = np.arange(self.hypergraph.incidence.dim)
+        while True:
+            before = labels.copy()
+            for gen in self.generators:
+                np.minimum(labels, labels[gen.stacked_source], out=labels)
+            if np.array_equal(labels, before):
+                return np.unique(labels, return_inverse=True)[1]
 
 
 def generate_group(
@@ -210,12 +218,18 @@ def generate_group(
 
 
 def twirl(group: TwirlGroup, box: Box) -> Box:
-    """Uniform average of ``apply(f, box)`` over all group elements."""
+    """Uniform average of ``apply(f, box)`` over all group elements.
+
+    By orbit-stabilizer every element of a stacked row's orbit feeds that row
+    equally often, so the average is the mean of ``box.stacked()`` over each
+    orbit of ``group.orbits``; the elements themselves are never visited.
+    """
     if group.hypergraph != box.hypergraph:
         raise HypergraphMismatchError("group and box live on different hypergraphs")
     require_valid(box)
-    stacked = group.transfer_matrix @ box.stacked()
-    return Box(box.hypergraph, box.hypergraph.incidence.split(stacked))
+    orbits = group.orbits
+    means = np.bincount(orbits, weights=box.stacked()) / np.bincount(orbits)
+    return Box(box.hypergraph, box.hypergraph.incidence.split(means[orbits]))
 
 
 def _binary_flip_element(
@@ -242,8 +256,6 @@ def _perm_from_pairs(k: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def _pm_generators() -> tuple[GroupElement, ...]:
-    from .builders import pm_hypergraph
-
     g = pm_hypergraph()
     gens = []
     # h1..h6: the 3! permutations of the three rows.
@@ -259,8 +271,6 @@ def _pm_generators() -> tuple[GroupElement, ...]:
 
 
 def _mermin_generators() -> tuple[GroupElement, ...]:
-    from .builders import mermin_hypergraph
-
     g = mermin_hypergraph()
     # Indices: A,B,C,D,E = 0..4 and a,b,c,d,e = 5..9.
     reflections = [
@@ -282,8 +292,6 @@ def _mermin_generators() -> tuple[GroupElement, ...]:
 
 
 def _chain_generators(n: int) -> tuple[GroupElement, ...]:
-    from .builders import chain_hypergraph
-
     g = chain_hypergraph(n)
     gens = []
     for j in range(1, n):
@@ -293,8 +301,6 @@ def _chain_generators(n: int) -> tuple[GroupElement, ...]:
 
 
 def _kcbs_generators() -> tuple[GroupElement, ...]:
-    from .builders import chain_hypergraph
-
     g = chain_hypergraph(5)
     rotation = tuple((i + 1) % 5 for i in range(5))
     reflection = tuple((5 - i) % 5 for i in range(5))
@@ -334,54 +340,41 @@ class InvariantSetCheck:
 
 
 def invariant_set_check(
-    group: TwirlGroup, samples: int = 100, seed: int | None = 0, tol: float = 1e-12
+    group: TwirlGroup, samples: int = 100, seed: int | None = 0
 ) -> InvariantSetCheck:
     """Sampled check that the twirl image equals the invariant set.
 
     For random consistent boxes b: twirl(twirl(b)) = twirl(b) (idempotence,
     so the image is inside the invariant set and invariant boxes are fixed
-    points) and apply(h, twirl(b)) = twirl(b) for every generator h.
+    points) and apply(h, twirl(b)) = twirl(b) for every generator h, both
+    within ``INVARIANCE_TOL``.
     """
-    from .sampling import random_consistent_box
-
     rng = np.random.default_rng(seed)
     worst_idem = 0.0
     worst_inv = 0.0
     for _ in range(samples):
         box = random_consistent_box(group.hypergraph, rng)
         tb = twirl(group, box)
-        ttb = twirl(group, tb)
-        idem = max(
-            float(np.abs(a - b).max()) for a, b in zip(tb.distributions, ttb.distributions)
+        stacked = tb.stacked()
+        idem = float(np.abs(twirl(group, tb).stacked() - stacked).max())
+        inv = max(
+            (float(np.abs(apply(gen, tb).stacked() - stacked).max()) for gen in group.generators),
+            default=0.0,
         )
         worst_idem = max(worst_idem, idem)
-        inv = 0.0
-        for gen in group.generators:
-            moved = apply(gen, tb)
-            inv = max(
-                inv,
-                max(
-                    float(np.abs(a - b).max())
-                    for a, b in zip(tb.distributions, moved.distributions)
-                ),
-            )
         worst_inv = max(worst_inv, inv)
-        if idem > tol or inv > tol:
+        if idem > INVARIANCE_TOL or inv > INVARIANCE_TOL:
             return InvariantSetCheck(False, samples, worst_idem, worst_inv, box)
     return InvariantSetCheck(True, samples, worst_idem, worst_inv, None)
 
 
-def isotropic_parameter(
-    box: Box, reference: Box, group: TwirlGroup, tol: float = 1e-9
-) -> float:
+def isotropic_parameter(box: Box, reference: Box, group: TwirlGroup) -> float:
     """Mixing weight alpha of a box inside an isotropic family.
 
-    Requires ``box`` to be twirl-invariant within ``tol``; then
+    Requires ``box`` to be twirl-invariant within ``ISOTROPY_TOL``; then
     ``alpha = beta_reference(box) / n``.
     """
-    from .inequalities import beta
-
     twirled = twirl(group, box)
-    if not twirled.allclose(box, atol=tol):
+    if not twirled.allclose(box, atol=ISOTROPY_TOL):
         raise InvalidBoxError("box is not invariant under the reference twirling group")
     return beta(reference, box) / box.hypergraph.n_contexts

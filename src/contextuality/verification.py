@@ -9,6 +9,7 @@ functions, so the CLI and the test suite cannot drift apart.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from . import closed_form
 from .boxes import apply_independent_channels, direct_sum, mix, tensor
 from .builders import builtin, chain_box, kcbs_box, mermin_box, pm_box, pr_box
+from .cli import figure_chain_rows
 from .inequalities import beta, beta_scalar_identity_check, verify_bounds_by_lp
 from .measures import (
     ContextWeights,
@@ -24,7 +26,7 @@ from .measures import (
     x_u,
     x_u_isotropic_reduced,
 )
-from .polytope import contextuality_cost
+from .polytope import contextuality_cost, is_noncontextual
 from .sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -65,8 +67,6 @@ def _golden_match(name: str, report, expected: float, tol: float) -> list[CheckR
 
 def golden_suite(tol: float = 1e-5, chain_full_max: int = 12) -> list[CheckResult]:
     """Criterion 1: solver values against the closed forms."""
-    import time
-
     results: list[CheckResult] = []
     results += _golden_match("xu/PR", x_u(pr_box()), math.log2(4 / 3), tol)
     results += _golden_match("xu/PM", x_u(pm_box()), math.log2(6 / 5), tol)
@@ -278,8 +278,6 @@ def xmax_equals_xu_suite(tol: float = 2e-5) -> list[CheckResult]:
 
 
 def _faithfulness_checks(rng: np.random.Generator, samples: int) -> CheckResult:
-    from .polytope import is_noncontextual
-
     anchor_pool = [pr_box(), chain_box(5), pm_box()]
     failures = []
     for s in range(samples):
@@ -311,7 +309,7 @@ def _monotonicity_checks(rng: np.random.Generator, samples: int) -> list[CheckRe
     for s in range(samples):
         anchor = pr_box() if s % 2 == 0 else chain_box(5)
         box = random_consistent_box(anchor.hypergraph, rng, anchor=anchor)
-        channel = random_channel_mixture(box.hypergraph, rng, terms=2)
+        channel = random_channel_mixture(box.hypergraph, rng)
         degraded = apply_independent_channels(box, channel)
         worst_x = max(worst_x, x_u(degraded).value - x_u(box).value)
         worst_c = max(
@@ -416,8 +414,6 @@ def property_suite(seed: int = 0, samples: int = 50) -> list[CheckResult]:
 
 def figure_suite() -> list[CheckResult]:
     """Criterion 9: chain figure data (row count, spot values, monotonicity)."""
-    from .cli import figure_chain_rows
-
     rows = figure_chain_rows(3, 50, "both", "closedform")
     results = [_check("figure/row-count", len(rows) == 96, f"{len(rows)} rows")]
     by_variant: dict[str, list[tuple[int, float, float]]] = {"max": [], "quantum": []}

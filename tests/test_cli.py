@@ -87,9 +87,7 @@ class TestMeasure:
         assert abs(float(parse_csv(out)[0]["value"]) - LOG2_4_3) <= 1e-5
 
     def test_weights_optimize_routes_to_xmax(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "builtin:PR:alpha=0.95", "xu", "--weights", "optimize"
-        )
+        code, out, _ = run_cli(capsys, "measure", "builtin:PR:alpha=0.95", "xmax")
         assert code == EXIT_OK
         assert parse_csv(out)[0]["measure"] == "xmax"
 
@@ -156,6 +154,15 @@ class TestExitCodes:
         path = tmp_path / "w.json"
         path.write_text("[NaN, NaN, NaN, NaN]")
         code, out, err = run_cli(capsys, "measure", "builtin:PR", "xmax", "--weights", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert "--weights" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("content", ['{"a": 1}', "[true, false, false, false]"])
+    def test_weights_file_not_a_list_of_numbers(self, capsys, tmp_path, content):
+        path = tmp_path / "w.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", "xu", "--weights", str(path))
         assert code == EXIT_INVALID_INPUT
         assert "--weights" in err
         assert out == ""

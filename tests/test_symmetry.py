@@ -1,7 +1,12 @@
 """Symmetry: element action, group closure, twirling, isotropic projection."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from test_incidence import hypergraphs
 
 import contextuality as cx
 from contextuality.sampling import random_consistent_box
@@ -13,6 +18,49 @@ def flip_element(g, observable):
         (1, 0) if i == observable else (0, 1) for i in range(g.n_observables)
     ]
     return cx.GroupElement(g, tuple(range(g.n_observables)), relabelings)
+
+
+def qutrit_cycle_group():
+    """The order-3 group of test_nonbinary: the qutrit alphabet cycled on a 3-cycle."""
+    g = cx.Hypergraph([("A", 3), ("B", 2), ("C", 2)], [(0, 1), (1, 2), (2, 0)])
+    return cx.generate_group([cx.GroupElement(g, (0, 1, 2), ((1, 2, 0), (0, 1), (0, 1)))])
+
+
+TWIRL_GROUPS = [
+    ("PM", lambda: cx.builtin_group("PM")),
+    ("M", lambda: cx.builtin_group("M")),
+    *[(f"CH({n})", lambda n=n: cx.builtin_group("CH", n)) for n in range(4, 8)],
+    ("KCBS", lambda: cx.builtin_group("KCBS")),
+    ("qutrit-cycle", qutrit_cycle_group),
+]
+
+
+def reference_apply(element, box):
+    """Per-context action, outcome by outcome: source outcome x of context t
+    lands at the image outcome of context ``context_image[t]``."""
+    g = box.hypergraph
+    dists = [np.zeros(g.context_dim(ci)) for ci in range(g.n_contexts)]
+    for t, ctx in enumerate(g.contexts):
+        tprime = element.context_image[t]
+        image = {element.perm[i]: i for i in ctx}
+        for x in np.ndindex(g.context_shape(t)):
+            value = dict(zip(ctx, x))
+            y = [element.relabelings[image[j]][value[image[j]]] for j in g.contexts[tprime]]
+            row = np.ravel_multi_index(tuple(y), g.context_shape(tprime))
+            dists[tprime][row] = box.context_tensor(t)[x]
+    return dists
+
+
+def random_automorphism(g, rng):
+    """Uniform random element: an automorphism of ``g`` times random relabelings."""
+    cards = g.cardinalities
+    perms = [
+        perm for perm in itertools.permutations(range(g.n_observables))
+        if all(cards[perm[i]] == cards[i] for i in range(g.n_observables))
+        and all(g.find_context(perm[i] for i in c) >= 0 for c in g.contexts)
+    ]
+    perm = perms[int(rng.integers(len(perms)))]
+    return cx.GroupElement(g, perm, [rng.permutation(d) for d in cards])
 
 
 class TestApply:
@@ -46,6 +94,29 @@ class TestApply:
             cx.GroupElement(
                 pr.hypergraph, (0, 2, 1, 3), tuple((0, 1) for _ in range(4))
             )
+
+
+    @pytest.mark.parametrize("name,make_group", TWIRL_GROUPS)
+    def test_matches_per_context_reference_on_group_elements(self, name, make_group):
+        rng = np.random.default_rng(20240710)
+        grp = make_group()
+        box = random_consistent_box(grp.hypergraph, rng)
+        picks = rng.choice(grp.order, size=min(grp.order, 24), replace=False)
+        for element in [*grp.generators, *(grp.elements[int(i)] for i in picks)]:
+            moved = cx.apply(element, box)
+            for got, want in zip(moved.distributions, reference_apply(element, box)):
+                assert np.array_equal(got, want)
+
+    @seed(20240710)
+    @settings(max_examples=60, deadline=None)
+    @given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_context_reference_on_random_relabelings(self, g, draw_seed):
+        rng = np.random.default_rng(draw_seed)
+        box = random_consistent_box(g, rng)
+        element = random_automorphism(g, rng)
+        moved = cx.apply(element, box)
+        for got, want in zip(moved.distributions, reference_apply(element, box)):
+            assert np.array_equal(got, want)
 
 
 class TestComposeInverse:
@@ -172,6 +243,25 @@ class TestTwirl:
             tw = cx.twirl(grp, det)
             alpha = cx.beta(box, tw) / box.hypergraph.n_contexts
             assert tw.allclose(cx.mix(box, opp, alpha), atol=1e-9)
+
+
+class TestOrbitTwirl:
+    @pytest.mark.parametrize("name,make_group", TWIRL_GROUPS)
+    def test_equals_explicit_group_average(self, name, make_group):
+        rng = np.random.default_rng(20240711)
+        grp = make_group()
+        for _ in range(2):
+            box = random_consistent_box(grp.hypergraph, rng)
+            average = np.mean([cx.apply(e, box).stacked() for e in grp.elements], axis=0)
+            assert np.abs(cx.twirl(grp, box).stacked() - average).max() <= 1e-14
+
+    @pytest.mark.parametrize("name,make_group", TWIRL_GROUPS)
+    def test_generators_alone_twirl_like_the_full_group(self, name, make_group):
+        rng = np.random.default_rng(20240712)
+        grp = make_group()
+        bare = cx.TwirlGroup(grp.hypergraph, grp.generators, elements=())
+        box = random_consistent_box(grp.hypergraph, rng)
+        assert np.array_equal(cx.twirl(bare, box).stacked(), cx.twirl(grp, box).stacked())
 
 
 class TestInvariantSetCheck:

@@ -15,6 +15,7 @@ with ``i``'s value first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     HypergraphMismatchError,
     InconsistentBoxError,
     InvalidBoxError,
@@ -34,6 +36,8 @@ NORMALIZATION_TOL = 1e-9
 NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
+# Largest joint tensor (cells) the entropy solver or a vertex scan allocates.
+JOINT_DIM_CAP = 2**22
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -96,19 +100,17 @@ class Hypergraph:
                 raise InvalidBoxError(f"observable {name!r} has cardinality {card} < 2")
         if not self.contexts:
             raise InvalidBoxError("hypergraph needs at least one context")
-        seen_sets: set[frozenset[int]] = set()
         covered: set[int] = set()
-        for c in self.contexts:
+        for ci, c in enumerate(self.contexts):
             if not c:
                 raise InvalidBoxError("empty context")
             if any(i < 0 or i >= k for i in c):
                 raise InvalidBoxError(f"context {c} references an invalid observable index")
             if len(set(c)) != len(c):
                 raise InvalidBoxError(f"context {c} repeats an observable")
-            key = frozenset(c)
-            if key in seen_sets:
+            # The index keeps the last context of each set, so a repeat shows here.
+            if self._context_index[frozenset(c)] != ci:
                 raise InvalidBoxError(f"duplicate context {sorted(c)}")
-            seen_sets.add(key)
             covered.update(c)
         if covered != set(range(k)):
             missing = sorted(set(range(k)) - covered)
@@ -147,7 +149,7 @@ class Hypergraph:
         return tuple(self.cardinalities[i] for i in self.contexts[ci])
 
     def context_dim(self, ci: int) -> int:
-        return int(np.prod(self.context_shape(ci)))
+        return math.prod(self.context_shape(ci))
 
     @property
     def joint_shape(self) -> tuple[int, ...]:
@@ -155,20 +157,20 @@ class Hypergraph:
 
     @property
     def joint_dim(self) -> int:
-        return int(np.prod(self.cardinalities, dtype=object))
+        return math.prod(self.cardinalities)
 
     @cached_property
     def incidence(self) -> "ContextIncidence":
         """The context-incidence operator of this hypergraph, built once."""
         return ContextIncidence(self)
 
+    @cached_property
+    def _context_index(self) -> dict[frozenset[int], int]:
+        return {s: ci for ci, s in enumerate(self.context_sets)}
+
     def find_context(self, observables: Iterable[int]) -> int:
         """Index of the context equal (as a set) to ``observables``; -1 if absent."""
-        key = frozenset(observables)
-        for ci, s in enumerate(self.context_sets):
-            if s == key:
-                return ci
-        return -1
+        return self._context_index.get(frozenset(observables), -1)
 
 
 def _marginal_axes(axes: Sequence[int], subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -186,6 +188,12 @@ def _marginal_axes(axes: Sequence[int], subset: Sequence[int]) -> tuple[tuple[in
 def _marginalize(tensor: np.ndarray, plan: tuple[tuple[int, ...], ...]) -> np.ndarray:
     other, perm = plan
     return np.transpose(tensor.sum(axis=other) if other else tensor, perm)
+
+
+def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
+    """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
+    if g.joint_dim > cap:
+        raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
 
 
 class ContextIncidence:

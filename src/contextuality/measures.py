@@ -37,20 +37,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boxes import (
-    Box,
-    Hypergraph,
-    JointDistribution,
-    require_consistent,
+    JOINT_DIM_CAP, Box, Hypergraph, JointDistribution, check_joint_dim, require_consistent
 )
 from .closed_form import chi
-from .errors import CapExceededError, InvalidBoxError, NotXorBoxError
+from .errors import InvalidBoxError, NotXorBoxError
 from .inequalities import classify_xor, nc_alpha_interval
 from .symmetry import apply
 
 LOG2E = math.log2(math.e)
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
-DEFAULT_DIM_CAP = 2**22
 # Largest support-restricted incidence matrix (support rows x joint_dim
 # entries, 8 MB) the solver keeps dense: below it two matrix-vector products
 # beat the per-context tensor reductions on every box measured, above it the
@@ -328,13 +324,6 @@ def _solve_fixed(
     return max(value, 0.0), p_flat, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
-def _check_dims(box: Box, dim_cap: int) -> None:
-    if box.hypergraph.joint_dim > dim_cap:
-        raise CapExceededError(
-            f"joint dimension {box.hypergraph.joint_dim} exceeds cap {dim_cap}"
-        )
-
-
 def _check_stopping(tol: float, max_iters: int) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
@@ -349,7 +338,7 @@ def x_fixed(
     weights: ContextWeights,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    dim_cap: int = JOINT_DIM_CAP,
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
@@ -362,7 +351,7 @@ def x_fixed(
     ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_consistent(box)
-    _check_dims(box, dim_cap)
+    check_joint_dim(box.hypergraph, dim_cap)
     _check_stopping(tol, max_iters)
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
@@ -401,7 +390,7 @@ def x_max(
     box: Box,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    dim_cap: int = JOINT_DIM_CAP,
     outer_window: int = 200,
 ) -> MeasureReport:
     """Weight-maximized relative entropy of contextuality.
@@ -416,7 +405,7 @@ def x_max(
     made that the supremum is attained.
     """
     require_consistent(box)
-    _check_dims(box, dim_cap)
+    check_joint_dim(box.hypergraph, dim_cap)
     _check_stopping(tol, max_iters)
     start = time.perf_counter()
     n = box.hypergraph.n_contexts

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .boxes import Box, DeterministicAssignment, Hypergraph, require_consistent
+from .boxes import Box, DeterministicAssignment, Hypergraph, check_joint_dim, require_consistent
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
 DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
-PRICING_SCAN_CAP = 2**22
 _LP_TOL = 1e-9
 
 
@@ -75,10 +74,6 @@ class CostReport:
     lp_status: str
     residual_box: Box | None
 
-    @property
-    def noncontextual_weight(self) -> float:
-        return sum(self.witness_weights.values())
-
 
 def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float, np.ndarray]:
     """Smallest dual score ``sum_c y[row(D, c)]`` over all assignments D.
@@ -103,10 +98,7 @@ def contextuality_cost(box: Box) -> CostReport:
     """
     require_consistent(box)
     g = box.hypergraph
-    if g.joint_dim > PRICING_SCAN_CAP:
-        raise CapExceededError(
-            f"{g.joint_dim} vertices exceed the pricing scan cap {PRICING_SCAN_CAP}"
-        )
+    check_joint_dim(g)
     stacked = box.stacked()
     columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
     for _ in range(200):
@@ -190,8 +182,7 @@ def optimize_linear(
     """
     if direction not in ("max", "min"):
         raise InvalidBoxError(f"direction must be 'max' or 'min', got {direction!r}")
-    if g.joint_dim > PRICING_SCAN_CAP:
-        raise CapExceededError(f"{g.joint_dim} assignments exceed scan cap {PRICING_SCAN_CAP}")
+    check_joint_dim(g)
     scores = g.incidence.lift(g.incidence.stack(weights))
     sign = 1.0 if direction == "max" else -1.0
     best = int(np.argmax(sign * scores))

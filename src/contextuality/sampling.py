@@ -8,6 +8,8 @@ both sides of the polytope boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .boxes import (
@@ -18,6 +20,7 @@ from .boxes import (
     box_of_joint,
     mix,
 )
+from .errors import InvalidBoxError
 
 # Independent channels mixed by ``random_channel_mixture``.
 CHANNEL_TERMS = 2
@@ -69,15 +72,21 @@ def random_hypergraph(rng: np.random.Generator, n_observables: int, n_contexts: 
     """Random binary hypergraph covering every observable, no duplicate contexts.
 
     Context sizes are drawn uniformly from ``CONTEXT_SIZES``, capped at
-    ``n_observables``.
+    ``n_observables``.  Requests no attempt can meet (more contexts than
+    subsets of those sizes or than one attempt's draws, or too few contexts to
+    cover every observable) are refused.
     """
     lo, hi = CONTEXT_SIZES
     hi = min(hi, n_observables)
+    draws = 200  # context draws per attempt, duplicates included
+    subsets = sum(math.comb(n_observables, size) for size in range(lo, hi + 1))
+    if n_observables < lo or n_contexts > min(subsets, draws) or n_contexts * hi < n_observables:
+        raise InvalidBoxError(f"cannot draw {n_contexts} contexts for {n_observables} observables")
     while True:
         seen: set[frozenset[int]] = set()
         contexts: list[tuple[int, ...]] = []
         guard = 0
-        while len(contexts) < n_contexts and guard < 200:
+        while len(contexts) < n_contexts and guard < draws:
             guard += 1
             size = int(rng.integers(lo, hi + 1))
             ctx = tuple(sorted(rng.choice(n_observables, size=size, replace=False).tolist()))

@@ -3,12 +3,15 @@
 A group element is an observable permutation composed with per-observable
 output relabelings (bit flips, in the binary case).  Such maps send contexts
 to contexts, preserve consistency, and map non-contextual boxes to
-non-contextual boxes.  On the stacked context outcomes (see
-:class:`~contextuality.boxes.ContextIncidence`) an element acts as one
-permutation of rows, ``GroupElement.stacked_source``.  Averaging a box over a
-finite group of its automorphisms (twirling) projects onto the invariant
-family; that average is the mean over each stacked row's orbit, and the
-generators alone give the orbits.
+non-contextual boxes.  Numbering the (observable, output) literals
+``off[i] + v``, an element is one permutation of the literals,
+``GroupElement.literals``: elements compose and invert as integer arrays, and
+the closure of a generating set forms each product with one gather.  On the
+stacked context outcomes (see :class:`~contextuality.boxes.ContextIncidence`)
+an element acts as one permutation of rows, ``GroupElement.stacked_source``.
+Averaging a box over a finite group of its automorphisms (twirling) projects
+onto the invariant family; that average is the mean over each stacked row's
+orbit, and the generators alone give the orbits.
 """
 
 from __future__ import annotations
@@ -79,13 +82,17 @@ class GroupElement:
     def key(self) -> tuple:
         return (self.perm, self.relabelings)
 
+    @property
+    def literals(self) -> np.ndarray:
+        """The action on literals: ``off[i] + v`` goes to ``off[perm[i]] + relabelings[i][v]``."""
+        off = _literal_offsets(self.hypergraph)
+        return np.concatenate([off[j] + np.array(r) for j, r in zip(self.perm, self.relabelings)])
+
     @cached_property
     def context_image(self) -> tuple[int, ...]:
         """Index of the image context of each source context."""
         g = self.hypergraph
-        return tuple(
-            g.find_context(frozenset(self.perm[i] for i in c)) for c in g.contexts
-        )
+        return tuple(g.find_context(self.perm[i] for i in c) for c in g.contexts)
 
     @cached_property
     def stacked_source(self) -> np.ndarray:
@@ -109,39 +116,33 @@ class GroupElement:
         return source
 
 
+def _literal_offsets(g: Hypergraph) -> np.ndarray:
+    """``off[i]``: number of observable ``i``'s first literal (``off[-1]`` literals in all)."""
+    return np.cumsum((0,) + g.cardinalities)
+
+
+def _from_literals(g: Hypergraph, literals: np.ndarray) -> GroupElement:
+    """The element whose ``literals`` are ``literals`` (validated by the constructor)."""
+    off = _literal_offsets(g)
+    owner = np.repeat(np.arange(g.n_observables), g.cardinalities)
+    values = (literals - off[owner[literals]]).tolist()
+    relabelings = [values[a:b] for a, b in itertools.pairwise(off.tolist())]
+    return GroupElement(g, owner[literals[off[:-1]]].tolist(), relabelings)
+
+
 def identity_element(g: Hypergraph) -> GroupElement:
-    return GroupElement(
-        g, tuple(range(g.n_observables)), tuple(tuple(range(d)) for d in g.cardinalities)
-    )
-
-
-def _compose_key(second: GroupElement, first: GroupElement) -> tuple:
-    """``(perm, relabelings)`` of ``first`` then ``second``, without validation."""
-    perm = tuple(second.perm[j] for j in first.perm)
-    relabelings = tuple(
-        tuple(second.relabelings[j][v] for v in r)
-        for j, r in zip(first.perm, first.relabelings)
-    )
-    return perm, relabelings
+    return _from_literals(g, np.arange(sum(g.cardinalities)))
 
 
 def compose(second: GroupElement, first: GroupElement) -> GroupElement:
     """Apply ``first``, then ``second``."""
     if second.hypergraph != first.hypergraph:
         raise HypergraphMismatchError("cannot compose elements on different hypergraphs")
-    return GroupElement(first.hypergraph, *_compose_key(second, first))
+    return _from_literals(first.hypergraph, second.literals[first.literals])
 
 
 def inverse(element: GroupElement) -> GroupElement:
-    k = len(element.perm)
-    inv_perm = [0] * k
-    for i, j in enumerate(element.perm):
-        inv_perm[j] = i
-    relabelings = []
-    for j in range(k):
-        i = inv_perm[j]
-        relabelings.append(tuple(np.argsort(np.asarray(element.relabelings[i]))))
-    return GroupElement(element.hypergraph, tuple(inv_perm), tuple(relabelings))
+    return _from_literals(element.hypergraph, np.argsort(element.literals))
 
 
 def apply(element: GroupElement, box: Box) -> Box:
@@ -199,20 +200,21 @@ def generate_group(
         if gen.hypergraph != g:
             raise HypergraphMismatchError("all generators must share one hypergraph")
     ident = identity_element(g)
-    elements: dict[tuple, GroupElement] = {ident.key(): ident}
-    frontier = [ident]
+    gen_literals = [gen.literals for gen in generators]
+    elements = {ident.literals.tobytes(): ident}
+    frontier = [ident.literals]
     while frontier:
         new_frontier = []
-        for element in frontier:
-            for gen in generators:
-                # Only unseen products are built, and so validated.
-                key = _compose_key(gen, element)
+        for literals in frontier:
+            for gen in gen_literals:
+                # Only unseen products are decoded, and so validated.
+                product = gen[literals]
+                key = product.tobytes()
                 if key not in elements:
                     if len(elements) >= cap:
                         raise CapExceededError(f"group closure exceeded cap {cap}")
-                    candidate = GroupElement(g, *key)
-                    elements[key] = candidate
-                    new_frontier.append(candidate)
+                    elements[key] = _from_literals(g, product)
+                    new_frontier.append(product)
         frontier = new_frontier
     return TwirlGroup(g, tuple(generators), tuple(elements.values()))
 

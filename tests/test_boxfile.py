@@ -109,3 +109,18 @@ def test_emitted_document_is_plain_json(tmp_path):
     cx.emit_box(cx.kcbs_box(), path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"observables", "contexts", "distributions"}
+
+
+def _overflow_doc():
+    """One context over cardinalities 2^62+1 and 4: 2^64+4 outcomes, 4 in int64."""
+    return {
+        "observables": [{"name": "A", "cardinality": 2**62 + 1},
+                        {"name": "B", "cardinality": 4}],
+        "contexts": [["A", "B"]],
+        "distributions": [[0.25, 0.25, 0.25, 0.25]],
+    }
+
+
+def test_context_dimension_past_int64_rejected():
+    with pytest.raises(cx.BoxFileError, match="expected 18446744073709551620"):
+        box_from_document(_overflow_doc())

@@ -184,6 +184,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "measure", "builtin:CH:30", "xu")
         assert code == EXIT_CAP_EXCEEDED
 
+    @pytest.mark.parametrize("measure", ["beta", "consistency"])
+    def test_context_dimension_past_int64_is_invalid_input(self, capsys, tmp_path, measure):
+        doc = {
+            "observables": [{"name": "A", "cardinality": 2**62 + 1},
+                            {"name": "B", "cardinality": 4}],
+            "contexts": [["A", "B"]],
+            "distributions": [[0.25, 0.25, 0.25, 0.25]],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "measure", str(path), measure)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+
     def test_inconsistent_file_is_invalid_input(self, capsys, tmp_path):
         from contextuality.boxfile import box_to_document
 

@@ -134,6 +134,51 @@ class TestComposeInverse:
         assert one_shot.allclose(two_step, atol=1e-15)
 
 
+def reference_compose_key(second, first):
+    """``(perm, relabelings)`` of ``first`` then ``second``, composed as nested tuples."""
+    perm = tuple(second.perm[j] for j in first.perm)
+    relabelings = tuple(
+        tuple(second.relabelings[j][v] for v in r) for j, r in zip(first.perm, first.relabelings)
+    )
+    return perm, relabelings
+
+
+def reference_inverse_key(element):
+    """``(perm, relabelings)`` of the inverse, observable by observable."""
+    source = {j: i for i, j in enumerate(element.perm)}
+    perm = tuple(source[j] for j in range(len(element.perm)))
+    relabelings = tuple(
+        tuple(element.relabelings[i].index(w) for w in range(len(element.relabelings[i])))
+        for i in perm
+    )
+    return perm, relabelings
+
+
+class TestLiteralAlgebra:
+    @seed(20240713)
+    @settings(max_examples=60, deadline=None)
+    @given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+    def test_compose_and_inverse_match_tuple_reference(self, g, draw_seed):
+        rng = np.random.default_rng(draw_seed)
+        first, second = random_automorphism(g, rng), random_automorphism(g, rng)
+        assert compose(second, first).key() == reference_compose_key(second, first)
+        assert inverse(first).key() == reference_inverse_key(first)
+        assert compose(inverse(first), first).key() == identity_element(g).key()
+
+    @seed(20240714)
+    @settings(max_examples=40, deadline=None)
+    @given(g=hypergraphs())
+    def test_find_context_matches_linear_scan(self, g):
+        sets = [set(c) for c in g.contexts]
+        for ci, ctx in enumerate(g.contexts):
+            for order in itertools.permutations(ctx):
+                assert g.find_context(order) == sets.index(set(order)) == ci
+        for size in range(1, g.n_observables + 1):
+            for subset in itertools.combinations(range(g.n_observables), size):
+                if set(subset) not in sets:
+                    assert g.find_context(subset) == -1
+
+
 class TestGenerateGroup:
     def test_trivial_group(self, pr):
         grp = cx.generate_group([identity_element(pr.hypergraph)])

@@ -208,9 +208,9 @@ class ContextIncidence:
     joint tensor ``sum_c y_c(lambda_c)``, and ``rows(lambda)`` lists the
     rows of column lambda.  Both products are tensor reductions and
     broadcasts, so their memory stays O(joint_dim); ``columns`` builds a
-    dense block of M only for the callers that ask for one (the cost LP's
-    constraint matrix, and the entropy solver on small boxes).  This is the
-    only code that knows the stacked layout.
+    dense block of M only for the caller that asks for one (the entropy
+    solver on small boxes), and the cost LP takes its rows from ``rows``.
+    This is the only code that knows the stacked layout.
     """
 
     def __init__(self, g: Hypergraph):

@@ -11,17 +11,18 @@ Columns are joint indices.  One column-generation loop solves every box: it
 starts from up to 512 evenly spaced columns (all of them for small boxes),
 prices every assignment at once as the lifted dual ``M^T y`` (a joint
 tensor) and enters the cheapest ones until every assignment scores at least
-1.  HiGHS is handed the restricted LP in its dual form,
+1.  The restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
-whose constraint matrix is the transposed dense block ``M[:, columns]`` of
-the hypergraph's context-incidence operator M (built for the current columns
-only; pricing never materializes M).  The dual has one variable per stacked
-context outcome (tens) where the primal has one per column (hundreds), so
-HiGHS needs far fewer simplex iterations; the witness weights w are the
-dual's constraint multipliers.  The final pricing bound certifies the lower
-end of the bracket.
+with one variable per stacked context outcome (tens) where the primal has
+one per column (hundreds), so far fewer simplex iterations are needed.  Each
+call builds one HiGHS model with those variables; every round appends only
+the entering assignments as rows (row D holds a 1 at each of D's
+``n_contexts`` stacked rows of the context-incidence operator M, so M is
+never materialized), and HiGHS's dual simplex re-optimizes from the previous
+basis.  The witness weights w are the rows' duals, and the final pricing
+bound certifies the lower end of the bracket.
 """
 
 from __future__ import annotations
@@ -29,13 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+# scipy's own HiGHS binding (verified on scipy 1.17): unlike linprog, a model
+# built on it keeps its basis when rows are appended and re-solved.
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .boxes import Box, DeterministicAssignment, Hypergraph, check_joint_dim, require_consistent
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
 DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
 _LP_TOL = 1e-9
+# HiGHS's smallest feasibility tolerances.  At its default of 1e-7, boxes with
+# entries near 1e-7 got witnesses that over-spend the box by up to 2e-7 and
+# costs up to 8e-7 off, outside their own zero-width bracket.
+_HIGHS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,6 @@ class CostReport:
     cost: float
     interval: tuple[float, float]
     witness_weights: dict[DeterministicAssignment, float]
-    lp_status: str
     residual_box: Box | None
 
 
@@ -90,44 +97,56 @@ def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float,
 def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
-    Each column-generation round solves the restricted LP's dual (see the
-    module docstring): its solution y prices the columns, and the witness
-    weights are the multipliers of its constraints, so the cost ``1 - sum w``
-    belongs to the reported witness.  Defined only for consistent boxes;
-    inconsistent input is refused rather than given a misleading number.
+    Each column-generation round re-solves the restricted LP's dual (see the
+    module docstring) after appending the entering columns as rows: its
+    solution y prices the columns, and the witness weights are the rows'
+    duals, so the cost ``1 - sum w`` belongs to the reported witness.
+    Defined only for consistent boxes; inconsistent input is refused rather
+    than given a misleading number.
     """
     require_consistent(box)
     g = box.hypergraph
     check_joint_dim(g)
     stacked = box.stacked()
-    columns = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
+    n_contexts = g.n_contexts
+    lp = _Highs()
+    lp.setOptionValue("output_flag", False)
+    lp.setOptionValue("primal_feasibility_tolerance", _HIGHS_TOL)
+    lp.setOptionValue("dual_feasibility_tolerance", _HIGHS_TOL)
+    # Variable y_r for each stacked row r: cost b_r, bounds [0, inf), no entries yet.
+    lp.addCols(
+        stacked.size, stacked, np.zeros(stacked.size), np.full(stacked.size, np.inf),
+        0, np.zeros(stacked.size, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0),
+    )
+    # LP row i is assignment columns[i]: rows are appended in round order.
+    columns = np.empty(0, dtype=np.int64)
+    entering = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
     for _ in range(200):
-        # -M[:, columns], negated in place; its transpose is the dual's A_ub.
-        block = g.incidence.columns(columns)
-        np.negative(block, out=block)
-        res = linprog(
-            c=stacked,
-            A_ub=block.T,
-            b_ub=-np.ones(columns.size),
-            bounds=(0.0, None),
-            method="highs",
+        new_rows = g.incidence.rows(entering)
+        lp.addRows(
+            entering.size, np.ones(entering.size), np.full(entering.size, np.inf),
+            new_rows.size, np.arange(0, new_rows.size, n_contexts, dtype=np.int32),
+            new_rows.ravel().astype(np.int32), np.ones(new_rows.size),
         )
-        if res.status != 0:
-            raise ContextualityError(f"cost LP failed: {res.message}")
-        duals = res.x
+        columns = np.concatenate([columns, entering])
+        lp.run()
+        status = lp.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise ContextualityError(f"cost LP failed: {lp.modelStatusToString(status)}")
+        solution = lp.getSolution()
+        duals = np.asarray(solution.col_value)
         min_score, candidates = _price_columns(g, duals, count=256)
         if min_score >= 1.0 - 1e-9:
             break
-        merged = np.union1d(columns, candidates)
-        if merged.size == columns.size:
+        entering = np.setdiff1d(candidates, columns)
+        if entering.size == 0:
             break
-        columns = merged
     else:
         raise ContextualityError("column generation did not converge in 200 rounds")
     # The pricing bound certifies y / min_score is dual feasible.
     dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
 
-    weights = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
+    weights = np.maximum(np.asarray(solution.row_dual), 0.0)
     # Both bounds are clamped into [0, 1] and ordered, so rounding in the LP
     # solution cannot invert the bracket.
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
@@ -138,7 +157,11 @@ def contextuality_cost(box: Box) -> CostReport:
     witness = {
         DeterministicAssignment(d): w for d, w in zip(digits, weights[used].tolist())
     }
-    mass = -(block[:, used] @ weights[used])
+    mass = np.bincount(
+        g.incidence.rows(columns[used]).ravel(),
+        weights=np.repeat(weights[used], n_contexts),
+        minlength=stacked.size,
+    )
 
     residual = None
     if cost > _LP_TOL:
@@ -148,13 +171,7 @@ def contextuality_cost(box: Box) -> CostReport:
             total_mass = vec.sum()
             dists.append(vec / total_mass if total_mass > 0 else vec)
         residual = Box(g, dists)
-    return CostReport(
-        cost=cost,
-        interval=interval,
-        witness_weights=witness,
-        lp_status="optimal",
-        residual_box=residual,
-    )
+    return CostReport(cost=cost, interval=interval, witness_weights=witness, residual_box=residual)
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:

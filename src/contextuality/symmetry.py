@@ -121,10 +121,19 @@ def _literal_offsets(g: Hypergraph) -> np.ndarray:
     return np.cumsum((0,) + g.cardinalities)
 
 
-def _from_literals(g: Hypergraph, literals: np.ndarray) -> GroupElement:
-    """The element whose ``literals`` are ``literals`` (validated by the constructor)."""
-    off = _literal_offsets(g)
-    owner = np.repeat(np.arange(g.n_observables), g.cardinalities)
+def _literal_tables(g: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """``_literal_offsets(g)`` and the observable that owns each literal."""
+    return _literal_offsets(g), np.repeat(np.arange(g.n_observables), g.cardinalities)
+
+
+def _from_literals(
+    g: Hypergraph, literals: np.ndarray, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> GroupElement:
+    """The element whose ``literals`` are ``literals`` (validated by the constructor).
+
+    ``tables`` is ``_literal_tables(g)``, passed in by callers that decode many elements.
+    """
+    off, owner = _literal_tables(g) if tables is None else tables
     values = (literals - off[owner[literals]]).tolist()
     relabelings = [values[a:b] for a, b in itertools.pairwise(off.tolist())]
     return GroupElement(g, owner[literals[off[:-1]]].tolist(), relabelings)
@@ -200,6 +209,7 @@ def generate_group(
         if gen.hypergraph != g:
             raise HypergraphMismatchError("all generators must share one hypergraph")
     ident = identity_element(g)
+    tables = _literal_tables(g)
     gen_literals = [gen.literals for gen in generators]
     elements = {ident.literals.tobytes(): ident}
     frontier = [ident.literals]
@@ -213,7 +223,7 @@ def generate_group(
                 if key not in elements:
                     if len(elements) >= cap:
                         raise CapExceededError(f"group closure exceeded cap {cap}")
-                    elements[key] = _from_literals(g, product)
+                    elements[key] = _from_literals(g, product, tables)
                     new_frontier.append(product)
         frontier = new_frontier
     return TwirlGroup(g, tuple(generators), tuple(elements.values()))

@@ -103,6 +103,17 @@ class TestMeasure:
         assert lines[0].startswith("# tol=1e-06")
         assert "box,measure,value,certificate,iterations,seconds" in lines
 
+    def test_cost_prints_only_its_csv(self, capfd):
+        # capfd sees what native code writes to the process's file descriptors.
+        code = main(["measure", "builtin:M:alpha=0.9", "cost"])
+        out, err = capfd.readouterr()
+        assert code == EXIT_OK
+        assert err == ""
+        lines = out.splitlines()
+        assert [line[0] for line in lines[:-2]] == ["#", "#"]
+        assert lines[-2] == "box,measure,value,certificate,iterations,seconds"
+        assert lines[-1].startswith("builtin:M:alpha=0.9,cost,0.5")
+
 
 class TestExitCodes:
     def test_unknown_measure(self, capsys):

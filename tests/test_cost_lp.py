@@ -1,5 +1,7 @@
 """The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_polytope import dense_reference_cost
 
 import contextuality as cx
+from contextuality import polytope
+from contextuality.sampling import random_consistent_box, random_hypergraph
 
 
 @seed(20261102)
@@ -19,8 +23,12 @@ import contextuality as cx
 def test_dual_form_matches_primal_and_rebuilds_box(anchor, anchor_weight, draw_seed):
     rng = np.random.default_rng(draw_seed)
     box = shuffled(cx.mix(anchor, sparse_box(anchor.hypergraph, rng), anchor_weight), rng)
+    check_report(box, cx.contextuality_cost(box))
+
+
+def check_report(box, report):
+    """Cost against the all-columns primal LP, an ordered bracket, and the box rebuilt."""
     g = box.hypergraph
-    report = cx.contextuality_cost(box)
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
     lo, hi = report.interval
     assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
@@ -32,3 +40,62 @@ def test_dual_form_matches_primal_and_rebuilds_box(anchor, anchor_weight, draw_s
     if report.residual_box is not None:
         rebuilt += report.cost * report.residual_box.stacked()
     assert np.max(np.abs(rebuilt - box.stacked())) <= 1e-9
+
+
+def sum_mod_box(g, rng):
+    """Each context's outputs sum to a random residue mod d; uniform where that would clash.
+
+    A context whose observables all have d outputs gets the uniform
+    distribution on the outcomes whose sum is a random residue mod d, unless
+    it lies inside another context; every other context is uniform.  Each
+    context then has uniform marginals on every proper subset, so the box is
+    consistent, and the residues usually contradict each other, so it is
+    contextual.
+    """
+    dists = []
+    for ctx in g.contexts:
+        shape = tuple(g.cardinalities[i] for i in ctx)
+        hit = np.ones(shape, dtype=bool)
+        if len(set(shape)) == 1 and not any(set(ctx) < set(other) for other in g.contexts):
+            hit = np.indices(shape).sum(axis=0) % shape[0] == rng.integers(shape[0])
+        dists.append(hit.ravel() / hit.sum())
+    return cx.Box(g, dists)
+
+
+@st.composite
+def wide_hypergraphs(draw):
+    """Hypergraphs with more joint outcomes than the cost LP's 512 starting columns.
+
+    10 or 11 binary observables, or 6 or 7 observables of which 5 to 7 are
+    ternary; contexts have 2 or 3 observables.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n_ternary = draw(st.sampled_from([(10, 0), (11, 0), (6, 6), (7, 5), (7, 6), (7, 7)]))
+    g = random_hypergraph(rng, k, draw(st.integers(k, 2 * k)))
+    ternary = set(rng.choice(k, size=n_ternary, replace=False).tolist())
+    cards = [3 if i in ternary else 2 for i in range(k)]
+    return cx.Hypergraph([(f"O{i}", d) for i, d in enumerate(cards)], g.contexts)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(
+    g=wide_hypergraphs(),
+    anchor_weight=st.floats(0.5, 1.0),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_started_rounds_match_primal(g, anchor_weight, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    anchor = sum_mod_box(g, rng)
+    box = shuffled(random_consistent_box(g, rng, anchor=anchor, anchor_weight=anchor_weight), rng)
+    assert box.hypergraph.joint_dim > 512
+    check_report(box, cx.contextuality_cost(box))
+
+
+def test_multi_round_cost_is_silent(capfd):
+    capfd.readouterr()
+    with mock.patch.object(polytope, "_price_columns", wraps=polytope._price_columns) as spy:
+        report = cx.contextuality_cost(cx.mermin_box(0.9))
+    assert spy.call_count > 1
+    assert report.cost > 0.0
+    assert capfd.readouterr() == ("", "")

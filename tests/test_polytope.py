@@ -18,7 +18,9 @@ def dense_reference_cost(box, n_columns=None):
     """Cost from one LP over vertex columns, independent of column generation.
 
     Uses every vertex column, or only the first ``n_columns`` of them; with
-    fewer than all, the result is an upper bound on the cost.
+    fewer than all, the result is an upper bound on the cost.  HiGHS runs at
+    its smallest feasibility tolerances, so boxes with entries near its
+    default of 1e-7 are solved to 1e-9 too.
     """
     g = box.hypergraph
     columns = np.arange(min(g.joint_dim, n_columns or g.joint_dim))
@@ -28,6 +30,7 @@ def dense_reference_cost(box, n_columns=None):
         b_ub=box.stacked(),
         bounds=(0.0, None),
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
     return 1.0 + float(res.fun)

@@ -10,17 +10,18 @@ gradient coordinate at lambda is ``-log2(e) * r(lambda)`` with
 
     r(lambda) = sum_c w_c * g_c(lambda_c) / p_c(lambda_c),
 
-so the Frank-Wolfe linear-minimization step is a coordinate argmax of r and
-the duality gap ``(max r - 1) * log2(e)`` is free.  The plain iteration is
-the multiplicative step ``p <- p * r`` (an EM / iterative-scaling update that
-never increases F and keeps every context marginal bounded below by
-``w_c * g_c``).  The iteration over-relaxes it adaptively
-(Salakhutdinov & Roweis 2003): it tries ``p <- p * r**omega`` (normalized),
-keeps the trial only if F falls strictly and then grows omega, and otherwise
-takes the plain step from the same point and resets omega to 1, so F still
-never increases.  Frank-Wolfe steps with an exact (Newton) line search are
-the stall fallback.  Every iterate carries the same gap certificate, and
-``value - gap`` is always a valid lower bound on the optimum.
+so ``max r`` gives the duality gap ``(max r - 1) * log2(e)`` for free, and
+``value - gap`` is a lower bound on the optimum at every iterate.  The solver
+takes one kind of step: the multiplicative step ``p <- p * r`` (an EM /
+iterative-scaling update that never increases F), over-relaxed adaptively
+(Salakhutdinov & Roweis 2003) as ``p <- p * (r / max r)**omega``, with every
+coordinate floored at ``eps / joint_dim`` and the result normalized.  The
+floor keeps the iterate strictly positive, so no face of the simplex traps
+it; EM from a positive point converges to the optimum of this convex problem
+(Csiszar & Tusnady 1984).  A trial with omega > 1 is kept only if F falls
+strictly, and then omega grows; otherwise the plain step is taken from the
+same point and omega resets to 1, so F never increases beyond rounding.  The
+reported gap is measured against the best lower bound seen over all iterates.
 
 The maximized measure sup_w min_p is computed by multiplicative-weights
 ascent on the context simplex; the supergradient at w is the vector of
@@ -110,10 +111,10 @@ class ContextWeights:
 class MeasureReport:
     """Value plus optimality certificates for one measure evaluation.
 
-    ``value - duality_gap`` is a valid lower bound on the true optimum of the
-    inner minimization; for maximized runs ``outer_gap`` additionally bounds
-    the distance to the supremum over weights (it may stay looser than the
-    inner tolerance and is informational).
+    ``value - duality_gap`` is the best lower bound on the true optimum of the
+    inner minimization over the iterates of the solve; for maximized runs
+    ``outer_gap`` additionally bounds the distance to the supremum over weights
+    (it may stay looser than the inner tolerance and is informational).
     """
 
     value: float
@@ -173,7 +174,7 @@ class _FixedWeightProblem:
     """F(p) = sum_c w_c D(g_c || (M p)_c) on the stacked context outcomes.
 
     Only the active support (target > 0 in a context of positive weight)
-    enters the value, the multiplier field and the line search.  When the
+    enters the value and the multiplier field.  When the
     support rows of M have at most ``DENSE_ENTRIES_CAP`` entries they are
     kept as one dense matrix, so a step costs two matrix-vector products;
     above the cap the operator's tensor reductions keep memory O(joint_dim).
@@ -221,43 +222,19 @@ class _FixedWeightProblem:
         pairs = zip(self.op.split(self.targets), self.op.split(self.op.marginals(p_tensor)))
         return np.array([relative_entropy(target, m) for target, m in pairs])
 
-    def line_search(self, p_tensor: np.ndarray, vertex: int) -> float:
-        """Exact step toward the vertex at flat joint index ``vertex``: root of
-        the 1-D directional derivative.
 
-        The derivative is increasing (F is convex along the segment), so
-        Newton steps on it, with its closed-form second derivative, fall back
-        to bisection of the sign bracket whenever they leave the bracket.
-        """
-        m = self._support_marginals(p_tensor)
-        s = np.zeros(self.op.dim)
-        s[self.op.rows(vertex)] = 1.0
-        s = s[self.support]
-        step = s - m
+def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float) -> np.ndarray:
+    """The solver's one step: ``p * r`` for omega = 1, else
+    ``p * (r / max r)**omega`` (the scaling keeps the power at most 1), floored
+    at eps/joint_dim and normalized.
 
-        def derivatives(gamma: float) -> tuple[float, float]:
-            q = step / ((1.0 - gamma) * m + gamma * s)
-            return -float(self.wt_s @ q), float(self.wt_s @ (q * q))
-
-        lo, hi = 0.0, 1.0 - 1e-12
-        if derivatives(hi)[0] <= 0.0:
-            return hi
-        gamma = lo
-        for _ in range(64):
-            d1, d2 = derivatives(gamma)
-            if d1 == 0.0:
-                return gamma
-            if d1 > 0.0:
-                hi = gamma
-            else:
-                lo = gamma
-            nxt = gamma - d1 / d2
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if abs(nxt - gamma) <= 1e-15:
-                return nxt
-            gamma = nxt
-        return gamma
+    The floor keeps every coordinate positive, so a multiplicative step can
+    always grow it back; it adds at most eps of total mass.
+    """
+    q = p * r if omega == 1.0 else p * (r / r.max()) ** omega
+    np.maximum(q, np.finfo(float).eps / q.size, out=q)
+    q /= q.sum()
+    return q
 
 
 def _solve_fixed(
@@ -267,45 +244,32 @@ def _solve_fixed(
     init: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     shape = problem.g.joint_shape
-    p = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape).copy()
+    start = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape)
+    p = _floored_step(start, 1.0, 1.0)
 
     trace: list[tuple[int, float, float]] = []
     next_trace = 1
-    stall = 0
     omega = 1.0
     value, r, gap = problem.evaluate(p)
+    # Every iterate's value minus its gap bounds the optimum from below; the
+    # reported gap is measured against the best of these bounds.
+    lower = value - gap
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
-        prev_value = value
-        if stall >= 3:
-            vertex = int(np.argmax(r))
-            gamma = problem.line_search(p, vertex)
-            p *= 1.0 - gamma
-            p.flat[vertex] += gamma
-            stall = 0
-            value, r, gap = problem.evaluate(p)
-        elif omega > 1.0:
-            # Over-relaxed trial; scaling r by its maximum keeps the power <= 1.
-            trial = p * (r / r.max()) ** omega
-            trial /= trial.sum()
+        trial = _floored_step(p, r, omega)
+        trial_value, trial_r, trial_gap = problem.evaluate(trial)
+        if omega > 1.0 and not trial_value < value:
+            # The over-relaxed trial did not lower F: take the plain step instead.
+            omega = 1.0
+            trial = _floored_step(p, r, omega)
             trial_value, trial_r, trial_gap = problem.evaluate(trial)
-            if trial_value < value:
-                p, value, r, gap = trial, trial_value, trial_r, trial_gap
-                omega = min(omega * OVERRELAX_GROWTH, OVERRELAX_CAP)
-            else:
-                p *= r
-                p /= p.sum()
-                value, r, gap = problem.evaluate(p)
-                omega = 1.0
-        else:
-            p *= r
-            p /= p.sum()
-            value, r, gap = problem.evaluate(p)
-            if value < prev_value:
-                omega = OVERRELAX_GROWTH
-        stall = stall + 1 if prev_value - value < 1e-15 * max(1.0, abs(value)) else 0
+        elif trial_value < value:
+            omega = min(omega * OVERRELAX_GROWTH, OVERRELAX_CAP)
+        p, value, r = trial, trial_value, trial_r
+        lower = max(lower, value - trial_gap)
+        gap = max(value - lower, 0.0)
         if iteration >= next_trace:
             trace.append((iteration, value, gap))
             next_trace *= 2
@@ -313,15 +277,15 @@ def _solve_fixed(
 
     if len(_connected_components(problem.g)) > 1:
         # Factorizing across components keeps every context marginal, hence
-        # the value; re-evaluate so the certificate refers to the returned point.
+        # the value; re-evaluate so the value refers to the returned point.
         p = _factorize_components(p, problem.g)
-        value, _, gap = problem.evaluate(p)
-    p_flat = np.maximum(p.reshape(-1), 0.0)
-    p_flat /= p_flat.sum()
+        value, _, point_gap = problem.evaluate(p)
+        lower = max(lower, value - point_gap)
+        gap = max(value - lower, 0.0)
     # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
     # clamped value is still an upper bound and [value - gap, value] still
     # brackets it.
-    return max(value, 0.0), p_flat, gap, iteration, gap <= tol + 1e-14, tuple(trace)
+    return max(value, 0.0), p.reshape(-1), gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
 def _check_stopping(tol: float, max_iters: int) -> None:
@@ -342,13 +306,14 @@ def x_fixed(
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    Solved from the uniform joint by adaptively over-relaxed multiplicative
-    steps, which fall back to the plain step whenever a trial does not lower
-    the objective and to Frank-Wolfe steps on a stall (report method
-    "auto").  The solve stops once the duality gap is at most ``tol`` or after
-    ``max_iters`` iterations.  The value is clamped at 0, the optimum's lower
-    bound, so rounding never reports a negative divergence;
-    ``[value - duality_gap, value]`` still brackets the optimum.
+    Solved from the uniform joint by floored multiplicative steps with
+    adaptive over-relaxation, which fall back to the plain step whenever a
+    trial does not lower the objective (report method "auto").  The solve
+    stops once the value is within ``tol`` of the best lower bound seen, or
+    after ``max_iters`` iterations; ``duality_gap`` is that distance.  The
+    value is clamped at 0, the optimum's lower bound, so rounding never
+    reports a negative divergence; ``[value - duality_gap, value]`` still
+    brackets the optimum.
     """
     require_consistent(box)
     check_joint_dim(box.hypergraph, dim_cap)

@@ -499,11 +499,9 @@ def marginal(joint: JointDistribution, subset: Sequence[int]) -> np.ndarray:
     return _marginalize(joint.tensor(), _marginal_axes(range(k), subset)).reshape(-1)
 
 
-def box_of_joint(joint: JointDistribution, hypergraph: Hypergraph | None = None) -> Box:
+def box_of_joint(joint: JointDistribution) -> Box:
     """The (non-contextual, hence consistent) box of marginals of ``joint``."""
-    g = hypergraph if hypergraph is not None else joint.hypergraph
-    if g != joint.hypergraph:
-        raise HypergraphMismatchError("joint is not defined on the given hypergraph")
+    g = joint.hypergraph
     return Box(g, g.incidence.split(g.incidence.marginals(joint.probabilities)))
 
 

@@ -24,14 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form
 from .boxes import Box, check_consistency
 from .boxfile import emit_box, parse_box
-from .builders import chain_box, parse_builtin_uri
+from .builders import parse_builtin_uri
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 from .inequalities import beta
-from .measures import ContextWeights, x_fixed, x_max, x_u_isotropic_reduced
+from .measures import DEFAULT_MAX_ITERS, DEFAULT_TOL, ContextWeights, x_fixed, x_max
 from .polytope import contextuality_cost
+from .verification import figure_chain_rows, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -167,25 +167,6 @@ def cmd_measure(args, out=None) -> int:
     return EXIT_OK
 
 
-def figure_chain_rows(
-    n_min: int, n_max: int, variant: str, solver: str
-) -> list[tuple[str, int, float, float]]:
-    """(variant, n, alpha, xu) rows for the chain-family figure."""
-    if not 3 <= n_min <= n_max:
-        raise ContextualityError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    variants = ("max", "quantum") if variant == "both" else (variant,)
-    rows = []
-    for var in variants:
-        for n in range(n_min, n_max + 1):
-            alpha = 1.0 if var == "max" else closed_form.quantum_chain_alpha(n)
-            if solver == "closedform":
-                value = closed_form.xu_chain(n, alpha)
-            else:
-                value = x_u_isotropic_reduced(chain_box(n), alpha)
-            rows.append((var, n, alpha, value))
-    return rows
-
-
 def cmd_figure_chain(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     rows = figure_chain_rows(args.n_min, args.n_max, args.variant, args.solver)
@@ -202,8 +183,6 @@ def cmd_figure_chain(args, out=None) -> int:
 
 def cmd_verify(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    from .verification import run_suite
-
     results = run_suite(args.suite, seed=args.seed, samples=args.samples)
     failed = 0
     for result in results:
@@ -236,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SOURCE... MEASURE",
         help=f"box sources followed by one of {MEASURES}",
     )
-    p_measure.add_argument("--tol", type=float, default=1e-7)
-    p_measure.add_argument("--max-iters", type=int, default=200_000, dest="max_iters")
+    p_measure.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_measure.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS, dest="max_iters")
     p_measure.add_argument(
         "--weights",
         default="uniform",

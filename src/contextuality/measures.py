@@ -398,9 +398,7 @@ def x_max(
         warm = p_flat
         p_sum = p_flat.copy() if p_sum is None else p_sum + p_flat
         divergences = problem.divergences(p_flat)
-        finite = divergences[np.isfinite(divergences)]
-        if finite.size == n:
-            upper = min(upper, float(divergences.max()))
+        upper = min(upper, float(divergences.max()))
         if value > best_value + _XMAX_IMPROVE_TOL:
             last_improve = outer
         if value > best_value:
@@ -410,12 +408,10 @@ def x_max(
         if upper - best_value <= _XMAX_IMPROVE_TOL:
             break
         eta = _XMAX_ETA0 / math.sqrt(outer)
-        log_w = log_w + eta * np.where(np.isfinite(divergences), divergences, 0.0)
+        log_w = log_w + eta * divergences
     if p_sum is not None:
         avg = p_sum / p_sum.sum()
-        div_avg = problem.divergences(avg)
-        if np.all(np.isfinite(div_avg)):
-            upper = min(upper, float(div_avg.max()))
+        upper = min(upper, float(problem.divergences(avg).max()))
     assert best_weights is not None and best_p is not None
     return MeasureReport(
         value=best_value,
@@ -426,7 +422,7 @@ def x_max(
         converged=best_gap <= tol and outer < _XMAX_MAX_OUTER,
         method="mw-ascent(auto)",
         outer_weights=best_weights,
-        outer_gap=max(0.0, upper - best_value) if math.isfinite(upper) else None,
+        outer_gap=max(0.0, upper - best_value),
     )
 
 
@@ -450,8 +446,8 @@ def verify_equivalence(
     ``ext_c(lambda) = p*(lambda'_c | lambda_c) * g_c(lambda_c)`` and evaluate
     the mutual information directly as
     ``sum_c w_c D(ext_c || sum_c' w_c' ext_c')``; the absolute difference
-    from the minimized value is the residual.  Conditionals where
-    ``p*(lambda_c) = 0`` are taken uniform (those branches carry no weight).
+    from the minimized value is the residual.  The solver floors every joint
+    entry above 0, so every context marginal of p* is positive.
     """
     report = x_fixed(box, weights, tol=tol)
     g = box.hypergraph
@@ -463,13 +459,7 @@ def verify_equivalence(
     for ci, (target, m) in enumerate(pairs):
         if w[ci] <= 0.0:
             continue
-        ratio = np.zeros_like(target)
-        ok = m > 0.0
-        ratio[ok] = target[ok] / m[ok]
-        ext = p_tensor * op.broadcast(ratio, ci)
-        leftover = target * (~ok)
-        if np.any(leftover > 0.0):
-            ext = ext + op.broadcast(leftover / (g.joint_dim // target.size), ci)
+        ext = p_tensor * op.broadcast(target / m, ci)
         extensions.append((w[ci], ext.reshape(-1)))
     mixture = np.zeros(g.joint_dim)
     for wc, ext in extensions:

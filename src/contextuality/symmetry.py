@@ -35,58 +35,69 @@ INVARIANCE_TOL = 1e-12
 ISOTROPY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """Observable permutation plus per-observable output relabelings.
 
     ``perm[i]`` is the image observable of source observable ``i``;
     ``relabelings[i]`` maps the source output ``v`` to the output reported at
-    ``perm[i]``.  The permutation must map every context onto a context.
+    ``perm[i]``.  The permutation must map every context onto a context.  The
+    element is stored as its action on literals, the read-only array
+    ``literals[off[i] + v] = off[perm[i]] + relabelings[i][v]``, from which
+    ``perm`` and ``relabelings`` are read back on request.
     """
 
     hypergraph: Hypergraph
-    perm: tuple[int, ...]
-    relabelings: tuple[tuple[int, ...], ...]
+    literals: np.ndarray
 
     def __init__(self, hypergraph, perm, relabelings):
-        object.__setattr__(self, "hypergraph", hypergraph)
-        object.__setattr__(self, "perm", tuple(int(i) for i in perm))
-        object.__setattr__(
-            self, "relabelings", tuple(tuple(int(v) for v in r) for r in relabelings)
-        )
-        self._validate()
-
-    def _validate(self) -> None:
-        g = self.hypergraph
-        k = g.n_observables
-        if sorted(self.perm) != list(range(k)):
-            raise InvalidBoxError(f"{self.perm} is not a permutation of {k} observables")
-        cards = g.cardinalities
-        if len(self.relabelings) != k:
+        perm = tuple(int(i) for i in perm)
+        relabelings = tuple(tuple(int(v) for v in r) for r in relabelings)
+        k, cards = hypergraph.n_observables, hypergraph.cardinalities
+        if sorted(perm) != list(range(k)):
+            raise InvalidBoxError(f"{perm} is not a permutation of {k} observables")
+        if len(relabelings) != k:
             raise InvalidBoxError("need one output relabeling per observable")
-        for i, r in enumerate(self.relabelings):
-            if cards[self.perm[i]] != cards[i]:
+        for i, r in enumerate(relabelings):
+            if cards[perm[i]] != cards[i]:
                 raise InvalidBoxError(
                     f"permutation sends observable {i} (d={cards[i]}) to "
-                    f"{self.perm[i]} (d={cards[self.perm[i]]})"
+                    f"{perm[i]} (d={cards[perm[i]]})"
                 )
             if sorted(r) != list(range(cards[i])):
                 raise InvalidBoxError(f"relabeling {r} is not a bijection on {cards[i]} outputs")
-        for c in g.contexts:
-            image = frozenset(self.perm[i] for i in c)
-            if g.find_context(image) < 0:
+        for c in hypergraph.contexts:
+            image = frozenset(perm[i] for i in c)
+            if hypergraph.find_context(image) < 0:
                 raise InvalidBoxError(
                     f"permutation maps context {c} to non-context {sorted(image)}"
                 )
+        off = _literal_offsets(hypergraph)
+        literals = np.array([off[j] + v for j, r in zip(perm, relabelings) for v in r])
+        literals.flags.writeable = False
+        vars(self).update(hypergraph=hypergraph, literals=literals)
+        vars(self).update(perm=perm, relabelings=relabelings)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, GroupElement) and self.hypergraph == other.hypergraph
+        return same and np.array_equal(self.literals, other.literals)
+
+    def __hash__(self) -> int:
+        return hash((self.hypergraph, self.literals.tobytes()))
 
     def key(self) -> tuple:
         return (self.perm, self.relabelings)
 
-    @property
-    def literals(self) -> np.ndarray:
-        """The action on literals: ``off[i] + v`` goes to ``off[perm[i]] + relabelings[i][v]``."""
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
         off = _literal_offsets(self.hypergraph)
-        return np.concatenate([off[j] + np.array(r) for j, r in zip(self.perm, self.relabelings)])
+        return tuple((np.searchsorted(off, self.literals[off[:-1]], side="right") - 1).tolist())
+
+    @cached_property
+    def relabelings(self) -> tuple[tuple[int, ...], ...]:
+        off = _literal_offsets(self.hypergraph)
+        values = (self.literals - np.repeat(off[list(self.perm)], np.diff(off))).tolist()
+        return tuple(tuple(values[a:b]) for a, b in itertools.pairwise(off.tolist()))
 
     @cached_property
     def context_image(self) -> tuple[int, ...]:
@@ -121,37 +132,27 @@ def _literal_offsets(g: Hypergraph) -> np.ndarray:
     return np.cumsum((0,) + g.cardinalities)
 
 
-def _literal_tables(g: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """``_literal_offsets(g)`` and the observable that owns each literal."""
-    return _literal_offsets(g), np.repeat(np.arange(g.n_observables), g.cardinalities)
-
-
-def _from_literals(
-    g: Hypergraph, literals: np.ndarray, tables: tuple[np.ndarray, np.ndarray] | None = None
-) -> GroupElement:
-    """The element whose ``literals`` are ``literals`` (validated by the constructor).
-
-    ``tables`` is ``_literal_tables(g)``, passed in by callers that decode many elements.
-    """
-    off, owner = _literal_tables(g) if tables is None else tables
-    values = (literals - off[owner[literals]]).tolist()
-    relabelings = [values[a:b] for a, b in itertools.pairwise(off.tolist())]
-    return GroupElement(g, owner[literals[off[:-1]]].tolist(), relabelings)
+def _wrap(g: Hypergraph, literals: np.ndarray) -> GroupElement:
+    """Element with these ``literals``, unchecked: products and inverses of valid ones are valid."""
+    element = object.__new__(GroupElement)
+    literals.flags.writeable = False
+    vars(element).update(hypergraph=g, literals=literals)
+    return element
 
 
 def identity_element(g: Hypergraph) -> GroupElement:
-    return _from_literals(g, np.arange(sum(g.cardinalities)))
+    return _wrap(g, np.arange(sum(g.cardinalities)))
 
 
 def compose(second: GroupElement, first: GroupElement) -> GroupElement:
     """Apply ``first``, then ``second``."""
     if second.hypergraph != first.hypergraph:
         raise HypergraphMismatchError("cannot compose elements on different hypergraphs")
-    return _from_literals(first.hypergraph, second.literals[first.literals])
+    return _wrap(first.hypergraph, second.literals[first.literals])
 
 
 def inverse(element: GroupElement) -> GroupElement:
-    return _from_literals(element.hypergraph, np.argsort(element.literals))
+    return _wrap(element.hypergraph, np.argsort(element.literals))
 
 
 def apply(element: GroupElement, box: Box) -> Box:
@@ -209,7 +210,6 @@ def generate_group(
         if gen.hypergraph != g:
             raise HypergraphMismatchError("all generators must share one hypergraph")
     ident = identity_element(g)
-    tables = _literal_tables(g)
     gen_literals = [gen.literals for gen in generators]
     elements = {ident.literals.tobytes(): ident}
     frontier = [ident.literals]
@@ -217,13 +217,12 @@ def generate_group(
         new_frontier = []
         for literals in frontier:
             for gen in gen_literals:
-                # Only unseen products are decoded, and so validated.
                 product = gen[literals]
                 key = product.tobytes()
                 if key not in elements:
                     if len(elements) >= cap:
                         raise CapExceededError(f"group closure exceeded cap {cap}")
-                    elements[key] = _from_literals(g, product, tables)
+                    elements[key] = _wrap(g, product)
                     new_frontier.append(product)
         frontier = new_frontier
     return TwirlGroup(g, tuple(generators), tuple(elements.values()))

@@ -17,7 +17,7 @@ import numpy as np
 from . import closed_form
 from .boxes import apply_independent_channels, direct_sum, mix, tensor
 from .builders import builtin, chain_box, kcbs_box, mermin_box, pm_box, pr_box
-from .cli import figure_chain_rows
+from .errors import ContextualityError
 from .inequalities import beta, beta_scalar_identity_check, verify_bounds_by_lp
 from .measures import (
     ContextWeights,
@@ -410,6 +410,25 @@ def property_suite(seed: int = 0, samples: int = 50) -> list[CheckResult]:
     results += _beta_checks(rng, samples)
     results.append(_certificate_checks(rng, samples))
     return results
+
+
+def figure_chain_rows(
+    n_min: int, n_max: int, variant: str, solver: str
+) -> list[tuple[str, int, float, float]]:
+    """(variant, n, alpha, xu) rows for the chain-family figure."""
+    if not 3 <= n_min <= n_max:
+        raise ContextualityError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    variants = ("max", "quantum") if variant == "both" else (variant,)
+    rows = []
+    for var in variants:
+        for n in range(n_min, n_max + 1):
+            alpha = 1.0 if var == "max" else closed_form.quantum_chain_alpha(n)
+            if solver == "closedform":
+                value = closed_form.xu_chain(n, alpha)
+            else:
+                value = x_u_isotropic_reduced(chain_box(n), alpha)
+            rows.append((var, n, alpha, value))
+    return rows
 
 
 def figure_suite() -> list[CheckResult]:

@@ -165,6 +165,29 @@ class TestLiteralAlgebra:
         assert inverse(first).key() == reference_inverse_key(first)
         assert compose(inverse(first), first).key() == identity_element(g).key()
 
+    @seed(20240715)
+    @settings(max_examples=40, deadline=None)
+    @given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+    def test_derived_elements_equal_constructed_ones(self, g, draw_seed):
+        # compose, inverse and identity_element wrap literal arrays unchecked;
+        # each must equal, and hash like, the validated element of its key().
+        rng = np.random.default_rng(draw_seed)
+        first, second = random_automorphism(g, rng), random_automorphism(g, rng)
+        for element in (compose(second, first), inverse(first), identity_element(g)):
+            built = cx.GroupElement(g, *element.key())
+            assert element == built and hash(element) == hash(built)
+            assert not element.literals.flags.writeable
+            assert element != element.key()
+
+    @pytest.mark.parametrize("name,make_group", TWIRL_GROUPS)
+    def test_closure_elements_equal_constructed_ones(self, name, make_group):
+        grp = make_group()
+        for element in grp.elements:
+            built = cx.GroupElement(grp.hypergraph, *element.key())
+            assert element == built and hash(element) == hash(built)
+        assert len(set(grp.elements)) == grp.order
+        assert all(a != b for a, b in zip(grp.elements, grp.elements[1:]))
+
     @seed(20240714)
     @settings(max_examples=40, deadline=None)
     @given(g=hypergraphs())
@@ -200,6 +223,22 @@ class TestGenerateGroup:
         gens = cx.builtin_generators("PM")
         with pytest.raises(cx.CapExceededError):
             cx.generate_group(list(gens), cap=10)
+
+    @pytest.mark.parametrize("name,order", [("PM", 1152), ("M", 640)])
+    def test_closure_calls_no_constructor(self, name, order, monkeypatch):
+        # Products of valid generators are valid, so the closure never
+        # decodes or re-validates one through GroupElement.__init__.
+        gens = cx.builtin_generators(name)
+        calls = []
+        init = cx.GroupElement.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cx.GroupElement, "__init__", counting_init)
+        assert cx.generate_group(gens).order == order
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("name,n", [("PM", None), ("M", None), ("KCBS", None), ("CH", 5)])
     def test_closure_matches_reference(self, name, n):

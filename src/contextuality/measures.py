@@ -34,6 +34,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,8 @@ OVERRELAX_CAP = 16.0
 _XMAX_IMPROVE_TOL = 1e-7
 _XMAX_MAX_OUTER = 2000
 _XMAX_ETA0 = 4.0
+# The step's floor is _EPS / joint_dim on every coordinate.
+_EPS = np.finfo(float).eps
 
 
 def relative_entropy(g, p) -> float:
@@ -196,16 +199,15 @@ class _FixedWeightProblem:
         elif self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
             self.dense = self.op.columns(support=self.support)
 
-    def _support_marginals(self, p_tensor: np.ndarray) -> np.ndarray:
+    def evaluate(self, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Objective value (bits), multiplier field r shaped like ``p`` (a flat
+        joint vector or a joint tensor), and duality gap (bits)."""
         if self.dense is None:
-            return self.op.marginals(p_tensor)[self.support]
-        return self.dense @ p_tensor.reshape(-1)
-
-    def evaluate(self, p_tensor: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective value (bits), multiplier field r, and duality gap (bits)."""
-        m = self._support_marginals(p_tensor)
-        if np.any(m <= 0.0):
-            return float("inf"), np.zeros(self.g.joint_shape), float("inf")
+            m = self.op.marginals(p)[self.support]
+        else:
+            m = self.dense @ p.reshape(-1)
+        if m.min() <= 0.0:
+            return float("inf"), np.zeros(p.shape), float("inf")
         ratio = self.t_s / m
         value = float(self.wt_s @ np.log2(ratio))
         if self.dense is None:
@@ -213,14 +215,28 @@ class _FixedWeightProblem:
             y[self.support] = ratio * self.w_s
             r = self.op.lift(y)
         else:
-            r = ((ratio * self.w_s) @ self.dense).reshape(self.g.joint_shape)
+            r = (ratio * self.w_s) @ self.dense
         gap = (float(r.max()) - 1.0) * LOG2E
-        return value, r, max(gap, 0.0)
+        return value, r.reshape(p.shape), max(gap, 0.0)
 
-    def divergences(self, p_tensor: np.ndarray) -> np.ndarray:
-        """Per-context D(g_c || p_c) in bits at the given joint."""
-        pairs = zip(self.op.split(self.targets), self.op.split(self.op.marginals(p_tensor)))
-        return np.array([relative_entropy(target, m) for target, m in pairs])
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """The positive-target rows, whatever their weight."""
+        return np.flatnonzero(self.targets > 0.0)
+
+    @cached_property
+    def positive_context(self) -> np.ndarray:
+        """The context of each positive-target row."""
+        return np.repeat(np.arange(self.g.n_contexts), self.op.dims)[self.positive]
+
+    def divergences(self, p: np.ndarray) -> np.ndarray:
+        """Per-context D(g_c || p_c) in bits at the given joint (+inf where a
+        positive target meets a zero marginal), for every context in one pass."""
+        m = self.op.marginals(p)[self.positive]
+        t = self.targets[self.positive]
+        with np.errstate(divide="ignore"):
+            terms = t * np.log2(t / m)
+        return np.bincount(self.positive_context, weights=terms, minlength=self.g.n_contexts)
 
 
 def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float) -> np.ndarray:
@@ -232,7 +248,7 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float) -> np.ndar
     always grow it back; it adds at most eps of total mass.
     """
     q = p * r if omega == 1.0 else p * (r / r.max()) ** omega
-    np.maximum(q, np.finfo(float).eps / q.size, out=q)
+    np.maximum(q, _EPS / q.size, out=q)
     q /= q.sum()
     return q
 
@@ -243,8 +259,8 @@ def _solve_fixed(
     max_iters: int,
     init: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
-    shape = problem.g.joint_shape
-    start = np.full(shape, 1.0 / problem.g.joint_dim) if init is None else init.reshape(shape)
+    g = problem.g
+    start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
     p = _floored_step(start, 1.0, 1.0)
 
     trace: list[tuple[int, float, float]] = []
@@ -275,17 +291,17 @@ def _solve_fixed(
             next_trace *= 2
     trace.append((iteration, value, gap))
 
-    if len(_connected_components(problem.g)) > 1:
+    if len(_connected_components(g)) > 1:
         # Factorizing across components keeps every context marginal, hence
         # the value; re-evaluate so the value refers to the returned point.
-        p = _factorize_components(p, problem.g)
+        p = _factorize_components(p.reshape(g.joint_shape), g).reshape(-1)
         value, _, point_gap = problem.evaluate(p)
         lower = max(lower, value - point_gap)
         gap = max(value - lower, 0.0)
     # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
     # clamped value is still an upper bound and [value - gap, value] still
     # brackets it.
-    return max(value, 0.0), p.reshape(-1), gap, iteration, gap <= tol + 1e-14, tuple(trace)
+    return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
 def _check_stopping(tol: float, max_iters: int) -> None:
@@ -383,7 +399,7 @@ def x_max(
     total_inner = 0
     last_improve = 0
     warm: np.ndarray | None = None
-    p_sum: np.ndarray | None = None
+    p_sum = np.zeros(box.hypergraph.joint_dim)
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
     outer = 0
     for outer in range(1, _XMAX_MAX_OUTER + 1):
@@ -396,7 +412,7 @@ def x_max(
         )
         total_inner += iters
         warm = p_flat
-        p_sum = p_flat.copy() if p_sum is None else p_sum + p_flat
+        p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
         if value > best_value + _XMAX_IMPROVE_TOL:
@@ -409,9 +425,8 @@ def x_max(
             break
         eta = _XMAX_ETA0 / math.sqrt(outer)
         log_w = log_w + eta * divergences
-    if p_sum is not None:
-        avg = p_sum / p_sum.sum()
-        upper = min(upper, float(problem.divergences(avg).max()))
+    avg = p_sum / p_sum.sum()
+    upper = min(upper, float(problem.divergences(avg).max()))
     assert best_weights is not None and best_p is not None
     return MeasureReport(
         value=best_value,

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, shuffled, sparse_box
-from test_polytope import dense_reference_cost
+from test_polytope import dense_reference_cost, seeded_boxes
 
 import contextuality as cx
 from contextuality import polytope
@@ -99,3 +99,20 @@ def test_multi_round_cost_is_silent(capfd):
     assert spy.call_count > 1
     assert report.cost > 0.0
     assert capfd.readouterr() == ("", "")
+
+
+class PresolveOn(polytope._Highs):
+    """HiGHS with its default presolve, as the cost LP used to run it."""
+
+    def setOptionValue(self, name, value):
+        if name != "presolve":
+            return super().setOptionValue(name, value)
+
+
+def test_presolve_off_matches_presolve_on():
+    for box in seeded_boxes(rounds=2):
+        report = cx.contextuality_cost(box)
+        with mock.patch.object(polytope, "_Highs", PresolveOn):
+            oracle = cx.contextuality_cost(box)
+        assert abs(report.cost - oracle.cost) <= 1e-9
+        assert np.allclose(report.interval, oracle.interval, rtol=0.0, atol=1e-9)

@@ -135,3 +135,59 @@ def test_x_max_builds_one_matrix():
         cx.x_max(box, outer_window=20)
     assert solve_fixed.call_count > 1
     assert columns.call_count == 1
+
+
+def per_context_divergences(problem, p):
+    """One ``relative_entropy`` per context: the reference for ``divergences``."""
+    op = problem.op
+    pairs = zip(op.split(problem.targets), op.split(op.marginals(p)))
+    return np.array([cx.relative_entropy(target, m) for target, m in pairs])
+
+
+@seed(20261023)
+@settings(max_examples=24, deadline=None)
+@given(anchor=st.sampled_from(ANCHORS), draw_seed=st.integers(0, 2**32 - 1))
+def test_divergences_against_per_context_loop(anchor, draw_seed):
+    """Sparse boxes and sparse weights, so the solver's support is a strict
+    subset of the positive-target rows on most draws; checked at a solver
+    iterate, at an average of iterates (as ``x_max`` takes it), and at a
+    point where some positive target meets a zero marginal."""
+    rng = np.random.default_rng(draw_seed)
+    g = anchor.hypergraph
+    box = shuffled(cx.mix(anchor, sparse_box(g, rng), float(rng.uniform(0.5, 1.0))), rng)
+    problem = measures._FixedWeightProblem(box, sparse_weights(g.n_contexts, rng))
+    assert np.all(np.isin(problem.support, problem.positive))
+    _, iterate, _, _, _, _ = measures._solve_fixed(problem, 1e-9, 20)
+    start = rng.dirichlet(np.ones(g.joint_dim))
+    _, other, _, _, _, _ = measures._solve_fixed(problem, 1e-9, 3, start)
+    average = (iterate + other) / (iterate + other).sum()
+    face = rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.25)
+    face[(problem.op.rows() == rng.choice(problem.positive)).any(axis=1)] = 0.0
+    for p in (iterate, average, face):
+        expected = per_context_divergences(problem, p)
+        got = problem.divergences(p)
+        assert got.shape == (g.n_contexts,)
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert np.allclose(got[finite], expected[finite], rtol=1e-12, atol=1e-15)
+    assert np.isinf(problem.divergences(face)).any()
+
+
+@seed(20261024)
+@settings(max_examples=30, deadline=None)
+@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+def test_evaluate_flat_and_joint_agree(g, draw_seed):
+    """``evaluate`` gives bit-identical results on a flat joint vector and on
+    the same point as a joint tensor, and returns r in the shape it was given."""
+    rng = np.random.default_rng(draw_seed)
+    box = sparse_box(g, rng)
+    for problem in both_paths(box, sparse_weights(g.n_contexts, rng)):
+        for flat in (
+            rng.dirichlet(np.ones(g.joint_dim)),
+            rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.5),
+        ):
+            v1, r1, gap1 = problem.evaluate(flat)
+            v2, r2, gap2 = problem.evaluate(flat.reshape(g.joint_shape))
+            assert r1.shape == flat.shape and r2.shape == g.joint_shape
+            assert (v1, gap1) == (v2, gap2)
+            assert np.array_equal(r1, r2.ravel())

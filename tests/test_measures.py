@@ -394,6 +394,26 @@ def test_crawl_box_converges_within_budget():
     assert 0.0 <= report.value <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "box, weights, iterations",
+    [
+        (cx.pr_box(), None, 7),
+        (cx.pm_box(), None, 9),
+        (cx.mermin_box(), None, 8),
+        (cx.kcbs_box(), None, 14),
+        (*crawl_box(), 6555),
+    ],
+    ids=["PR", "PM", "M", "KCBS", "crawl"],
+)
+def test_iteration_counts_pinned(box, weights, iterations):
+    """Exact step counts at the default tol (uniform weights unless given).
+    A rewrite of the step that is meant to keep every iterate bit for bit
+    must keep these; a new step rule may move them, and says so."""
+    if weights is None:
+        weights = cx.ContextWeights.uniform(box.hypergraph.n_contexts)
+    assert cx.x_fixed(box, weights).iterations == iterations
+
+
 @pytest.mark.parametrize("draw_seed", [4, 17, 53])
 def test_value_never_negative(draw_seed):
     # Optimum 0 at these weights; rounding used to leave values near -4e-16.

@@ -225,18 +225,21 @@ class _FixedWeightProblem:
         return np.flatnonzero(self.targets > 0.0)
 
     @cached_property
-    def positive_context(self) -> np.ndarray:
-        """The context of each positive-target row."""
-        return np.repeat(np.arange(self.g.n_contexts), self.op.dims)[self.positive]
+    def positive_runs(self) -> list[tuple[int, int]]:
+        """Each context's run ``[start, stop)`` of rows within ``positive``."""
+        ends = np.searchsorted(self.positive, self.op.offsets).tolist()
+        return list(zip(ends, ends[1:]))
 
     def divergences(self, p: np.ndarray) -> np.ndarray:
         """Per-context D(g_c || p_c) in bits at the given joint (+inf where a
-        positive target meets a zero marginal), for every context in one pass."""
+        positive target meets a zero marginal).  The terms of every context
+        come from one pass; each context's run is then summed with ``np.sum``,
+        so every value is bit-identical to ``relative_entropy``."""
         m = self.op.marginals(p)[self.positive]
         t = self.targets[self.positive]
         with np.errstate(divide="ignore"):
             terms = t * np.log2(t / m)
-        return np.bincount(self.positive_context, weights=terms, minlength=self.g.n_contexts)
+        return np.array([terms[a:b].sum() for a, b in self.positive_runs])
 
 
 def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float) -> np.ndarray:

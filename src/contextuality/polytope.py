@@ -127,23 +127,17 @@ def contextuality_cost(box: Box) -> CostReport:
         stacked.size, stacked, np.zeros(stacked.size), np.full(stacked.size, np.inf),
         0, np.zeros(stacked.size, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0),
     )
-    # LP row i is assignment columns[i]; rows are appended in round order, and
-    # row_blocks keeps each round's stacked rows for the witness mass.
+    # LP row i is assignment columns[i]: rows are appended in round order.
     columns = np.empty(0, dtype=np.int64)
-    row_blocks = []
-    if g.joint_dim <= 512:
-        entering, new_rows = np.arange(g.joint_dim), g.incidence.rows(None)
-    else:
-        entering = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
-        new_rows = g.incidence.rows(entering)
+    entering = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
     for _ in range(200):
+        new_rows = g.incidence.rows(entering)
         lp.addRows(
             entering.size, np.ones(entering.size), np.full(entering.size, np.inf),
             new_rows.size, np.arange(0, new_rows.size, n_contexts, dtype=np.int32),
             new_rows.ravel().astype(np.int32), np.ones(new_rows.size),
         )
         columns = np.concatenate([columns, entering])
-        row_blocks.append(new_rows)
         lp.run()
         status = lp.getModelStatus()
         if status != HighsModelStatus.kOptimal:
@@ -156,7 +150,6 @@ def contextuality_cost(box: Box) -> CostReport:
         entering = np.setdiff1d(candidates, columns)
         if entering.size == 0:
             break
-        new_rows = g.incidence.rows(entering)
     else:
         raise ContextualityError("column generation did not converge in 200 rounds")
     # The pricing bound certifies y / min_score is dual feasible.
@@ -173,9 +166,8 @@ def contextuality_cost(box: Box) -> CostReport:
     witness = {
         DeterministicAssignment(d): w for d, w in zip(digits, weights[used].tolist())
     }
-    column_rows = np.concatenate(row_blocks)
     mass = np.bincount(
-        column_rows[used].ravel(),
+        g.incidence.rows(columns[used]).ravel(),
         weights=np.repeat(weights[used], n_contexts),
         minlength=stacked.size,
     )

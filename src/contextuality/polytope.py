@@ -26,10 +26,10 @@ bound certifies the lower end of the bracket.
 
 HiGHS runs with presolve off.  These LPs have tens of variables and at most
 a few hundred rows per round, and presolve cost more than it saved: on the
-48 boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)``, 2 cores,
-best of 5, HiGHS's own ``run`` time fell from 146-202 to 97-113 ms and the
-whole pass from 209-273 to 131-175 ms with it off, every cost still
-matching the all-columns primal LP.
+48 boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)`` (2 cores,
+3 interleaved runs, best of 5 passes each), the whole pass fell from 194-239
+to 139-158 ms with it off, and HiGHS's own ``run`` time from 145-181 to
+90-102 ms, every cost still matching the all-columns primal LP.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -36,8 +37,12 @@ NORMALIZATION_TOL = 1e-9
 NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
-# Largest joint tensor (cells) the entropy solver or a vertex scan allocates.
+# Largest joint tensor (cells) the entropy solver or the cost LP allocates,
+# and the largest table ``ContextIncidence.extremum`` builds.
 JOINT_DIM_CAP = 2**22
+# Cells of the leading observables that ``ContextIncidence.extremum`` scores
+# outright; the trailing observables are eliminated.
+_SCAN_CELLS = 2**14
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -196,6 +201,30 @@ def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
         raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
 
 
+@dataclass(frozen=True)
+class _Bucket:
+    """A sum of context tables and messages over the observables of ``scope``.
+
+    ``shape`` is the joint shape with 1 off the scope, so every context table
+    (``ContextIncidence.broadcast``) and every message (kept with its
+    eliminated axis) adds in by broadcasting.  ``contexts`` and ``messages``
+    index the context tables and the earlier buckets' messages it adds.
+    """
+
+    scope: tuple[int, ...]
+    shape: tuple[int, ...]
+    contexts: tuple[int, ...]
+    messages: tuple[int, ...]
+
+    def total(self, tables: Sequence[np.ndarray], messages: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for ci in self.contexts:
+            out += tables[ci]
+        for m in self.messages:
+            out += messages[m]
+        return out
+
+
 class ContextIncidence:
     """The context-incidence map M of a hypergraph.
 
@@ -211,6 +240,12 @@ class ContextIncidence:
     dense block of M only for the caller that asks for one (the entropy
     solver on small boxes), and the cost LP takes its rows from ``rows``.
     This is the only code that knows the stacked layout.
+
+    ``extremum`` optimizes a score ``sum_c y_c(lambda_c)`` over every joint
+    outcome lambda without building the joint tensor: it scans the leading
+    observables and eliminates the trailing ones by max-sum (bucket)
+    elimination (Dechter 1999), whose tables grow with the induced width of
+    the hypergraph (2 for a chain), not with the joint dimension.
     """
 
     def __init__(self, g: Hypergraph):
@@ -253,6 +288,107 @@ class ContextIncidence:
         for ci, values in enumerate(self.split(stacked)):
             out += self.broadcast(values, ci)
         return out
+
+    @cached_property
+    def _elimination(self) -> tuple[_Bucket, tuple[_Bucket, ...]]:
+        """The scanned prefix and the buckets that eliminate the other observables.
+
+        The prefix is the longest run of leading observables with at most
+        ``_SCAN_CELLS`` cells.  The others are eliminated last index first:
+        each bucket sums the contexts and messages whose highest observable
+        it eliminates, so that observable is the last of the bucket's scope
+        and every other one in it is decoded before it.  Refuses, before any
+        table exists, a plan whose largest table exceeds ``JOINT_DIM_CAP``
+        cells.
+        """
+        cards = self.joint_shape
+        if math.prod(cards) >= 2**63:
+            raise CapExceededError(f"joint dimension {math.prod(cards)} overflows a joint index")
+        prefix = sum(cells <= _SCAN_CELLS for cells in itertools.accumulate(cards, operator.mul))
+        if prefix == len(cards):
+            # Nothing to eliminate: the prefix is the lift.  Built directly, since a
+            # fresh hypergraph builds its plan on its first call, and on small boxes
+            # the general construction cost a quarter of a pricing call.
+            return _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ()
+
+        def home(scope: Sequence[int]) -> int:
+            """The bucket of a term: its highest observable, or -1 (the prefix)."""
+            top = max(scope, default=-1)
+            return top if top >= prefix else -1
+
+        def bucket(scope: Sequence[int], contexts: list[int], messages: list[int]) -> _Bucket:
+            shape = tuple(d if i in scope else 1 for i, d in enumerate(cards))
+            if math.prod(shape) > JOINT_DIM_CAP:
+                raise CapExceededError(
+                    f"eliminating observable {scope[-1]} needs a table of {math.prod(shape)} "
+                    f"cells, over the cap {JOINT_DIM_CAP}"
+                )
+            return _Bucket(tuple(scope), shape, tuple(contexts), tuple(messages))
+
+        # Contexts and messages waiting in each bucket.
+        pending: dict[int, tuple[list, list]] = {v: ([], []) for v in range(-1, len(cards))}
+        for ci, ctx in enumerate(self.contexts):
+            pending[home(ctx)][0].append(ci)
+        buckets: list[_Bucket] = []
+        for v in range(len(cards) - 1, prefix - 1, -1):
+            contexts, messages = pending[v]
+            scope = sorted(set().union(
+                *(self.contexts[ci] for ci in contexts), *(buckets[m].scope[:-1] for m in messages)
+            ))
+            buckets.append(bucket(scope, contexts, messages))
+            pending[home(scope[:-1])][1].append(len(buckets) - 1)
+        return bucket(range(prefix), *pending[-1]), tuple(buckets)
+
+    def extremum(self, y: np.ndarray, sense: str, count: int = 1) -> tuple[float, np.ndarray]:
+        """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and where.
+
+        ``sense`` is "max" or "min".  Returns the best score and the joint
+        indices of up to ``count`` candidates: the ``count`` best scanned
+        prefixes (see ``_elimination``), each with its best completion.
+        Every choice takes the first index among ties, so with ``count`` 1
+        the candidate is the first optimum in row-major order.  When nothing
+        is eliminated, the scores are ``lift(y)`` and the candidates are its
+        first best entry (``count`` 1) or its ``argpartition``.
+        """
+        if sense not in ("max", "min"):
+            raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
+        prefix, buckets = self._elimination
+        y = np.asarray(y, dtype=float)
+        # Min-sum throughout; negation is exact, so ties stay ties.
+        if sense == "max":
+            y = -y
+        tables = [self.broadcast(values, ci) for ci, values in enumerate(self.split(y))]
+        totals: list[np.ndarray] = []
+        messages: list[np.ndarray] = []
+        for b in buckets:
+            totals.append(b.total(tables, messages))
+            messages.append(totals[-1].min(axis=b.scope[-1], keepdims=True))
+        scores = prefix.total(tables, messages).ravel()
+        count = min(count, scores.size)
+        if count > 1:
+            picked = np.argpartition(scores, count - 1)[:count]
+        else:
+            picked = scores.argmin(keepdims=True)
+        best = float(scores[picked].min())
+        best = -best if sense == "max" else best
+        if not buckets:
+            return best, picked
+        # Decode the eliminated observables in index order, parents first.
+        cards = self.joint_shape
+        digits = np.zeros((count, len(cards)), dtype=np.int64)
+        rest = picked
+        for i in reversed(prefix.scope):
+            rest, digits[:, i] = np.divmod(rest, cards[i])
+        for b, total in zip(buckets[::-1], totals[::-1]):
+            *parents, v = b.scope
+            at = np.zeros(count, dtype=np.int64)
+            for i in parents:
+                at = at * cards[i] + digits[:, i]
+            digits[:, v] = total.reshape(-1, cards[v])[at].argmin(axis=1)
+        joint = np.zeros(count, dtype=np.int64)
+        for i, d in enumerate(cards):
+            joint = joint * d + digits[:, i]
+        return best, joint
 
     def rows(self, joint_indices=None) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.

@@ -9,9 +9,13 @@ over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
 Columns are joint indices.  One column-generation loop solves every box: it
 starts from up to 512 evenly spaced columns (all of them for small boxes),
-prices every assignment at once as the lifted dual ``M^T y`` (a joint
-tensor) and enters the cheapest ones until every assignment scores at least
-1.  The restricted LP is solved in its dual form,
+prices every assignment with ``ContextIncidence.extremum`` and enters up to
+256 candidates until every assignment scores at least 1.  Pricing finds the
+smallest dual score over all assignments by a scan of the leading
+observables (at most 2^14 cells) and min-sum elimination of the rest, so it
+builds no joint tensor above 2^14 cells; the candidates are the cheapest
+scanned prefixes, each with its cheapest completion.  The restricted LP is
+solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
@@ -89,18 +93,6 @@ class CostReport:
     residual_box: Box | None
 
 
-def _price_columns(g: Hypergraph, duals: np.ndarray, count: int) -> tuple[float, np.ndarray]:
-    """Smallest dual score ``sum_c y[row(D, c)]`` over all assignments D.
-
-    Returns the minimum score and the joint indices of up to ``count``
-    assignments with the smallest scores (candidate entering columns).
-    """
-    scores = g.incidence.lift(duals).ravel()
-    count = min(count, scores.size)
-    picked = np.argpartition(scores, count - 1)[:count]
-    return float(scores[picked].min()), picked
-
-
 def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
@@ -144,7 +136,7 @@ def contextuality_cost(box: Box) -> CostReport:
             raise ContextualityError(f"cost LP failed: {lp.modelStatusToString(status)}")
         solution = lp.getSolution()
         duals = np.asarray(solution.col_value)
-        min_score, candidates = _price_columns(g, duals, count=256)
+        min_score, candidates = g.incidence.extremum(duals, "min", count=256)
         if min_score >= 1.0 - 1e-9:
             break
         entering = np.setdiff1d(candidates, columns)
@@ -203,17 +195,21 @@ def optimize_linear(
     """Extremum of a per-(context, outcome) linear functional over NC_G.
 
     The optimum of a linear functional over the polytope is attained at a
-    deterministic vertex; all vertex scores at once are the lifted weights
-    ``M^T w``, and ties go to the first assignment in lexicographic order.
+    deterministic vertex, and ``ContextIncidence.extremum`` finds the first
+    optimal assignment in lexicographic order without scanning every vertex.
+    The value is the argopt's score, added in context order.  Refuses
+    non-finite weights, and a hypergraph whose elimination needs a table
+    above ``JOINT_DIM_CAP`` cells.
     """
-    if direction not in ("max", "min"):
-        raise InvalidBoxError(f"direction must be 'max' or 'min', got {direction!r}")
-    check_joint_dim(g)
-    scores = g.incidence.lift(g.incidence.stack(weights))
-    sign = 1.0 if direction == "max" else -1.0
-    best = int(np.argmax(sign * scores))
+    stacked = g.incidence.stack(weights)
+    if not np.all(np.isfinite(stacked)):
+        raise InvalidBoxError("linear weights contain non-finite entries")
+    _, (best,) = g.incidence.extremum(stacked, direction)
+    value = 0.0
+    for term in stacked[g.incidence.rows(best)].tolist():
+        value += term
     return LinearOptimum(
-        value=float(scores.flat[best]),
+        value=value,
         argopt=DeterministicAssignment(np.unravel_index(best, g.joint_shape)),
         direction=direction,
     )

@@ -3,13 +3,15 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_polytope import dense_reference_cost, seeded_boxes
 
 import contextuality as cx
-from contextuality import polytope
+from contextuality import boxes, polytope
+from contextuality.boxes import ContextIncidence
 from contextuality.sampling import random_consistent_box, random_hypergraph
 
 
@@ -94,11 +96,24 @@ def test_warm_started_rounds_match_primal(g, anchor_weight, draw_seed):
 
 def test_multi_round_cost_is_silent(capfd):
     capfd.readouterr()
-    with mock.patch.object(polytope, "_price_columns", wraps=polytope._price_columns) as spy:
+    with mock.patch.object(
+        ContextIncidence, "extremum", autospec=True, side_effect=ContextIncidence.extremum
+    ) as spy:
         report = cx.contextuality_cost(cx.mermin_box(0.9))
     assert spy.call_count > 1
     assert report.cost > 0.0
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("scan_cells", [1, 16])
+def test_eliminated_pricing_matches_primal(scan_cells):
+    """Pricing by elimination after a short scan; the boxes' joints never need one."""
+    with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
+        for box in seeded_boxes(rounds=2):
+            # A fresh hypergraph, so the elimination plan is made under the patch.
+            g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
+            box = cx.Box(g, box.distributions)
+            check_report(box, cx.contextuality_cost(box))
 
 
 class PresolveOn(polytope._Highs):

@@ -1,12 +1,14 @@
 """The context-incidence operator against a brute-force loop over joint outcomes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import contextuality as cx
-from contextuality.polytope import _price_columns
+from contextuality import boxes
 
 
 @st.composite
@@ -95,7 +97,7 @@ def test_operator_matches_bruteforce(g, draw_seed):
 
     # Pricing: the minimum score and the cheapest columns.
     count = int(rng.integers(1, g.joint_dim + 2))
-    min_score, picked = _price_columns(g, y, count)
+    min_score, picked = op.extremum(y, "min", count)
     assert min_score == scores.min()
     assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
     rest = np.setdiff1d(np.arange(g.joint_dim), picked)
@@ -115,3 +117,55 @@ def test_operator_matches_bruteforce(g, draw_seed):
         best = int(np.argmax(sign * scores))
         assert result.value == scores[best]
         assert result.argopt.outputs == tuple(int(v) for v in np.unravel_index(best, g.joint_shape))
+
+
+def scanned_cells(g, scan_cells):
+    """Cells of the longest leading run of observables within ``scan_cells``."""
+    cells = 1
+    for d in g.cardinalities:
+        if cells * d > scan_cells:
+            break
+        cells *= d
+    return cells
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("scan_cells", [1, 16])
+@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+def test_elimination_matches_scan(scan_cells, g, draw_seed):
+    """Elimination after a short scan against the full scan of every joint outcome."""
+    rng = np.random.default_rng(draw_seed)
+    y = stacked_values(g, rng)
+    integer = np.array_equal(y, np.round(y))
+    scores = np.array([sequential_sum(y[row]) for row in brute_rows(g)])
+    with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
+        # A fresh hypergraph, so the elimination plan is made under the patch.
+        g = cx.Hypergraph(g.observables, g.contexts)
+        op = g.incidence
+
+        # count 1: the first optimum in row-major order, and its score.
+        for direction, sign in (("max", 1.0), ("min", -1.0)):
+            best, picked = op.extremum(y, direction)
+            first = int(np.argmax(sign * scores))
+            assert picked.tolist() == [first]
+            assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
+            result = cx.optimize_linear(g, op.split(y), direction)
+            assert result.value == scores[first]
+            assert result.argopt.outputs == tuple(
+                int(v) for v in np.unravel_index(first, g.joint_shape)
+            )
+
+        # count > 1: the best scanned prefixes, each with its best completion.
+        count = int(rng.integers(2, g.joint_dim + 2))
+        best, picked = op.extremum(y, "min", count)
+        prefixes = scanned_cells(g, scan_cells)
+        assert picked.size == min(count, prefixes) == np.unique(picked).size
+        assert scores[picked].min() == scores.min()
+        assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
+        by_prefix = scores.reshape(prefixes, -1)
+        prefix, completion = np.divmod(picked, by_prefix.shape[1])
+        assert np.unique(prefix).size == picked.size
+        assert np.array_equal(by_prefix[prefix, completion], by_prefix[prefix].min(axis=1))
+        rest = np.setdiff1d(np.arange(prefixes), prefix)
+        assert rest.size == 0 or by_prefix[prefix].min(axis=1).max() <= by_prefix[rest].min()

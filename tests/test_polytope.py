@@ -1,10 +1,14 @@
 """NC polytope: vertex enumeration, cost LP, linear optimization."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import contextuality as cx
+from contextuality.boxes import JOINT_DIM_CAP
 from contextuality.inequalities import support_weights
 from contextuality.polytope import DENSE_VERTEX_CAP
 from contextuality.sampling import (
@@ -288,6 +292,39 @@ class TestOptimizeLinear:
     def test_direction_validated(self, pr):
         with pytest.raises(cx.InvalidBoxError):
             cx.optimize_linear(pr.hypergraph, support_weights(pr), "sideways")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_refused(self, pr, bad):
+        weights = support_weights(pr)
+        weights[2][1] = bad
+        for direction in ("max", "min"):
+            with pytest.raises(cx.InvalidBoxError):
+                cx.optimize_linear(pr.hypergraph, weights, direction)
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_ks_bounds_beyond_joint_cap(self, n):
+        box = cx.chain_box(n)
+        assert box.hypergraph.joint_dim > JOINT_DIM_CAP
+        report = cx.verify_bounds_by_lp(box)
+        assert (report.max_beta, report.min_beta) == (n - 1, 1.0)
+        for outputs, value in ((report.argmax_outputs, n - 1), (report.argmin_outputs, 1.0)):
+            det = cx.deterministic_box(cx.DeterministicAssignment(outputs), box.hypergraph)
+            assert cx.beta(box, det) == value
+
+    def test_elimination_table_cap_refused_before_allocating(self):
+        # Binary K_24: eliminating the last observable first joins all 24 in one table.
+        g = cx.Hypergraph(
+            [(f"O{i}", 2) for i in range(24)], list(itertools.combinations(range(24), 2))
+        )
+        weights = [np.ones(4)] * g.n_contexts
+        tracemalloc.start()
+        try:
+            with pytest.raises(cx.CapExceededError):
+                cx.optimize_linear(g, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a table over the cap would take 2^22 * 8 bytes
 
 
 def test_vertex_matrix_columns_are_deterministic_boxes(pr):

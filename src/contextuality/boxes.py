@@ -249,18 +249,32 @@ class ContextIncidence:
     """
 
     def __init__(self, g: Hypergraph):
-        k = g.n_observables
-        self.joint_shape = g.joint_shape
+        cards = g.cardinalities
+        k = len(cards)
+        self.joint_shape = cards
         self.contexts = g.contexts
-        self.context_shapes = tuple(g.context_shape(ci) for ci in range(g.n_contexts))
-        self.dims = tuple(g.context_dim(ci) for ci in range(g.n_contexts))
+        self.context_shapes = tuple(tuple(cards[i] for i in ctx) for ctx in g.contexts)
+        self.dims = tuple(map(math.prod, self.context_shapes))
         self.offsets = tuple(itertools.accumulate(self.dims, initial=0))
         self.dim = self.offsets[-1]
-        self._plans = tuple(_marginal_axes(range(k), ctx) for ctx in g.contexts)
-        self._to_sorted = tuple(tuple(ctx.index(i) for i in sorted(ctx)) for ctx in g.contexts)
-        self._broadcast_shapes = tuple(
-            tuple(g.cardinalities[i] if i in ctx else 1 for i in range(k)) for ctx in g.contexts
-        )
+        plans, to_sorted, broadcast_shapes = [], [], []
+        for ctx, shape in zip(g.contexts, self.context_shapes):
+            # The context's positions in increasing observable order, and each
+            # position's rank in that order: a marginal keeps its axes sorted,
+            # so the rank is the transpose back to the context's order.
+            order = sorted(range(len(ctx)), key=ctx.__getitem__)
+            rank = [0] * len(ctx)
+            for r, j in enumerate(order):
+                rank[j] = r
+            full = [1] * k
+            for i, d in zip(ctx, shape):
+                full[i] = d
+            plans.append((tuple(i for i in range(k) if i not in ctx), tuple(rank)))
+            to_sorted.append(tuple(order))
+            broadcast_shapes.append(tuple(full))
+        self._plans = tuple(plans)
+        self._to_sorted = tuple(to_sorted)
+        self._broadcast_shapes = tuple(broadcast_shapes)
 
     def stack(self, parts: Sequence) -> np.ndarray:
         """One vector per context, concatenated in context order (inverse of ``split``)."""
@@ -431,6 +445,13 @@ class DeterministicAssignment:
 
     def __init__(self, outputs):
         object.__setattr__(self, "outputs", tuple(int(v) for v in outputs))
+
+    @classmethod
+    def _of(cls, outputs: tuple[int, ...]) -> "DeterministicAssignment":
+        """The assignment of a tuple of Python ints, taken as is: no per-entry conversion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "outputs", outputs)
+        return self
 
     def validate_for(self, hypergraph: Hypergraph) -> None:
         cards = hypergraph.cardinalities

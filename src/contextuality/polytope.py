@@ -7,15 +7,18 @@ hypergraph.  The contextuality cost of a consistent box b solves
 
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
-Columns are joint indices.  One column-generation loop solves every box: it
-starts from up to 512 evenly spaced columns (all of them for small boxes),
-prices every assignment with ``ContextIncidence.extremum`` and enters up to
-256 candidates until every assignment scores at least 1.  Pricing finds the
-smallest dual score over all assignments by a scan of the leading
-observables (at most 2^14 cells) and min-sum elimination of the rest, so it
-builds no joint tensor above 2^14 cells; the candidates are the cheapest
-scanned prefixes, each with its cheapest completion.  The restricted LP is
-solved in its dual form,
+Columns are joint indices.  One column-generation loop solves every box.  An
+optimal witness needs no more columns than the box has stacked rows
+(Caratheodory), so the loop starts from that many: the assignments the box
+supports best, which ``ContextIncidence.extremum`` finds by minimizing
+``sum_c -log b_c(lambda_c)``.  It then prices every assignment with
+``extremum`` and enters up to twice that many candidates per round, until
+every assignment scores at least 1.  On CH(14) at alpha 0.9 and 0.99 the
+start alone is optimal.  Pricing finds the smallest dual score over all
+assignments by a scan of the leading observables (at most 2^14 cells) and
+min-sum elimination of the rest, so it builds no joint tensor above 2^14
+cells; the candidates are the cheapest scanned prefixes, each with its
+cheapest completion.  The restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
@@ -119,9 +122,17 @@ def contextuality_cost(box: Box) -> CostReport:
         stacked.size, stacked, np.zeros(stacked.size), np.full(stacked.size, np.inf),
         0, np.zeros(stacked.size, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0),
     )
+    # Start from the stacked.size assignments the box supports best (see the
+    # module docstring), by the sum of -log b over their rows.  A zero row
+    # scores above any all-positive assignment's total, but finitely, so no
+    # inf or NaN enters the kernel.
+    positive = stacked > 0
+    fit = np.empty(stacked.size)
+    fit[positive] = -np.log(stacked[positive])
+    fit[~positive] = n_contexts * fit[positive].max() + 1.0
+    _, entering = g.incidence.extremum(fit, "min", count=stacked.size)
     # LP row i is assignment columns[i]: rows are appended in round order.
     columns = np.empty(0, dtype=np.int64)
-    entering = np.unique(np.linspace(0, g.joint_dim - 1, 512).astype(np.int64))
     for _ in range(200):
         new_rows = g.incidence.rows(entering)
         lp.addRows(
@@ -136,7 +147,7 @@ def contextuality_cost(box: Box) -> CostReport:
             raise ContextualityError(f"cost LP failed: {lp.modelStatusToString(status)}")
         solution = lp.getSolution()
         duals = np.asarray(solution.col_value)
-        min_score, candidates = g.incidence.extremum(duals, "min", count=256)
+        min_score, candidates = g.incidence.extremum(duals, "min", count=2 * stacked.size)
         if min_score >= 1.0 - 1e-9:
             break
         entering = np.setdiff1d(candidates, columns)
@@ -155,9 +166,8 @@ def contextuality_cost(box: Box) -> CostReport:
 
     used = np.flatnonzero(weights > 1e-12)
     digits = np.transpose(np.unravel_index(columns[used], g.joint_shape)).tolist()
-    witness = {
-        DeterministicAssignment(d): w for d, w in zip(digits, weights[used].tolist())
-    }
+    keys = map(DeterministicAssignment._of, map(tuple, digits))
+    witness = dict(zip(keys, weights[used].tolist()))
     mass = np.bincount(
         g.incidence.rows(columns[used]).ravel(),
         weights=np.repeat(weights[used], n_contexts),

@@ -7,12 +7,30 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, shuffled, sparse_box
-from test_polytope import dense_reference_cost, seeded_boxes
+from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, polytope
-from contextuality.boxes import ContextIncidence
-from contextuality.sampling import random_consistent_box, random_hypergraph
+from contextuality.closed_form import cost_closed_form
+from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
+
+
+@pytest.fixture
+def highs_log():
+    """Runs of the cost LP's HiGHS model, and the rows each ``addRows`` appends."""
+    log = {"runs": 0, "rows": []}
+
+    class Spy(polytope._Highs):
+        def run(self):
+            log["runs"] += 1
+            return super().run()
+
+        def addRows(self, n_rows, *args):
+            log["rows"].append(n_rows)
+            return super().addRows(n_rows, *args)
+
+    with mock.patch.object(polytope, "_Highs", Spy):
+        yield log
 
 
 @seed(20261102)
@@ -66,7 +84,11 @@ def sum_mod_box(g, rng):
 
 @st.composite
 def wide_hypergraphs(draw):
-    """Hypergraphs with more joint outcomes than the cost LP's 512 starting columns.
+    """Hypergraphs with more than 512 joint outcomes, several times the stacked rows.
+
+    The cost LP starts from one assignment per stacked row, so it starts from
+    a small share of the joint, and most of these boxes take more than one
+    round.
 
     10 or 11 binary observables, or 6 or 7 observables of which 5 to 7 are
     ternary; contexts have 2 or 3 observables.
@@ -94,13 +116,79 @@ def test_warm_started_rounds_match_primal(g, anchor_weight, draw_seed):
     check_report(box, cx.contextuality_cost(box))
 
 
-def test_multi_round_cost_is_silent(capfd):
+@st.composite
+def start_boxes(draw):
+    """Binary and ternary boxes: noncontextual or not, with or without zero entries.
+
+    4 to 9 observables, up to 7 of them ternary, with at most 2187 joint
+    outcomes, so the all-columns LP stays small.  The box is a Dirichlet
+    joint's marginals, a sparse joint's (zeros), a sum-mod box (zeros,
+    usually contextual), or a sum-mod box mixed with a sparse joint's.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(4, 9))
+    n_ternary = draw(st.integers(0, max(t for t in range(k + 1) if 3**t * 2 ** (k - t) <= 2187)))
+    g = random_hypergraph(rng, k, draw(st.integers(k // 2 + 1, 2 * k)))
+    ternary = set(rng.choice(k, size=n_ternary, replace=False).tolist())
+    g = cx.Hypergraph([(f"O{i}", 3 if i in ternary else 2) for i in range(k)], g.contexts)
+    kind = draw(st.sampled_from(["noncontextual", "sparse", "sum-mod", "mixed"]))
+    if kind == "noncontextual":
+        box = random_noncontextual_box(g, rng)
+    elif kind == "sparse":
+        box = sparse_box(g, rng)
+    elif kind == "sum-mod":
+        box = sum_mod_box(g, rng)
+    else:
+        box = cx.mix(sum_mod_box(g, rng), sparse_box(g, rng), draw(st.floats(0.0, 1.0)))
+    return shuffled(box, rng)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(box=start_boxes())
+def test_box_fit_start_matches_primal(box):
+    """The start from the box's best-fit assignments reaches the all-columns optimum.
+
+    Zero rows get a finite fit, so the start raises no floating-point error.
+    """
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        report = cx.contextuality_cost(box)
+    check_report(box, report)
+    lo, hi = report.interval
+    reference = dense_reference_cost(box)
+    assert lo - 1e-9 <= reference <= hi + 1e-9, (lo, reference, hi)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+def test_chain_start_is_optimal(alpha, highs_log):
+    """CH(14)'s best-fit assignments already hold an optimal witness: one HiGHS run."""
+    box = cx.chain_box(14, alpha=alpha)
+    report = cx.contextuality_cost(box)
+    assert highs_log["runs"] == 1
+    assert highs_log["rows"][0] <= box.stacked().size
+    assert abs(report.cost - cost_closed_form("CH", alpha, 14)) <= 1e-7
+
+
+def test_witness_keys_are_public_assignments():
+    """The witness keys, built unconverted, equal and hash as the public constructor's."""
+    ternary = ternary_cycle_box(4)
+    noise = random_noncontextual_box(ternary.hypergraph, np.random.default_rng(7))
+    for box in (cx.mermin_box(0.9), cx.mix(ternary, noise, 0.8)):
+        report = cx.contextuality_cost(box)
+        assert report.witness_weights
+        for key, weight in report.witness_weights.items():
+            public = cx.DeterministicAssignment(tuple(key.outputs))
+            assert type(key) is cx.DeterministicAssignment
+            assert all(type(v) is int for v in key.outputs)
+            assert key == public and hash(key) == hash(public)
+            assert report.witness_weights[public] == weight
+            key.validate_for(box.hypergraph)
+
+
+def test_multi_round_cost_is_silent(capfd, highs_log):
     capfd.readouterr()
-    with mock.patch.object(
-        ContextIncidence, "extremum", autospec=True, side_effect=ContextIncidence.extremum
-    ) as spy:
-        report = cx.contextuality_cost(cx.mermin_box(0.9))
-    assert spy.call_count > 1
+    report = cx.contextuality_cost(cx.mermin_box(0.9))
+    assert highs_log["runs"] > 1
     assert report.cost > 0.0
     assert capfd.readouterr() == ("", "")
 

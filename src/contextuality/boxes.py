@@ -14,6 +14,7 @@ with ``i``'s value first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -41,7 +42,8 @@ PARITY_TOL = 1e-9
 # and the largest table ``ContextIncidence.extremum`` builds.
 JOINT_DIM_CAP = 2**22
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
-# outright; the trailing observables are eliminated.
+# outright, each by its best completion; the trailing observables are
+# eliminated, keeping the m best completions per cell.
 _SCAN_CELLS = 2**14
 
 
@@ -216,13 +218,102 @@ class _Bucket:
     contexts: tuple[int, ...]
     messages: tuple[int, ...]
 
-    def total(self, tables: Sequence[np.ndarray], messages: Sequence[np.ndarray]) -> np.ndarray:
+    @cached_property
+    def axes(self) -> np.ndarray:
+        return np.array(self.scope, dtype=np.int64)
+
+    @cached_property
+    def radices(self) -> np.ndarray:
+        return np.array([self.shape[i] for i in self.scope], dtype=np.int64)
+
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """A cell's index over the scope is ``digits[axes] @ strides``."""
+        return _row_major(self.radices)
+
+    def table(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """The sum of the bucket's context tables, added in context order."""
         out = np.zeros(self.shape)
         for ci in self.contexts:
             out += tables[ci]
-        for m in self.messages:
-            out += messages[m]
         return out
+
+    def total(
+        self, tables: Sequence[np.ndarray], lists: Sequence[np.ndarray], m: int
+    ) -> tuple[np.ndarray, list]:
+        """The ``m`` smallest sums per cell, ascending along a last axis, and how each was made.
+
+        A sum takes ``table`` and one entry of each message's list; the
+        second value holds each message's ``_add_lists`` record, in order.
+        """
+        out = self.table(tables)[..., None]
+        steps = []
+        for k in self.messages:
+            out, step = _add_lists(out, lists[k], m)
+            steps.append(step)
+        return out, steps
+
+
+def _row_major(radices: Sequence[int]) -> np.ndarray:
+    """Multipliers that turn digits over ``radices`` into a row-major index."""
+    return np.cumprod(np.concatenate(([1], radices[:0:-1])), dtype=np.int64)[::-1]
+
+
+def _smallest(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m`` smallest entries of each row, ascending, and their positions.
+
+    Ties keep the first position, so with ``m`` 1 these are ``min`` and ``argmin``.
+    """
+    if m == 1:
+        return values.min(axis=1, keepdims=True), values.argmin(axis=1)[:, None]
+    order = np.argsort(values, axis=1, kind="stable")[:, :m]
+    return values[np.arange(len(values))[:, None], order], order
+
+
+@functools.lru_cache(maxsize=1024)
+def _pairs(a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks ``(i, j)`` in two ascending lists of ``a`` and ``b`` entries with ``(i+1)(j+1) <= m``.
+
+    The sum at ``(i, j)`` is at least each sum at ``(i', j')`` with ``i' <= i``
+    and ``j' <= j``, so the ``m`` smallest sums lie among these pairs, which
+    number at most ``_pair_bound(m)``.  In ``i``-major order.
+    """
+    i = np.arange(min(a, m))
+    lengths = np.minimum(b, m // (i + 1))
+    left = np.repeat(i, lengths)
+    right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+def _pair_bound(m: int) -> int:
+    """Most pairs ``_pairs`` returns for ``m``: the positive ``(i, j)`` with ``i * j <= m``."""
+    return int((m // np.arange(1, m + 1)).sum())
+
+
+def _add_lists(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, tuple]:
+    """The ``m`` smallest sums of one entry of ``left`` and one of ``right``, per cell.
+
+    Both lists run along the last axis, ascending, and so does the result.
+    Also returns the record ``(i, j, order)`` that decodes result rank ``t``
+    at a cell: it adds rank ``i[q]`` of ``left`` to rank ``j[q]`` of
+    ``right``, with ``q = order[cell, t]``, or ``q = t`` when ``order`` is None.
+    """
+    a, b = left.shape[-1], right.shape[-1]
+    i, j = _pairs(a, b, m)
+    if a == 1 or b == 1:
+        # One list is a constant per cell, and adding it keeps the other's order.
+        return left[..., :m] + right[..., :m], (i, j, None)
+    sums = left[..., i] + right[..., j]
+    smallest, order = _smallest(sums.reshape(-1, i.size), m)
+    return smallest.reshape(sums.shape[:-1] + (-1,)), (i, j, order)
+
+
+def _unwind(steps, messages: Sequence[int], t, cell: np.ndarray, ranks: list) -> None:
+    """Set in ``ranks`` the rank of each message behind rank ``t`` of a bucket's list."""
+    for (i, j, order), k in zip(steps[::-1], messages[::-1]):
+        q = t if order is None else order[cell, t]
+        ranks[k], t = j[q], i[q]
 
 
 class ContextIncidence:
@@ -241,11 +332,12 @@ class ContextIncidence:
     solver on small boxes), and the cost LP takes its rows from ``rows``.
     This is the only code that knows the stacked layout.
 
-    ``extremum`` optimizes a score ``sum_c y_c(lambda_c)`` over every joint
-    outcome lambda without building the joint tensor: it scans the leading
-    observables and eliminates the trailing ones by max-sum (bucket)
-    elimination (Dechter 1999), whose tables grow with the induced width of
-    the hypergraph (2 for a chain), not with the joint dimension.
+    ``extremum`` finds the best joint outcomes lambda of a score
+    ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
+    leading observables and eliminates the trailing ones by m-best bucket
+    elimination (Dechter 1999; Flerova, Marinescu & Dechter 2016), whose
+    tables grow with the induced width of the hypergraph (2 for a chain) and
+    the number of outcomes asked for, not with the joint dimension.
     """
 
     def __init__(self, g: Hypergraph):
@@ -357,12 +449,21 @@ class ContextIncidence:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and where.
 
         ``sense`` is "max" or "min".  Returns the best score and the joint
-        indices of up to ``count`` candidates: the ``count`` best scanned
-        prefixes (see ``_elimination``), each with its best completion.
-        Every choice takes the first index among ties, so with ``count`` 1
-        the candidate is the first optimum in row-major order.  When nothing
-        is eliminated, the scores are ``lift(y)`` and the candidates are its
-        first best entry (``count`` 1) or its ``argpartition``.
+        indices of the ``count`` best joint outcomes (all of them, if fewer),
+        by m-best bucket elimination (Nilsson 1998; Flerova, Marinescu &
+        Dechter 2016): each bucket keeps, per cell of its scope, the ``m``
+        best partial scores and where each came from.  The scan scores every
+        prefix (see ``_elimination``) by its best completion and keeps the
+        ``count`` best, which hold the prefixes of the ``count`` best
+        outcomes up to ties; their lists are merged and the best ``count``
+        decoded.  ``m`` is ``count``, or less where a merge of two lists
+        would exceed ``JOINT_DIM_CAP`` entries; then the best score is still
+        exact, but fewer candidates may come back, and they need not be the
+        next best.  Every choice takes the first index among ties, so with
+        ``count`` 1 the candidate is the first optimum in row-major order.
+        When nothing is eliminated, the scores are ``lift(y)`` and the
+        candidates are its first best entry (``count`` 1) or its
+        ``argpartition``.
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -372,37 +473,88 @@ class ContextIncidence:
         if sense == "max":
             y = -y
         tables = [self.broadcast(values, ci) for ci, values in enumerate(self.split(y))]
-        totals: list[np.ndarray] = []
-        messages: list[np.ndarray] = []
+        ctx = prefix.table(tables)
+        count_p = min(count, ctx.size)
+        m = self._ranks(count, count_p)
+        lists: list[np.ndarray] = []
+        records = []
+        cards = self.joint_shape
         for b in buckets:
-            totals.append(b.total(tables, messages))
-            messages.append(totals[-1].min(axis=b.scope[-1], keepdims=True))
-        scores = prefix.total(tables, messages).ravel()
-        count = min(count, scores.size)
-        if count > 1:
-            picked = np.argpartition(scores, count - 1)[:count]
+            # Eliminate v, the last of the scope: rank r of value d sits at d * k + r.
+            values, steps = b.total(tables, lists, m)
+            v, k = b.scope[-1], values.shape[-1]
+            message, choice = _smallest(values.reshape(-1, cards[v] * k), m)
+            lists.append(message.reshape(b.shape[:v] + (1,) * (len(cards) - v) + (-1,)))
+            records.append((steps, choice, k))
+        scores = ctx
+        for k in prefix.messages:
+            scores = scores + lists[k][..., 0]
+        scores, ctx = scores.ravel(), ctx.ravel()
+        if count_p > 1:
+            picked = np.argpartition(scores, count_p - 1)[:count_p]
         else:
             picked = scores.argmin(keepdims=True)
-        best = float(scores[picked].min())
-        best = -best if sense == "max" else best
         if not buckets:
-            return best, picked
+            best = float(scores[picked].min())
+            return (-best if sense == "max" else best), picked
+        # The picked prefixes' lists, merged; their best count are decoded.
+        # Digits not yet decoded are 0, so a bucket's index over its scope,
+        # taken before its own observable is decoded, is its parents' index
+        # times that observable's cardinality.
+        digits = np.zeros((count_p, len(cards)), dtype=np.int64)
+        digits[:, prefix.axes] = picked[:, None] // prefix.strides % prefix.radices
+        values, steps = ctx[picked][:, None], []
+        for k in prefix.messages:
+            b = buckets[k]
+            at = digits[:, b.axes] @ b.strides // cards[b.scope[-1]]
+            values, step = _add_lists(values, lists[k].reshape(-1, lists[k].shape[-1])[at], m)
+            steps.append(step)
+        flat = values.ravel()
+        if count >= flat.size:
+            chosen = np.arange(flat.size)
+        elif count > 1:
+            chosen = np.argpartition(flat, count - 1)[:count]
+        else:
+            chosen = flat.argmin(keepdims=True)
+        best = float(flat[chosen].min())
+        best = -best if sense == "max" else best
         # Decode the eliminated observables in index order, parents first.
-        cards = self.joint_shape
-        digits = np.zeros((count, len(cards)), dtype=np.int64)
-        rest = picked
-        for i in reversed(prefix.scope):
-            rest, digits[:, i] = np.divmod(rest, cards[i])
-        for b, total in zip(buckets[::-1], totals[::-1]):
-            *parents, v = b.scope
-            at = np.zeros(count, dtype=np.int64)
-            for i in parents:
-                at = at * cards[i] + digits[:, i]
-            digits[:, v] = total.reshape(-1, cards[v])[at].argmin(axis=1)
-        joint = np.zeros(count, dtype=np.int64)
-        for i, d in enumerate(cards):
-            joint = joint * d + digits[:, i]
-        return best, joint
+        p, t = np.divmod(chosen, values.shape[-1])
+        digits = digits[p]
+        ranks: list = [None] * len(buckets)
+        _unwind(steps, prefix.messages, t, p, ranks)
+        for bi in reversed(range(len(buckets))):
+            (steps, choice, k), b = records[bi], buckets[bi]
+            v = b.scope[-1]
+            at = digits[:, b.axes] @ b.strides
+            digits[:, v], t = np.divmod(choice[at // cards[v], ranks[bi]], k)
+            _unwind(steps, b.messages, t, at + digits[:, v], ranks)
+        return best, digits @ self._strides
+
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        return _row_major(self.joint_shape)
+
+    def _ranks(self, count: int, prefixes: int) -> int:
+        """Entries per list: ``count``, or the most that keep every list merge within the cap.
+
+        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
+        bucket, or of each of the ``prefixes`` picked prefixes.
+        """
+        _, buckets = self._elimination
+        if count == 1 or not buckets:
+            return 1
+        cells = max(prefixes, *(math.prod(b.shape) for b in buckets))
+        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
+            return count
+        lo, hi = 1, count
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     def rows(self, joint_indices=None) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.

@@ -12,13 +12,13 @@ optimal witness needs no more columns than the box has stacked rows
 (Caratheodory), so the loop starts from that many: the assignments the box
 supports best, which ``ContextIncidence.extremum`` finds by minimizing
 ``sum_c -log b_c(lambda_c)``.  It then prices every assignment with
-``extremum`` and enters up to twice that many candidates per round, until
-every assignment scores at least 1.  On CH(14) at alpha 0.9 and 0.99 the
-start alone is optimal.  Pricing finds the smallest dual score over all
-assignments by a scan of the leading observables (at most 2^14 cells) and
-min-sum elimination of the rest, so it builds no joint tensor above 2^14
-cells; the candidates are the cheapest scanned prefixes, each with its
-cheapest completion.  The restricted LP is solved in its dual form,
+``extremum`` and enters up to twice that many of the cheapest per round,
+until every assignment scores at least 1.  Both are exact: a scan of the
+leading observables (at most 2^14 cells) and m-best min-sum elimination of
+the rest give the best assignments themselves, and build no joint tensor
+above 2^14 cells.  On CH(14), CH(16) and CH(18) at alpha 0.99 the start
+alone is optimal, one HiGHS run; at alpha 0.9 CH(14) takes one run and
+CH(16) and CH(18) two.  The restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 

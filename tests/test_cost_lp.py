@@ -169,6 +169,18 @@ def test_chain_start_is_optimal(alpha, highs_log):
     assert abs(report.cost - cost_closed_form("CH", alpha, 14)) <= 1e-7
 
 
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+@pytest.mark.parametrize("n", [16, 18])
+def test_eliminated_chain_start(n, alpha, highs_log):
+    """Above the 2^14-cell scan the start holds the box's best-fit assignments exactly:
+    one HiGHS run at alpha 0.99 and at most two at 0.9."""
+    report = cx.contextuality_cost(cx.chain_box(n, alpha=alpha))
+    assert highs_log["runs"] == 1 if alpha == 0.99 else highs_log["runs"] <= 2
+    assert abs(report.cost - cost_closed_form("CH", alpha, n)) <= 1e-7
+    lo, hi = report.interval
+    assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+
+
 def test_witness_keys_are_public_assignments():
     """The witness keys, built unconverted, equal and hash as the public constructor's."""
     ternary = ternary_cycle_box(4)

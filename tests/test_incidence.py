@@ -119,16 +119,6 @@ def test_operator_matches_bruteforce(g, draw_seed):
         assert result.argopt.outputs == tuple(int(v) for v in np.unravel_index(best, g.joint_shape))
 
 
-def scanned_cells(g, scan_cells):
-    """Cells of the longest leading run of observables within ``scan_cells``."""
-    cells = 1
-    for d in g.cardinalities:
-        if cells * d > scan_cells:
-            break
-        cells *= d
-    return cells
-
-
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("scan_cells", [1, 16])
@@ -156,16 +146,35 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
                 int(v) for v in np.unravel_index(first, g.joint_shape)
             )
 
-        # count > 1: the best scanned prefixes, each with its best completion.
+        # count > 1: the count best joint outcomes, exactly.
         count = int(rng.integers(2, g.joint_dim + 2))
         best, picked = op.extremum(y, "min", count)
-        prefixes = scanned_cells(g, scan_cells)
-        assert picked.size == min(count, prefixes) == np.unique(picked).size
-        assert scores[picked].min() == scores.min()
+        assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
+        rest = np.setdiff1d(np.arange(g.joint_dim), picked)
+        assert rest.size == 0 or scores[picked].max() <= scores[rest].min()
         assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
-        by_prefix = scores.reshape(prefixes, -1)
-        prefix, completion = np.divmod(picked, by_prefix.shape[1])
-        assert np.unique(prefix).size == picked.size
-        assert np.array_equal(by_prefix[prefix, completion], by_prefix[prefix].min(axis=1))
-        rest = np.setdiff1d(np.arange(prefixes), prefix)
-        assert rest.size == 0 or by_prefix[prefix].min(axis=1).max() <= by_prefix[rest].min()
+
+
+def test_list_merges_stay_within_cap():
+    """Under a small cap the lists are cut short: every merge stays within it, and the
+    candidates are still the best ones, as many as a list holds."""
+    g = cx.chain_box(8).hypergraph
+    y = np.random.default_rng(5).integers(0, 10, size=g.incidence.dim).astype(float)
+    scores = g.incidence.lift(y).ravel()
+    sizes = []
+
+    def smallest(values, m):
+        sizes.append(values.size)
+        return real(values, m)
+
+    real = boxes._smallest
+    with mock.patch.multiple(boxes, _SCAN_CELLS=1, JOINT_DIM_CAP=64, _smallest=smallest):
+        # Nothing is scanned, and every bucket table has 8 cells: lists of 4, since the
+        # pairs of two lists of m number at most 8 for m = 4 (4 + 2 + 1 + 1) and 10 for 5.
+        op = cx.Hypergraph(g.observables, g.contexts).incidence
+        best, picked = op.extremum(y, "min", 100)
+    assert max(sizes) <= 64
+    assert picked.size == 4 == np.unique(picked).size
+    assert best == scores.min()
+    rest = np.setdiff1d(np.arange(g.joint_dim), picked)
+    assert scores[picked].max() <= scores[rest].min()

@@ -172,6 +172,27 @@ class Hypergraph:
         return ContextIncidence(self)
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Observables of each connected component (contexts join their
+        observables), each in increasing order, ordered by least observable."""
+        parent = list(range(self.n_observables))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for ctx in self.contexts:
+            root = find(ctx[0])
+            for i in ctx[1:]:
+                parent[find(i)] = root
+        groups: dict[int, list[int]] = {}
+        for i in range(self.n_observables):
+            groups.setdefault(find(i), []).append(i)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
     def _context_index(self) -> dict[frozenset[int], int]:
         return {s: ci for ci, s in enumerate(self.context_sets)}
 
@@ -732,15 +753,31 @@ class ConsistencyReport:
     violations: tuple[ConsistencyViolation, ...]
 
 
+@functools.lru_cache(maxsize=256)
+def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple:
+    """``(a, b, shared observables, plan of a, plan of b)`` for each pair of
+    contexts that share an observable, with the plans that marginalize each
+    context onto the shared observables.
+
+    Made once per context list, so boxes on one hypergraph (or on equal
+    ones) share it; the cache holds plans only, no box data.
+    """
+    out = []
+    for a, b in itertools.combinations(range(len(contexts)), 2):
+        shared = tuple(sorted(set(contexts[a]) & set(contexts[b])))
+        if shared:
+            out.append((a, b, shared, _marginal_axes(contexts[a], shared),
+                        _marginal_axes(contexts[b], shared)))
+    return tuple(out)
+
+
 def _shared_marginal_tvs(box: Box):
     """``(a, b, shared observables, TV distance)`` per pair of overlapping contexts."""
     g = box.hypergraph
-    for a, b in itertools.combinations(range(g.n_contexts), 2):
-        shared = tuple(sorted(g.context_sets[a] & g.context_sets[b]))
-        if not shared:
-            continue
-        ma = _marginalize(box.context_tensor(a), _marginal_axes(g.contexts[a], shared))
-        mb = _marginalize(box.context_tensor(b), _marginal_axes(g.contexts[b], shared))
+    tensors = [box.context_tensor(ci) for ci in range(g.n_contexts)]
+    for a, b, shared, plan_a, plan_b in _overlaps(g.contexts):
+        ma = _marginalize(tensors[a], plan_a)
+        mb = _marginalize(tensors[b], plan_b)
         yield a, b, shared, 0.5 * float(np.abs(ma - mb).sum())
 
 

@@ -23,9 +23,16 @@ strictly, and then omega grows; otherwise the plain step is taken from the
 same point and omega resets to 1, so F never increases beyond rounding.  The
 reported gap is measured against the best lower bound seen over all iterates.
 
+One evaluation of an iterate is one pass on flat joint vectors: the support
+marginals m (a matrix-vector product on small boxes), the value from t / m,
+then r and ``max r``, which serves both the gap and the next over-relaxed
+step.  Floored iterates have positive marginals, so no marginal is scanned
+for zeros; a zero one shows as an infinite value.
+
 The maximized measure sup_w min_p is computed by multiplicative-weights
 ascent on the context simplex; the supergradient at w is the vector of
-per-context divergences at the inner minimizer.
+per-context divergences at the inner minimizer.  Each round reweights one
+problem, whose matrix is rebuilt only if a weight underflows to 0.
 """
 
 from __future__ import annotations
@@ -132,37 +139,16 @@ class MeasureReport:
     trace: tuple[tuple[int, float, float], ...] = ()
 
 
-def _connected_components(g: Hypergraph) -> list[list[int]]:
-    parent = list(range(g.n_observables))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ctx in g.contexts:
-        root = find(ctx[0])
-        for i in ctx[1:]:
-            parent[find(i)] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(g.n_observables):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _factorize_components(p_tensor: np.ndarray, g: Hypergraph) -> np.ndarray:
     """Replace p by the product of its marginals on hypergraph components.
 
     Context marginals are unchanged (each context lives in one component), so
     the objective value is preserved while the minimizer factorizes.
     """
-    components = _connected_components(g)
     k = g.n_observables
     factors = []
     axis_order: list[int] = []
-    for comp in components:
-        comp = sorted(comp)
+    for comp in g.components:
         others = tuple(a for a in range(k) if a not in comp)
         factors.append(p_tensor.sum(axis=others))
         axis_order.extend(comp)
@@ -181,43 +167,69 @@ class _FixedWeightProblem:
     support rows of M have at most ``DENSE_ENTRIES_CAP`` entries they are
     kept as one dense matrix, so a step costs two matrix-vector products;
     above the cap the operator's tensor reductions keep memory O(joint_dim).
-    A problem passed as ``like`` lends its matrix when the support is the same.
+    ``reweight`` changes the weights in place and rebuilds the matrix only
+    when the support changes.
     """
 
-    def __init__(self, box: Box, weights: ContextWeights, like: _FixedWeightProblem | None = None):
+    def __init__(self, box: Box, weights: ContextWeights):
         self.g = box.hypergraph
         self.op = self.g.incidence
         self.targets = box.stacked()
-        w_rows = np.repeat(weights.weights, self.op.dims)
-        self.support = np.flatnonzero((self.targets > 0.0) & (w_rows > 0.0))
-        self.t_s = self.targets[self.support]
+        self.support: np.ndarray | None = None
+        self.dense: np.ndarray | None = None
+        self.reweight(weights.weights)
+
+    def reweight(self, weights: np.ndarray) -> None:
+        """Take new context weights (a probability vector).
+
+        With every weight positive the support is the positive-target rows;
+        it shrinks only where a weight is 0, and only then is the matrix
+        rebuilt.
+        """
+        w_rows = np.repeat(weights, self.op.dims)
+        if weights.min() > 0.0:
+            support = self.positive
+        else:
+            support = np.flatnonzero((self.targets > 0.0) & (w_rows > 0.0))
+        if self.support is None or not np.array_equal(support, self.support):
+            self.support = support
+            self.t_s = self.targets[support]
+            self.dense = None
+            if support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
+                self.dense = self.op.columns(support=support)
         self.w_s = w_rows[self.support]
         self.wt_s = self.w_s * self.t_s
-        self.dense: np.ndarray | None = None
-        if like is not None and np.array_equal(like.support, self.support):
-            self.dense = like.dense
-        elif self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
-            self.dense = self.op.columns(support=self.support)
 
-    def evaluate(self, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective value (bits), multiplier field r shaped like ``p`` (a flat
-        joint vector or a joint tensor), and duality gap (bits)."""
+    def field(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Objective value (bits), multiplier field r and its largest entry,
+        at a flat joint vector ``p``; r is flat too.
+
+        A zero marginal on the support makes the value +inf; then r is 0 and
+        its largest entry +inf.  The solver's floored iterates never have one.
+        """
         if self.dense is None:
             m = self.op.marginals(p)[self.support]
         else:
-            m = self.dense @ p.reshape(-1)
-        if m.min() <= 0.0:
-            return float("inf"), np.zeros(p.shape), float("inf")
+            m = self.dense @ p
         ratio = self.t_s / m
         value = float(self.wt_s @ np.log2(ratio))
+        if not math.isfinite(value):
+            return math.inf, np.zeros(p.size), math.inf
         if self.dense is None:
             y = np.zeros(self.op.dim)
             y[self.support] = ratio * self.w_s
-            r = self.op.lift(y)
+            r = self.op.lift(y).reshape(-1)
         else:
             r = (ratio * self.w_s) @ self.dense
-        gap = (float(r.max()) - 1.0) * LOG2E
-        return value, r.reshape(p.shape), max(gap, 0.0)
+        return value, r, float(r.max())
+
+    def evaluate(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Objective value (bits), multiplier field r shaped like ``p`` (a flat
+        joint vector or a joint tensor), and duality gap (bits): ``field`` at
+        any point, a zero marginal on the support included, without a warning."""
+        with np.errstate(divide="ignore"):
+            value, r, r_max = self.field(p.reshape(-1))
+        return value, r.reshape(p.shape), _gap(r_max)
 
     @cached_property
     def positive(self) -> np.ndarray:
@@ -242,15 +254,20 @@ class _FixedWeightProblem:
         return np.array([terms[a:b].sum() for a, b in self.positive_runs])
 
 
-def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float) -> np.ndarray:
+def _gap(r_max: float) -> float:
+    """Duality gap (bits) of an iterate whose multiplier field peaks at ``r_max``."""
+    return max((r_max - 1.0) * LOG2E, 0.0)
+
+
+def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: float) -> np.ndarray:
     """The solver's one step: ``p * r`` for omega = 1, else
-    ``p * (r / max r)**omega`` (the scaling keeps the power at most 1), floored
-    at eps/joint_dim and normalized.
+    ``p * (r / r_max)**omega`` with ``r_max = max r`` (the scaling keeps the
+    power at most 1), floored at eps/joint_dim and normalized.
 
     The floor keeps every coordinate positive, so a multiplicative step can
     always grow it back; it adds at most eps of total mass.
     """
-    q = p * r if omega == 1.0 else p * (r / r.max()) ** omega
+    q = p * r if omega == 1.0 else p * (r / r_max) ** omega
     np.maximum(q, _EPS / q.size, out=q)
     q /= q.sum()
     return q
@@ -264,12 +281,13 @@ def _solve_fixed(
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     g = problem.g
     start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
-    p = _floored_step(start, 1.0, 1.0)
+    p = _floored_step(start, 1.0, 1.0, 1.0)
 
     trace: list[tuple[int, float, float]] = []
     next_trace = 1
     omega = 1.0
-    value, r, gap = problem.evaluate(p)
+    value, r, r_max = problem.field(p)
+    gap = _gap(r_max)
     # Every iterate's value minus its gap bounds the optimum from below; the
     # reported gap is measured against the best of these bounds.
     lower = value - gap
@@ -277,29 +295,29 @@ def _solve_fixed(
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
-        trial = _floored_step(p, r, omega)
-        trial_value, trial_r, trial_gap = problem.evaluate(trial)
+        trial = _floored_step(p, r, omega, r_max)
+        trial_value, trial_r, trial_r_max = problem.field(trial)
         if omega > 1.0 and not trial_value < value:
             # The over-relaxed trial did not lower F: take the plain step instead.
             omega = 1.0
-            trial = _floored_step(p, r, omega)
-            trial_value, trial_r, trial_gap = problem.evaluate(trial)
+            trial = _floored_step(p, r, omega, r_max)
+            trial_value, trial_r, trial_r_max = problem.field(trial)
         elif trial_value < value:
             omega = min(omega * OVERRELAX_GROWTH, OVERRELAX_CAP)
-        p, value, r = trial, trial_value, trial_r
-        lower = max(lower, value - trial_gap)
+        p, value, r, r_max = trial, trial_value, trial_r, trial_r_max
+        lower = max(lower, value - _gap(r_max))
         gap = max(value - lower, 0.0)
         if iteration >= next_trace:
             trace.append((iteration, value, gap))
             next_trace *= 2
     trace.append((iteration, value, gap))
 
-    if len(_connected_components(g)) > 1:
+    if len(g.components) > 1:
         # Factorizing across components keeps every context marginal, hence
         # the value; re-evaluate so the value refers to the returned point.
         p = _factorize_components(p.reshape(g.joint_shape), g).reshape(-1)
-        value, _, point_gap = problem.evaluate(p)
-        lower = max(lower, value - point_gap)
+        value, _, point_r_max = problem.field(p)
+        lower = max(lower, value - _gap(point_r_max))
         gap = max(value - lower, 0.0)
     # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
     # clamped value is still an upper bound and [value - gap, value] still
@@ -396,23 +414,23 @@ def x_max(
     log_w = np.zeros(n)
     best_value = -float("inf")
     best_gap = float("inf")
-    best_weights: ContextWeights | None = None
+    best_weights: np.ndarray | None = None
     best_p: np.ndarray | None = None
     upper = float("inf")
     total_inner = 0
     last_improve = 0
     warm: np.ndarray | None = None
     p_sum = np.zeros(box.hypergraph.joint_dim)
+    # One problem, reweighted each round; its targets and positive rows,
+    # which divergences read, do not depend on the weights.
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
     outer = 0
     for outer in range(1, _XMAX_MAX_OUTER + 1):
         shifted = log_w - log_w.max()
         w_vec = np.exp(shifted)
         w_vec /= w_vec.sum()
-        weights = ContextWeights(w_vec)
-        value, p_flat, gap, iters, _, _ = _solve_fixed(
-            _FixedWeightProblem(box, weights, like=problem), tol, max_iters, warm
-        )
+        problem.reweight(w_vec)
+        value, p_flat, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, warm)
         total_inner += iters
         warm = p_flat
         p_sum += p_flat
@@ -421,7 +439,7 @@ def x_max(
         if value > best_value + _XMAX_IMPROVE_TOL:
             last_improve = outer
         if value > best_value:
-            best_value, best_gap, best_weights, best_p = value, gap, weights, p_flat
+            best_value, best_gap, best_weights, best_p = value, gap, w_vec, p_flat
         if outer - last_improve >= outer_window:
             break
         if upper - best_value <= _XMAX_IMPROVE_TOL:
@@ -439,7 +457,7 @@ def x_max(
         wall_time_s=time.perf_counter() - start,
         converged=best_gap <= tol and outer < _XMAX_MAX_OUTER,
         method="mw-ascent(auto)",
-        outer_weights=best_weights,
+        outer_weights=ContextWeights(best_weights),
         outer_gap=max(0.0, upper - best_value),
     )
 

@@ -24,12 +24,17 @@ CH(16) and CH(18) two.  The restricted LP is solved in its dual form,
 
 with one variable per stacked context outcome (tens) where the primal has
 one per column (hundreds), so far fewer simplex iterations are needed.  Each
-call builds one HiGHS model with those variables; every round appends only
-the entering assignments as rows (row D holds a 1 at each of D's
-``n_contexts`` stacked rows of the context-incidence operator M, so M is
-never materialized), and HiGHS's dual simplex re-optimizes from the previous
-basis.  The witness weights w are the rows' duals, and the final pricing
-bound certifies the lower end of the bracket.
+thread keeps one HiGHS model, its options set once; a call clears it
+(``clearModel``, which keeps the options) and adds those variables.  On a
+2-core Xeon host, clearing took about 1 microsecond, and building a model
+and setting its options about 100.  Every round appends only the entering
+assignments as rows (row D holds a 1 at each of D's ``n_contexts`` stacked
+rows of the context-incidence operator M, so M is never materialized), and
+HiGHS's dual simplex re-optimizes from the previous basis.  The witness
+weights w are the rows' duals, and the final pricing bound certifies the
+lower end of the bracket.  The report keeps the witness as the LP left it,
+joint indices and weights, and decodes the assignments and the residual box
+only when they are read.
 
 HiGHS runs with presolve off.  These LPs have tens of variables and at most
 a few hundred rows per round, and presolve cost more than it saved: on the
@@ -41,7 +46,9 @@ to 139-158 ms with it off, and HiGHS's own ``run`` time from 145-181 to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,14 +93,72 @@ def enumerate_vertices(g: Hypergraph) -> NCPolytope:
     return NCPolytope(g, assignments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostReport:
-    """Optimal decomposition data for the contextuality cost LP."""
+    """Optimal decomposition data for the contextuality cost LP.
+
+    ``witness_weights`` (the deterministic assignments of the decomposition
+    with their weights) and ``residual_box`` (the contextual remainder, None
+    when the cost is within 1e-9 of 0) are decoded from the LP's solution on
+    first access and then cached; most callers read only ``cost`` and
+    ``interval``.
+    """
 
     cost: float
     interval: tuple[float, float]
-    witness_weights: dict[DeterministicAssignment, float]
-    residual_box: Box | None
+    # The box, and the witness as LP data: its joint indices and their
+    # weights, all positive.
+    _box: Box = field(repr=False)
+    _columns: np.ndarray = field(repr=False)
+    _weights: np.ndarray = field(repr=False)
+
+    @cached_property
+    def witness_weights(self) -> dict[DeterministicAssignment, float]:
+        digits = np.transpose(np.unravel_index(self._columns, self._box.hypergraph.joint_shape))
+        keys = map(DeterministicAssignment._of, map(tuple, digits.tolist()))
+        return dict(zip(keys, self._weights.tolist()))
+
+    @cached_property
+    def residual_box(self) -> Box | None:
+        if self.cost <= _LP_TOL:
+            return None
+        g = self._box.hypergraph
+        stacked = self._box.stacked()
+        mass = np.bincount(
+            g.incidence.rows(self._columns).ravel(),
+            weights=np.repeat(self._weights, g.n_contexts),
+            minlength=stacked.size,
+        )
+        res_stacked = np.maximum(stacked - mass, 0.0) / self.cost
+        dists = []
+        for vec in g.incidence.split(res_stacked):
+            total_mass = vec.sum()
+            dists.append(vec / total_mass if total_mass > 0 else vec)
+        return Box(g, dists)
+
+
+_local = threading.local()
+
+
+def _cost_lp() -> _Highs:
+    """This thread's HiGHS model for the cost LP, empty, with its options set.
+
+    One model per thread is kept and cleared for each call (``clearModel``
+    keeps the options); ``measure --workers N`` solves on N threads.  A model
+    of another class than ``_Highs`` (as when a test replaces ``_Highs``)
+    is replaced by a new one.
+    """
+    lp = getattr(_local, "lp", None)
+    if type(lp) is _Highs:
+        lp.clearModel()
+        return lp
+    lp = _local.lp = _Highs()
+    lp.setOptionValue("output_flag", False)
+    lp.setOptionValue("primal_feasibility_tolerance", _HIGHS_TOL)
+    lp.setOptionValue("dual_feasibility_tolerance", _HIGHS_TOL)
+    # Presolve costs more than it saves on LPs this small (see the module docstring).
+    lp.setOptionValue("presolve", "off")
+    return lp
 
 
 def contextuality_cost(box: Box) -> CostReport:
@@ -111,12 +176,7 @@ def contextuality_cost(box: Box) -> CostReport:
     check_joint_dim(g)
     stacked = box.stacked()
     n_contexts = g.n_contexts
-    lp = _Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.setOptionValue("primal_feasibility_tolerance", _HIGHS_TOL)
-    lp.setOptionValue("dual_feasibility_tolerance", _HIGHS_TOL)
-    # Presolve costs more than it saves on LPs this small (see the module docstring).
-    lp.setOptionValue("presolve", "off")
+    lp = _cost_lp()
     # Variable y_r for each stacked row r: cost b_r, bounds [0, inf), no entries yet.
     lp.addCols(
         stacked.size, stacked, np.zeros(stacked.size), np.full(stacked.size, np.inf),
@@ -163,26 +223,8 @@ def contextuality_cost(box: Box) -> CostReport:
     # solution cannot invert the bracket.
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
     interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
-
     used = np.flatnonzero(weights > 1e-12)
-    digits = np.transpose(np.unravel_index(columns[used], g.joint_shape)).tolist()
-    keys = map(DeterministicAssignment._of, map(tuple, digits))
-    witness = dict(zip(keys, weights[used].tolist()))
-    mass = np.bincount(
-        g.incidence.rows(columns[used]).ravel(),
-        weights=np.repeat(weights[used], n_contexts),
-        minlength=stacked.size,
-    )
-
-    residual = None
-    if cost > _LP_TOL:
-        res_stacked = np.maximum(stacked - mass, 0.0) / cost
-        dists = []
-        for vec in g.incidence.split(res_stacked):
-            total_mass = vec.sum()
-            dists.append(vec / total_mass if total_mass > 0 else vec)
-        residual = Box(g, dists)
-    return CostReport(cost=cost, interval=interval, witness_weights=witness, residual_box=residual)
+    return CostReport(cost, interval, box, columns[used], weights[used])
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:

@@ -1,5 +1,8 @@
 """The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,7 @@ from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, polytope
+from contextuality.boxes import ContextIncidence
 from contextuality.closed_form import cost_closed_form
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
 
@@ -231,3 +235,61 @@ def test_presolve_off_matches_presolve_on():
             oracle = cx.contextuality_cost(box)
         assert abs(report.cost - oracle.cost) <= 1e-9
         assert np.allclose(report.interval, oracle.interval, rtol=0.0, atol=1e-9)
+
+
+def cost_fields(report):
+    """Everything a cost report holds, the witness and residual decoded."""
+    residual = report.residual_box
+    return (report.cost, report.interval, report.witness_weights,
+            None if residual is None else [d.tobytes() for d in residual.distributions])
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threaded_costs_match_sequential(workers):
+    """Worker threads, each with its own HiGHS model, reproduce the
+    sequential results exactly; thread switches are made frequent, so calls
+    on different threads interleave."""
+    cases = seeded_boxes(rounds=2)
+    sequential = [cost_fields(cx.contextuality_cost(box)) for box in cases]
+    models = {}
+
+    def solve(box):
+        fields = cost_fields(cx.contextuality_cost(box))
+        models.setdefault(threading.get_ident(), set()).add(id(polytope._local.lp))
+        return fields
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(solve, box) for box in cases]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+    # One model per thread, never shared between threads.
+    assert all(len(ids) == 1 for ids in models.values())
+    assert len(set.union(*models.values())) == len(models)
+
+
+def test_call_after_a_failed_call():
+    """A call that raises after HiGHS has solved leaves rows in the thread's
+    model; the next call clears them and gives the same report as before."""
+    box = cx.mermin_box(0.9)
+    expected = cost_fields(cx.contextuality_cost(box))
+    model = polytope._local.lp
+    real = ContextIncidence.extremum
+    calls = []
+
+    def fail_pricing(self, y, sense, count=1):
+        calls.append(count)
+        if len(calls) == 2:
+            raise RuntimeError("pricing failed")
+        return real(self, y, sense, count)
+
+    with mock.patch.object(ContextIncidence, "extremum", fail_pricing):
+        with pytest.raises(RuntimeError, match="pricing failed"):
+            cx.contextuality_cost(box)
+    assert polytope._local.lp is model and model.getNumRow() > 0
+    assert cost_fields(cx.contextuality_cost(box)) == expected
+    assert polytope._local.lp is model

@@ -46,15 +46,16 @@ to 139-158 ms with it off, and HiGHS's own ``run`` time from 145-181 to
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-# scipy's own HiGHS binding (verified on scipy 1.17): unlike linprog, a model
-# built on it keeps its basis when rows are appended and re-solved.
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+import scipy
 
 from .boxes import Box, DeterministicAssignment, Hypergraph, check_joint_dim, require_consistent
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
@@ -65,6 +66,45 @@ _LP_TOL = 1e-9
 # entries near 1e-7 got witnesses that over-spend the box by up to 2e-7 and
 # costs up to 8e-7 off, outside their own zero-width bracket.
 _HIGHS_TOL = 1e-10
+
+
+def _load_highs_core():
+    """scipy's compiled HiGHS binding, loaded without running ``scipy.optimize``.
+
+    Importing the binding by its dotted name first runs all of
+    ``scipy.optimize/__init__`` (linalg, sparse, special, fft, spatial): in a
+    fresh interpreter ``import contextuality`` then took 0.59-0.89 s and left
+    the process at 78 MB, and with the extension module loaded alone it takes
+    0.17-0.25 s and 34 MB (5 runs each, 2-core Xeon host).  The module is
+    registered under its canonical name, so scipy.optimize, imported before or
+    after, shares the same module, ``_Highs`` class and HiGHS library.
+    """
+    name = "scipy.optimize._highspy._core"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    path = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [path])
+    if spec is None:
+        raise ImportError(
+            f"contextuality needs scipy's HiGHS binding {name} (scipy>=1.17), "
+            f"but scipy {scipy.__version__} has none in {path}"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+# Unlike linprog, a model built on scipy's own HiGHS binding (verified on
+# scipy 1.17) keeps its basis when rows are appended and re-solved.
+_highs_core = _load_highs_core()
+HighsModelStatus = _highs_core.HighsModelStatus
+_Highs = _highs_core._Highs
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
 
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -293,3 +296,70 @@ def test_call_after_a_failed_call():
     assert polytope._local.lp is model and model.getNumRow() > 0
     assert cost_fields(cx.contextuality_cost(box)) == expected
     assert polytope._local.lp is model
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's library."""
+    src = str(Path(cx.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["contextuality", "contextuality.cli"])
+def test_import_loads_only_the_highs_binding(module):
+    """The library loads scipy's compiled HiGHS module, not scipy.optimize."""
+    code = f"import sys, {module}\nprint(*(m for m in sys.modules if 'scipy.optimize' in m))"
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "scipy.optimize._highspy._core" in loaded
+    assert all(m.startswith("scipy.optimize._highspy._core") for m in loaded), loaded
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_highs_binding_is_shared_with_scipy(scipy_first):
+    """In either import order the library and linprog share one binding
+    module, the one loaded first, and both solve."""
+    library = "from contextuality import builtin, contextuality_cost, polytope"
+    scipy_optimize = "from scipy.optimize import linprog"
+    code = "\n".join([
+        "import sys",
+        scipy_optimize if scipy_first else library,
+        "core = sys.modules['scipy.optimize._highspy._core']",
+        library if scipy_first else scipy_optimize,
+        "import scipy.optimize._highspy._core as imported",
+        "from contextuality.closed_form import cost_closed_form",
+        "assert imported is core and sys.modules['scipy.optimize._highspy._core'] is core",
+        "assert polytope._Highs is core._Highs",
+        "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')",
+        "assert res.status == 0 and abs(res.fun - 1.0) <= 1e-12, res",
+        "cost = contextuality_cost(builtin('M', alpha=0.9)).cost",
+        "assert abs(cost - cost_closed_form('M', 0.9)) <= 1e-12, cost",
+    ])
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_highs_binding_raises_import_error(tmp_path):
+    """A scipy without the binding where the library looks for it fails the
+    import loudly, naming scipy's version and the version the library needs."""
+    code = "\n".join([
+        "import sys, scipy",
+        "name = 'scipy.optimize._highspy._core'",
+        "assert name not in sys.modules",
+        "scipy.__path__ = [sys.argv[1]]",
+        "try:",
+        "    import contextuality.polytope",
+        "except ImportError as exc:",
+        "    assert name not in sys.modules",
+        "    print(scipy.__version__)",
+        "    print(exc)",
+        "else:",
+        "    sys.exit('imported without the HiGHS binding')",
+    ])
+    done = run_fresh(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    version, message = done.stdout.splitlines()
+    assert f"scipy {version}" in message and "scipy>=1.17" in message, message

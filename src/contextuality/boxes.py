@@ -43,8 +43,20 @@ PARITY_TOL = 1e-9
 JOINT_DIM_CAP = 2**22
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
 # outright, each by its best completion; the trailing observables are
-# eliminated, keeping the m best completions per cell.
+# eliminated, keeping the m best completions per cell.  It holds two plans:
+# the longest scan within _SCAN_CELLS, and one within _SHORT_SCAN_CELLS,
+# and takes the one of lower estimated cost (``_Plan.cost``) for each count.
 _SCAN_CELLS = 2**14
+_SHORT_SCAN_CELLS = 2**10
+# The weights of ``_Plan.cost``, in cell additions (about 2 ns each on a
+# 2-core Xeon host), fitted to timings of both plans on chains and random
+# binary and ternary hypergraphs: partitioning a scanned cell, sorting a
+# list entry, the numpy calls of a bucket whatever its size, and decoding
+# one outcome's step.
+_PARTITION_COST = 1
+_SORT_COST = 8
+_BUCKET_COST = 25_000
+_DECODE_COST = 4
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -275,6 +287,87 @@ class _Bucket:
         return out, steps
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How ``ContextIncidence.extremum`` scores: a scanned prefix, whose
+    ``contexts`` and ``messages`` it sums, and the buckets that eliminate
+    the other observables, in elimination order."""
+
+    prefix: _Bucket
+    buckets: tuple[_Bucket, ...]
+
+    @property
+    def scan_cells(self) -> int:
+        return math.prod(self.prefix.shape)
+
+    @cached_property
+    def _largest_bucket(self) -> int:
+        return max((math.prod(b.shape) for b in self.buckets), default=0)
+
+    def ranks(self, count: int, prefixes: int) -> int:
+        """Entries per list: ``count``, or the most that keep every list merge within the cap.
+
+        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
+        bucket, or of each of the ``prefixes`` picked prefixes.
+        """
+        if count == 1 or not self.buckets:
+            return 1
+        cells = max(prefixes, self._largest_bucket)
+        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
+            return count
+        lo, hi = 1, count
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    def cost(self, count: int) -> int:
+        """Estimated time of finding the ``count`` best outcomes, in cell additions.
+
+        The scan adds its terms into every prefix cell and, for ``count``
+        above 1, partitions the cells.  A bucket adds its terms into every
+        cell of its table, merges its messages' lists (each pair summed and
+        sorted) and eliminates its observable (a minimum per cell, or the
+        list sorted when ``m`` is above 1).  Each bucket also costs
+        ``_BUCKET_COST`` for its numpy calls, and for ``count`` above 1
+        ``_DECODE_COST`` per outcome and decoding step.
+        """
+        cells = self.scan_cells
+        count_p = min(count, cells)
+        m = self.ranks(count, count_p)
+        total = cells * (len(self.prefix.contexts) + len(self.prefix.messages))
+        if count_p > 1:
+            total += cells * _PARTITION_COST
+        lengths: list[int] = []  # entries in each bucket's message lists
+
+        def merged(cells: int, messages: tuple[int, ...]) -> int:
+            """Adds the cost of merging ``messages`` in each of ``cells``; the list length."""
+            nonlocal total
+            length = 1
+            for k in messages:
+                if length == 1 or lengths[k] == 1:
+                    length = min(m, length * lengths[k])
+                    total += cells * length
+                else:
+                    pairs = _pairs(length, lengths[k], m)[0].size
+                    total += cells * pairs * (1 + _SORT_COST)
+                    length = min(m, pairs)
+            return length
+
+        for b in self.buckets:
+            b_cells = math.prod(b.shape)
+            k = merged(b_cells, b.messages)
+            total += b_cells * (len(b.contexts) + (k * _SORT_COST if m > 1 else 1)) + _BUCKET_COST
+            if count > 1:
+                total += _DECODE_COST * count * (len(b.scope) + len(b.messages) + 2)
+            lengths.append(min(m, b.shape[b.scope[-1]] * k))
+        merged(count_p, self.prefix.messages)
+        return total
+
+
 def _row_major(radices: Sequence[int]) -> np.ndarray:
     """Multipliers that turn digits over ``radices`` into a row-major index."""
     return np.cumprod(np.concatenate(([1], radices[:0:-1])), dtype=np.int64)[::-1]
@@ -307,6 +400,7 @@ def _pairs(a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+@functools.lru_cache(maxsize=1024)
 def _pair_bound(m: int) -> int:
     """Most pairs ``_pairs`` returns for ``m``: the positive ``(i, j)`` with ``i * j <= m``."""
     return int((m // np.arange(1, m + 1)).sum())
@@ -416,27 +510,25 @@ class ContextIncidence:
             out += self.broadcast(values, ci)
         return out
 
-    @cached_property
-    def _elimination(self) -> tuple[_Bucket, tuple[_Bucket, ...]]:
-        """The scanned prefix and the buckets that eliminate the other observables.
+    def _plan(self, scan_cells: int) -> _Plan:
+        """The plan that scans the longest run of leading observables with at
+        most ``scan_cells`` cells and eliminates the others.
 
-        The prefix is the longest run of leading observables with at most
-        ``_SCAN_CELLS`` cells.  The others are eliminated last index first:
-        each bucket sums the contexts and messages whose highest observable
-        it eliminates, so that observable is the last of the bucket's scope
-        and every other one in it is decoded before it.  Refuses, before any
-        table exists, a plan whose largest table exceeds ``JOINT_DIM_CAP``
-        cells.
+        They are eliminated last index first: each bucket sums the contexts
+        and messages whose highest observable it eliminates, so that
+        observable is the last of the bucket's scope and every other one in
+        it is decoded before it.  Refuses, before any table exists, a plan
+        whose largest table exceeds ``JOINT_DIM_CAP`` cells.
         """
         cards = self.joint_shape
         if math.prod(cards) >= 2**63:
             raise CapExceededError(f"joint dimension {math.prod(cards)} overflows a joint index")
-        prefix = sum(cells <= _SCAN_CELLS for cells in itertools.accumulate(cards, operator.mul))
+        prefix = sum(cells <= scan_cells for cells in itertools.accumulate(cards, operator.mul))
         if prefix == len(cards):
             # Nothing to eliminate: the prefix is the lift.  Built directly, since a
             # fresh hypergraph builds its plan on its first call, and on small boxes
             # the general construction cost a quarter of a pricing call.
-            return _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ()
+            return _Plan(_Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ())
 
         def home(scope: Sequence[int]) -> int:
             """The bucket of a term: its highest observable, or -1 (the prefix)."""
@@ -464,7 +556,36 @@ class ContextIncidence:
             ))
             buckets.append(bucket(scope, contexts, messages))
             pending[home(scope[:-1])][1].append(len(buckets) - 1)
-        return bucket(range(prefix), *pending[-1]), tuple(buckets)
+        return _Plan(bucket(range(prefix), *pending[-1]), tuple(buckets))
+
+    @cached_property
+    def _scan_plans(self) -> tuple[_Plan, ...]:
+        """The plan with the longest scan, of at most ``_SCAN_CELLS`` cells,
+        and, unless it scans at most ``_SHORT_SCAN_CELLS``, the plan whose
+        scan is the longest within that.
+
+        Every bucket of the first plan is also one of the second's, so the
+        second refuses no hypergraph the first accepts.
+        """
+        longest = self._plan(_SCAN_CELLS)
+        if longest.scan_cells <= _SHORT_SCAN_CELLS:
+            return (longest,)
+        return longest, self._plan(_SHORT_SCAN_CELLS)
+
+    def _plan_for(self, count: int) -> _Plan:
+        """The plan of lower estimated cost for ``count`` outcomes, chosen once
+        per count and kept in ``_chosen``."""
+        plans = self._scan_plans
+        if len(plans) == 1:
+            return plans[0]
+        plan = self._chosen.get(count)
+        if plan is None:
+            plan = self._chosen[count] = min(plans, key=lambda p: p.cost(count))
+        return plan
+
+    @cached_property
+    def _chosen(self) -> dict[int, _Plan]:
+        return {}
 
     def extremum(self, y: np.ndarray, sense: str, count: int = 1) -> tuple[float, np.ndarray]:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and where.
@@ -473,9 +594,9 @@ class ContextIncidence:
         indices of the ``count`` best joint outcomes (all of them, if fewer),
         by m-best bucket elimination (Nilsson 1998; Flerova, Marinescu &
         Dechter 2016): each bucket keeps, per cell of its scope, the ``m``
-        best partial scores and where each came from.  The scan scores every
-        prefix (see ``_elimination``) by its best completion and keeps the
-        ``count`` best, which hold the prefixes of the ``count`` best
+        best partial scores and where each came from.  The scan of the plan
+        ``_plan_for`` picks for ``count`` scores every prefix by its best
+        completion and keeps the ``count`` best, which hold the prefixes of the ``count`` best
         outcomes up to ties; their lists are merged and the best ``count``
         decoded.  ``m`` is ``count``, or less where a merge of two lists
         would exceed ``JOINT_DIM_CAP`` entries; then the best score is still
@@ -488,15 +609,19 @@ class ContextIncidence:
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
-        prefix, buckets = self._elimination
+        plan = self._plan_for(count)
+        prefix, buckets = plan.prefix, plan.buckets
         y = np.asarray(y, dtype=float)
         # Min-sum throughout; negation is exact, so ties stay ties.
         if sense == "max":
             y = -y
-        tables = [self.broadcast(values, ci) for ci, values in enumerate(self.split(y))]
+        # Each context's table, broadcastable to the joint shape: one gather
+        # puts every context's outcomes in increasing observable order.
+        y = y[self._sorted_rows]
+        tables = [y[a:b].reshape(shape) for a, b, shape in self._table_slices]
         ctx = prefix.table(tables)
         count_p = min(count, ctx.size)
-        m = self._ranks(count, count_p)
+        m = plan.ranks(count, count_p)
         lists: list[np.ndarray] = []
         records = []
         cards = self.joint_shape
@@ -523,7 +648,9 @@ class ContextIncidence:
         # taken before its own observable is decoded, is its parents' index
         # times that observable's cardinality.
         digits = np.zeros((count_p, len(cards)), dtype=np.int64)
-        digits[:, prefix.axes] = picked[:, None] // prefix.strides % prefix.radices
+        scanned = len(prefix.scope)
+        if scanned:
+            digits[:, :scanned] = np.transpose(np.unravel_index(picked, cards[:scanned]))
         values, steps = ctx[picked][:, None], []
         for k in prefix.messages:
             b = buckets[k]
@@ -556,58 +683,75 @@ class ContextIncidence:
     def _strides(self) -> np.ndarray:
         return _row_major(self.joint_shape)
 
-    def _ranks(self, count: int, prefixes: int) -> int:
-        """Entries per list: ``count``, or the most that keep every list merge within the cap.
+    @cached_property
+    def _sorted_rows(self) -> np.ndarray:
+        """The stacked rows with each context's outcomes row-major in increasing
+        observable order, the order of its ``broadcast`` table."""
+        return np.concatenate([
+            offset + self.broadcast(np.arange(dim), ci).ravel()
+            for ci, (offset, dim) in enumerate(zip(self.offsets, self.dims))
+        ])
 
-        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
-        bucket, or of each of the ``prefixes`` picked prefixes.
-        """
-        _, buckets = self._elimination
-        if count == 1 or not buckets:
-            return 1
-        cells = max(prefixes, *(math.prod(b.shape) for b in buckets))
-        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
-            return count
-        lo, hi = 1, count
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def _spread(self, stacked: np.ndarray) -> np.ndarray:
+        """``(n_contexts, joint_dim)``: entry ``(c, lambda)`` is ``stacked`` at
+        the row context c's outcome of lambda hits."""
+        stacked = stacked[self._sorted_rows]
+        out = np.empty((len(self.dims),) + self.joint_shape, dtype=stacked.dtype)
+        for ci, (a, b, shape) in enumerate(self._table_slices):
+            out[ci] = stacked[a:b].reshape(shape)
+        return out.reshape(len(self.dims), -1)
+
+    @cached_property
+    def _table_slices(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        return tuple(zip(self.offsets, self.offsets[1:], self._broadcast_shapes))
 
     def rows(self, joint_indices=None) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.
 
-        ``None`` stands for every joint index in order; then each context's
-        rows are its broadcast row table, with no index arithmetic.
+        ``None`` stands for every joint index in order.  Otherwise the
+        indices' digits are taken once and multiplied by each context's
+        row-major strides; the float product is exact, since every term is
+        an integer below the stacked dimension.
         """
         if joint_indices is None:
-            out = np.empty((len(self.dims),) + self.joint_shape, dtype=np.int64)
-            for ci, (offset, dim) in enumerate(zip(self.offsets, self.dims)):
-                out[ci] = offset + self.broadcast(np.arange(dim), ci)
-            return out.reshape(len(self.dims), -1).T
+            return self._spread(np.arange(self.dim)).T
         digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
-        return np.stack(
-            [
-                offset + np.ravel_multi_index(tuple(digits[i] for i in ctx), shape)
-                for offset, ctx, shape in zip(self.offsets, self.contexts, self.context_shapes)
-            ],
-            axis=-1,
-        )
+        local = np.moveaxis(np.array(digits, dtype=float), 0, -1) @ self._context_strides
+        return local.astype(np.int64) + self._row_offsets
+
+    @cached_property
+    def _context_strides(self) -> np.ndarray:
+        """``(n_observables, n_contexts)``: observable i's stride in context c's
+        row-major outcome index, 0 off the context."""
+        out = np.zeros((len(self.joint_shape), len(self.contexts)))
+        for ci, (ctx, shape) in enumerate(zip(self.contexts, self.context_shapes)):
+            out[list(ctx), ci] = _row_major(shape)
+        return out
+
+    @cached_property
+    def _row_offsets(self) -> np.ndarray:
+        return np.array(self.offsets[:-1], dtype=np.int64)
 
     def columns(self, joint_indices=None, support=None) -> np.ndarray:
         """Dense ``M[support][:, joint_indices]``; every joint index when
-        ``joint_indices`` is None, every stacked row when ``support`` is None."""
-        rows = self.rows(None if joint_indices is None else np.ravel(joint_indices))
-        support = np.arange(self.dim) if support is None else np.asarray(support)
-        # Rows off the support land in a spare last row, dropped on return.
-        position = np.full(self.dim, support.size)
-        position[support] = np.arange(support.size)
-        out = np.zeros((support.size + 1, rows.shape[0]))
-        out[position[rows], np.arange(rows.shape[0])[:, None]] = 1.0
-        return out[:-1]
+        ``joint_indices`` is None, every stacked row when ``support`` is None.
+
+        One scatter sets each 1 at its flat position in a block of one row
+        per support row and a spare last row, which takes the rows off the
+        support and is dropped on return.
+        """
+        size = self.dim if support is None else np.size(support)
+        n = math.prod(self.joint_shape) if joint_indices is None else np.size(joint_indices)
+        # The flat position of each stacked row's first column.
+        start = np.full(self.dim, size * n)
+        start[slice(None) if support is None else support] = np.arange(0, size * n, n)
+        if joint_indices is None:
+            flat = self._spread(start) + np.arange(n)
+        else:
+            flat = start[self.rows(np.ravel(joint_indices))] + np.arange(n)[:, None]
+        out = np.zeros((size + 1) * n)
+        out[flat.ravel()] = 1.0
+        return out[: size * n].reshape(size, n)
 
 
 @dataclass(frozen=True)
@@ -889,8 +1033,17 @@ def parity_distribution(m: int, parity: int) -> np.ndarray:
     return vec
 
 
+@functools.lru_cache(maxsize=64)
+def _parity_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only P_even and P_odd on m bits."""
+    return _frozen_array(parity_distribution(m, 0)), _frozen_array(parity_distribution(m, 1))
+
+
 def context_parity(box: Box, ci: int) -> int | None:
-    """0/1 if the context distribution is P_even/P_odd within ``PARITY_TOL``, else None."""
+    """0/1 if the context distribution is P_even/P_odd within ``PARITY_TOL``, else None.
+
+    Each entry must be within the tolerance; a NaN entry matches neither parity.
+    """
     ctx = box.hypergraph.contexts[ci]
     if any(box.hypergraph.cardinalities[i] != 2 for i in ctx):
         return None
@@ -898,8 +1051,9 @@ def context_parity(box: Box, ci: int) -> int | None:
     m = len(ctx)
     if vec.size != 2**m:
         return None
-    for parity in (0, 1):
-        if np.allclose(vec, parity_distribution(m, parity), rtol=0.0, atol=PARITY_TOL):
+    for parity, target in enumerate(_parity_vectors(m)):
+        # A NaN makes the maximum NaN, which compares false.
+        if np.abs(vec - target).max() <= PARITY_TOL:
             return parity
     return None
 

@@ -12,13 +12,15 @@ optimal witness needs no more columns than the box has stacked rows
 (Caratheodory), so the loop starts from that many: the assignments the box
 supports best, which ``ContextIncidence.extremum`` finds by minimizing
 ``sum_c -log b_c(lambda_c)``.  It then prices every assignment with
-``extremum`` and enters up to twice that many of the cheapest per round,
-until every assignment scores at least 1.  Both are exact: a scan of the
-leading observables (at most 2^14 cells) and m-best min-sum elimination of
-the rest give the best assignments themselves, and build no joint tensor
-above 2^14 cells.  On CH(14), CH(16) and CH(18) at alpha 0.99 the start
-alone is optimal, one HiGHS run; at alpha 0.9 CH(14) takes one run and
-CH(16) and CH(18) two.  The restricted LP is solved in its dual form,
+``extremum``, takes up to twice that many of the cheapest per round and
+appends those that score below 1 - 1e-9 under the current duals, until
+every assignment scores at least 1.  Both are exact: a scan of the leading
+observables (at most 2^14 cells, or at most 2^10 where that is estimated
+cheaper) and m-best min-sum elimination of the rest give the best
+assignments themselves, and build no joint tensor above 2^14 cells.  On
+CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is optimal, one
+HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and CH(18) two, on
+192 and 216 rows: every candidate of their second round is violated.  The restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
@@ -231,10 +233,10 @@ def contextuality_cost(box: Box) -> CostReport:
     fit[positive] = -np.log(stacked[positive])
     fit[~positive] = n_contexts * fit[positive].max() + 1.0
     _, entering = g.incidence.extremum(fit, "min", count=stacked.size)
+    new_rows = g.incidence.rows(entering)
     # LP row i is assignment columns[i]: rows are appended in round order.
     columns = np.empty(0, dtype=np.int64)
     for _ in range(200):
-        new_rows = g.incidence.rows(entering)
         lp.addRows(
             entering.size, np.ones(entering.size), np.full(entering.size, np.inf),
             new_rows.size, np.arange(0, new_rows.size, n_contexts, dtype=np.int32),
@@ -250,7 +252,11 @@ def contextuality_cost(box: Box) -> CostReport:
         min_score, candidates = g.incidence.extremum(duals, "min", count=2 * stacked.size)
         if min_score >= 1.0 - 1e-9:
             break
-        entering = np.setdiff1d(candidates, columns)
+        # Only the candidates these duals violate enter.  A column already in
+        # the LP scores at least 1 within HiGHS's tolerance, so none enters twice.
+        candidate_rows = g.incidence.rows(candidates)
+        violated = duals[candidate_rows].sum(axis=1) < 1.0 - 1e-9
+        entering, new_rows = candidates[violated], candidate_rows[violated]
         if entering.size == 0:
             break
     else:

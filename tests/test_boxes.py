@@ -356,3 +356,51 @@ class TestParityDistribution:
         assert odd[np.ravel_multi_index((0, 0, 1), (2, 2, 2))] == 0.25
         assert odd[0] == 0.0
         assert odd.sum() == 1.0
+
+
+class TestContextParity:
+    """A context is P_even or P_odd when every entry is within PARITY_TOL of it."""
+
+    @staticmethod
+    def parity_of(vec):
+        g = cx.pr_box().hypergraph
+        return boxes.context_parity(cx.Box(g, [vec, EVEN2, EVEN2, ODD2]), 0)
+
+    @staticmethod
+    def allclose_parity(vec):
+        """The earlier rule: np.allclose against each parity vector."""
+        for parity, target in ((0, EVEN2), (1, ODD2)):
+            if np.allclose(vec, target, rtol=0.0, atol=boxes.PARITY_TOL):
+                return parity
+        return None
+
+    @pytest.mark.parametrize("parity, target", [(0, EVEN2), (1, ODD2)])
+    def test_tolerance_boundary(self, parity, target):
+        tol = boxes.PARITY_TOL
+        zero = int(np.flatnonzero(target == 0.0)[0])
+        # Off by exactly the tolerance at a zero entry (either sign): a match.
+        for off in (tol, -tol):
+            vec = target.copy()
+            vec[zero] = off
+            assert self.parity_of(vec) == parity == self.allclose_parity(vec)
+        # One ulp past it: no match.
+        for off in (np.nextafter(tol, 1.0), np.nextafter(-tol, -1.0)):
+            vec = target.copy()
+            vec[zero] = off
+            assert self.parity_of(vec) is None and self.allclose_parity(vec) is None
+        assert self.parity_of(target) == parity
+
+    def test_nan_matches_neither_parity(self):
+        for target in (EVEN2, ODD2):
+            for at in range(4):
+                vec = target.copy()
+                vec[at] = np.nan
+                assert self.parity_of(vec) is None and self.allclose_parity(vec) is None
+        assert self.parity_of(np.full(4, np.nan)) is None
+
+    def test_parity_vectors_are_read_only_copies(self):
+        even, odd = boxes._parity_vectors(3)
+        assert not even.flags.writeable and not odd.flags.writeable
+        assert np.array_equal(even, parity_distribution(3, 0))
+        assert np.array_equal(odd, parity_distribution(3, 1))
+        assert parity_distribution(3, 0).flags.writeable

@@ -363,3 +363,69 @@ def test_missing_highs_binding_raises_import_error(tmp_path):
     assert done.returncode == 0, done.stderr
     version, message = done.stdout.splitlines()
     assert f"scipy {version}" in message and "scipy>=1.17" in message, message
+
+
+def test_entering_rows_are_violated_and_new():
+    """After the first block, every row appended scored below 1 - 1e-9 under
+    the duals it was priced under, and no assignment's row is appended twice."""
+    log = []
+
+    class Spy(polytope._Highs):
+        def run(self):
+            status = super().run()
+            log.append(("duals", np.array(self.getSolution().col_value)))
+            return status
+
+        def addRows(self, n_rows, lower, upper, n_nz, starts, indices, values):
+            log.append(("rows", np.asarray(indices).reshape(n_rows, -1).copy()))
+            return super().addRows(n_rows, lower, upper, n_nz, starts, indices, values)
+
+    rng = np.random.default_rng(20261019)
+    cases = [cx.mermin_box(0.9), cx.chain_box(16, 0.9), cx.chain_box(18, 0.9)]
+    for k in (10, 11):
+        g = random_hypergraph(rng, k, 2 * k)
+        cases.append(random_consistent_box(g, rng, anchor=sum_mod_box(g, rng), anchor_weight=0.9))
+    later_blocks = 0
+    for box in cases:
+        log.clear()
+        with mock.patch.object(polytope, "_Highs", Spy):
+            report = cx.contextuality_cost(box)
+        lo, hi = report.interval
+        assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+        blocks = [rows for kind, rows in log if kind == "rows"]
+        seen = {tuple(row) for row in blocks[0]}
+        assert len(seen) == len(blocks[0])
+        duals = None
+        for kind, payload in log:
+            if kind == "duals":
+                duals = payload
+            elif duals is not None:
+                later_blocks += 1
+                assert np.all(duals[payload].sum(axis=1) < 1.0 - 1e-9)
+                new = {tuple(row) for row in payload}
+                assert len(new) == len(payload) and not new & seen
+                seen |= new
+    assert later_blocks >= 3
+
+
+def test_multi_round_cost_leaves_numpy_ma_unloaded():
+    """A cost solve of several rounds loads no numpy.ma: the rows that enter
+    are picked without a set difference, whose np.unique imports it."""
+    code = "\n".join([
+        "import sys",
+        "from contextuality import mermin_box, contextuality_cost, polytope",
+        "runs = []",
+        "class Counting(polytope._Highs):",
+        "    def run(self):",
+        "        runs.append(1)",
+        "        return super().run()",
+        "polytope._Highs = Counting",
+        "before = 'numpy.ma' in sys.modules",
+        "contextuality_cost(mermin_box(0.9))",
+        "print(len(runs), before, 'numpy.ma' in sys.modules)",
+    ])
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    runs, before, after = done.stdout.split()
+    assert int(runs) > 1
+    assert (before, after) == ("False", "False")

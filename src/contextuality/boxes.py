@@ -352,7 +352,7 @@ class _Plan:
                     length = min(m, length * lengths[k])
                     total += cells * length
                 else:
-                    pairs = _pairs(length, lengths[k], m)[0].size
+                    pairs = _pair_count(length, lengths[k], m)
                     total += cells * pairs * (1 + _SORT_COST)
                     length = min(m, pairs)
             return length
@@ -398,6 +398,11 @@ def _pairs(a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     left.flags.writeable = right.flags.writeable = False
     return left, right
+
+
+def _pair_count(a: int, b: int, m: int) -> int:
+    """How many pairs ``_pairs(a, b, m)`` returns, without building them."""
+    return int(np.minimum(b, m // np.arange(1, min(a, m) + 1)).sum())
 
 
 @functools.lru_cache(maxsize=1024)
@@ -618,7 +623,10 @@ class ContextIncidence:
         # Each context's table, broadcastable to the joint shape: one gather
         # puts every context's outcomes in increasing observable order.
         y = y[self._sorted_rows]
-        tables = [y[a:b].reshape(shape) for a, b, shape in self._table_slices]
+        tables = [
+            y[a:b].reshape(shape)
+            for a, b, shape in zip(self.offsets, self.offsets[1:], self._broadcast_shapes)
+        ]
         ctx = prefix.table(tables)
         count_p = min(count, ctx.size)
         m = plan.ranks(count, count_p)
@@ -697,13 +705,9 @@ class ContextIncidence:
         the row context c's outcome of lambda hits."""
         stacked = stacked[self._sorted_rows]
         out = np.empty((len(self.dims),) + self.joint_shape, dtype=stacked.dtype)
-        for ci, (a, b, shape) in enumerate(self._table_slices):
+        for ci, (a, b, shape) in enumerate(zip(self.offsets, self.offsets[1:], self._broadcast_shapes)):
             out[ci] = stacked[a:b].reshape(shape)
         return out.reshape(len(self.dims), -1)
-
-    @cached_property
-    def _table_slices(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        return tuple(zip(self.offsets, self.offsets[1:], self._broadcast_shapes))
 
     def rows(self, joint_indices=None) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.
@@ -717,7 +721,7 @@ class ContextIncidence:
             return self._spread(np.arange(self.dim)).T
         digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
         local = np.moveaxis(np.array(digits, dtype=float), 0, -1) @ self._context_strides
-        return local.astype(np.int64) + self._row_offsets
+        return local.astype(np.int64) + self.offsets[:-1]
 
     @cached_property
     def _context_strides(self) -> np.ndarray:
@@ -727,10 +731,6 @@ class ContextIncidence:
         for ci, (ctx, shape) in enumerate(zip(self.contexts, self.context_shapes)):
             out[list(ctx), ci] = _row_major(shape)
         return out
-
-    @cached_property
-    def _row_offsets(self) -> np.ndarray:
-        return np.array(self.offsets[:-1], dtype=np.int64)
 
     def columns(self, joint_indices=None, support=None) -> np.ndarray:
         """Dense ``M[support][:, joint_indices]``; every joint index when

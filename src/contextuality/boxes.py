@@ -49,14 +49,16 @@ JOINT_DIM_CAP = 2**22
 _SCAN_CELLS = 2**14
 _SHORT_SCAN_CELLS = 2**10
 # The weights of ``_Plan.cost``, in cell additions (about 2 ns each on a
-# 2-core Xeon host), fitted to timings of both plans on chains and random
-# binary and ternary hypergraphs: partitioning a scanned cell, sorting a
-# list entry, the numpy calls of a bucket whatever its size, and decoding
-# one outcome's step.
+# 2-core Xeon host): partitioning a scanned cell, sorting a list entry, the
+# numpy calls of a bucket whatever its size, and decoding one outcome's
+# step.  Chosen on that host from interleaved timings of both plans on
+# CH(14) to CH(20) and 27 random binary and ternary hypergraphs, at counts
+# 1, stacked rows and twice that: the plan picked was never more than 11%
+# slower than the other.
 _PARTITION_COST = 1
-_SORT_COST = 8
-_BUCKET_COST = 25_000
-_DECODE_COST = 4
+_SORT_COST = 4
+_BUCKET_COST = 30_000
+_DECODE_COST = 8
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:

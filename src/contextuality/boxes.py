@@ -535,7 +535,8 @@ class ContextIncidence:
             # Nothing to eliminate: the prefix is the lift.  Built directly, since a
             # fresh hypergraph builds its plan on its first call, and on small boxes
             # the general construction cost a quarter of a pricing call.
-            return _Plan(_Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ())
+            whole = _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ())
+            return _Plan(whole, ())
 
         def home(scope: Sequence[int]) -> int:
             """The bucket of a term: its highest observable, or -1 (the prefix)."""
@@ -707,7 +708,8 @@ class ContextIncidence:
         the row context c's outcome of lambda hits."""
         stacked = stacked[self._sorted_rows]
         out = np.empty((len(self.dims),) + self.joint_shape, dtype=stacked.dtype)
-        for ci, (a, b, shape) in enumerate(zip(self.offsets, self.offsets[1:], self._broadcast_shapes)):
+        slices = zip(self.offsets, self.offsets[1:], self._broadcast_shapes)
+        for ci, (a, b, shape) in enumerate(slices):
             out[ci] = stacked[a:b].reshape(shape)
         return out.reshape(len(self.dims), -1)
 

@@ -20,7 +20,8 @@ cheaper) and m-best min-sum elimination of the rest give the best
 assignments themselves, and build no joint tensor above 2^14 cells.  On
 CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is optimal, one
 HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and CH(18) two, on
-192 and 216 rows: every candidate of their second round is violated.  The restricted LP is solved in its dual form,
+192 and 216 rows: every candidate of their second round is violated.  The
+restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 

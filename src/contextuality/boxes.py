@@ -43,22 +43,11 @@ PARITY_TOL = 1e-9
 JOINT_DIM_CAP = 2**22
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
 # outright, each by its best completion; the trailing observables are
-# eliminated, keeping the m best completions per cell.  It holds two plans:
-# the longest scan within _SCAN_CELLS, and one within _SHORT_SCAN_CELLS,
-# and takes the one of lower estimated cost (``_Plan.cost``) for each count.
-_SCAN_CELLS = 2**14
-_SHORT_SCAN_CELLS = 2**10
-# The weights of ``_Plan.cost``, in cell additions (about 2 ns each on a
-# 2-core Xeon host): partitioning a scanned cell, sorting a list entry, the
-# numpy calls of a bucket whatever its size, and decoding one outcome's
-# step.  Chosen on that host from interleaved timings of both plans on
-# CH(14) to CH(20) and 27 random binary and ternary hypergraphs, at counts
-# 1, stacked rows and twice that: the plan picked was never more than 11%
-# slower than the other.
-_PARTITION_COST = 1
-_SORT_COST = 4
-_BUCKET_COST = 30_000
-_DECODE_COST = 8
+# eliminated, keeping the m best completions per cell.  Joints of at most
+# this many cells are scanned whole.  On CH(14) to CH(20), a scan of 2^10
+# cells and a few width-2 buckets took 17-57% less time than one of 2^14,
+# from one outcome to twice the stacked rows.
+_SCAN_CELLS = 2**10
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -289,87 +278,6 @@ class _Bucket:
         return out, steps
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """How ``ContextIncidence.extremum`` scores: a scanned prefix, whose
-    ``contexts`` and ``messages`` it sums, and the buckets that eliminate
-    the other observables, in elimination order."""
-
-    prefix: _Bucket
-    buckets: tuple[_Bucket, ...]
-
-    @property
-    def scan_cells(self) -> int:
-        return math.prod(self.prefix.shape)
-
-    @cached_property
-    def _largest_bucket(self) -> int:
-        return max((math.prod(b.shape) for b in self.buckets), default=0)
-
-    def ranks(self, count: int, prefixes: int) -> int:
-        """Entries per list: ``count``, or the most that keep every list merge within the cap.
-
-        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
-        bucket, or of each of the ``prefixes`` picked prefixes.
-        """
-        if count == 1 or not self.buckets:
-            return 1
-        cells = max(prefixes, self._largest_bucket)
-        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
-            return count
-        lo, hi = 1, count
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def cost(self, count: int) -> int:
-        """Estimated time of finding the ``count`` best outcomes, in cell additions.
-
-        The scan adds its terms into every prefix cell and, for ``count``
-        above 1, partitions the cells.  A bucket adds its terms into every
-        cell of its table, merges its messages' lists (each pair summed and
-        sorted) and eliminates its observable (a minimum per cell, or the
-        list sorted when ``m`` is above 1).  Each bucket also costs
-        ``_BUCKET_COST`` for its numpy calls, and for ``count`` above 1
-        ``_DECODE_COST`` per outcome and decoding step.
-        """
-        cells = self.scan_cells
-        count_p = min(count, cells)
-        m = self.ranks(count, count_p)
-        total = cells * (len(self.prefix.contexts) + len(self.prefix.messages))
-        if count_p > 1:
-            total += cells * _PARTITION_COST
-        lengths: list[int] = []  # entries in each bucket's message lists
-
-        def merged(cells: int, messages: tuple[int, ...]) -> int:
-            """Adds the cost of merging ``messages`` in each of ``cells``; the list length."""
-            nonlocal total
-            length = 1
-            for k in messages:
-                if length == 1 or lengths[k] == 1:
-                    length = min(m, length * lengths[k])
-                    total += cells * length
-                else:
-                    pairs = _pair_count(length, lengths[k], m)
-                    total += cells * pairs * (1 + _SORT_COST)
-                    length = min(m, pairs)
-            return length
-
-        for b in self.buckets:
-            b_cells = math.prod(b.shape)
-            k = merged(b_cells, b.messages)
-            total += b_cells * (len(b.contexts) + (k * _SORT_COST if m > 1 else 1)) + _BUCKET_COST
-            if count > 1:
-                total += _DECODE_COST * count * (len(b.scope) + len(b.messages) + 2)
-            lengths.append(min(m, b.shape[b.scope[-1]] * k))
-        merged(count_p, self.prefix.messages)
-        return total
-
-
 def _row_major(radices: Sequence[int]) -> np.ndarray:
     """Multipliers that turn digits over ``radices`` into a row-major index."""
     return np.cumprod(np.concatenate(([1], radices[:0:-1])), dtype=np.int64)[::-1]
@@ -400,11 +308,6 @@ def _pairs(a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     left.flags.writeable = right.flags.writeable = False
     return left, right
-
-
-def _pair_count(a: int, b: int, m: int) -> int:
-    """How many pairs ``_pairs(a, b, m)`` returns, without building them."""
-    return int(np.minimum(b, m // np.arange(1, min(a, m) + 1)).sum())
 
 
 @functools.lru_cache(maxsize=1024)
@@ -517,26 +420,27 @@ class ContextIncidence:
             out += self.broadcast(values, ci)
         return out
 
-    def _plan(self, scan_cells: int) -> _Plan:
-        """The plan that scans the longest run of leading observables with at
-        most ``scan_cells`` cells and eliminates the others.
+    @cached_property
+    def _elimination(self) -> tuple[_Bucket, tuple[_Bucket, ...]]:
+        """The scanned prefix and the buckets that eliminate the other observables.
 
-        They are eliminated last index first: each bucket sums the contexts
-        and messages whose highest observable it eliminates, so that
-        observable is the last of the bucket's scope and every other one in
-        it is decoded before it.  Refuses, before any table exists, a plan
-        whose largest table exceeds ``JOINT_DIM_CAP`` cells.
+        The prefix is the longest run of leading observables with at most
+        ``_SCAN_CELLS`` cells.  The others are eliminated last index first:
+        each bucket sums the contexts and messages whose highest observable
+        it eliminates, so that observable is the last of the bucket's scope
+        and every other one in it is decoded before it.  Refuses, before any
+        table exists, a plan whose largest table exceeds ``JOINT_DIM_CAP``
+        cells.
         """
         cards = self.joint_shape
         if math.prod(cards) >= 2**63:
             raise CapExceededError(f"joint dimension {math.prod(cards)} overflows a joint index")
-        prefix = sum(cells <= scan_cells for cells in itertools.accumulate(cards, operator.mul))
+        prefix = sum(cells <= _SCAN_CELLS for cells in itertools.accumulate(cards, operator.mul))
         if prefix == len(cards):
             # Nothing to eliminate: the prefix is the lift.  Built directly, since a
             # fresh hypergraph builds its plan on its first call, and on small boxes
             # the general construction cost a quarter of a pricing call.
-            whole = _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ())
-            return _Plan(whole, ())
+            return _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ()
 
         def home(scope: Sequence[int]) -> int:
             """The bucket of a term: its highest observable, or -1 (the prefix)."""
@@ -564,36 +468,7 @@ class ContextIncidence:
             ))
             buckets.append(bucket(scope, contexts, messages))
             pending[home(scope[:-1])][1].append(len(buckets) - 1)
-        return _Plan(bucket(range(prefix), *pending[-1]), tuple(buckets))
-
-    @cached_property
-    def _scan_plans(self) -> tuple[_Plan, ...]:
-        """The plan with the longest scan, of at most ``_SCAN_CELLS`` cells,
-        and, unless it scans at most ``_SHORT_SCAN_CELLS``, the plan whose
-        scan is the longest within that.
-
-        Every bucket of the first plan is also one of the second's, so the
-        second refuses no hypergraph the first accepts.
-        """
-        longest = self._plan(_SCAN_CELLS)
-        if longest.scan_cells <= _SHORT_SCAN_CELLS:
-            return (longest,)
-        return longest, self._plan(_SHORT_SCAN_CELLS)
-
-    def _plan_for(self, count: int) -> _Plan:
-        """The plan of lower estimated cost for ``count`` outcomes, chosen once
-        per count and kept in ``_chosen``."""
-        plans = self._scan_plans
-        if len(plans) == 1:
-            return plans[0]
-        plan = self._chosen.get(count)
-        if plan is None:
-            plan = self._chosen[count] = min(plans, key=lambda p: p.cost(count))
-        return plan
-
-    @cached_property
-    def _chosen(self) -> dict[int, _Plan]:
-        return {}
+        return bucket(range(prefix), *pending[-1]), tuple(buckets)
 
     def extremum(self, y: np.ndarray, sense: str, count: int = 1) -> tuple[float, np.ndarray]:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and where.
@@ -602,9 +477,9 @@ class ContextIncidence:
         indices of the ``count`` best joint outcomes (all of them, if fewer),
         by m-best bucket elimination (Nilsson 1998; Flerova, Marinescu &
         Dechter 2016): each bucket keeps, per cell of its scope, the ``m``
-        best partial scores and where each came from.  The scan of the plan
-        ``_plan_for`` picks for ``count`` scores every prefix by its best
-        completion and keeps the ``count`` best, which hold the prefixes of the ``count`` best
+        best partial scores and where each came from.  The scan scores every
+        prefix (see ``_elimination``) by its best completion and keeps the
+        ``count`` best, which hold the prefixes of the ``count`` best
         outcomes up to ties; their lists are merged and the best ``count``
         decoded.  ``m`` is ``count``, or less where a merge of two lists
         would exceed ``JOINT_DIM_CAP`` entries; then the best score is still
@@ -617,8 +492,7 @@ class ContextIncidence:
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
-        plan = self._plan_for(count)
-        prefix, buckets = plan.prefix, plan.buckets
+        prefix, buckets = self._elimination
         y = np.asarray(y, dtype=float)
         # Min-sum throughout; negation is exact, so ties stay ties.
         if sense == "max":
@@ -632,7 +506,7 @@ class ContextIncidence:
         ]
         ctx = prefix.table(tables)
         count_p = min(count, ctx.size)
-        m = plan.ranks(count, count_p)
+        m = self._ranks(count, count_p)
         lists: list[np.ndarray] = []
         records = []
         cards = self.joint_shape
@@ -694,6 +568,27 @@ class ContextIncidence:
     def _strides(self) -> np.ndarray:
         return _row_major(self.joint_shape)
 
+    def _ranks(self, count: int, prefixes: int) -> int:
+        """Entries per list: ``count``, or the most that keep every list merge within the cap.
+
+        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
+        bucket, or of each of the ``prefixes`` picked prefixes.
+        """
+        _, buckets = self._elimination
+        if count == 1 or not buckets:
+            return 1
+        cells = max(prefixes, *(math.prod(b.shape) for b in buckets))
+        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
+            return count
+        lo, hi = 1, count
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
     @cached_property
     def _sorted_rows(self) -> np.ndarray:
         """The stacked rows with each context's outcomes row-major in increasing
@@ -748,7 +643,7 @@ class ContextIncidence:
         n = math.prod(self.joint_shape) if joint_indices is None else np.size(joint_indices)
         # The flat position of each stacked row's first column.
         start = np.full(self.dim, size * n)
-        start[slice(None) if support is None else support] = np.arange(0, size * n, n)
+        start[slice(None) if support is None else support] = np.arange(size) * n
         if joint_indices is None:
             flat = self._spread(start) + np.arange(n)
         else:

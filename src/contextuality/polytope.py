@@ -15,13 +15,12 @@ supports best, which ``ContextIncidence.extremum`` finds by minimizing
 ``extremum``, takes up to twice that many of the cheapest per round and
 appends those that score below 1 - 1e-9 under the current duals, until
 every assignment scores at least 1.  Both are exact: a scan of the leading
-observables (at most 2^14 cells, or at most 2^10 where that is estimated
-cheaper) and m-best min-sum elimination of the rest give the best
-assignments themselves, and build no joint tensor above 2^14 cells.  On
-CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is optimal, one
-HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and CH(18) two, on
-192 and 216 rows: every candidate of their second round is violated.  The
-restricted LP is solved in its dual form,
+observables (at most 2^10 cells) and m-best min-sum elimination of the
+rest give the best assignments themselves, and build no joint tensor above
+2^10 cells.  On CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is
+optimal, one HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and
+CH(18) two, on 192 and 216 rows: every candidate of their second round is
+violated.  The restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 

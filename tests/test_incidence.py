@@ -1,5 +1,6 @@
 """The context-incidence operator against a brute-force loop over joint outcomes."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -183,8 +184,8 @@ def test_list_merges_stay_within_cap():
 
 @st.composite
 def mid_hypergraphs(draw):
-    """Binary and ternary hypergraphs with 2^10 < joint_dim <= 2^14, where the
-    longest scan is the whole joint and a 2^10-cell scan eliminates the rest.
+    """Binary and ternary hypergraphs with 2^10 < joint_dim <= 2^14, which a
+    scan of 2^14 cells takes whole and one of 2^10 cells does not.
 
     Contexts of 2 or 3 observables, listed in a random order.
     """
@@ -198,58 +199,50 @@ def mid_hypergraphs(draw):
     return cx.Hypergraph([(f"O{i}", 3 if i in ternary else 2) for i in range(k)], contexts)
 
 
-def forced(op, plan, y, sense, count):
-    """``extremum`` under ``plan``, whatever plan its cost estimate picks."""
-    chosen = dict(op._chosen)
-    op._chosen[count] = plan
-    try:
-        return op.extremum(y, sense, count)
-    finally:
-        op._chosen.clear()
-        op._chosen.update(chosen)
+def scan_cells(op):
+    """Cells of the prefix ``extremum`` scans on ``op``, and whether it eliminates any."""
+    prefix, buckets = op._elimination
+    return math.prod(prefix.shape), bool(buckets)
 
 
 @seed(20261019)
 @settings(max_examples=40, deadline=None)
 @given(g=mid_hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
-def test_chosen_plan_matches_full_scan(g, draw_seed):
-    """Whichever plan is chosen, and the short plan forced, agree with the full scan."""
+def test_short_scan_matches_full_scan(g, draw_seed):
+    """The 2^10-cell scan and its buckets agree with a scan of the whole joint."""
     assert 2**10 < g.joint_dim <= 2**14
     rng = np.random.default_rng(draw_seed)
     op = g.incidence
-    full, short = op._scan_plans
-    assert full.scan_cells == g.joint_dim and not full.buckets
-    assert short.scan_cells <= 2**10 and short.buckets
+    assert scan_cells(op)[0] <= 2**10 and scan_cells(op)[1]
+    with mock.patch.object(boxes, "_SCAN_CELLS", 2**14):
+        full = cx.Hypergraph(g.observables, g.contexts).incidence
+        assert scan_cells(full) == (g.joint_dim, False)
     y = stacked_values(g, rng)
     integer = np.array_equal(y, np.round(y))
     scores = op.lift(y).ravel()
 
     # count 1: the first optimum in row-major order; its score exact on integer weights.
     for sense, sign in (("max", 1.0), ("min", -1.0)):
-        reference = forced(op, full, y, sense, 1)
+        reference = full.extremum(y, sense)
         first = int(np.argmax(sign * scores))
         assert reference[1].tolist() == [first] and reference[0] == scores[first]
-        for best, picked in (op.extremum(y, sense), forced(op, short, y, sense, 1)):
-            assert picked.tolist() == [first]
-            assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
+        best, picked = op.extremum(y, sense)
+        assert picked.tolist() == [first]
+        assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
 
     # count > 1, among them the cost LP's: the count best outcomes, exactly.
     for count in (int(rng.integers(2, 64)), op.dim, 2 * op.dim):
-        for best, picked in (op.extremum(y, "min", count), forced(op, short, y, "min", count)):
-            assert picked.size == count == np.unique(picked).size
-            rest = np.setdiff1d(np.arange(g.joint_dim), picked)
-            assert scores[picked].max() <= scores[rest].min()
-            assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
+        best, picked = op.extremum(y, "min", count)
+        assert picked.size == count == np.unique(picked).size
+        rest = np.setdiff1d(np.arange(g.joint_dim), picked)
+        assert scores[picked].max() <= scores[rest].min()
+        assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [14, 15, 16, 17, 18, 19, 20])
 def test_chains_take_the_short_scan(n):
-    """CH(14) to CH(20) scan 2^10 cells for one optimum and for the cost LP's candidates."""
-    op = cx.chain_box(n).hypergraph.incidence
-    full, short = op._scan_plans
-    assert full.scan_cells == min(2**n, boxes._SCAN_CELLS) and short.scan_cells == 2**10
-    for count in (1, op.dim, 2 * op.dim):
-        assert op._plan_for(count) is short
+    """CH(14) to CH(20) scan 2^10 cells and eliminate the other observables."""
+    assert scan_cells(cx.chain_box(n).hypergraph.incidence) == (2**10, True)
 
 
 @pytest.mark.parametrize("g", [
@@ -258,19 +251,17 @@ def test_chains_take_the_short_scan(n):
     cx.Hypergraph([(f"O{i}", 3) for i in range(6)], [(i, (i + 1) % 6) for i in range(6)]),
 ])
 def test_small_joints_keep_the_whole_joint_scan(g):
-    """Joints of at most 2^10 cells have one plan, the whole-joint scan, for every count."""
+    """Joints of at most 2^10 cells are scanned whole: the lift, context by context."""
     assert g.joint_dim <= 2**10
     op = g.incidence
-    (plan,) = op._scan_plans
-    assert plan.scan_cells == g.joint_dim and not plan.buckets
-    assert plan.prefix.contexts == tuple(range(g.n_contexts))
-    for count in (1, op.dim, 2 * op.dim):
-        assert op._plan_for(count) is plan
+    assert scan_cells(op) == (g.joint_dim, False)
+    assert op._elimination[0].contexts == tuple(range(g.n_contexts))
 
 
 @pytest.mark.parametrize("ternary", [False, True])
 def test_rows_match_bruteforce(ternary):
-    """``rows`` of scattered joint indices, in any array shape, against ``brute_rows``."""
+    """``rows`` of scattered joint indices, in any array shape, against ``brute_rows``;
+    an empty list of joint indices gives an empty row table and an empty block."""
     rng = np.random.default_rng(20261019 + ternary)
     for _ in range(30):
         k = int(rng.integers(3, 9))
@@ -286,3 +277,6 @@ def test_rows_match_bruteforce(ternary):
         assert np.array_equal(op.rows(int(picked[0, 0])), table[picked[0, 0]])
         assert np.array_equal(op.rows(np.arange(g.joint_dim)), table)
         assert op.rows(picked).dtype == np.int64
+        assert op.rows([]).shape == (0, g.n_contexts)
+        assert op.columns([]).shape == (op.dim, 0)
+        assert op.columns([], support=[0, op.dim - 1]).shape == (2, 0)

@@ -232,7 +232,7 @@ class _Bucket:
     """A sum of context tables and messages over the observables of ``scope``.
 
     ``shape`` is the joint shape with 1 off the scope, so every context table
-    (``ContextIncidence.broadcast``) and every message (kept with its
+    (``ContextIncidence.tables``) and every message (kept with its
     eliminated axis) adds in by broadcasting.  ``contexts`` and ``messages``
     index the context tables and the earlier buckets' messages it adds.
     """
@@ -351,8 +351,11 @@ class ContextIncidence:
     of lambda's restriction to that context.  So ``marginals(p) = M p`` is
     the stacked vector of context marginals, ``lift(y) = M^T y`` is the
     joint tensor ``sum_c y_c(lambda_c)``, and ``rows(lambda)`` lists the
-    rows of column lambda.  Both products are tensor reductions and
-    broadcasts, so their memory stays O(joint_dim); ``columns`` builds a
+    rows of column lambda.  A context's table (``tables``) is its outcome
+    vector on the joint's axes, of size 1 off the context; one gather
+    through ``_sorted_rows`` takes every table, and one scatter through it
+    stacks the marginals, so memory stays O(joint_dim).  ``_context_strides``
+    turns an outcome's digits into its rows.  ``columns`` builds a
     dense block of M only for the caller that asks for one (the entropy
     solver on small boxes), and the cost LP takes its rows from ``rows``.
     This is the only code that knows the stacked layout.
@@ -367,31 +370,17 @@ class ContextIncidence:
 
     def __init__(self, g: Hypergraph):
         cards = g.cardinalities
-        k = len(cards)
         self.joint_shape = cards
         self.contexts = g.contexts
         self.context_shapes = tuple(tuple(cards[i] for i in ctx) for ctx in g.contexts)
         self.dims = tuple(map(math.prod, self.context_shapes))
         self.offsets = tuple(itertools.accumulate(self.dims, initial=0))
         self.dim = self.offsets[-1]
-        plans, to_sorted, broadcast_shapes = [], [], []
-        for ctx, shape in zip(g.contexts, self.context_shapes):
-            # The context's positions in increasing observable order, and each
-            # position's rank in that order: a marginal keeps its axes sorted,
-            # so the rank is the transpose back to the context's order.
-            order = sorted(range(len(ctx)), key=ctx.__getitem__)
-            rank = [0] * len(ctx)
-            for r, j in enumerate(order):
-                rank[j] = r
-            full = [1] * k
-            for i, d in zip(ctx, shape):
-                full[i] = d
-            plans.append((tuple(i for i in range(k) if i not in ctx), tuple(rank)))
-            to_sorted.append(tuple(order))
-            broadcast_shapes.append(tuple(full))
-        self._plans = tuple(plans)
-        self._to_sorted = tuple(to_sorted)
-        self._broadcast_shapes = tuple(broadcast_shapes)
+        # Each context's table shape, and the axes its marginal sums out.
+        self._table_shapes = tuple(
+            tuple(d if i in ctx else 1 for i, d in enumerate(cards)) for ctx in g.contexts
+        )
+        self._summed = tuple(tuple(i for i in range(len(cards)) if i not in c) for c in g.contexts)
 
     def stack(self, parts: Sequence) -> np.ndarray:
         """One vector per context, concatenated in context order (inverse of ``split``)."""
@@ -404,20 +393,35 @@ class ContextIncidence:
         return [stacked[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
 
     def marginals(self, p: np.ndarray) -> np.ndarray:
-        """``M p``: stacked context marginals of a joint tensor (or flat joint vector)."""
-        p = np.reshape(p, self.joint_shape)
-        return np.concatenate([_marginalize(p, plan).ravel() for plan in self._plans])
+        """``M p``: stacked context marginals of a joint tensor (or flat joint vector).
 
-    def broadcast(self, values: np.ndarray, ci: int) -> np.ndarray:
-        """Context ``ci``'s outcome vector as an array broadcastable to the joint shape."""
-        values = np.reshape(values, self.context_shapes[ci])
-        return np.transpose(values, self._to_sorted[ci]).reshape(self._broadcast_shapes[ci])
+        A context's marginal sums its other axes, in table order; one scatter stacks them.
+        """
+        p = np.reshape(p, self.joint_shape)
+        out = np.empty(self.dim)
+        out[self._sorted_rows] = np.concatenate([p.sum(axis=a).ravel() for a in self._summed])
+        return out
+
+    def tables(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Each context's part of a stacked vector as its table: an array on the
+        joint's axes, of size 1 off the context, so it broadcasts to the joint shape.
+
+        One gather takes every table.  Refuses a vector not shaped ``(dim,)``.
+        """
+        stacked = np.asarray(stacked)
+        if stacked.shape != (self.dim,):
+            raise InvalidBoxError(f"stacked vector has shape {stacked.shape}, not ({self.dim},)")
+        stacked = stacked[self._sorted_rows]
+        return [
+            stacked[a:b].reshape(shape)
+            for a, b, shape in zip(self.offsets, self.offsets[1:], self._table_shapes)
+        ]
 
     def lift(self, stacked: np.ndarray) -> np.ndarray:
         """``M^T y``: joint tensor ``sum_c y_c(lambda_c)``, added in context order."""
         out = np.zeros(self.joint_shape)
-        for ci, values in enumerate(self.split(stacked)):
-            out += self.broadcast(values, ci)
+        for table in self.tables(stacked):
+            out += table
         return out
 
     @cached_property
@@ -488,22 +492,17 @@ class ContextIncidence:
         ``count`` 1 the candidate is the first optimum in row-major order.
         When nothing is eliminated, the scores are ``lift(y)`` and the
         candidates are its first best entry (``count`` 1) or its
-        ``argpartition``.
+        ``argpartition``.  Refuses a ``y`` not shaped ``(dim,)`` and a
+        ``count`` that is not an integer of at least 1.
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise InvalidBoxError(f"count must be an integer >= 1, got {count!r}")
         prefix, buckets = self._elimination
         y = np.asarray(y, dtype=float)
         # Min-sum throughout; negation is exact, so ties stay ties.
-        if sense == "max":
-            y = -y
-        # Each context's table, broadcastable to the joint shape: one gather
-        # puts every context's outcomes in increasing observable order.
-        y = y[self._sorted_rows]
-        tables = [
-            y[a:b].reshape(shape)
-            for a, b, shape in zip(self.offsets, self.offsets[1:], self._broadcast_shapes)
-        ]
+        tables = self.tables(-y if sense == "max" else y)
         ctx = prefix.table(tables)
         count_p = min(count, ctx.size)
         m = self._ranks(count, count_p)
@@ -592,34 +591,38 @@ class ContextIncidence:
     @cached_property
     def _sorted_rows(self) -> np.ndarray:
         """The stacked rows with each context's outcomes row-major in increasing
-        observable order, the order of its ``broadcast`` table."""
+        observable order, the order of its table."""
+        parts = zip(self.contexts, self.context_shapes, self.offsets, self.offsets[1:])
         return np.concatenate([
-            offset + self.broadcast(np.arange(dim), ci).ravel()
-            for ci, (offset, dim) in enumerate(zip(self.offsets, self.dims))
+            np.arange(a, b).reshape(s).transpose(sorted(range(len(c)), key=c.__getitem__)).ravel()
+            for c, s, a, b in parts
         ])
 
     def _spread(self, stacked: np.ndarray) -> np.ndarray:
         """``(n_contexts, joint_dim)``: entry ``(c, lambda)`` is ``stacked`` at
         the row context c's outcome of lambda hits."""
-        stacked = stacked[self._sorted_rows]
         out = np.empty((len(self.dims),) + self.joint_shape, dtype=stacked.dtype)
-        slices = zip(self.offsets, self.offsets[1:], self._broadcast_shapes)
-        for ci, (a, b, shape) in enumerate(slices):
-            out[ci] = stacked[a:b].reshape(shape)
+        for ci, table in enumerate(self.tables(stacked)):
+            out[ci] = table
         return out.reshape(len(self.dims), -1)
 
     def rows(self, joint_indices=None) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.
 
         ``None`` stands for every joint index in order.  Otherwise the
-        indices' digits are taken once and multiplied by each context's
-        row-major strides; the float product is exact, since every term is
-        an integer below the stacked dimension.
+        indices' digits are taken once.
         """
         if joint_indices is None:
             return self._spread(np.arange(self.dim)).T
         digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
-        local = np.moveaxis(np.array(digits, dtype=float), 0, -1) @ self._context_strides
+        return self._digit_rows(np.moveaxis(np.array(digits, dtype=float), 0, -1))
+
+    def _digit_rows(self, digits) -> np.ndarray:
+        """``rows`` of outcomes given by their digits, shape ``(..., n_observables)``.
+
+        The float product is exact: every term is an integer below the stacked dimension.
+        """
+        local = np.asarray(digits, dtype=float) @ self._context_strides
         return local.astype(np.int64) + self.offsets[:-1]
 
     @cached_property
@@ -897,15 +900,9 @@ def box_of_joint(joint: JointDistribution) -> Box:
 def deterministic_box(assignment: DeterministicAssignment, g: Hypergraph) -> Box:
     """The box whose every context distribution is the point mass induced by ``assignment``."""
     assignment.validate_for(g)
-    dists = []
-    for ci, ctx in enumerate(g.contexts):
-        vec = np.zeros(g.context_dim(ci))
-        idx = np.ravel_multi_index(
-            tuple(assignment.outputs[i] for i in ctx), g.context_shape(ci)
-        )
-        vec[idx] = 1.0
-        dists.append(vec)
-    return Box(g, dists)
+    stacked = np.zeros(g.incidence.dim)
+    stacked[g.incidence._digit_rows(assignment.outputs)] = 1.0
+    return Box(g, g.incidence.split(stacked))
 
 
 def mix(b1: Box, b2: Box, p: float) -> Box:
@@ -1047,21 +1044,3 @@ def apply_independent_channels(box: Box, mixture: ChannelMixture) -> Box:
                 )
             new_dists[ci] = new_dists[ci] + w * t.reshape(-1)
     return Box(g, new_dists)
-
-
-def apply_channels_to_joint(
-    joint: JointDistribution, mixture: ChannelMixture
-) -> JointDistribution:
-    """Same channel action on a full joint distribution."""
-    g = joint.hypergraph
-    out = np.zeros(g.joint_dim)
-    for w, mats in mixture:
-        t = joint.tensor()
-        for axis in range(g.n_observables):
-            t = np.moveaxis(
-                np.tensordot(np.asarray(mats[axis], dtype=float), t, axes=([1], [axis])),
-                0,
-                axis,
-            )
-        out = out + w * t.reshape(-1)
-    return JointDistribution(g, out)

@@ -58,7 +58,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
 # Largest support-restricted incidence matrix (support rows x joint_dim
 # entries, 8 MB) the solver keeps dense: below it two matrix-vector products
-# beat the per-context tensor reductions on every box measured, above it the
+# beat the incidence's marginal sums and table lift on every box measured, above it the
 # gain shrinks and turns into a loss on boxes with many rows per context.
 DENSE_ENTRIES_CAP = 2**20
 # Adaptive over-relaxation of the multiplicative step: the
@@ -491,11 +491,10 @@ def verify_equivalence(
     p_tensor = report.optimizer.probabilities.reshape(g.joint_shape)
     w = weights.weights
     extensions = []
-    pairs = zip(op.split(box.stacked()), op.split(op.marginals(p_tensor)))
-    for ci, (target, m) in enumerate(pairs):
+    for ci, ratio in enumerate(op.tables(box.stacked() / op.marginals(p_tensor))):
         if w[ci] <= 0.0:
             continue
-        ext = p_tensor * op.broadcast(target / m, ci)
+        ext = p_tensor * ratio
         extensions.append((w[ci], ext.reshape(-1)))
     mixture = np.zeros(g.joint_dim)
     for wc, ext in extensions:

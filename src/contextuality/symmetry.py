@@ -115,13 +115,14 @@ class GroupElement:
         """
         g = self.hypergraph
         offsets = g.incidence.offsets
+        strides = g.incidence._context_strides.astype(np.int64)
         inverse = [np.argsort(r) for r in self.relabelings]
         source = np.empty(g.incidence.dim, dtype=np.int64)
         for t, (ctx, tprime) in enumerate(zip(g.contexts, self.context_image)):
             tgt_ctx = g.contexts[tprime]
             ys = np.unravel_index(np.arange(g.context_dim(tprime)), g.context_shape(tprime))
-            xs = tuple(inverse[i][ys[tgt_ctx.index(self.perm[i])]] for i in ctx)
-            src = np.ravel_multi_index(xs, g.context_shape(t))
+            # Each row's source outcome, digit by digit, times the digit's stride in context t.
+            src = sum(inverse[i][ys[tgt_ctx.index(self.perm[i])]] * strides[i, t] for i in ctx)
             source[offsets[tprime] : offsets[tprime + 1]] = offsets[t] + src
         source.flags.writeable = False
         return source

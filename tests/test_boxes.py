@@ -14,6 +14,22 @@ EVEN2 = np.array([0.5, 0.0, 0.0, 0.5])
 ODD2 = np.array([0.0, 0.5, 0.5, 0.0])
 
 
+def apply_channels_to_joint(joint, mixture):
+    """Oracle: the channel action of ``apply_independent_channels`` on a full joint distribution."""
+    g = joint.hypergraph
+    out = np.zeros(g.joint_dim)
+    for w, mats in mixture:
+        t = joint.tensor()
+        for axis in range(g.n_observables):
+            t = np.moveaxis(
+                np.tensordot(np.asarray(mats[axis], dtype=float), t, axes=([1], [axis])),
+                0,
+                axis,
+            )
+        out = out + w * t.reshape(-1)
+    return cx.JointDistribution(g, out)
+
+
 def two_context_hypergraph():
     return cx.Hypergraph([("A1", 2), ("A2", 2), ("A3", 2)], [(0, 1), (1, 2)])
 
@@ -336,7 +352,6 @@ class TestChannels:
 
     def test_commutes_with_box_of_joint(self, rng):
         # Independent channels act on the joint or on the box equivalently.
-        from contextuality.boxes import apply_channels_to_joint
         from contextuality.sampling import random_channel_mixture
 
         g = cx.chain_box(4).hypergraph

@@ -121,6 +121,44 @@ def test_operator_matches_bruteforce(g, draw_seed):
         assert result.argopt.outputs == tuple(int(v) for v in np.unravel_index(best, g.joint_shape))
 
 
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
+def test_layout_matches_transpose_reference(g, draw_seed):
+    """Tables against a per-context transpose, and marginals against ``cx.marginal``,
+    bit for bit."""
+    rng = np.random.default_rng(draw_seed)
+    op = g.incidence
+    y = stacked_values(g, rng)
+    for table, part, ctx in zip(op.tables(y), op.split(y), g.contexts):
+        shape = tuple(d if i in ctx else 1 for i, d in enumerate(g.joint_shape))
+        context_shape = [g.cardinalities[i] for i in ctx]
+        reference = np.transpose(np.reshape(part, context_shape), np.argsort(ctx))
+        assert table.shape == shape
+        assert np.array_equal(table, reference.reshape(shape))
+
+    p = rng.dirichlet(np.ones(g.joint_dim))
+    joint = cx.JointDistribution(g, p)
+    for part, ctx in zip(op.split(op.marginals(p)), g.contexts):
+        assert np.array_equal(part, cx.marginal(joint, ctx))
+
+
+@pytest.mark.parametrize("box", [cx.pr_box(), cx.chain_box(14)])
+def test_layout_refuses_malformed_input(box):
+    """A score vector not shaped ``(dim,)`` and a count below 1 or not an integer are
+    refused, by the whole-joint scan (PR) and by elimination (CH(14)) alike."""
+    op = box.hypergraph.incidence
+    y = box.stacked()
+    for bad in (np.append(y, np.zeros(5)), y[:-1], y[:, None], y.reshape(1, -1)):
+        for call in (op.tables, op.lift, lambda v: op.extremum(v, "max")):
+            with pytest.raises(cx.InvalidBoxError):
+                call(bad)
+    for count in (0, -1, 1.5, 2.0, None):
+        with pytest.raises(cx.InvalidBoxError):
+            op.extremum(y, "min", count)
+    assert op.extremum(y, "max", np.int64(2))[1].size == 2
+
+
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("scan_cells", [1, 16])

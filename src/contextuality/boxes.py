@@ -195,6 +195,18 @@ class Hypergraph:
             groups.setdefault(find(i), []).append(i)
         return tuple(map(tuple, groups.values()))
 
+    @property
+    def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+        """``(context index, separator)`` pairs in running-intersection order,
+        or None if the hypergraph is cyclic.
+
+        Each context's separator is its set of observables (in increasing
+        order) shared with the contexts before it, and one of those contains
+        it all, so the product of each context's conditional on its separator
+        has every context marginal of a consistent box (see ``_join_tree``).
+        """
+        return _join_tree(self.contexts, self.n_observables)
+
     @cached_property
     def _context_index(self) -> dict[frozenset[int], int]:
         return {s: ci for ci, s in enumerate(self.context_sets)}
@@ -202,6 +214,43 @@ class Hypergraph:
     def find_context(self, observables: Iterable[int]) -> int:
         """Index of the context equal (as a set) to ``observables``; -1 if absent."""
         return self._context_index.get(frozenset(observables), -1)
+
+
+@functools.lru_cache(maxsize=256)
+def _join_tree(contexts: tuple[tuple[int, ...], ...], n_observables: int) -> tuple | None:
+    """``Hypergraph.join_tree`` of a context list, by GYO ear removal
+    (Graham 1979; Yu & Ozsoyoglu 1979).
+
+    A context is an ear when the observables it shares with the other
+    remaining contexts lie in one of them (a context inside another is one).
+    Ears are removed, first index first, until one context is left, and the
+    order is reversed.  Removing an ear keeps an acyclic hypergraph acyclic,
+    so the greedy order fails only on a cyclic one.  Made once per context
+    list, so boxes on one hypergraph (or on equal ones) share it.
+    """
+    sets = [frozenset(c) for c in contexts]
+    holders: list[set[int]] = [set() for _ in range(n_observables)]
+    for ci, ctx in enumerate(sets):
+        for i in ctx:
+            holders[i].add(ci)
+    remaining = set(range(len(sets)))
+    removed: list[tuple[int, tuple[int, ...]]] = []
+    while len(remaining) > 1:
+        for ci in sorted(remaining):
+            shared = [i for i in sets[ci] if len(holders[i]) > 1]
+            if not shared:
+                break
+            # A context holding every shared observable holds the first.
+            if any(ci != f and sets[f].issuperset(shared) for f in holders[shared[0]]):
+                break
+        else:
+            return None
+        remaining.remove(ci)
+        for i in sets[ci]:
+            holders[i].remove(ci)
+        removed.append((ci, tuple(sorted(shared))))
+    (last,) = remaining
+    return ((last, ()),) + tuple(reversed(removed))
 
 
 def _marginal_axes(axes: Sequence[int], subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -371,6 +420,7 @@ class ContextIncidence:
     def __init__(self, g: Hypergraph):
         cards = g.cardinalities
         self.joint_shape = cards
+        self._joint_dim = g.joint_dim
         self.contexts = g.contexts
         self.context_shapes = tuple(tuple(cards[i] for i in ctx) for ctx in g.contexts)
         self.dims = tuple(map(math.prod, self.context_shapes))
@@ -396,7 +446,10 @@ class ContextIncidence:
         """``M p``: stacked context marginals of a joint tensor (or flat joint vector).
 
         A context's marginal sums its other axes, in table order; one scatter stacks them.
+        Refuses an array of another size than the joint's.
         """
+        if np.size(p) != self._joint_dim:
+            raise InvalidBoxError(f"joint has {np.size(p)} entries, not {self._joint_dim}")
         p = np.reshape(p, self.joint_shape)
         out = np.empty(self.dim)
         out[self._sorted_rows] = np.concatenate([p.sum(axis=a).ravel() for a in self._summed])
@@ -895,6 +948,31 @@ def box_of_joint(joint: JointDistribution) -> Box:
     """The (non-contextual, hence consistent) box of marginals of ``joint``."""
     g = joint.hypergraph
     return Box(g, g.incidence.split(g.incidence.marginals(joint.probabilities)))
+
+
+def junction_tree_joint(box: Box) -> np.ndarray | None:
+    """The junction-tree joint of a box, as a flat vector; None if its
+    hypergraph is cyclic.
+
+    The product over ``join_tree`` of each context's distribution
+    conditioned on its separator, ``b_c(lambda_c | lambda_sep)``, with
+    0/0 = 0; the tables come from one gather.  On an acyclic hypergraph
+    every consistent box is the box of this joint (Vorob'ev 1962), so it is
+    noncontextual; in floating point the marginals match to rounding, and
+    callers certify what they report from the joint, not from the theorem.
+    """
+    g = box.hypergraph
+    tree = g.join_tree
+    if tree is None:
+        return None
+    tables = g.incidence.tables(box.stacked())
+    joint = np.ones(g.joint_shape)
+    for ci, separator in tree:
+        table = tables[ci]
+        free = tuple(i for i in g.contexts[ci] if i not in separator)
+        given = table.sum(axis=free, keepdims=True)
+        joint *= np.divide(table, given, out=np.zeros(table.shape), where=given > 0.0)
+    return joint.reshape(-1)
 
 
 def deterministic_box(assignment: DeterministicAssignment, g: Hypergraph) -> Box:

@@ -33,6 +33,16 @@ The maximized measure sup_w min_p is computed by multiplicative-weights
 ascent on the context simplex; the supergradient at w is the vector of
 per-context divergences at the inner minimizer.  Each round reweights one
 problem, whose matrix is rebuilt only if a weight underflows to 0.
+
+On an acyclic hypergraph every consistent box is noncontextual, and its
+junction-tree joint (``boxes.junction_tree_joint``) has the box's context
+marginals (Vorob'ev 1962).  ``x_fixed`` and ``x_u`` start the unchanged loop
+from that joint, and ``x_max`` starts its first round there.  The
+certificate at the start has a gap of about 1e-15, so the solve stops at its
+first check without a step, and ``x_max``'s ascent stops after one round.
+Nothing rests on the theorem in floating point: a box consistent only within
+``require_consistent``'s tolerance has a larger gap, and the loop steps on
+from a near-optimal point.
 """
 
 from __future__ import annotations
@@ -46,7 +56,13 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import (
-    JOINT_DIM_CAP, Box, Hypergraph, JointDistribution, check_joint_dim, require_consistent
+    JOINT_DIM_CAP,
+    Box,
+    Hypergraph,
+    JointDistribution,
+    check_joint_dim,
+    junction_tree_joint,
+    require_consistent,
 )
 from .closed_form import chi
 from .errors import InvalidBoxError, NotXorBoxError
@@ -359,7 +375,7 @@ def x_fixed(
         raise InvalidBoxError("one weight per context required")
     start = time.perf_counter()
     value, p_flat, gap, iters, converged, trace = _solve_fixed(
-        _FixedWeightProblem(box, weights), tol, max_iters
+        _FixedWeightProblem(box, weights), tol, max_iters, junction_tree_joint(box)
     )
     return MeasureReport(
         value=value,
@@ -419,7 +435,7 @@ def x_max(
     upper = float("inf")
     total_inner = 0
     last_improve = 0
-    warm: np.ndarray | None = None
+    warm = junction_tree_joint(box)
     p_sum = np.zeros(box.hypergraph.joint_dim)
     # One problem, reweighted each round; its targets and positive rows,
     # which divergences read, do not depend on the weights.

@@ -38,6 +38,15 @@ lower end of the bracket.  The report keeps the witness as the LP left it,
 joint indices and weights, and decodes the assignments and the residual box
 only when they are read.
 
+A box on an acyclic hypergraph needs no LP.  Its junction-tree joint
+(``boxes.junction_tree_joint``) has the box's context marginals, so the box is
+noncontextual (Vorob'ev 1962).  The witness is the joint's positive cells,
+scaled by the largest ``s <= 1`` that keeps it within the box on every row.
+The cost is ``1 - s * sum``, about 1e-15, and the interval is ``(0, cost)``:
+0 is a lower bound of every cost.  A box consistent only within
+``require_consistent``'s tolerance can get a closed-form cost above 1e-9;
+column generation then solves it as any other box.
+
 HiGHS runs with presolve off.  These LPs have tens of variables and at most
 a few hundred rows per round, and presolve cost more than it saved: on the
 48 boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)`` (2 cores,
@@ -59,7 +68,14 @@ from functools import cached_property
 import numpy as np
 import scipy
 
-from .boxes import Box, DeterministicAssignment, Hypergraph, check_joint_dim, require_consistent
+from .boxes import (
+    Box,
+    DeterministicAssignment,
+    Hypergraph,
+    check_joint_dim,
+    junction_tree_joint,
+    require_consistent,
+)
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 
 DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
@@ -217,6 +233,11 @@ def contextuality_cost(box: Box) -> CostReport:
     g = box.hypergraph
     check_joint_dim(g)
     stacked = box.stacked()
+    joint = junction_tree_joint(box)
+    if joint is not None:
+        report = _junction_tree_cost(box, stacked, joint)
+        if report.cost <= _LP_TOL:
+            return report
     n_contexts = g.n_contexts
     lp = _cost_lp()
     # Variable y_r for each stacked row r: cost b_r, bounds [0, inf), no entries yet.
@@ -271,6 +292,25 @@ def contextuality_cost(box: Box) -> CostReport:
     interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
     used = np.flatnonzero(weights > 1e-12)
     return CostReport(cost, interval, box, columns[used], weights[used])
+
+
+def _junction_tree_cost(box: Box, stacked: np.ndarray, joint: np.ndarray) -> CostReport:
+    """The cost certified by the junction-tree joint of a box on an acyclic hypergraph.
+
+    The witness is the joint's positive cells, scaled by the largest
+    ``s <= 1`` that keeps its box within ``b`` on every row, so it spends no
+    more than the box, to rounding, even where the box is consistent only
+    within ``require_consistent``'s tolerance.  The cost ``1 - s * sum(joint)``
+    is then an upper bound, and 0 a lower one.
+    """
+    columns = np.flatnonzero(joint > 0.0)
+    weights = joint[columns]
+    mass = box.hypergraph.incidence.marginals(joint)
+    spent = mass > 0.0
+    scale = min(1.0, float((stacked[spent] / mass[spent]).min()))
+    weights *= scale
+    cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
+    return CostReport(cost, (0.0, cost), box, columns, weights)
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:

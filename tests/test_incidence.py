@@ -159,6 +159,19 @@ def test_layout_refuses_malformed_input(box):
     assert op.extremum(y, "max", np.int64(2))[1].size == 2
 
 
+@pytest.mark.parametrize("box", [cx.pr_box(), cx.chain_box(14)])
+def test_marginals_refuse_a_joint_of_another_size(box):
+    """A joint vector or tensor of another size than the joint's is refused
+    with ``InvalidBoxError``, not numpy's reshape error."""
+    g = box.hypergraph
+    op = g.incidence
+    p = np.full(g.joint_dim, 1.0 / g.joint_dim)
+    for bad in (np.ones(17) / 17, np.append(p, 0.0), p[:-1], np.ones(g.joint_shape + (2,))):
+        with pytest.raises(cx.InvalidBoxError):
+            op.marginals(bad)
+    assert np.array_equal(op.marginals(p.reshape(g.joint_shape)), op.marginals(p))
+
+
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("scan_cells", [1, 16])

@@ -191,23 +191,41 @@ def identity_boxes(draw):
 @settings(max_examples=40, deadline=None)
 @given(box=identity_boxes(), draw_seed=st.integers(0, 2**32 - 1), implicit=st.booleans())
 def test_x_fixed_matches_reference(box, draw_seed, implicit):
-    """Weights with zeros on most draws; dense matrix or tensor reductions."""
+    """Weights with zeros on most draws; dense matrix or tensor reductions.
+
+    The solver's loop from the uniform start matches the oracle on every
+    draw.  ``x_fixed`` starts there too on a cyclic hypergraph; on an acyclic
+    one it starts from the junction-tree joint, which the tests of
+    ``test_junction_tree.py`` cover."""
     weights = sparse_weights(box.hypergraph.n_contexts, np.random.default_rng(draw_seed))
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", 0 if implicit else measures.DENSE_ENTRIES_CAP):
         problem = measures._FixedWeightProblem(box, weights)
+        solved = measures._solve_fixed(problem, 1e-9, 3000)
         report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
     value, p, gap, iterations, converged, trace = reference_solve_fixed(problem, 1e-9, 3000)
-    assert (report.value, report.duality_gap, report.iterations) == (value, gap, iterations)
-    assert (report.converged, report.trace) == (converged, trace)
-    assert np.array_equal(report.optimizer.probabilities, p)
+    assert solved[:1] + solved[2:] == (value, gap, iterations, converged, trace)
+    assert np.array_equal(solved[1], p)
+    if box.hypergraph.join_tree is None:
+        assert (report.value, report.duality_gap, report.iterations) == (value, gap, iterations)
+        assert (report.converged, report.trace) == (converged, trace)
+        assert np.array_equal(report.optimizer.probabilities, p)
 
 
 @seed(20261026)
 @settings(max_examples=10, deadline=None)
 @given(box=identity_boxes())
 def test_x_max_matches_reference(box):
+    """Bit for bit on a cyclic hypergraph.  On an acyclic one the ascent
+    starts from the junction-tree joint, so its bracket
+    ``[value - duality_gap, value]`` and the oracle's must overlap."""
     report = cx.x_max(box, max_iters=2000, outer_window=8)
-    assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+    reference = reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+    if box.hypergraph.join_tree is None:
+        assert fields(report) == reference
+    else:
+        value, gap = reference[:2]
+        assert value - gap <= report.value
+        assert report.value - report.duality_gap <= value
 
 
 @pytest.mark.parametrize("anchor", [ANCHORS[0], ANCHORS[-1]], ids=["PR", "ternary-cycle"])

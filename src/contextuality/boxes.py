@@ -253,23 +253,6 @@ def _join_tree(contexts: tuple[tuple[int, ...], ...], n_observables: int) -> tup
     return ((last, ()),) + tuple(reversed(removed))
 
 
-def _marginal_axes(axes: Sequence[int], subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Plan to marginalize a tensor whose axis j carries observable ``axes[j]``.
-
-    Returns the axes to sum out and the transpose that orders the kept axes
-    as ``subset``.
-    """
-    keep = [axes.index(i) for i in subset]
-    kept_sorted = sorted(keep)
-    other = tuple(a for a in range(len(axes)) if a not in keep)
-    return other, tuple(kept_sorted.index(a) for a in keep)
-
-
-def _marginalize(tensor: np.ndarray, plan: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    other, perm = plan
-    return np.transpose(tensor.sum(axis=other) if other else tensor, perm)
-
-
 def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
     """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
     if g.joint_dim > cap:
@@ -403,11 +386,13 @@ class ContextIncidence:
     rows of column lambda.  A context's table (``tables``) is its outcome
     vector on the joint's axes, of size 1 off the context; one gather
     through ``_sorted_rows`` takes every table, and one scatter through it
-    stacks the marginals, so memory stays O(joint_dim).  ``_context_strides``
-    turns an outcome's digits into its rows.  ``columns`` builds a
-    dense block of M only for the caller that asks for one (the entropy
-    solver on small boxes), and the cost LP takes its rows from ``rows``.
-    This is the only code that knows the stacked layout.
+    stacks the marginals, so memory stays O(joint_dim).  Consistency, the
+    component factorization and the group action read these tables.
+    ``rows`` maps joint indices to their rows through their digits.
+    ``columns`` builds dense rows of M, on every joint index, only for the
+    caller that asks for them (the entropy solver on small boxes), and the
+    cost LP takes its rows from ``rows``.  This is the only code that knows
+    the stacked layout.
 
     ``extremum`` finds the best joint outcomes lambda of a score
     ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
@@ -651,22 +636,8 @@ class ContextIncidence:
             for c, s, a, b in parts
         ])
 
-    def _spread(self, stacked: np.ndarray) -> np.ndarray:
-        """``(n_contexts, joint_dim)``: entry ``(c, lambda)`` is ``stacked`` at
-        the row context c's outcome of lambda hits."""
-        out = np.empty((len(self.dims),) + self.joint_shape, dtype=stacked.dtype)
-        for ci, table in enumerate(self.tables(stacked)):
-            out[ci] = table
-        return out.reshape(len(self.dims), -1)
-
-    def rows(self, joint_indices=None) -> np.ndarray:
-        """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``.
-
-        ``None`` stands for every joint index in order.  Otherwise the
-        indices' digits are taken once.
-        """
-        if joint_indices is None:
-            return self._spread(np.arange(self.dim)).T
+    def rows(self, joint_indices) -> np.ndarray:
+        """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``."""
         digits = np.unravel_index(np.asarray(joint_indices, dtype=np.int64), self.joint_shape)
         return self._digit_rows(np.moveaxis(np.array(digits, dtype=float), 0, -1))
 
@@ -687,25 +658,24 @@ class ContextIncidence:
             out[list(ctx), ci] = _row_major(shape)
         return out
 
-    def columns(self, joint_indices=None, support=None) -> np.ndarray:
-        """Dense ``M[support][:, joint_indices]``; every joint index when
-        ``joint_indices`` is None, every stacked row when ``support`` is None.
+    def columns(self, support=None) -> np.ndarray:
+        """Dense ``M[support]`` on every joint index; every stacked row when
+        ``support`` is None.
 
-        One scatter sets each 1 at its flat position in a block of one row
-        per support row and a spare last row, which takes the rows off the
-        support and is dropped on return.
+        Each context's table of flat row starts, plus the grid of column
+        indices, scatters its 1s into a block of one row per support row and
+        a spare last row, which takes the rows off the support and is
+        dropped on return.
         """
         size = self.dim if support is None else np.size(support)
-        n = math.prod(self.joint_shape) if joint_indices is None else np.size(joint_indices)
+        n = self._joint_dim
         # The flat position of each stacked row's first column.
         start = np.full(self.dim, size * n)
         start[slice(None) if support is None else support] = np.arange(size) * n
-        if joint_indices is None:
-            flat = self._spread(start) + np.arange(n)
-        else:
-            flat = start[self.rows(np.ravel(joint_indices))] + np.arange(n)[:, None]
+        grid = np.arange(n).reshape(self.joint_shape)
         out = np.zeros((size + 1) * n)
-        out[flat.ravel()] = 1.0
+        for table in self.tables(start):
+            out[(table + grid).ravel()] = 1.0
         return out[: size * n].reshape(size, n)
 
 
@@ -769,8 +739,18 @@ class Box:
         )
 
     def stacked(self) -> np.ndarray:
-        """All context vectors concatenated in context order."""
-        return self.hypergraph.incidence.stack(self.distributions)
+        """All context vectors concatenated in context order, read-only.
+
+        Made once per box; refuses a box whose vectors are not sized to their
+        contexts (see ``validate_box``).
+        """
+        return self._stacked
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        stacked = self.hypergraph.incidence.stack(self.distributions)
+        stacked.flags.writeable = False
+        return stacked
 
     # A box and its arrays are immutable, so each check runs once per box.
     @cached_property
@@ -854,30 +834,28 @@ class ConsistencyReport:
 
 @functools.lru_cache(maxsize=256)
 def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple:
-    """``(a, b, shared observables, plan of a, plan of b)`` for each pair of
-    contexts that share an observable, with the plans that marginalize each
-    context onto the shared observables.
+    """``(a, b, shared observables, a's others, b's others)`` for each pair of
+    contexts that share an observable; summing its others out of a context's
+    table leaves its marginal on the shared observables, in one shape for both.
 
     Made once per context list, so boxes on one hypergraph (or on equal
-    ones) share it; the cache holds plans only, no box data.
+    ones) share it; the cache holds axes only, no box data.
     """
     out = []
     for a, b in itertools.combinations(range(len(contexts)), 2):
-        shared = tuple(sorted(set(contexts[a]) & set(contexts[b])))
-        if shared:
-            out.append((a, b, shared, _marginal_axes(contexts[a], shared),
-                        _marginal_axes(contexts[b], shared)))
+        sa, sb = set(contexts[a]), set(contexts[b])
+        if sa & sb:
+            out.append((a, b, tuple(sorted(sa & sb)), tuple(sorted(sa - sb)), tuple(sorted(sb - sa))))
     return tuple(out)
 
 
 def _shared_marginal_tvs(box: Box):
     """``(a, b, shared observables, TV distance)`` per pair of overlapping contexts."""
     g = box.hypergraph
-    tensors = [box.context_tensor(ci) for ci in range(g.n_contexts)]
-    for a, b, shared, plan_a, plan_b in _overlaps(g.contexts):
-        ma = _marginalize(tensors[a], plan_a)
-        mb = _marginalize(tensors[b], plan_b)
-        yield a, b, shared, 0.5 * float(np.abs(ma - mb).sum())
+    tables = g.incidence.tables(box.stacked())
+    for a, b, shared, a_only, b_only in _overlaps(g.contexts):
+        diff = tables[a].sum(axis=a_only, keepdims=True) - tables[b].sum(axis=b_only, keepdims=True)
+        yield a, b, shared, 0.5 * float(np.abs(diff).sum())
 
 
 def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
@@ -941,7 +919,9 @@ def marginal(joint: JointDistribution, subset: Sequence[int]) -> np.ndarray:
     k = joint.hypergraph.n_observables
     if len(set(subset)) != len(subset) or any(i < 0 or i >= k for i in subset):
         raise InvalidBoxError(f"invalid marginal subset {subset}")
-    return _marginalize(joint.tensor(), _marginal_axes(range(k), subset)).reshape(-1)
+    kept = sorted(subset)
+    summed = joint.tensor().sum(axis=tuple(i for i in range(k) if i not in subset))
+    return np.transpose(summed, [kept.index(i) for i in subset]).reshape(-1)
 
 
 def box_of_joint(joint: JointDistribution) -> Box:

@@ -47,6 +47,7 @@ from a near-optimal point.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -162,17 +163,11 @@ def _factorize_components(p_tensor: np.ndarray, g: Hypergraph) -> np.ndarray:
     the objective value is preserved while the minimizer factorizes.
     """
     k = g.n_observables
-    factors = []
-    axis_order: list[int] = []
-    for comp in g.components:
-        others = tuple(a for a in range(k) if a not in comp)
-        factors.append(p_tensor.sum(axis=others))
-        axis_order.extend(comp)
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = np.multiply.outer(prod, f)
-    perm = tuple(axis_order.index(j) for j in range(k))
-    return np.ascontiguousarray(np.transpose(prod, perm))
+    factors = [
+        p_tensor.sum(axis=tuple(a for a in range(k) if a not in comp), keepdims=True)
+        for comp in g.components
+    ]
+    return functools.reduce(np.multiply, factors)
 
 
 class _FixedWeightProblem:

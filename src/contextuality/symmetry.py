@@ -109,21 +109,22 @@ class GroupElement:
     def stacked_source(self) -> np.ndarray:
         """The action as one gather of stacked rows.
 
-        ``apply(self, box).stacked() == box.stacked()[stacked_source]``: row
-        ``y`` of image context ``t' = context_image[t]`` reads the outcome of
-        source context ``t`` obtained by undoing the relabelings and positions.
+        ``apply(self, box).stacked() == box.stacked()[stacked_source]``: the
+        row of image context ``t' = context_image[t]`` reached from an outcome
+        of source context ``t`` reads that outcome's row.  Context ``t'``'s
+        table of row numbers (``ContextIncidence.tables``), its axes taken
+        back to the source observables and each reindexed by its relabeling,
+        is indexed by the source outcome like context ``t``'s table, so one
+        scatter pairs the two.
         """
         g = self.hypergraph
-        offsets = g.incidence.offsets
-        strides = g.incidence._context_strides.astype(np.int64)
-        inverse = [np.argsort(r) for r in self.relabelings]
+        rows = g.incidence.tables(np.arange(g.incidence.dim))
         source = np.empty(g.incidence.dim, dtype=np.int64)
         for t, (ctx, tprime) in enumerate(zip(g.contexts, self.context_image)):
-            tgt_ctx = g.contexts[tprime]
-            ys = np.unravel_index(np.arange(g.context_dim(tprime)), g.context_shape(tprime))
-            # Each row's source outcome, digit by digit, times the digit's stride in context t.
-            src = sum(inverse[i][ys[tgt_ctx.index(self.perm[i])]] * strides[i, t] for i in ctx)
-            source[offsets[tprime] : offsets[tprime + 1]] = offsets[t] + src
+            image = np.transpose(rows[tprime], self.perm)
+            for i in ctx:
+                image = np.take(image, self.relabelings[i], axis=i)
+            source[image.ravel()] = rows[t].ravel()
         source.flags.writeable = False
         return source
 

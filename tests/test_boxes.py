@@ -1,9 +1,12 @@
 """Box core: validation, consistency, marginals, and composition operators."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from test_incidence import hypergraphs
 
 import contextuality as cx
 from contextuality import boxes
@@ -28,6 +31,40 @@ def apply_channels_to_joint(joint, mixture):
             )
         out = out + w * t.reshape(-1)
     return cx.JointDistribution(g, out)
+
+
+def plan_marginal(tensor, axes, subset):
+    """Marginal on ``subset`` of a tensor whose axis j carries observable ``axes[j]``:
+    the other axes summed out, the kept ones transposed into ``subset``'s order."""
+    keep = [axes.index(i) for i in subset]
+    kept_sorted = sorted(keep)
+    other = tuple(a for a in range(len(axes)) if a not in keep)
+    return np.transpose(tensor.sum(axis=other), [kept_sorted.index(a) for a in keep])
+
+
+def loop_marginal(box, ci, subset):
+    """Marginal on ``subset`` of context ``ci``'s distribution, outcome by outcome."""
+    ctx = box.hypergraph.contexts[ci]
+    out = np.zeros([box.hypergraph.cardinalities[i] for i in subset])
+    for outcome, p in zip(np.ndindex(box.hypergraph.context_shape(ci)), box.distributions[ci]):
+        out[tuple(outcome[ctx.index(i)] for i in subset)] += p
+    return out
+
+
+def pair_tvs(box):
+    """``{(a, b, shared): TV distance}`` over the overlapping context pairs, each
+    marginal taken by its context's own transpose plan and checked by a loop."""
+    g = box.hypergraph
+    out = {}
+    for a, b in itertools.combinations(range(g.n_contexts), 2):
+        shared = tuple(sorted(set(g.contexts[a]) & set(g.contexts[b])))
+        if not shared:
+            continue
+        ma, mb = (plan_marginal(box.context_tensor(c), g.contexts[c], shared) for c in (a, b))
+        assert np.allclose(ma, loop_marginal(box, a, shared), rtol=0.0, atol=1e-15)
+        assert np.allclose(mb, loop_marginal(box, b, shared), rtol=0.0, atol=1e-15)
+        out[(a, b, shared)] = 0.5 * float(np.abs(ma - mb).sum())
+    return out
 
 
 def two_context_hypergraph():
@@ -109,29 +146,95 @@ def nudged_pr(eps):
     return cx.Box(pr.hypergraph, dists)
 
 
+@seed(20261106)
+@settings(max_examples=80, deadline=None)
+@given(
+    g=hypergraphs(),
+    draw_seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "sparse", "nudged", "independent"]),
+)
+def test_consistency_matches_per_pair_oracle(g, draw_seed, kind):
+    """``check_consistency`` against ``pair_tvs`` on consistent boxes (of a dense or
+    a sparse joint) and inconsistent ones (a consistent box with mass moved
+    inside one context, or independent context distributions)."""
+    rng = np.random.default_rng(draw_seed)
+    p = rng.dirichlet(np.ones(g.joint_dim))
+    if kind == "sparse":
+        p[rng.uniform(size=p.size) < 0.5] = 0.0
+        p[rng.integers(p.size)] += 0.5
+    box = cx.box_of_joint(cx.JointDistribution(g, p / p.sum()))
+    if kind == "nudged":
+        dists = list(box.distributions)
+        ci = int(rng.integers(g.n_contexts))
+        vec = dists[ci].copy()
+        src, dst = rng.choice(vec.size, size=2, replace=False)
+        moved = vec[src] * float(rng.choice([1e-9, 1e-6, 1e-3, 1.0]))
+        vec[src] -= moved
+        vec[dst] += moved
+        dists[ci] = vec
+        box = cx.Box(g, dists)
+    elif kind == "independent":
+        box = cx.Box(g, [rng.dirichlet(np.ones(g.context_dim(ci))) for ci in range(g.n_contexts)])
+    tvs = pair_tvs(box)
+    for tol in (1e-12, 1e-9, 1e-7, 1e-4, 1e-2):
+        report = cx.check_consistency(box, tol)
+        assert abs(report.max_deviation - max(tvs.values(), default=0.0)) <= 1e-15
+        found = {(v.context_a, v.context_b, v.shared): v.distance for v in report.violations}
+        # A distance within rounding of the tolerance may fall on either side.
+        near = {pair for pair, tv in tvs.items() if abs(tv - tol) <= 1e-15}
+        assert set(found) - near == {pair for pair, tv in tvs.items() if tv > tol} - near
+        assert all(abs(found[pair] - tvs[pair]) <= 1e-15 for pair in found)
+        assert report.consistent == (not found)
+
+
+@pytest.mark.parametrize("name", ["pr", "pm", "mermin"])
+def test_builtin_boxes_are_exactly_consistent(name, request):
+    box = request.getfixturevalue(name)
+    report = cx.check_consistency(box, 0.0)
+    assert report.max_deviation == 0.0 and report.consistent
+    assert max(pair_tvs(box).values()) == 0.0
+
+
+class TestStacked:
+    def test_made_once_and_read_only(self, pm):
+        box = cx.Box(pm.hypergraph, pm.distributions)
+        stacked = box.stacked()
+        assert box.stacked() is stacked
+        assert not stacked.flags.writeable
+        assert np.array_equal(stacked, np.concatenate(pm.distributions))
+        with pytest.raises(ValueError):
+            stacked[0] = 1.0
+
+    def test_wrong_length_refused_after_its_shape_report(self, pr):
+        dists = list(pr.distributions)
+        dists[1] = np.array([0.5, 0.5])
+        box = cx.Box(pr.hypergraph, dists)
+        report = cx.validate_box(box)
+        assert [(i.context, i.kind) for i in report.issues] == [(1, "shape")]
+        for _ in range(2):
+            with pytest.raises(cx.InvalidBoxError):
+                box.stacked()
+
+
 class TestValidatedOnce:
     """A box's validity and largest shared-marginal distance are computed once."""
 
     def test_pairwise_marginals_computed_once(self, monkeypatch):
         box = cx.mix(cx.pm_box(), cx.box_of_joint(random_joint(cx.pm_box().hypergraph,
                                                                 np.random.default_rng(3))), 0.8)
-        g = box.hypergraph
-        pairs = sum(bool(a & b) for i, a in enumerate(g.context_sets)
-                    for b in g.context_sets[i + 1:])
         calls = []
 
-        def counting(tensor, plan):
-            calls.append(tensor.ndim)
-            return marginalize(tensor, plan)
+        def counting(b):
+            calls.append(b)
+            return shared_marginal_tvs(b)
 
-        marginalize = boxes._marginalize
-        monkeypatch.setattr(boxes, "_marginalize", counting)
+        shared_marginal_tvs = boxes._shared_marginal_tvs
+        monkeypatch.setattr(boxes, "_shared_marginal_tvs", counting)
         cx.x_u(box)
         cx.contextuality_cost(box)
         cx.x_max(box, outer_window=20)
         cx.check_consistency(box, 1e-9)
-        # Joint tensors (the solver's marginals) have one axis per observable.
-        assert sum(ndim < g.n_observables for ndim in calls) == 2 * pairs
+        assert calls == [box]
 
     @pytest.mark.parametrize(
         "solve", [cx.x_u, cx.contextuality_cost, lambda box: cx.x_max(box, outer_window=5)],

@@ -87,16 +87,6 @@ def test_evaluate_paths_agree(g, draw_seed):
         assert np.max(np.abs(r1 - r2)) <= 1e-12
 
 
-@seed(20261022)
-@settings(max_examples=60, deadline=None)
-@given(g=hypergraphs())
-def test_rows_of_every_joint_match_indexed_rows(g):
-    op = g.incidence
-    everything = np.arange(g.joint_dim)
-    assert np.array_equal(op.rows(), op.rows(everything))
-    assert np.array_equal(op.columns(), op.columns(everything))
-
-
 @seed(20261019)
 @settings(max_examples=16, deadline=None)
 @given(
@@ -163,7 +153,7 @@ def test_divergences_against_per_context_loop(anchor, draw_seed):
     _, other, _, _, _, _ = measures._solve_fixed(problem, 1e-9, 3, start)
     average = (iterate + other) / (iterate + other).sum()
     face = rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.25)
-    face[(problem.op.rows() == rng.choice(problem.positive)).any(axis=1)] = 0.0
+    face[(problem.op.rows(np.arange(g.joint_dim)) == rng.choice(problem.positive)).any(axis=1)] = 0.0
     for p in (iterate, average, face):
         expected = per_context_divergences(problem, p)
         got = problem.divergences(p)

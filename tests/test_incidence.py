@@ -120,6 +120,13 @@ def test_operator_matches_bruteforce(g, draw_seed):
         assert result.value == scores[best]
         assert result.argopt.outputs == tuple(int(v) for v in np.unravel_index(best, g.joint_shape))
 
+    # columns: the dense M, one 1 per context in each column, and any rows of it.
+    dense = np.zeros((op.dim, g.joint_dim))
+    dense[table, np.arange(g.joint_dim)[:, None]] = 1.0
+    assert np.array_equal(op.columns(), dense)
+    support = np.sort(rng.choice(op.dim, size=int(rng.integers(1, op.dim + 1)), replace=False))
+    assert np.array_equal(op.columns(support=support), dense[support])
+
 
 @seed(20261020)
 @settings(max_examples=60, deadline=None)
@@ -329,5 +336,4 @@ def test_rows_match_bruteforce(ternary):
         assert np.array_equal(op.rows(np.arange(g.joint_dim)), table)
         assert op.rows(picked).dtype == np.int64
         assert op.rows([]).shape == (0, g.n_contexts)
-        assert op.columns([]).shape == (op.dim, 0)
-        assert op.columns([], support=[0, op.dim - 1]).shape == (2, 0)
+        assert op.columns(support=[]).shape == (0, g.joint_dim)

@@ -486,7 +486,7 @@ def test_face_start_against_em(anchor, draw_seed):
     problem = measures._FixedWeightProblem(box, weights)
     init = rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.25)
     missed = rng.choice(problem.support)
-    init[(problem.op.rows() == missed).any(axis=1)] = 0.0
+    init[(problem.op.rows(np.arange(g.joint_dim)) == missed).any(axis=1)] = 0.0
     value, p, gap, _, _, trace = measures._solve_fixed(problem, 1e-9, 2000, init)
     assert math.isfinite(value) and math.isfinite(gap)
     assert np.all(p > 0.0)

@@ -30,7 +30,7 @@ def dense_reference_cost(box, n_columns=None):
     columns = np.arange(min(g.joint_dim, n_columns or g.joint_dim))
     res = linprog(
         c=-np.ones(columns.size),
-        A_ub=g.incidence.columns(columns),
+        A_ub=g.incidence.columns()[:, columns],
         b_ub=box.stacked(),
         bounds=(0.0, None),
         method="highs",
@@ -330,7 +330,7 @@ class TestOptimizeLinear:
 def test_vertex_matrix_columns_are_deterministic_boxes(pr):
     g = pr.hypergraph
     poly = cx.enumerate_vertices(g)
-    a_mat = g.incidence.columns(np.arange(poly.vertex_count))
+    a_mat = g.incidence.columns()[:, np.arange(poly.vertex_count)]
     for j in (0, 7, 15):
         det = cx.deterministic_box(poly.assignment(j), g)
         assert np.array_equal(a_mat[:, j], det.stacked())

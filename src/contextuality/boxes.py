@@ -38,8 +38,8 @@ NORMALIZATION_TOL = 1e-9
 NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
-# Largest joint tensor (cells) the entropy solver or the cost LP allocates,
-# and the largest table ``ContextIncidence.extremum`` builds.
+# Largest joint tensor (cells) the entropy solver or ``junction_tree_joint``
+# allocates, and the largest table ``ContextIncidence.extremum`` builds.
 JOINT_DIM_CAP = 2**22
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
 # outright, each by its best completion; the trailing observables are
@@ -471,18 +471,14 @@ class ContextIncidence:
         each bucket sums the contexts and messages whose highest observable
         it eliminates, so that observable is the last of the bucket's scope
         and every other one in it is decoded before it.  Refuses, before any
-        table exists, a plan whose largest table exceeds ``JOINT_DIM_CAP``
-        cells.
+        table exists, a plan whose largest table, the prefix's included,
+        exceeds ``JOINT_DIM_CAP`` cells, and a joint of 2^63 cells or more,
+        whose indices overflow int64.
         """
         cards = self.joint_shape
         if math.prod(cards) >= 2**63:
             raise CapExceededError(f"joint dimension {math.prod(cards)} overflows a joint index")
         prefix = sum(cells <= _SCAN_CELLS for cells in itertools.accumulate(cards, operator.mul))
-        if prefix == len(cards):
-            # Nothing to eliminate: the prefix is the lift.  Built directly, since a
-            # fresh hypergraph builds its plan on its first call, and on small boxes
-            # the general construction cost a quarter of a pricing call.
-            return _Bucket(tuple(range(prefix)), cards, tuple(range(len(self.contexts))), ()), ()
 
         def home(scope: Sequence[int]) -> int:
             """The bucket of a term: its highest observable, or -1 (the prefix)."""
@@ -932,7 +928,7 @@ def box_of_joint(joint: JointDistribution) -> Box:
 
 def junction_tree_joint(box: Box) -> np.ndarray | None:
     """The junction-tree joint of a box, as a flat vector; None if its
-    hypergraph is cyclic.
+    hypergraph is cyclic or its joint exceeds ``JOINT_DIM_CAP`` cells.
 
     The product over ``join_tree`` of each context's distribution
     conditioned on its separator, ``b_c(lambda_c | lambda_sep)``, with
@@ -943,7 +939,7 @@ def junction_tree_joint(box: Box) -> np.ndarray | None:
     """
     g = box.hypergraph
     tree = g.join_tree
-    if tree is None:
+    if tree is None or g.joint_dim > JOINT_DIM_CAP:
         return None
     tables = g.incidence.tables(box.stacked())
     joint = np.ones(g.joint_shape)

@@ -17,10 +17,12 @@ appends those that score below 1 - 1e-9 under the current duals, until
 every assignment scores at least 1.  Both are exact: a scan of the leading
 observables (at most 2^10 cells) and m-best min-sum elimination of the
 rest give the best assignments themselves, and build no joint tensor above
-2^10 cells.  On CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is
-optimal, one HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and
-CH(18) two, on 192 and 216 rows: every candidate of their second round is
-violated.  The restricted LP is solved in its dual form,
+2^10 cells, so no joint cap applies: only the plan refuses a box, for a
+table above ``JOINT_DIM_CAP`` cells or a joint of 2^63 cells or more.  On
+CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is optimal, one
+HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and CH(18) two, on
+192 and 216 rows: every candidate of their second round is violated.  The
+restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
@@ -44,8 +46,9 @@ noncontextual (Vorob'ev 1962).  The witness is the joint's positive cells,
 scaled by the largest ``s <= 1`` that keeps it within the box on every row.
 The cost is ``1 - s * sum``, about 1e-15, and the interval is ``(0, cost)``:
 0 is a lower bound of every cost.  A box consistent only within
-``require_consistent``'s tolerance can get a closed-form cost above 1e-9;
-column generation then solves it as any other box.
+``require_consistent``'s tolerance can get a closed-form cost above 1e-9,
+and a joint above ``JOINT_DIM_CAP`` cells is not built; column generation
+then solves the box as any other.
 
 HiGHS runs with presolve off.  These LPs have tens of variables and at most
 a few hundred rows per round, and presolve cost more than it saved: on the
@@ -72,7 +75,6 @@ from .boxes import (
     Box,
     DeterministicAssignment,
     Hypergraph,
-    check_joint_dim,
     junction_tree_joint,
     require_consistent,
 )
@@ -227,11 +229,11 @@ def contextuality_cost(box: Box) -> CostReport:
     solution y prices the columns, and the witness weights are the rows'
     duals, so the cost ``1 - sum w`` belongs to the reported witness.
     Defined only for consistent boxes; inconsistent input is refused rather
-    than given a misleading number.
+    than given a misleading number.  Only the elimination plan refuses a
+    box for its size (see the module docstring).
     """
     require_consistent(box)
     g = box.hypergraph
-    check_joint_dim(g)
     stacked = box.stacked()
     joint = junction_tree_joint(box)
     if joint is not None:

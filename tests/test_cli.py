@@ -15,6 +15,7 @@ from contextuality.cli import (
     figure_chain_rows,
     main,
 )
+from contextuality.closed_form import cost_closed_form
 
 LOG2_4_3 = 0.41503749927884376
 
@@ -194,6 +195,13 @@ class TestExitCodes:
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "measure", "builtin:CH:30", "xu")
         assert code == EXIT_CAP_EXCEEDED
+
+    def test_cost_above_the_joint_cap(self, capsys):
+        # x_u refuses CH(30) above, but the cost builds no joint and solves it.
+        code, out, _ = run_cli(capsys, "measure", "builtin:CH:30:alpha=0.9", "cost")
+        assert code == EXIT_OK
+        value = float(parse_csv(out)[0]["value"])
+        assert abs(value - cost_closed_form("CH", 0.9, 30)) <= 1e-7
 
     @pytest.mark.parametrize("measure", ["beta", "consistency"])
     def test_context_dimension_past_int64_is_invalid_input(self, capsys, tmp_path, measure):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,7 @@ from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, polytope
-from contextuality.boxes import ContextIncidence
+from contextuality.boxes import JOINT_DIM_CAP, ContextIncidence, junction_tree_joint
 from contextuality.closed_form import cost_closed_form
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
 
@@ -429,3 +430,105 @@ def test_multi_round_cost_leaves_numpy_ma_unloaded():
     runs, before, after = done.stdout.split()
     assert int(runs) > 1
     assert (before, after) == ("False", "False")
+
+
+# Above the joint cap.  The cost builds no joint tensor, so only its elimination
+# plan can refuse a box (tests/test_polytope.py); these boxes all pass it.
+
+
+def witness_mass(box, report):
+    """The witness's mass on each stacked row of ``box``."""
+    g = box.hypergraph
+    outputs = np.array([key.outputs for key in report.witness_weights], dtype=np.int64)
+    weights = np.fromiter(report.witness_weights.values(), dtype=float)
+    joint = np.ravel_multi_index(tuple(outputs.T), g.joint_shape)
+    return np.bincount(
+        g.incidence.rows(joint).ravel(),
+        weights=np.repeat(weights, g.n_contexts),
+        minlength=g.incidence.dim,
+    )
+
+
+def check_above_cap(box, expected):
+    """The cost within 1e-7 of ``expected``, an ordered bracket, a witness within
+    the box, and less memory than a joint of ``JOINT_DIM_CAP`` cells would take."""
+    assert box.hypergraph.joint_dim > JOINT_DIM_CAP
+    tracemalloc.start()
+    try:
+        report = cx.contextuality_cost(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(report.cost - expected) <= 1e-7, (report.cost, expected)
+    lo, hi = report.interval
+    assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+    assert np.all(witness_mass(box, report) <= box.stacked() + 1e-9)
+    return report
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+@pytest.mark.parametrize("n", [23, 24, 30, 50, 62])
+def test_chain_cost_above_the_joint_cap(n, alpha):
+    box = cx.chain_box(n, alpha)
+    check_above_cap(box, cost_closed_form("CH", alpha, n))
+
+
+@seed(20261023)
+@settings(max_examples=30, deadline=None)
+@given(
+    anchors=st.tuples(st.sampled_from(ANCHORS), st.sampled_from(ANCHORS)),
+    anchor_weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_sum_costs_the_larger_component(anchors, anchor_weights, draw_seed):
+    """cost(b1 + b2) = max(cost b1, cost b2), on binary and ternary anchored boxes."""
+    rng = np.random.default_rng(draw_seed)
+    b1, b2 = (
+        cx.mix(anchor, sparse_box(anchor.hypergraph, rng), w)
+        for anchor, w in zip(anchors, anchor_weights)
+    )
+    report = cx.contextuality_cost(shuffled(cx.direct_sum(b1, b2), rng))
+    expected = max(cx.contextuality_cost(b1).cost, cx.contextuality_cost(b2).cost)
+    assert abs(report.cost - expected) <= 1e-7, (report.cost, expected)
+
+
+def noisy_ternary_cycle():
+    box = ternary_cycle_box(6)
+    return cx.mix(box, random_noncontextual_box(box.hypergraph, np.random.default_rng(7)), 0.6)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (cx.kcbs_box(), cx.chain_box(8, 0.95), cx.chain_box(16, 0.9)),
+        (cx.chain_box(12, 0.99), cx.chain_box(12, 0.95)),
+        (noisy_ternary_cycle(), cx.chain_box(16, 0.95)),
+    ],
+    ids=["KCBS+CH8+CH16", "CH12+CH12", "ternary6+CH16"],
+)
+def test_direct_sum_above_the_joint_cap(parts):
+    box = parts[0]
+    for part in parts[1:]:
+        box = cx.direct_sum(box, part)
+    expected = max(cx.contextuality_cost(part).cost for part in parts)
+    check_above_cap(box, expected)
+
+
+def test_acyclic_box_above_the_joint_cap(highs_log):
+    """A path of 23 binary observables: no junction-tree joint above the cap, so
+    column generation solves it, to 0, without a joint-sized array."""
+    rng = np.random.default_rng(20261023)
+    n = 23
+    g = cx.Hypergraph([(f"O{i}", 2) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    # A Markov chain's pair marginals: the box of a joint, so consistent and noncontextual.
+    marginal, dists = rng.dirichlet(np.ones(2)), []
+    for _ in g.contexts:
+        pair = marginal[:, None] * rng.dirichlet(np.ones(2), size=2)
+        dists.append(pair.ravel())
+        marginal = pair.sum(axis=0)
+    box = cx.Box(g, dists)
+    assert g.join_tree is not None
+    assert junction_tree_joint(box) is None
+    assert check_above_cap(box, 0.0).cost <= 1e-9
+    assert highs_log["runs"] >= 1

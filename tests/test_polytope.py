@@ -164,9 +164,26 @@ class TestContextualityCost:
         report = cx.contextuality_cost(box)
         assert report.cost == pytest.approx(0.2, abs=1e-7)
 
-    def test_pricing_cap_exceeded(self):
-        with pytest.raises(cx.CapExceededError):
-            cx.contextuality_cost(cx.chain_box(30))
+    def test_elimination_table_over_the_cap_refused_before_allocation(self):
+        # Binary K_24, consistent: eliminating the last observable first joins all 24
+        # in one table of 2^24 cells, which would take 128 MB.
+        g = cx.Hypergraph(
+            [(f"O{i}", 2) for i in range(24)], list(itertools.combinations(range(24), 2))
+        )
+        box = cx.Box(g, [np.full(4, 0.25)] * g.n_contexts)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cx.CapExceededError, match="table of 16777216 cells"):
+                cx.contextuality_cost(box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_joint_index_overflow_refused(self):
+        # CH(63) has 2^63 joint cells: its tables are small, but no int64 indexes the joint.
+        with pytest.raises(cx.CapExceededError, match="overflows a joint index"):
+            cx.contextuality_cost(cx.chain_box(63, 0.9))
 
 
 class TestCostBracket:

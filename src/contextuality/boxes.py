@@ -253,6 +253,12 @@ def _join_tree(contexts: tuple[tuple[int, ...], ...], n_observables: int) -> tup
     return ((last, ()),) + tuple(reversed(removed))
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
     """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
     if g.joint_dim > cap:
@@ -860,8 +866,10 @@ def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
     True iff for every pair of contexts with non-empty intersection the two
     marginals on the shared observables agree within ``tol``.  The largest
     distance is computed once per box and cached on it; the pairs are
-    visited again only to list the violations when it exceeds ``tol``.
+    visited again only to list the violations when it exceeds ``tol``, which
+    must be finite and nonnegative.
     """
+    check_tolerance(tol)
     require_valid(box)
     worst = box._max_shared_tv
     violations = () if worst <= tol else tuple(

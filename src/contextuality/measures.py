@@ -32,7 +32,7 @@ for zeros; a zero one shows as an infinite value.
 The maximized measure sup_w min_p is computed by multiplicative-weights
 ascent on the context simplex; the supergradient at w is the vector of
 per-context divergences at the inner minimizer.  Each round reweights one
-problem, whose matrix is rebuilt only if a weight underflows to 0.
+problem; its rows, and so its matrix, come from the box alone.
 
 On an acyclic hypergraph every consistent box is noncontextual, and its
 junction-tree joint (``boxes.junction_tree_joint``) has the box's context
@@ -62,6 +62,7 @@ from .boxes import (
     Hypergraph,
     JointDistribution,
     check_joint_dim,
+    check_tolerance,
     junction_tree_joint,
     require_consistent,
 )
@@ -173,50 +174,39 @@ def _factorize_components(p_tensor: np.ndarray, g: Hypergraph) -> np.ndarray:
 class _FixedWeightProblem:
     """F(p) = sum_c w_c D(g_c || (M p)_c) on the stacked context outcomes.
 
-    Only the active support (target > 0 in a context of positive weight)
-    enters the value and the multiplier field.  When the
-    support rows of M have at most ``DENSE_ENTRIES_CAP`` entries they are
-    kept as one dense matrix, so a step costs two matrix-vector products;
-    above the cap the operator's tensor reductions keep memory O(joint_dim).
-    ``reweight`` changes the weights in place and rebuilds the matrix only
-    when the support changes.
+    Only the support, the positive-target rows, chosen once from the box,
+    enters the value, the multiplier field and the divergences: a weight
+    scales its rows, and a zero-weight row adds exactly 0 at the solver's
+    floored iterates.  When the support rows of M have at most
+    ``DENSE_ENTRIES_CAP`` entries they are kept as one dense matrix, so a
+    step costs two matrix-vector products; above the cap the operator's
+    tensor reductions keep memory O(joint_dim).
     """
 
     def __init__(self, box: Box, weights: ContextWeights):
         self.g = box.hypergraph
         self.op = self.g.incidence
         self.targets = box.stacked()
-        self.support: np.ndarray | None = None
+        self.support = np.flatnonzero(self.targets > 0.0)
+        self.t_s = self.targets[self.support]
         self.dense: np.ndarray | None = None
+        if self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
+            self.dense = self.op.columns(support=self.support)
         self.reweight(weights.weights)
 
     def reweight(self, weights: np.ndarray) -> None:
-        """Take new context weights (a probability vector).
-
-        With every weight positive the support is the positive-target rows;
-        it shrinks only where a weight is 0, and only then is the matrix
-        rebuilt.
-        """
-        w_rows = np.repeat(weights, self.op.dims)
-        if weights.min() > 0.0:
-            support = self.positive
-        else:
-            support = np.flatnonzero((self.targets > 0.0) & (w_rows > 0.0))
-        if self.support is None or not np.array_equal(support, self.support):
-            self.support = support
-            self.t_s = self.targets[support]
-            self.dense = None
-            if support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
-                self.dense = self.op.columns(support=support)
-        self.w_s = w_rows[self.support]
+        """Take new context weights (a probability vector)."""
+        self.w_s = np.repeat(weights, self.op.dims)[self.support]
         self.wt_s = self.w_s * self.t_s
 
     def field(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Objective value (bits), multiplier field r and its largest entry,
         at a flat joint vector ``p``; r is flat too.
 
-        A zero marginal on the support makes the value +inf; then r is 0 and
-        its largest entry +inf.  The solver's floored iterates never have one.
+        The solver calls it at floored iterates, whose marginals are all
+        positive.  Elsewhere a zero marginal on the support, of a zero-weight
+        context too (0 * inf is NaN), makes the value +inf; then r is 0 and
+        its largest entry +inf.
         """
         if self.dense is None:
             m = self.op.marginals(p)[self.support]
@@ -238,19 +228,15 @@ class _FixedWeightProblem:
         """Objective value (bits), multiplier field r shaped like ``p`` (a flat
         joint vector or a joint tensor), and duality gap (bits): ``field`` at
         any point, a zero marginal on the support included, without a warning."""
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             value, r, r_max = self.field(p.reshape(-1))
         return value, r.reshape(p.shape), _gap(r_max)
 
     @cached_property
-    def positive(self) -> np.ndarray:
-        """The positive-target rows, whatever their weight."""
-        return np.flatnonzero(self.targets > 0.0)
-
-    @cached_property
-    def positive_runs(self) -> list[tuple[int, int]]:
-        """Each context's run ``[start, stop)`` of rows within ``positive``."""
-        ends = np.searchsorted(self.positive, self.op.offsets).tolist()
+    def runs(self) -> list[tuple[int, int]]:
+        """Each context's run ``[start, stop)`` of rows within ``support``
+        (built on first use: only ``x_max`` reads the divergences)."""
+        ends = np.searchsorted(self.support, self.op.offsets).tolist()
         return list(zip(ends, ends[1:]))
 
     def divergences(self, p: np.ndarray) -> np.ndarray:
@@ -258,11 +244,10 @@ class _FixedWeightProblem:
         positive target meets a zero marginal).  The terms of every context
         come from one pass; each context's run is then summed with ``np.sum``,
         so every value is bit-identical to ``relative_entropy``."""
-        m = self.op.marginals(p)[self.positive]
-        t = self.targets[self.positive]
+        m = self.op.marginals(p)[self.support]
         with np.errstate(divide="ignore"):
-            terms = t * np.log2(t / m)
-        return np.array([terms[a:b].sum() for a, b in self.positive_runs])
+            terms = self.t_s * np.log2(self.t_s / m)
+        return np.array([terms[a:b].sum() for a, b in self.runs])
 
 
 def _gap(r_max: float) -> float:
@@ -336,13 +321,16 @@ def _solve_fixed(
     return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
-def _check_stopping(tol: float, max_iters: int) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
-        raise InvalidBoxError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 0:
-        raise InvalidBoxError(f"max_iters must be nonnegative, got {max_iters!r}")
+def _check_arguments(tol: float, dim_cap: int, **counts: int) -> None:
+    """Refuse a tolerance that is not finite and nonnegative, a count that is
+    not a nonnegative integer, and a ``dim_cap`` that is not an integer (a
+    non-positive one is left to ``check_joint_dim``)."""
+    check_tolerance(tol)
+    for name, value in {"dim_cap": dim_cap, **counts}.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidBoxError(f"{name} must be an integer, got {value!r}")
+        if name in counts and value < 0:
+            raise InvalidBoxError(f"{name} must be nonnegative, got {value!r}")
 
 
 def x_fixed(
@@ -364,8 +352,8 @@ def x_fixed(
     brackets the optimum.
     """
     require_consistent(box)
+    _check_arguments(tol, dim_cap, max_iters=max_iters)
     check_joint_dim(box.hypergraph, dim_cap)
-    _check_stopping(tol, max_iters)
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
     start = time.perf_counter()
@@ -418,8 +406,8 @@ def x_max(
     made that the supremum is attained.
     """
     require_consistent(box)
+    _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
     check_joint_dim(box.hypergraph, dim_cap)
-    _check_stopping(tol, max_iters)
     start = time.perf_counter()
     n = box.hypergraph.n_contexts
     log_w = np.zeros(n)
@@ -432,8 +420,7 @@ def x_max(
     last_improve = 0
     warm = junction_tree_joint(box)
     p_sum = np.zeros(box.hypergraph.joint_dim)
-    # One problem, reweighted each round; its targets and positive rows,
-    # which divergences read, do not depend on the weights.
+    # One problem, reweighted each round; its rows do not depend on the weights.
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
     outer = 0
     for outer in range(1, _XMAX_MAX_OUTER + 1):

@@ -137,6 +137,20 @@ class TestConsistency:
         assert not report.consistent
         assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_tolerance_not_finite_and_nonnegative_refused(self, pr, tol):
+        # The shared marginals of this box differ by 1/2: a NaN tolerance
+        # compares false with it and would report the box consistent.
+        dists = list(pr.distributions)
+        dists[0] = np.array([1.0, 0.0, 0.0, 0.0])
+        box = cx.Box(pr.hypergraph, dists)
+        with pytest.raises(cx.InvalidBoxError, match="tolerance"):
+            cx.check_consistency(box, tol)
+        with pytest.raises(cx.InvalidBoxError, match="tolerance"):
+            boxes.require_consistent(box, tol)
+        with pytest.raises(cx.InvalidBoxError, match="tolerance"):
+            cx.check_consistency(pr, tol)
+
 
 def nudged_pr(eps):
     """PR(0.9) with ``eps`` moved from outcome 00 to 10 of context 0: max shared TV is eps."""

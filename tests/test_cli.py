@@ -227,6 +227,19 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "measure", str(path), "cost")
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_consistency_tolerance_not_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        from contextuality.boxfile import box_to_document
+
+        doc = box_to_document(cx.pr_box())
+        doc["distributions"][0] = [1.0, 0.0, 0.0, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "measure", str(path), "consistency", "--tol", tol)
+        assert code == EXIT_INVALID_INPUT
+        assert "tolerance" in err
+        assert out == ""
+
 
 class TestFigureChain:
     def test_row_count_full_range_both_variants(self):

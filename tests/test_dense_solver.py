@@ -138,8 +138,8 @@ def per_context_divergences(problem, p):
 @settings(max_examples=24, deadline=None)
 @given(anchor=st.sampled_from(ANCHORS), draw_seed=st.integers(0, 2**32 - 1))
 def test_divergences_against_per_context_loop(anchor, draw_seed):
-    """Sparse boxes and sparse weights, so the solver's support is a strict
-    subset of the positive-target rows on most draws; checked at a solver
+    """Sparse boxes and sparse weights, so some positive-target rows have zero
+    weight on most draws; checked at a solver
     iterate, at an average of iterates (as ``x_max`` takes it), and at a
     point where some positive target meets a zero marginal.  The values must
     match bit for bit, so ``x_max`` takes the same steps as with the loop."""
@@ -147,13 +147,13 @@ def test_divergences_against_per_context_loop(anchor, draw_seed):
     g = anchor.hypergraph
     box = shuffled(cx.mix(anchor, sparse_box(g, rng), float(rng.uniform(0.5, 1.0))), rng)
     problem = measures._FixedWeightProblem(box, sparse_weights(g.n_contexts, rng))
-    assert np.all(np.isin(problem.support, problem.positive))
+    assert np.array_equal(problem.support, np.flatnonzero(box.stacked() > 0))
     _, iterate, _, _, _, _ = measures._solve_fixed(problem, 1e-9, 20)
     start = rng.dirichlet(np.ones(g.joint_dim))
     _, other, _, _, _, _ = measures._solve_fixed(problem, 1e-9, 3, start)
     average = (iterate + other) / (iterate + other).sum()
     face = rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.25)
-    face[(problem.op.rows(np.arange(g.joint_dim)) == rng.choice(problem.positive)).any(axis=1)] = 0.0
+    face[(problem.op.rows(np.arange(g.joint_dim)) == rng.choice(problem.support)).any(axis=1)] = 0.0
     for p in (iterate, average, face):
         expected = per_context_divergences(problem, p)
         got = problem.divergences(p)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, shuffled, sparse_box, sparse_weights
+from test_incidence import hypergraphs
+from test_junction_tree import ROUNDING
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
@@ -138,6 +140,38 @@ class TestXFixed:
         monkeypatch.setattr(measures, "_solve_fixed", no_solve)
         with pytest.raises(cx.InvalidBoxError, match="max_iters"):
             solve(pr, max_iters=max_iters)
+
+    @pytest.mark.parametrize("outer_window", [-1, 1.5, 2.0, True, None, "3"])
+    def test_bad_outer_window_refused(self, pr, outer_window, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(measures, "_solve_fixed", no_solve)
+        with pytest.raises(cx.InvalidBoxError, match="outer_window"):
+            cx.x_max(pr, outer_window=outer_window)
+
+    @pytest.mark.parametrize("dim_cap", [None, 2.0**22, True, "4194304"])
+    @pytest.mark.parametrize(
+        "solve",
+        [cx.x_u, cx.x_max, lambda box, **kw: cx.x_fixed(box, cx.ContextWeights.uniform(4), **kw)],
+        ids=["x_u", "x_max", "x_fixed"],
+    )
+    def test_non_integer_dim_cap_refused(self, pr, solve, dim_cap, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(measures, "_solve_fixed", no_solve)
+        with pytest.raises(cx.InvalidBoxError, match="dim_cap"):
+            solve(pr, dim_cap=dim_cap)
+
+    @pytest.mark.parametrize("dim_cap", [0, -1])
+    def test_non_positive_dim_cap_exceeded(self, pr, dim_cap):
+        with pytest.raises(cx.CapExceededError):
+            cx.x_u(pr, dim_cap=dim_cap)
+
+    def test_numpy_integer_arguments_accepted(self, pr):
+        report = cx.x_max(pr, outer_window=np.int64(2), dim_cap=np.int64(16))
+        assert report.value > 0.0
 
     def test_numpy_integer_max_iters_accepted(self, pr):
         report = cx.x_u(pr, max_iters=np.int64(3))
@@ -494,3 +528,52 @@ def test_face_start_against_em(anchor, draw_seed):
     assert abs(value - em_value) <= max(1e-9, gap, em_gap)
     values = [v for _, v, _ in trace]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def without_zero_weights(box, weights):
+    """The box on its positive-weight contexts, without the observables those
+    leave uncovered, and the weights renormalized on them."""
+    g = box.hypergraph
+    kept = np.flatnonzero(weights.weights > 0.0)
+    covered = sorted({i for ci in kept for i in g.contexts[ci]})
+    index = {old: new for new, old in enumerate(covered)}
+    sub = cx.Hypergraph(
+        [g.observables[i] for i in covered],
+        [tuple(index[i] for i in g.contexts[ci]) for ci in kept],
+    )
+    w = weights.weights[kept]
+    return cx.Box(sub, [box.distributions[ci] for ci in kept]), cx.ContextWeights(w / w.sum())
+
+
+@seed(20261107)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), draw_seed=st.integers(0, 2**32 - 1))
+def test_zero_weight_is_no_context(data, draw_seed):
+    """A zero-weight context adds 0 * D = 0 to X_w, so the measure equals the
+    one on the box without it, whatever rows the solver keeps.  Binary and
+    ternary boxes: an anchor mixed with a sparse joint's box, a sparse
+    joint's box on a random hypergraph, or the direct sum of the two (an
+    anchor of at most 32 joint outcomes, mixed at 0.8 or more), where a zero
+    weight on the second summand leaves a contextual box.  Weights have
+    zeros on most draws; the brackets ``[value - duality_gap, value]`` of
+    the two solves hold the same optimum."""
+    rng = np.random.default_rng(draw_seed)
+
+    def anchored(anchors, least):
+        anchor = data.draw(st.sampled_from(anchors))
+        mixed = cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(least, 1.0)))
+        return shuffled(mixed, rng)
+
+    kind = data.draw(st.sampled_from(["anchored", "random", "sum"]))
+    if kind == "anchored":
+        box = anchored(ANCHORS, 0.5)
+    else:
+        box = sparse_box(data.draw(hypergraphs()), rng)
+        if kind == "sum":
+            small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 32]
+            box = cx.direct_sum(anchored(small, 0.8), box)
+    weights = sparse_weights(box.hypergraph.n_contexts, rng)
+    full = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
+    part = cx.x_fixed(*without_zero_weights(box, weights), tol=1e-9, max_iters=5000)
+    assert full.value - full.duality_gap <= part.value + ROUNDING
+    assert part.value - part.duality_gap <= full.value + ROUNDING

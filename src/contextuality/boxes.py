@@ -584,10 +584,8 @@ class ContextIncidence:
         flat = values.ravel()
         if count >= flat.size:
             chosen = np.arange(flat.size)
-        elif count > 1:
-            chosen = np.argpartition(flat, count - 1)[:count]
         else:
-            chosen = flat.argmin(keepdims=True)
+            chosen = np.argpartition(flat, count - 1)[:count]
         best = float(flat[chosen].min())
         best = -best if sense == "max" else best
         # Decode the eliminated observables in index order, parents first.
@@ -660,20 +658,19 @@ class ContextIncidence:
             out[list(ctx), ci] = _row_major(shape)
         return out
 
-    def columns(self, support=None) -> np.ndarray:
-        """Dense ``M[support]`` on every joint index; every stacked row when
-        ``support`` is None.
+    def columns(self, support) -> np.ndarray:
+        """Dense ``M[support]`` on every joint index.
 
         Each context's table of flat row starts, plus the grid of column
         indices, scatters its 1s into a block of one row per support row and
         a spare last row, which takes the rows off the support and is
         dropped on return.
         """
-        size = self.dim if support is None else np.size(support)
+        size = np.size(support)
         n = self._joint_dim
         # The flat position of each stacked row's first column.
         start = np.full(self.dim, size * n)
-        start[slice(None) if support is None else support] = np.arange(size) * n
+        start[support] = np.arange(size) * n
         grid = np.arange(n).reshape(self.joint_shape)
         out = np.zeros((size + 1) * n)
         for table in self.tables(start):
@@ -1081,9 +1078,7 @@ def apply_independent_channels(box: Box, mixture: ChannelMixture) -> Box:
     """
     require_valid(box)
     g = box.hypergraph
-    weights = np.array([w for w, _ in mixture], dtype=float)
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-9:
-        raise InvalidBoxError("channel mixture weights must form a probability vector")
+    probability_vector([w for w, _ in mixture], what="channel mixture weights")
     for _, mats in mixture:
         if len(mats) != g.n_observables:
             raise InvalidBoxError("each mixture term needs one channel per observable")

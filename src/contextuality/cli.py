@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import Box, check_consistency
+from .boxes import JOINT_DIM_CAP, Box, check_consistency
 from .boxfile import emit_box, parse_box
 from .builders import parse_builtin_uri
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
 from .inequalities import beta
 from .measures import DEFAULT_MAX_ITERS, DEFAULT_TOL, ContextWeights, x_fixed, x_max
+from .measures import _check_arguments
 from .polytope import contextuality_cost
 from .verification import figure_chain_rows, run_suite
 
@@ -155,6 +156,8 @@ def cmd_measure(args, out=None) -> int:
         print("error: --weights FILE does not apply to xmax, which optimizes the weights",
               file=sys.stderr)
         return EXIT_INVALID_INPUT
+    # Every measure refuses a bad --tol or --max-iters, not only those that read them.
+    _check_arguments(args.tol, JOINT_DIM_CAP, max_iters=args.max_iters)
     workers = max(1, args.workers)
     if workers == 1 or len(sources) == 1:
         rows = [_measure_one(src, measure, args) for src in sources]

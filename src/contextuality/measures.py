@@ -224,14 +224,6 @@ class _FixedWeightProblem:
             r = (ratio * self.w_s) @ self.dense
         return value, r, float(r.max())
 
-    def evaluate(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Objective value (bits), multiplier field r shaped like ``p`` (a flat
-        joint vector or a joint tensor), and duality gap (bits): ``field`` at
-        any point, a zero marginal on the support included, without a warning."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value, r, r_max = self.field(p.reshape(-1))
-        return value, r.reshape(p.shape), _gap(r_max)
-
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
         """Each context's run ``[start, stop)`` of rows within ``support``

@@ -1,4 +1,4 @@
-"""The non-contextual polytope: vertices, LP membership, contextuality cost.
+"""The non-contextual polytope: LP membership, contextuality cost, linear optimization.
 
 The polytope NC_G is the convex hull of the deterministic boxes of a
 hypergraph.  The contextuality cost of a consistent box b solves
@@ -75,12 +75,13 @@ from .boxes import (
     Box,
     DeterministicAssignment,
     Hypergraph,
+    check_tolerance,
     junction_tree_joint,
     require_consistent,
 )
-from .errors import CapExceededError, ContextualityError, InvalidBoxError
+from .errors import ContextualityError, InvalidBoxError
 
-DENSE_VERTEX_CAP = 2**14  # largest box enumerate_vertices materializes
+DENSE_VERTEX_CAP = 2**14  # read only by perfbench, which tags cost runs this small "dense"
 _LP_TOL = 1e-9
 # HiGHS's smallest feasibility tolerances.  At its default of 1e-7, boxes with
 # entries near 1e-7 got witnesses that over-spend the box by up to 2e-7 and
@@ -125,32 +126,6 @@ def _load_highs_core():
 _highs_core = _load_highs_core()
 HighsModelStatus = _highs_core.HighsModelStatus
 _Highs = _highs_core._Highs
-
-
-@dataclass(frozen=True)
-class NCPolytope:
-    """Materialized deterministic vertices (lexicographic order)."""
-
-    hypergraph: Hypergraph
-    assignments: np.ndarray  # (vertex_count, k) integer outputs
-
-    @property
-    def vertex_count(self) -> int:
-        return self.assignments.shape[0]
-
-    def assignment(self, index: int) -> DeterministicAssignment:
-        return DeterministicAssignment(self.assignments[index])
-
-
-def enumerate_vertices(g: Hypergraph) -> NCPolytope:
-    """All deterministic assignments of ``g``; refuses above ``DENSE_VERTEX_CAP``."""
-    total = g.joint_dim
-    if total > DENSE_VERTEX_CAP:
-        raise CapExceededError(f"{total} vertices exceed the enumeration cap {DENSE_VERTEX_CAP}")
-    grid = np.unravel_index(np.arange(total), g.joint_shape)
-    assignments = np.stack(grid, axis=1).astype(np.int64)
-    assignments.flags.writeable = False
-    return NCPolytope(g, assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +291,8 @@ def _junction_tree_cost(box: Box, stacked: np.ndarray, joint: np.ndarray) -> Cos
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:
-    """Membership test for the NC polytope via the cost LP."""
+    """Membership test for the NC polytope via the cost LP, at a finite ``tol >= 0``."""
+    check_tolerance(tol)
     return contextuality_cost(box).cost <= tol
 
 

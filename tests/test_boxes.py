@@ -478,6 +478,17 @@ class TestChannels:
         via_box = cx.apply_independent_channels(cx.box_of_joint(j), channel)
         assert via_joint.allclose(via_box, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(np.nan, 1.0), (np.inf, 0.0), (-np.inf, 1.0), (1.5, -0.5), (0.5, 0.49), (0.6, 0.6)],
+        ids=["nan", "inf", "-inf", "negative", "under-normalized", "over-normalized"],
+    )
+    def test_mixture_weights_not_a_probability_vector_refused(self, pr, weights):
+        # A NaN weight passed a hand-written check and made every entry NaN.
+        eye = [np.eye(2)] * 4
+        with pytest.raises(cx.InvalidBoxError, match="channel mixture weights"):
+            cx.apply_independent_channels(pr, [(w, eye) for w in weights])
+
 
 class TestParityDistribution:
     def test_even_two_bits(self):
@@ -536,3 +547,55 @@ class TestContextParity:
         assert np.array_equal(even, parity_distribution(3, 0))
         assert np.array_equal(odd, parity_distribution(3, 1))
         assert parity_distribution(3, 0).flags.writeable
+
+
+_PR = cx.pr_box()
+_PR_JOINT = cx.JointDistribution(_PR.hypergraph, np.full(16, 1.0 / 16))
+_EYE2 = np.eye(2)
+_NOT_STOCHASTIC = np.array([[0.5, 0.5], [0.2, 0.5]])  # column sums 0.7 and 1
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        pytest.param(lambda: cx.Hypergraph([], [(0,)]), cx.InvalidBoxError,
+                     "at least one observable", id="hypergraph-no-observables"),
+        pytest.param(lambda: cx.Hypergraph([("A", 2), ("A", 2)], [(0, 1)]), cx.InvalidBoxError,
+                     "names must be unique", id="hypergraph-duplicate-names"),
+        pytest.param(lambda: cx.Hypergraph([("A", 2)], []), cx.InvalidBoxError,
+                     "at least one context", id="hypergraph-no-contexts"),
+        pytest.param(lambda: cx.Hypergraph([("A", 2)], [(0,), ()]), cx.InvalidBoxError,
+                     "empty context", id="hypergraph-empty-context"),
+        pytest.param(lambda: boxes.probability_vector([[0.5], [0.5]]), cx.InvalidBoxError,
+                     "1-D vector", id="probability-vector-2d"),
+        pytest.param(lambda: boxes.probability_vector([np.nan, 1.0]), cx.InvalidBoxError,
+                     "non-finite", id="probability-vector-nan"),
+        pytest.param(lambda: boxes.probability_vector([np.inf, 0.0]), cx.InvalidBoxError,
+                     "non-finite", id="probability-vector-inf"),
+        pytest.param(lambda: cx.Box(_PR.hypergraph, _PR.distributions[:3]),
+                     cx.InvalidBoxError, "needs 4 distributions", id="box-distribution-count"),
+        pytest.param(lambda: cx.deterministic_box(cx.DeterministicAssignment((0,)), _PR.hypergraph),
+                     cx.InvalidBoxError, "1 outputs for 4 observables", id="assignment-length"),
+        pytest.param(lambda: cx.JointDistribution(_PR.hypergraph, [0.5, 0.5]),
+                     cx.InvalidBoxError, "expected 16", id="joint-size"),
+        pytest.param(lambda: cx.marginal(_PR_JOINT, (0, 0)), cx.InvalidBoxError,
+                     "invalid marginal subset", id="marginal-repeated"),
+        pytest.param(lambda: cx.marginal(_PR_JOINT, (4,)), cx.InvalidBoxError,
+                     "invalid marginal subset", id="marginal-out-of-range"),
+        pytest.param(lambda: cx.mix(_PR, _PR, 1.5), cx.InvalidBoxError,
+                     "outside", id="mix-weight-above-one"),
+        pytest.param(lambda: cx.mix(_PR, _PR, -0.5), cx.InvalidBoxError,
+                     "outside", id="mix-weight-negative"),
+        pytest.param(lambda: parity_distribution(0, 0), cx.InvalidBoxError,
+                     "m >= 1", id="parity-zero-bits"),
+        pytest.param(lambda: cx.apply_independent_channels(_PR, [(1.0, [_EYE2] * 3)]),
+                     cx.InvalidBoxError, "one channel per observable", id="channel-count"),
+        pytest.param(lambda: cx.apply_independent_channels(_PR, [(1.0, [np.eye(3)] * 4)]),
+                     cx.InvalidBoxError, "has shape", id="channel-shape"),
+        pytest.param(lambda: cx.apply_independent_channels(_PR, [(1.0, [_NOT_STOCHASTIC] * 4)]),
+                     cx.InvalidBoxError, "not column-stochastic", id="channel-column-sums"),
+    ],
+)
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

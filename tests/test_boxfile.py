@@ -124,3 +124,40 @@ def _overflow_doc():
 def test_context_dimension_past_int64_rejected():
     with pytest.raises(cx.BoxFileError, match="expected 18446744073709551620"):
         box_from_document(_overflow_doc())
+
+
+def _pr_doc_with(key, index, value):
+    doc = _pr_doc()
+    doc[key][index] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        pytest.param([], "must be a JSON object", id="not-an-object"),
+        pytest.param({**_pr_doc(), "contexts": {}}, "'contexts' must be a list",
+                     id="section-not-a-list"),
+        pytest.param(_pr_doc_with("observables", 0, "A1"), r"observables\[0\] must be an object",
+                     id="observable-not-an-object"),
+        pytest.param(_pr_doc_with("observables", 1, {"name": "A2"}),
+                     "need 'name' and 'cardinality'", id="observable-without-cardinality"),
+        pytest.param(_pr_doc_with("observables", 1, {"cardinality": 2}),
+                     "need 'name' and 'cardinality'", id="observable-without-name"),
+        pytest.param(_pr_doc_with("contexts", 2, "A3 A4"),
+                     r"contexts\[2\] must be a list of observable names", id="context-not-a-list"),
+        pytest.param(_pr_doc_with("contexts", 2, ["A3", 4]),
+                     r"contexts\[2\] must be a list of observable names", id="context-not-names"),
+        pytest.param(_pr_doc_with("observables", 0, {"name": "A1", "cardinality": 1}),
+                     "invalid hypergraph", id="invalid-hypergraph"),
+        pytest.param({**_pr_doc(), "distributions": _pr_doc()["distributions"][:3]},
+                     "3 distributions for 4 contexts", id="distribution-count"),
+        pytest.param(_pr_doc_with("distributions", 0, ["0.5", 0, 0, 0.5]),
+                     r"distributions\[0\] must be a list of numbers", id="entry-a-string"),
+        pytest.param(_pr_doc_with("distributions", 0, [True, 0, 0, 0]),
+                     r"distributions\[0\] must be a list of numbers", id="entry-a-bool"),
+    ],
+)
+def test_malformed_document_refused(doc, fragment):
+    with pytest.raises(cx.BoxFileError, match=fragment):
+        box_from_document(doc)

@@ -100,3 +100,30 @@ class TestBuiltinURI:
     def test_bad_parameter(self):
         with pytest.raises(cx.InvalidBoxError):
             cx.parse_builtin_uri("builtin:PR:gamma=1")
+
+    def test_chain_with_n_key(self):
+        box = cx.parse_builtin_uri("builtin:CH:n=7:alpha=0.95")
+        assert box.allclose(cx.chain_box(7, 0.95))
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(lambda: cx.builtin("CH"), "CH requires the number of contexts",
+                     id="chain-without-n"),
+        pytest.param(lambda: cx.builtin("PR", n=4), "takes no context-count parameter",
+                     id="pr-with-n"),
+        pytest.param(lambda: cx.builtin("PR", alpha=1.5), "outside", id="alpha-above-one"),
+        pytest.param(lambda: cx.builtin("PR", alpha=-0.1), "outside", id="alpha-negative"),
+        pytest.param(lambda: cx.parse_builtin_uri("file:PR"), "not a builtin URI", id="uri-scheme"),
+        pytest.param(lambda: cx.parse_builtin_uri("builtin"), "not a builtin URI",
+                     id="uri-without-name"),
+        pytest.param(lambda: cx.parse_builtin_uri("builtin:CH:5:6"),
+                     "repeated positional parameter", id="uri-repeated-positional"),
+        pytest.param(lambda: cx.parse_builtin_uri("builtin:CH:n=5:6"),
+                     "repeated positional parameter", id="uri-positional-after-n-key"),
+    ],
+)
+def test_refusals(call, fragment):
+    with pytest.raises(cx.InvalidBoxError, match=fragment):
+        call()

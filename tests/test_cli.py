@@ -12,10 +12,12 @@ from contextuality.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    MEASURES,
     figure_chain_rows,
     main,
 )
 from contextuality.closed_form import cost_closed_form
+from contextuality.verification import run_suite
 
 LOG2_4_3 = 0.41503749927884376
 
@@ -152,6 +154,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "measure", "builtin:PR", measure, "--max-iters", "-1")
         assert code == EXIT_INVALID_INPUT
         assert "max_iters" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize(
+        "flag,value,fragment",
+        [
+            ("--tol", "nan", "tolerance"),
+            ("--tol", "-5", "tolerance"),
+            ("--max-iters", "-3", "max_iters"),
+        ],
+    )
+    def test_bad_tol_or_max_iters_refused_before_loading(
+        self, capsys, measure, flag, value, fragment
+    ):
+        # The source does not exist: the arguments are refused before it is read.
+        code, out, err = run_cli(capsys, "measure", "missing.json", measure, flag, value)
+        assert code == EXIT_INVALID_INPUT
+        assert fragment in err
+        assert out == ""
+
+    def test_no_box_source(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "xu")
+        assert code == EXIT_INVALID_INPUT
+        assert "at least one box source" in err
         assert out == ""
 
     def test_nan_weights_file(self, capsys, tmp_path):
@@ -294,6 +320,10 @@ class TestVerify:
         assert code == EXIT_OK
         statuses = {line.split("]")[0].strip("[") for line in out.splitlines() if line.startswith("[")}
         assert statuses == {"PASS"}
+
+    def test_unknown_suite_refused(self):
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            run_suite("nope")
 
 
 class TestEmit:

@@ -137,3 +137,26 @@ def test_chsh_quantum_value_rounds_to_paper_figure():
     value = cf.xu_chain(4, alpha)
     assert value == pytest.approx(0.046273846853407075, abs=1e-14)
     assert round(value, 4) == 0.0463
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(lambda: cf.binary_entropy(1.5), "alpha 1.5 outside", id="entropy-alpha"),
+        pytest.param(lambda: cf.chi(-0.1, 0.5), "x -0.1 outside", id="chi-x"),
+        pytest.param(lambda: cf.chi(0.5, 1.0), r"y 1.0 outside \(0, 1\)", id="chi-y"),
+        pytest.param(lambda: cf.nc_interval(2), "need n >= 3 contexts", id="interval-n"),
+        pytest.param(lambda: cf.xu_isotropic(4, 1.5), "alpha 1.5 outside", id="xu-alpha"),
+        pytest.param(lambda: cf.quantum_chain_alpha(2), "need n >= 3", id="quantum-alpha-n"),
+        pytest.param(lambda: cf.cost_closed_form("PR", -0.5), "alpha -0.5 outside",
+                     id="cost-alpha"),
+        pytest.param(lambda: cf.cost_closed_form("CH", 0.9), "CH cost needs n >= 3",
+                     id="cost-chain-without-n"),
+        pytest.param(lambda: cf.cost_closed_form("CH", 0.9, 2), "CH cost needs n >= 3",
+                     id="cost-chain-n"),
+        pytest.param(lambda: cf.cost_closed_form("KCBS", 0.9), "unknown family", id="cost-family"),
+    ],
+)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -61,6 +61,11 @@ ANCHORS = (
     cx.mermin_box(),
     ternary_cycle_box(4),
 )
+# Both components are contextual, so with one context at weight 0 the optimum
+# stays positive; dropping a context of any anchor above leaves a
+# noncontextual box.  Only the solver oracles draw it: in ANCHORS it slowed
+# every test that samples them.
+SUM_ANCHOR = cx.direct_sum(cx.chain_box(3), cx.pr_box())
 
 
 @seed(20261018)
@@ -76,9 +81,11 @@ def test_evaluate_paths_agree(g, draw_seed):
         rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.5),
     ]
     for p in points:
-        p = p.reshape(g.joint_shape)
-        (v1, r1, gap1), (v2, r2, gap2) = dense.evaluate(p), implicit.evaluate(p)
-        assert r1.shape == r2.shape == g.joint_shape
+        # A zero marginal on the support is allowed here: the value is +inf.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (v1, r1, max1), (v2, r2, max2) = dense.field(p), implicit.field(p)
+        assert r1.shape == r2.shape == (g.joint_dim,)
+        gap1, gap2 = measures._gap(max1), measures._gap(max2)
         if np.isinf(v2):
             assert np.isinf(v1) and np.isinf(gap1) and np.isinf(gap2)
             continue
@@ -160,23 +167,3 @@ def test_divergences_against_per_context_loop(anchor, draw_seed):
         assert got.shape == (g.n_contexts,)
         assert np.array_equal(got, expected)
     assert np.isinf(problem.divergences(face)).any()
-
-
-@seed(20261024)
-@settings(max_examples=30, deadline=None)
-@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1))
-def test_evaluate_flat_and_joint_agree(g, draw_seed):
-    """``evaluate`` gives bit-identical results on a flat joint vector and on
-    the same point as a joint tensor, and returns r in the shape it was given."""
-    rng = np.random.default_rng(draw_seed)
-    box = sparse_box(g, rng)
-    for problem in both_paths(box, sparse_weights(g.n_contexts, rng)):
-        for flat in (
-            rng.dirichlet(np.ones(g.joint_dim)),
-            rng.dirichlet(np.ones(g.joint_dim)) * (rng.uniform(size=g.joint_dim) < 0.5),
-        ):
-            v1, r1, gap1 = problem.evaluate(flat)
-            v2, r2, gap2 = problem.evaluate(flat.reshape(g.joint_shape))
-            assert r1.shape == flat.shape and r2.shape == g.joint_shape
-            assert (v1, gap1) == (v2, gap2)
-            assert np.array_equal(r1, r2.ravel())

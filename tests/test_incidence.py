@@ -123,7 +123,7 @@ def test_operator_matches_bruteforce(g, draw_seed):
     # columns: the dense M, one 1 per context in each column, and any rows of it.
     dense = np.zeros((op.dim, g.joint_dim))
     dense[table, np.arange(g.joint_dim)[:, None]] = 1.0
-    assert np.array_equal(op.columns(), dense)
+    assert np.array_equal(op.columns(np.arange(op.dim)), dense)
     support = np.sort(rng.choice(op.dim, size=int(rng.integers(1, op.dim + 1)), replace=False))
     assert np.array_equal(op.columns(support=support), dense[support])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polytope import vertices
 
 import contextuality as cx
 from contextuality.sampling import random_consistent_box
@@ -152,9 +153,29 @@ def test_vertex_beta_values_are_integers_in_range(box_fn, n):
     box = box_fn()
     profile = cx.classify_xor(box)
     lo, _ = cx.nc_alpha_interval(profile)
-    poly = cx.enumerate_vertices(box.hypergraph)
-    for i in range(poly.vertex_count):
-        det = cx.deterministic_box(poly.assignment(i), box.hypergraph)
+    for assignment in vertices(box.hypergraph):
+        det = cx.deterministic_box(assignment, box.hypergraph)
         value = cx.beta(box, det)
         assert value == pytest.approx(round(value), abs=1e-12)
         assert lo * n - 1e-12 <= value <= n - 1 + 1e-12
+
+
+def _odd_degree_star_box():
+    """Observable A in three contexts, one of them odd: an xor box with an odd degree."""
+    g = cx.Hypergraph([("A", 2), ("B", 2), ("C", 2), ("D", 2)], [(0, 1), (0, 2), (0, 3)])
+    even, odd = cx.parity_distribution(2, 0), cx.parity_distribution(2, 1)
+    return cx.Box(g, [even, even, odd])
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(lambda: cx.nc_alpha_interval(cx.classify_xor(_odd_degree_star_box())),
+                     "even number of contexts", id="interval-odd-degree"),
+        pytest.param(lambda: cx.verify_bounds_by_lp(cx.kcbs_box()), "xor-box reference",
+                     id="bounds-not-xor"),
+    ],
+)
+def test_refusals(call, fragment):
+    with pytest.raises(cx.NotXorBoxError, match=fragment):
+        call()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from test_dense_solver import ANCHORS, shuffled, sparse_box, sparse_weights
+from test_dense_solver import ANCHORS, SUM_ANCHOR, shuffled, sparse_box, sparse_weights
 from test_incidence import hypergraphs
 from test_junction_tree import ROUNDING
 from test_polytope import ternary_cycle_box
@@ -312,6 +312,12 @@ class TestVerifyEquivalence:
         eq = cx.verify_equivalence(pr, cx.ContextWeights([0.4, 0.3, 0.2, 0.1]))
         assert eq.residual <= 1e-5
 
+    def test_zero_weight_context_skipped(self, pr):
+        # PR's three even contexts admit a common joint: both sides are 0.
+        eq = cx.verify_equivalence(pr, cx.ContextWeights([1 / 3, 1 / 3, 1 / 3, 0.0]))
+        assert eq.residual <= 1e-8
+        assert eq.x_value <= 1e-7 and eq.mutual_information <= 1e-7
+
 
 class TestIsotropicReduced:
     def test_pr_corner(self, pr):
@@ -466,15 +472,18 @@ def plain_em(box, weights, tol, max_iters):
     reference for the over-relaxed step; returns (value, gap, iterations,
     converged), counted as the solver counts them."""
     problem = measures._FixedWeightProblem(box, weights)
-    p = np.full(problem.g.joint_shape, 1.0 / problem.g.joint_dim)
-    value, r, gap = problem.evaluate(p)
-    iteration = 0
-    for iteration in range(1, max_iters + 1):
-        if gap <= tol:
-            break
-        p *= r
-        p /= p.sum()
-        value, r, gap = problem.evaluate(p)
+    p = np.full(problem.g.joint_dim, 1.0 / problem.g.joint_dim)
+    # Unfloored steps can zero a marginal on the support: the value is then +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, r, r_max = problem.field(p)
+        iteration = 0
+        for iteration in range(1, max_iters + 1):
+            if measures._gap(r_max) <= tol:
+                break
+            p *= r
+            p /= p.sum()
+            value, r, r_max = problem.field(p)
+    gap = measures._gap(r_max)
     return max(value, 0.0), gap, iteration, gap <= tol + 1e-14
 
 
@@ -487,7 +496,7 @@ def test_overrelaxed_step_against_em(draw_seed):
     iterations on the boxes where EM converges within the budget."""
     rng = np.random.default_rng(draw_seed)
     auto_iters = em_iters = 0
-    for anchor in ANCHORS:
+    for anchor in ANCHORS + (SUM_ANCHOR,):
         mixed = cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
         box = shuffled(mixed, rng)
         weights = sparse_weights(box.hypergraph.n_contexts, rng)
@@ -507,7 +516,7 @@ def test_overrelaxed_step_against_em(draw_seed):
 
 @seed(20261022)
 @settings(max_examples=24, deadline=None)
-@given(anchor=st.sampled_from(ANCHORS), draw_seed=st.integers(0, 2**32 - 1))
+@given(anchor=st.sampled_from(ANCHORS + (SUM_ANCHOR,)), draw_seed=st.integers(0, 2**32 - 1))
 def test_face_start_against_em(anchor, draw_seed):
     """Starts on a face of the simplex, three quarters of the cells zero and
     every cell of one support row among them (its marginal starts at 0): the
@@ -577,3 +586,26 @@ def test_zero_weight_is_no_context(data, draw_seed):
     part = cx.x_fixed(*without_zero_weights(box, weights), tol=1e-9, max_iters=5000)
     assert full.value - full.duality_gap <= part.value + ROUNDING
     assert part.value - part.duality_gap <= full.value + ROUNDING
+
+
+def _pr_flip_group():
+    """The group of one output flip on PR's first observable, which moves PR."""
+    g = cx.pr_box().hypergraph
+    return cx.generate_group([cx.GroupElement(g, range(4), [(1, 0)] + [(0, 1)] * 3)])
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        pytest.param(lambda: cx.ContextWeights([]), "non-empty vector", id="weights-empty"),
+        pytest.param(lambda: cx.x_fixed(cx.pr_box(), cx.ContextWeights.uniform(3)),
+                     "one weight per context", id="x-fixed-weight-count"),
+        pytest.param(lambda: cx.x_u_isotropic_reduced(cx.pr_box(), 1.5), "alpha 1.5 outside",
+                     id="reduced-alpha"),
+        pytest.param(lambda: cx.x_u_isotropic_reduced(cx.pr_box(), 0.9, _pr_flip_group()),
+                     "not fixed by the supplied group", id="reduced-group-moves-reference"),
+    ],
+)
+def test_refusals(call, fragment):
+    with pytest.raises(cx.InvalidBoxError, match=fragment):
+        call()

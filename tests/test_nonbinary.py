@@ -32,11 +32,6 @@ def test_embedded_cycle_is_valid_and_consistent(qutrit_triangle):
     assert cx.check_consistency(qutrit_triangle, 1e-12).consistent
 
 
-def test_vertex_count_is_product_of_cardinalities(qutrit_triangle):
-    poly = cx.enumerate_vertices(qutrit_triangle.hypergraph)
-    assert poly.vertex_count == 12
-
-
 def test_embedded_cycle_costs_one(qutrit_triangle):
     # Vertices that use A=2 hit zero-probability outcomes, so the LP sees
     # exactly the binary 3-chain, whose cost at alpha=1 is 1.

@@ -1,4 +1,4 @@
-"""NC polytope: vertex enumeration, cost LP, linear optimization."""
+"""NC polytope: vertices, cost LP, linear optimization."""
 
 import itertools
 import tracemalloc
@@ -18,6 +18,13 @@ from contextuality.sampling import (
 )
 
 
+def vertices(g):
+    """Every deterministic assignment of ``g``, in joint-index order."""
+    return [
+        cx.DeterministicAssignment(np.unravel_index(j, g.joint_shape)) for j in range(g.joint_dim)
+    ]
+
+
 def dense_reference_cost(box, n_columns=None):
     """Cost from one LP over vertex columns, independent of column generation.
 
@@ -30,7 +37,7 @@ def dense_reference_cost(box, n_columns=None):
     columns = np.arange(min(g.joint_dim, n_columns or g.joint_dim))
     res = linprog(
         c=-np.ones(columns.size),
-        A_ub=g.incidence.columns()[:, columns],
+        A_ub=g.incidence.columns(np.arange(g.incidence.dim))[:, columns],
         b_ub=box.stacked(),
         bounds=(0.0, None),
         method="highs",
@@ -81,23 +88,10 @@ def seeded_boxes(seed=2024, rounds=3):
 
 
 class TestEnumerateVertices:
-    @pytest.mark.parametrize(
-        "box_fn,count",
-        [(cx.pr_box, 16), (cx.pm_box, 512), (cx.kcbs_box, 32)],
-    )
-    def test_counts(self, box_fn, count):
-        poly = cx.enumerate_vertices(box_fn().hypergraph)
-        assert poly.vertex_count == count
-
-    def test_cap_exceeded(self):
-        with pytest.raises(cx.CapExceededError):
-            cx.enumerate_vertices(cx.chain_box(20).hypergraph)
-
     def test_every_vertex_is_consistent_deterministic_box(self):
         g = cx.chain_box(4).hypergraph
-        poly = cx.enumerate_vertices(g)
-        for i in range(poly.vertex_count):
-            det = cx.deterministic_box(poly.assignment(i), g)
+        for assignment in vertices(g):
+            det = cx.deterministic_box(assignment, g)
             assert cx.check_consistency(det, 1e-12).consistent
 
 
@@ -231,6 +225,12 @@ class TestIsNoncontextual:
             expected = 0.25 - 1e-9 <= alpha <= 0.75 + 1e-9
             assert cx.is_noncontextual(cx.pr_box(alpha=float(alpha)), tol=1e-8) == expected
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tolerance_not_finite_and_nonnegative_refused(self, tol):
+        # cost <= tol read a noncontextual box as contextual at tol -1 or NaN.
+        with pytest.raises(cx.InvalidBoxError, match="tolerance"):
+            cx.is_noncontextual(cx.pr_box(0.5), tol=tol)
+
 
 class TestCostProperties:
     def test_convex_monotone_under_mixing(self, rng):
@@ -298,10 +298,9 @@ class TestOptimizeLinear:
         g = kcbs.hypergraph
         weights = [rng.normal(size=g.context_dim(ci)) for ci in range(g.n_contexts)]
         fast = cx.optimize_linear(g, weights, "max")
-        poly = cx.enumerate_vertices(g)
         brute = -np.inf
-        for i in range(poly.vertex_count):
-            det = cx.deterministic_box(poly.assignment(i), g)
+        for assignment in vertices(g):
+            det = cx.deterministic_box(assignment, g)
             score = sum(float(w @ d) for w, d in zip(weights, det.distributions))
             brute = max(brute, score)
         assert fast.value == pytest.approx(brute, abs=1e-12)
@@ -346,18 +345,16 @@ class TestOptimizeLinear:
 
 def test_vertex_matrix_columns_are_deterministic_boxes(pr):
     g = pr.hypergraph
-    poly = cx.enumerate_vertices(g)
-    a_mat = g.incidence.columns()[:, np.arange(poly.vertex_count)]
+    a_mat = g.incidence.columns(np.arange(g.incidence.dim))
     for j in (0, 7, 15):
-        det = cx.deterministic_box(poly.assignment(j), g)
+        det = cx.deterministic_box(vertices(g)[j], g)
         assert np.array_equal(a_mat[:, j], det.stacked())
 
 
 def test_stacked_rows_match_outcome_indices(pm):
     g = pm.hypergraph
-    poly = cx.enumerate_vertices(g)
     rows = g.incidence.rows(np.arange(8))
-    det = cx.deterministic_box(poly.assignment(3), g)
+    det = cx.deterministic_box(vertices(g)[3], g)
     stacked = det.stacked()
     assert np.allclose(stacked[rows[3]], 1.0)
     assert stacked.sum() == g.n_contexts

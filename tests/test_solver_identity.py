@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from test_dense_solver import ANCHORS, implicit_only, shuffled, sparse_box, sparse_weights
+from test_dense_solver import (
+    ANCHORS,
+    SUM_ANCHOR,
+    implicit_only,
+    shuffled,
+    sparse_box,
+    sparse_weights,
+)
 from test_incidence import hypergraphs
 
 import contextuality as cx
@@ -166,10 +173,11 @@ def fields(report):
 
 
 @st.composite
-def identity_boxes(draw):
-    """Binary and ternary boxes: an anchor mixed with a sparse joint's box, a
-    sparse joint's box on a random hypergraph (often of several components),
-    or a direct sum of two such anchored boxes (always several components)."""
+def identity_boxes(draw, anchors=ANCHORS):
+    """Binary and ternary boxes: one of ``anchors`` mixed with a sparse joint's
+    box, a sparse joint's box on a random hypergraph (often of several
+    components), or a direct sum of two anchored boxes (always several
+    components)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["anchored", "random", "sum"]))
     if kind == "random":
@@ -181,7 +189,7 @@ def identity_boxes(draw):
         return shuffled(mixed, rng)
 
     if kind == "anchored":
-        return anchored(ANCHORS)
+        return anchored(anchors)
     # At most 81 * 32 joint outcomes: the ternary 4-cycle or a binary anchor, plus PR, CH(5) or KCBS.
     small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 32]
     return cx.direct_sum(anchored(small + [ANCHORS[-1]]), anchored(small))
@@ -189,9 +197,14 @@ def identity_boxes(draw):
 
 @seed(20261025)
 @settings(max_examples=40, deadline=None)
-@given(box=identity_boxes(), draw_seed=st.integers(0, 2**32 - 1), implicit=st.booleans())
+@given(
+    box=identity_boxes(ANCHORS + (SUM_ANCHOR,)),
+    draw_seed=st.integers(0, 2**32 - 1),
+    implicit=st.booleans(),
+)
 def test_x_fixed_matches_reference(box, draw_seed, implicit):
     """Weights with zeros on most draws; dense matrix or tensor reductions.
+    ``SUM_ANCHOR`` among the anchors keeps a positive optimum under a zero weight.
 
     The solver's loop from the uniform start matches the oracle on every
     draw.  ``x_fixed`` starts there too on a cyclic hypergraph; on an acyclic

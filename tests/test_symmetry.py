@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_incidence import hypergraphs
+from test_polytope import vertices
 
 import contextuality as cx
 from contextuality.sampling import random_consistent_box
-from contextuality.symmetry import compose, identity_element, inverse
+from contextuality.symmetry import _binary_flip_element, compose, identity_element, inverse
 
 
 def flip_element(g, observable):
@@ -321,9 +322,8 @@ class TestTwirl:
         box = box_fn()
         opp = cx.opposite(box)
         grp = cx.builtin_group(name, n)
-        poly = cx.enumerate_vertices(box.hypergraph)
-        for i in range(poly.vertex_count):
-            det = cx.deterministic_box(poly.assignment(i), box.hypergraph)
+        for assignment in vertices(box.hypergraph):
+            det = cx.deterministic_box(assignment, box.hypergraph)
             tw = cx.twirl(grp, det)
             alpha = cx.beta(box, tw) / box.hypergraph.n_contexts
             assert tw.allclose(cx.mix(box, opp, alpha), atol=1e-9)
@@ -392,3 +392,42 @@ class TestGroupClosureInvariants:
             assert inverse(a).key() in keys
             for b in grp.elements[:6]:
                 assert compose(a, b).key() in keys
+
+
+_PR_G = cx.pr_box().hypergraph
+_PM_G = cx.pm_box().hypergraph
+_QUTRIT_G = qutrit_cycle_group().hypergraph
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        pytest.param(lambda: cx.GroupElement(_PR_G, (0, 0, 1, 2), [(0, 1)] * 4), cx.InvalidBoxError,
+                     "not a permutation", id="element-not-a-permutation"),
+        pytest.param(lambda: cx.GroupElement(_PR_G, range(4), [(0, 1)] * 3), cx.InvalidBoxError,
+                     "one output relabeling per observable", id="element-relabeling-count"),
+        pytest.param(lambda: cx.GroupElement(_QUTRIT_G, (1, 0, 2), [(0, 1, 2), (0, 1), (0, 1)]),
+                     cx.InvalidBoxError, "sends observable 0", id="element-cardinality"),
+        pytest.param(lambda: cx.GroupElement(_PR_G, range(4), [(0, 0)] + [(0, 1)] * 3),
+                     cx.InvalidBoxError, "not a bijection", id="element-relabeling-not-bijective"),
+        pytest.param(lambda: cx.GroupElement(_PR_G, (0, 2, 1, 3), [(0, 1)] * 4), cx.InvalidBoxError,
+                     "to non-context", id="element-context-image"),
+        pytest.param(lambda: compose(identity_element(_PR_G), identity_element(_PM_G)),
+                     cx.HypergraphMismatchError, "different hypergraphs", id="compose-across"),
+        pytest.param(lambda: cx.twirl(cx.generate_group([identity_element(_PM_G)]), cx.pr_box()),
+                     cx.HypergraphMismatchError, "different hypergraphs", id="twirl-across"),
+        pytest.param(lambda: cx.generate_group([identity_element(_PR_G), identity_element(_PM_G)]),
+                     cx.HypergraphMismatchError, "share one hypergraph", id="generate-across"),
+        pytest.param(lambda: cx.generate_group([]), cx.InvalidBoxError,
+                     "at least one generator", id="generate-no-generators"),
+        pytest.param(lambda: _binary_flip_element(_QUTRIT_G, (0, 1, 2), {0}),
+                     cx.InvalidBoxError, "binary observables", id="bit-flip-ternary"),
+        pytest.param(lambda: cx.builtin_generators("CH", 2), cx.InvalidBoxError,
+                     "n >= 3", id="chain-generators-n"),
+        pytest.param(lambda: cx.builtin_generators("CH"), cx.InvalidBoxError,
+                     "n >= 3", id="chain-generators-without-n"),
+    ],
+)
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

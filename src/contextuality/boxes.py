@@ -195,6 +195,19 @@ class Hypergraph:
             groups.setdefault(find(i), []).append(i)
         return tuple(map(tuple, groups.values()))
 
+    @cached_property
+    def is_binary_cycle(self) -> bool:
+        """Whether this is the n-cycle scenario: n >= 3 binary observables,
+        contexts that are pairs, every observable in two of them (so n
+        contexts), and one component, so the contexts close one cycle."""
+        return (
+            self.n_observables >= 3
+            and all(card == 2 for card in self.cardinalities)
+            and all(len(ctx) == 2 for ctx in self.contexts)
+            and all(d == 2 for d in self.degrees)
+            and len(self.components) == 1
+        )
+
     @property
     def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
         """``(context index, separator)`` pairs in running-intersection order,
@@ -263,6 +276,12 @@ def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
     """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
     if g.joint_dim > cap:
         raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
+
+
+def check_joint_index(joint_dim: int) -> None:
+    """Refuse a joint of 2^63 cells or more, whose indices overflow int64."""
+    if joint_dim >= 2**63:
+        raise CapExceededError(f"joint dimension {joint_dim} overflows a joint index")
 
 
 @dataclass(frozen=True)
@@ -482,8 +501,7 @@ class ContextIncidence:
         whose indices overflow int64.
         """
         cards = self.joint_shape
-        if math.prod(cards) >= 2**63:
-            raise CapExceededError(f"joint dimension {math.prod(cards)} overflows a joint index")
+        check_joint_index(self._joint_dim)
         prefix = sum(cells <= _SCAN_CELLS for cells in itertools.accumulate(cards, operator.mul))
 
         def home(scope: Sequence[int]) -> int:
@@ -902,6 +920,16 @@ class JointDistribution:
                 f"joint has dimension {vec.size}, expected {hypergraph.joint_dim}"
             )
         object.__setattr__(self, "probabilities", vec)
+
+    @classmethod
+    def _of(cls, hypergraph: Hypergraph, probabilities: np.ndarray) -> "JointDistribution":
+        """The joint of a nonnegative float vector of the joint's size that sums
+        to 1, taken as is and made read-only: for vectors the library made."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "hypergraph", hypergraph)
+        probabilities.flags.writeable = False
+        object.__setattr__(self, "probabilities", probabilities)
+        return self
 
     def tensor(self) -> np.ndarray:
         return self.probabilities.reshape(self.hypergraph.joint_shape)

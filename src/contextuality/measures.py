@@ -129,7 +129,16 @@ class ContextWeights:
 
     @classmethod
     def uniform(cls, n: int) -> "ContextWeights":
-        return cls(np.full(n, 1.0 / n))
+        return cls._of(np.full(n, 1.0 / n))
+
+    @classmethod
+    def _of(cls, weights: np.ndarray) -> "ContextWeights":
+        """The weights of a nonnegative float vector that sums to 1, taken as is
+        and made read-only: for vectors the library made."""
+        self = object.__new__(cls)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        return self
 
     def __len__(self) -> int:
         return self.weights.size
@@ -354,7 +363,7 @@ def x_fixed(
     )
     return MeasureReport(
         value=value,
-        optimizer=JointDistribution(box.hypergraph, p_flat),
+        optimizer=JointDistribution._of(box.hypergraph, p_flat),
         duality_gap=gap,
         iterations=iters,
         wall_time_s=time.perf_counter() - start,
@@ -441,13 +450,13 @@ def x_max(
     assert best_weights is not None and best_p is not None
     return MeasureReport(
         value=best_value,
-        optimizer=JointDistribution(box.hypergraph, best_p),
+        optimizer=JointDistribution._of(box.hypergraph, best_p),
         duality_gap=best_gap,
         iterations=total_inner,
         wall_time_s=time.perf_counter() - start,
         converged=best_gap <= tol and outer < _XMAX_MAX_OUTER,
         method="mw-ascent(auto)",
-        outer_weights=ContextWeights(best_weights),
+        outer_weights=ContextWeights._of(best_weights),
         outer_gap=max(0.0, upper - best_value),
     )
 

@@ -7,8 +7,27 @@ hypergraph.  The contextuality cost of a consistent box b solves
 
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
-Columns are joint indices.  One column-generation loop solves every box.  An
-optimal witness needs no more columns than the box has stacked rows
+
+A box on a binary n-cycle (PR = CH(4), KCBS, every CH(n)) gets its cost in
+closed form, in O(n).  Let ``E_i = P(equal) - P(differ)`` on context i and
+``S`` the largest ``sum_i g_i E_i`` over sign vectors g with an odd number
+of -1: ``sum |E_i|``, less ``2 min |E_i|`` when an even number of the
+``E_i`` are negative.  The chained inequalities ``sum_i g_i E_i <= n - 2``
+are the only nontrivial facets of this scenario's noncontextual polytope
+(Araujo, Quintino, Budroni, Terra Cunha & Cabello 2013, PRA 88, 022118),
+and a consistent box has ``S <= n``.  So the cost is
+``max(0, (S - (n - 2)) / 2)``: the maximizing inequality certifies it as a
+lower bound, since every noncontextual part scores at most n - 2 on it and
+the contextual part at most n, and the facet theorem makes it exact.  The
+interval is the closed form at both ends, clamped to [0, 1].  The scenario
+is read from the hypergraph alone (``Hypergraph.is_binary_cycle``), and no
+HiGHS model or elimination runs; the witness is solved by column
+generation when it is first read.
+
+Column generation solves every other box, and every witness, with joint
+indices as columns.  Since a witness is held as joint indices, the cost
+refuses a joint of 2^63 cells or more up front, for every box.  An optimal
+witness needs no more columns than the box has stacked rows
 (Caratheodory), so the loop starts from that many: the assignments the box
 supports best, which ``ContextIncidence.extremum`` finds by minimizing
 ``sum_c -log b_c(lambda_c)``.  It then prices every assignment with
@@ -18,10 +37,10 @@ every assignment scores at least 1.  Both are exact: a scan of the leading
 observables (at most 2^10 cells) and m-best min-sum elimination of the
 rest give the best assignments themselves, and build no joint tensor above
 2^10 cells, so no joint cap applies: only the plan refuses a box, for a
-table above ``JOINT_DIM_CAP`` cells or a joint of 2^63 cells or more.  On
-CH(14), CH(16) and CH(18) at alpha 0.99 the start alone is optimal, one
-HiGHS run; at alpha 0.9 CH(14) takes one run and CH(16) and CH(18) two, on
-192 and 216 rows: every candidate of their second round is violated.  The
+table above ``JOINT_DIM_CAP`` cells.  On CH(14), CH(16) and CH(18) at alpha
+0.99 the start alone is optimal, one HiGHS run; at alpha 0.9 CH(14) takes
+one run and CH(16) and CH(18) two, on 192 and 216 rows: every candidate of
+their second round is violated.  The
 restricted LP is solved in its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
@@ -75,6 +94,7 @@ from .boxes import (
     Box,
     DeterministicAssignment,
     Hypergraph,
+    check_joint_index,
     check_tolerance,
     junction_tree_joint,
     require_consistent,
@@ -136,22 +156,30 @@ class CostReport:
     with their weights) and ``residual_box`` (the contextual remainder, None
     when the cost is within 1e-9 of 0) are decoded from the LP's solution on
     first access and then cached; most callers read only ``cost`` and
-    ``interval``.
+    ``interval``.  A binary n-cycle's cost and interval come from the
+    closed form (see the module docstring), and column generation solves its
+    witness only when one of the two is first read.
     """
 
     cost: float
     interval: tuple[float, float]
-    # The box, and the witness as LP data: its joint indices and their
-    # weights, all positive.
     _box: Box = field(repr=False)
-    _columns: np.ndarray = field(repr=False)
-    _weights: np.ndarray = field(repr=False)
+    # The witness as LP data: its joint indices and their weights, all
+    # positive; None while a closed-form report's witness is unsolved.
+    _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def _witness(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._solved is not None:
+            return self._solved
+        return _column_generation(self._box)._solved
 
     @cached_property
     def witness_weights(self) -> dict[DeterministicAssignment, float]:
-        digits = np.transpose(np.unravel_index(self._columns, self._box.hypergraph.joint_shape))
+        columns, weights = self._witness
+        digits = np.transpose(np.unravel_index(columns, self._box.hypergraph.joint_shape))
         keys = map(DeterministicAssignment._of, map(tuple, digits.tolist()))
-        return dict(zip(keys, self._weights.tolist()))
+        return dict(zip(keys, weights.tolist()))
 
     @cached_property
     def residual_box(self) -> Box | None:
@@ -159,9 +187,10 @@ class CostReport:
             return None
         g = self._box.hypergraph
         stacked = self._box.stacked()
+        columns, weights = self._witness
         mass = np.bincount(
-            g.incidence.rows(self._columns).ravel(),
-            weights=np.repeat(self._weights, g.n_contexts),
+            g.incidence.rows(columns).ravel(),
+            weights=np.repeat(weights, g.n_contexts),
             minlength=stacked.size,
         )
         res_stacked = np.maximum(stacked - mass, 0.0) / self.cost
@@ -199,22 +228,60 @@ def _cost_lp() -> _Highs:
 def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
-    Each column-generation round re-solves the restricted LP's dual (see the
-    module docstring) after appending the entering columns as rows: its
-    solution y prices the columns, and the witness weights are the rows'
-    duals, so the cost ``1 - sum w`` belongs to the reported witness.
-    Defined only for consistent boxes; inconsistent input is refused rather
-    than given a misleading number.  Only the elimination plan refuses a
-    box for its size (see the module docstring).
+    A binary n-cycle gets its cost in closed form, and a box on an acyclic
+    hypergraph from its junction-tree joint; column generation solves every
+    other box (see the module docstring).  Defined only for consistent
+    boxes; inconsistent input is refused rather than given a misleading
+    number.  Refuses a joint of 2^63 cells or more, since a witness is held
+    as joint indices, and column generation refuses a box whose elimination
+    needs a table above ``JOINT_DIM_CAP`` cells.
     """
     require_consistent(box)
     g = box.hypergraph
-    stacked = box.stacked()
+    check_joint_index(g.joint_dim)
+    if g.is_binary_cycle:
+        return _binary_cycle_cost(box)
     joint = junction_tree_joint(box)
     if joint is not None:
-        report = _junction_tree_cost(box, stacked, joint)
+        report = _junction_tree_cost(box, joint)
         if report.cost <= _LP_TOL:
             return report
+    return _column_generation(box)
+
+
+# P(equal) - P(differ) from a pair's outcomes 00, 01, 10, 11.
+_CORRELATOR = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _binary_cycle_cost(box: Box) -> CostReport:
+    """The cost of a box on a binary n-cycle, from its chained inequalities.
+
+    With ``E_i`` the correlator of context i, the largest ``sum_i g_i E_i``
+    over sign vectors g with an odd number of -1 is ``S = sum |E_i|``, less
+    ``2 min |E_i|`` when an even number of the ``E_i`` are negative, and the
+    cost is ``max(0, (S - (n - 2)) / 2)``, clamped to [0, 1].  The witness is
+    solved on first read.
+    """
+    n = box.hypergraph.n_contexts
+    correlators = box.stacked().reshape(n, 4) @ _CORRELATOR
+    sizes = np.abs(correlators)
+    best = float(sizes.sum())
+    if np.count_nonzero(correlators < 0.0) % 2 == 0:
+        best -= 2.0 * float(sizes.min())
+    cost = min(1.0, max(0.0, (best - (n - 2)) / 2.0))
+    return CostReport(cost, (cost, cost), box)
+
+
+def _column_generation(box: Box) -> CostReport:
+    """The cost LP of a consistent box, solved by column generation, with its witness.
+
+    Each round re-solves the restricted LP's dual (see the module docstring)
+    after appending the entering columns as rows: its solution y prices the
+    columns, and the witness weights are the rows' duals, so the cost
+    ``1 - sum w`` belongs to the reported witness.
+    """
+    g = box.hypergraph
+    stacked = box.stacked()
     n_contexts = g.n_contexts
     lp = _cost_lp()
     # Variable y_r for each stacked row r: cost b_r, bounds [0, inf), no entries yet.
@@ -268,10 +335,10 @@ def contextuality_cost(box: Box) -> CostReport:
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
     interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
     used = np.flatnonzero(weights > 1e-12)
-    return CostReport(cost, interval, box, columns[used], weights[used])
+    return CostReport(cost, interval, box, (columns[used], weights[used]))
 
 
-def _junction_tree_cost(box: Box, stacked: np.ndarray, joint: np.ndarray) -> CostReport:
+def _junction_tree_cost(box: Box, joint: np.ndarray) -> CostReport:
     """The cost certified by the junction-tree joint of a box on an acyclic hypergraph.
 
     The witness is the joint's positive cells, scaled by the largest
@@ -284,10 +351,10 @@ def _junction_tree_cost(box: Box, stacked: np.ndarray, joint: np.ndarray) -> Cos
     weights = joint[columns]
     mass = box.hypergraph.incidence.marginals(joint)
     spent = mass > 0.0
-    scale = min(1.0, float((stacked[spent] / mass[spent]).min()))
+    scale = min(1.0, float((box.stacked()[spent] / mass[spent]).min()))
     weights *= scale
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
-    return CostReport(cost, (0.0, cost), box, columns, weights)
+    return CostReport(cost, (0.0, cost), box, (columns, weights))
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:

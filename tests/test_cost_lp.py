@@ -1,5 +1,6 @@
 """The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -171,7 +172,7 @@ def test_box_fit_start_matches_primal(box):
 def test_chain_start_is_optimal(alpha, highs_log):
     """CH(14)'s best-fit assignments already hold an optimal witness: one HiGHS run."""
     box = cx.chain_box(14, alpha=alpha)
-    report = cx.contextuality_cost(box)
+    report = polytope._column_generation(box)
     assert highs_log["runs"] == 1
     assert highs_log["rows"][0] <= box.stacked().size
     assert abs(report.cost - cost_closed_form("CH", alpha, 14)) <= 1e-7
@@ -182,7 +183,7 @@ def test_chain_start_is_optimal(alpha, highs_log):
 def test_eliminated_chain_start(n, alpha, highs_log):
     """Above the 2^14-cell scan the start holds the box's best-fit assignments exactly:
     one HiGHS run at alpha 0.99 and at most two at 0.9."""
-    report = cx.contextuality_cost(cx.chain_box(n, alpha=alpha))
+    report = polytope._column_generation(cx.chain_box(n, alpha=alpha))
     assert highs_log["runs"] == 1 if alpha == 0.99 else highs_log["runs"] <= 2
     assert abs(report.cost - cost_closed_form("CH", alpha, n)) <= 1e-7
     lo, hi = report.interval
@@ -221,7 +222,7 @@ def test_eliminated_pricing_matches_primal(scan_cells):
             # A fresh hypergraph, so the elimination plan is made under the patch.
             g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
             box = cx.Box(g, box.distributions)
-            check_report(box, cx.contextuality_cost(box))
+            check_report(box, polytope._column_generation(box))
 
 
 class PresolveOn(polytope._Highs):
@@ -234,9 +235,9 @@ class PresolveOn(polytope._Highs):
 
 def test_presolve_off_matches_presolve_on():
     for box in seeded_boxes(rounds=2):
-        report = cx.contextuality_cost(box)
+        report = polytope._column_generation(box)
         with mock.patch.object(polytope, "_Highs", PresolveOn):
-            oracle = cx.contextuality_cost(box)
+            oracle = polytope._column_generation(box)
         assert abs(report.cost - oracle.cost) <= 1e-9
         assert np.allclose(report.interval, oracle.interval, rtol=0.0, atol=1e-9)
 
@@ -390,7 +391,7 @@ def test_entering_rows_are_violated_and_new():
     for box in cases:
         log.clear()
         with mock.patch.object(polytope, "_Highs", Spy):
-            report = cx.contextuality_cost(box)
+            report = polytope._column_generation(box)
         lo, hi = report.interval
         assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
         blocks = [rows for kind, rows in log if kind == "rows"]
@@ -440,6 +441,7 @@ def witness_mass(box, report):
     """The witness's mass on each stacked row of ``box``."""
     g = box.hypergraph
     outputs = np.array([key.outputs for key in report.witness_weights], dtype=np.int64)
+    outputs = outputs.reshape(-1, g.n_observables)  # an empty witness too, at cost 1
     weights = np.fromiter(report.witness_weights.values(), dtype=float)
     joint = np.ravel_multi_index(tuple(outputs.T), g.joint_shape)
     return np.bincount(
@@ -532,3 +534,121 @@ def test_acyclic_box_above_the_joint_cap(highs_log):
     assert junction_tree_joint(box) is None
     assert check_above_cap(box, 0.0).cost <= 1e-9
     assert highs_log["runs"] >= 1
+
+
+# Binary n-cycles: the cost in closed form, the witness by column generation on first read.
+
+
+def relabeled(box, rng):
+    """The same box with the two outputs of a random set of observables swapped."""
+    g = box.hypergraph
+    flip = rng.uniform(size=g.n_observables) < 0.5
+    return cx.Box(g, [
+        np.flip(box.context_tensor(ci), axis=[a for a, i in enumerate(ctx) if flip[i]]).ravel()
+        for ci, ctx in enumerate(g.contexts)
+    ])
+
+
+def renamed(box, rng):
+    """The same box with its observables listed in a random order."""
+    g = box.hypergraph
+    order = rng.permutation(g.n_observables)
+    position = np.argsort(order)
+    return cx.Box(
+        cx.Hypergraph([g.observables[i] for i in order],
+                      [tuple(int(position[i]) for i in ctx) for ctx in g.contexts]),
+        box.distributions,
+    )
+
+
+def exclusive_box(n, s):
+    """Exclusive events around an n-cycle, each of probability s <= 1/2: KCBS for
+    n = 5 and s = 1/sqrt(5).  Marginals (1 - s, s) and a zero cell on every context."""
+    return cx.Box(cx.chain_box(n).hypergraph, [np.array([1.0 - 2.0 * s, s, s, 0.0])] * n)
+
+
+@st.composite
+def binary_cycle_boxes(draw):
+    """Binary n-cycles, n = 3..12: an anchor (a chain box, exclusive events, or a
+    mixture of both, outcome-relabeled) mixed with a sparse joint's box, which
+    brings nonuniform marginals and zero cells; then the observables permuted,
+    and the contexts reordered and their pairs reversed at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["chain", "exclusive", "both"]))
+    chain = relabeled(cx.chain_box(n), rng)
+    exclusive = relabeled(exclusive_box(n, draw(st.floats(0.0, 0.5))), rng)
+    anchor = {"chain": chain, "exclusive": exclusive,
+              "both": cx.mix(chain, exclusive, draw(st.floats(0.0, 1.0)))}[kind]
+    box = cx.mix(anchor, sparse_box(anchor.hypergraph, rng), draw(st.floats(0.6, 1.0)))
+    return shuffled(renamed(box, rng), rng)
+
+
+@contextlib.contextmanager
+def solver_calls():
+    """Calls of the cost LP's HiGHS ``run`` and of ``ContextIncidence.extremum``."""
+    calls = []
+    real = ContextIncidence.extremum
+
+    class Spy(polytope._Highs):
+        def run(self):
+            calls.append("run")
+            return super().run()
+
+    def extremum(self, *args, **kwargs):
+        calls.append("extremum")
+        return real(self, *args, **kwargs)
+
+    with mock.patch.object(polytope, "_Highs", Spy), \
+            mock.patch.object(ContextIncidence, "extremum", extremum):
+        yield calls
+
+
+@seed(20261026)
+@settings(max_examples=80, deadline=None)
+@given(box=binary_cycle_boxes())
+def test_binary_cycle_cost_in_closed_form(box):
+    """The formula against the all-columns LP, with no LP run until the witness is read."""
+    with solver_calls() as calls:
+        report = cx.contextuality_cost(box)
+        lo, hi = report.interval
+        assert box.hypergraph.is_binary_cycle
+        assert calls == []
+        weights = np.fromiter(report.witness_weights.values(), dtype=float)
+        assert "run" in calls and "extremum" in calls
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-12
+    assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+    assert np.all(witness_mass(box, report) <= box.stacked() + 1e-9)
+    assert abs(1.0 - weights.sum() - report.cost) <= 1e-9
+
+
+def test_binary_cycle_witness_rebuilds_the_box():
+    for box in (cx.kcbs_box(), cx.pr_box(0.9), cx.chain_box(7, 0.97), cx.chain_box(3, 0.2)):
+        check_report(box, cx.contextuality_cost(box))
+
+
+def chord_box():
+    """PR(0.9) with a chord from its first observable to its third, uniform there, as
+    every marginal of PR is."""
+    pr = cx.pr_box(0.9)
+    g = cx.Hypergraph(pr.hypergraph.observables, pr.hypergraph.contexts + ((0, 2),))
+    return cx.Box(g, [*pr.distributions, np.full(4, 0.25)])
+
+
+def path_box():
+    """An open path of five binary observables: acyclic, so noncontextual."""
+    g = cx.Hypergraph([(f"A{i}", 2) for i in range(5)], [(i, i + 1) for i in range(4)])
+    return random_noncontextual_box(g, np.random.default_rng(20261026))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [ternary_cycle_box(4), cx.pm_box(0.9), cx.mermin_box(0.9),
+     cx.direct_sum(cx.pr_box(0.9), cx.pr_box(0.9)), chord_box(), path_box()],
+    ids=["ternary-4-cycle", "PM", "M", "PR+PR", "chord", "path"],
+)
+def test_other_boxes_skip_the_cycle_formula(box):
+    assert not box.hypergraph.is_binary_cycle
+    with mock.patch.object(polytope, "_binary_cycle_cost", side_effect=AssertionError):
+        report = cx.contextuality_cost(box)
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-9

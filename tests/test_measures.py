@@ -50,6 +50,24 @@ class TestContextWeights:
         w = cx.ContextWeights.uniform(4)
         assert np.allclose(w.weights, 0.25)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 50])
+    def test_unchecked_uniform_matches_checked(self, n):
+        """The uniform weights skip the checks, with the bytes of the checked constructor."""
+        fast, checked = cx.ContextWeights.uniform(n), cx.ContextWeights(np.full(n, 1.0 / n))
+        assert fast.weights.tobytes() == checked.weights.tobytes()
+        assert not fast.weights.flags.writeable
+
+    def test_solver_outputs_are_read_only(self, kcbs):
+        """The optimizer and the x_max weights, built unchecked, are read-only as before."""
+        report = cx.x_max(kcbs, outer_window=5)
+        for vec in (report.optimizer.probabilities, report.outer_weights.weights,
+                    cx.x_u(kcbs).optimizer.probabilities):
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+        checked = cx.JointDistribution(kcbs.hypergraph, report.optimizer.probabilities)
+        assert checked.probabilities.tobytes() == report.optimizer.probabilities.tobytes()
+
     def test_sum_enforced(self):
         with pytest.raises(cx.InvalidBoxError):
             cx.ContextWeights([0.5, 0.6])

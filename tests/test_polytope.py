@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 import contextuality as cx
 from contextuality.boxes import JOINT_DIM_CAP
 from contextuality.inequalities import support_weights
-from contextuality.polytope import DENSE_VERTEX_CAP
+from contextuality.polytope import DENSE_VERTEX_CAP, _column_generation
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -146,9 +146,11 @@ class TestContextualityCost:
             cx.contextuality_cost(cx.Box(pr.hypergraph, dists))
 
     def test_column_generation_matches_dense(self):
+        # Binary cycles get the closed form from contextuality_cost; the LP is checked too.
         for box in [cx.chain_box(6, 0.9), cx.mermin_box(0.9), *seeded_boxes()]:
-            cost = cx.contextuality_cost(box).cost
-            assert cost == pytest.approx(dense_reference_cost(box), abs=1e-9)
+            reference = dense_reference_cost(box)
+            for cost in (cx.contextuality_cost(box).cost, _column_generation(box).cost):
+                assert cost == pytest.approx(reference, abs=1e-9)
         for n in (4, 6):
             assert cx.contextuality_cost(ternary_cycle_box(n)).cost == pytest.approx(1.0, abs=1e-9)
 
@@ -206,11 +208,12 @@ class TestCostBracket:
         self.assert_ordered(cx.contextuality_cost(cx.chain_box(16, 0.9)))
 
     def test_seeded_boxes_on_both_paths(self):
-        # Column generation against the full vertex LP.
+        # The cost, and column generation on its own, against the full vertex LP.
         for box in seeded_boxes(seed=7, rounds=4):
-            report = cx.contextuality_cost(box)
-            self.assert_ordered(report)
-            assert report.cost == pytest.approx(dense_reference_cost(box), abs=1e-9)
+            reference = dense_reference_cost(box)
+            for report in (cx.contextuality_cost(box), _column_generation(box)):
+                self.assert_ordered(report)
+                assert report.cost == pytest.approx(reference, abs=1e-9)
 
 class TestIsNoncontextual:
     def test_joint_box_is_member(self, rng):

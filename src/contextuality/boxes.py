@@ -39,14 +39,16 @@ NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
 # Largest joint tensor (cells) the entropy solver or ``junction_tree_joint``
-# allocates, and the largest table ``ContextIncidence.extremum`` builds.
+# allocates, and the largest table ``ContextIncidence.extremum`` or a
+# ``JunctionTree`` clique builds.
 JOINT_DIM_CAP = 2**22
+# Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
+MAX_OBSERVABLES = 64
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
-# outright, each by its best completion; the trailing observables are
-# eliminated, keeping the m best completions per cell.  Joints of at most
-# this many cells are scanned whole.  On CH(14) to CH(20), a scan of 2^10
-# cells and a few width-2 buckets took 17-57% less time than one of 2^14,
-# from one outcome to twice the stacked rows.
+# outright, each by its best completion; the others are eliminated.  The cost
+# LP prices joints of at most this many cells, scanned whole, by column
+# generation, and gives larger ones the junction-tree LP.  On CH(14) to
+# CH(20), a scan of 2^10 cells took 17-57% less time than one of 2^14.
 _SCAN_CELLS = 2**10
 
 
@@ -208,6 +210,12 @@ class Hypergraph:
             and len(self.components) == 1
         )
 
+    @cached_property
+    def junction_tree(self) -> "JunctionTree":
+        """A junction tree of the observables, from a min-fill order, built once
+        (see ``JunctionTree``)."""
+        return JunctionTree(self)
+
     @property
     def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
         """``(context index, separator)`` pairs in running-intersection order,
@@ -304,13 +312,9 @@ class _Bucket:
         return np.array(self.scope, dtype=np.int64)
 
     @cached_property
-    def radices(self) -> np.ndarray:
-        return np.array([self.shape[i] for i in self.scope], dtype=np.int64)
-
-    @cached_property
     def strides(self) -> np.ndarray:
         """A cell's index over the scope is ``digits[axes] @ strides``."""
-        return _row_major(self.radices)
+        return _row_major([self.shape[i] for i in self.scope])
 
     def table(self, tables: Sequence[np.ndarray]) -> np.ndarray:
         """The sum of the bucket's context tables, added in context order."""
@@ -319,83 +323,12 @@ class _Bucket:
             out += tables[ci]
         return out
 
-    def total(
-        self, tables: Sequence[np.ndarray], lists: Sequence[np.ndarray], m: int
-    ) -> tuple[np.ndarray, list]:
-        """The ``m`` smallest sums per cell, ascending along a last axis, and how each was made.
-
-        A sum takes ``table`` and one entry of each message's list; the
-        second value holds each message's ``_add_lists`` record, in order.
-        """
-        out = self.table(tables)[..., None]
-        steps = []
-        for k in self.messages:
-            out, step = _add_lists(out, lists[k], m)
-            steps.append(step)
-        return out, steps
-
 
 def _row_major(radices: Sequence[int]) -> np.ndarray:
     """Multipliers that turn digits over ``radices`` into a row-major index."""
-    return np.cumprod(np.concatenate(([1], radices[:0:-1])), dtype=np.int64)[::-1]
-
-
-def _smallest(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``m`` smallest entries of each row, ascending, and their positions.
-
-    Ties keep the first position, so with ``m`` 1 these are ``min`` and ``argmin``.
-    """
-    if m == 1:
-        return values.min(axis=1, keepdims=True), values.argmin(axis=1)[:, None]
-    order = np.argsort(values, axis=1, kind="stable")[:, :m]
-    return values[np.arange(len(values))[:, None], order], order
-
-
-@functools.lru_cache(maxsize=1024)
-def _pairs(a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks ``(i, j)`` in two ascending lists of ``a`` and ``b`` entries with ``(i+1)(j+1) <= m``.
-
-    The sum at ``(i, j)`` is at least each sum at ``(i', j')`` with ``i' <= i``
-    and ``j' <= j``, so the ``m`` smallest sums lie among these pairs, which
-    number at most ``_pair_bound(m)``.  In ``i``-major order.
-    """
-    i = np.arange(min(a, m))
-    lengths = np.minimum(b, m // (i + 1))
-    left = np.repeat(i, lengths)
-    right = np.arange(left.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    left.flags.writeable = right.flags.writeable = False
-    return left, right
-
-
-@functools.lru_cache(maxsize=1024)
-def _pair_bound(m: int) -> int:
-    """Most pairs ``_pairs`` returns for ``m``: the positive ``(i, j)`` with ``i * j <= m``."""
-    return int((m // np.arange(1, m + 1)).sum())
-
-
-def _add_lists(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, tuple]:
-    """The ``m`` smallest sums of one entry of ``left`` and one of ``right``, per cell.
-
-    Both lists run along the last axis, ascending, and so does the result.
-    Also returns the record ``(i, j, order)`` that decodes result rank ``t``
-    at a cell: it adds rank ``i[q]`` of ``left`` to rank ``j[q]`` of
-    ``right``, with ``q = order[cell, t]``, or ``q = t`` when ``order`` is None.
-    """
-    a, b = left.shape[-1], right.shape[-1]
-    i, j = _pairs(a, b, m)
-    if a == 1 or b == 1:
-        # One list is a constant per cell, and adding it keeps the other's order.
-        return left[..., :m] + right[..., :m], (i, j, None)
-    sums = left[..., i] + right[..., j]
-    smallest, order = _smallest(sums.reshape(-1, i.size), m)
-    return smallest.reshape(sums.shape[:-1] + (-1,)), (i, j, order)
-
-
-def _unwind(steps, messages: Sequence[int], t, cell: np.ndarray, ranks: list) -> None:
-    """Set in ``ranks`` the rank of each message behind rank ``t`` of a bucket's list."""
-    for (i, j, order), k in zip(steps[::-1], messages[::-1]):
-        q = t if order is None else order[cell, t]
-        ranks[k], t = j[q], i[q]
+    out = np.ones(len(radices), dtype=np.int64)
+    out[:-1] = np.cumprod(radices[:0:-1], dtype=np.int64)[::-1]
+    return out
 
 
 class ContextIncidence:
@@ -416,19 +349,24 @@ class ContextIncidence:
     ``rows`` maps joint indices to their rows through their digits.
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them (the entropy solver on small boxes), and the
-    cost LP takes its rows from ``rows``.  This is the only code that knows
-    the stacked layout.
+    cost LP takes its rows from ``rows`` and from ``JunctionTree``.  This
+    module is the only code that knows the stacked layout.
 
-    ``extremum`` finds the best joint outcomes lambda of a score
+    ``extremum`` finds the best joint outcome lambda of a score
     ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
-    leading observables and eliminates the trailing ones by m-best bucket
-    elimination (Dechter 1999; Flerova, Marinescu & Dechter 2016), whose
-    tables grow with the induced width of the hypergraph (2 for a chain) and
-    the number of outcomes asked for, not with the joint dimension.
+    leading observables and eliminates the trailing ones by min-sum bucket
+    elimination (Dechter 1999), whose tables grow with the induced width of
+    the hypergraph (2 for a chain), not with the joint dimension.  Refuses,
+    before any table is built, a hypergraph of more than ``MAX_OBSERVABLES``
+    observables, whose tables numpy cannot hold.
     """
 
     def __init__(self, g: Hypergraph):
         cards = g.cardinalities
+        if len(cards) > MAX_OBSERVABLES:
+            raise CapExceededError(
+                f"hypergraph has {len(cards)} observables; a table holds at most {MAX_OBSERVABLES}"
+            )
         self.joint_shape = cards
         self._joint_dim = g.joint_dim
         self.contexts = g.contexts
@@ -487,6 +425,11 @@ class ContextIncidence:
             out += table
         return out
 
+    @property
+    def scans_whole_joint(self) -> bool:
+        """Whether the joint has at most ``_SCAN_CELLS`` cells, so ``extremum`` scans it whole."""
+        return self._joint_dim <= _SCAN_CELLS
+
     @cached_property
     def _elimination(self) -> tuple[_Bucket, tuple[_Bucket, ...]]:
         """The scanned prefix and the buckets that eliminate the other observables.
@@ -532,117 +475,58 @@ class ContextIncidence:
             pending[home(scope[:-1])][1].append(len(buckets) - 1)
         return bucket(range(prefix), *pending[-1]), tuple(buckets)
 
-    def extremum(self, y: np.ndarray, sense: str, count: int = 1) -> tuple[float, np.ndarray]:
-        """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and where.
+    def extremum(self, y: np.ndarray, sense: str) -> tuple[float, int]:
+        """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and
+        the joint index of the first best outcome in row-major order.
 
-        ``sense`` is "max" or "min".  Returns the best score and the joint
-        indices of the ``count`` best joint outcomes (all of them, if fewer),
-        by m-best bucket elimination (Nilsson 1998; Flerova, Marinescu &
-        Dechter 2016): each bucket keeps, per cell of its scope, the ``m``
-        best partial scores and where each came from.  The scan scores every
-        prefix (see ``_elimination``) by its best completion and keeps the
-        ``count`` best, which hold the prefixes of the ``count`` best
-        outcomes up to ties; their lists are merged and the best ``count``
-        decoded.  ``m`` is ``count``, or less where a merge of two lists
-        would exceed ``JOINT_DIM_CAP`` entries; then the best score is still
-        exact, but fewer candidates may come back, and they need not be the
-        next best.  Every choice takes the first index among ties, so with
-        ``count`` 1 the candidate is the first optimum in row-major order.
-        When nothing is eliminated, the scores are ``lift(y)`` and the
-        candidates are its first best entry (``count`` 1) or its
-        ``argpartition``.  Refuses a ``y`` not shaped ``(dim,)`` and a
-        ``count`` that is not an integer of at least 1.
+        ``sense`` is "max" or "min".  Min-sum bucket elimination (Dechter
+        1999): each bucket keeps, per cell of the rest of its scope, the best
+        score over its own observable and the value that gave it.  The scan
+        scores every prefix (see ``_elimination``) by its best completion,
+        and the best prefix's completion is decoded, parents first.  Every
+        choice takes the first index among ties.  When nothing is
+        eliminated, the scores are ``lift(y)``.  Refuses a ``y`` not shaped
+        ``(dim,)``.
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise InvalidBoxError(f"count must be an integer >= 1, got {count!r}")
         prefix, buckets = self._elimination
         y = np.asarray(y, dtype=float)
         # Min-sum throughout; negation is exact, so ties stay ties.
         tables = self.tables(-y if sense == "max" else y)
-        ctx = prefix.table(tables)
-        count_p = min(count, ctx.size)
-        m = self._ranks(count, count_p)
-        lists: list[np.ndarray] = []
-        records = []
         cards = self.joint_shape
+        messages: list[np.ndarray] = []
+        choices: list[np.ndarray] = []
         for b in buckets:
-            # Eliminate v, the last of the scope: rank r of value d sits at d * k + r.
-            values, steps = b.total(tables, lists, m)
-            v, k = b.scope[-1], values.shape[-1]
-            message, choice = _smallest(values.reshape(-1, cards[v] * k), m)
-            lists.append(message.reshape(b.shape[:v] + (1,) * (len(cards) - v) + (-1,)))
-            records.append((steps, choice, k))
-        scores = ctx
+            values = b.table(tables)
+            for k in b.messages:
+                values += messages[k]
+            # Eliminate v, the last of the scope: every later axis has size 1.
+            v = b.scope[-1]
+            values = values.reshape(-1, cards[v])
+            messages.append(values.min(axis=1).reshape(b.shape[:v] + (1,) * (len(cards) - v)))
+            choices.append(values.argmin(axis=1))
+        scores = prefix.table(tables)
         for k in prefix.messages:
-            scores = scores + lists[k][..., 0]
-        scores, ctx = scores.ravel(), ctx.ravel()
-        if count_p > 1:
-            picked = np.argpartition(scores, count_p - 1)[:count_p]
-        else:
-            picked = scores.argmin(keepdims=True)
-        if not buckets:
-            best = float(scores[picked].min())
-            return (-best if sense == "max" else best), picked
-        # The picked prefixes' lists, merged; their best count are decoded.
+            scores = scores + messages[k]
+        scores = scores.ravel()
+        at = int(scores.argmin())
+        best = float(scores[at])
+        # Decode the eliminated observables in index order, parents first.
         # Digits not yet decoded are 0, so a bucket's index over its scope,
         # taken before its own observable is decoded, is its parents' index
         # times that observable's cardinality.
-        digits = np.zeros((count_p, len(cards)), dtype=np.int64)
-        scanned = len(prefix.scope)
-        if scanned:
-            digits[:, :scanned] = np.transpose(np.unravel_index(picked, cards[:scanned]))
-        values, steps = ctx[picked][:, None], []
-        for k in prefix.messages:
-            b = buckets[k]
-            at = digits[:, b.axes] @ b.strides // cards[b.scope[-1]]
-            values, step = _add_lists(values, lists[k].reshape(-1, lists[k].shape[-1])[at], m)
-            steps.append(step)
-        flat = values.ravel()
-        if count >= flat.size:
-            chosen = np.arange(flat.size)
-        else:
-            chosen = np.argpartition(flat, count - 1)[:count]
-        best = float(flat[chosen].min())
-        best = -best if sense == "max" else best
-        # Decode the eliminated observables in index order, parents first.
-        p, t = np.divmod(chosen, values.shape[-1])
-        digits = digits[p]
-        ranks: list = [None] * len(buckets)
-        _unwind(steps, prefix.messages, t, p, ranks)
-        for bi in reversed(range(len(buckets))):
-            (steps, choice, k), b = records[bi], buckets[bi]
+        digits = np.zeros(len(cards), dtype=np.int64)
+        if prefix.scope:
+            digits[: len(prefix.scope)] = np.unravel_index(at, cards[: len(prefix.scope)])
+        for b, choice in zip(reversed(buckets), reversed(choices)):
             v = b.scope[-1]
-            at = digits[:, b.axes] @ b.strides
-            digits[:, v], t = np.divmod(choice[at // cards[v], ranks[bi]], k)
-            _unwind(steps, b.messages, t, at + digits[:, v], ranks)
-        return best, digits @ self._strides
+            digits[v] = choice[digits[b.axes] @ b.strides // cards[v]]
+        return (-best if sense == "max" else best), int(digits @ self._strides)
 
     @cached_property
     def _strides(self) -> np.ndarray:
         return _row_major(self.joint_shape)
-
-    def _ranks(self, count: int, prefixes: int) -> int:
-        """Entries per list: ``count``, or the most that keep every list merge within the cap.
-
-        A merge sums at most ``_pair_bound(m)`` pairs in each cell of a
-        bucket, or of each of the ``prefixes`` picked prefixes.
-        """
-        _, buckets = self._elimination
-        if count == 1 or not buckets:
-            return 1
-        cells = max(prefixes, *(math.prod(b.shape) for b in buckets))
-        if _pair_bound(count) * cells <= JOINT_DIM_CAP:
-            return count
-        lo, hi = 1, count
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _pair_bound(mid) * cells <= JOINT_DIM_CAP:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     @cached_property
     def _sorted_rows(self) -> np.ndarray:
@@ -694,6 +578,156 @@ class ContextIncidence:
         for table in self.tables(start):
             out[(table + grid).ravel()] = 1.0
         return out[: size * n].reshape(size, n)
+
+
+def _min_fill(
+    contexts: Sequence[Sequence[int]], cards: Sequence[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``(observable, its neighbours)`` per step of greedy min-fill elimination
+    (Kjaerulff 1990): the observable whose neighbours (observables sharing a
+    context) lack the fewest edges among themselves goes first (ties: fewest
+    neighbour cells, then lowest index), and its neighbours are joined."""
+    neighbours = [set() for _ in cards]
+    for ctx in contexts:
+        for i in ctx:
+            neighbours[i].update(set(ctx) - {i})
+
+    def score(v: int) -> tuple[int, int, int]:
+        near = neighbours[v]
+        fill = sum(b not in neighbours[a] for a, b in itertools.combinations(near, 2))
+        return fill, math.prod(cards[i] for i in near), v
+
+    steps, remaining = [], set(range(len(cards)))
+    while remaining:
+        v = min(remaining, key=score)
+        remaining.remove(v)
+        for i in neighbours[v]:
+            neighbours[i] |= neighbours[v] - {i}
+            neighbours[i].remove(v)
+        steps.append((v, tuple(sorted(neighbours[v]))))
+    return steps
+
+
+class JunctionTree:
+    """A junction tree of a hypergraph's observables, and the cost LP on its clique tables.
+
+    Eliminating an observable in min-fill order (``_min_fill``) makes a
+    clique of it and its neighbours; the neighbours are its separator, and
+    they lie in the clique of the first of them eliminated, its parent.  A
+    parent that equals a child's separator gives its place to that child.
+    The roots of separate components hang from the first by empty
+    separators, so ``cliques[0]`` is the root and parents come first.  Each
+    context's home is the clique of its first-eliminated observable.
+
+    Nonnegative clique tables that agree on every separator are the clique
+    marginals of a measure on the joint (Lauritzen & Spiegelhalter 1988), so
+    the cost LP is exactly an LP on the tables.  A table is row-major over
+    its clique: the separator's observables, then the others, each in
+    increasing order; ``offsets`` places them in the LP's variables.  The
+    LP's rows (``matrix``, compressed by row: starts, column indices,
+    values) are first the ``n_agreements`` agreement rows, a child's table
+    summed to each separator cell less its parent's, and then one row per
+    stacked context outcome, in stacked order: the home's cells whose
+    restriction to the context is that outcome.  Refuses, before any table
+    exists, a clique of more than ``JOINT_DIM_CAP`` cells.
+    """
+
+    def __init__(self, g: Hypergraph):
+        cards = self._cards = g.cardinalities
+        steps = _min_fill(g.contexts, cards)
+        position = {v: i for i, (v, _) in enumerate(steps)}
+        slot: dict[int, int] = {}
+        taken: set[int] = set()
+        cliques: list[set[int]] = []
+        separators, parents = [], []
+        # Last step first, so every parent comes before its children.
+        for i in reversed(range(len(steps))):
+            v, near = steps[i]
+            p = min((position[u] for u in near), default=-1)
+            if p >= 0 and p not in taken and len(near) == len(steps[p][1]) + 1:
+                # p's clique is this separator: this clique takes p's place.
+                taken.add(p)
+                c = slot[p]
+            else:
+                c = len(cliques)
+                cliques.append(set())
+                separators.append(near)
+                parents.append(slot[p] if p >= 0 else -1 if c == 0 else 0)
+            cliques[c] |= {v, *near}
+            slot[i] = c
+        for clique in cliques:
+            cells = math.prod(cards[v] for v in clique)
+            if cells > JOINT_DIM_CAP:
+                raise CapExceededError(
+                    f"the junction-tree clique {sorted(clique)} needs a table of {cells} cells, "
+                    f"over the cap {JOINT_DIM_CAP}"
+                )
+        self.cliques = tuple(sep + tuple(sorted(c - set(sep))) for c, sep in zip(cliques, separators))
+        self.separators, self.parents = tuple(separators), tuple(parents)
+        self.homes = tuple(slot[min(position[v] for v in ctx)] for ctx in g.contexts)
+        sizes = (math.prod(cards[v] for v in clique) for clique in self.cliques)
+        self.offsets = tuple(itertools.accumulate(sizes, initial=0))
+        blocks, row = [], 0
+        for c in range(1, len(cliques)):
+            for clique, sign in ((c, 1.0), (parents[c], -1.0)):
+                blocks.append((row + self._cells(clique, separators[c]), clique, sign))
+            row += math.prod(cards[v] for v in separators[c])
+        self.n_agreements = row
+        for home, ctx, offset in zip(self.homes, g.contexts, g.incidence.offsets):
+            blocks.append((row + offset + self._cells(home, ctx), home, 1.0))
+        rows = np.concatenate([cells for cells, _, _ in blocks])
+        order = np.argsort(rows, kind="stable")
+        columns = np.concatenate([self.offsets[c] + np.arange(cells.size) for cells, c, _ in blocks])
+        values = np.concatenate([np.full(cells.size, sign) for cells, _, sign in blocks])
+        starts = np.searchsorted(rows[order], np.arange(self.n_agreements + g.incidence.dim))
+        self.matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
+
+    def _cells(self, c: int, observables: Sequence[int]) -> np.ndarray:
+        """Row-major index over ``observables`` (all in clique c) of each of c's cells."""
+        clique = self.cliques[c]
+        digits = np.indices([self._cards[v] for v in clique]).reshape(len(clique), -1)
+        radices = [self._cards[v] for v in observables]
+        return _row_major(radices) @ digits[[clique.index(v) for v in observables]]
+
+    def peel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Joint indices and weights of assignments whose clique marginals make up the tables ``x``.
+
+        Each step walks down the tree, taking in each clique the largest cell
+        that agrees with its parent's: one assignment, weighted by the least
+        of those cells, which is taken off each and so zeroes one.  Where
+        rounding leaves a clique no positive cell that agrees, its parent's
+        cell is zeroed instead.  Weights of 1e-12 or less are dropped.
+        """
+        cards, walk = self._cards, []
+        for c, (clique, sep) in enumerate(zip(self.cliques, self.separators)):
+            free, radices = list(clique[len(sep):]), [cards[v] for v in sep]
+            table = np.maximum(x[self.offsets[c]:self.offsets[c + 1]], 0.0)
+            walk.append((table.reshape(math.prod(radices), -1), list(sep), _row_major(radices),
+                         free, np.indices([cards[v] for v in free]).reshape(len(free), -1).T))
+        digits = np.zeros(len(cards), dtype=np.int64)
+        found, weights = [], []
+        while True:
+            cells = []
+            for table, sep, strides, free, free_digits in walk:
+                s = int(digits[sep] @ strides)
+                f = int(table[s].argmax())
+                digits[free] = free_digits[f]
+                cells.append((table, s, f, float(table[s, f])))
+            short = [c for c, cell in enumerate(cells) if cell[3] <= 0.0]
+            if short[:1] == [0]:
+                break
+            if short:
+                table, s, f, _ = cells[self.parents[short[0]]]
+                table[s, f] = 0.0
+                continue
+            w = min(mass for *_, mass in cells)
+            for table, s, f, mass in cells:
+                table[s, f] = mass - w if mass > w else 0.0
+            if w > 1e-12:
+                found.append(digits.copy())
+                weights.append(w)
+        joint = np.array(found, dtype=np.int64).reshape(-1, len(cards)) @ _row_major(cards)
+        return joint, np.array(weights)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ from .boxes import (
     check_joint_dim,
     check_tolerance,
     junction_tree_joint,
+    probability_vector,
     require_consistent,
 )
 from .closed_form import chi
@@ -114,18 +115,8 @@ class ContextWeights:
     weights: np.ndarray
 
     def __init__(self, weights):
-        vec = np.asarray(weights, dtype=float).copy()
-        if vec.ndim != 1 or vec.size == 0:
-            raise InvalidBoxError("context weights must be a non-empty vector")
-        if not np.all(np.isfinite(vec)):
-            raise InvalidBoxError("context weights must be finite")
-        if np.any(vec < -1e-15):
-            raise InvalidBoxError("context weights must be nonnegative")
-        vec = np.where(vec < 0.0, 0.0, vec)
-        if abs(float(vec.sum()) - 1.0) > 1e-12:
-            raise InvalidBoxError(f"context weights sum to {float(vec.sum())!r}")
-        vec.flags.writeable = False
-        object.__setattr__(self, "weights", vec)
+        """Checked as any probability vector (``boxes.probability_vector``)."""
+        object.__setattr__(self, "weights", probability_vector(weights, what="context weights"))
 
     @classmethod
     def uniform(cls, n: int) -> "ContextWeights":

@@ -8,73 +8,56 @@ hypergraph.  The contextuality cost of a consistent box b solves
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
 
-A box on a binary n-cycle (PR = CH(4), KCBS, every CH(n)) gets its cost in
-closed form, in O(n).  Let ``E_i = P(equal) - P(differ)`` on context i and
-``S`` the largest ``sum_i g_i E_i`` over sign vectors g with an odd number
-of -1: ``sum |E_i|``, less ``2 min |E_i|`` when an even number of the
-``E_i`` are negative.  The chained inequalities ``sum_i g_i E_i <= n - 2``
-are the only nontrivial facets of this scenario's noncontextual polytope
-(Araujo, Quintino, Budroni, Terra Cunha & Cabello 2013, PRA 88, 022118),
-and a consistent box has ``S <= n``.  So the cost is
-``max(0, (S - (n - 2)) / 2)``: the maximizing inequality certifies it as a
-lower bound, since every noncontextual part scores at most n - 2 on it and
-the contextual part at most n, and the facet theorem makes it exact.  The
-interval is the closed form at both ends, clamped to [0, 1].  The scenario
-is read from the hypergraph alone (``Hypergraph.is_binary_cycle``), and no
-HiGHS model or elimination runs; the witness is solved by column
-generation when it is first read.
+Two kinds of box need no LP.  A box on a binary n-cycle (PR = CH(4), KCBS,
+every CH(n); ``Hypergraph.is_binary_cycle``) gets its cost in closed form
+from its chained inequalities (``_binary_cycle_cost``), and a box on an
+acyclic hypergraph from its junction-tree joint (``_junction_tree_cost``).
+Every other box is solved by an LP, and so is a binary cycle's witness when
+it is first read: by column generation when ``ContextIncidence.extremum``
+scans the whole joint (at most 2^10 cells), and by the junction-tree LP
+above it.  Since a witness is held as joint indices, the cost refuses a
+joint of 2^63 cells or more up front.
 
-Column generation solves every other box, and every witness, with joint
-indices as columns.  Since a witness is held as joint indices, the cost
-refuses a joint of 2^63 cells or more up front, for every box.  An optimal
-witness needs no more columns than the box has stacked rows
-(Caratheodory), so the loop starts from that many: the assignments the box
-supports best, which ``ContextIncidence.extremum`` finds by minimizing
-``sum_c -log b_c(lambda_c)``.  It then prices every assignment with
-``extremum``, takes up to twice that many of the cheapest per round and
-appends those that score below 1 - 1e-9 under the current duals, until
-every assignment scores at least 1.  Both are exact: a scan of the leading
-observables (at most 2^10 cells) and m-best min-sum elimination of the
-rest give the best assignments themselves, and build no joint tensor above
-2^10 cells, so no joint cap applies: only the plan refuses a box, for a
-table above ``JOINT_DIM_CAP`` cells.  On CH(14), CH(16) and CH(18) at alpha
-0.99 the start alone is optimal, one HiGHS run; at alpha 0.9 CH(14) takes
-one run and CH(16) and CH(18) two, on 192 and 216 rows: every candidate of
-their second round is violated.  The
-restricted LP is solved in its dual form,
+Column generation has joint indices as columns.  An optimal witness needs
+no more columns than the box has stacked rows (Caratheodory), so it starts
+from that many: the lowest of ``sum_c -log b_c(lambda_c)``.  Each round
+scores every assignment under the duals with ``lift``, takes up to twice
+that many of the cheapest and appends those that score below 1 - 1e-9,
+until every assignment scores at least 1.  The restricted LP is solved in
+its dual form,
 
     minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
 
 with one variable per stacked context outcome (tens) where the primal has
-one per column (hundreds), so far fewer simplex iterations are needed.  Each
-thread keeps one HiGHS model, its options set once; a call clears it
-(``clearModel``, which keeps the options) and adds those variables.  On a
-2-core Xeon host, clearing took about 1 microsecond, and building a model
-and setting its options about 100.  Every round appends only the entering
-assignments as rows (row D holds a 1 at each of D's ``n_contexts`` stacked
-rows of the context-incidence operator M, so M is never materialized), and
-HiGHS's dual simplex re-optimizes from the previous basis.  The witness
-weights w are the rows' duals, and the final pricing bound certifies the
-lower end of the bracket.  The report keeps the witness as the LP left it,
-joint indices and weights, and decodes the assignments and the residual box
-only when they are read.
+one per column (hundreds), so far fewer simplex iterations are needed.
+Each round appends only the entering assignments as rows, and HiGHS's dual
+simplex re-optimizes from the previous basis.  The witness weights are the
+rows' duals.
 
-A box on an acyclic hypergraph needs no LP.  Its junction-tree joint
-(``boxes.junction_tree_joint``) has the box's context marginals, so the box is
-noncontextual (Vorob'ev 1962).  The witness is the joint's positive cells,
-scaled by the largest ``s <= 1`` that keeps it within the box on every row.
-The cost is ``1 - s * sum``, about 1e-15, and the interval is ``(0, cost)``:
-0 is a lower bound of every cost.  A box consistent only within
-``require_consistent``'s tolerance can get a closed-form cost above 1e-9,
-and a joint above ``JOINT_DIM_CAP`` cells is not built; column generation
-then solves the box as any other.
+The junction-tree LP (``boxes.JunctionTree``, on a min-fill order) has the
+clique tables as variables: maximize the root's mass subject to agreement
+on every separator and to each stacked row's mass, summed from a clique
+that holds its context, being at most b.  Nonnegative tables that agree are
+the clique marginals of a measure on the joint (Lauritzen & Spiegelhalter
+1988), so this is exactly the cost LP, of the size of the clique tables,
+solved in one HiGHS run.  The cost is 1 less the root's mass, and the
+witness is peeled from the tables when first read (``JunctionTree.peel``).
+No joint tensor is built above 2^10 cells: only a clique or an elimination
+table above ``JOINT_DIM_CAP`` cells refuses a box.  On M + PM + CH(14, 0.95)
+(2^33 cells) it took 9 ms, where column generation took 3.2 s (README.md).
 
-HiGHS runs with presolve off.  These LPs have tens of variables and at most
-a few hundred rows per round, and presolve cost more than it saved: on the
-48 boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)`` (2 cores,
-3 interleaved runs, best of 5 passes each), the whole pass fell from 194-239
-to 139-158 ms with it off, and HiGHS's own ``run`` time from 145-181 to
-90-102 ms, every cost still matching the all-columns primal LP.
+In both, dividing the duals y of the box's rows by the least score of any
+assignment under them, from ``lift`` or ``extremum``, makes them dual
+feasible, which certifies the lower end ``1 - b.y / min score``; in the
+junction-tree LP that score is 1 up to rounding, since the agreement terms
+cancel along the tree.  Each thread keeps one HiGHS model per LP, its
+options set once, and clears it for each call (``clearModel``, about 1
+microsecond on a 2-core Xeon host, against about 100 to build a model).
+HiGHS runs with presolve off, which cost more than it saved: on the 48
+boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)``, column
+generation's ``run`` time fell from 145-181 to 90-102 ms with it off, and
+the junction-tree LP took 1.7 against 2.2 ms on M + PR and 4.7 against
+5.6 ms on M + PM + CH(14, 0.95) (best of 5, tree built).
 """
 
 from __future__ import annotations
@@ -86,6 +69,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -107,6 +91,10 @@ _LP_TOL = 1e-9
 # entries near 1e-7 got witnesses that over-spend the box by up to 2e-7 and
 # costs up to 8e-7 off, outside their own zero-width bracket.
 _HIGHS_TOL = 1e-10
+# HiGHS's primal simplex, for the junction-tree LP: with the tree built, a call
+# took 2.2 ms on M + PR (2^14 cells) and 4.0 ms on M + PM (2^19), against 5.1
+# and 8.5 ms with the default dual simplex (best of 5, 2-core Xeon host).
+_PRIMAL_SIMPLEX = 4
 
 
 def _load_highs_core():
@@ -157,22 +145,22 @@ class CostReport:
     when the cost is within 1e-9 of 0) are decoded from the LP's solution on
     first access and then cached; most callers read only ``cost`` and
     ``interval``.  A binary n-cycle's cost and interval come from the
-    closed form (see the module docstring), and column generation solves its
-    witness only when one of the two is first read.
+    closed form (see the module docstring), and its witness is solved only
+    when one of the two is first read.
     """
 
     cost: float
     interval: tuple[float, float]
     _box: Box = field(repr=False)
-    # The witness as LP data: its joint indices and their weights, all
+    # Decodes the witness as LP data, its joint indices and their weights, all
     # positive; None while a closed-form report's witness is unsolved.
-    _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _decode: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     @cached_property
     def _witness(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._solved is not None:
-            return self._solved
-        return _column_generation(self._box)._solved
+        if self._decode is None:
+            return _solve(self._box)._witness
+        return self._decode()
 
     @cached_property
     def witness_weights(self) -> dict[DeterministicAssignment, float]:
@@ -187,13 +175,7 @@ class CostReport:
             return None
         g = self._box.hypergraph
         stacked = self._box.stacked()
-        columns, weights = self._witness
-        mass = np.bincount(
-            g.incidence.rows(columns).ravel(),
-            weights=np.repeat(weights, g.n_contexts),
-            minlength=stacked.size,
-        )
-        res_stacked = np.maximum(stacked - mass, 0.0) / self.cost
+        res_stacked = np.maximum(stacked - _mass(g, *self._witness), 0.0) / self.cost
         dists = []
         for vec in g.incidence.split(res_stacked):
             total_mass = vec.sum()
@@ -201,40 +183,71 @@ class CostReport:
         return Box(g, dists)
 
 
+def _mass(g: Hypergraph, columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A witness's mass on each stacked row."""
+    return np.bincount(
+        g.incidence.rows(columns).ravel(),
+        weights=np.repeat(weights, g.n_contexts),
+        minlength=g.incidence.dim,
+    )
+
+
+def _within(box: Box, mass: np.ndarray) -> float:
+    """The largest ``s <= 1`` that keeps ``s * mass`` within the box on every row."""
+    spent = mass > 0.0
+    return min(1.0, float(np.min(box.stacked()[spent] / mass[spent], initial=1.0)))
+
+
 _local = threading.local()
 
 
-def _cost_lp() -> _Highs:
-    """This thread's HiGHS model for the cost LP, empty, with its options set.
+def _highs(name: str, costs: np.ndarray, **options) -> _Highs:
+    """This thread's HiGHS model ``name``, with one variable in [0, inf) per
+    entry of ``costs``, to be minimized, and no rows.
 
-    One model per thread is kept and cleared for each call (``clearModel``
-    keeps the options); ``measure --workers N`` solves on N threads.  A model
-    of another class than ``_Highs`` (as when a test replaces ``_Highs``)
-    is replaced by a new one.
+    One model per thread and name is kept and cleared for each call
+    (``clearModel`` keeps the options); ``measure --workers N`` solves on N
+    threads.  Every model runs silent, at ``_HIGHS_TOL``, with presolve off,
+    and with ``options`` on top.  A model of another class than ``_Highs``
+    (as when a test replaces ``_Highs``) is replaced by a new one.
     """
-    lp = getattr(_local, "lp", None)
+    lp = getattr(_local, name, None)
     if type(lp) is _Highs:
         lp.clearModel()
-        return lp
-    lp = _local.lp = _Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.setOptionValue("primal_feasibility_tolerance", _HIGHS_TOL)
-    lp.setOptionValue("dual_feasibility_tolerance", _HIGHS_TOL)
-    # Presolve costs more than it saves on LPs this small (see the module docstring).
-    lp.setOptionValue("presolve", "off")
+    else:
+        lp = _Highs()
+        setattr(_local, name, lp)
+        # Presolve costs more than it saves on these LPs (see the module docstring).
+        options = {"output_flag": False, "primal_feasibility_tolerance": _HIGHS_TOL,
+                   "dual_feasibility_tolerance": _HIGHS_TOL, "presolve": "off", **options}
+        for option, value in options.items():
+            lp.setOptionValue(option, value)
+    n = costs.size
+    lp.addCols(n, costs, np.zeros(n), np.full(n, np.inf), 0, np.zeros(n, dtype=np.int32),
+               np.empty(0, dtype=np.int32), np.empty(0))
     return lp
+
+
+def _solution(lp: _Highs):
+    """Run ``lp`` and return its optimal solution; refuse any other outcome."""
+    lp.run()
+    status = lp.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise ContextualityError(f"cost LP failed: {lp.modelStatusToString(status)}")
+    return lp.getSolution()
 
 
 def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
     A binary n-cycle gets its cost in closed form, and a box on an acyclic
-    hypergraph from its junction-tree joint; column generation solves every
-    other box (see the module docstring).  Defined only for consistent
+    hypergraph from its junction-tree joint; every other box is solved by
+    column generation within the 2^10-cell scan and by the junction-tree LP
+    above it (see the module docstring).  Defined only for consistent
     boxes; inconsistent input is refused rather than given a misleading
     number.  Refuses a joint of 2^63 cells or more, since a witness is held
-    as joint indices, and column generation refuses a box whose elimination
-    needs a table above ``JOINT_DIM_CAP`` cells.
+    as joint indices, and a box whose junction tree or elimination needs a
+    table above ``JOINT_DIM_CAP`` cells.
     """
     require_consistent(box)
     g = box.hypergraph
@@ -246,7 +259,15 @@ def contextuality_cost(box: Box) -> CostReport:
         report = _junction_tree_cost(box, joint)
         if report.cost <= _LP_TOL:
             return report
-    return _column_generation(box)
+    return _solve(box)
+
+
+def _solve(box: Box) -> CostReport:
+    """The cost LP: column generation if ``extremum`` scans the whole joint, else the
+    junction-tree LP."""
+    if box.hypergraph.incidence.scans_whole_joint:
+        return _column_generation(box)
+    return _tree_lp(box)
 
 
 # P(equal) - P(differ) from a pair's outcomes 00, 01, 10, 11.
@@ -256,11 +277,17 @@ _CORRELATOR = np.array([1.0, -1.0, -1.0, 1.0])
 def _binary_cycle_cost(box: Box) -> CostReport:
     """The cost of a box on a binary n-cycle, from its chained inequalities.
 
-    With ``E_i`` the correlator of context i, the largest ``sum_i g_i E_i``
-    over sign vectors g with an odd number of -1 is ``S = sum |E_i|``, less
-    ``2 min |E_i|`` when an even number of the ``E_i`` are negative, and the
-    cost is ``max(0, (S - (n - 2)) / 2)``, clamped to [0, 1].  The witness is
-    solved on first read.
+    With ``E_i = P(equal) - P(differ)`` on context i, the largest
+    ``sum_i g_i E_i`` over sign vectors g with an odd number of -1 is
+    ``S = sum |E_i|``, less ``2 min |E_i|`` when an even number of the
+    ``E_i`` are negative.  The chained inequalities ``sum_i g_i E_i <= n - 2``
+    are the only nontrivial facets of this scenario's noncontextual polytope
+    (Araujo, Quintino, Budroni, Terra Cunha & Cabello 2013, PRA 88, 022118),
+    and a consistent box has ``S <= n``, so the cost is
+    ``max(0, (S - (n - 2)) / 2)``: the maximizing inequality certifies it as
+    a lower bound, and the facet theorem makes it exact.  The interval is
+    the cost at both ends, clamped to [0, 1]; no HiGHS model or elimination
+    runs, and the witness is solved on first read.
     """
     n = box.hypergraph.n_contexts
     correlators = box.stacked().reshape(n, 4) @ _CORRELATOR
@@ -272,8 +299,18 @@ def _binary_cycle_cost(box: Box) -> CostReport:
     return CostReport(cost, (cost, cost), box)
 
 
+def _cheapest(g: Hypergraph, y: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """The lowest score ``(M^T y)(lambda)`` and the joint indices of the ``count``
+    lowest-scoring outcomes (all of them, if fewer), from ``lift``."""
+    scores = g.incidence.lift(y).ravel()
+    count = min(count, scores.size)
+    picked = np.argpartition(scores, count - 1)[:count]
+    return float(scores[picked].min()), picked
+
+
 def _column_generation(box: Box) -> CostReport:
-    """The cost LP of a consistent box, solved by column generation, with its witness.
+    """The cost LP of a consistent box whose joint ``extremum`` scans whole,
+    solved by column generation, with its witness.
 
     Each round re-solves the restricted LP's dual (see the module docstring)
     after appending the entering columns as rows: its solution y prices the
@@ -283,12 +320,8 @@ def _column_generation(box: Box) -> CostReport:
     g = box.hypergraph
     stacked = box.stacked()
     n_contexts = g.n_contexts
-    lp = _cost_lp()
-    # Variable y_r for each stacked row r: cost b_r, bounds [0, inf), no entries yet.
-    lp.addCols(
-        stacked.size, stacked, np.zeros(stacked.size), np.full(stacked.size, np.inf),
-        0, np.zeros(stacked.size, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0),
-    )
+    # Variable y_r for each stacked row r: cost b_r, no entries yet.
+    lp = _highs("lp", stacked)
     # Start from the stacked.size assignments the box supports best (see the
     # module docstring), by the sum of -log b over their rows.  A zero row
     # scores above any all-positive assignment's total, but finitely, so no
@@ -297,7 +330,7 @@ def _column_generation(box: Box) -> CostReport:
     fit = np.empty(stacked.size)
     fit[positive] = -np.log(stacked[positive])
     fit[~positive] = n_contexts * fit[positive].max() + 1.0
-    _, entering = g.incidence.extremum(fit, "min", count=stacked.size)
+    _, entering = _cheapest(g, fit, stacked.size)
     new_rows = g.incidence.rows(entering)
     # LP row i is assignment columns[i]: rows are appended in round order.
     columns = np.empty(0, dtype=np.int64)
@@ -308,13 +341,9 @@ def _column_generation(box: Box) -> CostReport:
             new_rows.ravel().astype(np.int32), np.ones(new_rows.size),
         )
         columns = np.concatenate([columns, entering])
-        lp.run()
-        status = lp.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise ContextualityError(f"cost LP failed: {lp.modelStatusToString(status)}")
-        solution = lp.getSolution()
+        solution = _solution(lp)
         duals = np.asarray(solution.col_value)
-        min_score, candidates = g.incidence.extremum(duals, "min", count=2 * stacked.size)
+        min_score, candidates = _cheapest(g, duals, 2 * stacked.size)
         if min_score >= 1.0 - 1e-9:
             break
         # Only the candidates these duals violate enter.  A column already in
@@ -326,35 +355,70 @@ def _column_generation(box: Box) -> CostReport:
             break
     else:
         raise ContextualityError("column generation did not converge in 200 rounds")
-    # The pricing bound certifies y / min_score is dual feasible.
-    dual_value = float(duals @ stacked) / max(min(1.0, min_score), 1e-12)
-
     weights = np.maximum(np.asarray(solution.row_dual), 0.0)
-    # Both bounds are clamped into [0, 1] and ordered, so rounding in the LP
-    # solution cannot invert the bracket.
-    cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
-    interval = (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost)
     used = np.flatnonzero(weights > 1e-12)
-    return CostReport(cost, interval, box, (columns[used], weights[used]))
+    witness = (columns[used], weights[used])
+    return _report(box, 1.0 - float(weights.sum()), duals, min_score, lambda: witness)
+
+
+def _report(
+    box: Box, cost: float, y: np.ndarray, min_score: float,
+    decode: Callable[[], tuple[np.ndarray, np.ndarray]],
+) -> CostReport:
+    """An LP's report: ``cost``, and the lower end ``1 - b.y / min_score`` that the
+    duals ``y`` certify (see the module docstring).  Both ends are clamped into
+    [0, 1] and ordered, so rounding in the LP solution cannot invert the bracket."""
+    cost = min(1.0, max(0.0, cost))
+    dual_value = float(y @ box.stacked()) / max(min(1.0, min_score), 1e-12)
+    return CostReport(cost, (min(min(1.0, max(0.0, 1.0 - dual_value)), cost), cost), box, decode)
+
+
+def _tree_lp(box: Box) -> CostReport:
+    """The cost LP of a consistent box on its junction tree, in one HiGHS run
+    (see the module docstring)."""
+    g = box.hypergraph
+    tree = g.junction_tree
+    stacked = box.stacked()
+    agreements, root = tree.n_agreements, tree.offsets[1]
+    # Minimize minus the root's mass.
+    costs = np.where(np.arange(tree.offsets[-1]) < root, -1.0, 0.0)
+    lp = _highs("tree_lp", costs, simplex_strategy=_PRIMAL_SIMPLEX)
+    starts, indices, values = tree.matrix
+    lp.addRows(
+        starts.size, np.concatenate([np.zeros(agreements), np.full(stacked.size, -np.inf)]),
+        np.concatenate([np.zeros(agreements), stacked]), indices.size, starts, indices, values,
+    )
+    solution = _solution(lp)
+    tables = np.asarray(solution.col_value)
+    # HiGHS minimizes -mass, so the b rows' duals are <= 0.
+    y = np.maximum(-np.asarray(solution.row_dual)[agreements:], 0.0)
+    min_score, _ = g.incidence.extremum(y, "min")
+    mass = float(tables[:root].sum())
+    return _report(box, 1.0 - mass, y, min_score, lambda: _peeled(box, tables))
+
+
+def _peeled(box: Box, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The assignments peeled from the junction-tree LP's tables, scaled to fit the box."""
+    columns, weights = box.hypergraph.junction_tree.peel(tables)
+    return columns, weights * _within(box, _mass(box.hypergraph, columns, weights))
 
 
 def _junction_tree_cost(box: Box, joint: np.ndarray) -> CostReport:
     """The cost certified by the junction-tree joint of a box on an acyclic hypergraph.
 
-    The witness is the joint's positive cells, scaled by the largest
-    ``s <= 1`` that keeps its box within ``b`` on every row, so it spends no
-    more than the box, to rounding, even where the box is consistent only
-    within ``require_consistent``'s tolerance.  The cost ``1 - s * sum(joint)``
-    is then an upper bound, and 0 a lower one.
+    The joint has the box's context marginals (Vorob'ev 1962).  The witness
+    is its positive cells, scaled by the largest ``s <= 1`` that keeps its
+    box within ``b`` on every row, so it spends no more than the box, to
+    rounding, even where the box is consistent only within
+    ``require_consistent``'s tolerance.  The cost ``1 - s * sum(joint)``,
+    about 1e-15, is then an upper bound, and 0 a lower one.  A cost above
+    1e-9, or a joint above ``JOINT_DIM_CAP`` cells, which is not built,
+    leaves the box to an LP.
     """
     columns = np.flatnonzero(joint > 0.0)
-    weights = joint[columns]
-    mass = box.hypergraph.incidence.marginals(joint)
-    spent = mass > 0.0
-    scale = min(1.0, float((box.stacked()[spent] / mass[spent]).min()))
-    weights *= scale
+    weights = joint[columns] * _within(box, box.hypergraph.incidence.marginals(joint))
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
-    return CostReport(cost, (0.0, cost), box, (columns, weights))
+    return CostReport(cost, (0.0, cost), box, lambda: (columns, weights))
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:
@@ -387,7 +451,7 @@ def optimize_linear(
     stacked = g.incidence.stack(weights)
     if not np.all(np.isfinite(stacked)):
         raise InvalidBoxError("linear weights contain non-finite entries")
-    _, (best,) = g.incidence.extremum(stacked, direction)
+    _, best = g.incidence.extremum(stacked, direction)
     value = 0.0
     for term in stacked[g.incidence.rows(best)].tolist():
         value += term

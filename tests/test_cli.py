@@ -222,6 +222,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "measure", "builtin:CH:30", "xu")
         assert code == EXIT_CAP_EXCEEDED
 
+    @pytest.mark.parametrize("measure", ["consistency", "cost"])
+    def test_more_than_64_observables(self, capsys, measure):
+        # Tables of 65 axes are past numpy's limit: refused as a cap, in the library's words.
+        code, out, err = run_cli(capsys, "measure", "builtin:CH:65:alpha=0.9", measure)
+        assert code == EXIT_CAP_EXCEEDED
+        assert "65 observables" in err and "ndarray" not in err
+        assert out == ""
+
     def test_cost_above_the_joint_cap(self, capsys):
         # x_u refuses CH(30) above, but the cost builds no joint and solves it.
         code, out, _ = run_cli(capsys, "measure", "builtin:CH:30:alpha=0.9", "cost")

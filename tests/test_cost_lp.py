@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
@@ -95,9 +95,10 @@ def sum_mod_box(g, rng):
 def wide_hypergraphs(draw):
     """Hypergraphs with more than 512 joint outcomes, several times the stacked rows.
 
-    The cost LP starts from one assignment per stacked row, so it starts from
-    a small share of the joint, and most of these boxes take more than one
-    round.
+    Within the 2^10-cell scan, column generation starts from one assignment
+    per stacked row, so it starts from a small share of the joint, and most
+    of these boxes take more than one round; the joints above the scan get
+    the junction-tree LP.
 
     10 or 11 binary observables, or 6 or 7 observables of which 5 to 7 are
     ternary; contexts have 2 or 3 observables.
@@ -170,24 +171,30 @@ def test_box_fit_start_matches_primal(box):
 
 @pytest.mark.parametrize("alpha", [0.9, 0.99])
 def test_chain_start_is_optimal(alpha, highs_log):
-    """CH(14)'s best-fit assignments already hold an optimal witness: one HiGHS run."""
-    box = cx.chain_box(14, alpha=alpha)
+    """CH(10), the largest chain the 2^10-cell scan takes whole: its best-fit
+    assignments already hold an optimal witness, one HiGHS run."""
+    box = cx.chain_box(10, alpha=alpha)
+    assert box.hypergraph.incidence.scans_whole_joint
     report = polytope._column_generation(box)
     assert highs_log["runs"] == 1
     assert highs_log["rows"][0] <= box.stacked().size
-    assert abs(report.cost - cost_closed_form("CH", alpha, 14)) <= 1e-7
+    assert abs(report.cost - cost_closed_form("CH", alpha, 10)) <= 1e-7
 
 
 @pytest.mark.parametrize("alpha", [0.9, 0.99])
 @pytest.mark.parametrize("n", [16, 18])
 def test_eliminated_chain_start(n, alpha, highs_log):
-    """Above the 2^14-cell scan the start holds the box's best-fit assignments exactly:
-    one HiGHS run at alpha 0.99 and at most two at 0.9."""
-    report = polytope._column_generation(cx.chain_box(n, alpha=alpha))
-    assert highs_log["runs"] == 1 if alpha == 0.99 else highs_log["runs"] <= 2
+    """Above the 2^10-cell scan the junction-tree LP solves the chain in one
+    HiGHS run on one block of rows, and ``extremum``'s elimination prices its
+    duals for the lower end."""
+    box = cx.chain_box(n, alpha=alpha)
+    assert not box.hypergraph.incidence.scans_whole_joint
+    report = polytope._solve(box)
+    assert highs_log["runs"] == 1 and len(highs_log["rows"]) == 1
     assert abs(report.cost - cost_closed_form("CH", alpha, n)) <= 1e-7
     lo, hi = report.interval
     assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+    assert hi - lo <= 1e-9
 
 
 def test_witness_keys_are_public_assignments():
@@ -216,13 +223,42 @@ def test_multi_round_cost_is_silent(capfd, highs_log):
 
 @pytest.mark.parametrize("scan_cells", [1, 16])
 def test_eliminated_pricing_matches_primal(scan_cells):
-    """Pricing by elimination after a short scan; the boxes' joints never need one."""
+    """The junction-tree LP, its lower end priced by elimination after a short
+    scan, on joints small enough for the all-columns LP (PR's 16 cells stay
+    within a 16-cell scan)."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
         for box in seeded_boxes(rounds=2):
             # A fresh hypergraph, so the elimination plan is made under the patch.
             g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
             box = cx.Box(g, box.distributions)
-            check_report(box, polytope._column_generation(box))
+            check_report(box, polytope._solve(box))
+
+
+@seed(20261027)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("scan_cells", [1, 16])
+@given(box=start_boxes())
+def test_tree_lp_matches_primal(scan_cells, box):
+    """The junction-tree LP on binary and ternary joints the all-columns LP can
+    enumerate, with the scan patched down so that they are above it: the cost,
+    an ordered bracket, a peeled witness within the box and worth 1 - cost,
+    and the same fields from two threads solving at once."""
+    with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
+        # A fresh hypergraph, so the elimination plan is made under the patch.
+        g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
+        box = cx.Box(g, box.distributions)
+        assume(not g.incidence.scans_whole_joint)
+        report = polytope._solve(box)
+        fields = cost_fields(report)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda b: cost_fields(polytope._solve(b)), [box, box]))
+    assert threaded == [fields, fields]
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
+    lo, hi = report.interval
+    assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+    assert np.all(witness_mass(box, report) <= box.stacked() + 1e-9)
+    weights = np.fromiter(report.witness_weights.values(), dtype=float)
+    assert abs(weights.sum() - (1.0 - report.cost)) <= 1e-9
 
 
 class PresolveOn(polytope._Highs):
@@ -283,16 +319,17 @@ def test_call_after_a_failed_call():
     box = cx.mermin_box(0.9)
     expected = cost_fields(cx.contextuality_cost(box))
     model = polytope._local.lp
-    real = ContextIncidence.extremum
+    real = ContextIncidence.lift
     calls = []
 
-    def fail_pricing(self, y, sense, count=1):
-        calls.append(count)
+    def fail_pricing(self, y):
+        # The first call picks the start, the second prices HiGHS's first solution.
+        calls.append(y)
         if len(calls) == 2:
             raise RuntimeError("pricing failed")
-        return real(self, y, sense, count)
+        return real(self, y)
 
-    with mock.patch.object(ContextIncidence, "extremum", fail_pricing):
+    with mock.patch.object(ContextIncidence, "lift", fail_pricing):
         with pytest.raises(RuntimeError, match="pricing failed"):
             cx.contextuality_cost(box)
     assert polytope._local.lp is model and model.getNumRow() > 0
@@ -383,10 +420,12 @@ def test_entering_rows_are_violated_and_new():
             return super().addRows(n_rows, lower, upper, n_nz, starts, indices, values)
 
     rng = np.random.default_rng(20261019)
-    cases = [cx.mermin_box(0.9), cx.chain_box(16, 0.9), cx.chain_box(18, 0.9)]
-    for k in (10, 11):
-        g = random_hypergraph(rng, k, 2 * k)
-        cases.append(random_consistent_box(g, rng, anchor=sum_mod_box(g, rng), anchor_weight=0.9))
+    cases = [cx.mermin_box(0.9), cx.pm_box(0.9)]
+    for _ in range(2):
+        # Sum-mod boxes on 6 ternary observables (729 cells) take several rounds.
+        g = random_hypergraph(rng, 6, 12)
+        g = cx.Hypergraph([(f"O{i}", 3) for i in range(6)], g.contexts)
+        cases.append(random_consistent_box(g, rng, anchor=sum_mod_box(g, rng), anchor_weight=0.6))
     later_blocks = 0
     for box in cases:
         log.clear()
@@ -433,8 +472,9 @@ def test_multi_round_cost_leaves_numpy_ma_unloaded():
     assert (before, after) == ("False", "False")
 
 
-# Above the joint cap.  The cost builds no joint tensor, so only its elimination
-# plan can refuse a box (tests/test_polytope.py); these boxes all pass it.
+# Above the joint cap.  The cost builds no joint tensor, so only its junction
+# tree or elimination plan can refuse a box (tests/test_polytope.py); these
+# boxes all pass them.
 
 
 def witness_mass(box, report):
@@ -519,7 +559,7 @@ def test_direct_sum_above_the_joint_cap(parts):
 
 def test_acyclic_box_above_the_joint_cap(highs_log):
     """A path of 23 binary observables: no junction-tree joint above the cap, so
-    column generation solves it, to 0, without a joint-sized array."""
+    the junction-tree LP solves it, to 0, without a joint-sized array."""
     rng = np.random.default_rng(20261023)
     n = 23
     g = cx.Hypergraph([(f"O{i}", 2) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
@@ -536,7 +576,7 @@ def test_acyclic_box_above_the_joint_cap(highs_log):
     assert highs_log["runs"] >= 1
 
 
-# Binary n-cycles: the cost in closed form, the witness by column generation on first read.
+# Binary n-cycles: the cost in closed form, the witness by an LP on first read.
 
 
 def relabeled(box, rng):
@@ -586,21 +626,25 @@ def binary_cycle_boxes(draw):
 
 @contextlib.contextmanager
 def solver_calls():
-    """Calls of the cost LP's HiGHS ``run`` and of ``ContextIncidence.extremum``."""
+    """Calls of the cost LP's HiGHS ``run`` and of its pricing: ``ContextIncidence.lift``
+    (column generation) or ``ContextIncidence.extremum`` (the junction-tree LP)."""
     calls = []
-    real = ContextIncidence.extremum
+    lift, extremum = ContextIncidence.lift, ContextIncidence.extremum
 
     class Spy(polytope._Highs):
         def run(self):
             calls.append("run")
             return super().run()
 
-    def extremum(self, *args, **kwargs):
-        calls.append("extremum")
-        return real(self, *args, **kwargs)
+    def pricing(real):
+        def spy(self, *args, **kwargs):
+            calls.append("pricing")
+            return real(self, *args, **kwargs)
+        return spy
 
     with mock.patch.object(polytope, "_Highs", Spy), \
-            mock.patch.object(ContextIncidence, "extremum", extremum):
+            mock.patch.object(ContextIncidence, "lift", pricing(lift)), \
+            mock.patch.object(ContextIncidence, "extremum", pricing(extremum)):
         yield calls
 
 
@@ -615,7 +659,7 @@ def test_binary_cycle_cost_in_closed_form(box):
         assert box.hypergraph.is_binary_cycle
         assert calls == []
         weights = np.fromiter(report.witness_weights.values(), dtype=float)
-        assert "run" in calls and "extremum" in calls
+        assert "run" in calls and "pricing" in calls
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-12
     assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
     assert np.all(witness_mass(box, report) <= box.stacked() + 1e-9)

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import contextuality as cx
-from contextuality import boxes
+from contextuality import boxes, polytope
 from contextuality.sampling import random_hypergraph
 
 
@@ -97,9 +97,11 @@ def test_operator_matches_bruteforce(g, draw_seed):
     scores = np.array([sequential_sum(y[row]) for row in table])
     assert np.array_equal(op.lift(y).ravel(), scores)
 
-    # Pricing: the minimum score and the cheapest columns.
+    # Pricing: the minimum score and its first joint index; column generation's
+    # cheapest columns, from the lift.
+    assert op.extremum(y, "min") == (scores.min(), int(np.argmin(scores)))
     count = int(rng.integers(1, g.joint_dim + 2))
-    min_score, picked = op.extremum(y, "min", count)
+    min_score, picked = polytope._cheapest(g, y, count)
     assert min_score == scores.min()
     assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
     rest = np.setdiff1d(np.arange(g.joint_dim), picked)
@@ -152,18 +154,17 @@ def test_layout_matches_transpose_reference(g, draw_seed):
 
 @pytest.mark.parametrize("box", [cx.pr_box(), cx.chain_box(14)])
 def test_layout_refuses_malformed_input(box):
-    """A score vector not shaped ``(dim,)`` and a count below 1 or not an integer are
-    refused, by the whole-joint scan (PR) and by elimination (CH(14)) alike."""
+    """A score vector not shaped ``(dim,)`` and a sense other than "max" or "min"
+    are refused, by the whole-joint scan (PR) and by elimination (CH(14)) alike."""
     op = box.hypergraph.incidence
     y = box.stacked()
     for bad in (np.append(y, np.zeros(5)), y[:-1], y[:, None], y.reshape(1, -1)):
         for call in (op.tables, op.lift, lambda v: op.extremum(v, "max")):
             with pytest.raises(cx.InvalidBoxError):
                 call(bad)
-    for count in (0, -1, 1.5, 2.0, None):
+    for sense in ("maximum", "", None):
         with pytest.raises(cx.InvalidBoxError):
-            op.extremum(y, "min", count)
-    assert op.extremum(y, "max", np.int64(2))[1].size == 2
+            op.extremum(y, sense)
 
 
 @pytest.mark.parametrize("box", [cx.pr_box(), cx.chain_box(14)])
@@ -194,50 +195,17 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
         g = cx.Hypergraph(g.observables, g.contexts)
         op = g.incidence
 
-        # count 1: the first optimum in row-major order, and its score.
+        # The first optimum in row-major order, and its score.
         for direction, sign in (("max", 1.0), ("min", -1.0)):
             best, picked = op.extremum(y, direction)
             first = int(np.argmax(sign * scores))
-            assert picked.tolist() == [first]
+            assert picked == first
             assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
             result = cx.optimize_linear(g, op.split(y), direction)
             assert result.value == scores[first]
             assert result.argopt.outputs == tuple(
                 int(v) for v in np.unravel_index(first, g.joint_shape)
             )
-
-        # count > 1: the count best joint outcomes, exactly.
-        count = int(rng.integers(2, g.joint_dim + 2))
-        best, picked = op.extremum(y, "min", count)
-        assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
-        rest = np.setdiff1d(np.arange(g.joint_dim), picked)
-        assert rest.size == 0 or scores[picked].max() <= scores[rest].min()
-        assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
-
-
-def test_list_merges_stay_within_cap():
-    """Under a small cap the lists are cut short: every merge stays within it, and the
-    candidates are still the best ones, as many as a list holds."""
-    g = cx.chain_box(8).hypergraph
-    y = np.random.default_rng(5).integers(0, 10, size=g.incidence.dim).astype(float)
-    scores = g.incidence.lift(y).ravel()
-    sizes = []
-
-    def smallest(values, m):
-        sizes.append(values.size)
-        return real(values, m)
-
-    real = boxes._smallest
-    with mock.patch.multiple(boxes, _SCAN_CELLS=1, JOINT_DIM_CAP=64, _smallest=smallest):
-        # Nothing is scanned, and every bucket table has 8 cells: lists of 4, since the
-        # pairs of two lists of m number at most 8 for m = 4 (4 + 2 + 1 + 1) and 10 for 5.
-        op = cx.Hypergraph(g.observables, g.contexts).incidence
-        best, picked = op.extremum(y, "min", 100)
-    assert max(sizes) <= 64
-    assert picked.size == 4 == np.unique(picked).size
-    assert best == scores.min()
-    rest = np.setdiff1d(np.arange(g.joint_dim), picked)
-    assert scores[picked].max() <= scores[rest].min()
 
 
 @st.composite
@@ -279,22 +247,14 @@ def test_short_scan_matches_full_scan(g, draw_seed):
     integer = np.array_equal(y, np.round(y))
     scores = op.lift(y).ravel()
 
-    # count 1: the first optimum in row-major order; its score exact on integer weights.
+    # The first optimum in row-major order; its score exact on integer weights.
     for sense, sign in (("max", 1.0), ("min", -1.0)):
         reference = full.extremum(y, sense)
         first = int(np.argmax(sign * scores))
-        assert reference[1].tolist() == [first] and reference[0] == scores[first]
+        assert reference == (scores[first], first)
         best, picked = op.extremum(y, sense)
-        assert picked.tolist() == [first]
+        assert picked == first
         assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
-
-    # count > 1, among them the cost LP's: the count best outcomes, exactly.
-    for count in (int(rng.integers(2, 64)), op.dim, 2 * op.dim):
-        best, picked = op.extremum(y, "min", count)
-        assert picked.size == count == np.unique(picked).size
-        rest = np.setdiff1d(np.arange(g.joint_dim), picked)
-        assert scores[picked].max() <= scores[rest].min()
-        assert best == scores.min() if integer else abs(best - scores.min()) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [14, 15, 16, 17, 18, 19, 20])
@@ -337,3 +297,64 @@ def test_rows_match_bruteforce(ternary):
         assert op.rows(picked).dtype == np.int64
         assert op.rows([]).shape == (0, g.n_contexts)
         assert op.columns(support=[]).shape == (0, g.joint_dim)
+
+
+def clique_tables(g, p):
+    """A joint's marginal on each junction-tree clique, in the LP's layout, concatenated."""
+    joint = np.reshape(p, g.joint_shape)
+    parts = []
+    for clique in g.junction_tree.cliques:
+        summed = joint.sum(axis=tuple(i for i in range(g.n_observables) if i not in clique))
+        parts.append(np.transpose(summed, [sorted(clique).index(v) for v in clique]).ravel())
+    return np.concatenate(parts)
+
+
+@seed(20261027)
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(hypergraphs(), mid_hypergraphs()), draw_seed=st.integers(0, 2**32 - 1))
+def test_junction_tree_against_a_joint(g, draw_seed):
+    """The junction tree's cliques, separators and homes, its LP rows applied to a
+    joint's clique tables, and the assignments peeled from those tables."""
+    tree = g.junction_tree
+    cliques = [set(c) for c in tree.cliques]
+    assert tree.parents[0] == -1 and tree.separators[0] == ()
+    for c in range(1, len(cliques)):
+        separator = tree.separators[c]
+        assert 0 <= tree.parents[c] < c
+        assert set(separator) == cliques[c] & cliques[tree.parents[c]]
+        assert tree.cliques[c][: len(separator)] == separator
+    # Running intersection: each observable is off the separator of exactly one
+    # clique that holds it, the top of the subtree of those that do.
+    for v in range(g.n_observables):
+        tops = [v in clique and v not in sep for clique, sep in zip(cliques, tree.separators)]
+        assert sum(tops) == 1
+    for ctx, home in zip(g.contexts, tree.homes):
+        assert set(ctx) <= cliques[home]
+
+    # A sparse joint's clique tables agree on every separator, and each context row
+    # sums to the joint's marginal.
+    rng = np.random.default_rng(draw_seed)
+    p = rng.dirichlet(np.full(g.joint_dim, 0.2))
+    p[rng.uniform(size=g.joint_dim) < 0.5] = 0.0
+    p /= p.sum()
+    x = clique_tables(g, p)
+    assert x.size == tree.offsets[-1]
+    starts, indices, values = tree.matrix
+    ends = np.append(starts[1:], indices.size)
+    rows = np.array([values[a:b] @ x[indices[a:b]] for a, b in zip(starts, ends)])
+    assert np.allclose(rows[: tree.n_agreements], 0.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(rows[tree.n_agreements:], g.incidence.marginals(p), rtol=0.0, atol=1e-12)
+
+    # The peeled assignments, distinct and positive, have those clique tables.
+    columns, weights = tree.peel(x)
+    assert np.unique(columns).size == columns.size and np.all(weights > 0.0)
+    q = np.bincount(columns, weights=weights, minlength=g.joint_dim)
+    assert np.allclose(clique_tables(g, q), x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 14, 30, 62])
+def test_chain_cliques_have_three_observables(n):
+    """Min-fill eliminates a cycle around it: cliques of at most 3 observables."""
+    tree = cx.chain_box(n).hypergraph.junction_tree
+    assert max(map(len, tree.cliques)) == 3
+    assert tree.offsets[-1] <= 8 * n

@@ -77,6 +77,22 @@ class TestContextWeights:
             cx.ContextWeights([1.5, -0.5])
 
     @pytest.mark.parametrize(
+        "weights,ok",
+        [([0.5, 0.5 + 5e-10], True), ([-5e-13, 1.0], True), ([0.5, 0.5 + 2e-9], False),
+         ([-2e-12, 1.0], False)],
+        ids=["sum-within", "negative-within", "sum-outside", "negative-outside"],
+    )
+    def test_same_check_as_probability_vector(self, weights, ok):
+        """Context weights pass exactly where ``probability_vector`` passes, with its clamping."""
+        if ok:
+            expected = cx.boxes.probability_vector(weights)
+            assert cx.ContextWeights(weights).weights.tobytes() == expected.tobytes()
+        else:
+            for check in (cx.ContextWeights, cx.boxes.probability_vector):
+                with pytest.raises(cx.InvalidBoxError):
+                    check(weights)
+
+    @pytest.mark.parametrize(
         "weights", [[float("nan"), 0.5, 0.25, 0.25], [float("nan")] * 4], ids=["one", "all"]
     )
     def test_nan_rejected(self, weights):
@@ -615,7 +631,7 @@ def _pr_flip_group():
 @pytest.mark.parametrize(
     "call,fragment",
     [
-        pytest.param(lambda: cx.ContextWeights([]), "non-empty vector", id="weights-empty"),
+        pytest.param(lambda: cx.ContextWeights([]), "non-empty 1-D vector", id="weights-empty"),
         pytest.param(lambda: cx.x_fixed(cx.pr_box(), cx.ContextWeights.uniform(3)),
                      "one weight per context", id="x-fixed-weight-count"),
         pytest.param(lambda: cx.x_u_isotropic_reduced(cx.pr_box(), 1.5), "alpha 1.5 outside",

@@ -2,12 +2,14 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import contextuality as cx
+from contextuality import polytope
 from contextuality.boxes import JOINT_DIM_CAP
 from contextuality.inequalities import support_weights
 from contextuality.polytope import DENSE_VERTEX_CAP, _column_generation
@@ -154,15 +156,20 @@ class TestContextualityCost:
         for n in (4, 6):
             assert cx.contextuality_cost(ternary_cycle_box(n)).cost == pytest.approx(1.0, abs=1e-9)
 
-    def test_column_generation_beyond_dense_cap(self):
-        # 2^16 vertices exceed the enumeration cap; the formula value is 16a - 15.
-        box = cx.chain_box(16, 0.95)
-        report = cx.contextuality_cost(box)
-        assert report.cost == pytest.approx(0.2, abs=1e-7)
+    def test_cost_beyond_dense_cap(self):
+        # M + PM: 2^19 vertices exceed the enumeration cap and the 2^10-cell scan, so
+        # the junction-tree LP solves it; its cost is its larger component's, 0.5.
+        box = cx.direct_sum(cx.mermin_box(0.9), cx.pm_box(0.9))
+        assert box.hypergraph.joint_dim > DENSE_VERTEX_CAP
+        with mock.patch.object(polytope, "_column_generation", side_effect=AssertionError):
+            report = cx.contextuality_cost(box)
+        assert report.cost == pytest.approx(0.5, abs=1e-7)
+        lo, hi = report.interval
+        assert 0.0 <= lo <= report.cost <= hi <= 1.0 and hi - lo <= 1e-9
 
     def test_elimination_table_over_the_cap_refused_before_allocation(self):
-        # Binary K_24, consistent: eliminating the last observable first joins all 24
-        # in one table of 2^24 cells, which would take 128 MB.
+        # Binary K_24, consistent: its junction tree's one clique holds all 24
+        # observables, a table of 2^24 cells, which would take 128 MB.
         g = cx.Hypergraph(
             [(f"O{i}", 2) for i in range(24)], list(itertools.combinations(range(24), 2))
         )

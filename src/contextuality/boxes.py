@@ -39,8 +39,9 @@ NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
 # Largest joint tensor (cells) the entropy solver or ``junction_tree_joint``
-# allocates, and the largest table ``ContextIncidence.extremum`` or a
-# ``JunctionTree`` clique builds.
+# allocates, the largest table ``ContextIncidence.extremum`` or a
+# ``JunctionTree`` clique builds, and the most variables and matrix entries
+# of a junction-tree LP.
 JOINT_DIM_CAP = 2**22
 # Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
 MAX_OBSERVABLES = 64
@@ -629,7 +630,8 @@ class JunctionTree:
     summed to each separator cell less its parent's, and then one row per
     stacked context outcome, in stacked order: the home's cells whose
     restriction to the context is that outcome.  Refuses, before any table
-    exists, a clique of more than ``JOINT_DIM_CAP`` cells.
+    exists, an LP whose variables and matrix entries come to more than
+    ``JOINT_DIM_CAP``, as a clique of more cells makes them.
     """
 
     def __init__(self, g: Hypergraph):
@@ -655,17 +657,19 @@ class JunctionTree:
                 parents.append(slot[p] if p >= 0 else -1 if c == 0 else 0)
             cliques[c] |= {v, *near}
             slot[i] = c
-        for clique in cliques:
-            cells = math.prod(cards[v] for v in clique)
-            if cells > JOINT_DIM_CAP:
-                raise CapExceededError(
-                    f"the junction-tree clique {sorted(clique)} needs a table of {cells} cells, "
-                    f"over the cap {JOINT_DIM_CAP}"
-                )
         self.cliques = tuple(sep + tuple(sorted(c - set(sep))) for c, sep in zip(cliques, separators))
         self.separators, self.parents = tuple(separators), tuple(parents)
         self.homes = tuple(slot[min(position[v] for v in ctx)] for ctx in g.contexts)
-        sizes = (math.prod(cards[v] for v in clique) for clique in self.cliques)
+        sizes = [math.prod(cards[v] for v in clique) for clique in self.cliques]
+        # Variables, then matrix entries: a child's and its parent's cells per
+        # agreement block, and the home's cells per context.
+        size = 2 * sum(sizes) - sizes[0] + sum(sizes[p] for p in parents[1:])
+        size += sum(sizes[home] for home in self.homes)
+        if size > JOINT_DIM_CAP:
+            raise CapExceededError(
+                f"the junction-tree LP needs {size} variables and matrix entries, its largest "
+                f"clique a table of {max(sizes)} cells, over the cap {JOINT_DIM_CAP}"
+            )
         self.offsets = tuple(itertools.accumulate(sizes, initial=0))
         blocks, row = [], 0
         for c in range(1, len(cliques)):
@@ -683,11 +687,15 @@ class JunctionTree:
         self.matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
 
     def _cells(self, c: int, observables: Sequence[int]) -> np.ndarray:
-        """Row-major index over ``observables`` (all in clique c) of each of c's cells."""
-        clique = self.cliques[c]
-        digits = np.indices([self._cards[v] for v in clique]).reshape(len(clique), -1)
-        radices = [self._cards[v] for v in observables]
-        return _row_major(radices) @ digits[[clique.index(v) for v in observables]]
+        """Row-major index over ``observables`` (all in clique c) of each of c's cells,
+        summed from each observable's digits times its stride, one axis at a time."""
+        shape = [self._cards[v] for v in self.cliques[c]]
+        out = np.zeros(shape, dtype=np.int64)
+        strides = _row_major([self._cards[v] for v in observables])
+        for v, stride in zip(observables, strides.tolist()):
+            axis = self.cliques[c].index(v)
+            out += (np.arange(shape[axis]) * stride).reshape([-1] + [1] * (len(shape) - axis - 1))
+        return out.ravel()
 
     def peel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint indices and weights of assignments whose clique marginals make up the tables ``x``.
@@ -703,15 +711,15 @@ class JunctionTree:
             free, radices = list(clique[len(sep):]), [cards[v] for v in sep]
             table = np.maximum(x[self.offsets[c]:self.offsets[c + 1]], 0.0)
             walk.append((table.reshape(math.prod(radices), -1), list(sep), _row_major(radices),
-                         free, np.indices([cards[v] for v in free]).reshape(len(free), -1).T))
+                         free, tuple(cards[v] for v in free)))
         digits = np.zeros(len(cards), dtype=np.int64)
         found, weights = [], []
         while True:
             cells = []
-            for table, sep, strides, free, free_digits in walk:
+            for table, sep, strides, free, free_shape in walk:
                 s = int(digits[sep] @ strides)
                 f = int(table[s].argmax())
-                digits[free] = free_digits[f]
+                digits[free] = np.unravel_index(f, free_shape)
                 cells.append((table, s, f, float(table[s, f])))
             short = [c for c, cell in enumerate(cells) if cell[3] <= 0.0]
             if short[:1] == [0]:

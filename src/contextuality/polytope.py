@@ -42,9 +42,14 @@ the clique marginals of a measure on the joint (Lauritzen & Spiegelhalter
 1988), so this is exactly the cost LP, of the size of the clique tables,
 solved in one HiGHS run.  The cost is 1 less the root's mass, and the
 witness is peeled from the tables when first read (``JunctionTree.peel``).
-No joint tensor is built above 2^10 cells: only a clique or an elimination
-table above ``JOINT_DIM_CAP`` cells refuses a box.  On M + PM + CH(14, 0.95)
+No joint tensor is built above 2^10 cells: a box is refused only for a
+clique or an elimination table above ``JOINT_DIM_CAP`` cells, or for an LP
+whose variables and matrix entries come to more.  On M + PM + CH(14, 0.95)
 (2^33 cells) it took 9 ms, where column generation took 3.2 s (README.md).
+Within the scan column generation is the faster: on the 44 cost LPs of one
+perfbench small-batch pass (joints of 16 to 1024 cells) it took 41 ms, the
+junction-tree LP 72 ms with each tree built, 1.6 to 3.6 times as long on
+the Mermin boxes (best of 5 per box, 2-core Xeon host).
 
 In both, dividing the duals y of the box's rows by the least score of any
 assignment under them, from ``lift`` or ``extremum``, makes them dual
@@ -247,7 +252,8 @@ def contextuality_cost(box: Box) -> CostReport:
     boxes; inconsistent input is refused rather than given a misleading
     number.  Refuses a joint of 2^63 cells or more, since a witness is held
     as joint indices, and a box whose junction tree or elimination needs a
-    table above ``JOINT_DIM_CAP`` cells.
+    table above ``JOINT_DIM_CAP`` cells, or whose junction-tree LP has more
+    variables and matrix entries than that.
     """
     require_consistent(box)
     g = box.hypergraph

@@ -183,6 +183,23 @@ class TestContextualityCost:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_junction_tree_lp_over_the_cap_refused_before_allocation(self):
+        # Binary K_20, consistent: its one clique, 2^20 cells, is within the cap,
+        # but each of its 190 contexts enters every cell in the LP's matrix:
+        # about 2e8 entries, which would take gigabytes.
+        g = cx.Hypergraph(
+            [(f"O{i}", 2) for i in range(20)], list(itertools.combinations(range(20), 2))
+        )
+        box = cx.Box(g, [np.full(4, 0.25)] * g.n_contexts)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cx.CapExceededError, match="junction-tree LP needs 200278016"):
+                cx.contextuality_cost(box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_joint_index_overflow_refused(self):
         # CH(63) has 2^63 joint cells: its tables are small, but no int64 indexes the joint.
         with pytest.raises(cx.CapExceededError, match="overflows a joint index"):

@@ -350,8 +350,9 @@ class ContextIncidence:
     ``rows`` maps joint indices to their rows through their digits.
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them (the entropy solver on small boxes), and the
-    cost LP takes its rows from ``rows`` and from ``JunctionTree``.  This
-    module is the only code that knows the stacked layout.
+    cost LP takes its rows from ``rows`` and from ``JunctionTree``.
+    ``parity_classes`` labels each row with its context's even or odd
+    outcomes.  This module is the only code that knows the stacked layout.
 
     ``extremum`` finds the best joint outcome lambda of a score
     ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
@@ -425,6 +426,16 @@ class ContextIncidence:
         for table in self.tables(stacked):
             out += table
         return out
+
+    @cached_property
+    def parity_classes(self) -> np.ndarray:
+        """Each stacked row's parity class: ``2 c + s % 2`` for a row of context c
+        whose outcome's digits sum to s.  On binary observables these are the
+        context's even and odd outcomes, half its rows each."""
+        return _frozen_array(np.concatenate([
+            2 * ci + np.indices(shape).sum(axis=0).ravel() % 2
+            for ci, shape in enumerate(self.context_shapes)
+        ]), dtype=np.int64)
 
     @property
     def scans_whole_joint(self) -> bool:

@@ -114,7 +114,10 @@ def cost_suite(tol: float = 1e-7, grid: int = 21) -> list[CheckResult]:
     the isotropic closed forms on an alpha grid.
 
     PR and the chains are binary cycles, whose cost is itself a closed form,
-    so the LP is checked on its own as well.
+    and isotropic PM and M are certified by their parity inequality and a
+    symmetric witness, so none of them reaches an LP through
+    ``contextuality_cost``; the LP is checked on its own as well, through
+    ``_column_generation``.
     """
     results: list[CheckResult] = []
     cases = [("PR", None), ("PM", None), ("M", None)] + [("CH", n) for n in (3, 4, 5, 6)]

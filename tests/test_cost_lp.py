@@ -1,6 +1,7 @@
 """The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
 
 import contextlib
+import functools
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 import contextuality as cx
 from contextuality import boxes, polytope
 from contextuality.boxes import JOINT_DIM_CAP, ContextIncidence, junction_tree_joint
-from contextuality.closed_form import cost_closed_form
+from contextuality.closed_form import cost_closed_form, nc_interval
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
 
 
@@ -215,7 +216,7 @@ def test_witness_keys_are_public_assignments():
 
 def test_multi_round_cost_is_silent(capfd, highs_log):
     capfd.readouterr()
-    report = cx.contextuality_cost(cx.mermin_box(0.9))
+    report = polytope._column_generation(cx.mermin_box(0.9))
     assert highs_log["runs"] > 1
     assert report.cost > 0.0
     assert capfd.readouterr() == ("", "")
@@ -317,7 +318,7 @@ def test_call_after_a_failed_call():
     """A call that raises after HiGHS has solved leaves rows in the thread's
     model; the next call clears them and gives the same report as before."""
     box = cx.mermin_box(0.9)
-    expected = cost_fields(cx.contextuality_cost(box))
+    expected = cost_fields(polytope._column_generation(box))
     model = polytope._local.lp
     real = ContextIncidence.lift
     calls = []
@@ -331,9 +332,9 @@ def test_call_after_a_failed_call():
 
     with mock.patch.object(ContextIncidence, "lift", fail_pricing):
         with pytest.raises(RuntimeError, match="pricing failed"):
-            cx.contextuality_cost(box)
+            polytope._column_generation(box)
     assert polytope._local.lp is model and model.getNumRow() > 0
-    assert cost_fields(cx.contextuality_cost(box)) == expected
+    assert cost_fields(polytope._column_generation(box)) == expected
     assert polytope._local.lp is model
 
 
@@ -361,7 +362,7 @@ def test_import_loads_only_the_highs_binding(module):
 def test_highs_binding_is_shared_with_scipy(scipy_first):
     """In either import order the library and linprog share one binding
     module, the one loaded first, and both solve."""
-    library = "from contextuality import builtin, contextuality_cost, polytope"
+    library = "from contextuality import builtin, polytope"
     scipy_optimize = "from scipy.optimize import linprog"
     code = "\n".join([
         "import sys",
@@ -374,7 +375,7 @@ def test_highs_binding_is_shared_with_scipy(scipy_first):
         "assert polytope._Highs is core._Highs",
         "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')",
         "assert res.status == 0 and abs(res.fun - 1.0) <= 1e-12, res",
-        "cost = contextuality_cost(builtin('M', alpha=0.9)).cost",
+        "cost = polytope._column_generation(builtin('M', alpha=0.9)).cost",
         "assert abs(cost - cost_closed_form('M', 0.9)) <= 1e-12, cost",
     ])
     done = run_fresh(code)
@@ -454,7 +455,7 @@ def test_multi_round_cost_leaves_numpy_ma_unloaded():
     are picked without a set difference, whose np.unique imports it."""
     code = "\n".join([
         "import sys",
-        "from contextuality import mermin_box, contextuality_cost, polytope",
+        "from contextuality import mermin_box, polytope",
         "runs = []",
         "class Counting(polytope._Highs):",
         "    def run(self):",
@@ -462,7 +463,7 @@ def test_multi_round_cost_leaves_numpy_ma_unloaded():
         "        return super().run()",
         "polytope._Highs = Counting",
         "before = 'numpy.ma' in sys.modules",
-        "contextuality_cost(mermin_box(0.9))",
+        "polytope._column_generation(mermin_box(0.9))",
         "print(len(runs), before, 'numpy.ma' in sys.modules)",
     ])
     done = run_fresh(code)
@@ -696,3 +697,117 @@ def test_other_boxes_skip_the_cycle_formula(box):
     with mock.patch.object(polytope, "_binary_cycle_cost", side_effect=AssertionError):
         report = cx.contextuality_cost(box)
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
+
+
+# Binary boxes flat on their contexts' parity classes: the parity inequality's
+# lower end and a symmetric witness's upper end, with no LP.
+
+PARITY_FAMILIES = [("PR", None), ("PM", None), ("M", None)] + [("CH", n) for n in range(3, 9)]
+
+
+@functools.lru_cache(maxsize=None)
+def family_group(family, n):
+    return cx.builtin_group("CH", 4) if family == "PR" else cx.builtin_group(family, n)
+
+
+def alpha_grid(n_contexts):
+    """21 points over [0, 1], and both ends of the noncontextual interval."""
+    return sorted({*np.linspace(0.0, 1.0, 21).tolist(), *nc_interval(n_contexts)})
+
+
+@st.composite
+def isotropic_boxes(draw):
+    """An isotropic box of PR, CH(3..8), PM or M, with its alpha and its alpha = 1
+    and alpha = 0 boxes.
+
+    The box is the family's on an alpha grid, or the twirl of an anchored
+    mix with a sparse joint's box, relabeled by a random element of the
+    family's group.  Then all three boxes get the same outcome flips and
+    the same reordering of contexts and observables, so the anchor's
+    support on a context can be either of its parity classes.
+    """
+    family, n = draw(st.sampled_from(PARITY_FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchor = cx.builtin(family, n=n)
+    g = anchor.hypergraph
+    group = family_group(family, n)
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(alpha_grid(g.n_contexts)))
+        box = cx.builtin(family, n=n, alpha=alpha)
+    else:
+        box = cx.twirl(group, cx.mix(anchor, sparse_box(g, rng), draw(st.floats(0.0, 1.0))))
+        alpha = cx.beta(anchor, box) / g.n_contexts
+    box = cx.apply(group.elements[int(rng.integers(group.order))], box)
+    flips, order = rng.integers(2**32, size=2)
+
+    def moved(b):
+        return shuffled(relabeled(b, np.random.default_rng(flips)), np.random.default_rng(order))
+
+    return moved(box), alpha, moved(anchor), moved(cx.opposite(anchor))
+
+
+@seed(20261028)
+@settings(max_examples=80, deadline=None)
+@given(case=isotropic_boxes())
+def test_parity_cost_certifies_isotropic_boxes(case):
+    """The route's report against the all-columns LP: an ordered bracket, a witness
+    within the box and worth 1 - cost, and off the noncontextual interval the
+    residual of the alpha = 1 box above it and of the alpha = 0 box below."""
+    box, alpha, top, bottom = case
+    report = polytope._parity_cost(box)
+    assert report is not None
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
+    lo, hi = report.interval
+    assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
+    assert np.all(witness_mass(box, report) <= box.stacked() + 1e-12)
+    weights = np.fromiter(report.witness_weights.values(), dtype=float)
+    assert abs(weights.sum() - (1.0 - report.cost)) <= 1e-12
+    # Far enough off the interval that rounding, divided by the cost, stays below 1e-9.
+    if report.cost > 1e-6:
+        low, high = nc_interval(box.hypergraph.n_contexts)
+        assert alpha > high or alpha < low
+        assert report.residual_box.allclose(top if alpha > high else bottom, atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.8, 0.9, 0.99, 1.0])
+@pytest.mark.parametrize("family", ["PM", "M"])
+def test_isotropic_pm_and_m_run_no_lp(family, alpha, highs_log):
+    """The public call, its witness and residual read, with no HiGHS run, on
+    isotropic PM and M and on their twirls."""
+    box = cx.builtin(family, alpha=alpha)
+    noise = random_noncontextual_box(box.hypergraph, np.random.default_rng(20261028))
+    twirled = cx.twirl(family_group(family, None), cx.mix(box, noise, 0.9))
+    for case in (box, twirled):
+        report = cx.contextuality_cost(case)
+        assert sum(report.witness_weights.values()) == pytest.approx(1.0 - report.cost, abs=1e-12)
+        assert (report.residual_box is None) == (report.cost <= 1e-9)
+    assert highs_log["runs"] == 0
+    assert abs(cx.contextuality_cost(box).cost - cost_closed_form(family, alpha)) <= 1e-12
+
+
+def pm_per_context_box():
+    """PM with alpha 0.95, 0.9, ..., 0.7 on its six contexts.  It is consistent,
+    since every two bits of a context are uniform on both parity classes, and
+    flat on each class, but not isotropic."""
+    pm = cx.pm_box()
+    parts = zip(np.linspace(0.95, 0.7, 6), pm.distributions, cx.opposite(pm).distributions)
+    return cx.Box(pm.hypergraph, [a * d + (1.0 - a) * e for a, d, e in parts])
+
+
+def anchored_mix(anchor, seed):
+    return random_consistent_box(anchor.hypergraph, np.random.default_rng(seed), anchor=anchor,
+                                 anchor_weight=0.9)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [anchored_mix(cx.pm_box(), 1), anchored_mix(cx.mermin_box(), 2), ternary_cycle_box(4),
+     cx.direct_sum(cx.mermin_box(0.9), cx.pr_box(0.9)), pm_per_context_box()],
+    ids=["PM-mix", "M-mix", "ternary-4-cycle", "M+PR", "PM-per-context"],
+)
+def test_other_boxes_reach_the_lp(box, highs_log):
+    assert cx.check_consistency(box).consistent
+    assert polytope._parity_cost(box) is None
+    report = cx.contextuality_cost(box)
+    assert highs_log["runs"] > 0
+    assert abs(report.cost - polytope._column_generation(box).cost) <= 1e-9

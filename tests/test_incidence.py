@@ -279,7 +279,8 @@ def test_small_joints_keep_the_whole_joint_scan(g):
 @pytest.mark.parametrize("ternary", [False, True])
 def test_rows_match_bruteforce(ternary):
     """``rows`` of scattered joint indices, in any array shape, against ``brute_rows``;
-    an empty list of joint indices gives an empty row table and an empty block."""
+    an empty list of joint indices gives an empty row table and an empty block.
+    Each row's parity class is ``2 c`` plus the parity of its context's digits."""
     rng = np.random.default_rng(20261019 + ternary)
     for _ in range(30):
         k = int(rng.integers(3, 9))
@@ -297,6 +298,9 @@ def test_rows_match_bruteforce(ternary):
         assert op.rows(picked).dtype == np.int64
         assert op.rows([]).shape == (0, g.n_contexts)
         assert op.columns(support=[]).shape == (0, g.joint_dim)
+        digits = np.array(list(np.ndindex(g.joint_shape)))
+        parity = np.stack([digits[:, list(ctx)].sum(axis=1) % 2 for ctx in g.contexts], axis=1)
+        assert np.array_equal(op.parity_classes[table], 2 * np.arange(g.n_contexts) + parity)
 
 
 def clique_tables(g, p):

@@ -112,7 +112,7 @@ class TestContextualityCost:
         assert report.cost == pytest.approx(0.5, abs=1e-8)
 
     def test_report_invariants(self):
-        # Mermin at 0.9 enters columns over more than one round.
+        # Both are certified by their parity inequality, with a symmetric witness.
         for box in (cx.pm_box(alpha=11 / 12), cx.mermin_box(0.9)):
             g = box.hypergraph
             report = cx.contextuality_cost(box)

@@ -46,10 +46,9 @@ JOINT_DIM_CAP = 2**22
 # Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
 MAX_OBSERVABLES = 64
 # Cells of the leading observables that ``ContextIncidence.extremum`` scores
-# outright, each by its best completion; the others are eliminated.  The cost
-# LP prices joints of at most this many cells, scanned whole, by column
-# generation, and gives larger ones the junction-tree LP.  On CH(14) to
-# CH(20), a scan of 2^10 cells took 17-57% less time than one of 2^14.
+# outright, each by its best completion; the others are eliminated.  The cost's
+# parity route (``polytope._parity_cost``) takes only joints scanned whole.  On
+# CH(14) to CH(20), a scan of 2^10 cells took 17-57% less time than one of 2^14.
 _SCAN_CELLS = 2**10
 
 
@@ -211,11 +210,12 @@ class Hypergraph:
             and len(self.components) == 1
         )
 
-    @cached_property
+    @property
     def junction_tree(self) -> "JunctionTree":
-        """A junction tree of the observables, from a min-fill order, built once
-        (see ``JunctionTree``)."""
-        return JunctionTree(self)
+        """A junction tree of the observables, from a min-fill order (see
+        ``JunctionTree``), built once per cardinalities and context list, so
+        equal hypergraphs share it."""
+        return _junction_tree(self.cardinalities, self.contexts)
 
     @property
     def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
@@ -349,8 +349,8 @@ class ContextIncidence:
     component factorization and the group action read these tables.
     ``rows`` maps joint indices to their rows through their digits.
     ``columns`` builds dense rows of M, on every joint index, only for the
-    caller that asks for them (the entropy solver on small boxes), and the
-    cost LP takes its rows from ``rows`` and from ``JunctionTree``.
+    caller that asks for them (the entropy solver on small boxes); the cost
+    LP's rows come from ``JunctionTree``.
     ``parity_classes`` labels each row with its context's even or odd
     outcomes.  This module is the only code that knows the stacked layout.
 
@@ -645,9 +645,9 @@ class JunctionTree:
     ``JOINT_DIM_CAP``, as a clique of more cells makes them.
     """
 
-    def __init__(self, g: Hypergraph):
-        cards = self._cards = g.cardinalities
-        steps = _min_fill(g.contexts, cards)
+    def __init__(self, cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]):
+        self._cards = cards
+        steps = _min_fill(contexts, cards)
         position = {v: i for i, (v, _) in enumerate(steps)}
         slot: dict[int, int] = {}
         taken: set[int] = set()
@@ -670,7 +670,7 @@ class JunctionTree:
             slot[i] = c
         self.cliques = tuple(sep + tuple(sorted(c - set(sep))) for c, sep in zip(cliques, separators))
         self.separators, self.parents = tuple(separators), tuple(parents)
-        self.homes = tuple(slot[min(position[v] for v in ctx)] for ctx in g.contexts)
+        self.homes = tuple(slot[min(position[v] for v in ctx)] for ctx in contexts)
         sizes = [math.prod(cards[v] for v in clique) for clique in self.cliques]
         # Variables, then matrix entries: a child's and its parent's cells per
         # agreement block, and the home's cells per context.
@@ -688,14 +688,18 @@ class JunctionTree:
                 blocks.append((row + self._cells(clique, separators[c]), clique, sign))
             row += math.prod(cards[v] for v in separators[c])
         self.n_agreements = row
-        for home, ctx, offset in zip(self.homes, g.contexts, g.incidence.offsets):
-            blocks.append((row + offset + self._cells(home, ctx), home, 1.0))
+        for home, ctx in zip(self.homes, contexts):
+            blocks.append((row + self._cells(home, ctx), home, 1.0))
+            row += math.prod(cards[v] for v in ctx)
         rows = np.concatenate([cells for cells, _, _ in blocks])
         order = np.argsort(rows, kind="stable")
         columns = np.concatenate([self.offsets[c] + np.arange(cells.size) for cells, c, _ in blocks])
         values = np.concatenate([np.full(cells.size, sign) for cells, _, sign in blocks])
-        starts = np.searchsorted(rows[order], np.arange(self.n_agreements + g.incidence.dim))
+        starts = np.searchsorted(rows[order], np.arange(row))
         self.matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
+        # Shared by every equal hypergraph (``_junction_tree``), so read-only.
+        for a in self.matrix:
+            a.flags.writeable = False
 
     def _cells(self, c: int, observables: Sequence[int]) -> np.ndarray:
         """Row-major index over ``observables`` (all in clique c) of each of c's cells,
@@ -747,6 +751,17 @@ class JunctionTree:
                 weights.append(w)
         joint = np.array(found, dtype=np.int64).reshape(-1, len(cards)) @ _row_major(cards)
         return joint, np.array(weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _junction_tree(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> JunctionTree:
+    """``Hypergraph.junction_tree``, made once per cardinalities and context list.
+
+    Boxes on one hypergraph, or on equal ones built afresh, share the tree;
+    the cache holds no box data.  Building the trees of one perfbench
+    small-batch pass afresh took 11.3 ms (best of 7, 2-core Xeon host).
+    """
+    return JunctionTree(cards, contexts)
 
 
 @dataclass(frozen=True)

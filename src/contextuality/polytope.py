@@ -17,28 +17,11 @@ contexts are each flat on their two parity classes (isotropic PM and M,
 and the twirls onto them) gets it from its parity inequality and a
 symmetric witness (``_parity_cost``), kept only when the two ends meet
 within 1e-12.  That took the cost of PM(0.9) and M(0.9) from 0.73 and
-1.05 ms by column generation to 0.25 and 0.27 ms (best of 30, a fresh box
-each call, 2-core Xeon host).  Every other box is solved by an LP, and so
-is a binary cycle's witness when it is first read: by column generation
-when ``ContextIncidence.extremum`` scans the whole joint (at most 2^10
-cells), and by the junction-tree LP above it.  Since a witness is held as
-joint indices, the cost refuses a joint of 2^63 cells or more up front.
-
-Column generation has joint indices as columns.  An optimal witness needs
-no more columns than the box has stacked rows (Caratheodory), so it starts
-from that many: the lowest of ``sum_c -log b_c(lambda_c)``.  Each round
-scores every assignment under the duals with ``lift``, takes up to twice
-that many of the cheapest and appends those that score below 1 - 1e-9,
-until every assignment scores at least 1.  The restricted LP is solved in
-its dual form,
-
-    minimize  b . y   subject to   score_D(y) = (M^T y)(D) >= 1  for D in the columns,  y >= 0,
-
-with one variable per stacked context outcome (tens) where the primal has
-one per column (hundreds), so far fewer simplex iterations are needed.
-Each round appends only the entering assignments as rows, and HiGHS's dual
-simplex re-optimizes from the previous basis.  The witness weights are the
-rows' duals.
+1.05 ms by the LP then used within the scan to 0.25 and 0.27 ms (best of
+30, a fresh box each call, 2-core Xeon host).  Every other box is solved by the junction-tree LP, and
+so is a binary cycle's witness when it is first read.  Since a witness is
+held as joint indices, the cost refuses a joint of 2^63 cells or more up
+front.
 
 The junction-tree LP (``boxes.JunctionTree``, on a min-fill order) has the
 clique tables as variables: maximize the root's mass subject to agreement
@@ -46,29 +29,28 @@ on every separator and to each stacked row's mass, summed from a clique
 that holds its context, being at most b.  Nonnegative tables that agree are
 the clique marginals of a measure on the joint (Lauritzen & Spiegelhalter
 1988), so this is exactly the cost LP, of the size of the clique tables,
-solved in one HiGHS run.  The cost is 1 less the root's mass, and the
-witness is peeled from the tables when first read (``JunctionTree.peel``).
-No joint tensor is built above 2^10 cells: a box is refused only for a
-clique or an elimination table above ``JOINT_DIM_CAP`` cells, or for an LP
-whose variables and matrix entries come to more.  On M + PM + CH(14, 0.95)
-(2^33 cells) it took 9 ms, where column generation took 3.2 s (README.md).
-Within the scan column generation is the faster: on the 44 cost LPs of one
-perfbench small-batch pass (joints of 16 to 1024 cells) it took 41 ms, the
-junction-tree LP 72 ms with each tree built, 1.6 to 3.6 times as long on
-the Mermin boxes (best of 5 per box, 2-core Xeon host).
+solved in one HiGHS run by primal simplex.  The cost is 1 less the root's
+mass, and the witness is peeled from the tables when first read
+(``JunctionTree.peel``).  No joint tensor is built: a box is refused only
+for a clique or an elimination table above ``JOINT_DIM_CAP`` cells, or for
+an LP whose variables and matrix entries come to more.  On
+M + PM + CH(14, 0.95) (2^33 cells) it took 9 ms, where an LP that priced
+assignments in rounds took 3.2 s (README.md).  The tree of a context list
+is built once (``boxes._junction_tree``), so within the scan the LP is
+nearly as fast as those rounds were: on the 32 cost LPs of one perfbench
+small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
+23-24 ms, and was slower only on the four 1024-cell Mermin mixes (14
+against 8 ms; best of 7, trees and models warm, 2-core Xeon host).
 
-In both, dividing the duals y of the box's rows by the least score of any
-assignment under them, from ``lift`` or ``extremum``, makes them dual
-feasible, which certifies the lower end ``1 - b.y / min score``; in the
-junction-tree LP that score is 1 up to rounding, since the agreement terms
-cancel along the tree.  Each thread keeps one HiGHS model per LP, its
-options set once, and clears it for each call (``clearModel``, about 1
-microsecond on a 2-core Xeon host, against about 100 to build a model).
-HiGHS runs with presolve off, which cost more than it saved: on the 48
-boxes of ``tests/test_polytope.py::seeded_boxes(rounds=6)``, column
-generation's ``run`` time fell from 145-181 to 90-102 ms with it off, and
-the junction-tree LP took 1.7 against 2.2 ms on M + PR and 4.7 against
-5.6 ms on M + PM + CH(14, 0.95) (best of 5, tree built).
+Dividing the duals y of the box's rows by the least score of any
+assignment under them, from ``extremum``, makes them dual feasible, which
+certifies the lower end ``1 - b.y / min score``; that score is 1 up to
+rounding, since the agreement terms cancel along the tree.  Each thread
+keeps one HiGHS model, its options set once, and clears it for each call
+(``clearModel``, about 1 microsecond on a 2-core Xeon host, against about
+100 to build a model).  HiGHS runs with presolve off, which cost more than
+it saved: the LP took 1.7 against 2.2 ms on M + PR and 4.7 against 5.6 ms
+on M + PM + CH(14, 0.95) (best of 5, tree built).
 """
 
 from __future__ import annotations
@@ -153,11 +135,12 @@ class CostReport:
 
     ``witness_weights`` (the deterministic assignments of the decomposition
     with their weights) and ``residual_box`` (the contextual remainder, None
-    when the cost is within 1e-9 of 0) are decoded from the LP's solution on
-    first access and then cached; most callers read only ``cost`` and
-    ``interval``.  A binary n-cycle's cost and interval come from the
-    closed form (see the module docstring), and its witness is solved only
-    when one of the two is first read.
+    when the cost is within 1e-9 of 0) are decoded on first access and then
+    cached, the junction-tree LP's tables peeled into assignments then; most
+    callers read only ``cost`` and ``interval``.  A binary n-cycle's cost
+    and interval come from the closed form (see the module docstring), and
+    its witness is solved by the junction-tree LP only when one of the two
+    is first read.
     """
 
     cost: float
@@ -170,7 +153,7 @@ class CostReport:
     @cached_property
     def _witness(self) -> tuple[np.ndarray, np.ndarray]:
         if self._decode is None:
-            return _solve(self._box)._witness
+            return _tree_lp(self._box)._witness
         return self._decode()
 
     @cached_property
@@ -210,28 +193,28 @@ def _within(box: Box, mass: np.ndarray) -> float:
 
 
 _local = threading.local()
+# Every model runs silent, at ``_HIGHS_TOL``, by primal simplex, with presolve
+# off (see the module docstring).
+_HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": _HIGHS_TOL,
+                  "dual_feasibility_tolerance": _HIGHS_TOL, "presolve": "off",
+                  "simplex_strategy": _PRIMAL_SIMPLEX}
 
 
-def _highs(name: str, costs: np.ndarray, **options) -> _Highs:
-    """This thread's HiGHS model ``name``, with one variable in [0, inf) per
-    entry of ``costs``, to be minimized, and no rows.
+def _highs(costs: np.ndarray) -> _Highs:
+    """This thread's HiGHS model, with one variable in [0, inf) per entry of
+    ``costs``, to be minimized, and no rows.
 
-    One model per thread and name is kept and cleared for each call
-    (``clearModel`` keeps the options); ``measure --workers N`` solves on N
-    threads.  Every model runs silent, at ``_HIGHS_TOL``, with presolve off,
-    and with ``options`` on top.  A model of another class than ``_Highs``
-    (as when a test replaces ``_Highs``) is replaced by a new one.
+    One model per thread is kept, its options set once, and cleared for each
+    call (``clearModel`` keeps the options); ``measure --workers N`` solves
+    on N threads.  A model of another class than ``_Highs`` (as when a test
+    replaces ``_Highs``) is replaced by a new one.
     """
-    lp = getattr(_local, name, None)
+    lp = getattr(_local, "lp", None)
     if type(lp) is _Highs:
         lp.clearModel()
     else:
-        lp = _Highs()
-        setattr(_local, name, lp)
-        # Presolve costs more than it saves on these LPs (see the module docstring).
-        options = {"output_flag": False, "primal_feasibility_tolerance": _HIGHS_TOL,
-                   "dual_feasibility_tolerance": _HIGHS_TOL, "presolve": "off", **options}
-        for option, value in options.items():
+        lp = _local.lp = _Highs()
+        for option, value in _HIGHS_OPTIONS.items():
             lp.setOptionValue(option, value)
     n = costs.size
     lp.addCols(n, costs, np.zeros(n), np.full(n, np.inf), 0, np.zeros(n, dtype=np.int32),
@@ -255,8 +238,8 @@ def contextuality_cost(box: Box) -> CostReport:
     hypergraph from its junction-tree joint, and a binary box within the
     2^10-cell scan that is flat on every context's parity classes from its
     parity inequality and a symmetric witness, when the two meet; every
-    other box is solved by column generation within the scan and by the
-    junction-tree LP above it (see the module docstring).  Defined only
+    other box is solved by the junction-tree LP (see the module docstring).
+    Defined only
     for consistent boxes; inconsistent input is refused rather than given
     a misleading number.  Refuses a joint of 2^63 cells or more, since a witness is held
     as joint indices, and a box whose junction tree or elimination needs a
@@ -276,14 +259,6 @@ def contextuality_cost(box: Box) -> CostReport:
     report = _parity_cost(box)
     if report is not None:
         return report
-    return _solve(box)
-
-
-def _solve(box: Box) -> CostReport:
-    """The cost LP: column generation if ``extremum`` scans the whole joint, else the
-    junction-tree LP."""
-    if box.hypergraph.incidence.scans_whole_joint:
-        return _column_generation(box)
     return _tree_lp(box)
 
 
@@ -380,68 +355,6 @@ def _parity_cost(box: Box) -> CostReport | None:
     return report if hi - lo <= _PARITY_TOL else None
 
 
-def _cheapest(g: Hypergraph, y: np.ndarray, count: int) -> tuple[float, np.ndarray]:
-    """The lowest score ``(M^T y)(lambda)`` and the joint indices of the ``count``
-    lowest-scoring outcomes (all of them, if fewer), from ``lift``."""
-    scores = g.incidence.lift(y).ravel()
-    count = min(count, scores.size)
-    picked = np.argpartition(scores, count - 1)[:count]
-    return float(scores[picked].min()), picked
-
-
-def _column_generation(box: Box) -> CostReport:
-    """The cost LP of a consistent box whose joint ``extremum`` scans whole,
-    solved by column generation, with its witness.
-
-    Each round re-solves the restricted LP's dual (see the module docstring)
-    after appending the entering columns as rows: its solution y prices the
-    columns, and the witness weights are the rows' duals, so the cost
-    ``1 - sum w`` belongs to the reported witness.
-    """
-    g = box.hypergraph
-    stacked = box.stacked()
-    n_contexts = g.n_contexts
-    # Variable y_r for each stacked row r: cost b_r, no entries yet.
-    lp = _highs("lp", stacked)
-    # Start from the stacked.size assignments the box supports best (see the
-    # module docstring), by the sum of -log b over their rows.  A zero row
-    # scores above any all-positive assignment's total, but finitely, so no
-    # inf or NaN enters the kernel.
-    positive = stacked > 0
-    fit = np.empty(stacked.size)
-    fit[positive] = -np.log(stacked[positive])
-    fit[~positive] = n_contexts * fit[positive].max() + 1.0
-    _, entering = _cheapest(g, fit, stacked.size)
-    new_rows = g.incidence.rows(entering)
-    # LP row i is assignment columns[i]: rows are appended in round order.
-    columns = np.empty(0, dtype=np.int64)
-    for _ in range(200):
-        lp.addRows(
-            entering.size, np.ones(entering.size), np.full(entering.size, np.inf),
-            new_rows.size, np.arange(0, new_rows.size, n_contexts, dtype=np.int32),
-            new_rows.ravel().astype(np.int32), np.ones(new_rows.size),
-        )
-        columns = np.concatenate([columns, entering])
-        solution = _solution(lp)
-        duals = np.asarray(solution.col_value)
-        min_score, candidates = _cheapest(g, duals, 2 * stacked.size)
-        if min_score >= 1.0 - 1e-9:
-            break
-        # Only the candidates these duals violate enter.  A column already in
-        # the LP scores at least 1 within HiGHS's tolerance, so none enters twice.
-        candidate_rows = g.incidence.rows(candidates)
-        violated = duals[candidate_rows].sum(axis=1) < 1.0 - 1e-9
-        entering, new_rows = candidates[violated], candidate_rows[violated]
-        if entering.size == 0:
-            break
-    else:
-        raise ContextualityError("column generation did not converge in 200 rounds")
-    weights = np.maximum(np.asarray(solution.row_dual), 0.0)
-    used = np.flatnonzero(weights > 1e-12)
-    witness = (columns[used], weights[used])
-    return _report(box, 1.0 - float(weights.sum()), duals, min_score, lambda: witness)
-
-
 def _report(
     box: Box, cost: float, y: np.ndarray, min_score: float,
     decode: Callable[[], tuple[np.ndarray, np.ndarray]],
@@ -463,7 +376,7 @@ def _tree_lp(box: Box) -> CostReport:
     agreements, root = tree.n_agreements, tree.offsets[1]
     # Minimize minus the root's mass.
     costs = np.where(np.arange(tree.offsets[-1]) < root, -1.0, 0.0)
-    lp = _highs("tree_lp", costs, simplex_strategy=_PRIMAL_SIMPLEX)
+    lp = _highs(costs)
     starts, indices, values = tree.matrix
     lp.addRows(
         starts.size, np.concatenate([np.zeros(agreements), np.full(stacked.size, -np.inf)]),

@@ -26,7 +26,7 @@ from .measures import (
     x_u,
     x_u_isotropic_reduced,
 )
-from .polytope import _column_generation, contextuality_cost, is_noncontextual
+from .polytope import _tree_lp, contextuality_cost, is_noncontextual
 from .sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -110,14 +110,14 @@ def golden_suite(tol: float = 1e-5, chain_full_max: int = 12) -> list[CheckResul
 
 
 def cost_suite(tol: float = 1e-7, grid: int = 21) -> list[CheckResult]:
-    """Criterion 2: the cost, and the column-generation LP behind it, against
-    the isotropic closed forms on an alpha grid.
+    """Criterion 2: the cost, and the junction-tree LP behind it, against the
+    isotropic closed forms on an alpha grid.
 
     PR and the chains are binary cycles, whose cost is itself a closed form,
     and isotropic PM and M are certified by their parity inequality and a
     symmetric witness, so none of them reaches an LP through
     ``contextuality_cost``; the LP is checked on its own as well, through
-    ``_column_generation``.
+    ``_tree_lp``.
     """
     results: list[CheckResult] = []
     cases = [("PR", None), ("PM", None), ("M", None)] + [("CH", n) for n in (3, 4, 5, 6)]
@@ -127,7 +127,7 @@ def cost_suite(tol: float = 1e-7, grid: int = 21) -> list[CheckResult]:
             box = builtin(family, n=n, alpha=float(alpha))
             expected = closed_form.cost_closed_form(family, float(alpha), n=n)
             worst = max(worst, abs(contextuality_cost(box).cost - expected))
-            worst_lp = max(worst_lp, abs(_column_generation(box).cost - expected))
+            worst_lp = max(worst_lp, abs(_tree_lp(box).cost - expected))
         label = family if n is None else f"CH({n})"
         results.append(
             _check(

@@ -1,4 +1,4 @@
-"""The cost LP, solved by HiGHS in its dual form, against the all-columns primal LP."""
+"""The cost LP, solved by HiGHS on junction-tree clique tables, against the all-columns primal LP."""
 
 import contextlib
 import functools
@@ -96,10 +96,9 @@ def sum_mod_box(g, rng):
 def wide_hypergraphs(draw):
     """Hypergraphs with more than 512 joint outcomes, several times the stacked rows.
 
-    Within the 2^10-cell scan, column generation starts from one assignment
-    per stacked row, so it starts from a small share of the joint, and most
-    of these boxes take more than one round; the joints above the scan get
-    the junction-tree LP.
+    Their joints lie on both sides of the 2^10-cell scan, so the junction-tree
+    LP's lower end is priced by ``extremum``'s scan of the whole joint on
+    some and by its elimination on the others.
 
     10 or 11 binary observables, or 6 or 7 observables of which 5 to 7 are
     ternary; contexts have 2 or 3 observables.
@@ -158,28 +157,14 @@ def start_boxes(draw):
 @settings(max_examples=60, deadline=None)
 @given(box=start_boxes())
 def test_box_fit_start_matches_primal(box):
-    """The start from the box's best-fit assignments reaches the all-columns optimum.
-
-    Zero rows get a finite fit, so the start raises no floating-point error.
-    """
+    """The cost reaches the all-columns optimum, inside its bracket, with no
+    floating-point error raised, on zero rows too."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         report = cx.contextuality_cost(box)
     check_report(box, report)
     lo, hi = report.interval
     reference = dense_reference_cost(box)
     assert lo - 1e-9 <= reference <= hi + 1e-9, (lo, reference, hi)
-
-
-@pytest.mark.parametrize("alpha", [0.9, 0.99])
-def test_chain_start_is_optimal(alpha, highs_log):
-    """CH(10), the largest chain the 2^10-cell scan takes whole: its best-fit
-    assignments already hold an optimal witness, one HiGHS run."""
-    box = cx.chain_box(10, alpha=alpha)
-    assert box.hypergraph.incidence.scans_whole_joint
-    report = polytope._column_generation(box)
-    assert highs_log["runs"] == 1
-    assert highs_log["rows"][0] <= box.stacked().size
-    assert abs(report.cost - cost_closed_form("CH", alpha, 10)) <= 1e-7
 
 
 @pytest.mark.parametrize("alpha", [0.9, 0.99])
@@ -190,7 +175,7 @@ def test_eliminated_chain_start(n, alpha, highs_log):
     duals for the lower end."""
     box = cx.chain_box(n, alpha=alpha)
     assert not box.hypergraph.incidence.scans_whole_joint
-    report = polytope._solve(box)
+    report = polytope._tree_lp(box)
     assert highs_log["runs"] == 1 and len(highs_log["rows"]) == 1
     assert abs(report.cost - cost_closed_form("CH", alpha, n)) <= 1e-7
     lo, hi = report.interval
@@ -215,9 +200,11 @@ def test_witness_keys_are_public_assignments():
 
 
 def test_multi_round_cost_is_silent(capfd, highs_log):
+    """The LP's HiGHS run, and the witness peeled from it, print nothing."""
     capfd.readouterr()
-    report = polytope._column_generation(cx.mermin_box(0.9))
-    assert highs_log["runs"] > 1
+    report = polytope._tree_lp(cx.mermin_box(0.9))
+    assert report.witness_weights
+    assert highs_log["runs"] == 1
     assert report.cost > 0.0
     assert capfd.readouterr() == ("", "")
 
@@ -232,7 +219,7 @@ def test_eliminated_pricing_matches_primal(scan_cells):
             # A fresh hypergraph, so the elimination plan is made under the patch.
             g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
             box = cx.Box(g, box.distributions)
-            check_report(box, polytope._solve(box))
+            check_report(box, polytope._tree_lp(box))
 
 
 @seed(20261027)
@@ -249,10 +236,10 @@ def test_tree_lp_matches_primal(scan_cells, box):
         g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
         box = cx.Box(g, box.distributions)
         assume(not g.incidence.scans_whole_joint)
-        report = polytope._solve(box)
+        report = polytope._tree_lp(box)
         fields = cost_fields(report)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda b: cost_fields(polytope._solve(b)), [box, box]))
+            threaded = list(pool.map(lambda b: cost_fields(polytope._tree_lp(b)), [box, box]))
     assert threaded == [fields, fields]
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
     lo, hi = report.interval
@@ -272,9 +259,9 @@ class PresolveOn(polytope._Highs):
 
 def test_presolve_off_matches_presolve_on():
     for box in seeded_boxes(rounds=2):
-        report = polytope._column_generation(box)
+        report = polytope._tree_lp(box)
         with mock.patch.object(polytope, "_Highs", PresolveOn):
-            oracle = polytope._column_generation(box)
+            oracle = polytope._tree_lp(box)
         assert abs(report.cost - oracle.cost) <= 1e-9
         assert np.allclose(report.interval, oracle.interval, rtol=0.0, atol=1e-9)
 
@@ -318,23 +305,21 @@ def test_call_after_a_failed_call():
     """A call that raises after HiGHS has solved leaves rows in the thread's
     model; the next call clears them and gives the same report as before."""
     box = cx.mermin_box(0.9)
-    expected = cost_fields(polytope._column_generation(box))
+    expected = cost_fields(polytope._tree_lp(box))
     model = polytope._local.lp
-    real = ContextIncidence.lift
     calls = []
 
-    def fail_pricing(self, y):
-        # The first call picks the start, the second prices HiGHS's first solution.
-        calls.append(y)
-        if len(calls) == 2:
-            raise RuntimeError("pricing failed")
-        return real(self, y)
+    def fail_pricing(self, y, sense):
+        # Pricing HiGHS's solution for the lower end, after the run.
+        calls.append(model.getNumRow())
+        raise RuntimeError("pricing failed")
 
-    with mock.patch.object(ContextIncidence, "lift", fail_pricing):
+    with mock.patch.object(ContextIncidence, "extremum", fail_pricing):
         with pytest.raises(RuntimeError, match="pricing failed"):
-            polytope._column_generation(box)
+            polytope._tree_lp(box)
+    assert len(calls) == 1 and calls[0] > 0
     assert polytope._local.lp is model and model.getNumRow() > 0
-    assert cost_fields(polytope._column_generation(box)) == expected
+    assert cost_fields(polytope._tree_lp(box)) == expected
     assert polytope._local.lp is model
 
 
@@ -375,7 +360,7 @@ def test_highs_binding_is_shared_with_scipy(scipy_first):
         "assert polytope._Highs is core._Highs",
         "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')",
         "assert res.status == 0 and abs(res.fun - 1.0) <= 1e-12, res",
-        "cost = polytope._column_generation(builtin('M', alpha=0.9)).cost",
+        "cost = polytope._tree_lp(builtin('M', alpha=0.9)).cost",
         "assert abs(cost - cost_closed_form('M', 0.9)) <= 1e-12, cost",
     ])
     done = run_fresh(code)
@@ -405,71 +390,50 @@ def test_missing_highs_binding_raises_import_error(tmp_path):
     assert f"scipy {version}" in message and "scipy>=1.17" in message, message
 
 
-def test_entering_rows_are_violated_and_new():
-    """After the first block, every row appended scored below 1 - 1e-9 under
-    the duals it was priced under, and no assignment's row is appended twice."""
-    log = []
-
-    class Spy(polytope._Highs):
-        def run(self):
-            status = super().run()
-            log.append(("duals", np.array(self.getSolution().col_value)))
-            return status
-
-        def addRows(self, n_rows, lower, upper, n_nz, starts, indices, values):
-            log.append(("rows", np.asarray(indices).reshape(n_rows, -1).copy()))
-            return super().addRows(n_rows, lower, upper, n_nz, starts, indices, values)
-
+def test_lp_cost_is_one_run_on_one_block(highs_log):
+    """Every cost the LP solves, its witness read too, is one HiGHS run on one
+    block of rows, on boxes within the 2^10-cell scan: an M mix, a PM mix, and
+    sum-mod boxes on 6 ternary observables (729 cells)."""
     rng = np.random.default_rng(20261019)
-    cases = [cx.mermin_box(0.9), cx.pm_box(0.9)]
+    cases = [anchored_mix(cx.mermin_box(), 3), anchored_mix(cx.pm_box(), 4)]
     for _ in range(2):
-        # Sum-mod boxes on 6 ternary observables (729 cells) take several rounds.
         g = random_hypergraph(rng, 6, 12)
         g = cx.Hypergraph([(f"O{i}", 3) for i in range(6)], g.contexts)
         cases.append(random_consistent_box(g, rng, anchor=sum_mod_box(g, rng), anchor_weight=0.6))
-    later_blocks = 0
     for box in cases:
-        log.clear()
-        with mock.patch.object(polytope, "_Highs", Spy):
-            report = polytope._column_generation(box)
+        assert box.hypergraph.incidence.scans_whole_joint
+        highs_log["runs"], highs_log["rows"] = 0, []
+        report = cx.contextuality_cost(box)
+        assert report.witness_weights
+        assert highs_log["runs"] == 1 and len(highs_log["rows"]) == 1, highs_log
         lo, hi = report.interval
         assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
-        blocks = [rows for kind, rows in log if kind == "rows"]
-        seen = {tuple(row) for row in blocks[0]}
-        assert len(seen) == len(blocks[0])
-        duals = None
-        for kind, payload in log:
-            if kind == "duals":
-                duals = payload
-            elif duals is not None:
-                later_blocks += 1
-                assert np.all(duals[payload].sum(axis=1) < 1.0 - 1e-9)
-                new = {tuple(row) for row in payload}
-                assert len(new) == len(payload) and not new & seen
-                seen |= new
-    assert later_blocks >= 3
 
 
 def test_multi_round_cost_leaves_numpy_ma_unloaded():
-    """A cost solve of several rounds loads no numpy.ma: the rows that enter
-    are picked without a set difference, whose np.unique imports it."""
+    """The LP's solve of an M mix, and the witness peeled from it, load no
+    numpy.ma, which a set difference (np.unique) would import."""
     code = "\n".join([
         "import sys",
+        "import numpy as np",
         "from contextuality import mermin_box, polytope",
+        "from contextuality.sampling import random_consistent_box",
         "runs = []",
         "class Counting(polytope._Highs):",
         "    def run(self):",
         "        runs.append(1)",
         "        return super().run()",
         "polytope._Highs = Counting",
+        "m = mermin_box()",
+        "box = random_consistent_box(m.hypergraph, np.random.default_rng(1), anchor=m, anchor_weight=0.9)",
         "before = 'numpy.ma' in sys.modules",
-        "polytope._column_generation(mermin_box(0.9))",
+        "assert polytope._tree_lp(box).witness_weights",
         "print(len(runs), before, 'numpy.ma' in sys.modules)",
     ])
     done = run_fresh(code)
     assert done.returncode == 0, done.stderr
     runs, before, after = done.stdout.split()
-    assert int(runs) > 1
+    assert int(runs) == 1
     assert (before, after) == ("False", "False")
 
 
@@ -627,10 +591,9 @@ def binary_cycle_boxes(draw):
 
 @contextlib.contextmanager
 def solver_calls():
-    """Calls of the cost LP's HiGHS ``run`` and of its pricing: ``ContextIncidence.lift``
-    (column generation) or ``ContextIncidence.extremum`` (the junction-tree LP)."""
+    """Calls of the cost LP's HiGHS ``run`` and of its pricing, ``ContextIncidence.extremum``."""
     calls = []
-    lift, extremum = ContextIncidence.lift, ContextIncidence.extremum
+    extremum = ContextIncidence.extremum
 
     class Spy(polytope._Highs):
         def run(self):
@@ -644,7 +607,6 @@ def solver_calls():
         return spy
 
     with mock.patch.object(polytope, "_Highs", Spy), \
-            mock.patch.object(ContextIncidence, "lift", pricing(lift)), \
             mock.patch.object(ContextIncidence, "extremum", pricing(extremum)):
         yield calls
 
@@ -810,4 +772,4 @@ def test_other_boxes_reach_the_lp(box, highs_log):
     assert polytope._parity_cost(box) is None
     report = cx.contextuality_cost(box)
     assert highs_log["runs"] > 0
-    assert abs(report.cost - polytope._column_generation(box).cost) <= 1e-9
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-9

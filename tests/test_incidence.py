@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import contextuality as cx
-from contextuality import boxes, polytope
+from contextuality import boxes
 from contextuality.sampling import random_hypergraph
 
 
@@ -97,15 +97,10 @@ def test_operator_matches_bruteforce(g, draw_seed):
     scores = np.array([sequential_sum(y[row]) for row in table])
     assert np.array_equal(op.lift(y).ravel(), scores)
 
-    # Pricing: the minimum score and its first joint index; column generation's
-    # cheapest columns, from the lift.
-    assert op.extremum(y, "min") == (scores.min(), int(np.argmin(scores)))
-    count = int(rng.integers(1, g.joint_dim + 2))
-    min_score, picked = polytope._cheapest(g, y, count)
-    assert min_score == scores.min()
-    assert picked.size == min(count, g.joint_dim) == np.unique(picked).size
-    rest = np.setdiff1d(np.arange(g.joint_dim), picked)
-    assert rest.size == 0 or scores[picked].max() <= scores[rest].min()
+    # Pricing: the minimum score and its first joint index, as the lift gives them.
+    lifted = op.lift(y).ravel()
+    assert op.extremum(y, "min") == (lifted.min(), int(np.argmin(lifted)))
+    assert lifted.min() == scores.min()
 
     # split and stack are inverse; stack refuses a wrong context count or size.
     weights = op.split(y)
@@ -354,6 +349,16 @@ def test_junction_tree_against_a_joint(g, draw_seed):
     assert np.unique(columns).size == columns.size and np.all(weights > 0.0)
     q = np.bincount(columns, weights=weights, minlength=g.joint_dim)
     assert np.allclose(clique_tables(g, q), x, rtol=0.0, atol=1e-12)
+
+
+def test_equal_hypergraphs_share_one_junction_tree():
+    """Equal hypergraphs built separately share one tree, whose LP rows are read-only;
+    another context list gets its own."""
+    g = cx.mermin_box().hypergraph
+    twin = cx.Hypergraph(list(g.observables), [list(ctx) for ctx in g.contexts])
+    assert twin is not g and twin.junction_tree is g.junction_tree
+    assert not any(a.flags.writeable for a in g.junction_tree.matrix)
+    assert cx.pm_box().hypergraph.junction_tree is not g.junction_tree
 
 
 @pytest.mark.parametrize("n", [5, 14, 30, 62])

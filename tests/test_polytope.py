@@ -12,7 +12,7 @@ import contextuality as cx
 from contextuality import polytope
 from contextuality.boxes import JOINT_DIM_CAP
 from contextuality.inequalities import support_weights
-from contextuality.polytope import DENSE_VERTEX_CAP, _column_generation
+from contextuality.polytope import DENSE_VERTEX_CAP, _tree_lp
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -28,7 +28,7 @@ def vertices(g):
 
 
 def dense_reference_cost(box, n_columns=None):
-    """Cost from one LP over vertex columns, independent of column generation.
+    """Cost from one LP over vertex columns, independent of the junction-tree LP.
 
     Uses every vertex column, or only the first ``n_columns`` of them; with
     fewer than all, the result is an upper bound on the cost.  HiGHS runs at
@@ -147,22 +147,14 @@ class TestContextualityCost:
         with pytest.raises(cx.InconsistentBoxError):
             cx.contextuality_cost(cx.Box(pr.hypergraph, dists))
 
-    def test_column_generation_matches_dense(self):
-        # Binary cycles get the closed form from contextuality_cost; the LP is checked too.
-        for box in [cx.chain_box(6, 0.9), cx.mermin_box(0.9), *seeded_boxes()]:
-            reference = dense_reference_cost(box)
-            for cost in (cx.contextuality_cost(box).cost, _column_generation(box).cost):
-                assert cost == pytest.approx(reference, abs=1e-9)
-        for n in (4, 6):
-            assert cx.contextuality_cost(ternary_cycle_box(n)).cost == pytest.approx(1.0, abs=1e-9)
-
     def test_cost_beyond_dense_cap(self):
-        # M + PM: 2^19 vertices exceed the enumeration cap and the 2^10-cell scan, so
+        # M + PM: 2^19 vertices exceed the enumeration cap and the 2^10-cell scan, and
         # the junction-tree LP solves it; its cost is its larger component's, 0.5.
         box = cx.direct_sum(cx.mermin_box(0.9), cx.pm_box(0.9))
         assert box.hypergraph.joint_dim > DENSE_VERTEX_CAP
-        with mock.patch.object(polytope, "_column_generation", side_effect=AssertionError):
+        with mock.patch.object(polytope, "_tree_lp", wraps=_tree_lp) as tree_lp:
             report = cx.contextuality_cost(box)
+        tree_lp.assert_called_once_with(box)
         assert report.cost == pytest.approx(0.5, abs=1e-7)
         lo, hi = report.interval
         assert 0.0 <= lo <= report.cost <= hi <= 1.0 and hi - lo <= 1e-9
@@ -228,16 +220,22 @@ class TestCostBracket:
             assert report.cost <= reference + 1e-9
 
     def test_chain16_ninety(self):
-        # Column generation once returned hi = -4.4e-16 here.
+        # The cost LP once returned hi = -4.4e-16 here.
         self.assert_ordered(cx.contextuality_cost(cx.chain_box(16, 0.9)))
 
     def test_seeded_boxes_on_both_paths(self):
-        # The cost, and column generation on its own, against the full vertex LP.
-        for box in seeded_boxes(seed=7, rounds=4):
+        # The cost, and the junction-tree LP on its own, against the full vertex LP.  A
+        # binary cycle's cost is a closed form, and isotropic M's comes from its parity
+        # inequality; the LP gets each of them here.  A ternary cycle box costs 1.
+        cases = [cx.chain_box(6, 0.9), cx.mermin_box(0.9), ternary_cycle_box(4),
+                 ternary_cycle_box(6), *seeded_boxes(seed=7, rounds=4)]
+        for box in cases:
             reference = dense_reference_cost(box)
-            for report in (cx.contextuality_cost(box), _column_generation(box)):
+            for report in (cx.contextuality_cost(box), _tree_lp(box)):
                 self.assert_ordered(report)
                 assert report.cost == pytest.approx(reference, abs=1e-9)
+        for n in (4, 6):
+            assert cx.contextuality_cost(ternary_cycle_box(n)).cost == pytest.approx(1.0, abs=1e-9)
 
 class TestIsNoncontextual:
     def test_joint_box_is_member(self, rng):

@@ -436,21 +436,22 @@ def optimize_linear(
     """Extremum of a per-(context, outcome) linear functional over NC_G.
 
     The optimum of a linear functional over the polytope is attained at a
-    deterministic vertex, and ``ContextIncidence.extremum`` finds the first
-    optimal assignment in lexicographic order without scanning every vertex.
-    The value is the argopt's score, added in context order.  Refuses
+    deterministic vertex, and ``ContextIncidence.best_outcome`` finds the
+    digits of the first optimal assignment in lexicographic order without
+    scanning every vertex; the argopt and its rows are read from them.  The
+    value is the argopt's score, added in context order.  Refuses
     non-finite weights, and a hypergraph whose elimination needs a table
     above ``JOINT_DIM_CAP`` cells.
     """
     stacked = g.incidence.stack(weights)
     if not np.all(np.isfinite(stacked)):
         raise InvalidBoxError("linear weights contain non-finite entries")
-    _, best = g.incidence.extremum(stacked, direction)
+    _, digits = g.incidence.best_outcome(stacked, direction)
     value = 0.0
-    for term in stacked[g.incidence.rows(best)].tolist():
+    for term in stacked[g.incidence.digit_rows(digits)].tolist():
         value += term
     return LinearOptimum(
         value=value,
-        argopt=DeterministicAssignment(np.unravel_index(best, g.joint_shape)),
+        argopt=DeterministicAssignment._of(digits),
         direction=direction,
     )

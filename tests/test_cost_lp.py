@@ -50,7 +50,7 @@ def highs_log():
     anchor_weight=st.floats(0.0, 1.0),
     draw_seed=st.integers(0, 2**32 - 1),
 )
-def test_dual_form_matches_primal_and_rebuilds_box(anchor, anchor_weight, draw_seed):
+def test_anchored_mix_cost_matches_primal_and_rebuilds_box(anchor, anchor_weight, draw_seed):
     rng = np.random.default_rng(draw_seed)
     box = shuffled(cx.mix(anchor, sparse_box(anchor.hypergraph, rng), anchor_weight), rng)
     check_report(box, cx.contextuality_cost(box))
@@ -118,7 +118,7 @@ def wide_hypergraphs(draw):
     anchor_weight=st.floats(0.5, 1.0),
     draw_seed=st.integers(0, 2**32 - 1),
 )
-def test_warm_started_rounds_match_primal(g, anchor_weight, draw_seed):
+def test_wide_hypergraph_cost_matches_primal(g, anchor_weight, draw_seed):
     rng = np.random.default_rng(draw_seed)
     anchor = sum_mod_box(g, rng)
     box = shuffled(random_consistent_box(g, rng, anchor=anchor, anchor_weight=anchor_weight), rng)
@@ -156,7 +156,7 @@ def start_boxes(draw):
 @seed(20261019)
 @settings(max_examples=60, deadline=None)
 @given(box=start_boxes())
-def test_box_fit_start_matches_primal(box):
+def test_cost_matches_primal_with_no_float_error(box):
     """The cost reaches the all-columns optimum, inside its bracket, with no
     floating-point error raised, on zero rows too."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -199,7 +199,7 @@ def test_witness_keys_are_public_assignments():
             key.validate_for(box.hypergraph)
 
 
-def test_multi_round_cost_is_silent(capfd, highs_log):
+def test_tree_lp_cost_is_silent(capfd, highs_log):
     """The LP's HiGHS run, and the witness peeled from it, print nothing."""
     capfd.readouterr()
     report = polytope._tree_lp(cx.mermin_box(0.9))
@@ -410,7 +410,7 @@ def test_lp_cost_is_one_run_on_one_block(highs_log):
         assert 0.0 <= lo <= report.cost <= hi <= 1.0, (lo, report.cost, hi)
 
 
-def test_multi_round_cost_leaves_numpy_ma_unloaded():
+def test_tree_lp_cost_leaves_numpy_ma_unloaded():
     """The LP's solve of an M mix, and the witness peeled from it, load no
     numpy.ma, which a set difference (np.unique) would import."""
     code = "\n".join([

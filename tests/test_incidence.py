@@ -361,6 +361,35 @@ def test_equal_hypergraphs_share_one_junction_tree():
     assert cx.pm_box().hypergraph.junction_tree is not g.junction_tree
 
 
+def test_equal_hypergraphs_share_one_elimination_plan():
+    """Equal hypergraphs built separately share one ``extremum`` plan, whose index
+    table is read-only.  A plan made under another scan size is its own, and is
+    never reused at the real one; each plan is a function of its key alone."""
+    g = cx.chain_box(20).hypergraph
+    twin = cx.Hypergraph(list(g.observables), [list(ctx) for ctx in g.contexts])
+    plan = g.incidence._elimination
+    assert twin is not g and twin.incidence._elimination is plan
+    assert not plan[0].cells.flags.writeable
+    assert cx.chain_box(18).hypergraph.incidence._elimination is not plan
+
+    # A ternary 7-cycle, planned under a patched scan size first, then at the real one.
+    cycle = [(f"O{i}", 3) for i in range(7)], [(i, (i + 1) % 7) for i in range(7)]
+    with mock.patch.object(boxes, "_SCAN_CELLS", 16):
+        patched_op = cx.Hypergraph(*cycle).incidence
+        patched = patched_op._elimination
+    real_op = cx.Hypergraph(*cycle).incidence
+    real = real_op._elimination
+    assert real is not patched
+    assert (scan_cells(patched_op), scan_cells(real_op)) == ((9, True), (729, True))
+    for (scan, buckets), cells in ((patched, 16), (real, 2**10)):
+        fresh, fresh_buckets = boxes._elimination_plan.__wrapped__((3,) * 7, real_op.contexts, cells)
+        assert buckets == fresh_buckets
+        assert (scan.scope, scan.contexts, scan.messages) == (
+            fresh.scope, fresh.contexts, fresh.messages
+        )
+        assert np.array_equal(scan.cells, fresh.cells)
+
+
 @pytest.mark.parametrize("n", [5, 14, 30, 62])
 def test_chain_cliques_have_three_observables(n):
     """Min-fill eliminates a cycle around it: cliques of at most 3 observables."""

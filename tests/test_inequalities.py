@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_polytope import vertices
 
 import contextuality as cx
+from contextuality.boxes import PARITY_TOL, context_parity
 from contextuality.sampling import random_consistent_box
 
 
@@ -30,6 +31,51 @@ class TestClassifyXor:
 
     def test_kcbs_is_not_xor(self, kcbs):
         assert cx.classify_xor(kcbs) is None
+
+
+@pytest.mark.parametrize("build", [cx.pr_box, cx.pm_box, cx.mermin_box, lambda: cx.chain_box(16)],
+                         ids=["PR", "PM", "M", "CH16"])
+def test_classify_xor_reads_parities_as_context_parity(build):
+    """Seeded xor boxes, each context P_even or P_odd, with mass moved between two
+    outcomes of some contexts by just under, at or just over ``PARITY_TOL``: the
+    profile holds the parities ``context_parity`` reads, or is None where it
+    reads None.  Both sides of the tolerance are reached."""
+    rng = np.random.default_rng(20261030)
+    g = build().hypergraph
+    m = len(g.contexts[0])
+    kept = lost = 0
+    for _ in range(80):
+        dists = [cx.parity_distribution(m, int(rng.integers(2))) for _ in g.contexts]
+        for ci in rng.choice(g.n_contexts, size=int(rng.integers(1, 3)), replace=False):
+            step = PARITY_TOL * (1.0 + rng.choice([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
+            source = rng.choice(np.flatnonzero(dists[ci]))
+            target = rng.choice(np.delete(np.arange(2**m), source))
+            dists[ci][source] -= step
+            dists[ci][target] += step
+        box = cx.Box(g, dists)
+        parities = tuple(context_parity(box, ci) for ci in range(g.n_contexts))
+        profile = cx.classify_xor(box)
+        if None in parities:
+            assert profile is None
+            lost += 1
+        else:
+            assert profile.parities == parities
+            kept += 1
+    assert kept and lost
+
+
+def test_classify_xor_refuses_other_boxes():
+    """Mixed context sizes and ternary observables give None; a NaN entry is invalid."""
+    even2, even3 = cx.parity_distribution(2, 0), cx.parity_distribution(3, 0)
+    mixed = cx.Hypergraph([(f"O{i}", 2) for i in range(4)], [(0, 1), (1, 2, 3)])
+    assert cx.classify_xor(cx.Box(mixed, [even2, even3])) is None
+    ternary = cx.Hypergraph([("A", 3), ("B", 2)], [(0, 1)])
+    assert cx.classify_xor(cx.Box(ternary, [np.full(6, 1 / 6)])) is None
+    pr = cx.pr_box()
+    nan = [d.copy() for d in pr.distributions]
+    nan[1][0] = np.nan
+    with pytest.raises(cx.InvalidBoxError):
+        cx.classify_xor(cx.Box(pr.hypergraph, nan))
 
 
 class TestBeta:

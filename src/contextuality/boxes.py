@@ -605,12 +605,8 @@ class ContextIncidence:
     @cached_property
     def _sorted_rows(self) -> np.ndarray:
         """The stacked rows with each context's outcomes row-major in increasing
-        observable order, the order of its table."""
-        parts = zip(self.contexts, self.context_shapes, self.offsets, self.offsets[1:])
-        return np.concatenate([
-            np.arange(a, b).reshape(s).transpose(sorted(range(len(c)), key=c.__getitem__)).ravel()
-            for c, s, a, b in parts
-        ])
+        observable order, the order of its table (see ``_table_order``)."""
+        return _table_order(self.joint_shape, self.contexts)
 
     def rows(self, joint_indices) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``."""
@@ -652,6 +648,20 @@ class ContextIncidence:
         for table in self.tables(start):
             out[(table + grid).ravel()] = 1.0
         return out[: size * n].reshape(size, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _table_order(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """``ContextIncidence._sorted_rows``, made once per cardinalities and
+    context list, read-only: hypergraphs built afresh share it, as they share
+    ``_elimination_plan``.  It is index data only, and ``tables`` and
+    ``marginals`` read it even where the plan is refused."""
+    starts = list(itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts), initial=0))
+    return _frozen_array(np.concatenate([
+        np.arange(a, b).reshape([cards[i] for i in c])
+        .transpose(sorted(range(len(c)), key=c.__getitem__)).ravel()
+        for c, a, b in zip(contexts, starts, starts[1:])
+    ]), dtype=np.int64)
 
 
 def _min_fill(
@@ -878,12 +888,21 @@ class Box:
         return self.distributions[ci].reshape(self.hypergraph.context_shape(ci))
 
     def allclose(self, other: "Box", atol: float = 1e-12) -> bool:
+        """Whether the boxes share a hypergraph and every entry is within
+        ``atol`` (no relative tolerance); a NaN is never close.  The same
+        hypergraph fixes the same layout, so the stacked vectors are compared
+        in one pass."""
         if self.hypergraph != other.hypergraph:
             return False
-        return all(
-            a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=atol)
-            for a, b in zip(self.distributions, other.distributions)
-        )
+        pairs = list(zip(self.distributions, other.distributions))
+        if any(a.shape != b.shape for a, b in pairs):
+            return False
+        try:
+            diff = self.stacked() - other.stacked()
+        except InvalidBoxError:
+            # Vectors not sized to their contexts: compare them as they are.
+            diff = np.concatenate([(a - b).ravel() for a, b in pairs])
+        return bool(np.abs(diff).max(initial=0.0) <= atol)
 
     def stacked(self) -> np.ndarray:
         """All context vectors concatenated in context order, read-only.

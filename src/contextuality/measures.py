@@ -43,6 +43,21 @@ first check without a step, and ``x_max``'s ascent stops after one round.
 Nothing rests on the theorem in floating point: a box consistent only within
 ``require_consistent``'s tolerance has a larger gap, and the loop steps on
 from a near-optimal point.
+
+The loop can also stop at two exhibited optimizers, each by the same test,
+the value within ``tol`` of the best lower bound, so a poor one can only
+fail to stop.  On a cyclic hypergraph, a binary box flat on each context's
+parity classes with one heavier-class mass on every context is tried first
+at its parity mixture (``polytope.parity_mixture``), which at uniform
+weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
+only if it certifies, so otherwise the loop starts where it would without
+it and takes the same steps.  And at iterations 1, 2, 4, 8, ..., while the
+best lower bound is at most 0 on a dense problem whose every target is
+positive, the iterate is projected onto the joints with the box's
+marginals, ``p - M^T (M M^T)^+ (M p - b)``; a nonnegative projection is a
+noncontextual witness (Abramsky & Brandenburger 2011) whose own certificate,
+counted up to 0, closes the gap.  A contextual box has no such projection.
+A start that certifies counts 1 iteration.
 """
 
 from __future__ import annotations
@@ -70,6 +85,7 @@ from .boxes import (
 from .closed_form import chi
 from .errors import InvalidBoxError, NotXorBoxError
 from .inequalities import classify_xor, nc_alpha_interval
+from .polytope import parity_mixture
 from .symmetry import apply
 
 LOG2E = math.log2(math.e)
@@ -192,6 +208,8 @@ class _FixedWeightProblem:
         self.dense: np.ndarray | None = None
         if self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
             self.dense = self.op.columns(support=self.support)
+        # The support marginals of the last ``field`` call.
+        self.m: np.ndarray | None = None
         self.reweight(weights.weights)
 
     def reweight(self, weights: np.ndarray) -> None:
@@ -212,6 +230,7 @@ class _FixedWeightProblem:
             m = self.op.marginals(p)[self.support]
         else:
             m = self.dense @ p
+        self.m = m
         ratio = self.t_s / m
         value = float(self.wt_s @ np.log2(ratio))
         if not math.isfinite(value):
@@ -223,6 +242,26 @@ class _FixedWeightProblem:
         else:
             r = (ratio * self.w_s) @ self.dense
         return value, r, float(r.max())
+
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        """``(M M^T)^+`` of the full incidence (see ``_gram_pinv``), when every
+        row is on the support, so the dense matrix is all of M, and both fit
+        ``DENSE_ENTRIES_CAP``; else None."""
+        if self.support.size < self.op.dim or self.dense is None or self.op.dim**2 > DENSE_ENTRIES_CAP:
+            return None
+        return _gram_pinv(self.g.cardinalities, self.g.contexts)
+
+    def projection(self, p: np.ndarray) -> np.ndarray | None:
+        """The orthogonal projection ``p - M^+ (M p - b)`` of ``p`` onto the
+        joints with the box's context marginals, normalized; None if it has a
+        negative entry.  ``M p`` is read from the last ``field`` call, which
+        must have been at ``p``, and ``M^+`` is ``M^T (M M^T)^+``."""
+        q = p - (self.gram @ (self.m - self.t_s)) @ self.dense
+        if q.min() < 0.0:
+            return None
+        q /= q.sum()
+        return q
 
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
@@ -261,20 +300,44 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
+@functools.lru_cache(maxsize=64)
+def _gram_pinv(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """``(M M^T)^+`` for the full incidence M of a hypergraph, made once per
+    cardinalities and context list; read-only.  ``M^T (M M^T)^+`` is M's
+    pseudo-inverse, so the entropy solver's projection needs no SVD of its
+    own.  Entry (i, j) of ``M M^T`` counts the joint outcomes that hit both
+    rows, which one ``bincount`` over every joint outcome's pairs of rows
+    gives; the cache holds no box data."""
+    incidence = Hypergraph([(str(i), d) for i, d in enumerate(cards)], contexts).incidence
+    rows = incidence.rows(np.arange(math.prod(cards)))
+    pairs = rows[:, :, None] * incidence.dim + rows[:, None, :]
+    gram = np.bincount(pairs.ravel(), minlength=incidence.dim**2).reshape(incidence.dim, -1)
+    out = np.linalg.pinv(gram.astype(float), hermitian=True)
+    out.flags.writeable = False
+    return out
+
+
 def _solve_fixed(
     problem: _FixedWeightProblem,
     tol: float,
     max_iters: int,
     init: np.ndarray | None = None,
+    candidate: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     g = problem.g
-    start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
-    p = _floored_step(start, 1.0, 1.0, 1.0)
+    certified = False
+    if candidate is not None:
+        p = _floored_step(candidate, 1.0, 1.0, 1.0)
+        value, r, r_max = problem.field(p)
+        certified = _gap(r_max) <= tol
+    if not certified:
+        start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
+        p = _floored_step(start, 1.0, 1.0, 1.0)
+        value, r, r_max = problem.field(p)
 
     trace: list[tuple[int, float, float]] = []
     next_trace = 1
     omega = 1.0
-    value, r, r_max = problem.field(p)
     gap = _gap(r_max)
     # Every iterate's value minus its gap bounds the optimum from below; the
     # reported gap is measured against the best of these bounds.
@@ -283,6 +346,19 @@ def _solve_fixed(
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
+        if lower <= 0.0 and iteration & (iteration - 1) == 0 and problem.gram is not None:
+            # A nonnegative projection onto the box's marginals is a joint
+            # whose value is about 0: stop there if it certifies.  Its own
+            # bound counts up to 0, a lower bound on any optimum, so
+            # rounding cannot lift the bracket off 0.
+            q = problem.projection(p)
+            if q is not None:
+                q_value, _, q_r_max = problem.field(q)
+                q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
+                if q_value - q_lower <= tol:
+                    p, value, lower = q, q_value, q_lower
+                    gap = max(value - lower, 0.0)
+                    break
         trial = _floored_step(p, r, omega, r_max)
         trial_value, trial_r, trial_r_max = problem.field(trial)
         if omega > 1.0 and not trial_value < value:
@@ -313,6 +389,26 @@ def _solve_fixed(
     return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
+def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The exhibited starts of a box: ``(init, candidate)`` for ``_solve_fixed``.
+
+    On an acyclic hypergraph the init is the junction-tree joint.  Otherwise
+    the candidate is the parity mixture of a binary box flat on every
+    context's parity classes with one heavier-class mass on all contexts
+    (``polytope.parity_mixture``), the isotropic optimizer when the weights
+    are invariant; the solver keeps it only if it certifies.
+    """
+    joint = junction_tree_joint(box)
+    if joint is not None:
+        return joint, None
+    found = parity_mixture(box)
+    if found is None or not found.isotropic:
+        return None, None
+    candidate = np.zeros(box.hypergraph.joint_dim)
+    candidate[found.columns] = found.weights
+    return None, candidate
+
+
 def _check_arguments(tol: float, dim_cap: int, **counts: int) -> None:
     """Refuse a tolerance that is not finite and nonnegative, a count that is
     not a nonnegative integer, and a ``dim_cap`` that is not an integer (a
@@ -334,14 +430,18 @@ def x_fixed(
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    Solved from the uniform joint by floored multiplicative steps with
-    adaptive over-relaxation, which fall back to the plain step whenever a
-    trial does not lower the objective (report method "auto").  The solve
-    stops once the value is within ``tol`` of the best lower bound seen, or
-    after ``max_iters`` iterations; ``duality_gap`` is that distance.  The
-    value is clamped at 0, the optimum's lower bound, so rounding never
-    reports a negative divergence; ``[value - duality_gap, value]`` still
-    brackets the optimum.
+    Solved from the uniform joint (the junction-tree joint on an acyclic
+    hypergraph) by floored multiplicative steps with adaptive
+    over-relaxation, which fall back to the plain step whenever a trial does
+    not lower the objective (report method "auto").  The solve stops once
+    the value is within ``tol`` of the best lower bound seen, or after
+    ``max_iters`` iterations; ``duality_gap`` is that distance.  It can stop
+    so at two exhibited optimizers (see the module docstring): an isotropic
+    box's parity mixture, tried before the loop and kept only if it
+    certifies, which counts 1 iteration, and a nonnegative projection of an
+    iterate onto a noncontextual box's marginals.  The value is clamped at
+    0, the optimum's lower bound, so rounding never reports a negative
+    divergence; ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters)
@@ -350,7 +450,7 @@ def x_fixed(
         raise InvalidBoxError("one weight per context required")
     start = time.perf_counter()
     value, p_flat, gap, iters, converged, trace = _solve_fixed(
-        _FixedWeightProblem(box, weights), tol, max_iters, junction_tree_joint(box)
+        _FixedWeightProblem(box, weights), tol, max_iters, *_starts(box)
     )
     return MeasureReport(
         value=value,
@@ -389,8 +489,10 @@ def x_max(
     """Weight-maximized relative entropy of contextuality.
 
     Multiplicative-weights supergradient ascent over the context simplex;
-    each inner solve (the ``x_fixed`` policy, warm-started from the previous
-    minimizer, with ``tol`` and ``max_iters``) supplies the supergradient
+    each inner solve (the ``x_fixed`` policy with both of its exits,
+    warm-started from the previous minimizer, the first round from the
+    junction-tree joint or the isotropic parity mixture as in ``x_fixed``,
+    with ``tol`` and ``max_iters``) supplies the supergradient
     (the per-context divergence vector) and a candidate upper bound
     ``max_c D_c`` at its minimizer; the ascent stops after ``outer_window``
     rounds without improvement, or once that bound meets the best value.
@@ -410,7 +512,7 @@ def x_max(
     upper = float("inf")
     total_inner = 0
     last_improve = 0
-    warm = junction_tree_joint(box)
+    warm, candidate = _starts(box)
     p_sum = np.zeros(box.hypergraph.joint_dim)
     # One problem, reweighted each round; its rows do not depend on the weights.
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
@@ -420,9 +522,9 @@ def x_max(
         w_vec = np.exp(shifted)
         w_vec /= w_vec.sum()
         problem.reweight(w_vec)
-        value, p_flat, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, warm)
+        value, p_flat, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, warm, candidate)
         total_inner += iters
-        warm = p_flat
+        warm, candidate = p_flat, None
         p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
@@ -472,8 +574,9 @@ def verify_equivalence(
     ``ext_c(lambda) = p*(lambda'_c | lambda_c) * g_c(lambda_c)`` and evaluate
     the mutual information directly as
     ``sum_c w_c D(ext_c || sum_c' w_c' ext_c')``; the absolute difference
-    from the minimized value is the residual.  The solver floors every joint
-    entry above 0, so every context marginal of p* is positive.
+    from the minimized value is the residual.  Every context marginal of p*
+    is positive: the solver floors every joint entry above 0, and a
+    projection it stops at has the box's marginals, all positive.
     """
     report = x_fixed(box, weights, tol=tol)
     g = box.hypergraph

@@ -62,7 +62,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -295,31 +295,37 @@ def _binary_cycle_cost(box: Box) -> CostReport:
 _PARITY_TOL = 1e-12
 
 
-def _parity_cost(box: Box) -> CostReport | None:
-    """The cost of a binary box that is flat on each context's parity classes, from
-    its parity inequality and a symmetric witness; None if the two do not meet.
+class ParityMixture(NamedTuple):
+    """A binary box flat on each context's parity classes (see ``parity_mixture``)."""
 
-    Only binary boxes whose joint ``extremum`` scans whole qualify, and only
-    if each context's even outcomes are equally likely, and so are its odd
-    ones: the isotropic PR, chained, Peres-Mermin and Mermin boxes and
+    heavier: np.ndarray  # 1 on the stacked rows of each context's heavier class, else 0
+    isotropic: bool  # every context's heavier-class mass is one alpha, within _PARITY_TOL
+    top: float  # max beta
+    columns: np.ndarray  # joint indices of the mixture
+    weights: np.ndarray  # their weights, which sum to 1
+
+
+def parity_mixture(box: Box) -> ParityMixture | None:
+    """The parity classification of a binary box, and its symmetric mixture;
+    None unless every observable is binary and each context's even outcomes
+    are equally likely, and so are its odd ones, within ``_PARITY_TOL``.
+
+    These are the isotropic PR, chained, Peres-Mermin and Mermin boxes and
     everything twirling maps onto them (Masanes, Acin & Gisin 2006).  With
     y the indicator of each context's heavier class (even on a tie),
     ``lift(y)`` scores every assignment D by the number beta_D of contexts
-    it hits in that class.  The lighter classes' indicator, divided by
-    ``n - max beta``, scores every assignment at least 1, so it is dual
-    feasible and certifies the lower end ``1 - b.(1 - y) / (n - max beta)``
-    (0 when max beta = n); on these boxes it is the LP's own optimal dual
-    (Abramsky, Barbosa & Mansfield 2017).  The witness mixes the uniform
-    distributions on the assignments of highest and lowest beta so that it
-    puts the box's mass y.b on the heavier classes, clipped to [0, 1], and
-    is scaled by ``_within`` to fit the box; its cost is the upper end.  The
-    report is kept only if the two ends are within ``_PARITY_TOL``, so the
-    value rests on both certificates, never on the box being isotropic.
+    it hits in that class.  The mixture ``t U(max beta) + (1 - t) U(min beta)``
+    of the uniform distributions on the assignments of highest and lowest
+    beta puts the box's heavier-class mass on those classes in total, with
+    t clipped to [0, 1]: when every context's heavier mass is one alpha,
+    that is alpha clipped to the noncontextual interval
+    ``[min beta / n, max beta / n]``.  ``_parity_cost`` takes it as the
+    cost's witness, and the entropy measures as their isotropic start.
     """
     g = box.hypergraph
-    incidence = g.incidence
-    if any(d != 2 for d in g.cardinalities) or not incidence.scans_whole_joint:
+    if any(d != 2 for d in g.cardinalities):
         return None
+    incidence = g.incidence
     stacked = box.stacked()
     classes = incidence.parity_classes
     n = g.n_contexts
@@ -337,17 +343,42 @@ def _parity_cost(box: Box) -> CostReport | None:
     if top > bottom:
         t = min(1.0, max(0.0, (float(mass[heavier].sum()) - bottom) / (top - bottom)))
     highest, lowest = np.flatnonzero(beta == top), np.flatnonzero(beta == bottom)
-    columns = np.concatenate([highest, lowest])
     weights = np.concatenate([np.full(highest.size, t / highest.size),
                               np.full(lowest.size, (1.0 - t) / lowest.size)])
-    weights *= _within(box, _mass(g, columns, weights))
+    isotropic = bool(np.ptp(mass[heavier]) <= _PARITY_TOL)
+    return ParityMixture(y, isotropic, top, np.concatenate([highest, lowest]), weights)
+
+
+def _parity_cost(box: Box) -> CostReport | None:
+    """The cost of a binary box that is flat on each context's parity classes, from
+    its parity inequality and a symmetric witness; None if the two do not meet.
+
+    Only boxes whose joint ``extremum`` scans whole qualify, and only those
+    that ``parity_mixture`` classifies.  The lighter classes' indicator,
+    divided by ``n - max beta``, scores every assignment at least 1, so it
+    is dual feasible and certifies the lower end
+    ``1 - b.(1 - y) / (n - max beta)`` (0 when max beta = n); on these boxes
+    it is the LP's own optimal dual (Abramsky, Barbosa & Mansfield 2017).
+    The witness is the parity mixture, scaled by ``_within`` to fit the
+    box; its cost is the upper end.  The report is kept only if the two
+    ends are within ``_PARITY_TOL``, so the value rests on both
+    certificates, never on the box being isotropic.
+    """
+    g = box.hypergraph
+    if not g.incidence.scans_whole_joint:
+        return None
+    found = parity_mixture(box)
+    if found is None:
+        return None
+    y, n, columns = found.heavier, g.n_contexts, found.columns
+    weights = found.weights * _within(box, _mass(g, columns, found.weights))
     cost = 1.0 - float(weights.sum())
     # A report's witness weights are positive: drop a part of share 0, and
     # every part if the box leaves a row empty that the witness spends.
     used = weights > 0.0
     witness = (columns[used], weights[used])
-    if top < n:
-        report = _report(box, cost, (1.0 - y) / (n - top), 1.0, lambda: witness)
+    if found.top < n:
+        report = _report(box, cost, (1.0 - y) / (n - found.top), 1.0, lambda: witness)
     else:
         cost = min(1.0, max(0.0, cost))
         report = CostReport(cost, (0.0, cost), box, lambda: witness)

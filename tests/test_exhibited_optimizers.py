@@ -1,0 +1,151 @@
+"""The entropy solver's exits at an exhibited optimizer.
+
+A noncontextual box with every target positive stops at a projection of an
+iterate onto its marginals, and an isotropic xor box at its parity mixture;
+a contextual box never does, and takes the loop's steps as before (the
+oracle of ``test_solver_identity.py`` without its exits).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+from test_dense_solver import shuffled
+from test_junction_tree import ROUNDING
+from test_polytope import ternary_cycle_box
+from test_solver_identity import dense_box, reference_solve_fixed
+
+import contextuality as cx
+from contextuality import measures
+from contextuality.closed_form import nc_interval, xu_isotropic
+from contextuality.sampling import random_consistent_box, random_hypergraph
+
+
+def _ternary_boundary():
+    """The ternary 4-cycle mixed half and half with the uniform box: the cost
+    is 0 there, and 0.1 at 0.55."""
+    cycle = ternary_cycle_box(4)
+    return cx.mix(cycle, cx.Box(cycle.hypergraph, [np.full(9, 1 / 9)] * 4), 0.5)
+
+
+# Noncontextual boxes on the boundary: the top of each family's noncontextual
+# interval, and the ternary 4-cycle's.
+BOUNDARY = (
+    cx.pr_box(0.75),
+    cx.chain_box(5, 0.8),
+    cx.pm_box(5 / 6),
+    cx.mermin_box(0.8),
+    _ternary_boundary(),
+)
+# Contextual anchors that are not flat on their parity classes, or not binary.
+CONTEXTUAL = (cx.pr_box(), cx.kcbs_box(), cx.pm_box(), cx.mermin_box(), ternary_cycle_box(4))
+CRITERION_2_GRID = np.linspace(0.0, 1.0, 21).tolist()
+
+
+def random_weights(n, rng):
+    """Positive context weights, none of them equal."""
+    return cx.ContextWeights(rng.dirichlet(np.ones(n)))
+
+
+@st.composite
+def noncontextual_boxes(draw):
+    """A dense joint's box on a ``random_hypergraph`` draw, with up to two of its
+    observables made ternary, or a ``BOUNDARY`` box mixed with a dense joint's
+    box, so strictly inside the noncontextual polytope."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(3, 7))
+        most = min(6, math.comb(k, 2) + math.comb(k, 3))
+        g = random_hypergraph(rng, k, n_contexts=draw(st.integers((k + 2) // 3, most)))
+        ternary = draw(st.sets(st.integers(0, k - 1), max_size=2))
+        g = cx.Hypergraph([(f"O{i}", 3 if i in ternary else 2) for i in range(k)], g.contexts)
+        return dense_box(g, rng)
+    anchor = draw(st.sampled_from(BOUNDARY))
+    return shuffled(cx.mix(anchor, dense_box(anchor.hypergraph, rng), float(rng.uniform(0.0, 0.95))), rng)
+
+
+@seed(20261101)
+@settings(max_examples=60, deadline=None)
+@given(box=noncontextual_boxes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
+def test_noncontextual_boxes_stop_at_their_marginals(box, uniform, draw_seed):
+    """Uniform or random weights: the optimizer has the box's context marginals
+    within 1e-12, and the bracket holds the optimum 0.  On an acyclic
+    hypergraph the solve stops at the junction-tree joint, whose lower end
+    is an iterate's and so exact only up to rounding."""
+    g = box.hypergraph
+    weights = (cx.ContextWeights.uniform(g.n_contexts) if uniform
+               else random_weights(g.n_contexts, np.random.default_rng(draw_seed)))
+    report = cx.x_fixed(box, weights)
+    assert report.converged
+    slack = 0.0 if g.join_tree is None else ROUNDING
+    assert report.value - report.duality_gap <= slack
+    assert 0.0 <= report.value <= measures.DEFAULT_TOL
+    marginals = g.incidence.marginals(report.optimizer.probabilities)
+    assert np.abs(marginals - box.stacked()).max() <= 1e-12
+
+
+@seed(20261102)
+@settings(max_examples=40, deadline=None)
+@given(
+    anchor=st.sampled_from(CONTEXTUAL),
+    anchor_weight=st.floats(0.6, 0.99),
+    uniform=st.booleans(),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_contextual_boxes_take_the_loops_steps(anchor, anchor_weight, uniform, draw_seed):
+    """An anchor mixed with a dense joint's box, where that leaves it
+    contextual: the same value, gap, iterations, trace and optimizer, bit
+    for bit, as the loop without the exits, from the uniform start."""
+    rng = np.random.default_rng(draw_seed)
+    box = shuffled(random_consistent_box(anchor.hypergraph, rng, anchor=anchor,
+                                         anchor_weight=anchor_weight), rng)
+    g = box.hypergraph
+    assume(cx.contextuality_cost(box).cost > 1e-6)
+    weights = cx.ContextWeights.uniform(g.n_contexts) if uniform else random_weights(g.n_contexts, rng)
+    report = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
+    (value, p, gap, iterations, converged, trace), exit = reference_solve_fixed(
+        measures._FixedWeightProblem(box, weights), 1e-9, 5000, exits=False
+    )
+    assert exit is None
+    assert (report.value, report.duality_gap, report.iterations) == (value, gap, iterations)
+    assert (report.converged, report.trace) == (converged, trace)
+    assert np.array_equal(report.optimizer.probabilities, p)
+
+
+def isotropic_cases():
+    cases = [("PM", None), ("M", None)] + [("CH", n) for n in range(4, 11)]
+    return [pytest.param(family, n, id=family if n is None else f"CH{n}") for family, n in cases]
+
+
+@pytest.mark.parametrize("family, n", isotropic_cases())
+def test_isotropic_boxes_certify_at_their_start(family, n):
+    """On the criterion-2 grid, x_u is within 1e-12 of ``xu_isotropic`` in one
+    iteration, and so is x_max.  At random weights, which the group does not
+    fix, the start does not certify and the solve takes the loop's steps bit
+    for bit where the box is contextual."""
+    rng = np.random.default_rng(31)
+    for alpha in CRITERION_2_GRID:
+        box = cx.builtin(family, n=n, alpha=alpha)
+        n_contexts = box.hypergraph.n_contexts
+        report = cx.x_u(box)
+        assert report.iterations == 1
+        assert abs(report.value - xu_isotropic(n_contexts, alpha)) <= 1e-12
+        assert report.duality_gap <= 1e-12
+        lo, hi = nc_interval(n_contexts)
+        if lo <= alpha <= hi or alpha in (0.0, 1.0):
+            continue
+        weights = random_weights(n_contexts, rng)
+        fixed = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
+        (value, p, gap, iterations, _, trace), _ = reference_solve_fixed(
+            measures._FixedWeightProblem(box, weights), 1e-9, 3000, exits=False
+        )
+        assert (fixed.value, fixed.duality_gap, fixed.iterations, fixed.trace) == (
+            value, gap, iterations, trace)
+        assert np.array_equal(fixed.optimizer.probabilities, p)
+    for alpha in (0.5, 0.95):
+        box = cx.builtin(family, n=n, alpha=alpha)
+        report = cx.x_max(box)
+        assert report.iterations == 1
+        assert abs(report.value - xu_isotropic(box.hypergraph.n_contexts, alpha)) <= 1e-12

@@ -211,11 +211,12 @@ class TestXFixed:
         report = cx.x_u(pr, max_iters=np.int64(3))
         assert report.iterations <= 3
 
-    def test_zero_max_iters_reports_start(self, pr):
-        report = cx.x_u(pr, max_iters=0)
+    def test_zero_max_iters_reports_start(self, kcbs):
+        # KCBS is not flat on its parity classes, so the start is the uniform joint.
+        report = cx.x_u(kcbs, max_iters=0)
         assert report.iterations == 0
         assert not report.converged
-        assert report.value - report.duality_gap <= LOG2_4_3 <= report.value
+        assert report.value - report.duality_gap <= KCBS_XU <= report.value
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
     @pytest.mark.parametrize("solve", [cx.x_u, cx.x_max])
@@ -468,21 +469,35 @@ def test_crawl_box_converges_within_budget():
     assert 0.0 <= report.value <= 1e-7
 
 
+def anchored_mix(family):
+    """``family`` mixed at 0.9 with a seeded random consistent box: contextual,
+    and not flat on its parity classes."""
+    anchor = cx.builtin(family)
+    return random_consistent_box(anchor.hypergraph, np.random.default_rng(1), anchor=anchor,
+                                 anchor_weight=0.9)
+
+
 @pytest.mark.parametrize(
     "box, weights, iterations",
     [
-        (cx.pr_box(), None, 7),
-        (cx.pm_box(), None, 9),
-        (cx.mermin_box(), None, 8),
+        (cx.pr_box(), None, 1),
+        (cx.pm_box(), None, 1),
+        (cx.mermin_box(), None, 1),
         (cx.kcbs_box(), None, 14),
         (*crawl_box(), 6555),
+        (anchored_mix("PR"), None, 51),
+        (anchored_mix("PM"), None, 43),
+        (anchored_mix("M"), None, 50),
     ],
-    ids=["PR", "PM", "M", "KCBS", "crawl"],
+    ids=["PR", "PM", "M", "KCBS", "crawl", "PR-mix", "PM-mix", "M-mix"],
 )
 def test_iteration_counts_pinned(box, weights, iterations):
     """Exact step counts at the default tol (uniform weights unless given).
     A rewrite of the step that is meant to keep every iterate bit for bit
-    must keep these; a new step rule may move them, and says so."""
+    must keep these; a new step rule may move them, and says so.  PR, PM
+    and M certify at their isotropic start, which counts 1 iteration; the
+    anchored mixes are contextual and not isotropic, so they take the
+    loop's steps (counts as before the isotropic start and the projection)."""
     if weights is None:
         weights = cx.ContextWeights.uniform(box.hypergraph.n_contexts)
     assert cx.x_fixed(box, weights).iterations == iterations

@@ -6,8 +6,20 @@ went through ``reference_evaluate`` (a scan for a zero marginal, the joint
 reshapes, and the gap from ``r.max()``), the over-relaxed step took
 ``r.max()`` again, the components were found anew on every solve, and every
 ``x_max`` round built a new problem from validated ``ContextWeights``.  Like
-``plain_em`` in ``test_measures.py`` they are an oracle: the library must
-give the same values, gaps, iteration counts, traces and optimizers.
+``plain_em`` in ``test_measures.py`` they are an oracle.
+
+The oracle also has the solver's two exits at an exhibited optimizer,
+written independently: the isotropic start from ``reference_candidate``
+(beta by brute force over every assignment), kept if it certifies, and the
+projection of the iterate onto the box's marginals at iterations 1, 2, 4,
+8, ... while the best lower bound is at most 0, by ``lstsq`` on an
+incidence matrix built from ``brute_rows``.  Where neither exit fires, the
+library must give the same values, gaps, iteration counts, traces and
+optimizers bit for bit, as the loop without the exits does.  Where one
+fires, it must stop at the same iteration with the same convergence, its
+value and gap within 1e-12 of the oracle's, and an optimizer whose context
+marginals match the box within 1e-12 (a projection) or the oracle's
+candidate within 1e-12.
 """
 
 import math
@@ -25,7 +37,7 @@ from test_dense_solver import (
     sparse_box,
     sparse_weights,
 )
-from test_incidence import hypergraphs
+from test_incidence import brute_rows, hypergraphs
 
 import contextuality as cx
 from contextuality import measures
@@ -94,17 +106,86 @@ def reference_factorize(p_tensor, g):
     return np.ascontiguousarray(np.transpose(prod, perm))
 
 
-def reference_solve_fixed(problem, tol, max_iters, init=None):
+def reference_candidate(box):
+    """The isotropic start: ``t U(max beta) + (1 - t) U(min beta)`` for a binary
+    box whose contexts are each flat on their even and odd outcomes, with one
+    heavier-class mass alpha on every context, t from alpha clipped to
+    ``[min beta / n, max beta / n]``; None for any other box.  beta counts,
+    per assignment, the contexts it hits in their heavier class."""
+    g = box.hypergraph
+    if any(d != 2 for d in g.cardinalities):
+        return None
+    heavier, masses = [], []
+    for ci, ctx in enumerate(g.contexts):
+        dist = box.distributions[ci]
+        parity = np.array([bin(k).count("1") % 2 for k in range(dist.size)])
+        for side in (0, 1):
+            part = dist[parity == side]
+            if np.abs(part - part.mean()).max() > 1e-12:
+                return None
+        even, odd = dist[parity == 0].sum(), dist[parity == 1].sum()
+        heavier.append(0 if even >= odd else 1)
+        masses.append(max(even, odd))
+    if max(masses) - min(masses) > 1e-12:
+        return None
+    beta = np.array([
+        sum(sum(outcome[i] for i in ctx) % 2 == side for ctx, side in zip(g.contexts, heavier))
+        for outcome in np.ndindex(g.joint_shape)
+    ], dtype=float)
+    top, bottom, n = beta.max(), beta.min(), g.n_contexts
+    t = 1.0 if top == bottom else min(1.0, max(0.0, (sum(masses) - bottom) / (top - bottom)))
+    p = np.where(beta == top, t / np.count_nonzero(beta == top), 0.0)
+    p += np.where(beta == bottom, (1.0 - t) / np.count_nonzero(beta == bottom), 0.0)
+    return p
+
+
+def reference_projection(problem, p):
+    """``p - M^+ (M p - b)`` by ``lstsq`` on the full incidence, normalized;
+    None if it has a negative entry, or if the problem is not dense with
+    every row on the support."""
+    op = problem.op
+    if problem.support.size < op.dim or problem.dense is None or op.dim**2 > measures.DENSE_ENTRIES_CAP:
+        return None
+    rows = np.array(brute_rows(problem.g))
+    incidence = np.zeros((op.dim, problem.g.joint_dim))
+    for ci in range(rows.shape[1]):
+        incidence[rows[:, ci], np.arange(rows.shape[0])] = 1.0
+    correction = np.linalg.lstsq(incidence, incidence @ p - problem.targets, rcond=None)[0]
+    q = p - correction
+    if q.min() < 0.0:
+        return None
+    return q / q.sum()
+
+
+def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, exits=True):
+    """The solve's fields, and which exit ended it: "candidate", "projection"
+    or None.  ``exits=False`` is the loop without them."""
     g = problem.g
-    start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
-    p = reference_step(start, 1.0, 1.0)
+    exit = None
+    if exits and candidate is not None:
+        p = reference_step(candidate, 1.0, 1.0)
+        value, r, gap = reference_evaluate(problem, p)
+        if gap <= tol:
+            exit = "candidate"
+    if exit is None:
+        start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
+        p = reference_step(start, 1.0, 1.0)
+        value, r, gap = reference_evaluate(problem, p)
     trace, next_trace, omega = [], 1, 1.0
-    value, r, gap = reference_evaluate(problem, p)
     lower = value - gap
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
+        if exits and lower <= 0.0 and math.log2(iteration).is_integer():
+            q = reference_projection(problem, p)
+            if q is not None:
+                q_value, _, q_gap = reference_evaluate(problem, q)
+                q_lower = max(lower, min(q_value - q_gap, 0.0))
+                if q_value - q_lower <= tol:
+                    p, value, lower, exit = q, q_value, q_lower, "projection"
+                    gap = max(value - lower, 0.0)
+                    break
         trial = reference_step(p, r, omega)
         trial_value, trial_r, trial_gap = reference_evaluate(problem, trial)
         if omega > 1.0 and not trial_value < value:
@@ -125,15 +206,36 @@ def reference_solve_fixed(problem, tol, max_iters, init=None):
         value, _, point_gap = reference_evaluate(problem, p)
         lower = max(lower, value - point_gap)
         gap = max(value - lower, 0.0)
-    return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
+    return (max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)), exit
+
+
+def assert_same_solve(got, expected, exit, box):
+    """``got`` (the library's value, optimizer, gap, iterations, convergence and
+    trace) against the oracle's: bit for bit where no exit fired, else as
+    the module docstring says."""
+    value, p, gap, iterations, converged, trace = expected
+    if exit is None:
+        assert got[:1] + got[2:] == (value, gap, iterations, converged, trace)
+        assert np.array_equal(got[1], p)
+        return
+    assert (got[3], got[4]) == (iterations, converged)
+    assert abs(got[0] - value) <= 1e-12 and abs(got[2] - gap) <= 1e-12
+    if exit == "projection":
+        marginals = box.hypergraph.incidence.marginals(got[1])
+        assert np.abs(marginals - box.stacked()).max() <= 1e-12
+    else:
+        assert np.abs(got[1] - p).max() <= 1e-12
 
 
 def reference_x_max(box, tol, max_iters, outer_window):
-    """``x_max``'s ascent with a new problem per round; returns the report's fields."""
+    """``x_max``'s ascent with a new problem per round, the isotropic start
+    tried in the first; returns the report's fields, and whether an exit
+    fired in any round."""
     n = box.hypergraph.n_contexts
     log_w = np.zeros(n)
     best_value, best_gap, best_weights, best_p = -float("inf"), float("inf"), None, None
     upper, total_inner, last_improve, warm = float("inf"), 0, 0, None
+    candidate, exited = reference_candidate(box), False
     p_sum = np.zeros(box.hypergraph.joint_dim)
     problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(n))
     outer = 0
@@ -141,11 +243,12 @@ def reference_x_max(box, tol, max_iters, outer_window):
         w_vec = np.exp(log_w - log_w.max())
         w_vec /= w_vec.sum()
         weights = cx.ContextWeights(w_vec)
-        value, p_flat, gap, iters, _, _ = reference_solve_fixed(
-            measures._FixedWeightProblem(box, weights), tol, max_iters, warm
+        (value, p_flat, gap, iters, _, _), exit = reference_solve_fixed(
+            measures._FixedWeightProblem(box, weights), tol, max_iters, warm, candidate
         )
+        exited = exited or exit is not None
         total_inner += iters
-        warm = p_flat
+        warm, candidate = p_flat, None
         p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
@@ -163,13 +266,27 @@ def reference_x_max(box, tol, max_iters, outer_window):
     upper = min(upper, float(problem.divergences(avg).max()))
     converged = best_gap <= tol and outer < measures._XMAX_MAX_OUTER
     return (best_value, best_gap, total_inner, converged, best_weights.weights.tobytes(),
-            max(0.0, upper - best_value), best_p.tobytes())
+            max(0.0, upper - best_value), best_p.tobytes()), exited
 
 
 def fields(report):
     return (report.value, report.duality_gap, report.iterations, report.converged,
             report.outer_weights.weights.tobytes(), report.outer_gap,
             report.optimizer.probabilities.tobytes())
+
+
+def assert_same_x_max(report, expected, exited):
+    """Bit for bit where no exit fired in any round; else the same rounds'
+    iteration total and convergence, and values, gaps and weights within 1e-12."""
+    got = fields(report)
+    if not exited:
+        assert got == expected
+        return
+    assert (got[2], got[3]) == (expected[2], expected[3])
+    for a, b in ((got[0], expected[0]), (got[1], expected[1]), (got[5], expected[5])):
+        assert abs(a - b) <= 1e-12
+    weights = np.frombuffer(got[4]), np.frombuffer(expected[4])
+    assert np.abs(weights[0] - weights[1]).max() <= 1e-12
 
 
 @st.composite
@@ -195,6 +312,29 @@ def identity_boxes(draw, anchors=ANCHORS):
     return cx.direct_sum(anchored(small + [ANCHORS[-1]]), anchored(small))
 
 
+def dense_box(g, rng):
+    """The box of a joint with every cell positive: noncontextual, no zero target."""
+    return cx.box_of_joint(cx.JointDistribution(g, rng.dirichlet(np.ones(g.joint_dim))))
+
+
+@st.composite
+def exit_boxes(draw):
+    """Binary and ternary boxes on which the exits can fire: a dense joint's
+    box on a random hypergraph (noncontextual, every target positive), one
+    of ``ANCHORS`` mixed with a dense joint's box at a weight in [0, 1]
+    (either side of the noncontextual boundary), or an isotropic box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["joint", "dense-anchored", "isotropic"]))
+    if kind == "joint":
+        return dense_box(draw(hypergraphs()), rng)
+    if kind == "isotropic":
+        family = draw(st.sampled_from(["PR", "PM", "M", "CH"]))
+        return cx.builtin(family, n=draw(st.integers(3, 8)) if family == "CH" else None,
+                          alpha=draw(st.sampled_from(np.linspace(0.0, 1.0, 21).tolist())))
+    anchor = ANCHORS[int(rng.integers(len(ANCHORS)))]
+    return shuffled(cx.mix(anchor, dense_box(anchor.hypergraph, rng), float(rng.uniform())), rng)
+
+
 @seed(20261025)
 @settings(max_examples=40, deadline=None)
 @given(
@@ -207,38 +347,61 @@ def test_x_fixed_matches_reference(box, draw_seed, implicit):
     ``SUM_ANCHOR`` among the anchors keeps a positive optimum under a zero weight.
 
     The solver's loop from the uniform start matches the oracle on every
-    draw.  ``x_fixed`` starts there too on a cyclic hypergraph; on an acyclic
-    one it starts from the junction-tree joint, which the tests of
-    ``test_junction_tree.py`` cover."""
+    draw.  ``x_fixed`` starts there too on a cyclic hypergraph, or at the
+    isotropic start if it certifies; on an acyclic one it starts from the
+    junction-tree joint, which the tests of ``test_junction_tree.py`` cover."""
     weights = sparse_weights(box.hypergraph.n_contexts, np.random.default_rng(draw_seed))
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", 0 if implicit else measures.DENSE_ENTRIES_CAP):
         problem = measures._FixedWeightProblem(box, weights)
         solved = measures._solve_fixed(problem, 1e-9, 3000)
         report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
-    value, p, gap, iterations, converged, trace = reference_solve_fixed(problem, 1e-9, 3000)
-    assert solved[:1] + solved[2:] == (value, gap, iterations, converged, trace)
-    assert np.array_equal(solved[1], p)
+    assert_same_solve(solved, *reference_solve_fixed(problem, 1e-9, 3000), box)
     if box.hypergraph.join_tree is None:
-        assert (report.value, report.duality_gap, report.iterations) == (value, gap, iterations)
-        assert (report.converged, report.trace) == (converged, trace)
-        assert np.array_equal(report.optimizer.probabilities, p)
+        expected, exit = reference_solve_fixed(problem, 1e-9, 3000, candidate=reference_candidate(box))
+        got = (report.value, report.optimizer.probabilities, report.duality_gap,
+               report.iterations, report.converged, report.trace)
+        assert_same_solve(got, expected, exit, box)
 
 
 @seed(20261026)
 @settings(max_examples=10, deadline=None)
 @given(box=identity_boxes())
 def test_x_max_matches_reference(box):
-    """Bit for bit on a cyclic hypergraph.  On an acyclic one the ascent
-    starts from the junction-tree joint, so its bracket
-    ``[value - duality_gap, value]`` and the oracle's must overlap."""
+    """As the oracle on a cyclic hypergraph (see ``assert_same_x_max``).  On
+    an acyclic one the ascent starts from the junction-tree joint, so its
+    bracket ``[value - duality_gap, value]`` and the oracle's must overlap."""
     report = cx.x_max(box, max_iters=2000, outer_window=8)
-    reference = reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+    reference, exited = reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
     if box.hypergraph.join_tree is None:
-        assert fields(report) == reference
+        assert_same_x_max(report, reference, exited)
     else:
         value, gap = reference[:2]
         assert value - gap <= report.value
         assert report.value - report.duality_gap <= value
+
+
+@seed(20261031)
+@settings(max_examples=60, deadline=None)
+@given(box=exit_boxes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
+def test_exits_match_reference(box, uniform, draw_seed):
+    """``x_fixed`` at uniform weights or at random positive ones, and ``x_max``,
+    against the oracle with both exits (see ``assert_same_solve``)."""
+    g = box.hypergraph
+    rng = np.random.default_rng(draw_seed)
+    weights = cx.ContextWeights.uniform(g.n_contexts) if uniform else cx.ContextWeights(
+        rng.dirichlet(np.ones(g.n_contexts)))
+    report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
+    init = measures.junction_tree_joint(box)
+    candidate = reference_candidate(box) if init is None else None
+    expected, exit = reference_solve_fixed(
+        measures._FixedWeightProblem(box, weights), 1e-9, 3000, init, candidate
+    )
+    got = (report.value, report.optimizer.probabilities, report.duality_gap,
+           report.iterations, report.converged, report.trace)
+    assert_same_solve(got, expected, exit, box)
+    if init is None:
+        assert_same_x_max(cx.x_max(box, max_iters=2000, outer_window=8),
+                          *reference_x_max(box, measures.DEFAULT_TOL, 2000, 8))
 
 
 @pytest.mark.parametrize("anchor", [ANCHORS[0], ANCHORS[-1]], ids=["PR", "ternary-cycle"])
@@ -254,7 +417,7 @@ def test_x_max_support_change_matches_reference(anchor):
         with builds as columns:
             report = cx.x_max(box, max_iters=2000, outer_window=8)
         assert columns.call_count == 1
-        assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+        assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)[0]
         with implicit_only():
             report = cx.x_max(box, max_iters=2000, outer_window=8)
-            assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+            assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)[0]

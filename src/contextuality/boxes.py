@@ -39,13 +39,12 @@ NEGATIVE_TOL = -1e-12
 # Absolute tolerance within which a context counts as P_even or P_odd.
 PARITY_TOL = 1e-9
 # Largest joint tensor (cells) the entropy solver or ``junction_tree_joint``
-# allocates, the largest table ``ContextIncidence.extremum`` or a
-# ``JunctionTree`` clique builds, and the most variables and matrix entries
-# of a junction-tree LP.
+# allocates, the largest table ``ContextIncidence.best_outcome`` builds, and
+# the most variables and matrix entries of a junction-tree LP.
 JOINT_DIM_CAP = 2**22
 # Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
 MAX_OBSERVABLES = 64
-# Cells of the leading observables that ``ContextIncidence.extremum`` scores
+# Cells of the leading observables that ``ContextIncidence.best_outcome`` scores
 # outright, each by its best completion; the others are eliminated.  The cost's
 # parity route (``polytope._parity_cost``) takes only joints scanned whole.  On
 # CH(14) to CH(20), a scan of 2^10 cells took 17-57% less time than one of 2^14.
@@ -225,9 +224,9 @@ class Hypergraph:
         Each context's separator is its set of observables (in increasing
         order) shared with the contexts before it, and one of those contains
         it all, so the product of each context's conditional on its separator
-        has every context marginal of a consistent box (see ``_join_tree``).
+        has every context marginal of a consistent box (see ``JunctionTree.join_tree``).
         """
-        return _join_tree(self.contexts, self.n_observables)
+        return self.junction_tree.join_tree
 
     @cached_property
     def _context_index(self) -> dict[frozenset[int], int]:
@@ -236,43 +235,6 @@ class Hypergraph:
     def find_context(self, observables: Iterable[int]) -> int:
         """Index of the context equal (as a set) to ``observables``; -1 if absent."""
         return self._context_index.get(frozenset(observables), -1)
-
-
-@functools.lru_cache(maxsize=256)
-def _join_tree(contexts: tuple[tuple[int, ...], ...], n_observables: int) -> tuple | None:
-    """``Hypergraph.join_tree`` of a context list, by GYO ear removal
-    (Graham 1979; Yu & Ozsoyoglu 1979).
-
-    A context is an ear when the observables it shares with the other
-    remaining contexts lie in one of them (a context inside another is one).
-    Ears are removed, first index first, until one context is left, and the
-    order is reversed.  Removing an ear keeps an acyclic hypergraph acyclic,
-    so the greedy order fails only on a cyclic one.  Made once per context
-    list, so boxes on one hypergraph (or on equal ones) share it.
-    """
-    sets = [frozenset(c) for c in contexts]
-    holders: list[set[int]] = [set() for _ in range(n_observables)]
-    for ci, ctx in enumerate(sets):
-        for i in ctx:
-            holders[i].add(ci)
-    remaining = set(range(len(sets)))
-    removed: list[tuple[int, tuple[int, ...]]] = []
-    while len(remaining) > 1:
-        for ci in sorted(remaining):
-            shared = [i for i in sets[ci] if len(holders[i]) > 1]
-            if not shared:
-                break
-            # A context holding every shared observable holds the first.
-            if any(ci != f and sets[f].issuperset(shared) for f in holders[shared[0]]):
-                break
-        else:
-            return None
-        remaining.remove(ci)
-        for i in sets[ci]:
-            holders[i].remove(ci)
-        removed.append((ci, tuple(sorted(shared))))
-    (last,) = remaining
-    return ((last, ()),) + tuple(reversed(removed))
 
 
 def check_tolerance(tol: float) -> None:
@@ -285,12 +247,6 @@ def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
     """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
     if g.joint_dim > cap:
         raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
-
-
-def check_joint_index(joint_dim: int) -> None:
-    """Refuse a joint of 2^63 cells or more, whose indices overflow int64."""
-    if joint_dim >= 2**63:
-        raise CapExceededError(f"joint dimension {joint_dim} overflows a joint index")
 
 
 @dataclass(frozen=True)
@@ -334,7 +290,7 @@ class _Scan:
 def _elimination_plan(
     cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...], scan_cells: int
 ) -> tuple[_Scan, tuple[_Bucket, ...]]:
-    """The plan of ``extremum`` on a hypergraph, the scan and the buckets in
+    """The plan of ``best_outcome`` on a hypergraph, the scan and the buckets in
     elimination order, made once per cardinalities, context list and scan
     size; it holds index data only.
 
@@ -344,10 +300,8 @@ def _elimination_plan(
     eliminates, so that observable is the last of the bucket's scope and
     every other one in it is decoded before it.  Refuses, before any index
     is built, a plan whose largest table, the scan's included, exceeds
-    ``JOINT_DIM_CAP`` cells, and a joint of 2^63 cells or more, whose
-    indices overflow int64.
+    ``JOINT_DIM_CAP`` cells.
     """
-    check_joint_index(math.prod(cards))
     prefix = sum(cells <= scan_cells for cells in itertools.accumulate(cards, operator.mul))
 
     def home(scope: Sequence[int]) -> int:
@@ -432,18 +386,18 @@ class ContextIncidence:
     through ``_sorted_rows`` takes every table, and one scatter through it
     stacks the marginals, so memory stays O(joint_dim).  Consistency, the
     component factorization and the group action read these tables.
-    ``rows`` maps joint indices to their rows through their digits.
+    ``rows`` maps joint indices to their rows through their digits (``digit_rows``).
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them (the entropy solver on small boxes); the cost
-    LP's rows come from ``JunctionTree``.
+    LP's rows and its pricing come from ``JunctionTree``.
     ``parity_classes`` labels each row with its context's even or odd
     outcomes.  This module is the only code that knows the stacked layout.
 
-    ``extremum`` finds the best joint outcome lambda of a score
+    ``best_outcome`` finds the best joint outcome lambda of a score
     ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
     leading observables and eliminates the trailing ones by min-sum bucket
     elimination (Dechter 1999), whose tables grow with the induced width of
-    the hypergraph (2 for a chain), not with the joint dimension.  Its plan
+    index order (2 for a chain), not with the joint dimension.  Its plan
     (``_elimination_plan``) is made once per cardinalities, context list and scan
     size, and shared by equal hypergraphs.  Each bucket's tables and
     messages lie on the bucket's own axes (3 on a chain), not on all the
@@ -476,9 +430,10 @@ class ContextIncidence:
 
     def stack(self, parts: Sequence) -> np.ndarray:
         """One vector per context, concatenated in context order (inverse of ``split``)."""
-        if len(parts) != len(self.dims) or any(np.size(v) != d for v, d in zip(parts, self.dims)):
+        parts = [np.asarray(v, dtype=float) for v in parts]
+        if len(parts) != len(self.dims) or any(v.size != d for v, d in zip(parts, self.dims)):
             raise InvalidBoxError("need one vector per context, sized to its outcome space")
-        return np.concatenate([np.asarray(v, dtype=float).ravel() for v in parts])
+        return np.concatenate(parts, axis=None)
 
     def split(self, stacked: np.ndarray) -> list[np.ndarray]:
         """Per-context views of a stacked vector."""
@@ -531,26 +486,14 @@ class ContextIncidence:
 
     @property
     def scans_whole_joint(self) -> bool:
-        """Whether the joint has at most ``_SCAN_CELLS`` cells, so ``extremum`` scans it whole."""
+        """Whether the joint has at most ``_SCAN_CELLS`` cells, so ``best_outcome`` scans it whole."""
         return self._joint_dim <= _SCAN_CELLS
 
     @cached_property
     def _elimination(self) -> tuple[_Scan, tuple[_Bucket, ...]]:
-        """The plan of ``extremum``, shared by equal hypergraphs (see ``_elimination_plan``),
+        """The plan of ``best_outcome``, shared by equal hypergraphs (see ``_elimination_plan``),
         at the scan size of its first use."""
         return _elimination_plan(self.joint_shape, self.contexts, _SCAN_CELLS)
-
-    def extremum(self, y: np.ndarray, sense: str) -> tuple[float, int]:
-        """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and
-        the joint index of the first best outcome in row-major order.
-
-        ``best_outcome`` finds them; see there.
-        """
-        best, digits = self.best_outcome(y, sense)
-        index = 0
-        for digit, card in zip(digits, self.joint_shape):
-            index = index * card + digit
-        return best, index
 
     def best_outcome(self, y: np.ndarray, sense: str) -> tuple[float, tuple[int, ...]]:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and
@@ -693,7 +636,8 @@ def _min_fill(
 
 
 class JunctionTree:
-    """A junction tree of a hypergraph's observables, and the cost LP on its clique tables.
+    """A junction tree of a hypergraph's observables, the cost LP on its clique
+    tables, the least score that prices its duals, and the join tree.
 
     Eliminating an observable in min-fill order (``_min_fill``) makes a
     clique of it and its neighbours; the neighbours are its separator, and
@@ -701,7 +645,8 @@ class JunctionTree:
     parent that equals a child's separator gives its place to that child.
     The roots of separate components hang from the first by empty
     separators, so ``cliques[0]`` is the root and parents come first.  Each
-    context's home is the clique of its first-eliminated observable.
+    context's home is the clique of its first-eliminated observable, which
+    holds it.  The LP's rows and ``min_score``'s index data are built on first use.
 
     Nonnegative clique tables that agree on every separator are the clique
     marginals of a measure on the joint (Lauritzen & Spiegelhalter 1988), so
@@ -712,13 +657,13 @@ class JunctionTree:
     values) are first the ``n_agreements`` agreement rows, a child's table
     summed to each separator cell less its parent's, and then one row per
     stacked context outcome, in stacked order: the home's cells whose
-    restriction to the context is that outcome.  Refuses, before any table
-    exists, an LP whose variables and matrix entries come to more than
+    restriction to the context is that outcome.  Refuses, before any of
+    them exists, an LP whose variables and matrix entries come to more than
     ``JOINT_DIM_CAP``, as a clique of more cells makes them.
     """
 
     def __init__(self, cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]):
-        self._cards = cards
+        self._cards, self._contexts = cards, contexts
         steps = _min_fill(contexts, cards)
         position = {v: i for i, (v, _) in enumerate(steps)}
         slot: dict[int, int] = {}
@@ -743,35 +688,91 @@ class JunctionTree:
         self.cliques = tuple(sep + tuple(sorted(c - set(sep))) for c, sep in zip(cliques, separators))
         self.separators, self.parents = tuple(separators), tuple(parents)
         self.homes = tuple(slot[min(position[v] for v in ctx)] for ctx in contexts)
-        sizes = [math.prod(cards[v] for v in clique) for clique in self.cliques]
+        self._sizes = tuple(math.prod(cards[v] for v in clique) for clique in self.cliques)
+        self.offsets = tuple(itertools.accumulate(self._sizes, initial=0))
+        self.n_agreements = sum(math.prod(cards[v] for v in sep) for sep in self.separators[1:])
+
+    @cached_property
+    def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+        """``Hypergraph.join_tree``, None unless every clique is a context homed there: an
+        alpha-acyclic hypergraph's primal graph is chordal and each of its cliques lies in a
+        context (Beeri, Fagin, Maier & Yannakakis 1983), so min-fill adds no fill, and a
+        cyclic one leaves a clique in no context.  Each clique's own context comes first."""
+        contexts = self._contexts
+        whole = {h for h, ctx in zip(self.homes, contexts) if len(ctx) == len(self.cliques[h])}
+        if len(whole) < len(self.cliques):
+            return None
+        order = sorted(range(len(contexts)), key=lambda ci: (self.homes[ci], -len(contexts[ci]), ci))
+        seen: set[int] = set()
+        tree = []
+        for ci in order:
+            tree.append((ci, tuple(sorted(seen.intersection(contexts[ci])))))
+            seen.update(contexts[ci])
+        return tuple(tree)
+
+    @cached_property
+    def _lp(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple]:
+        """``matrix``, and the plan of ``min_score``, leaves first: per clique, the
+        stacked row of each of its contexts at each of its cells, its children
+        with their separator cell at each of its cells, and its separator's
+        cell count.  Refuses the LP over the cap before any of it is built."""
+        sizes, cards = self._sizes, self._cards
         # Variables, then matrix entries: a child's and its parent's cells per
         # agreement block, and the home's cells per context.
-        size = 2 * sum(sizes) - sizes[0] + sum(sizes[p] for p in parents[1:])
+        size = 2 * sum(sizes) - sizes[0] + sum(sizes[p] for p in self.parents[1:])
         size += sum(sizes[home] for home in self.homes)
         if size > JOINT_DIM_CAP:
             raise CapExceededError(
                 f"the junction-tree LP needs {size} variables and matrix entries, its largest "
                 f"clique a table of {max(sizes)} cells, over the cap {JOINT_DIM_CAP}"
             )
-        self.offsets = tuple(itertools.accumulate(sizes, initial=0))
-        blocks, row = [], 0
-        for c in range(1, len(cliques)):
-            for clique, sign in ((c, 1.0), (parents[c], -1.0)):
-                blocks.append((row + self._cells(clique, separators[c]), clique, sign))
-            row += math.prod(cards[v] for v in separators[c])
-        self.n_agreements = row
-        for home, ctx in zip(self.homes, contexts):
-            blocks.append((row + self._cells(home, ctx), home, 1.0))
+        n = len(self.cliques)
+        blocks, rows, inbox, row = [], [[] for _ in range(n)], [[] for _ in range(n)], 0
+        for c in range(1, n):
+            separator, parent = self.separators[c], self.parents[c]
+            up = self._cells(parent, separator)
+            blocks += [(row + self._cells(c, separator), c, 1.0), (row + up, parent, -1.0)]
+            inbox[parent].append((c, up))
+            row += math.prod(cards[v] for v in separator)
+        for home, ctx in zip(self.homes, self._contexts):
+            outcome = self._cells(home, ctx)
+            blocks.append((row + outcome, home, 1.0))
+            rows[home].append(row - self.n_agreements + outcome)
             row += math.prod(cards[v] for v in ctx)
-        rows = np.concatenate([cells for cells, _, _ in blocks])
-        order = np.argsort(rows, kind="stable")
+        at = np.concatenate([cells for cells, _, _ in blocks])
+        order = np.argsort(at, kind="stable")
         columns = np.concatenate([self.offsets[c] + np.arange(cells.size) for cells, c, _ in blocks])
         values = np.concatenate([np.full(cells.size, sign) for cells, _, sign in blocks])
-        starts = np.searchsorted(rows[order], np.arange(row))
-        self.matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
-        # Shared by every equal hypergraph (``_junction_tree``), so read-only.
-        for a in self.matrix:
+        starts = np.searchsorted(at[order], np.arange(row))
+        matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
+        for a in matrix:
             a.flags.writeable = False
+        plan = tuple(
+            (c, np.array(rows[c], dtype=np.int64).reshape(-1, sizes[c]), tuple(inbox[c]),
+             math.prod(cards[v] for v in self.separators[c]))
+            for c in reversed(range(n))
+        )
+        return matrix, plan
+
+    @property
+    def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The LP's rows (see the class docstring), read-only: equal hypergraphs share them."""
+        return self._lp[0]
+
+    def min_score(self, y: np.ndarray) -> float:
+        """Least score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, of a stacked ``y``.
+
+        A value-only min-sum pass, leaves first (Dechter 1999): one gather sums
+        a clique's contexts' rows at its cells, one per child adds its message,
+        and its own message is its least entry per separator cell; the root's is the score.
+        """
+        messages: list[np.ndarray] = [np.empty(0)] * len(self.cliques)
+        for c, rows, inbox, separator_cells in self._lp[1]:
+            table = y[rows].sum(axis=0)
+            for child, up in inbox:
+                table += messages[child][up]
+            messages[c] = table.reshape(separator_cells, -1).min(axis=1)
+        return float(messages[0][0])
 
     def _cells(self, c: int, observables: Sequence[int]) -> np.ndarray:
         """Row-major index over ``observables`` (all in clique c) of each of c's cells,
@@ -785,7 +786,8 @@ class JunctionTree:
         return out.ravel()
 
     def peel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint indices and weights of assignments whose clique marginals make up the tables ``x``.
+        """Digits, shape ``(m, n_observables)``, and weights of assignments whose
+        clique marginals make up the tables ``x``.
 
         Each step walks down the tree, taking in each clique the largest cell
         that agrees with its parent's: one assignment, weighted by the least
@@ -821,17 +823,17 @@ class JunctionTree:
             if w > 1e-12:
                 found.append(digits.copy())
                 weights.append(w)
-        joint = np.array(found, dtype=np.int64).reshape(-1, len(cards)) @ _row_major(cards)
-        return joint, np.array(weights)
+        return np.array(found, dtype=np.int64).reshape(-1, len(cards)), np.array(weights)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _junction_tree(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> JunctionTree:
     """``Hypergraph.junction_tree``, made once per cardinalities and context list.
 
     Boxes on one hypergraph, or on equal ones built afresh, share the tree;
-    the cache holds no box data.  Building the trees of one perfbench
-    small-batch pass afresh took 11.3 ms (best of 7, 2-core Xeon host).
+    the cache holds no box data, and more than the 54 context lists of one
+    perfbench small-batch pass, whose trees took 11.3 ms to build afresh
+    (best of 7, 2-core Xeon host).
     """
     return JunctionTree(cards, contexts)
 
@@ -1120,12 +1122,11 @@ def junction_tree_joint(box: Box) -> np.ndarray | None:
     callers certify what they report from the joint, not from the theorem.
     """
     g = box.hypergraph
-    tree = g.join_tree
-    if tree is None or g.joint_dim > JOINT_DIM_CAP:
+    if g.joint_dim > JOINT_DIM_CAP or g.join_tree is None:
         return None
     tables = g.incidence.tables(box.stacked())
     joint = np.ones(g.joint_shape)
-    for ci, separator in tree:
+    for ci, separator in g.join_tree:
         table = tables[ci]
         free = tuple(i for i in g.contexts[ci] if i not in separator)
         given = table.sum(axis=free, keepdims=True)

@@ -19,9 +19,8 @@ symmetric witness (``_parity_cost``), kept only when the two ends meet
 within 1e-12.  That took the cost of PM(0.9) and M(0.9) from 0.73 and
 1.05 ms by the LP then used within the scan to 0.25 and 0.27 ms (best of
 30, a fresh box each call, 2-core Xeon host).  Every other box is solved by the junction-tree LP, and
-so is a binary cycle's witness when it is first read.  Since a witness is
-held as joint indices, the cost refuses a joint of 2^63 cells or more up
-front.
+so is a binary cycle's witness when it is first read.  A witness is held
+as the digits of its assignments, so no joint index bounds the joint.
 
 The junction-tree LP (``boxes.JunctionTree``, on a min-fill order) has the
 clique tables as variables: maximize the root's mass subject to agreement
@@ -32,8 +31,8 @@ the clique marginals of a measure on the joint (Lauritzen & Spiegelhalter
 solved in one HiGHS run by primal simplex.  The cost is 1 less the root's
 mass, and the witness is peeled from the tables when first read
 (``JunctionTree.peel``).  No joint tensor is built: a box is refused only
-for a clique or an elimination table above ``JOINT_DIM_CAP`` cells, or for
-an LP whose variables and matrix entries come to more.  On
+for more than 64 observables, or for an LP whose variables and matrix
+entries come to more than ``JOINT_DIM_CAP``.  On
 M + PM + CH(14, 0.95) (2^33 cells) it took 9 ms, where an LP that priced
 assignments in rounds took 3.2 s (README.md).  The tree of a context list
 is built once (``boxes._junction_tree``), so within the scan the LP is
@@ -43,9 +42,10 @@ small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
 against 8 ms; best of 7, trees and models warm, 2-core Xeon host).
 
 Dividing the duals y of the box's rows by the least score of any
-assignment under them, from ``extremum``, makes them dual feasible, which
-certifies the lower end ``1 - b.y / min score``; that score is 1 up to
-rounding, since the agreement terms cancel along the tree.  Each thread
+assignment under them, from a min-sum pass over the same tree's cliques
+(``JunctionTree.min_score``), makes them dual feasible, which certifies
+the lower end ``1 - b.y / min score``; that score is 1 up to rounding,
+since the agreement terms cancel along the tree.  Each thread
 keeps one HiGHS model, its options set once, and clears it for each call
 (``clearModel``, about 1 microsecond on a 2-core Xeon host, against about
 100 to build a model).  HiGHS runs with presolve off, which cost more than
@@ -71,7 +71,6 @@ from .boxes import (
     Box,
     DeterministicAssignment,
     Hypergraph,
-    check_joint_index,
     check_tolerance,
     junction_tree_joint,
     require_consistent,
@@ -146,8 +145,8 @@ class CostReport:
     cost: float
     interval: tuple[float, float]
     _box: Box = field(repr=False)
-    # Decodes the witness as LP data, its joint indices and their weights, all
-    # positive; None while a closed-form report's witness is unsolved.
+    # Decodes the witness as LP data, its assignments' digits and their
+    # weights, all positive; None while a closed-form report's witness is unsolved.
     _decode: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     @cached_property
@@ -158,8 +157,7 @@ class CostReport:
 
     @cached_property
     def witness_weights(self) -> dict[DeterministicAssignment, float]:
-        columns, weights = self._witness
-        digits = np.transpose(np.unravel_index(columns, self._box.hypergraph.joint_shape))
+        digits, weights = self._witness
         keys = map(DeterministicAssignment._of, map(tuple, digits.tolist()))
         return dict(zip(keys, weights.tolist()))
 
@@ -177,10 +175,10 @@ class CostReport:
         return Box(g, dists)
 
 
-def _mass(g: Hypergraph, columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _mass(g: Hypergraph, digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A witness's mass on each stacked row."""
     return np.bincount(
-        g.incidence.rows(columns).ravel(),
+        g.incidence.digit_rows(digits).ravel(),
         weights=np.repeat(weights, g.n_contexts),
         minlength=g.incidence.dim,
     )
@@ -241,14 +239,12 @@ def contextuality_cost(box: Box) -> CostReport:
     other box is solved by the junction-tree LP (see the module docstring).
     Defined only
     for consistent boxes; inconsistent input is refused rather than given
-    a misleading number.  Refuses a joint of 2^63 cells or more, since a witness is held
-    as joint indices, and a box whose junction tree or elimination needs a
-    table above ``JOINT_DIM_CAP`` cells, or whose junction-tree LP has more
-    variables and matrix entries than that.
+    a misleading number.  Refuses a box of more than ``boxes.MAX_OBSERVABLES``
+    observables, and one whose junction-tree LP has more variables and
+    matrix entries than ``JOINT_DIM_CAP``.
     """
     require_consistent(box)
     g = box.hypergraph
-    check_joint_index(g.joint_dim)
     if g.is_binary_cycle:
         return _binary_cycle_cost(box)
     joint = junction_tree_joint(box)
@@ -353,7 +349,7 @@ def _parity_cost(box: Box) -> CostReport | None:
     """The cost of a binary box that is flat on each context's parity classes, from
     its parity inequality and a symmetric witness; None if the two do not meet.
 
-    Only boxes whose joint ``extremum`` scans whole qualify, and only those
+    Only boxes whose joint ``best_outcome`` scans whole qualify, and only those
     that ``parity_mixture`` classifies.  The lighter classes' indicator,
     divided by ``n - max beta``, scores every assignment at least 1, so it
     is dual feasible and certifies the lower end
@@ -370,13 +366,14 @@ def _parity_cost(box: Box) -> CostReport | None:
     found = parity_mixture(box)
     if found is None:
         return None
-    y, n, columns = found.heavier, g.n_contexts, found.columns
-    weights = found.weights * _within(box, _mass(g, columns, found.weights))
+    y, n = found.heavier, g.n_contexts
+    digits = np.transpose(np.unravel_index(found.columns, g.joint_shape))
+    weights = found.weights * _within(box, _mass(g, digits, found.weights))
     cost = 1.0 - float(weights.sum())
     # A report's witness weights are positive: drop a part of share 0, and
     # every part if the box leaves a row empty that the witness spends.
     used = weights > 0.0
-    witness = (columns[used], weights[used])
+    witness = (digits[used], weights[used])
     if found.top < n:
         report = _report(box, cost, (1.0 - y) / (n - found.top), 1.0, lambda: witness)
     else:
@@ -401,14 +398,13 @@ def _report(
 def _tree_lp(box: Box) -> CostReport:
     """The cost LP of a consistent box on its junction tree, in one HiGHS run
     (see the module docstring)."""
-    g = box.hypergraph
-    tree = g.junction_tree
+    tree = box.hypergraph.junction_tree
+    starts, indices, values = tree.matrix  # first, to refuse an LP over the cap
     stacked = box.stacked()
     agreements, root = tree.n_agreements, tree.offsets[1]
     # Minimize minus the root's mass.
     costs = np.where(np.arange(tree.offsets[-1]) < root, -1.0, 0.0)
     lp = _highs(costs)
-    starts, indices, values = tree.matrix
     lp.addRows(
         starts.size, np.concatenate([np.zeros(agreements), np.full(stacked.size, -np.inf)]),
         np.concatenate([np.zeros(agreements), stacked]), indices.size, starts, indices, values,
@@ -417,15 +413,14 @@ def _tree_lp(box: Box) -> CostReport:
     tables = np.asarray(solution.col_value)
     # HiGHS minimizes -mass, so the b rows' duals are <= 0.
     y = np.maximum(-np.asarray(solution.row_dual)[agreements:], 0.0)
-    min_score, _ = g.incidence.extremum(y, "min")
     mass = float(tables[:root].sum())
-    return _report(box, 1.0 - mass, y, min_score, lambda: _peeled(box, tables))
+    return _report(box, 1.0 - mass, y, tree.min_score(y), lambda: _peeled(box, tables))
 
 
 def _peeled(box: Box, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The assignments peeled from the junction-tree LP's tables, scaled to fit the box."""
-    columns, weights = box.hypergraph.junction_tree.peel(tables)
-    return columns, weights * _within(box, _mass(box.hypergraph, columns, weights))
+    digits, weights = box.hypergraph.junction_tree.peel(tables)
+    return digits, weights * _within(box, _mass(box.hypergraph, digits, weights))
 
 
 def _junction_tree_cost(box: Box, joint: np.ndarray) -> CostReport:
@@ -440,10 +435,10 @@ def _junction_tree_cost(box: Box, joint: np.ndarray) -> CostReport:
     1e-9, or a joint above ``JOINT_DIM_CAP`` cells, which is not built,
     leaves the box to an LP.
     """
-    columns = np.flatnonzero(joint > 0.0)
-    weights = joint[columns] * _within(box, box.hypergraph.incidence.marginals(joint))
+    positive = joint.reshape(box.hypergraph.joint_shape) > 0.0
+    weights = joint[positive.ravel()] * _within(box, box.hypergraph.incidence.marginals(joint))
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
-    return CostReport(cost, (0.0, cost), box, lambda: (columns, weights))
+    return CostReport(cost, (0.0, cost), box, lambda: (np.argwhere(positive), weights))
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:

@@ -20,7 +20,7 @@ from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, polytope
-from contextuality.boxes import JOINT_DIM_CAP, ContextIncidence, junction_tree_joint
+from contextuality.boxes import JOINT_DIM_CAP, JunctionTree, junction_tree_joint
 from contextuality.closed_form import cost_closed_form, nc_interval
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
 
@@ -96,9 +96,7 @@ def sum_mod_box(g, rng):
 def wide_hypergraphs(draw):
     """Hypergraphs with more than 512 joint outcomes, several times the stacked rows.
 
-    Their joints lie on both sides of the 2^10-cell scan, so the junction-tree
-    LP's lower end is priced by ``extremum``'s scan of the whole joint on
-    some and by its elimination on the others.
+    Their joints lie on both sides of the 2^10-cell scan.
 
     10 or 11 binary observables, or 6 or 7 observables of which 5 to 7 are
     ternary; contexts have 2 or 3 observables.
@@ -171,7 +169,7 @@ def test_cost_matches_primal_with_no_float_error(box):
 @pytest.mark.parametrize("n", [16, 18])
 def test_eliminated_chain_start(n, alpha, highs_log):
     """Above the 2^10-cell scan the junction-tree LP solves the chain in one
-    HiGHS run on one block of rows, and ``extremum``'s elimination prices its
+    HiGHS run on one block of rows, and the tree's min-sum pass prices its
     duals for the lower end."""
     box = cx.chain_box(n, alpha=alpha)
     assert not box.hypergraph.incidence.scans_whole_joint
@@ -211,12 +209,12 @@ def test_tree_lp_cost_is_silent(capfd, highs_log):
 
 @pytest.mark.parametrize("scan_cells", [1, 16])
 def test_eliminated_pricing_matches_primal(scan_cells):
-    """The junction-tree LP, its lower end priced by elimination after a short
-    scan, on joints small enough for the all-columns LP (PR's 16 cells stay
-    within a 16-cell scan)."""
+    """The junction-tree LP, its lower end priced by the tree's min-sum pass,
+    on joints small enough for the all-columns LP, whatever the scan size of
+    ``best_outcome`` (PR's 16 cells stay within a 16-cell scan)."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
         for box in seeded_boxes(rounds=2):
-            # A fresh hypergraph, so the elimination plan is made under the patch.
+            # A fresh hypergraph, so its scan size is the patched one.
             g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
             box = cx.Box(g, box.distributions)
             check_report(box, polytope._tree_lp(box))
@@ -232,7 +230,7 @@ def test_tree_lp_matches_primal(scan_cells, box):
     an ordered bracket, a peeled witness within the box and worth 1 - cost,
     and the same fields from two threads solving at once."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
-        # A fresh hypergraph, so the elimination plan is made under the patch.
+        # A fresh hypergraph, so its scan size is the patched one.
         g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
         box = cx.Box(g, box.distributions)
         assume(not g.incidence.scans_whole_joint)
@@ -309,12 +307,12 @@ def test_call_after_a_failed_call():
     model = polytope._local.lp
     calls = []
 
-    def fail_pricing(self, y, sense):
+    def fail_pricing(self, y):
         # Pricing HiGHS's solution for the lower end, after the run.
         calls.append(model.getNumRow())
         raise RuntimeError("pricing failed")
 
-    with mock.patch.object(ContextIncidence, "extremum", fail_pricing):
+    with mock.patch.object(JunctionTree, "min_score", fail_pricing):
         with pytest.raises(RuntimeError, match="pricing failed"):
             polytope._tree_lp(box)
     assert len(calls) == 1 and calls[0] > 0
@@ -437,9 +435,8 @@ def test_tree_lp_cost_leaves_numpy_ma_unloaded():
     assert (before, after) == ("False", "False")
 
 
-# Above the joint cap.  The cost builds no joint tensor, so only its junction
-# tree or elimination plan can refuse a box (tests/test_polytope.py); these
-# boxes all pass them.
+# Above the joint cap.  The cost builds no joint tensor, so only its junction-tree
+# LP can refuse a box (tests/test_polytope.py); these boxes all pass it.
 
 
 def witness_mass(box, report):
@@ -448,9 +445,8 @@ def witness_mass(box, report):
     outputs = np.array([key.outputs for key in report.witness_weights], dtype=np.int64)
     outputs = outputs.reshape(-1, g.n_observables)  # an empty witness too, at cost 1
     weights = np.fromiter(report.witness_weights.values(), dtype=float)
-    joint = np.ravel_multi_index(tuple(outputs.T), g.joint_shape)
     return np.bincount(
-        g.incidence.rows(joint).ravel(),
+        g.incidence.digit_rows(outputs).ravel(),
         weights=np.repeat(weights, g.n_contexts),
         minlength=g.incidence.dim,
     )
@@ -541,6 +537,24 @@ def test_acyclic_box_above_the_joint_cap(highs_log):
     assert highs_log["runs"] >= 1
 
 
+def deterministic_mix(g, rng, m=5):
+    """A mix of m deterministic boxes of random assignments, at Dirichlet weights."""
+    assignments = rng.integers(0, g.cardinalities, size=(m, g.n_observables))
+    weights = rng.dirichlet(np.ones(m))
+    stacked = sum(w * cx.deterministic_box(cx.DeterministicAssignment(a), g).stacked()
+                  for w, a in zip(weights, assignments))
+    return cx.Box(g, g.incidence.split(stacked))
+
+
+def test_cost_on_sixty_observables():
+    """A random hypergraph of 60 binary observables: the tree LP's duals are priced
+    on its min-fill cliques (at most 9 observables), where an index-order
+    elimination would need a table of 2^23 cells."""
+    g = random_hypergraph(np.random.default_rng(0), 60, n_contexts=56)
+    assert max(map(len, g.junction_tree.cliques)) <= 9
+    check_above_cap(deterministic_mix(g, np.random.default_rng(3)), 0.0)
+
+
 # Binary n-cycles: the cost in closed form, the witness by an LP on first read.
 
 
@@ -591,9 +605,9 @@ def binary_cycle_boxes(draw):
 
 @contextlib.contextmanager
 def solver_calls():
-    """Calls of the cost LP's HiGHS ``run`` and of its pricing, ``ContextIncidence.extremum``."""
+    """Calls of the cost LP's HiGHS ``run`` and of its pricing, ``JunctionTree.min_score``."""
     calls = []
-    extremum = ContextIncidence.extremum
+    min_score = JunctionTree.min_score
 
     class Spy(polytope._Highs):
         def run(self):
@@ -607,7 +621,7 @@ def solver_calls():
         return spy
 
     with mock.patch.object(polytope, "_Highs", Spy), \
-            mock.patch.object(ContextIncidence, "extremum", pricing(extremum)):
+            mock.patch.object(JunctionTree, "min_score", pricing(min_score)):
         yield calls
 
 

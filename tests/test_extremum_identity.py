@@ -1,4 +1,5 @@
-"""``ContextIncidence.extremum`` against the broadcasting elimination it replaced.
+"""``ContextIncidence.best_outcome`` against the broadcasting elimination it replaced,
+and ``JunctionTree.min_score`` against ``best_outcome``.
 
 ``reference_extremum`` keeps that code: every bucket's tables and messages
 on all of the joint's axes, with size 1 off the bucket's scope.  The library
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from test_incidence import hypergraphs, mid_hypergraphs
+from test_incidence import extremum, hypergraphs, mid_hypergraphs
 
 import contextuality as cx
 from contextuality import boxes
@@ -162,7 +163,7 @@ def test_extremum_matches_broadcasting_reference(g, scan_cells, draw_seed):
         # A fresh hypergraph, so its plan is taken under the patch.
         op = cx.Hypergraph(g.observables, g.contexts).incidence
         for sense in ("max", "min"):
-            best, index = op.extremum(y, sense)
+            best, index = extremum(op, y, sense)
             expected, first = reference_extremum(op, y, sense, scan_cells)
             assert (best.hex(), index) == (expected.hex(), first)
             value, digits = op.best_outcome(y, sense)
@@ -175,8 +176,33 @@ def test_zero_scores_keep_their_sign(sense):
     """All-zero weights score 0 everywhere: the first outcome, and the value the
     reference gives, -0.0 for "max" (its negated minimum) and 0.0 for "min"."""
     g = cx.chain_box(20).hypergraph
-    best, index = g.incidence.extremum(np.zeros(g.incidence.dim), sense)
+    best, index = extremum(g.incidence, np.zeros(g.incidence.dim), sense)
     assert index == 0
     assert best.hex() == (-0.0 if sense == "max" else 0.0).hex()
     expected, first = reference_extremum(g.incidence, np.zeros(g.incidence.dim), sense, 2**10)
     assert (best.hex(), index) == (expected.hex(), first)
+
+
+@seed(20261101)
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.one_of(hypergraphs(), mid_hypergraphs(), chains, direct_sums),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_tree_min_score_matches_best_outcome(g, draw_seed):
+    """The junction tree's min-sum pass against ``best_outcome``'s value in both
+    senses (the max as minus the least score of -y): exact on small integer
+    weights of both signs, and on normal ones within 1e-12 relative to the
+    score, or absolute below 1, since the two add their terms in other orders."""
+    rng = np.random.default_rng(draw_seed)
+    dim = g.incidence.dim
+    integer = bool(rng.integers(2))
+    y = rng.integers(-3, 4, size=dim).astype(float) if integer else rng.normal(size=dim)
+    tree = g.junction_tree
+    for sense, sign in (("min", 1.0), ("max", -1.0)):
+        expected, _ = g.incidence.best_outcome(y, sense)
+        value = sign * tree.min_score(sign * y)
+        if integer:
+            assert value == expected
+        else:
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (value, expected)

@@ -50,6 +50,12 @@ def brute_rows(g):
     return np.array(table, dtype=np.int64)
 
 
+def extremum(op, y, sense):
+    """``best_outcome``'s value, and the joint index of its digits."""
+    value, digits = op.best_outcome(y, sense)
+    return value, int(np.ravel_multi_index(digits, op.joint_shape))
+
+
 def sequential_sum(values):
     total = 0.0
     for v in values:
@@ -99,7 +105,7 @@ def test_operator_matches_bruteforce(g, draw_seed):
 
     # Pricing: the minimum score and its first joint index, as the lift gives them.
     lifted = op.lift(y).ravel()
-    assert op.extremum(y, "min") == (lifted.min(), int(np.argmin(lifted)))
+    assert extremum(op, y, "min") == (lifted.min(), int(np.argmin(lifted)))
     assert lifted.min() == scores.min()
 
     # split and stack are inverse; stack refuses a wrong context count or size.
@@ -154,12 +160,12 @@ def test_layout_refuses_malformed_input(box):
     op = box.hypergraph.incidence
     y = box.stacked()
     for bad in (np.append(y, np.zeros(5)), y[:-1], y[:, None], y.reshape(1, -1)):
-        for call in (op.tables, op.lift, lambda v: op.extremum(v, "max")):
+        for call in (op.tables, op.lift, lambda v: extremum(op, v, "max")):
             with pytest.raises(cx.InvalidBoxError):
                 call(bad)
     for sense in ("maximum", "", None):
         with pytest.raises(cx.InvalidBoxError):
-            op.extremum(y, sense)
+            extremum(op, y, sense)
 
 
 @pytest.mark.parametrize("box", [cx.pr_box(), cx.chain_box(14)])
@@ -192,7 +198,7 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
 
         # The first optimum in row-major order, and its score.
         for direction, sign in (("max", 1.0), ("min", -1.0)):
-            best, picked = op.extremum(y, direction)
+            best, picked = extremum(op, y, direction)
             first = int(np.argmax(sign * scores))
             assert picked == first
             assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
@@ -221,7 +227,7 @@ def mid_hypergraphs(draw):
 
 
 def scan_cells(op):
-    """Cells of the prefix ``extremum`` scans on ``op``, and whether it eliminates any."""
+    """Cells of the prefix ``best_outcome`` scans on ``op``, and whether it eliminates any."""
     prefix, buckets = op._elimination
     return math.prod(prefix.shape), bool(buckets)
 
@@ -244,10 +250,10 @@ def test_short_scan_matches_full_scan(g, draw_seed):
 
     # The first optimum in row-major order; its score exact on integer weights.
     for sense, sign in (("max", 1.0), ("min", -1.0)):
-        reference = full.extremum(y, sense)
+        reference = extremum(full, y, sense)
         first = int(np.argmax(sign * scores))
         assert reference == (scores[first], first)
-        best, picked = op.extremum(y, sense)
+        best, picked = extremum(op, y, sense)
         assert picked == first
         assert best == scores[first] if integer else abs(best - scores[first]) <= 1e-12
 
@@ -345,7 +351,8 @@ def test_junction_tree_against_a_joint(g, draw_seed):
     assert np.allclose(rows[tree.n_agreements:], g.incidence.marginals(p), rtol=0.0, atol=1e-12)
 
     # The peeled assignments, distinct and positive, have those clique tables.
-    columns, weights = tree.peel(x)
+    digits, weights = tree.peel(x)
+    columns = np.ravel_multi_index(tuple(digits.T), g.joint_shape)
     assert np.unique(columns).size == columns.size and np.all(weights > 0.0)
     q = np.bincount(columns, weights=weights, minlength=g.joint_dim)
     assert np.allclose(clique_tables(g, q), x, rtol=0.0, atol=1e-12)
@@ -362,7 +369,7 @@ def test_equal_hypergraphs_share_one_junction_tree():
 
 
 def test_equal_hypergraphs_share_one_elimination_plan():
-    """Equal hypergraphs built separately share one ``extremum`` plan, whose index
+    """Equal hypergraphs built separately share one ``best_outcome`` plan, whose index
     table is read-only.  A plan made under another scan size is its own, and is
     never reused at the real one; each plan is a function of its key alone."""
     g = cx.chain_box(20).hypergraph

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 from test_cost_lp import check_report, highs_log, sum_mod_box  # noqa: F401 (a fixture)
 from test_dense_solver import shuffled, sparse_box, sparse_weights
-from test_incidence import hypergraphs
+from test_incidence import hypergraphs, mid_hypergraphs
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
@@ -97,7 +97,7 @@ def check_running_intersection(g, tree):
 
 @seed(20261101)
 @settings(max_examples=120, deadline=None)
-@given(g=hypergraphs())
+@given(g=st.one_of(hypergraphs(), mid_hypergraphs()))
 def test_join_tree_matches_vertex_reduction(g):
     tree = g.join_tree
     assert (tree is not None) == reduces_to_nothing(g)
@@ -122,6 +122,15 @@ def test_join_tree_matches_vertex_reduction(g):
 def test_cyclic_hypergraphs_have_no_join_tree(box):
     assert box.hypergraph.join_tree is None
     assert junction_tree_joint(box) is None
+
+
+def test_acyclicity_builds_no_lp():
+    """One context of 23 binary observables is acyclic, though the tree's LP
+    would be over the cap: the acyclicity test reads only the tree's structure."""
+    g = cx.Hypergraph([(f"O{i}", 2) for i in range(23)], [tuple(range(23))])
+    assert g.join_tree == ((0, ()),)
+    with pytest.raises(cx.CapExceededError, match="junction-tree LP"):
+        g.junction_tree.matrix
 
 
 def acyclic_box(g, kind, rng):

@@ -192,10 +192,20 @@ class TestContextualityCost:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_joint_index_overflow_refused(self):
-        # CH(63) has 2^63 joint cells: its tables are small, but no int64 indexes the joint.
-        with pytest.raises(cx.CapExceededError, match="overflows a joint index"):
-            cx.contextuality_cost(cx.chain_box(63, 0.9))
+    def test_joint_past_int64_gets_its_closed_form(self):
+        # CH(63) has 2^63 joint cells, so no int64 indexes its joint, but its tables
+        # are small: its cost is the closed form (0 at alpha 0.9), and its witness,
+        # held as digits, spends at most the box.
+        for alpha, tol in ((0.9, 0.0), (0.99, 1e-12)):
+            box = cx.chain_box(63, alpha)
+            g = box.hypergraph
+            report = cx.contextuality_cost(box)
+            assert abs(report.cost - cx.cost_closed_form("CH", alpha, 63)) <= tol
+            outputs = np.array([key.outputs for key in report.witness_weights]).reshape(-1, 63)
+            weights = np.fromiter(report.witness_weights.values(), dtype=float)
+            mass = np.bincount(g.incidence.digit_rows(outputs).ravel(),
+                               weights=np.repeat(weights, g.n_contexts), minlength=g.incidence.dim)
+            assert np.all(mass <= box.stacked() + 1e-9)
 
 
 class TestCostBracket:

@@ -46,8 +46,9 @@ JOINT_DIM_CAP = 2**22
 MAX_OBSERVABLES = 64
 # Cells of the leading observables that ``ContextIncidence.best_outcome`` scores
 # outright, each by its best completion; the others are eliminated.  The cost's
-# parity route (``polytope._parity_cost``) takes only joints scanned whole.  On
-# CH(14) to CH(20), a scan of 2^10 cells took 17-57% less time than one of 2^14.
+# parity route (``polytope._parity_cost``) lifts only joints of at most this
+# many cells.  On CH(14) to CH(20), a scan of 2^10 cells took 17-57% less time
+# than one of 2^14.
 _SCAN_CELLS = 2**10
 
 
@@ -249,58 +250,98 @@ def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
         raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
-class _Bucket:
-    """A sum of context tables and messages on the bucket's own axes, ``scope``.
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One step of a min-sum pass (``_min_sum``): a table over the scope
+    ``separator + free``, row-major, whose least entry per separator cell is
+    the step's message.
 
-    ``tables`` gives each of its contexts' slice of the stacked vector in
-    table order (``ContextIncidence.tables``) and its shape on the bucket's
-    axes, of size 1 off the context; ``messages`` indexes the earlier
-    buckets' messages it adds after them, and ``inbox`` gives their shapes
-    on its axes.  The last observable of the scope is eliminated, and
-    ``parents`` pairs each other one with its stride in the row-major index
-    of the message.
+    Row t of ``rows`` is term t's stacked row at each cell; ``inbox`` pairs
+    each earlier step whose message the step adds with that message's cell
+    at each of its cells.  ``strides`` turn the separator's digits into its
+    cell, and ``shape`` holds the free observables' cardinalities.  The
+    index arrays are read-only.
     """
 
-    scope: tuple[int, ...]
-    tables: tuple[tuple[int, int, tuple[int, ...]], ...]
-    messages: tuple[int, ...]
-    inbox: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class _Scan:
-    """The leading observables ``scope``, of cardinalities ``shape``, each cell
-    scored outright.
-
-    Row t of ``cells`` gives, per cell in row-major order, the entry that
-    term t adds: a row of the stacked vector for each of ``contexts``, and
-    past its end an entry of each of ``messages``, stacked in that order.
-    """
-
-    scope: tuple[int, ...]
+    separator: tuple[int, ...]
+    free: tuple[int, ...]
     shape: tuple[int, ...]
-    contexts: tuple[int, ...]
-    messages: tuple[int, ...]
-    cells: np.ndarray
+    strides: tuple[int, ...]
+    rows: np.ndarray
+    inbox: tuple[tuple[int, np.ndarray], ...]
+
+    def cell(self, digits: Sequence[int]) -> int:
+        """The separator cell of an outcome's digits."""
+        return sum(digits[v] * stride for v, stride in zip(self.separator, self.strides))
+
+    def place(self, digits: list[int], at: int) -> None:
+        """Set the free observables' digits from their row-major index ``at``."""
+        for v, card in zip(reversed(self.free), reversed(self.shape)):
+            at, digits[v] = divmod(at, card)
+
+
+def _step(
+    cards: Sequence[int], separator: Sequence[int], free: Sequence[int], rows: list, inbox: list
+) -> _Step:
+    """A step over ``separator + free`` from its terms' rows at its cells and
+    its ``(earlier step, message cell)`` pairs, its arrays made read-only."""
+    size = math.prod(cards[v] for v in (*separator, *free))
+    return _Step(
+        tuple(separator), tuple(free), tuple(cards[v] for v in free),
+        tuple(_row_major([cards[v] for v in separator]).tolist()),
+        _frozen_array(rows, dtype=np.int64).reshape(-1, size),
+        tuple((k, _frozen_array(cells, dtype=np.int64)) for k, cells in inbox),
+    )
+
+
+def _min_sum(
+    steps: Sequence[_Step], y: np.ndarray, decode: bool
+) -> tuple[float, list[int] | None]:
+    """Least score ``sum_c y_c(lambda_c)`` of a stacked ``y`` over joint outcomes
+    lambda, by a min-sum pass over ``steps`` (Dechter 1999), and with
+    ``decode`` the digits of the first outcome that reaches it.
+
+    Each step sums its terms' rows at its cells, adds its inbox's messages
+    in order, and keeps its least entry per separator cell (and with
+    ``decode`` the first free cell that gives it).  The last step's
+    separator is empty, so its one entry is the score; the outcome is
+    decoded from the last step back, each step's free digits from its
+    separator's.
+    """
+    messages: list[np.ndarray] = []
+    choices: list[np.ndarray] = []
+    for step in steps:
+        table = y[step.rows].sum(axis=0)
+        for k, cells in step.inbox:
+            table += messages[k][cells]
+        table = table.reshape(-1, math.prod(step.shape))
+        messages.append(table.min(axis=1))
+        if decode:
+            choices.append(table.argmin(axis=1))
+    if not decode:
+        return float(messages[-1][0]), None
+    digits = [0] * sum(len(step.free) for step in steps)
+    for step, choice in zip(reversed(steps), reversed(choices)):
+        step.place(digits, int(choice[step.cell(digits)]))
+    return float(messages[-1][0]), digits
 
 
 @functools.lru_cache(maxsize=64)
 def _elimination_plan(
     cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...], scan_cells: int
-) -> tuple[_Scan, tuple[_Bucket, ...]]:
-    """The plan of ``best_outcome`` on a hypergraph, the scan and the buckets in
-    elimination order, made once per cardinalities, context list and scan
-    size; it holds index data only.
+) -> tuple[_Step, ...]:
+    """The steps of ``best_outcome`` on a hypergraph, in index order, made once
+    per cardinalities, context list and scan size; they hold index data only.
 
-    The scan takes the longest run of leading observables with at most
-    ``scan_cells`` cells.  The others are eliminated last index first: each
-    bucket sums the contexts and messages whose highest observable it
-    eliminates, so that observable is the last of the bucket's scope and
-    every other one in it is decoded before it.  Refuses, before any index
-    is built, a plan whose largest table, the scan's included, exceeds
-    ``JOINT_DIM_CAP`` cells.
+    The last step, the scan, has every observable of the longest run of
+    leading observables with at most ``scan_cells`` cells free.  The others
+    are eliminated before it, last index first: each bucket sums the
+    contexts and messages whose highest observable it eliminates, so that
+    observable is the bucket's one free observable and every other one in
+    its scope is decoded before it.  Index order makes every choice, and so
+    the decoded outcome, the first optimum in row-major order.  Refuses,
+    before any index is built, a plan whose largest table, the scan's
+    included, exceeds ``JOINT_DIM_CAP`` cells.
     """
     prefix = sum(cells <= scan_cells for cells in itertools.accumulate(cards, operator.mul))
 
@@ -309,59 +350,51 @@ def _elimination_plan(
         top = max(scope, default=-1)
         return top if top >= prefix else -1
 
-    def size(scope: Sequence[int]) -> int:
-        return math.prod(cards[i] for i in scope)
-
     def check(scope: Sequence[int]) -> None:
-        if size(scope) > JOINT_DIM_CAP:
+        size = math.prod(cards[i] for i in scope)
+        if size > JOINT_DIM_CAP:
             raise CapExceededError(
-                f"eliminating observable {scope[-1]} needs a table of {size(scope)} "
+                f"eliminating observable {scope[-1]} needs a table of {size} "
                 f"cells, over the cap {JOINT_DIM_CAP}"
             )
 
-    # Contexts and messages waiting in each bucket; each bucket's scope and terms.
+    # Contexts and messages waiting in each bucket; each step's separator,
+    # free observables and terms.
     pending: dict[int, tuple[list, list]] = {v: ([], []) for v in range(-1, len(cards))}
     for ci, ctx in enumerate(contexts):
         pending[home(ctx)][0].append(ci)
-    steps: list[tuple[tuple[int, ...], list, list]] = []
+    steps: list[tuple[tuple[int, ...], tuple[int, ...], list, list]] = []
     for v in range(len(cards) - 1, prefix - 1, -1):
         cs, ms = pending[v]
-        scope = set().union(*(contexts[ci] for ci in cs), *(steps[m][0][:-1] for m in ms))
+        scope = set().union(*(contexts[ci] for ci in cs), *(steps[m][0] for m in ms))
         scope = tuple(sorted(scope))
         check(scope)
-        steps.append((scope, cs, ms))
+        steps.append((scope[:-1], scope[-1:], cs, ms))
         pending[home(scope[:-1])][1].append(len(steps) - 1)
     check(range(prefix))
-    shape = cards[:prefix]
+    steps.append(((), tuple(range(prefix)), *pending[-1]))
 
     # Every table is within the cap: the index data.
-    offsets = tuple(itertools.accumulate(map(size, contexts), initial=0))
-
-    def on(scope: Sequence[int], sub: Sequence[int]) -> tuple[int, ...]:
-        return tuple(cards[i] if i in sub else 1 for i in scope)
-
-    buckets = tuple(
-        _Bucket(
-            scope,
-            tuple((offsets[ci], offsets[ci + 1], on(scope, contexts[ci])) for ci in cs),
-            tuple(ms),
-            tuple(on(scope, steps[m][0][:-1]) for m in ms),
-            tuple(zip(scope[:-1], _row_major([cards[i] for i in scope[:-1]]).tolist())),
-        )
-        for scope, cs, ms in steps
+    offsets = list(itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts),
+                                        initial=0))
+    return tuple(
+        _step(cards, separator, free,
+              [offsets[ci] + _cells(cards, separator + free, contexts[ci]) for ci in cs],
+              [(m, _cells(cards, separator + free, steps[m][0])) for m in ms])
+        for separator, free, cs, ms in steps
     )
-    # Each scan term's first entry and observables: the contexts' stacked
-    # rows, then the messages stacked after them.
-    contexts_in, messages_in = pending[-1]
-    parents = [steps[m][0][:-1] for m in messages_in]
-    starts = itertools.accumulate(map(size, parents), initial=offsets[-1])
-    terms = [(offsets[ci], contexts[ci]) for ci in contexts_in] + list(zip(starts, parents))
-    digits = np.indices(shape, dtype=np.int64).reshape(prefix, size(range(prefix)))
-    cells = [first + _row_major([cards[i] for i in obs]) @ digits[list(obs)]
-             for first, obs in terms]
-    scan = _Scan(tuple(range(prefix)), shape, tuple(contexts_in), tuple(messages_in),
-                 _frozen_array(cells, dtype=np.int64))
-    return scan, buckets
+
+
+def _cells(cards: Sequence[int], scope: tuple[int, ...], observables: Sequence[int]) -> np.ndarray:
+    """Row-major index over ``observables`` (all in ``scope``) of each cell of
+    ``scope``, row-major: each observable's digit times its stride, summed one
+    axis at a time."""
+    shape = [cards[v] for v in scope]
+    out = np.zeros(shape, dtype=np.int64)
+    for v, stride in zip(observables, _row_major([cards[v] for v in observables]).tolist()):
+        axis = scope.index(v)
+        out += (np.arange(shape[axis]) * stride).reshape([-1] + [1] * (len(shape) - axis - 1))
+    return out.ravel()
 
 
 def _row_major(radices: Sequence[int]) -> np.ndarray:
@@ -394,19 +427,16 @@ class ContextIncidence:
     outcomes.  This module is the only code that knows the stacked layout.
 
     ``best_outcome`` finds the best joint outcome lambda of a score
-    ``sum_c y_c(lambda_c)`` without building the joint tensor: it scans the
-    leading observables and eliminates the trailing ones by min-sum bucket
-    elimination (Dechter 1999), whose tables grow with the induced width of
-    index order (2 for a chain), not with the joint dimension.  Its plan
-    (``_elimination_plan``) is made once per cardinalities, context list and scan
-    size, and shared by equal hypergraphs.  Each bucket's tables and
-    messages lie on the bucket's own axes (3 on a chain), not on all the
-    joint's axes with size 1 off the scope, and the scan gathers each
-    context's rows per cell from one index table: a call took 92, 143 and
-    316 µs on CH(16), CH(20) and CH(30) on the joint's axes, and 55, 76 and
-    130 µs on the buckets' own (timeit, best of 7, 2-core Xeon host).
-    Refuses, before any table is built, a hypergraph of more than
-    ``MAX_OBSERVABLES`` observables, whose tables numpy cannot hold.
+    ``sum_c y_c(lambda_c)`` without building the joint tensor, by the
+    min-sum pass (``_min_sum``) that also prices the cost LP on the
+    junction tree's min-fill plan.  Its own plan (``_elimination_plan``)
+    keeps index order, for the first optimum in row-major order: it
+    eliminates the trailing observables one bucket each, whose tables grow
+    with the induced width of that order (2 for a chain), and scans the
+    leading ones.  The plan is made once per cardinalities, context list and
+    scan size, and shared by equal hypergraphs.  Refuses, before any table
+    is built, a hypergraph of more than ``MAX_OBSERVABLES`` observables,
+    whose tables numpy cannot hold.
     """
 
     def __init__(self, g: Hypergraph):
@@ -486,12 +516,13 @@ class ContextIncidence:
 
     @property
     def scans_whole_joint(self) -> bool:
-        """Whether the joint has at most ``_SCAN_CELLS`` cells, so ``best_outcome`` scans it whole."""
+        """Whether the joint has at most ``_SCAN_CELLS`` cells, so ``best_outcome`` scans it
+        whole and the whole joint may be lifted."""
         return self._joint_dim <= _SCAN_CELLS
 
     @cached_property
-    def _elimination(self) -> tuple[_Scan, tuple[_Bucket, ...]]:
-        """The plan of ``best_outcome``, shared by equal hypergraphs (see ``_elimination_plan``),
+    def _elimination(self) -> tuple[_Step, ...]:
+        """The steps of ``best_outcome``, shared by equal hypergraphs (see ``_elimination_plan``),
         at the scan size of its first use."""
         return _elimination_plan(self.joint_shape, self.contexts, _SCAN_CELLS)
 
@@ -499,50 +530,26 @@ class ContextIncidence:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and
         the digits of the first best outcome in row-major order.
 
-        ``sense`` is "max" or "min".  Min-sum bucket elimination (Dechter
-        1999): each bucket keeps, per cell of the rest of its scope, the best
-        score over its own observable and the value that gave it.  The scan
-        scores every cell of the leading observables (see ``_elimination_plan``)
-        by its best completion, and the best cell's completion is decoded,
-        parents first.  Tables and messages lie on their bucket's own axes.
-        Each cell adds its context terms in context order, then its
-        messages, as from +0.0, and every choice takes the first index among
-        ties, so when nothing is eliminated the scores are ``lift(y)``.
+        ``sense`` is "max" or "min".  One min-sum pass (``_min_sum``) over
+        the index-order plan (``_elimination_plan``): the buckets eliminate
+        the trailing observables, the scan scores every cell of the leading
+        ones by its best completion, and the best cell's completion is
+        decoded, parents first.  Each cell adds its context terms in context
+        order, then its messages, and every choice takes the first index
+        among ties, so when nothing is eliminated the scores are ``lift(y)``.
         Refuses a ``y`` not shaped ``(dim,)``.
         """
         if sense not in ("max", "min"):
             raise InvalidBoxError(f"sense must be 'max' or 'min', got {sense!r}")
-        scan, buckets = self._elimination
+        steps = self._elimination
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
             raise InvalidBoxError(f"stacked vector has shape {y.shape}, not ({self.dim},)")
         # Min-sum throughout; negation is exact, so ties stay ties.
-        if sense == "max":
-            y = -y
-        cards = self.joint_shape
-        tables = y[self._sorted_rows] if buckets else y
-        messages: list[np.ndarray] = []
-        choices: list[np.ndarray] = []
-        for b in buckets:
-            terms = [tables[start:stop].reshape(shape) for start, stop, shape in b.tables]
-            terms += [messages[k].reshape(shape) for k, shape in zip(b.messages, b.inbox)]
-            values = functools.reduce(operator.add, terms).reshape(-1, cards[b.scope[-1]])
-            messages.append(values.min(axis=1))
-            choices.append(values.argmin(axis=1))
-        if scan.messages:
-            y = np.concatenate([y, *(messages[k] for k in scan.messages)])
-        scores = functools.reduce(operator.add, y[scan.cells])
-        at = int(scores.argmin())
+        best, digits = _min_sum(steps, -y if sense == "max" else y, True)
         # A sum from +0.0 is never -0.0; summing from the first term instead
         # changes only the sign of a zero, which adding +0.0 undoes.
-        best = float(scores[at]) + 0.0
-        # Decode the scanned cell, then the eliminated observables in index
-        # order, each from its parents' digits.
-        digits = [0] * len(cards)
-        for i in reversed(scan.scope):
-            at, digits[i] = divmod(at, cards[i])
-        for b, choice in zip(reversed(buckets), reversed(choices)):
-            digits[b.scope[-1]] = int(choice[sum(digits[i] * stride for i, stride in b.parents)])
+        best += 0.0
         return (-best if sense == "max" else best), tuple(digits)
 
     @cached_property
@@ -599,11 +606,9 @@ def _table_order(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) 
     context list, read-only: hypergraphs built afresh share it, as they share
     ``_elimination_plan``.  It is index data only, and ``tables`` and
     ``marginals`` read it even where the plan is refused."""
-    starts = list(itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts), initial=0))
+    starts = itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts), initial=0)
     return _frozen_array(np.concatenate([
-        np.arange(a, b).reshape([cards[i] for i in c])
-        .transpose(sorted(range(len(c)), key=c.__getitem__)).ravel()
-        for c, a, b in zip(contexts, starts, starts[1:])
+        start + _cells(cards, tuple(sorted(c)), c) for c, start in zip(contexts, starts)
     ]), dtype=np.int64)
 
 
@@ -646,7 +651,10 @@ class JunctionTree:
     The roots of separate components hang from the first by empty
     separators, so ``cliques[0]`` is the root and parents come first.  Each
     context's home is the clique of its first-eliminated observable, which
-    holds it.  The LP's rows and ``min_score``'s index data are built on first use.
+    holds it.  The LP's rows and ``min_score``'s steps, the min-fill plan of
+    the min-sum pass that ``best_outcome`` runs in index order, are built on
+    first use: min-fill keeps the tables narrow where index order can need
+    a table over the cap.
 
     Nonnegative clique tables that agree on every separator are the clique
     marginals of a measure on the joint (Lauritzen & Spiegelhalter 1988), so
@@ -711,11 +719,11 @@ class JunctionTree:
         return tuple(tree)
 
     @cached_property
-    def _lp(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple]:
-        """``matrix``, and the plan of ``min_score``, leaves first: per clique, the
-        stacked row of each of its contexts at each of its cells, its children
-        with their separator cell at each of its cells, and its separator's
-        cell count.  Refuses the LP over the cap before any of it is built."""
+    def _lp(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[_Step, ...]]:
+        """``matrix``, and the steps of ``min_score``, one per clique, leaves
+        first: each clique's separator then its other observables, the
+        stacked rows of its contexts at its cells, and its children's
+        messages.  Refuses the LP over the cap before any of it is built."""
         sizes, cards = self._sizes, self._cards
         # Variables, then matrix entries: a child's and its parent's cells per
         # agreement block, and the home's cells per context.
@@ -726,16 +734,17 @@ class JunctionTree:
                 f"the junction-tree LP needs {size} variables and matrix entries, its largest "
                 f"clique a table of {max(sizes)} cells, over the cap {JOINT_DIM_CAP}"
             )
-        n = len(self.cliques)
+        n, cliques = len(self.cliques), self.cliques
         blocks, rows, inbox, row = [], [[] for _ in range(n)], [[] for _ in range(n)], 0
         for c in range(1, n):
             separator, parent = self.separators[c], self.parents[c]
-            up = self._cells(parent, separator)
-            blocks += [(row + self._cells(c, separator), c, 1.0), (row + up, parent, -1.0)]
-            inbox[parent].append((c, up))
+            up = _cells(cards, cliques[parent], separator)
+            blocks += [(row + _cells(cards, cliques[c], separator), c, 1.0), (row + up, parent, -1.0)]
+            # Clique c's step comes (n - 1 - c)th, leaves first.
+            inbox[parent].append((n - 1 - c, up))
             row += math.prod(cards[v] for v in separator)
         for home, ctx in zip(self.homes, self._contexts):
-            outcome = self._cells(home, ctx)
+            outcome = _cells(cards, cliques[home], ctx)
             blocks.append((row + outcome, home, 1.0))
             rows[home].append(row - self.n_agreements + outcome)
             row += math.prod(cards[v] for v in ctx)
@@ -747,12 +756,11 @@ class JunctionTree:
         matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
         for a in matrix:
             a.flags.writeable = False
-        plan = tuple(
-            (c, np.array(rows[c], dtype=np.int64).reshape(-1, sizes[c]), tuple(inbox[c]),
-             math.prod(cards[v] for v in self.separators[c]))
+        steps = tuple(
+            _step(cards, self.separators[c], cliques[c][len(self.separators[c]):], rows[c], inbox[c])
             for c in reversed(range(n))
         )
-        return matrix, plan
+        return matrix, steps
 
     @property
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -760,30 +768,10 @@ class JunctionTree:
         return self._lp[0]
 
     def min_score(self, y: np.ndarray) -> float:
-        """Least score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, of a stacked ``y``.
-
-        A value-only min-sum pass, leaves first (Dechter 1999): one gather sums
-        a clique's contexts' rows at its cells, one per child adds its message,
-        and its own message is its least entry per separator cell; the root's is the score.
-        """
-        messages: list[np.ndarray] = [np.empty(0)] * len(self.cliques)
-        for c, rows, inbox, separator_cells in self._lp[1]:
-            table = y[rows].sum(axis=0)
-            for child, up in inbox:
-                table += messages[child][up]
-            messages[c] = table.reshape(separator_cells, -1).min(axis=1)
-        return float(messages[0][0])
-
-    def _cells(self, c: int, observables: Sequence[int]) -> np.ndarray:
-        """Row-major index over ``observables`` (all in clique c) of each of c's cells,
-        summed from each observable's digits times its stride, one axis at a time."""
-        shape = [self._cards[v] for v in self.cliques[c]]
-        out = np.zeros(shape, dtype=np.int64)
-        strides = _row_major([self._cards[v] for v in observables])
-        for v, stride in zip(observables, strides.tolist()):
-            axis = self.cliques[c].index(v)
-            out += (np.arange(shape[axis]) * stride).reshape([-1] + [1] * (len(shape) - axis - 1))
-        return out.ravel()
+        """Least score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, of a
+        stacked ``y``: the value of one min-sum pass (``_min_sum``) over the
+        cliques, leaves first, the root's message being the score."""
+        return _min_sum(self._lp[1], y, False)[0]
 
     def peel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Digits, shape ``(m, n_observables)``, and weights of assignments whose
@@ -793,22 +781,21 @@ class JunctionTree:
         that agrees with its parent's: one assignment, weighted by the least
         of those cells, which is taken off each and so zeroes one.  Where
         rounding leaves a clique no positive cell that agrees, its parent's
-        cell is zeroed instead.  Weights of 1e-12 or less are dropped.
+        cell is zeroed instead.  Weights of 1e-12 or less are dropped.  The
+        walk reads each clique's layout from its step of ``min_score``.
         """
-        cards, walk = self._cards, []
-        for c, (clique, sep) in enumerate(zip(self.cliques, self.separators)):
-            free, radices = list(clique[len(sep):]), [cards[v] for v in sep]
+        walk = []
+        for c, step in enumerate(reversed(self._lp[1])):
             table = np.maximum(x[self.offsets[c]:self.offsets[c + 1]], 0.0)
-            walk.append((table.reshape(math.prod(radices), -1), list(sep), _row_major(radices),
-                         free, tuple(cards[v] for v in free)))
-        digits = np.zeros(len(cards), dtype=np.int64)
+            walk.append((table.reshape(-1, math.prod(step.shape)), step))
+        digits = [0] * len(self._cards)
         found, weights = [], []
         while True:
             cells = []
-            for table, sep, strides, free, free_shape in walk:
-                s = int(digits[sep] @ strides)
+            for table, step in walk:
+                s = step.cell(digits)
                 f = int(table[s].argmax())
-                digits[free] = np.unravel_index(f, free_shape)
+                step.place(digits, f)
                 cells.append((table, s, f, float(table[s, f])))
             short = [c for c, cell in enumerate(cells) if cell[3] <= 0.0]
             if short[:1] == [0]:
@@ -821,9 +808,9 @@ class JunctionTree:
             for table, s, f, mass in cells:
                 table[s, f] = mass - w if mass > w else 0.0
             if w > 1e-12:
-                found.append(digits.copy())
+                found.append(list(digits))
                 weights.append(w)
-        return np.array(found, dtype=np.int64).reshape(-1, len(cards)), np.array(weights)
+        return np.array(found, dtype=np.int64).reshape(-1, len(self._cards)), np.array(weights)
 
 
 @functools.lru_cache(maxsize=256)

@@ -349,8 +349,9 @@ def _parity_cost(box: Box) -> CostReport | None:
     """The cost of a binary box that is flat on each context's parity classes, from
     its parity inequality and a symmetric witness; None if the two do not meet.
 
-    Only boxes whose joint ``best_outcome`` scans whole qualify, and only those
-    that ``parity_mixture`` classifies.  The lighter classes' indicator,
+    Only boxes whose joint the mixture may lift whole (``scans_whole_joint``:
+    at most 2^10 cells) qualify, and only those that ``parity_mixture``
+    classifies; ``best_outcome`` plays no part.  The lighter classes' indicator,
     divided by ``n - max beta``, scores every assignment at least 1, so it
     is dual feasible and certifies the lower end
     ``1 - b.(1 - y) / (n - max beta)`` (0 when max beta = n); on these boxes

@@ -210,8 +210,8 @@ def test_tree_lp_cost_is_silent(capfd, highs_log):
 @pytest.mark.parametrize("scan_cells", [1, 16])
 def test_eliminated_pricing_matches_primal(scan_cells):
     """The junction-tree LP, its lower end priced by the tree's min-sum pass,
-    on joints small enough for the all-columns LP, whatever the scan size of
-    ``best_outcome`` (PR's 16 cells stay within a 16-cell scan)."""
+    on joints small enough for the all-columns LP. The LP reads no scan size,
+    so both patched scan sizes must give the same checked reports."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
         for box in seeded_boxes(rounds=2):
             # A fresh hypergraph, so its scan size is the patched one.

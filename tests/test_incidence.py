@@ -195,6 +195,9 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
         # A fresh hypergraph, so the elimination plan is made under the patch.
         g = cx.Hypergraph(g.observables, g.contexts)
         op = g.incidence
+        if scan_cells == 1:
+            # Nothing is scanned: the last step has one cell, no context rows, only messages.
+            assert op._elimination[-1].rows.shape == (0, 1)
 
         # The first optimum in row-major order, and its score.
         for direction, sign in (("max", 1.0), ("min", -1.0)):
@@ -227,9 +230,11 @@ def mid_hypergraphs(draw):
 
 
 def scan_cells(op):
-    """Cells of the prefix ``best_outcome`` scans on ``op``, and whether it eliminates any."""
-    prefix, buckets = op._elimination
-    return math.prod(prefix.shape), bool(buckets)
+    """Cells of the prefix ``best_outcome`` scans on ``op``, and whether it eliminates any:
+    the scan is the plan's last step, with an empty separator."""
+    *buckets, scan = op._elimination
+    assert scan.separator == ()
+    return math.prod(scan.shape), bool(buckets)
 
 
 @seed(20261019)
@@ -270,11 +275,15 @@ def test_chains_take_the_short_scan(n):
     cx.Hypergraph([(f"O{i}", 3) for i in range(6)], [(i, (i + 1) % 6) for i in range(6)]),
 ])
 def test_small_joints_keep_the_whole_joint_scan(g):
-    """Joints of at most 2^10 cells are scanned whole: the lift, context by context."""
+    """Joints of at most 2^10 cells are scanned whole: the lift, context by context.
+    The plan is one step, holding every context's rows at every joint cell, in
+    context order, and no message."""
     assert g.joint_dim <= 2**10
     op = g.incidence
     assert scan_cells(op) == (g.joint_dim, False)
-    assert op._elimination[0].contexts == tuple(range(g.n_contexts))
+    (scan,) = op._elimination
+    assert scan.inbox == ()
+    assert np.array_equal(scan.rows, op.rows(np.arange(g.joint_dim)).T)
 
 
 @pytest.mark.parametrize("ternary", [False, True])
@@ -368,15 +377,28 @@ def test_equal_hypergraphs_share_one_junction_tree():
     assert cx.pm_box().hypergraph.junction_tree is not g.junction_tree
 
 
+def same_steps(a, b):
+    """Whether two plans have the same steps, field by field."""
+    return len(a) == len(b) and all(
+        (s.separator, s.free, s.shape, s.strides) == (t.separator, t.free, t.shape, t.strides)
+        and np.array_equal(s.rows, t.rows) and s.rows.shape == t.rows.shape
+        and [k for k, _ in s.inbox] == [k for k, _ in t.inbox]
+        and all(np.array_equal(u, v) for (_, u), (_, v) in zip(s.inbox, t.inbox))
+        for s, t in zip(a, b)
+    )
+
+
 def test_equal_hypergraphs_share_one_elimination_plan():
     """Equal hypergraphs built separately share one ``best_outcome`` plan, whose index
-    table is read-only.  A plan made under another scan size is its own, and is
+    arrays are read-only.  A plan made under another scan size is its own, and is
     never reused at the real one; each plan is a function of its key alone."""
     g = cx.chain_box(20).hypergraph
     twin = cx.Hypergraph(list(g.observables), [list(ctx) for ctx in g.contexts])
     plan = g.incidence._elimination
     assert twin is not g and twin.incidence._elimination is plan
-    assert not plan[0].cells.flags.writeable
+    assert not any(
+        a.flags.writeable for step in plan for a in (step.rows, *(cells for _, cells in step.inbox))
+    )
     assert cx.chain_box(18).hypergraph.incidence._elimination is not plan
 
     # A ternary 7-cycle, planned under a patched scan size first, then at the real one.
@@ -388,13 +410,10 @@ def test_equal_hypergraphs_share_one_elimination_plan():
     real = real_op._elimination
     assert real is not patched
     assert (scan_cells(patched_op), scan_cells(real_op)) == ((9, True), (729, True))
-    for (scan, buckets), cells in ((patched, 16), (real, 2**10)):
-        fresh, fresh_buckets = boxes._elimination_plan.__wrapped__((3,) * 7, real_op.contexts, cells)
-        assert buckets == fresh_buckets
-        assert (scan.scope, scan.contexts, scan.messages) == (
-            fresh.scope, fresh.contexts, fresh.messages
-        )
-        assert np.array_equal(scan.cells, fresh.cells)
+    for steps, cells in ((patched, 16), (real, 2**10)):
+        fresh = boxes._elimination_plan.__wrapped__((3,) * 7, real_op.contexts, cells)
+        assert same_steps(steps, fresh)
+    assert not same_steps(patched, real)
 
 
 @pytest.mark.parametrize("n", [5, 14, 30, 62])

@@ -9,6 +9,7 @@ contained contexts and several components, and on sum-mod boxes.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from test_polytope import ternary_cycle_box
 import contextuality as cx
 from contextuality import measures
 from contextuality.boxes import junction_tree_joint
-from contextuality.sampling import random_noncontextual_box
+from contextuality.sampling import random_hypergraph, random_noncontextual_box
 
 
 @st.composite
@@ -131,6 +132,35 @@ def test_acyclicity_builds_no_lp():
     assert g.join_tree == ((0, ()),)
     with pytest.raises(cx.CapExceededError, match="junction-tree LP"):
         g.junction_tree.matrix
+
+
+def test_min_fill_prices_where_index_order_is_refused():
+    """Why two orders remain: on a random hypergraph of 60 binary observables the
+    index order of ``optimize_linear`` needs a table of 2^23 cells, refused
+    before allocating, while the min-fill tree's cliques hold at most 9
+    observables and its min-sum pass runs: a deterministic box's rows score
+    their own assignment least, and normal weights score no sampled assignment
+    below the least score."""
+    g = random_hypergraph(np.random.default_rng(0), 60, n_contexts=56)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cx.CapExceededError,
+                           match="eliminating observable 31 needs a table of 8388608 cells"):
+            cx.optimize_linear(g, [np.ones(g.context_dim(ci)) for ci in range(g.n_contexts)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table of 2^23 cells would take 64 MB
+
+    tree = g.junction_tree
+    assert max(map(len, tree.cliques)) <= 9
+    rng = np.random.default_rng(1)
+    own = cx.deterministic_box(cx.DeterministicAssignment(rng.integers(0, 2, size=60)), g)
+    assert tree.min_score(1.0 - own.stacked()) == 0.0
+    assert tree.min_score(-own.stacked()) == -g.n_contexts
+    y = rng.normal(size=g.incidence.dim)
+    sampled = y[g.incidence.digit_rows(rng.integers(0, 2, size=(200, 60)))].sum(axis=1)
+    assert tree.min_score(y) <= sampled.min()
 
 
 def acyclic_box(g, kind, rng):

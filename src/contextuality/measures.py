@@ -57,7 +57,11 @@ positive, the iterate is projected onto the joints with the box's
 marginals, ``p - M^T (M M^T)^+ (M p - b)``; a nonnegative projection is a
 noncontextual witness (Abramsky & Brandenburger 2011) whose own certificate,
 counted up to 0, closes the gap.  A contextual box has no such projection.
-A start that certifies counts 1 iteration.
+A start that certifies counts 1 iteration.  The same exit serves the
+contextuality cost: ``projected_joint`` runs this loop at uniform weights
+for at most 16 steps, stops once the best lower bound is positive, and
+hands the projection to ``polytope.contextuality_cost`` as a joint with the
+box's marginals, which certifies a cost of 0 there without an LP.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ _XMAX_MAX_OUTER = 2000
 _XMAX_ETA0 = 4.0
 # The step's floor is _EPS / joint_dim on every coordinate.
 _EPS = np.finfo(float).eps
+# Steps within which ``projected_joint`` tries the projection, at steps 1, 2,
+# 4, 8 and 16, before the cost leaves the box to its LP.
+_PROJECTION_STEPS = 16
 
 
 def relative_entropy(g, p) -> float:
@@ -245,10 +252,9 @@ class _FixedWeightProblem:
 
     @cached_property
     def gram(self) -> np.ndarray | None:
-        """``(M M^T)^+`` of the full incidence (see ``_gram_pinv``), when every
-        row is on the support, so the dense matrix is all of M, and both fit
-        ``DENSE_ENTRIES_CAP``; else None."""
-        if self.support.size < self.op.dim or self.dense is None or self.op.dim**2 > DENSE_ENTRIES_CAP:
+        """``(M M^T)^+`` of the full incidence (see ``_gram_pinv``) where the
+        box has a projection (``_projects``); else None."""
+        if not _projects(self.g, self.targets):
             return None
         return _gram_pinv(self.g.cardinalities, self.g.contexts)
 
@@ -279,6 +285,15 @@ class _FixedWeightProblem:
         with np.errstate(divide="ignore"):
             terms = self.t_s * np.log2(self.t_s / m)
         return np.array([terms[a:b].sum() for a, b in self.runs])
+
+
+def _projects(g: Hypergraph, targets: np.ndarray) -> bool:
+    """Whether the solver projects its iterates onto a box's marginals: every
+    target is positive, so the dense matrix is all of M, and both M and
+    ``M M^T`` fit ``DENSE_ENTRIES_CAP``.  Read from the box alone, before any
+    matrix is built."""
+    dim = g.incidence.dim
+    return dim * max(dim, g.joint_dim) <= DENSE_ENTRIES_CAP and bool(targets.min() > 0.0)
 
 
 def _gap(r_max: float) -> float:
@@ -323,6 +338,7 @@ def _solve_fixed(
     max_iters: int,
     init: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
+    contextual_exit: bool = False,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     g = problem.g
     certified = False
@@ -345,6 +361,10 @@ def _solve_fixed(
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
+            break
+        if contextual_exit and lower > 0.0:
+            # A positive lower bound certifies the box contextual: no
+            # projection can follow.
             break
         if lower <= 0.0 and iteration & (iteration - 1) == 0 and problem.gram is not None:
             # A nonnegative projection onto the box's marginals is a joint
@@ -387,6 +407,26 @@ def _solve_fixed(
     # clamped value is still an upper bound and [value - gap, value] still
     # brackets it.
     return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
+
+
+def projected_joint(box: Box) -> np.ndarray | None:
+    """A joint with the box's context marginals, from the projection exit of
+    the solver at uniform weights (see the module docstring); None where the
+    exit cannot apply (``_projects``, checked before any matrix is built),
+    and when the solve does not converge within ``_PROJECTION_STEPS`` steps.
+
+    The solve stops as soon as its best lower bound is positive, which
+    certifies the box contextual.  Nothing rests on this: the joint is the
+    point the solve stopped at, a projection or an iterate, and
+    ``polytope.contextuality_cost`` keeps only the cost that its own
+    marginals certify.
+    """
+    g = box.hypergraph
+    if not _projects(g, box.stacked()):
+        return None
+    problem = _FixedWeightProblem(box, ContextWeights.uniform(g.n_contexts))
+    _, p, _, _, converged, _ = _solve_fixed(problem, DEFAULT_TOL, _PROJECTION_STEPS, contextual_exit=True)
+    return p if converged else None
 
 
 def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -8,19 +8,27 @@ hypergraph.  The contextuality cost of a consistent box b solves
 over deterministic assignments D; the cost is 1 minus the optimum, and the
 residual (b - sum_D w_D vertexbox_D) / cost is the contextual remainder.
 
-Three kinds of box need no LP.  A box on a binary n-cycle (PR = CH(4),
+Four kinds of box need no LP.  A box on a binary n-cycle (PR = CH(4),
 KCBS, every CH(n); ``Hypergraph.is_binary_cycle``) gets its cost in closed
 form from its chained inequalities (``_binary_cycle_cost``), and a box on
-an acyclic hypergraph from its junction-tree joint
-(``_junction_tree_cost``).  A binary box within the 2^10-cell scan whose
-contexts are each flat on their two parity classes (isotropic PM and M,
-and the twirls onto them) gets it from its parity inequality and a
-symmetric witness (``_parity_cost``), kept only when the two ends meet
-within 1e-12.  That took the cost of PM(0.9) and M(0.9) from 0.73 and
-1.05 ms by the LP then used within the scan to 0.25 and 0.27 ms (best of
-30, a fresh box each call, 2-core Xeon host).  Every other box is solved by the junction-tree LP, and
-so is a binary cycle's witness when it is first read.  A witness is held
-as the digits of its assignments, so no joint index bounds the joint.
+an acyclic hypergraph from its junction-tree joint (``_joint_cost``).  A
+binary box within the 2^10-cell scan whose contexts are each flat on their
+two parity classes (isotropic PM and M, and the twirls onto them) gets it
+from its parity inequality and a symmetric witness (``_parity_cost``), kept
+only when the two ends meet within 1e-12.  That took the cost of PM(0.9)
+and M(0.9) from 0.73 and 1.05 ms by the LP then used within the scan to
+0.25 and 0.27 ms (best of 30, a fresh box each call, 2-core Xeon host).
+And a noncontextual box whose every entry is positive, and whose incidence
+matrix M and ``M M^T`` both fit ``measures.DENSE_ENTRIES_CAP``, gets it from
+the entropy solver's projection of an iterate onto the joints with its
+marginals (``measures.projected_joint``: at most 16 steps at uniform
+weights, stopped once the solver's lower bound is positive), a global
+section of the box (Abramsky & Brandenburger 2011) that ``_joint_cost``
+certifies as it does the junction-tree joint.  A joint is kept only at a
+cost of at most 1e-9, so one that misses leaves the box to the LP.  Every
+other box is solved by the junction-tree LP, and so is a binary cycle's
+witness when it is first read.  A witness is held as the digits of its
+assignments, so no joint index bounds the joint.
 
 The junction-tree LP (``boxes.JunctionTree``, on a min-fill order) has the
 clique tables as variables: maximize the root's mass subject to agreement
@@ -233,29 +241,25 @@ def contextuality_cost(box: Box) -> CostReport:
     """Minimal contextual weight in any convex decomposition of ``box``.
 
     A binary n-cycle gets its cost in closed form, a box on an acyclic
-    hypergraph from its junction-tree joint, and a binary box within the
+    hypergraph from its junction-tree joint, a binary box within the
     2^10-cell scan that is flat on every context's parity classes from its
-    parity inequality and a symmetric witness, when the two meet; every
-    other box is solved by the junction-tree LP (see the module docstring).
-    Defined only
-    for consistent boxes; inconsistent input is refused rather than given
-    a misleading number.  Refuses a box of more than ``boxes.MAX_OBSERVABLES``
-    observables, and one whose junction-tree LP has more variables and
-    matrix entries than ``JOINT_DIM_CAP``.
+    parity inequality and a symmetric witness, when the two meet, and a
+    noncontextual box of full support within the dense caps from the
+    entropy solver's projection onto its marginals, when that is found
+    within 16 steps; every other box is solved by the junction-tree LP (see
+    the module docstring).  Defined only for consistent boxes; inconsistent
+    input is refused rather than given a misleading number.  Refuses a box
+    of more than ``boxes.MAX_OBSERVABLES`` observables, and one whose
+    junction-tree LP has more variables and matrix entries than
+    ``JOINT_DIM_CAP``.
     """
     require_consistent(box)
-    g = box.hypergraph
-    if g.is_binary_cycle:
+    if box.hypergraph.is_binary_cycle:
         return _binary_cycle_cost(box)
-    joint = junction_tree_joint(box)
-    if joint is not None:
-        report = _junction_tree_cost(box, joint)
-        if report.cost <= _LP_TOL:
-            return report
-    report = _parity_cost(box)
-    if report is not None:
-        return report
-    return _tree_lp(box)
+    from .measures import projected_joint  # measures imports this module
+
+    return (_joint_cost(box, junction_tree_joint(box)) or _parity_cost(box)
+            or _joint_cost(box, projected_joint(box)) or _tree_lp(box))
 
 
 # P(equal) - P(differ) from a pair's outcomes 00, 01, 10, 11.
@@ -424,26 +428,32 @@ def _peeled(box: Box, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, weights * _within(box, _mass(box.hypergraph, digits, weights))
 
 
-def _junction_tree_cost(box: Box, joint: np.ndarray) -> CostReport:
-    """The cost certified by the junction-tree joint of a box on an acyclic hypergraph.
+def _joint_cost(box: Box, joint: np.ndarray | None) -> CostReport | None:
+    """The cost certified by a joint with the box's context marginals: the
+    junction-tree joint of a box on an acyclic hypergraph (Vorob'ev 1962), or
+    the entropy solver's projection onto a noncontextual box's marginals.
 
-    The joint has the box's context marginals (Vorob'ev 1962).  The witness
-    is its positive cells, scaled by the largest ``s <= 1`` that keeps its
-    box within ``b`` on every row, so it spends no more than the box, to
-    rounding, even where the box is consistent only within
-    ``require_consistent``'s tolerance.  The cost ``1 - s * sum(joint)``,
-    about 1e-15, is then an upper bound, and 0 a lower one.  A cost above
-    1e-9, or a joint above ``JOINT_DIM_CAP`` cells, which is not built,
-    leaves the box to an LP.
+    The witness is the joint's positive cells, scaled by the largest
+    ``s <= 1`` that keeps its box within ``b`` on every row, so it spends no
+    more than the box, to rounding, even where the joint's marginals, or the
+    box's consistency, hold only approximately.  The cost
+    ``1 - s * sum(joint)``, about 1e-15, is then an upper bound, and 0 a
+    lower one.  None, which leaves the box to the next route, when there is
+    no joint, or its cost is above 1e-9.
     """
+    if joint is None:
+        return None
     positive = joint.reshape(box.hypergraph.joint_shape) > 0.0
     weights = joint[positive.ravel()] * _within(box, box.hypergraph.incidence.marginals(joint))
     cost = min(1.0, max(0.0, 1.0 - float(weights.sum())))
+    if cost > _LP_TOL:
+        return None
     return CostReport(cost, (0.0, cost), box, lambda: (np.argwhere(positive), weights))
 
 
 def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:
-    """Membership test for the NC polytope via the cost LP, at a finite ``tol >= 0``."""
+    """Membership test for the NC polytope, at a finite ``tol >= 0``: whether
+    ``contextuality_cost``, by the LP or a route that needs none, is at most ``tol``."""
     check_tolerance(tol)
     return contextuality_cost(box).cost <= tol
 

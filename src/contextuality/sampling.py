@@ -26,6 +26,11 @@ from .errors import InvalidBoxError
 CHANNEL_TERMS = 2
 # Smallest and largest context size drawn by ``random_hypergraph``.
 CONTEXT_SIZES = (2, 3)
+# Attempts ``random_hypergraph`` makes before it refuses a request.  A draw of
+# the tests takes at most 440, of the benchmark's small-batch pool 40, and
+# ``(64, 60)`` at ``default_rng(1)`` 969; ``(24, 13)`` at ``default_rng(0)``
+# takes 5,239.
+HYPERGRAPH_ATTEMPTS = 10_000
 
 
 def random_joint(g: Hypergraph, rng: np.random.Generator) -> JointDistribution:
@@ -74,7 +79,9 @@ def random_hypergraph(rng: np.random.Generator, n_observables: int, n_contexts: 
     Context sizes are drawn uniformly from ``CONTEXT_SIZES``, capped at
     ``n_observables``.  Requests no attempt can meet (more contexts than
     subsets of those sizes or than one attempt's draws, or too few contexts to
-    cover every observable) are refused.
+    cover every observable) are refused, and so are requests that
+    ``HYPERGRAPH_ATTEMPTS`` attempts do not meet, such as ``(18, 7)``, whose
+    few contexts rarely cover every observable.
     """
     lo, hi = CONTEXT_SIZES
     hi = min(hi, n_observables)
@@ -82,7 +89,7 @@ def random_hypergraph(rng: np.random.Generator, n_observables: int, n_contexts: 
     subsets = sum(math.comb(n_observables, size) for size in range(lo, hi + 1))
     if n_observables < lo or n_contexts > min(subsets, draws) or n_contexts * hi < n_observables:
         raise InvalidBoxError(f"cannot draw {n_contexts} contexts for {n_observables} observables")
-    while True:
+    for _ in range(HYPERGRAPH_ATTEMPTS):
         seen: set[frozenset[int]] = set()
         contexts: list[tuple[int, ...]] = []
         guard = 0
@@ -97,3 +104,6 @@ def random_hypergraph(rng: np.random.Generator, n_observables: int, n_contexts: 
         covered = {i for c in contexts for i in c}
         if len(contexts) == n_contexts and covered == set(range(n_observables)):
             return Hypergraph([(f"O{i}", 2) for i in range(n_observables)], contexts)
+    raise InvalidBoxError(
+        f"cannot draw {n_contexts} contexts covering {n_observables} observables in {HYPERGRAPH_ATTEMPTS} attempts"
+    )

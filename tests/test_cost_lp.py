@@ -19,7 +19,7 @@ from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
-from contextuality import boxes, polytope
+from contextuality import boxes, measures, polytope
 from contextuality.boxes import JOINT_DIM_CAP, JunctionTree, junction_tree_joint
 from contextuality.closed_form import cost_closed_form, nc_interval
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
@@ -787,3 +787,111 @@ def test_other_boxes_reach_the_lp(box, highs_log):
     report = cx.contextuality_cost(box)
     assert highs_log["runs"] > 0
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
+
+
+# Noncontextual boxes of full support: the entropy solver's projection onto
+# their marginals is the witness, with no LP.
+
+PROJECTION_ANCHORS = (cx.pm_box(), cx.mermin_box(), ternary_cycle_box(4))
+
+
+def boundary_weight(anchor, noise):
+    """The largest weight of ``anchor`` in a mix with ``noise`` whose LP cost is at
+    most 1e-9, bisected to 2^-16."""
+    lo, hi = 0.0, 1.0
+    for _ in range(16):
+        mid = (lo + hi) / 2.0
+        if polytope._tree_lp(cx.mix(anchor, noise, mid)).cost > 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@st.composite
+def full_support_boxes(draw):
+    """A binary or ternary box with no zero entry, and whether it is noncontextual.
+
+    Either a Dirichlet joint's box on a cyclic ``random_hypergraph`` draw of
+    6 to 9 observables, any of them ternary within 1024 joint cells, with k
+    to 2k contexts: noncontextual.  Smaller joints under many contexts
+    leave little room: on 4 and 5 observables, with k/2 + 1 to 2k contexts,
+    12 of 99 such boxes had no nonnegative projection within 16 steps, and
+    went to the LP.  Or an anchor of ``PROJECTION_ANCHORS`` mixed with a
+    Dirichlet joint's box, either at up to 3/4 of the boundary weight w*,
+    so noncontextual, or above w* by 1/20 to 19/20 of the distance to 1,
+    so contextual.  Near w* the projection can miss as well.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(6, 9))
+        n_ternary = draw(st.integers(0, max(t for t in range(k + 1) if 3**t * 2 ** (k - t) <= 1024)))
+        g = random_hypergraph(rng, k, draw(st.integers(k, 2 * k)))
+        ternary = set(rng.choice(k, size=n_ternary, replace=False).tolist())
+        g = cx.Hypergraph([(f"O{i}", 3 if i in ternary else 2) for i in range(k)], g.contexts)
+        assume(g.join_tree is None)
+        return shuffled(random_noncontextual_box(g, rng), rng), True
+    anchor = draw(st.sampled_from(PROJECTION_ANCHORS))
+    noise = random_noncontextual_box(anchor.hypergraph, rng)
+    edge = boundary_weight(anchor, noise)
+    noncontextual = draw(st.booleans())
+    if noncontextual:
+        weight = edge * draw(st.floats(0.0, 0.75))
+    else:
+        weight = edge + (1.0 - edge) * draw(st.floats(0.05, 0.95))
+    return shuffled(cx.mix(anchor, noise, weight), rng), noncontextual
+
+
+@seed(20261104)
+@settings(max_examples=40, deadline=None)
+@given(case=full_support_boxes())
+def test_full_support_boxes_reach_the_lp_only_when_contextual(case):
+    """A noncontextual box of full support gets its cost from the projection, with
+    no HiGHS run: a zero-width bracket at most 1e-9, a witness that rebuilds
+    the box, and the LP's cost.  A contextual one runs the LP once, and its
+    report is the LP's."""
+    box, noncontextual = case
+    assert box.stacked().min() > 0.0
+    assert polytope._parity_cost(box) is None
+    with solver_calls() as calls:
+        report = cx.contextuality_cost(box)
+    lp = polytope._tree_lp(box)
+    if noncontextual:
+        assert "run" not in calls
+        lo, hi = report.interval
+        assert 0.0 <= lo <= hi <= 1e-9, (lo, hi)
+        check_report(box, report)
+        assert abs(report.cost - lp.cost) <= 1e-9
+    else:
+        assert lp.cost > 1e-9
+        assert calls.count("run") == 1
+        assert cost_fields(report) == cost_fields(lp)
+
+
+def zero_target_box():
+    """The box of a joint on 20 of the 1024 cells of Mermin's hypergraph:
+    noncontextual, with zero entries."""
+    g = cx.mermin_box().hypergraph
+    rng = np.random.default_rng(3)
+    p = np.zeros(g.joint_dim)
+    p[rng.choice(g.joint_dim, size=20, replace=False)] = rng.dirichlet(np.ones(20))
+    return cx.box_of_joint(cx.JointDistribution(g, p))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [ternary_cycle_box(4), zero_target_box(), cx.direct_sum(cx.mermin_box(0.9), cx.pr_box(0.9))],
+    ids=["ternary-4-cycle", "sparse-M", "M+PR"],
+)
+def test_boxes_without_a_projection_build_no_matrix(box):
+    """A box with a zero entry, or whose incidence matrix exceeds
+    ``DENSE_ENTRIES_CAP`` (M + PR: 96 rows of 2^14 cells), is refused the
+    projection before any matrix is built, and gets the LP's report."""
+    g = box.hypergraph
+    assert box.stacked().min() == 0.0 or g.incidence.dim * g.joint_dim > measures.DENSE_ENTRIES_CAP
+    expected = cost_fields(polytope._tree_lp(box))
+    columns = boxes.ContextIncidence.columns
+    with mock.patch.object(boxes.ContextIncidence, "columns", autospec=True, side_effect=columns) as spy:
+        fields = cost_fields(cx.contextuality_cost(box))
+    assert spy.call_count == 0
+    assert fields == expected

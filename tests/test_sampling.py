@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import contextuality as cx
-from contextuality.sampling import random_hypergraph
+from contextuality.sampling import HYPERGRAPH_ATTEMPTS, random_hypergraph
 
 
 @pytest.mark.parametrize(
@@ -35,4 +35,13 @@ def test_seeded_draw_is_pinned(seed, n_observables, n_contexts, contexts, next_d
 def test_unmeetable_request_refused(n_observables, n_contexts):
     rng = np.random.default_rng(0)
     with pytest.raises(cx.InvalidBoxError, match="cannot draw"):
+        random_hypergraph(rng, n_observables, n_contexts)
+
+
+@pytest.mark.parametrize("n_observables,n_contexts", [(18, 7), (24, 9)])
+def test_rarely_met_request_refused(n_observables, n_contexts):
+    """Requests the guard accepts but few attempts meet are refused after
+    ``HYPERGRAPH_ATTEMPTS`` attempts, instead of drawing forever."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(cx.InvalidBoxError, match=f"in {HYPERGRAPH_ATTEMPTS} attempts"):
         random_hypergraph(rng, n_observables, n_contexts)

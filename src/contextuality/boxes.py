@@ -1216,6 +1216,25 @@ def direct_sum(b1: Box, b2: Box) -> Box:
     return Box(g, list(b1.distributions) + list(b2.distributions))
 
 
+def split_components(box: Box) -> tuple[tuple[Box, tuple[int, ...]], ...]:
+    """The box on each connected component of its hypergraph, with the
+    indices of that component's contexts in the box: ``direct_sum`` undone,
+    up to the names it suffixed.  A component keeps its observables and its
+    contexts in the box's order, so each context's table is the box's own;
+    nothing is validated again."""
+    g = box.hypergraph
+    parts = []
+    for comp in g.components:
+        index = {i: j for j, i in enumerate(comp)}
+        members = tuple(ci for ci, ctx in enumerate(g.contexts) if ctx[0] in index)
+        sub = Hypergraph(
+            [g.observables[i] for i in comp],
+            [tuple(index[i] for i in g.contexts[ci]) for ci in members],
+        )
+        parts.append((Box(sub, [box.distributions[ci] for ci in members]), members))
+    return tuple(parts)
+
+
 def tensor(b1: Box, b2: Box) -> Box:
     """Tensor product: contexts are all unions of context pairs, product distributions."""
     g1, g2 = b1.hypergraph, b2.hypergraph

@@ -29,10 +29,19 @@ then r and ``max r``, which serves both the gap and the next over-relaxed
 step.  Floored iterates have positive marginals, so no marginal is scanned
 for zeros; a zero one shows as an infinite value.
 
-The maximized measure sup_w min_p is computed by multiplicative-weights
-ascent on the context simplex; the supergradient at w is the vector of
-per-context divergences at the inner minimizer.  Each round reweights one
-problem; its rows, and so its matrix, come from the box alone.
+The maximized measure sup_w min_p is computed by supergradient ascent on
+the log-weights; the supergradient at w is the vector d of per-context
+divergences at the inner minimizer.  The step is scaled by d's range, so
+its largest move is ``eta`` whatever the size of d, and eta follows the
+accept / grow / back-off rule of the over-relaxation: a round whose value
+does not fall becomes the base and eta grows, up to a cap; any other round
+shrinks eta, and the next step is taken from the base again.  For every
+joint p and weights w, ``max_c D_c(p) >= sum_c w_c D_c(p) >= phi(w)``, so
+the least ``max_c D_c`` seen bounds the supremum from above.  Each round
+reweights one problem; its rows, and so its matrix, come from the box
+alone.  On a cyclic hypergraph of several components, each component's
+phi is concave and homogeneous of degree 1 in its weights, so the supremum
+is the largest component's, and the ascent runs on each component.
 
 On an acyclic hypergraph every consistent box is noncontextual, and its
 junction-tree joint (``boxes.junction_tree_joint``) has the box's context
@@ -72,6 +81,7 @@ import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +95,7 @@ from .boxes import (
     junction_tree_joint,
     probability_vector,
     require_consistent,
+    split_components,
 )
 from .closed_form import chi
 from .errors import InvalidBoxError, NotXorBoxError
@@ -108,10 +119,18 @@ DENSE_ENTRIES_CAP = 2**20
 OVERRELAX_GROWTH = 1.5
 OVERRELAX_CAP = 16.0
 # x_max's ascent: the least improvement that counts (and the stopping gap to
-# the upper bound), the round cap, and the step scale (round t: eta0/sqrt(t)).
+# the upper bound), and the round cap.
 _XMAX_IMPROVE_TOL = 1e-7
 _XMAX_MAX_OUTER = 2000
-_XMAX_ETA0 = 4.0
+# Its step, the largest move of a log-weight in a round: the first, the
+# factor after a round whose value does not fall, up to the cap, and the
+# factor after one whose value falls.  Without the cap, grown steps threw
+# some weights of a connected box to about 2e-6 within a few rounds, where
+# one inner solve ran into its 200,000-iteration limit.
+_XMAX_ETA0 = 0.05
+_XMAX_ETA_GROWTH = 1.5
+_XMAX_ETA_CAP = 0.5
+_XMAX_ETA_SHRINK = 0.25
 # The step's floor is _EPS / joint_dim on every coordinate.
 _EPS = np.finfo(float).eps
 # Steps within which ``projected_joint`` tries the projection, at steps 1, 2,
@@ -164,8 +183,9 @@ class MeasureReport:
 
     ``value - duality_gap`` is the best lower bound on the true optimum of the
     inner minimization over the iterates of the solve; for maximized runs
-    ``outer_gap`` additionally bounds the distance to the supremum over weights
-    (it may stay looser than the inner tolerance and is informational).
+    ``value + outer_gap`` is a sound upper bound on the supremum over weights
+    (it may stay looser than the inner tolerance; ``converged`` does not
+    read it).
     """
 
     value: float
@@ -178,20 +198,6 @@ class MeasureReport:
     outer_weights: ContextWeights | None = None
     outer_gap: float | None = None
     trace: tuple[tuple[int, float, float], ...] = ()
-
-
-def _factorize_components(p_tensor: np.ndarray, g: Hypergraph) -> np.ndarray:
-    """Replace p by the product of its marginals on hypergraph components.
-
-    Context marginals are unchanged (each context lives in one component), so
-    the objective value is preserved while the minimizer factorizes.
-    """
-    k = g.n_observables
-    factors = [
-        p_tensor.sum(axis=tuple(a for a in range(k) if a not in comp), keepdims=True)
-        for comp in g.components
-    ]
-    return functools.reduce(np.multiply, factors)
 
 
 class _FixedWeightProblem:
@@ -399,7 +405,11 @@ def _solve_fixed(
     if len(g.components) > 1:
         # Factorizing across components keeps every context marginal, hence
         # the value; re-evaluate so the value refers to the returned point.
-        p = _factorize_components(p.reshape(g.joint_shape), g).reshape(-1)
+        p_tensor = p.reshape(g.joint_shape)
+        p = _component_product(g, [
+            p_tensor.sum(axis=tuple(a for a in range(g.n_observables) if a not in comp))
+            for comp in g.components
+        ])
         value, _, point_r_max = problem.field(p)
         lower = max(lower, value - _gap(point_r_max))
         gap = max(value - lower, 0.0)
@@ -528,70 +538,132 @@ def x_max(
 ) -> MeasureReport:
     """Weight-maximized relative entropy of contextuality.
 
-    Multiplicative-weights supergradient ascent over the context simplex;
-    each inner solve (the ``x_fixed`` policy with both of its exits,
-    warm-started from the previous minimizer, the first round from the
-    junction-tree joint or the isotropic parity mixture as in ``x_fixed``,
-    with ``tol`` and ``max_iters``) supplies the supergradient
-    (the per-context divergence vector) and a candidate upper bound
-    ``max_c D_c`` at its minimizer; the ascent stops after ``outer_window``
-    rounds without improvement, or once that bound meets the best value.
-    The reported value is the best certified inner value found; no claim is
-    made that the supremum is attained.
+    Supergradient ascent on the log-weights with a self-scaling step (see
+    ``_ascend``); each inner solve (the ``x_fixed`` policy with both of its
+    exits, warm-started from the best round's minimizer, the first round
+    from the junction-tree joint or the isotropic parity mixture as in
+    ``x_fixed``, with ``tol`` and ``max_iters``) supplies the supergradient
+    (the per-context divergence vector) and an upper bound ``max_c D_c`` at
+    its minimizer.  The ascent stops after ``outer_window`` rounds without
+    an improvement of ``_XMAX_IMPROVE_TOL``, or once the least upper bound
+    is within it of the best value.  The reported value is the best inner
+    value found, ``duality_gap`` its inner gap, and ``outer_gap`` the
+    distance from it to the least upper bound, so
+    ``[value - duality_gap, value + outer_gap]`` brackets the supremum.
+    ``converged`` reads the inner gap and the round cap, not ``outer_gap``.
+
+    On a cyclic hypergraph of several components the ascent runs on each
+    component's box, since the supremum of a direct sum is its largest
+    component's.  The report takes that component's value, gap and
+    weights, with zero weights on the other contexts, the product of the
+    components' minimizers as optimizer, their summed inner iterations, and
+    their largest upper bound.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
-    check_joint_dim(box.hypergraph, dim_cap)
+    g = box.hypergraph
+    check_joint_dim(g, dim_cap)
     start = time.perf_counter()
+    if g.join_tree is None and len(g.components) > 1:
+        parts = split_components(box)
+    else:
+        parts = ((box, tuple(range(g.n_contexts))),)
+    ascents = [_ascend(part, tol, max_iters, outer_window) for part, _ in parts]
+    k = max(range(len(ascents)), key=lambda i: ascents[i].value)
+    best = ascents[k]
+    weights = np.zeros(g.n_contexts)
+    weights[list(parts[k][1])] = best.weights
+    p = best.p if len(parts) == 1 else _component_product(g, [a.p for a in ascents])
+    upper = max(a.upper for a in ascents)
+    return MeasureReport(
+        value=best.value,
+        optimizer=JointDistribution._of(g, p),
+        duality_gap=best.gap,
+        iterations=sum(a.iterations for a in ascents),
+        wall_time_s=time.perf_counter() - start,
+        converged=best.gap <= tol and all(a.rounds < _XMAX_MAX_OUTER for a in ascents),
+        method="mw-ascent(auto)",
+        outer_weights=ContextWeights._of(weights),
+        outer_gap=max(0.0, upper - best.value),
+    )
+
+
+class _Ascent(NamedTuple):
+    """One box's ascent: its base round's value, inner gap, weights and
+    minimizer, an upper bound on the supremum, the inner iterations of all
+    rounds, and the number of rounds."""
+
+    value: float
+    gap: float
+    weights: np.ndarray
+    p: np.ndarray
+    upper: float
+    iterations: int
+    rounds: int
+
+
+def _ascend(box: Box, tol: float, max_iters: int, outer_window: int) -> _Ascent:
+    """``x_max``'s ascent on one box, from uniform weights.
+
+    The base is the last round whose value did not fall; it is the best
+    round so far.  The next log-weights are the base's plus
+    ``eta * (d - max d) / (max d - min d)``, with d the base's divergences,
+    so a step moves the log-weights by at most ``eta`` whatever the scale of
+    d.  A round whose value does not fall becomes the base, and eta grows up
+    to ``_XMAX_ETA_CAP``; otherwise eta shrinks and the next step is taken
+    from the base again.  Every inner solve after the first warm-starts
+    from the base's minimizer.  A base whose divergences are all equal
+    closes the bracket, so the step never divides by 0.
+    """
     n = box.hypergraph.n_contexts
-    log_w = np.zeros(n)
-    best_value = -float("inf")
-    best_gap = float("inf")
-    best_weights: np.ndarray | None = None
-    best_p: np.ndarray | None = None
-    upper = float("inf")
-    total_inner = 0
-    last_improve = 0
     warm, candidate = _starts(box)
-    p_sum = np.zeros(box.hypergraph.joint_dim)
     # One problem, reweighted each round; its rows do not depend on the weights.
     problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
-    outer = 0
+    p_sum = np.zeros(box.hypergraph.joint_dim)
+    log_w = base_log_w = np.zeros(n)
+    eta = _XMAX_ETA0
+    best_value, best_gap, best_weights = -math.inf, math.inf, log_w
+    upper = math.inf
+    total_inner = last_improve = outer = 0
     for outer in range(1, _XMAX_MAX_OUTER + 1):
-        shifted = log_w - log_w.max()
-        w_vec = np.exp(shifted)
+        w_vec = np.exp(log_w - log_w.max())
         w_vec /= w_vec.sum()
         problem.reweight(w_vec)
         value, p_flat, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, warm, candidate)
         total_inner += iters
-        warm, candidate = p_flat, None
+        candidate = None
         p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
         if value > best_value + _XMAX_IMPROVE_TOL:
             last_improve = outer
-        if value > best_value:
-            best_value, best_gap, best_weights, best_p = value, gap, w_vec, p_flat
+        if value >= best_value:
+            if outer > 1:
+                eta = min(eta * _XMAX_ETA_GROWTH, _XMAX_ETA_CAP)
+            best_value, best_gap, best_weights, warm = value, gap, w_vec, p_flat
+            base_log_w, base_d = log_w, divergences
+        else:
+            eta *= _XMAX_ETA_SHRINK
         if outer - last_improve >= outer_window:
             break
         if upper - best_value <= _XMAX_IMPROVE_TOL:
             break
-        eta = _XMAX_ETA0 / math.sqrt(outer)
-        log_w = log_w + eta * divergences
+        low, high = base_d.min(), base_d.max()
+        log_w = base_log_w + eta * (base_d - high) / (high - low)
     avg = p_sum / p_sum.sum()
     upper = min(upper, float(problem.divergences(avg).max()))
-    assert best_weights is not None and best_p is not None
-    return MeasureReport(
-        value=best_value,
-        optimizer=JointDistribution._of(box.hypergraph, best_p),
-        duality_gap=best_gap,
-        iterations=total_inner,
-        wall_time_s=time.perf_counter() - start,
-        converged=best_gap <= tol and outer < _XMAX_MAX_OUTER,
-        method="mw-ascent(auto)",
-        outer_weights=ContextWeights._of(best_weights),
-        outer_gap=max(0.0, upper - best_value),
-    )
+    return _Ascent(best_value, best_gap, best_weights, warm, upper, total_inner, outer)
+
+
+def _component_product(g: Hypergraph, parts: list[np.ndarray]) -> np.ndarray:
+    """The flat joint on ``g`` that is the product of one joint per component
+    of ``g`` (in ``g.components``' order, each laid out in its observables'
+    order), so each part is its marginal on its component."""
+    factors = [
+        part.reshape([card if i in comp else 1 for i, card in enumerate(g.cardinalities)])
+        for comp, part in zip(g.components, parts)
+    ]
+    return functools.reduce(np.multiply, factors).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """The entropy solver against a copy of its earlier loop, bit for bit.
 
-``reference_solve_fixed`` and ``reference_x_max`` keep the solver's loop and
-``x_max``'s ascent as they were before the per-iteration trims: every step
-went through ``reference_evaluate`` (a scan for a zero marginal, the joint
-reshapes, and the gap from ``r.max()``), the over-relaxed step took
-``r.max()`` again, the components were found anew on every solve, and every
-``x_max`` round built a new problem from validated ``ContextWeights``.  Like
-``plain_em`` in ``test_measures.py`` they are an oracle.
+``reference_solve_fixed`` keeps the solver's loop as it was before the
+per-iteration trims: every step went through ``reference_evaluate`` (a scan
+for a zero marginal, the joint reshapes, and the gap from ``r.max()``), the
+over-relaxed step took ``r.max()`` again, and the components were found anew
+on every solve.  ``reference_x_max`` writes ``x_max``'s self-scaling ascent
+and its split into hypergraph components on its own, and every round builds
+a new problem from validated ``ContextWeights``.  Like ``plain_em`` in
+``test_measures.py`` they are an oracle.
 
 The oracle also has the solver's two exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
@@ -227,19 +228,27 @@ def assert_same_solve(got, expected, exit, box):
         assert np.abs(got[1] - p).max() <= 1e-12
 
 
-def reference_x_max(box, tol, max_iters, outer_window):
-    """``x_max``'s ascent with a new problem per round, the isotropic start
-    tried in the first; returns the report's fields, and whether an exit
-    fired in any round."""
+def reference_ascent(box, tol, max_iters, outer_window):
+    """The ascent on one connected box, a new problem per round: the
+    junction-tree joint as the first start on an acyclic box, else the
+    isotropic start tried in the first round.  The base is the last round
+    whose value did not fall; the step moves the base's log-weights by
+    ``eta * (d - max d) / (max d - min d)``, d its divergences, with eta
+    grown after a base (up to its cap) and shrunk after any other round.
+    Returns the base round's value, gap, weights and minimizer, the upper
+    bound, the inner iterations and rounds, and whether an exit fired."""
     n = box.hypergraph.n_contexts
-    log_w = np.zeros(n)
-    best_value, best_gap, best_weights, best_p = -float("inf"), float("inf"), None, None
-    upper, total_inner, last_improve, warm = float("inf"), 0, 0, None
-    candidate, exited = reference_candidate(box), False
-    p_sum = np.zeros(box.hypergraph.joint_dim)
+    warm = measures.junction_tree_joint(box)
+    candidate = reference_candidate(box) if warm is None else None
     problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(n))
-    outer = 0
-    for outer in range(1, measures._XMAX_MAX_OUTER + 1):
+    p_sum = np.zeros(box.hypergraph.joint_dim)
+    log_w = np.zeros(n)
+    eta = measures._XMAX_ETA0
+    base = None
+    upper, total_inner, last_improve, exited = float("inf"), 0, 0, False
+    rounds = 0
+    while rounds < measures._XMAX_MAX_OUTER:
+        rounds += 1
         w_vec = np.exp(log_w - log_w.max())
         w_vec /= w_vec.sum()
         weights = cx.ContextWeights(w_vec)
@@ -248,25 +257,72 @@ def reference_x_max(box, tol, max_iters, outer_window):
         )
         exited = exited or exit is not None
         total_inner += iters
-        warm, candidate = p_flat, None
+        candidate = None
         p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
-        if value > best_value + measures._XMAX_IMPROVE_TOL:
-            last_improve = outer
-        if value > best_value:
-            best_value, best_gap, best_weights, best_p = value, gap, weights, p_flat
-        if outer - last_improve >= outer_window:
+        if base is None or value > base["value"] + measures._XMAX_IMPROVE_TOL:
+            last_improve = rounds
+        if base is None or value >= base["value"]:
+            if base is not None:
+                eta = min(eta * measures._XMAX_ETA_GROWTH, measures._XMAX_ETA_CAP)
+            base = {"value": value, "gap": gap, "weights": weights.weights, "p": p_flat,
+                    "log_w": log_w, "d": divergences}
+            warm = p_flat
+        else:
+            eta *= measures._XMAX_ETA_SHRINK
+        if rounds - last_improve >= outer_window or upper - base["value"] <= measures._XMAX_IMPROVE_TOL:
             break
-        if upper - best_value <= measures._XMAX_IMPROVE_TOL:
-            break
-        eta = measures._XMAX_ETA0 / math.sqrt(outer)
-        log_w = log_w + eta * divergences
+        d = base["d"]
+        log_w = base["log_w"] + eta * (d - d.max()) / (d.max() - d.min())
     avg = p_sum / p_sum.sum()
     upper = min(upper, float(problem.divergences(avg).max()))
-    converged = best_gap <= tol and outer < measures._XMAX_MAX_OUTER
-    return (best_value, best_gap, total_inner, converged, best_weights.weights.tobytes(),
-            max(0.0, upper - best_value), best_p.tobytes()), exited
+    return base, upper, total_inner, rounds, exited
+
+
+def reference_product(g, parts):
+    """The joint whose marginal on each component (``reference_components``'
+    order) is the matching flat joint of ``parts``."""
+    comps = reference_components(g)
+    prod = parts[0].reshape([g.cardinalities[i] for i in comps[0]])
+    for comp, part in zip(comps[1:], parts[1:]):
+        prod = np.multiply.outer(prod, part.reshape([g.cardinalities[i] for i in comp]))
+    axis_order = [i for comp in comps for i in comp]
+    perm = tuple(axis_order.index(j) for j in range(g.n_observables))
+    return np.ascontiguousarray(np.transpose(prod, perm)).reshape(-1)
+
+
+def reference_x_max(box, tol, max_iters, outer_window):
+    """``x_max`` by ``reference_ascent``: on the whole box if its hypergraph
+    is connected or acyclic, else on each component's box, reporting the
+    first component of largest value with zero weights elsewhere, the
+    product of the components' minimizers, their summed inner iterations
+    and their largest upper bound.  Returns the report's fields, and whether
+    an exit fired in any round."""
+    g = box.hypergraph
+    comps = reference_components(g)
+    if len(comps) == 1 or g.join_tree is not None:
+        comps = [list(range(g.n_observables))]
+    ascents, members = [], []
+    for comp in comps:
+        index = {i: j for j, i in enumerate(sorted(comp))}
+        cis = [ci for ci, ctx in enumerate(g.contexts) if set(ctx) <= set(comp)]
+        part = box if len(comps) == 1 else cx.Box(
+            cx.Hypergraph([g.observables[i] for i in sorted(comp)],
+                          [[index[i] for i in g.contexts[ci]] for ci in cis]),
+            [box.distributions[ci] for ci in cis])
+        ascents.append(reference_ascent(part, tol, max_iters, outer_window))
+        members.append(cis)
+    values = [base["value"] for base, *_ in ascents]
+    k = values.index(max(values))
+    best = ascents[k][0]
+    weights = np.zeros(g.n_contexts)
+    weights[members[k]] = best["weights"]
+    p = best["p"] if len(comps) == 1 else reference_product(g, [a[0]["p"] for a in ascents])
+    upper = max(a[1] for a in ascents)
+    converged = best["gap"] <= tol and all(a[3] < measures._XMAX_MAX_OUTER for a in ascents)
+    return (best["value"], best["gap"], sum(a[2] for a in ascents), converged, weights.tobytes(),
+            max(0.0, upper - best["value"]), p.tobytes()), any(a[4] for a in ascents)
 
 
 def fields(report):

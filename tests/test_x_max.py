@@ -1,0 +1,133 @@
+"""``x_max``'s self-scaling ascent against the multiplicative-weights ascent
+it replaced, and its split of a direct sum into components.
+
+``previous_x_max`` keeps the earlier ascent: log-weights moved by
+``4 / sqrt(t)`` times the divergences in round t, each round warm-started
+from the last minimizer, on the whole box.  Each round's value is an inner
+solve's value at some weights, and the upper bound ``max_c D_c(p)`` at any
+joint p is at least the supremum, so the new value must reach the earlier
+one, and the earlier lower bound must lie below the new upper bound.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from test_dense_solver import ANCHORS, SUM_ANCHOR, shuffled, sparse_box
+from test_solver_identity import dense_box
+
+import contextuality as cx
+from contextuality import measures
+from contextuality.boxes import split_components
+
+
+def previous_x_max(box, tol=measures.DEFAULT_TOL, max_iters=measures.DEFAULT_MAX_ITERS, outer_window=200):
+    """The earlier ascent's value, inner gap and upper bound."""
+    n = box.hypergraph.n_contexts
+    log_w = np.zeros(n)
+    best_value, best_gap, upper = -math.inf, math.inf, math.inf
+    last_improve = 0
+    warm, candidate = measures._starts(box)
+    p_sum = np.zeros(box.hypergraph.joint_dim)
+    problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(n))
+    for outer in range(1, measures._XMAX_MAX_OUTER + 1):
+        w_vec = np.exp(log_w - log_w.max())
+        w_vec /= w_vec.sum()
+        problem.reweight(w_vec)
+        value, p_flat, gap, _, _, _ = measures._solve_fixed(problem, tol, max_iters, warm, candidate)
+        warm, candidate = p_flat, None
+        p_sum += p_flat
+        divergences = problem.divergences(p_flat)
+        upper = min(upper, float(divergences.max()))
+        if value > best_value + measures._XMAX_IMPROVE_TOL:
+            last_improve = outer
+        if value > best_value:
+            best_value, best_gap = value, gap
+        if outer - last_improve >= outer_window or upper - best_value <= measures._XMAX_IMPROVE_TOL:
+            break
+        log_w = log_w + 4.0 / math.sqrt(outer) * divergences
+    upper = min(upper, float(problem.divergences(p_sum / p_sum.sum()).max()))
+    return best_value, best_gap, upper
+
+
+@st.composite
+def ascent_boxes(draw):
+    """Binary and ternary boxes: one of ``ANCHORS`` mixed with a dense joint's
+    box or with a sparse joint's box, or ``SUM_ANCHOR`` mixed with a sparse
+    joint's box, summed with an anchored box of at most 32 joint outcomes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["anchored", "sparse", "sum"]))
+    if kind == "sum":
+        small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 32]
+        anchor = small[int(rng.integers(len(small)))]
+        other = cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
+        summed = cx.mix(SUM_ANCHOR, sparse_box(SUM_ANCHOR.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
+        return cx.direct_sum(shuffled(summed, rng), shuffled(other, rng))
+    anchor = ANCHORS[int(rng.integers(len(ANCHORS)))]
+    noise = dense_box if kind == "anchored" else sparse_box
+    return shuffled(cx.mix(anchor, noise(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0))), rng)
+
+
+@seed(20261101)
+@settings(max_examples=20, deadline=None)
+@given(box=ascent_boxes())
+def test_x_max_reaches_previous_ascent(box):
+    report = cx.x_max(box, outer_window=40)
+    value, gap, upper = previous_x_max(box, outer_window=40)
+    assert report.value >= value - 1e-12
+    assert report.outer_gap <= 1e-6
+    lower, top = report.value - report.duality_gap, report.value + report.outer_gap
+    assert lower <= report.value <= top
+    # Each lower bound lies below the other run's upper bound, up to rounding.
+    assert value - gap <= top and lower <= upper + 1e-12
+
+
+def test_split_components_undoes_direct_sum():
+    parts = (cx.kcbs_box(), cx.chain_box(3, 0.9), cx.pr_box())
+    box = cx.direct_sum(cx.direct_sum(parts[0], parts[1]), parts[2])
+    split = split_components(box)
+    assert [members for _, members in split] == [(0, 1, 2, 3, 4), (5, 6, 7), (8, 9, 10, 11)]
+    for (got, _), part in zip(split, parts):
+        assert got.hypergraph.contexts == part.hypergraph.contexts
+        assert got.hypergraph.cardinalities == part.hypergraph.cardinalities
+        assert all(np.array_equal(a, b) for a, b in zip(got.distributions, part.distributions))
+
+
+def test_direct_sum_of_isotropic_boxes_is_its_larger_part():
+    m = cx.builtin("M", alpha=0.9)
+    report = cx.x_max(cx.direct_sum(m, cx.builtin("PM", alpha=0.9)))
+    assert abs(report.value - cx.x_max(m).value) <= 1e-7
+    assert report.wall_time_s < 1.0
+
+
+def test_direct_sum_brackets_its_larger_part():
+    kcbs = cx.x_max(cx.kcbs_box())
+    report = cx.x_max(cx.direct_sum(cx.kcbs_box(), cx.chain_box(8, 0.95)))
+    assert abs(report.value - kcbs.value) <= 1e-7
+    assert report.value - report.duality_gap <= kcbs.value <= report.value + report.outer_gap
+    assert report.converged
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["KCBS-first", "KCBS-second"])
+def test_direct_sum_reports_one_component(order):
+    """The weights are the larger part's own, with zeros on the other part's
+    contexts, and the optimizer has each part's own minimizer as marginal."""
+    parts = [cx.kcbs_box(), cx.chain_box(6, 0.9)]
+    own = [cx.x_max(part) for part in parts]
+    box = cx.direct_sum(parts[order[0]], parts[order[1]])
+    report = cx.x_max(box)
+    larger = int(np.argmax([r.value for r in own]))
+    op = box.hypergraph.incidence
+    marginals = op.split(op.marginals(report.optimizer.probabilities))
+    for (_, members), k in zip(split_components(box), order):
+        weights = report.outer_weights.weights[list(members)]
+        if k == larger:
+            assert np.array_equal(weights, own[k].outer_weights.weights)
+        else:
+            assert np.all(weights == 0.0)
+        part_op = parts[k].hypergraph.incidence
+        expected = part_op.split(part_op.marginals(own[k].optimizer.probabilities))
+        for ci, table in zip(members, expected):
+            assert np.abs(marginals[ci] - table).max() <= 1e-15

@@ -29,26 +29,29 @@ then r and ``max r``, which serves both the gap and the next over-relaxed
 step.  Floored iterates have positive marginals, so no marginal is scanned
 for zeros; a zero one shows as an infinite value.
 
-The maximized measure sup_w min_p is computed by supergradient ascent on
-the log-weights; the supergradient at w is the vector d of per-context
-divergences at the inner minimizer.  The step is scaled by d's range, so
-its largest move is ``eta`` whatever the size of d, and eta follows the
-accept / grow / back-off rule of the over-relaxation: a round whose value
-does not fall becomes the base and eta grows, up to a cap; any other round
-shrinks eta, and the next step is taken from the base again.  For every
-joint p and weights w, ``max_c D_c(p) >= sum_c w_c D_c(p) >= phi(w)``, so
-the least ``max_c D_c`` seen bounds the supremum from above.  Each round
-reweights one problem; its rows, and so its matrix, come from the box
-alone.  On a cyclic hypergraph of several components, each component's
-phi is concave and homogeneous of degree 1 in its weights, so the supremum
-is the largest component's, and the ascent runs on each component.
+The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
+is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto
+1972), and the same loop solves it with one more step: after each step in
+p, the context weights take one multiplicative step
+``w <- w * 2**(eta (d - max d))``, normalized, with d the per-context
+divergences read from the marginals the step has just computed.  For every
+joint p and weights w, ``max_c D_c(p) >= sum_c w_c D_c(p) >= phi(w) >=
+F_w(p) - gap``, so the least ``max_c D_c`` seen bounds the supremum from
+above and the best ``F_w - gap`` seen bounds it from below; the loop stops
+once the two are within ``tol``.  The weights step only while the inner gap
+is at most half of that bracket, so p has caught up with w, and eta grows
+after a weight step that does not widen ``max d - w.d`` and shrinks after
+one that does.  Only the weights change, so the loop keeps one problem, its
+rows and its matrix.  On a cyclic hypergraph of several components, each
+component's phi is concave and homogeneous of degree 1 in its weights, so
+the supremum is the largest component's, and the loop runs on each
+component.
 
 On an acyclic hypergraph every consistent box is noncontextual, and its
 junction-tree joint (``boxes.junction_tree_joint``) has the box's context
-marginals (Vorob'ev 1962).  ``x_fixed`` and ``x_u`` start the unchanged loop
-from that joint, and ``x_max`` starts its first round there.  The
-certificate at the start has a gap of about 1e-15, so the solve stops at its
-first check without a step, and ``x_max``'s ascent stops after one round.
+marginals (Vorob'ev 1962).  ``x_fixed``, ``x_u`` and ``x_max`` start the
+loop from that joint.  The certificate at the start has a gap of about
+1e-15, so the solve stops at its first check without a step.
 Nothing rests on the theorem in floating point: a box consistent only within
 ``require_consistent``'s tolerance has a larger gap, and the loop steps on
 from a near-optimal point.
@@ -81,7 +84,6 @@ import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -118,19 +120,15 @@ DENSE_ENTRIES_CAP = 2**20
 # of 64 or a factor of 2 (10,392 against 10,616 and 11,252).
 OVERRELAX_GROWTH = 1.5
 OVERRELAX_CAP = 16.0
-# x_max's ascent: the least improvement that counts (and the stopping gap to
-# the upper bound), and the round cap.
-_XMAX_IMPROVE_TOL = 1e-7
-_XMAX_MAX_OUTER = 2000
-# Its step, the largest move of a log-weight in a round: the first, the
-# factor after a round whose value does not fall, up to the cap, and the
-# factor after one whose value falls.  Without the cap, grown steps threw
-# some weights of a connected box to about 2e-6 within a few rounds, where
-# one inner solve ran into its 200,000-iteration limit.
-_XMAX_ETA0 = 0.05
-_XMAX_ETA_GROWTH = 1.5
-_XMAX_ETA_CAP = 0.5
-_XMAX_ETA_SHRINK = 0.25
+# x_max's weight step ``w <- w * 2**(eta (d - max d))``: eta's start, its
+# factors after a weight step that does not widen ``max d - w.d`` and after
+# one that does, and its clamp.  Without the floor, one of 22 boxes measured
+# (12 bridged sums, 6 sparse mixes and 4 anchors) kept a bracket 0.043 wide
+# after 40,000 iterations, against 268 iterations with it.
+_ETA0 = 2.0
+_ETA_GROWTH = 1.1
+_ETA_SHRINK = 0.5
+_ETA_MIN, _ETA_MAX = 0.05, 64.0
 # The step's floor is _EPS / joint_dim on every coordinate.
 _EPS = np.finfo(float).eps
 # Steps within which ``projected_joint`` tries the projection, at steps 1, 2,
@@ -181,11 +179,10 @@ class ContextWeights:
 class MeasureReport:
     """Value plus optimality certificates for one measure evaluation.
 
-    ``value - duality_gap`` is the best lower bound on the true optimum of the
-    inner minimization over the iterates of the solve; for maximized runs
-    ``value + outer_gap`` is a sound upper bound on the supremum over weights
-    (it may stay looser than the inner tolerance; ``converged`` does not
-    read it).
+    ``[value - duality_gap, value]`` brackets the optimum: the inner minimum
+    for fixed weights, the supremum over weights for ``x_max``, whose
+    ``outer_weights`` are the weights of the lower end and whose
+    ``outer_gap`` is 0.
     """
 
     value: float
@@ -218,42 +215,45 @@ class _FixedWeightProblem:
         self.targets = box.stacked()
         self.support = np.flatnonzero(self.targets > 0.0)
         self.t_s = self.targets[self.support]
+        # The context of each support row.
+        self.context_s = np.repeat(np.arange(self.g.n_contexts), self.op.dims)[self.support]
         self.dense: np.ndarray | None = None
         if self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
             self.dense = self.op.columns(support=self.support)
-        # The support marginals of the last ``field`` call.
+        # The support marginals of the last ``field`` call at a joint, and
+        # their ratios to the targets.
         self.m: np.ndarray | None = None
         self.reweight(weights.weights)
 
     def reweight(self, weights: np.ndarray) -> None:
         """Take new context weights (a probability vector)."""
-        self.w_s = np.repeat(weights, self.op.dims)[self.support]
+        self.weights = weights
+        self.w_s = weights[self.context_s]
         self.wt_s = self.w_s * self.t_s
 
-    def field(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def field(self, p: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
         """Objective value (bits), multiplier field r and its largest entry,
-        at a flat joint vector ``p``; r is flat too.
+        at a flat joint ``p``; r is flat too.  Without ``p``, at the joint of
+        the last call and the current weights, with no marginal pass.
 
         The solver calls it at floored iterates, whose marginals are all
         positive.  Elsewhere a zero marginal on the support, of a zero-weight
         context too (0 * inf is NaN), makes the value +inf; then r is 0 and
         its largest entry +inf.
         """
-        if self.dense is None:
-            m = self.op.marginals(p)[self.support]
-        else:
-            m = self.dense @ p
-        self.m = m
-        ratio = self.t_s / m
-        value = float(self.wt_s @ np.log2(ratio))
+        if p is not None:
+            self.m = self.op.marginals(p)[self.support] if self.dense is None else self.dense @ p
+            self.ratio = self.t_s / self.m
+            self.log_ratio = np.log2(self.ratio)
+        value = float(self.wt_s @ self.log_ratio)
         if not math.isfinite(value):
-            return math.inf, np.zeros(p.size), math.inf
+            return math.inf, np.zeros(self.g.joint_dim), math.inf
         if self.dense is None:
             y = np.zeros(self.op.dim)
-            y[self.support] = ratio * self.w_s
+            y[self.support] = self.ratio * self.w_s
             r = self.op.lift(y).reshape(-1)
         else:
-            r = (ratio * self.w_s) @ self.dense
+            r = (self.ratio * self.w_s) @ self.dense
         return value, r, float(r.max())
 
     @cached_property
@@ -277,16 +277,20 @@ class _FixedWeightProblem:
 
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
-        """Each context's run ``[start, stop)`` of rows within ``support``
-        (built on first use: only ``x_max`` reads the divergences)."""
+        """Each context's run ``[start, stop)`` of rows within ``support``."""
         ends = np.searchsorted(self.support, self.op.offsets).tolist()
         return list(zip(ends, ends[1:]))
 
-    def divergences(self, p: np.ndarray) -> np.ndarray:
-        """Per-context D(g_c || p_c) in bits at the given joint (+inf where a
-        positive target meets a zero marginal).  The terms of every context
-        come from one pass; each context's run is then summed with ``np.sum``,
-        so every value is bit-identical to ``relative_entropy``."""
+    def divergences(self, p: np.ndarray | None = None) -> np.ndarray:
+        """Per-context D(g_c || p_c) in bits (+inf where a positive target meets
+        a zero marginal).  At ``p`` (``x_max``'s value at its optimizer), the
+        terms of every context come from one pass and each context's run is
+        summed with ``np.sum``, so every value is bit-identical to
+        ``relative_entropy``.  Without ``p``, at the joint of the last
+        ``field`` call, from its marginals in one ``bincount``: ``x_max``'s
+        read at every iteration."""
+        if p is None:
+            return np.bincount(self.context_s, self.t_s * self.log_ratio, self.g.n_contexts)
         m = self.op.marginals(p)[self.support]
         with np.errstate(divide="ignore"):
             terms = self.t_s * np.log2(self.t_s / m)
@@ -345,7 +349,16 @@ def _solve_fixed(
     init: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
     contextual_exit: bool = False,
+    ascend: bool = False,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
+    """The solver's loop (see the module docstring): the value, the joint,
+    the gap, the iterations, whether the gap met ``tol``, and the trace.
+
+    With ``ascend`` the loop also steps the context weights (``x_max``): the
+    joint is the iterate of the least ``max_c D_c`` seen, the value
+    ``max_c D_c`` there, the gap its distance to the best lower bound, and
+    the problem is left at the weights of that bound.
+    """
     g = problem.g
     certified = False
     if candidate is not None:
@@ -364,6 +377,15 @@ def _solve_fixed(
     # Every iterate's value minus its gap bounds the optimum from below; the
     # reported gap is measured against the best of these bounds.
     lower = value - gap
+    w = lower_w = problem.weights
+    if ascend:
+        # The upper end and its iterate; the weights as base-2 logarithms,
+        # so a weight that underflows to 0 can grow back; eta, and the last
+        # weight step's ``max d - w.d``.
+        upper, p_upper = float(problem.divergences().max()), p
+        log_w = np.log2(w)
+        eta, spread = _ETA0, math.inf
+        gap = max(upper - lower, 0.0)
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
@@ -381,8 +403,13 @@ def _solve_fixed(
             if q is not None:
                 q_value, _, q_r_max = problem.field(q)
                 q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
+                if ascend:
+                    q_value = float(problem.divergences().max())
                 if q_value - q_lower <= tol:
+                    if q_lower > lower:
+                        lower_w = w
                     p, value, lower = q, q_value, q_lower
+                    upper, p_upper = value, p
                     gap = max(value - lower, 0.0)
                     break
         trial = _floored_step(p, r, omega, r_max)
@@ -395,13 +422,37 @@ def _solve_fixed(
         elif trial_value < value:
             omega = min(omega * OVERRELAX_GROWTH, OVERRELAX_CAP)
         p, value, r, r_max = trial, trial_value, trial_r, trial_r_max
-        lower = max(lower, value - _gap(r_max))
-        gap = max(value - lower, 0.0)
+        bound = value - _gap(r_max)
+        if bound > lower:
+            lower, lower_w = bound, w
+        if not ascend:
+            gap = max(value - lower, 0.0)
+        else:
+            d = problem.divergences()
+            top = float(d.max())
+            if top < upper:
+                upper, p_upper = top, p
+            gap = max(upper - lower, 0.0)
+            if _gap(r_max) <= 0.5 * gap:
+                widened = top - float(w @ d)
+                if spread < math.inf:
+                    factor = _ETA_SHRINK if widened > spread else _ETA_GROWTH
+                    eta = min(max(eta * factor, _ETA_MIN), _ETA_MAX)
+                spread = widened
+                log_w = log_w + eta * (d - top)
+                log_w -= log_w.max()
+                w = np.exp2(log_w)
+                w /= w.sum()
+                problem.reweight(w)
+                value, r, r_max = problem.field()
         if iteration >= next_trace:
             trace.append((iteration, value, gap))
             next_trace *= 2
     trace.append((iteration, value, gap))
 
+    if ascend:
+        p = p_upper
+        problem.reweight(lower_w)
     if len(g.components) > 1:
         # Factorizing across components keeps every context marginal, hence
         # the value; re-evaluate so the value refers to the returned point.
@@ -412,6 +463,9 @@ def _solve_fixed(
         ])
         value, _, point_r_max = problem.field(p)
         lower = max(lower, value - _gap(point_r_max))
+        gap = max(value - lower, 0.0)
+    if ascend:
+        value = float(problem.divergences(p).max())
         gap = max(value - lower, 0.0)
     # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
     # clamped value is still an upper bound and [value - gap, value] still
@@ -538,26 +592,23 @@ def x_max(
 ) -> MeasureReport:
     """Weight-maximized relative entropy of contextuality.
 
-    Supergradient ascent on the log-weights with a self-scaling step (see
-    ``_ascend``); each inner solve (the ``x_fixed`` policy with both of its
-    exits, warm-started from the best round's minimizer, the first round
-    from the junction-tree joint or the isotropic parity mixture as in
-    ``x_fixed``, with ``tol`` and ``max_iters``) supplies the supergradient
-    (the per-context divergence vector) and an upper bound ``max_c D_c`` at
-    its minimizer.  The ascent stops after ``outer_window`` rounds without
-    an improvement of ``_XMAX_IMPROVE_TOL``, or once the least upper bound
-    is within it of the best value.  The reported value is the best inner
-    value found, ``duality_gap`` its inner gap, and ``outer_gap`` the
-    distance from it to the least upper bound, so
-    ``[value - duality_gap, value + outer_gap]`` brackets the supremum.
-    ``converged`` reads the inner gap and the round cap, not ``outer_gap``.
+    One loop in the joint and the weights (see the module docstring): the
+    ``x_fixed`` loop from the same start, with the same step and both of its
+    exits, plus one multiplicative step on the weights per iteration.  The
+    value is the least ``max_c D_c`` seen, at the returned optimizer, so it
+    bounds the supremum from above as ``x_fixed``'s value bounds its
+    optimum; ``duality_gap`` is its distance to the best lower bound
+    ``F_w(p) - gap`` seen, ``outer_weights`` the weights w of that bound, and
+    ``outer_gap`` is 0.  ``[value - duality_gap, value]`` brackets the
+    supremum, and ``converged`` means it is at most ``tol`` wide.  The loop
+    stops there, or after ``max_iters`` iterations.  ``outer_window`` is
+    checked and otherwise unused: the loop has no rounds to count.
 
-    On a cyclic hypergraph of several components the ascent runs on each
+    On a cyclic hypergraph of several components the loop runs on each
     component's box, since the supremum of a direct sum is its largest
-    component's.  The report takes that component's value, gap and
-    weights, with zero weights on the other contexts, the product of the
-    components' minimizers as optimizer, their summed inner iterations, and
-    their largest upper bound.
+    component's.  The report takes the largest upper end and the largest
+    lower end, the weights of the latter with zeros on the other contexts,
+    the product of the components' optimizers, and their summed iterations.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
@@ -568,91 +619,28 @@ def x_max(
         parts = split_components(box)
     else:
         parts = ((box, tuple(range(g.n_contexts))),)
-    ascents = [_ascend(part, tol, max_iters, outer_window) for part, _ in parts]
-    k = max(range(len(ascents)), key=lambda i: ascents[i].value)
-    best = ascents[k]
+    solves = []
+    for part, _ in parts:
+        problem = _FixedWeightProblem(part, ContextWeights.uniform(part.hypergraph.n_contexts))
+        value, p, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, *_starts(part), ascend=True)
+        solves.append((value, value - gap, p, problem.weights, iters))
+    uppers, lowers, joints, part_weights, iterations = zip(*solves)
+    k = lowers.index(max(lowers))
     weights = np.zeros(g.n_contexts)
-    weights[list(parts[k][1])] = best.weights
-    p = best.p if len(parts) == 1 else _component_product(g, [a.p for a in ascents])
-    upper = max(a.upper for a in ascents)
+    weights[list(parts[k][1])] = part_weights[k]
+    p = joints[0] if len(parts) == 1 else _component_product(g, list(joints))
+    gap = max(max(uppers) - lowers[k], 0.0)
     return MeasureReport(
-        value=best.value,
+        value=max(uppers),
         optimizer=JointDistribution._of(g, p),
-        duality_gap=best.gap,
-        iterations=sum(a.iterations for a in ascents),
+        duality_gap=gap,
+        iterations=sum(iterations),
         wall_time_s=time.perf_counter() - start,
-        converged=best.gap <= tol and all(a.rounds < _XMAX_MAX_OUTER for a in ascents),
+        converged=gap <= tol + 1e-14,
         method="mw-ascent(auto)",
         outer_weights=ContextWeights._of(weights),
-        outer_gap=max(0.0, upper - best.value),
+        outer_gap=0.0,
     )
-
-
-class _Ascent(NamedTuple):
-    """One box's ascent: its base round's value, inner gap, weights and
-    minimizer, an upper bound on the supremum, the inner iterations of all
-    rounds, and the number of rounds."""
-
-    value: float
-    gap: float
-    weights: np.ndarray
-    p: np.ndarray
-    upper: float
-    iterations: int
-    rounds: int
-
-
-def _ascend(box: Box, tol: float, max_iters: int, outer_window: int) -> _Ascent:
-    """``x_max``'s ascent on one box, from uniform weights.
-
-    The base is the last round whose value did not fall; it is the best
-    round so far.  The next log-weights are the base's plus
-    ``eta * (d - max d) / (max d - min d)``, with d the base's divergences,
-    so a step moves the log-weights by at most ``eta`` whatever the scale of
-    d.  A round whose value does not fall becomes the base, and eta grows up
-    to ``_XMAX_ETA_CAP``; otherwise eta shrinks and the next step is taken
-    from the base again.  Every inner solve after the first warm-starts
-    from the base's minimizer.  A base whose divergences are all equal
-    closes the bracket, so the step never divides by 0.
-    """
-    n = box.hypergraph.n_contexts
-    warm, candidate = _starts(box)
-    # One problem, reweighted each round; its rows do not depend on the weights.
-    problem = _FixedWeightProblem(box, ContextWeights.uniform(n))
-    p_sum = np.zeros(box.hypergraph.joint_dim)
-    log_w = base_log_w = np.zeros(n)
-    eta = _XMAX_ETA0
-    best_value, best_gap, best_weights = -math.inf, math.inf, log_w
-    upper = math.inf
-    total_inner = last_improve = outer = 0
-    for outer in range(1, _XMAX_MAX_OUTER + 1):
-        w_vec = np.exp(log_w - log_w.max())
-        w_vec /= w_vec.sum()
-        problem.reweight(w_vec)
-        value, p_flat, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, warm, candidate)
-        total_inner += iters
-        candidate = None
-        p_sum += p_flat
-        divergences = problem.divergences(p_flat)
-        upper = min(upper, float(divergences.max()))
-        if value > best_value + _XMAX_IMPROVE_TOL:
-            last_improve = outer
-        if value >= best_value:
-            if outer > 1:
-                eta = min(eta * _XMAX_ETA_GROWTH, _XMAX_ETA_CAP)
-            best_value, best_gap, best_weights, warm = value, gap, w_vec, p_flat
-            base_log_w, base_d = log_w, divergences
-        else:
-            eta *= _XMAX_ETA_SHRINK
-        if outer - last_improve >= outer_window:
-            break
-        if upper - best_value <= _XMAX_IMPROVE_TOL:
-            break
-        low, high = base_d.min(), base_d.max()
-        log_w = base_log_w + eta * (base_d - high) / (high - low)
-    avg = p_sum / p_sum.sum()
-    upper = min(upper, float(problem.divergences(avg).max()))
-    return _Ascent(best_value, best_gap, best_weights, warm, upper, total_inner, outer)
 
 
 def _component_product(g: Hypergraph, parts: list[np.ndarray]) -> np.ndarray:

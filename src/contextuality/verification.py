@@ -201,7 +201,7 @@ def direct_sum_suite(tol: float = 2e-5) -> list[CheckResult]:
     results: list[CheckResult] = []
     ds = direct_sum(pr_box(), pr_box(alpha=0.5))
     ru = x_u(ds)
-    rm = x_max(ds, outer_window=60)
+    rm = x_max(ds)
     xu_expected = 0.5 * math.log2(4 / 3)
     xmax_expected = math.log2(4 / 3)
     results.append(
@@ -281,7 +281,7 @@ def xmax_equals_xu_suite(tol: float = 2e-5) -> list[CheckResult]:
         for alpha in (0.85, 0.95, 1.0):
             box = builtin(family, alpha=alpha)
             ru = x_u(box)
-            rm = x_max(box, outer_window=40)
+            rm = x_max(box)
             diff = abs(rm.value - ru.value)
             results.append(
                 _check(

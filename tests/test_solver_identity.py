@@ -4,10 +4,10 @@
 per-iteration trims: every step went through ``reference_evaluate`` (a scan
 for a zero marginal, the joint reshapes, and the gap from ``r.max()``), the
 over-relaxed step took ``r.max()`` again, and the components were found anew
-on every solve.  ``reference_x_max`` writes ``x_max``'s self-scaling ascent
-and its split into hypergraph components on its own, and every round builds
-a new problem from validated ``ContextWeights``.  Like ``plain_em`` in
-``test_measures.py`` they are an oracle.
+on every solve.  ``reference_x_max`` writes ``x_max``'s loop in the joint and
+the weights and its split into hypergraph components on its own, and every
+weight step builds a new problem from validated ``ContextWeights``.  Like
+``plain_em`` in ``test_measures.py`` they are an oracle.
 
 The oracle also has the solver's two exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
@@ -228,56 +228,101 @@ def assert_same_solve(got, expected, exit, box):
         assert np.abs(got[1] - p).max() <= 1e-12
 
 
-def reference_ascent(box, tol, max_iters, outer_window):
-    """The ascent on one connected box, a new problem per round: the
-    junction-tree joint as the first start on an acyclic box, else the
-    isotropic start tried in the first round.  The base is the last round
-    whose value did not fall; the step moves the base's log-weights by
-    ``eta * (d - max d) / (max d - min d)``, d its divergences, with eta
-    grown after a base (up to its cap) and shrunk after any other round.
-    Returns the base round's value, gap, weights and minimizer, the upper
-    bound, the inner iterations and rounds, and whether an exit fired."""
+def max_divergence(box, p):
+    """``max_c D_c(p)``, one ``relative_entropy`` per context."""
+    op = box.hypergraph.incidence
+    pairs = zip(op.split(box.stacked()), op.split(op.marginals(p)))
+    return max(cx.relative_entropy(target, m) for target, m in pairs)
+
+
+def reference_divergences(problem, p):
+    """Per-context D(g_c || p_c) from the marginals ``reference_evaluate``
+    reads, each context's support rows added in order from 0."""
+    g = problem.g
+    m = problem.dense @ p if problem.dense is not None else problem.op.marginals(p)[problem.support]
+    terms = problem.t_s * np.log2(problem.t_s / m)
+    starts = np.cumsum([0] + [g.context_dim(ci) for ci in range(g.n_contexts)])
+    d = np.zeros(g.n_contexts)
+    for row, term in zip(problem.support, terms):
+        d[np.searchsorted(starts, row, side="right") - 1] += term
+    return d
+
+
+def reference_ascent(box, tol, max_iters):
+    """The loop in the joint and the weights on one connected box, a new
+    problem per weight step: the start, the steps in p and the projection
+    exit of ``reference_solve_fixed``, with the least ``max_c D_c`` seen as
+    the upper end and the best ``value - gap`` seen as the lower end.  After
+    each step in p, while the gap is at most half the bracket, the weights'
+    base-2 logarithms move by ``eta * (d - max d)``; eta starts at
+    ``measures._ETA0``, and from the second weight step on is multiplied by
+    0.5 if ``max d - w.d`` grew since the last one, else by 1.1, and clamped
+    to [0.05, 64].  Returns ``max_c D_c`` at the upper end's iterate, one
+    ``relative_entropy`` per context, and its distance to the lower end, as
+    the solver reports them, that iterate, the lower end's weights, the
+    iterations, and whether an exit fired."""
     n = box.hypergraph.n_contexts
-    warm = measures.junction_tree_joint(box)
-    candidate = reference_candidate(box) if warm is None else None
-    problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(n))
-    p_sum = np.zeros(box.hypergraph.joint_dim)
-    log_w = np.zeros(n)
-    eta = measures._XMAX_ETA0
-    base = None
-    upper, total_inner, last_improve, exited = float("inf"), 0, 0, False
-    rounds = 0
-    while rounds < measures._XMAX_MAX_OUTER:
-        rounds += 1
-        w_vec = np.exp(log_w - log_w.max())
-        w_vec /= w_vec.sum()
-        weights = cx.ContextWeights(w_vec)
-        (value, p_flat, gap, iters, _, _), exit = reference_solve_fixed(
-            measures._FixedWeightProblem(box, weights), tol, max_iters, warm, candidate
-        )
-        exited = exited or exit is not None
-        total_inner += iters
-        candidate = None
-        p_sum += p_flat
-        divergences = problem.divergences(p_flat)
-        upper = min(upper, float(divergences.max()))
-        if base is None or value > base["value"] + measures._XMAX_IMPROVE_TOL:
-            last_improve = rounds
-        if base is None or value >= base["value"]:
-            if base is not None:
-                eta = min(eta * measures._XMAX_ETA_GROWTH, measures._XMAX_ETA_CAP)
-            base = {"value": value, "gap": gap, "weights": weights.weights, "p": p_flat,
-                    "log_w": log_w, "d": divergences}
-            warm = p_flat
-        else:
-            eta *= measures._XMAX_ETA_SHRINK
-        if rounds - last_improve >= outer_window or upper - base["value"] <= measures._XMAX_IMPROVE_TOL:
+    init = measures.junction_tree_joint(box)
+    candidate = reference_candidate(box) if init is None else None
+    w = cx.ContextWeights.uniform(n).weights
+    problem = measures._FixedWeightProblem(box, cx.ContextWeights(w))
+    exit = None
+    if candidate is not None:
+        p = reference_step(candidate, 1.0, 1.0)
+        value, r, gap = reference_evaluate(problem, p)
+        exit = "candidate" if gap <= tol else None
+    if exit is None:
+        start = np.full(box.hypergraph.joint_dim, 1.0 / box.hypergraph.joint_dim) if init is None else init
+        p = reference_step(start.reshape(-1), 1.0, 1.0)
+        value, r, gap = reference_evaluate(problem, p)
+    lower, lower_w = value - gap, w
+    upper, p_upper = float(reference_divergences(problem, p).max()), p
+    log_w, eta, spread, omega = np.log2(w), measures._ETA0, None, 1.0
+    gap = max(upper - lower, 0.0)
+    iteration = 0
+    for iteration in range(1, max_iters + 1):
+        if gap <= tol:
             break
-        d = base["d"]
-        log_w = base["log_w"] + eta * (d - d.max()) / (d.max() - d.min())
-    avg = p_sum / p_sum.sum()
-    upper = min(upper, float(problem.divergences(avg).max()))
-    return base, upper, total_inner, rounds, exited
+        if lower <= 0.0 and math.log2(iteration).is_integer():
+            q = reference_projection(problem, p)
+            if q is not None:
+                q_value, _, q_gap = reference_evaluate(problem, q)
+                q_lower = max(lower, min(q_value - q_gap, 0.0))
+                q_upper = float(reference_divergences(problem, q).max())
+                if q_upper - q_lower <= tol:
+                    if q_lower > lower:
+                        lower_w = w
+                    p_upper, upper, lower, exit = q, q_upper, q_lower, "projection"
+                    gap = max(upper - lower, 0.0)
+                    break
+        trial = reference_step(p, r, omega)
+        trial_value, trial_r, trial_gap = reference_evaluate(problem, trial)
+        if omega > 1.0 and not trial_value < value:
+            omega = 1.0
+            trial = reference_step(p, r, omega)
+            trial_value, trial_r, trial_gap = reference_evaluate(problem, trial)
+        elif trial_value < value:
+            omega = min(omega * measures.OVERRELAX_GROWTH, measures.OVERRELAX_CAP)
+        p, value, r = trial, trial_value, trial_r
+        if value - trial_gap > lower:
+            lower, lower_w = value - trial_gap, w
+        d = reference_divergences(problem, p)
+        if d.max() < upper:
+            upper, p_upper = float(d.max()), p
+        gap = max(upper - lower, 0.0)
+        if trial_gap <= 0.5 * gap:
+            widened = float(d.max()) - float(w @ d)
+            if spread is not None:
+                eta = min(max(eta * (0.5 if widened > spread else 1.1), 0.05), 64.0)
+            spread = widened
+            log_w = log_w + eta * (d - d.max())
+            log_w -= log_w.max()
+            w = np.exp2(log_w)
+            w /= w.sum()
+            problem = measures._FixedWeightProblem(box, cx.ContextWeights(w))
+            value, r, _ = reference_evaluate(problem, p)
+    value = max_divergence(box, p_upper)
+    return max(value, 0.0), max(value - lower, 0.0), p_upper, lower_w, iteration, exit is not None
 
 
 def reference_product(g, parts):
@@ -292,13 +337,13 @@ def reference_product(g, parts):
     return np.ascontiguousarray(np.transpose(prod, perm)).reshape(-1)
 
 
-def reference_x_max(box, tol, max_iters, outer_window):
+def reference_x_max(box, tol, max_iters):
     """``x_max`` by ``reference_ascent``: on the whole box if its hypergraph
     is connected or acyclic, else on each component's box, reporting the
-    first component of largest value with zero weights elsewhere, the
-    product of the components' minimizers, their summed inner iterations
-    and their largest upper bound.  Returns the report's fields, and whether
-    an exit fired in any round."""
+    largest upper end, the first largest lower end's weights with zeros
+    elsewhere, the product of the components' iterates and their summed
+    iterations.  Returns the report's fields, and whether an exit fired in
+    any component."""
     g = box.hypergraph
     comps = reference_components(g)
     if len(comps) == 1 or g.join_tree is not None:
@@ -311,18 +356,17 @@ def reference_x_max(box, tol, max_iters, outer_window):
             cx.Hypergraph([g.observables[i] for i in sorted(comp)],
                           [[index[i] for i in g.contexts[ci]] for ci in cis]),
             [box.distributions[ci] for ci in cis])
-        ascents.append(reference_ascent(part, tol, max_iters, outer_window))
+        ascents.append(reference_ascent(part, tol, max_iters))
         members.append(cis)
-    values = [base["value"] for base, *_ in ascents]
-    k = values.index(max(values))
-    best = ascents[k][0]
+    lowers = [upper - gap for upper, gap, *_ in ascents]
+    k = lowers.index(max(lowers))
+    upper = max(a[0] for a in ascents)
     weights = np.zeros(g.n_contexts)
-    weights[members[k]] = best["weights"]
-    p = best["p"] if len(comps) == 1 else reference_product(g, [a[0]["p"] for a in ascents])
-    upper = max(a[1] for a in ascents)
-    converged = best["gap"] <= tol and all(a[3] < measures._XMAX_MAX_OUTER for a in ascents)
-    return (best["value"], best["gap"], sum(a[2] for a in ascents), converged, weights.tobytes(),
-            max(0.0, upper - best["value"]), p.tobytes()), any(a[4] for a in ascents)
+    weights[members[k]] = ascents[k][3]
+    p = ascents[0][2] if len(comps) == 1 else reference_product(g, [a[2] for a in ascents])
+    gap = max(upper - lowers[k], 0.0)
+    return (upper, gap, sum(a[4] for a in ascents), gap <= tol + 1e-14, weights.tobytes(),
+            0.0, p.tobytes()), any(a[5] for a in ascents)
 
 
 def fields(report):
@@ -332,8 +376,8 @@ def fields(report):
 
 
 def assert_same_x_max(report, expected, exited):
-    """Bit for bit where no exit fired in any round; else the same rounds'
-    iteration total and convergence, and values, gaps and weights within 1e-12."""
+    """Bit for bit where no exit fired; else the same iteration total and
+    convergence, and values, gaps and weights within 1e-12."""
     got = fields(report)
     if not exited:
         assert got == expected
@@ -424,10 +468,10 @@ def test_x_fixed_matches_reference(box, draw_seed, implicit):
 @given(box=identity_boxes())
 def test_x_max_matches_reference(box):
     """As the oracle on a cyclic hypergraph (see ``assert_same_x_max``).  On
-    an acyclic one the ascent starts from the junction-tree joint, so its
+    an acyclic one the loop starts from the junction-tree joint, so its
     bracket ``[value - duality_gap, value]`` and the oracle's must overlap."""
     report = cx.x_max(box, max_iters=2000, outer_window=8)
-    reference, exited = reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)
+    reference, exited = reference_x_max(box, measures.DEFAULT_TOL, 2000)
     if box.hypergraph.join_tree is None:
         assert_same_x_max(report, reference, exited)
     else:
@@ -457,23 +501,24 @@ def test_exits_match_reference(box, uniform, draw_seed):
     assert_same_solve(got, expected, exit, box)
     if init is None:
         assert_same_x_max(cx.x_max(box, max_iters=2000, outer_window=8),
-                          *reference_x_max(box, measures.DEFAULT_TOL, 2000, 8))
+                          *reference_x_max(box, measures.DEFAULT_TOL, 2000))
 
 
 @pytest.mark.parametrize("anchor", [ANCHORS[0], ANCHORS[-1]], ids=["PR", "ternary-cycle"])
 def test_x_max_support_change_matches_reference(anchor):
-    """A large step scale drives some context weights to 0 within a few rounds;
-    the reweighted problem keeps the rows and the matrix it was built with."""
+    """A huge first weight step drives three of the four context weights to
+    exactly 0; the reweighted problem keeps the rows and the matrix it was
+    built with."""
     rng = np.random.default_rng(0)
     box = shuffled(cx.mix(anchor, sparse_box(anchor.hypergraph, rng), 0.7), rng)
     builds = mock.patch.object(
         ContextIncidence, "columns", autospec=True, side_effect=ContextIncidence.columns
     )
-    with mock.patch.object(measures, "_XMAX_ETA0", 1e4):
+    with mock.patch.object(measures, "_ETA0", 1e6):
         with builds as columns:
             report = cx.x_max(box, max_iters=2000, outer_window=8)
         assert columns.call_count == 1
-        assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)[0]
+        assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000)[0]
         with implicit_only():
             report = cx.x_max(box, max_iters=2000, outer_window=8)
-            assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000, 8)[0]
+            assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000)[0]

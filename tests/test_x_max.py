@@ -1,5 +1,6 @@
-"""``x_max``'s self-scaling ascent against the multiplicative-weights ascent
-it replaced, and its split of a direct sum into components.
+"""``x_max`` against the multiplicative-weights ascent of an earlier
+version, on boxes whose supremum lies on the simplex's boundary, and its
+split of a direct sum into components.
 
 ``previous_x_max`` keeps the earlier ascent: log-weights moved by
 ``4 / sqrt(t)`` times the divergences in round t, each round warm-started
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, SUM_ANCHOR, shuffled, sparse_box
-from test_solver_identity import dense_box
+from test_solver_identity import dense_box, max_divergence
 
 import contextuality as cx
 from contextuality import measures
@@ -32,7 +33,7 @@ def previous_x_max(box, tol=measures.DEFAULT_TOL, max_iters=measures.DEFAULT_MAX
     warm, candidate = measures._starts(box)
     p_sum = np.zeros(box.hypergraph.joint_dim)
     problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(n))
-    for outer in range(1, measures._XMAX_MAX_OUTER + 1):
+    for outer in range(1, 2000 + 1):
         w_vec = np.exp(log_w - log_w.max())
         w_vec /= w_vec.sum()
         problem.reweight(w_vec)
@@ -41,11 +42,11 @@ def previous_x_max(box, tol=measures.DEFAULT_TOL, max_iters=measures.DEFAULT_MAX
         p_sum += p_flat
         divergences = problem.divergences(p_flat)
         upper = min(upper, float(divergences.max()))
-        if value > best_value + measures._XMAX_IMPROVE_TOL:
+        if value > best_value + 1e-7:
             last_improve = outer
         if value > best_value:
             best_value, best_gap = value, gap
-        if outer - last_improve >= outer_window or upper - best_value <= measures._XMAX_IMPROVE_TOL:
+        if outer - last_improve >= outer_window or upper - best_value <= 1e-7:
             break
         log_w = log_w + 4.0 / math.sqrt(outer) * divergences
     upper = min(upper, float(problem.divergences(p_sum / p_sum.sum()).max()))
@@ -82,6 +83,81 @@ def test_x_max_reaches_previous_ascent(box):
     assert lower <= report.value <= top
     # Each lower bound lies below the other run's upper bound, up to rounding.
     assert value - gap <= top and lower <= upper + 1e-12
+
+
+def observable_marginal(box, i):
+    """The marginal of observable ``i``, read from the first context that holds it."""
+    ci = next(ci for ci, ctx in enumerate(box.hypergraph.contexts) if i in ctx)
+    ctx = box.hypergraph.contexts[ci]
+    return box.context_tensor(ci).sum(axis=tuple(a for a, j in enumerate(ctx) if j != i))
+
+
+def bridged_sum(rng):
+    """Two draws of the anchors with at most 32 joint outcomes (PR, CH(5),
+    KCBS), each mixed with a sparse joint's box at a weight in U(0.5, 1),
+    summed, and bridged by one more context on one observable of each part,
+    whose table is the product of the two observables' marginals."""
+    small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 32]
+    parts = []
+    for _ in range(2):
+        anchor = small[int(rng.integers(len(small)))]
+        parts.append(cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0))))
+    summed = cx.direct_sum(*parts)
+    g = summed.hypergraph
+    n1 = parts[0].hypergraph.n_observables
+    a = int(rng.integers(n1))
+    b = n1 + int(rng.integers(parts[1].hypergraph.n_observables))
+    table = np.multiply.outer(observable_marginal(summed, a), observable_marginal(summed, b)).ravel()
+    return cx.Box(cx.Hypergraph(g.observables, [*g.contexts, (a, b)]), [*summed.distributions, table])
+
+
+def sparse_mix(rng):
+    """One of ``ANCHORS`` mixed with a sparse joint's box at a weight in U(0.5, 1)."""
+    anchor = ANCHORS[int(rng.integers(len(ANCHORS)))]
+    return cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
+
+
+def boundary_boxes():
+    """12 bridged sums (``default_rng(11)``) and 6 sparse mixes (``default_rng(5)``):
+    boxes where some weights of the supremum are 0."""
+    bridged, mixes = np.random.default_rng(11), np.random.default_rng(5)
+    return [bridged_sum(bridged) for _ in range(12)] + [sparse_mix(mixes) for _ in range(6)]
+
+
+# The bracket of the earlier round-based ascent on the twelfth bridged sum,
+# after 705,605 inner iterations.
+BRIDGED_11_BRACKET = (0.120809792, 0.120809946)
+
+
+@pytest.mark.parametrize("index", range(18), ids=[f"bridged-{k}" for k in range(12)] + [f"mix-{k}" for k in range(6)])
+def test_boundary_boxes_close(index):
+    report = cx.x_max(boundary_boxes()[index])
+    assert report.converged and report.duality_gap <= measures.DEFAULT_TOL
+    assert report.wall_time_s < 1.0
+    if index == 11:
+        lo, hi = BRIDGED_11_BRACKET
+        assert lo <= report.value - report.duality_gap <= report.value <= hi
+
+
+@seed(20261106)
+@settings(max_examples=30, deadline=None)
+@given(box=ascent_boxes(), draw_seed=st.integers(0, 2**32 - 1))
+def test_bracket_is_sound(box, draw_seed):
+    """The lower end is at most ``max_c D_c`` at ``x_u``'s optimizer, and at
+    most ``x_fixed`` at the reported weights; the upper end is the value at
+    the reported optimizer, and at least the lower end of ``x_fixed`` at
+    random weights."""
+    report = cx.x_max(box)
+    lower = report.value - report.duality_gap
+    assert report.converged and report.duality_gap <= measures.DEFAULT_TOL
+    assert report.outer_gap == 0.0
+    assert abs(report.value - max_divergence(box, report.optimizer.probabilities)) <= 1e-12
+    assert lower <= max_divergence(box, cx.x_u(box).optimizer.probabilities) + 1e-12
+    assert lower <= cx.x_fixed(box, report.outer_weights).value + 1e-12
+    rng = np.random.default_rng(draw_seed)
+    for _ in range(3):
+        fixed = cx.x_fixed(box, cx.ContextWeights(rng.dirichlet(np.ones(box.hypergraph.n_contexts))))
+        assert fixed.value - fixed.duality_gap <= report.value + 1e-12
 
 
 def test_split_components_undoes_direct_sum():

@@ -1219,20 +1219,26 @@ def direct_sum(b1: Box, b2: Box) -> Box:
 def split_components(box: Box) -> tuple[tuple[Box, tuple[int, ...]], ...]:
     """The box on each connected component of its hypergraph, with the
     indices of that component's contexts in the box: ``direct_sum`` undone,
-    up to the names it suffixed.  A component keeps its observables and its
-    contexts in the box's order, so each context's table is the box's own;
-    nothing is validated again."""
+    up to the names it suffixed.  A component keeps its observables and
+    contexts in the box's order, so each table is the box's own; nothing is
+    validated again, and equal hypergraphs share the components'
+    hypergraphs.  ``x_fixed`` and ``x_max`` solve a cyclic sum's components
+    apart, and report their summed iterations and no trace."""
     g = box.hypergraph
-    parts = []
-    for comp in g.components:
-        index = {i: j for j, i in enumerate(comp)}
-        members = tuple(ci for ci, ctx in enumerate(g.contexts) if ctx[0] in index)
-        sub = Hypergraph(
-            [g.observables[i] for i in comp],
-            [tuple(index[i] for i in g.contexts[ci]) for ci in members],
-        )
-        parts.append((Box(sub, [box.distributions[ci] for ci in members]), members))
-    return tuple(parts)
+    parts = _component_graphs(g.observables, g.contexts)
+    return tuple((Box(sub, [box.distributions[ci] for ci in members]), members) for sub, members in parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _component_graphs(observables: tuple, contexts: tuple) -> tuple[tuple[Hypergraph, tuple[int, ...]], ...]:
+    """``split_components``' hypergraphs and context indices, made once per
+    observable and context list; the cache holds no box data."""
+    comps = Hypergraph(observables, contexts).components
+    members = [tuple(ci for ci, ctx in enumerate(contexts) if ctx[0] in comp) for comp in comps]
+    return tuple(
+        (Hypergraph([observables[i] for i in comp], [[comp.index(i) for i in contexts[ci]] for ci in cis]), cis)
+        for comp, cis in zip(comps, members)
+    )
 
 
 def tensor(b1: Box, b2: Box) -> Box:

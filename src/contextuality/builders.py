@@ -139,7 +139,8 @@ def builtin(name: str, n: int | None = None, alpha: float | None = None) -> Box:
 
 
 def parse_builtin_uri(uri: str) -> Box:
-    """Parse ``builtin:NAME[:n][:key=value...]`` URIs used by the CLI.
+    """Parse ``builtin:NAME[:n][:key=value...]`` URIs used by the CLI; each
+    parameter may be given once, a positional being ``n``.
 
     Examples: ``builtin:PR``, ``builtin:CH:7``, ``builtin:CH:7:alpha=0.95``.
     """
@@ -147,19 +148,16 @@ def parse_builtin_uri(uri: str) -> Box:
     if parts[0] != "builtin" or len(parts) < 2:
         raise InvalidBoxError(f"not a builtin URI: {uri!r}")
     name = parts[1]
-    n: int | None = None
-    alpha: float | None = None
+    params: dict[str, str] = {}
     for part in parts[2:]:
-        if "=" in part:
-            key, _, value = part.partition("=")
-            if key == "alpha":
-                alpha = float(value)
-            elif key == "n":
-                n = int(value)
-            else:
-                raise InvalidBoxError(f"unknown builtin parameter {key!r} in {uri!r}")
-        else:
-            if n is not None:
-                raise InvalidBoxError(f"repeated positional parameter in {uri!r}")
-            n = int(part)
+        key, eq, value = part.partition("=")
+        if not eq:
+            key, value = "n", part
+        if key not in ("n", "alpha"):
+            raise InvalidBoxError(f"unknown builtin parameter {key!r} in {uri!r}")
+        if key in params:
+            raise InvalidBoxError(f"repeated parameter {key!r} in {uri!r}")
+        params[key] = value
+    n = int(params["n"]) if "n" in params else None
+    alpha = float(params["alpha"]) if "alpha" in params else None
     return builtin(name, n=n, alpha=alpha)

@@ -42,10 +42,15 @@ once the two are within ``tol``.  The weights step only while the inner gap
 is at most half of that bracket, so p has caught up with w, and eta grows
 after a weight step that does not widen ``max d - w.d`` and shrinks after
 one that does.  Only the weights change, so the loop keeps one problem, its
-rows and its matrix.  On a cyclic hypergraph of several components, each
-component's phi is concave and homogeneous of degree 1 in its weights, so
-the supremum is the largest component's, and the loop runs on each
-component.
+rows and its matrix.
+
+A direct sum on a cyclic hypergraph is solved one component at a time
+(``_parts``).  With s_k the weight on component k, ``X_w = sum_k s_k X(b_k,
+w_k / s_k)`` (values and gaps alike), since any tuple of component
+marginals is met by their product; a component with s_k = 0 adds 0 and
+takes the uniform joint.  Each component's phi is concave and homogeneous
+of degree 1, so ``x_max`` is the largest component's.  The optimizer is the
+product of the components' joints, and the iterations are their sum.
 
 On an acyclic hypergraph every consistent box is noncontextual, and its
 junction-tree joint (``boxes.junction_tree_joint``) has the box's context
@@ -182,7 +187,9 @@ class MeasureReport:
     ``[value - duality_gap, value]`` brackets the optimum: the inner minimum
     for fixed weights, the supremum over weights for ``x_max``, whose
     ``outer_weights`` are the weights of the lower end and whose
-    ``outer_gap`` is 0.
+    ``outer_gap`` is 0.  ``trace`` holds the loop's (iteration, value, gap) at
+    iterations 1, 2, 4, ... and the last; a box solved one component at a
+    time has an empty trace, and ``iterations`` sums its components'.
     """
 
     value: float
@@ -451,21 +458,8 @@ def _solve_fixed(
     trace.append((iteration, value, gap))
 
     if ascend:
-        p = p_upper
         problem.reweight(lower_w)
-    if len(g.components) > 1:
-        # Factorizing across components keeps every context marginal, hence
-        # the value; re-evaluate so the value refers to the returned point.
-        p_tensor = p.reshape(g.joint_shape)
-        p = _component_product(g, [
-            p_tensor.sum(axis=tuple(a for a in range(g.n_observables) if a not in comp))
-            for comp in g.components
-        ])
-        value, _, point_r_max = problem.field(p)
-        lower = max(lower, value - _gap(point_r_max))
-        gap = max(value - lower, 0.0)
-    if ascend:
-        value = float(problem.divergences(p).max())
+        p, value = p_upper, float(problem.divergences(p_upper).max())
         gap = max(value - lower, 0.0)
     # Rounding can leave F a few ulp below 0; the optimum is >= 0, so the
     # clamped value is still an upper bound and [value - gap, value] still
@@ -513,6 +507,14 @@ def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     return None, candidate
 
 
+def _parts(box: Box) -> tuple[tuple[Box, tuple[int, ...]], ...]:
+    """What ``x_fixed`` and ``x_max`` solve apart: ``split_components`` on a
+    cyclic hypergraph of several components, else the box whole."""
+    g = box.hypergraph
+    split = g.join_tree is None and len(g.components) > 1
+    return split_components(box) if split else ((box, tuple(range(g.n_contexts))),)
+
+
 def _check_arguments(tol: float, dim_cap: int, **counts: int) -> None:
     """Refuse a tolerance that is not finite and nonnegative, a count that is
     not a nonnegative integer, and a ``dim_cap`` that is not an integer (a
@@ -534,18 +536,19 @@ def x_fixed(
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    Solved from the uniform joint (the junction-tree joint on an acyclic
-    hypergraph) by floored multiplicative steps with adaptive
-    over-relaxation, which fall back to the plain step whenever a trial does
-    not lower the objective (report method "auto").  The solve stops once
-    the value is within ``tol`` of the best lower bound seen, or after
-    ``max_iters`` iterations; ``duality_gap`` is that distance.  It can stop
-    so at two exhibited optimizers (see the module docstring): an isotropic
+    Solved by the loop of the module docstring (report method "auto") from
+    the uniform joint, or the junction-tree joint on an acyclic hypergraph.
+    The solve stops once the value is within ``tol`` of the best lower bound
+    seen, or after ``max_iters`` iterations; ``duality_gap`` is that
+    distance.  It can stop so at two exhibited optimizers: an isotropic
     box's parity mixture, tried before the loop and kept only if it
     certifies, which counts 1 iteration, and a nonnegative projection of an
-    iterate onto a noncontextual box's marginals.  The value is clamped at
-    0, the optimum's lower bound, so rounding never reports a negative
-    divergence; ``[value - duality_gap, value]`` still brackets the optimum.
+    iterate onto a noncontextual box's marginals.  A direct sum on a cyclic
+    hypergraph is solved one component at a time (see the module
+    docstring): ``iterations`` is the components' sum, and ``trace`` is
+    empty.  The value is clamped at 0, the optimum's lower bound, so
+    rounding never reports a negative divergence; ``[value - duality_gap,
+    value]`` still brackets the optimum.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters)
@@ -553,9 +556,21 @@ def x_fixed(
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
     start = time.perf_counter()
-    value, p_flat, gap, iters, converged, trace = _solve_fixed(
-        _FixedWeightProblem(box, weights), tol, max_iters, *_starts(box)
-    )
+    parts = _parts(box)
+    if len(parts) == 1:
+        problem = _FixedWeightProblem(box, weights)
+        value, p_flat, gap, iters, converged, trace = _solve_fixed(problem, tol, max_iters, *_starts(box))
+    else:
+        value, gap, iters, joints = 0.0, 0.0, 0, []
+        for part, members in parts:
+            w, dim = weights.weights[list(members)], part.hypergraph.joint_dim
+            share, p = float(w.sum()), np.full(dim, 1.0 / dim)
+            if share > 0.0:
+                problem = _FixedWeightProblem(part, ContextWeights._of(w / share))
+                v, p, part_gap, part_iters, _, _ = _solve_fixed(problem, tol, max_iters, *_starts(part))
+                value, gap, iters = value + share * v, gap + share * part_gap, iters + part_iters
+            joints.append(p)
+        p_flat, converged, trace = _component_product(box.hypergraph, joints), gap <= tol + 1e-14, ()
     return MeasureReport(
         value=value,
         optimizer=JointDistribution._of(box.hypergraph, p_flat),
@@ -598,27 +613,20 @@ def x_max(
     value is the least ``max_c D_c`` seen, at the returned optimizer, so it
     bounds the supremum from above as ``x_fixed``'s value bounds its
     optimum; ``duality_gap`` is its distance to the best lower bound
-    ``F_w(p) - gap`` seen, ``outer_weights`` the weights w of that bound, and
-    ``outer_gap`` is 0.  ``[value - duality_gap, value]`` brackets the
-    supremum, and ``converged`` means it is at most ``tol`` wide.  The loop
-    stops there, or after ``max_iters`` iterations.  ``outer_window`` is
-    checked and otherwise unused: the loop has no rounds to count.
-
-    On a cyclic hypergraph of several components the loop runs on each
-    component's box, since the supremum of a direct sum is its largest
-    component's.  The report takes the largest upper end and the largest
-    lower end, the weights of the latter with zeros on the other contexts,
-    the product of the components' optimizers, and their summed iterations.
+    ``F_w(p) - gap`` seen, whose weights are ``outer_weights``, and
+    ``converged`` means that it is at most ``tol``.  The loop stops there,
+    or after ``max_iters`` iterations.  ``outer_window`` is checked and
+    otherwise unused: the loop has no rounds to count.  A direct sum on a
+    cyclic hypergraph is solved one component at a time, and the report
+    takes the largest upper and lower ends, with the latter's weights and
+    zeros on the other contexts.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
     g = box.hypergraph
     check_joint_dim(g, dim_cap)
     start = time.perf_counter()
-    if g.join_tree is None and len(g.components) > 1:
-        parts = split_components(box)
-    else:
-        parts = ((box, tuple(range(g.n_contexts))),)
+    parts = _parts(box)
     solves = []
     for part, _ in parts:
         problem = _FixedWeightProblem(part, ContextWeights.uniform(part.hypergraph.n_contexts))
@@ -647,11 +655,8 @@ def _component_product(g: Hypergraph, parts: list[np.ndarray]) -> np.ndarray:
     """The flat joint on ``g`` that is the product of one joint per component
     of ``g`` (in ``g.components``' order, each laid out in its observables'
     order), so each part is its marginal on its component."""
-    factors = [
-        part.reshape([card if i in comp else 1 for i, card in enumerate(g.cardinalities)])
-        for comp, part in zip(g.components, parts)
-    ]
-    return functools.reduce(np.multiply, factors).reshape(-1)
+    shapes = [[card if i in comp else 1 for i, card in enumerate(g.cardinalities)] for comp in g.components]
+    return functools.reduce(np.multiply, [part.reshape(s) for part, s in zip(parts, shapes)]).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -119,9 +119,13 @@ class TestBuiltinURI:
         pytest.param(lambda: cx.parse_builtin_uri("builtin"), "not a builtin URI",
                      id="uri-without-name"),
         pytest.param(lambda: cx.parse_builtin_uri("builtin:CH:5:6"),
-                     "repeated positional parameter", id="uri-repeated-positional"),
+                     "repeated parameter 'n'", id="uri-repeated-positional"),
         pytest.param(lambda: cx.parse_builtin_uri("builtin:CH:n=5:6"),
-                     "repeated positional parameter", id="uri-positional-after-n-key"),
+                     "repeated parameter 'n'", id="uri-positional-after-n-key"),
+        pytest.param(lambda: cx.parse_builtin_uri("builtin:CH:7:n=8"),
+                     "repeated parameter 'n'", id="uri-n-key-after-positional"),
+        pytest.param(lambda: cx.parse_builtin_uri("builtin:PR:alpha=0.9:alpha=0.5"),
+                     "repeated parameter 'alpha'", id="uri-repeated-alpha"),
     ],
 )
 def test_refusals(call, fragment):

@@ -637,6 +637,56 @@ def test_zero_weight_is_no_context(data, draw_seed):
     assert part.value - part.duality_gap <= full.value + ROUNDING
 
 
+@seed(20261108)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), draw_seed=st.integers(0, 2**32 - 1))
+def test_direct_sum_solved_by_components(data, draw_seed):
+    """``x_fixed`` of a cyclic binary or ternary sum, solved one component at
+    a time, against ``_solve_fixed`` on the whole problem (the joint on the
+    product space).  Each summand is an anchor of at most 81 joint outcomes
+    mixed with a sparse joint's box, and the sum's contexts are shuffled.
+    The weights have zeros on most draws, and on some draws none on a whole
+    component.  The two brackets ``[value - duality_gap, value]`` overlap;
+    each part's optimizer, solved at its weights divided by their sum, is
+    the optimizer's marginal on its component (the uniform joint where that
+    sum is 0); and the iterations are the parts' sum."""
+    rng = np.random.default_rng(draw_seed)
+    small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 81]
+
+    def anchored():
+        anchor = data.draw(st.sampled_from(small))
+        return cx.mix(anchor, sparse_box(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0)))
+
+    box = shuffled(cx.direct_sum(anchored(), anchored()), rng)
+    parts = measures._parts(box)
+    assert len(parts) == 2
+    w = sparse_weights(box.hypergraph.n_contexts, rng).weights.copy()
+    dropped = data.draw(st.sampled_from([None, 0, 1]))
+    if dropped is not None:
+        w[list(parts[dropped][1])] = 0.0
+        kept = list(parts[1 - dropped][1])
+        if w[kept].sum() == 0.0:
+            w[kept[int(rng.integers(len(kept)))]] = 1.0
+    weights = cx.ContextWeights(w / w.sum())
+    report = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
+    whole = measures._FixedWeightProblem(box, weights)
+    value, _, gap, _, _, _ = measures._solve_fixed(whole, 1e-9, 5000, *measures._starts(box))
+    assert report.value - report.duality_gap <= value + 1e-12
+    assert value - gap <= report.value + 1e-12
+    iterations = 0
+    for (part, members), comp in zip(parts, box.hypergraph.components):
+        g = part.hypergraph
+        share = float(weights.weights[list(members)].sum())
+        if share == 0.0:
+            expected = np.full(g.joint_dim, 1.0 / g.joint_dim)
+        else:
+            own = cx.x_fixed(part, cx.ContextWeights(weights.weights[list(members)] / share),
+                             tol=1e-9, max_iters=5000)
+            expected, iterations = own.optimizer.probabilities, iterations + own.iterations
+        assert np.abs(cx.marginal(report.optimizer, comp) - expected).max() <= 1e-12
+    assert report.iterations == iterations
+
+
 def _pr_flip_group():
     """The group of one output flip on PR's first observable, which moves PR."""
     g = cx.pr_box().hypergraph

@@ -2,12 +2,13 @@
 
 ``reference_solve_fixed`` keeps the solver's loop as it was before the
 per-iteration trims: every step went through ``reference_evaluate`` (a scan
-for a zero marginal, the joint reshapes, and the gap from ``r.max()``), the
-over-relaxed step took ``r.max()`` again, and the components were found anew
-on every solve.  ``reference_x_max`` writes ``x_max``'s loop in the joint and
-the weights and its split into hypergraph components on its own, and every
-weight step builds a new problem from validated ``ContextWeights``.  Like
-``plain_em`` in ``test_measures.py`` they are an oracle.
+for a zero marginal, the joint reshapes, and the gap from ``r.max()``), and
+the over-relaxed step took ``r.max()`` again.  ``reference_x_max`` writes
+``x_max``'s loop in the joint and the weights on its own, and every weight
+step builds a new problem from validated ``ContextWeights``.
+``reference_x_fixed`` and ``reference_x_max`` split a box into hypergraph
+components on their own (``reference_parts``).  Like ``plain_em`` in
+``test_measures.py`` they are an oracle.
 
 The oracle also has the solver's two exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
@@ -92,19 +93,23 @@ def reference_components(g):
     return list(groups.values())
 
 
-def reference_factorize(p_tensor, g):
-    k = g.n_observables
-    factors, axis_order = [], []
-    for comp in reference_components(g):
-        comp = sorted(comp)
-        others = tuple(a for a in range(k) if a not in comp)
-        factors.append(p_tensor.sum(axis=others))
-        axis_order.extend(comp)
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = np.multiply.outer(prod, f)
-    perm = tuple(axis_order.index(j) for j in range(k))
-    return np.ascontiguousarray(np.transpose(prod, perm))
+def reference_parts(box):
+    """The box whole with every context index if its hypergraph is connected
+    or acyclic, else each component's box with its context indices."""
+    g = box.hypergraph
+    comps = reference_components(g)
+    if len(comps) == 1 or g.join_tree is not None:
+        return [(box, list(range(g.n_contexts)))]
+    parts = []
+    for comp in comps:
+        index = {i: j for j, i in enumerate(sorted(comp))}
+        cis = [ci for ci, ctx in enumerate(g.contexts) if set(ctx) <= set(comp)]
+        part = cx.Box(
+            cx.Hypergraph([g.observables[i] for i in sorted(comp)],
+                          [[index[i] for i in g.contexts[ci]] for ci in cis]),
+            [box.distributions[ci] for ci in cis])
+        parts.append((part, cis))
+    return parts
 
 
 def reference_candidate(box):
@@ -202,11 +207,6 @@ def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, ex
             trace.append((iteration, value, gap))
             next_trace *= 2
     trace.append((iteration, value, gap))
-    if len(reference_components(g)) > 1:
-        p = reference_factorize(p.reshape(g.joint_shape), g).reshape(-1)
-        value, _, point_gap = reference_evaluate(problem, p)
-        lower = max(lower, value - point_gap)
-        gap = max(value - lower, 0.0)
     return (max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)), exit
 
 
@@ -226,6 +226,62 @@ def assert_same_solve(got, expected, exit, box):
         assert np.abs(marginals - box.stacked()).max() <= 1e-12
     else:
         assert np.abs(got[1] - p).max() <= 1e-12
+
+
+def reference_x_fixed(box, weights, tol, max_iters):
+    """``x_fixed`` by ``reference_solve_fixed``.  A box that
+    ``reference_parts`` leaves whole is solved from its starts (the
+    junction-tree joint, else the isotropic candidate).  Otherwise each
+    component's box is solved so at its weights divided by their sum s, and
+    the report has the s-weighted sums of the values and gaps, the summed
+    iterations, an empty trace and the product of the components' joints; a
+    component with s = 0 is not solved and takes the uniform joint.  Returns
+    the fields, and each part's context indices and exit."""
+    parts = reference_parts(box)
+    if len(parts) == 1:
+        init = measures.junction_tree_joint(box)
+        candidate = reference_candidate(box) if init is None else None
+        problem = measures._FixedWeightProblem(box, weights)
+        expected, exit = reference_solve_fixed(problem, tol, max_iters, init, candidate)
+        return expected, [(parts[0][1], exit)]
+    value = gap = 0.0
+    iterations, joints, exits = 0, [], []
+    for part, cis in parts:
+        share = float(weights.weights[cis].sum())
+        if share == 0.0:
+            joints.append(np.full(part.hypergraph.joint_dim, 1.0 / part.hypergraph.joint_dim))
+            exits.append((cis, None))
+            continue
+        solved, part_exits = reference_x_fixed(part, cx.ContextWeights(weights.weights[cis] / share),
+                                               tol, max_iters)
+        value, gap, iterations = value + share * solved[0], gap + share * solved[2], iterations + solved[3]
+        joints.append(solved[1])
+        exits.append((cis, part_exits[0][1]))
+    p = reference_product(box.hypergraph, joints)
+    return (value, p, gap, iterations, gap <= tol + 1e-14, ()), exits
+
+
+def assert_same_x_fixed(report, expected, exits, box):
+    """An ``x_fixed`` report against ``reference_x_fixed``: as
+    ``assert_same_solve`` on a box solved whole, and bit for bit on a split
+    box where no part's exit fired.  Where one fired, the same iterations,
+    convergence and trace, the value and gap within 1e-12, and on each
+    context the optimizer's marginal within 1e-12 of the box's table (a
+    part that stopped at a projection) or of the oracle optimizer's."""
+    got = (report.value, report.optimizer.probabilities, report.duality_gap,
+           report.iterations, report.converged, report.trace)
+    if len(exits) == 1 or not any(exit for _, exit in exits):
+        assert_same_solve(got, expected, exits[0][1] if len(exits) == 1 else None, box)
+        return
+    assert got[3:] == expected[3:]
+    assert abs(got[0] - expected[0]) <= 1e-12 and abs(got[2] - expected[2]) <= 1e-12
+    op = box.hypergraph.incidence
+    marginals, reference = op.split(op.marginals(got[1])), op.split(op.marginals(expected[1]))
+    tables = op.split(box.stacked())
+    for cis, exit in exits:
+        for ci in cis:
+            target = tables[ci] if exit == "projection" else reference[ci]
+            assert np.abs(marginals[ci] - target).max() <= 1e-12
 
 
 def max_divergence(box, p):
@@ -345,25 +401,15 @@ def reference_x_max(box, tol, max_iters):
     iterations.  Returns the report's fields, and whether an exit fired in
     any component."""
     g = box.hypergraph
-    comps = reference_components(g)
-    if len(comps) == 1 or g.join_tree is not None:
-        comps = [list(range(g.n_observables))]
-    ascents, members = [], []
-    for comp in comps:
-        index = {i: j for j, i in enumerate(sorted(comp))}
-        cis = [ci for ci, ctx in enumerate(g.contexts) if set(ctx) <= set(comp)]
-        part = box if len(comps) == 1 else cx.Box(
-            cx.Hypergraph([g.observables[i] for i in sorted(comp)],
-                          [[index[i] for i in g.contexts[ci]] for ci in cis]),
-            [box.distributions[ci] for ci in cis])
-        ascents.append(reference_ascent(part, tol, max_iters))
-        members.append(cis)
+    parts = reference_parts(box)
+    ascents = [reference_ascent(part, tol, max_iters) for part, _ in parts]
+    members = [cis for _, cis in parts]
     lowers = [upper - gap for upper, gap, *_ in ascents]
     k = lowers.index(max(lowers))
     upper = max(a[0] for a in ascents)
     weights = np.zeros(g.n_contexts)
     weights[members[k]] = ascents[k][3]
-    p = ascents[0][2] if len(comps) == 1 else reference_product(g, [a[2] for a in ascents])
+    p = ascents[0][2] if len(parts) == 1 else reference_product(g, [a[2] for a in ascents])
     gap = max(upper - lowers[k], 0.0)
     return (upper, gap, sum(a[4] for a in ascents), gap <= tol + 1e-14, weights.tobytes(),
             0.0, p.tobytes()), any(a[5] for a in ascents)
@@ -446,21 +492,21 @@ def test_x_fixed_matches_reference(box, draw_seed, implicit):
     """Weights with zeros on most draws; dense matrix or tensor reductions.
     ``SUM_ANCHOR`` among the anchors keeps a positive optimum under a zero weight.
 
-    The solver's loop from the uniform start matches the oracle on every
-    draw.  ``x_fixed`` starts there too on a cyclic hypergraph, or at the
-    isotropic start if it certifies; on an acyclic one it starts from the
-    junction-tree joint, which the tests of ``test_junction_tree.py`` cover."""
+    The solver's loop from the uniform start on the whole box, a direct sum
+    too, matches the oracle on every draw.  On a cyclic hypergraph
+    ``x_fixed`` matches ``reference_x_fixed``: a connected box starts there
+    too, or at the isotropic start if it certifies, and a box of several
+    components is solved one component at a time.  On an acyclic hypergraph
+    it starts from the junction-tree joint, which the tests of
+    ``test_junction_tree.py`` cover."""
     weights = sparse_weights(box.hypergraph.n_contexts, np.random.default_rng(draw_seed))
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", 0 if implicit else measures.DENSE_ENTRIES_CAP):
         problem = measures._FixedWeightProblem(box, weights)
         solved = measures._solve_fixed(problem, 1e-9, 3000)
         report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
-    assert_same_solve(solved, *reference_solve_fixed(problem, 1e-9, 3000), box)
-    if box.hypergraph.join_tree is None:
-        expected, exit = reference_solve_fixed(problem, 1e-9, 3000, candidate=reference_candidate(box))
-        got = (report.value, report.optimizer.probabilities, report.duality_gap,
-               report.iterations, report.converged, report.trace)
-        assert_same_solve(got, expected, exit, box)
+        assert_same_solve(solved, *reference_solve_fixed(problem, 1e-9, 3000), box)
+        if box.hypergraph.join_tree is None:
+            assert_same_x_fixed(report, *reference_x_fixed(box, weights, 1e-9, 3000), box)
 
 
 @seed(20261026)
@@ -480,28 +526,56 @@ def test_x_max_matches_reference(box):
         assert report.value - report.duality_gap <= value
 
 
-@seed(20261031)
-@settings(max_examples=60, deadline=None)
-@given(box=exit_boxes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
-def test_exits_match_reference(box, uniform, draw_seed):
-    """``x_fixed`` at uniform weights or at random positive ones, and ``x_max``,
-    against the oracle with both exits (see ``assert_same_solve``)."""
+@st.composite
+def sum_exit_boxes(draw):
+    """Direct sums of two boxes on which the exits can fire, each an isotropic
+    chain of 3 to 5 contexts or one of ``ANCHORS`` of at most 81 joint
+    outcomes mixed with a dense joint's box, so ``x_fixed`` and ``x_max``
+    solve them one component at a time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = [a for a in ANCHORS if a.hypergraph.joint_dim <= 81]
+
+    def part():
+        if draw(st.booleans()):
+            return cx.builtin("CH", n=draw(st.integers(3, 5)),
+                              alpha=draw(st.sampled_from(np.linspace(0.0, 1.0, 21).tolist())))
+        anchor = draw(st.sampled_from(small))
+        return shuffled(cx.mix(anchor, dense_box(anchor.hypergraph, rng), float(rng.uniform())), rng)
+
+    return cx.direct_sum(part(), part())
+
+
+def check_x_fixed_exits(box, uniform, draw_seed):
+    """``x_fixed`` at uniform weights or at random positive ones against the
+    oracle with both exits (see ``assert_same_x_fixed``)."""
     g = box.hypergraph
     rng = np.random.default_rng(draw_seed)
     weights = cx.ContextWeights.uniform(g.n_contexts) if uniform else cx.ContextWeights(
         rng.dirichlet(np.ones(g.n_contexts)))
     report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
-    init = measures.junction_tree_joint(box)
-    candidate = reference_candidate(box) if init is None else None
-    expected, exit = reference_solve_fixed(
-        measures._FixedWeightProblem(box, weights), 1e-9, 3000, init, candidate
-    )
-    got = (report.value, report.optimizer.probabilities, report.duality_gap,
-           report.iterations, report.converged, report.trace)
-    assert_same_solve(got, expected, exit, box)
-    if init is None:
+    assert_same_x_fixed(report, *reference_x_fixed(box, weights, 1e-9, 3000), box)
+
+
+@seed(20261031)
+@settings(max_examples=60, deadline=None)
+@given(box=exit_boxes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
+def test_exits_match_reference(box, uniform, draw_seed):
+    """``check_x_fixed_exits``, and ``x_max`` against the oracle with both exits."""
+    check_x_fixed_exits(box, uniform, draw_seed)
+    if box.hypergraph.join_tree is None:
         assert_same_x_max(cx.x_max(box, max_iters=2000, outer_window=8),
                           *reference_x_max(box, measures.DEFAULT_TOL, 2000))
+
+
+@seed(20261109)
+@settings(max_examples=20, deadline=None)
+@given(box=sum_exit_boxes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
+def test_exits_on_sums_match_reference(box, uniform, draw_seed):
+    """``check_x_fixed_exits`` on direct sums.  ``x_max`` is left out: on a sum
+    of two noncontextual parts that each stop at a projection, the two lower
+    ends tie within rounding, and the library and the oracle may report
+    either part's weights."""
+    check_x_fixed_exits(box, uniform, draw_seed)
 
 
 @pytest.mark.parametrize("anchor", [ANCHORS[0], ANCHORS[-1]], ids=["PR", "ternary-cycle"])

@@ -171,6 +171,22 @@ def test_split_components_undoes_direct_sum():
         assert all(np.array_equal(a, b) for a, b in zip(got.distributions, part.distributions))
 
 
+def test_split_components_shares_hypergraphs():
+    """Equal hypergraphs built separately share one set of component
+    hypergraphs; a box of several components on an acyclic hypergraph is
+    not split, but solved whole from its junction-tree joint."""
+    first, second = (cx.direct_sum(cx.kcbs_box(), cx.pr_box(0.9)) for _ in range(2))
+    assert first.hypergraph is not second.hypergraph
+    for (a, members_a), (b, members_b) in zip(split_components(first), split_components(second)):
+        assert a.hypergraph is b.hypergraph and members_a == members_b
+    rng = np.random.default_rng(0)
+    pair = cx.Hypergraph([("A", 3), ("B", 2)], [(0, 1)])
+    acyclic = cx.direct_sum(dense_box(pair, rng), dense_box(pair, rng))
+    assert len(acyclic.hypergraph.components) == 2 and acyclic.hypergraph.join_tree is not None
+    assert measures._parts(acyclic) == ((acyclic, (0, 1)),)
+    assert cx.x_u(acyclic).iterations <= 1
+
+
 def test_direct_sum_of_isotropic_boxes_is_its_larger_part():
     m = cx.builtin("M", alpha=0.9)
     report = cx.x_max(cx.direct_sum(m, cx.builtin("PM", alpha=0.9)))

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,16 @@ PARITY_TOL = 1e-9
 JOINT_DIM_CAP = 2**22
 # Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
 MAX_OBSERVABLES = 64
+# Most entries (8 MB) of a dense incidence matrix: ``ContextIncidence.dense``
+# holds the full M only within it, and the entropy solver keeps its support
+# rows dense only within it.  Below it two matrix-vector products beat the
+# incidence's marginal sums and table lift on every box measured, above it the
+# gain shrinks and turns into a loss on boxes with many rows per context.
+DENSE_ENTRIES_CAP = 2**20
+# Largest spread of a parity class that ``parity_mixture`` calls flat, and of
+# the heavier classes' masses that it calls isotropic; the widest bracket that
+# the cost's parity route (``polytope._parity_cost``) keeps.
+PARITY_FLAT_TOL = 1e-12
 # Cells of the leading observables that ``ContextIncidence.best_outcome`` scores
 # outright, each by its best completion; the others are eliminated.  The cost's
 # parity route (``polytope._parity_cost``) lifts only joints of at most this
@@ -421,8 +431,12 @@ class ContextIncidence:
     component factorization and the group action read these tables.
     ``rows`` maps joint indices to their rows through their digits (``digit_rows``).
     ``columns`` builds dense rows of M, on every joint index, only for the
-    caller that asks for them (the entropy solver on small boxes); the cost
-    LP's rows and its pricing come from ``JunctionTree``.
+    caller that asks for them; ``dense`` is the whole of M, built by it once
+    per incidence, and so per hypergraph, on first use, and held as long as
+    the hypergraph, as one byte per entry, but only where M has at most
+    ``DENSE_ENTRIES_CAP`` entries: 1 MB at most.  The entropy solver reads
+    its rows on small boxes; the cost LP's rows and its pricing come from
+    ``JunctionTree``.
     ``parity_classes`` labels each row with its context's even or odd
     outcomes.  This module is the only code that knows the stacked layout.
 
@@ -580,8 +594,8 @@ class ContextIncidence:
             out[list(ctx), ci] = _row_major(shape)
         return out
 
-    def columns(self, support) -> np.ndarray:
-        """Dense ``M[support]`` on every joint index.
+    def columns(self, support, dtype=float) -> np.ndarray:
+        """Dense ``M[support]`` on every joint index, of type ``dtype``.
 
         Each context's table of flat row starts, plus the grid of column
         indices, scatters its 1s into a block of one row per support row and
@@ -594,10 +608,21 @@ class ContextIncidence:
         start = np.full(self.dim, size * n)
         start[support] = np.arange(size) * n
         grid = np.arange(n).reshape(self.joint_shape)
-        out = np.zeros((size + 1) * n)
+        out = np.zeros((size + 1) * n, dtype=dtype)
         for table in self.tables(start):
-            out[(table + grid).ravel()] = 1.0
+            out[(table + grid).ravel()] = 1
         return out[: size * n].reshape(size, n)
+
+    @cached_property
+    def dense(self) -> np.ndarray | None:
+        """All of M, ``columns`` on every stacked row, as read-only bytes (0 or
+        1), one per entry; None, with nothing built, where M has more than
+        ``DENSE_ENTRIES_CAP`` entries."""
+        if self.dim * self._joint_dim > DENSE_ENTRIES_CAP:
+            return None
+        out = self.columns(np.arange(self.dim), dtype=np.uint8)
+        out.flags.writeable = False
+        return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -859,6 +884,15 @@ class Box:
     The constructor only fixes the structure (one float vector per context);
     normalization and shape are checked by :func:`validate_box`, which is
     report-style so that broken inputs (e.g. from files) can be diagnosed.
+
+    A box and its arrays are immutable, so what is read off them alone is
+    made once, on first use, and held as long as the box: the stacked
+    vector, the validation report, the largest shared-marginal distance, the
+    junction-tree joint (``junction_tree_joint``) and the parity mixture
+    (``parity_mixture``), all read-only.  The joint is the largest, one
+    float per joint cell, at most ``JOINT_DIM_CAP`` of them (32 MB); the
+    mixture holds one entry per stacked row and an index and a weight per
+    assignment it mixes, at most two per joint cell.
     """
 
     hypergraph: Hypergraph
@@ -907,7 +941,6 @@ class Box:
         stacked.flags.writeable = False
         return stacked
 
-    # A box and its arrays are immutable, so each check runs once per box.
     @cached_property
     def _validation(self) -> BoxValidationReport:
         return _validation_report(self)
@@ -915,6 +948,14 @@ class Box:
     @cached_property
     def _max_shared_tv(self) -> float:
         return max((tv for *_, tv in _shared_marginal_tvs(self)), default=0.0)
+
+    @cached_property
+    def _tree_joint(self) -> np.ndarray | None:
+        return _junction_tree_joint(self)
+
+    @cached_property
+    def _parity_mixture(self) -> ParityMixture | None:
+        return _parity_mixture(self)
 
 
 @dataclass(frozen=True)
@@ -939,27 +980,47 @@ def validate_box(box: Box) -> BoxValidationReport:
 
 
 def _validation_report(box: Box) -> BoxValidationReport:
+    """Each context's issues, in context order: its shape, or else its
+    finiteness, or else its least entry and its sum.
+
+    Shapes are checked per context.  The vectors of the right shape, all of
+    them being the stacked vector, are then read with one reduction for
+    their minima and one for their sums; a NaN or an infinity fails one of
+    the two tests, as an issue does.  Only a context that fails one is
+    visited again, to word its issues.  The pass adds in another order than
+    ``vec.sum()``, so it flags every sum off by half the tolerance, and the
+    visit decides by ``vec.sum()``: two orders of adding at most 2^22
+    entries, none below ``NEGATIVE_TOL``, differ by far less than that.
+    """
+    dims = box.hypergraph.incidence.dims
+    fits = [vec.ndim == 1 and vec.size == dim for vec, dim in zip(box.distributions, dims)]
+    good = [ci for ci, ok in enumerate(fits) if ok]
+    flagged = [ci for ci, ok in enumerate(fits) if not ok]
+    if good:
+        if len(good) == len(fits):
+            stacked = box.stacked()
+        else:
+            stacked = np.concatenate([box.distributions[ci] for ci in good])
+        starts = list(itertools.accumulate((dims[ci] for ci in good[:-1]), initial=0))
+        with np.errstate(invalid="ignore", over="ignore"):
+            passed = (np.minimum.reduceat(stacked, starts) >= NEGATIVE_TOL) & (
+                np.abs(np.add.reduceat(stacked, starts) - 1.0) <= 0.5 * NORMALIZATION_TOL)
+        flagged += [good[k] for k in np.flatnonzero(~passed).tolist()]
     issues: list[BoxIssue] = []
-    for ci in range(box.hypergraph.n_contexts):
+    for ci in sorted(flagged):
         vec = box.distributions[ci]
-        expected = box.hypergraph.context_dim(ci)
-        if vec.ndim != 1 or vec.size != expected:
-            issues.append(
-                BoxIssue(ci, "shape", f"length {vec.size}, expected {expected}")
-            )
+        if not fits[ci]:
+            issues.append(BoxIssue(ci, "shape", f"length {vec.size}, expected {dims[ci]}"))
             continue
         if not np.all(np.isfinite(vec)):
             issues.append(BoxIssue(ci, "nan", "non-finite entries"))
             continue
-        if np.any(vec < NEGATIVE_TOL):
-            issues.append(
-                BoxIssue(ci, "negative", f"min entry {float(vec.min())!r} below {NEGATIVE_TOL}")
-            )
-        total = float(vec.sum())
+        if vec.min() < NEGATIVE_TOL:
+            issues.append(BoxIssue(ci, "negative", f"min entry {float(vec.min())!r} below {NEGATIVE_TOL}"))
+        with np.errstate(over="ignore"):
+            total = float(vec.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            issues.append(
-                BoxIssue(ci, "normalization", f"sums to {total!r}")
-            )
+            issues.append(BoxIssue(ci, "normalization", f"sums to {total!r}"))
     return BoxValidationReport(ok=not issues, issues=tuple(issues))
 
 
@@ -988,29 +1049,76 @@ class ConsistencyReport:
 
 
 @functools.lru_cache(maxsize=256)
-def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple:
-    """``(a, b, shared observables, a's others, b's others)`` for each pair of
-    contexts that share an observable; summing its others out of a context's
-    table leaves its marginal on the shared observables, in one shape for both.
+def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """``(a, b, shared observables in increasing order)`` for each pair of
+    contexts that share an observable, ``a < b``, in lexicographic order.
 
     Made once per context list, so boxes on one hypergraph (or on equal
-    ones) share it; the cache holds axes only, no box data.
+    ones) share it; the cache holds indices only, no box data.
     """
     out = []
     for a, b in itertools.combinations(range(len(contexts)), 2):
-        sa, sb = set(contexts[a]), set(contexts[b])
-        if sa & sb:
-            out.append((a, b, tuple(sorted(sa & sb)), tuple(sorted(sa - sb)), tuple(sorted(sb - sa))))
+        shared = set(contexts[a]) & set(contexts[b])
+        if shared:
+            out.append((a, b, tuple(sorted(shared))))
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> tuple:
+    """Index arrays that give every overlapping pair's shared marginals from
+    one ``bincount``: ``(rows, cells, size, left, right, starts)``, read-only.
+
+    Each context's marginal on each observable set it shares with another
+    context is made once, however many pairs share it: ``rows[k]`` is a
+    stacked row and ``cells[k]`` the cell, among the ``size`` cells of all
+    these marginals, that it adds to, each marginal row-major over its
+    observables in increasing order.  Pair k of ``_overlaps`` compares the
+    cells ``left[starts[k]:starts[k + 1]]`` of its first context's marginal
+    with the cells ``right[...]`` of its second's.  Made once per
+    cardinalities and context list, with no array per pair, so the arrays
+    are linear in the pairs' shared cells and in the contexts' rows times
+    the marginals each gives.
+    """
+    pairs = _overlaps(contexts)
+    # Each context's shared sets, and the first cell of each marginal.
+    subsets: list[dict[tuple[int, ...], int]] = [{} for _ in contexts]
+    for a, b, shared in pairs:
+        subsets[a][shared] = subsets[b][shared] = 0
+    rows, cells, size, offset = [], [], 0, 0
+    for ctx, found in zip(contexts, subsets):
+        dim = math.prod(cards[i] for i in ctx)
+        for shared in found:
+            found[shared] = size
+            rows.append(np.arange(offset, offset + dim))
+            cells.append(size + _cells(cards, ctx, shared))
+            size += math.prod(cards[i] for i in shared)
+        offset += dim
+    widths = [math.prod(cards[i] for i in shared) for _, _, shared in pairs]
+    starts = np.cumsum([0] + widths)
+    within = np.arange(starts[-1]) - np.repeat(starts[:-1], widths)
+    return (
+        _frozen_array(np.concatenate(rows), dtype=np.int64),
+        _frozen_array(np.concatenate(cells), dtype=np.int64),
+        size,
+        _frozen_array(np.repeat([subsets[a][s] for a, _, s in pairs], widths) + within, np.int64),
+        _frozen_array(np.repeat([subsets[b][s] for _, b, s in pairs], widths) + within, np.int64),
+        _frozen_array(starts[:-1], dtype=np.int64),
+    )
+
+
 def _shared_marginal_tvs(box: Box):
-    """``(a, b, shared observables, TV distance)`` per pair of overlapping contexts."""
+    """``(a, b, shared observables, TV distance)`` per pair of overlapping
+    contexts, every distance from one ``bincount`` (see ``_overlap_index``)."""
     g = box.hypergraph
-    tables = g.incidence.tables(box.stacked())
-    for a, b, shared, a_only, b_only in _overlaps(g.contexts):
-        diff = tables[a].sum(axis=a_only, keepdims=True) - tables[b].sum(axis=b_only, keepdims=True)
-        yield a, b, shared, 0.5 * float(np.abs(diff).sum())
+    pairs = _overlaps(g.contexts)
+    if not pairs:
+        return
+    rows, cells, size, left, right, starts = _overlap_index(g.cardinalities, g.contexts)
+    marginals = np.bincount(cells, box.stacked()[rows], size)
+    tvs = 0.5 * np.add.reduceat(np.abs(marginals[left] - marginals[right]), starts)
+    for (a, b, shared), tv in zip(pairs, tvs.tolist()):
+        yield a, b, shared, tv
 
 
 def check_consistency(box: Box, tol: float = 1e-9) -> ConsistencyReport:
@@ -1098,8 +1206,8 @@ def box_of_joint(joint: JointDistribution) -> Box:
 
 
 def junction_tree_joint(box: Box) -> np.ndarray | None:
-    """The junction-tree joint of a box, as a flat vector; None if its
-    hypergraph is cyclic or its joint exceeds ``JOINT_DIM_CAP`` cells.
+    """The junction-tree joint of a box, as a flat read-only vector; None if
+    its hypergraph is cyclic or its joint exceeds ``JOINT_DIM_CAP`` cells.
 
     The product over ``join_tree`` of each context's distribution
     conditioned on its separator, ``b_c(lambda_c | lambda_sep)``, with
@@ -1107,7 +1215,12 @@ def junction_tree_joint(box: Box) -> np.ndarray | None:
     every consistent box is the box of this joint (Vorob'ev 1962), so it is
     noncontextual; in floating point the marginals match to rounding, and
     callers certify what they report from the joint, not from the theorem.
+    Made once per box and cached on it.
     """
+    return box._tree_joint
+
+
+def _junction_tree_joint(box: Box) -> np.ndarray | None:
     g = box.hypergraph
     if g.joint_dim > JOINT_DIM_CAP or g.join_tree is None:
         return None
@@ -1118,7 +1231,9 @@ def junction_tree_joint(box: Box) -> np.ndarray | None:
         free = tuple(i for i in g.contexts[ci] if i not in separator)
         given = table.sum(axis=free, keepdims=True)
         joint *= np.divide(table, given, out=np.zeros(table.shape), where=given > 0.0)
-    return joint.reshape(-1)
+    joint = joint.reshape(-1)
+    joint.flags.writeable = False
+    return joint
 
 
 def deterministic_box(assignment: DeterministicAssignment, g: Hypergraph) -> Box:
@@ -1176,6 +1291,68 @@ def context_parity(box: Box, ci: int) -> int | None:
         if np.abs(vec - target).max() <= PARITY_TOL:
             return parity
     return None
+
+
+class ParityMixture(NamedTuple):
+    """A binary box flat on each context's parity classes (see ``parity_mixture``)."""
+
+    heavier: np.ndarray  # 1 on the stacked rows of each context's heavier class, else 0
+    isotropic: bool  # every context's heavier-class mass is one alpha, within PARITY_FLAT_TOL
+    top: float  # max beta
+    columns: np.ndarray  # joint indices of the mixture
+    weights: np.ndarray  # their weights, which sum to 1
+
+
+def parity_mixture(box: Box) -> ParityMixture | None:
+    """The parity classification of a binary box, and its symmetric mixture;
+    None unless every observable is binary and each context's even outcomes
+    are equally likely, and so are its odd ones, within ``PARITY_FLAT_TOL``.
+
+    These are the isotropic PR, chained, Peres-Mermin and Mermin boxes and
+    everything twirling maps onto them (Masanes, Acin & Gisin 2006).  With
+    y the indicator of each context's heavier class (even on a tie),
+    ``lift(y)`` scores every assignment D by the number beta_D of contexts
+    it hits in that class.  The mixture ``t U(max beta) + (1 - t) U(min beta)``
+    of the uniform distributions on the assignments of highest and lowest
+    beta puts the box's heavier-class mass on those classes in total, with
+    t clipped to [0, 1]: when every context's heavier mass is one alpha,
+    that is alpha clipped to the noncontextual interval
+    ``[min beta / n, max beta / n]``.  ``polytope._parity_cost`` takes it as
+    the cost's witness, and the entropy measures as their isotropic start.
+    Made once per box and cached on it, its arrays read-only.
+    """
+    return box._parity_mixture
+
+
+def _parity_mixture(box: Box) -> ParityMixture | None:
+    g = box.hypergraph
+    if any(d != 2 for d in g.cardinalities):
+        return None
+    incidence = g.incidence
+    stacked = box.stacked()
+    classes = incidence.parity_classes
+    n = g.n_contexts
+    mass = np.bincount(classes, weights=stacked, minlength=2 * n)
+    mean = mass / np.bincount(classes, minlength=2 * n)
+    if np.abs(stacked - mean[classes]).max() > PARITY_FLAT_TOL:
+        return None
+    heavier = np.empty(2 * n, dtype=bool)
+    heavier[0::2] = mass[0::2] >= mass[1::2]
+    heavier[1::2] = ~heavier[0::2]
+    y = heavier[classes].astype(float)
+    beta = incidence.lift(y).ravel()
+    top, bottom = float(beta.max()), float(beta.min())
+    t = 1.0
+    if top > bottom:
+        t = min(1.0, max(0.0, (float(mass[heavier].sum()) - bottom) / (top - bottom)))
+    highest, lowest = np.flatnonzero(beta == top), np.flatnonzero(beta == bottom)
+    weights = np.concatenate([np.full(highest.size, t / highest.size),
+                              np.full(lowest.size, (1.0 - t) / lowest.size)])
+    isotropic = bool(np.ptp(mass[heavier]) <= PARITY_FLAT_TOL)
+    columns = np.concatenate([highest, lowest])
+    for a in (y, columns, weights):
+        a.flags.writeable = False
+    return ParityMixture(y, isotropic, top, columns, weights)
 
 
 def opposite(box: Box) -> Box:

@@ -29,6 +29,20 @@ then r and ``max r``, which serves both the gap and the next over-relaxed
 step.  Floored iterates have positive marginals, so no marginal is scanned
 for zeros; a zero one shows as an infinite value.
 
+What a solve reads off its box alone is made once and cached, so
+``x_u``, ``x_max`` and the cost, run on one box in any order, set it up
+once and report the same bits.  On the box, for as long as it lives: the
+validation report, the largest shared-marginal distance, the junction-tree
+joint and the parity mixture (see ``boxes.Box``; the joint is the largest,
+one float per joint cell).  On the hypergraph's incidence, for as long as
+the hypergraph lives: the whole dense M, as one byte per entry, where it
+has at most ``DENSE_ENTRIES_CAP`` entries, so at most 1 MB per hypergraph;
+a problem converts its support rows of it to floats, at most 8 MB, freed
+with the problem.  Once per cardinalities and context list, in bounded
+caches that hold no box data: the junction tree, the overlap index of the
+consistency check and the Gram pseudo-inverse of the projection, of at
+most ``DENSE_ENTRIES_CAP`` floats (8 MB) each, 64 of them at most.
+
 The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
 is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto
 1972), and the same loop solves it with one more step: after each step in
@@ -50,7 +64,9 @@ w_k / s_k)`` (values and gaps alike), since any tuple of component
 marginals is met by their product; a component with s_k = 0 adds 0 and
 takes the uniform joint.  Each component's phi is concave and homogeneous
 of degree 1, so ``x_max`` is the largest component's.  The optimizer is the
-product of the components' joints, and the iterations are their sum.
+product of the components' joints, and the iterations are their sum: each
+component may take the iterations that the ones before it left of
+``max_iters``.
 
 On an acyclic hypergraph every consistent box is noncontextual, and its
 junction-tree joint (``boxes.junction_tree_joint``) has the box's context
@@ -65,7 +81,7 @@ The loop can also stop at two exhibited optimizers, each by the same test,
 the value within ``tol`` of the best lower bound, so a poor one can only
 fail to stop.  On a cyclic hypergraph, a binary box flat on each context's
 parity classes with one heavier-class mass on every context is tried first
-at its parity mixture (``polytope.parity_mixture``), which at uniform
+at its parity mixture (``boxes.parity_mixture``), which at uniform
 weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
 it and takes the same steps.  And at iterations 1, 2, 4, 8, ..., while the
@@ -93,6 +109,7 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import (
+    DENSE_ENTRIES_CAP,
     JOINT_DIM_CAP,
     Box,
     Hypergraph,
@@ -100,6 +117,7 @@ from .boxes import (
     check_joint_dim,
     check_tolerance,
     junction_tree_joint,
+    parity_mixture,
     probability_vector,
     require_consistent,
     split_components,
@@ -107,17 +125,11 @@ from .boxes import (
 from .closed_form import chi
 from .errors import InvalidBoxError, NotXorBoxError
 from .inequalities import classify_xor, nc_alpha_interval
-from .polytope import parity_mixture
 from .symmetry import apply
 
 LOG2E = math.log2(math.e)
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
-# Largest support-restricted incidence matrix (support rows x joint_dim
-# entries, 8 MB) the solver keeps dense: below it two matrix-vector products
-# beat the incidence's marginal sums and table lift on every box measured, above it the
-# gain shrinks and turns into a loss on boxes with many rows per context.
-DENSE_ENTRIES_CAP = 2**20
 # Adaptive over-relaxation of the multiplicative step: the
 # exponent on r grows by this factor after each accepted step, up to the cap,
 # and falls back to 1 (plain EM) after a trial that does not lower F.  On the
@@ -212,8 +224,10 @@ class _FixedWeightProblem:
     scales its rows, and a zero-weight row adds exactly 0 at the solver's
     floored iterates.  When the support rows of M have at most
     ``DENSE_ENTRIES_CAP`` entries they are kept as one dense matrix, so a
-    step costs two matrix-vector products; above the cap the operator's
-    tensor reductions keep memory O(joint_dim).
+    step costs two matrix-vector products: taken from the incidence's
+    cached M (``ContextIncidence.dense``) where M fits the cap, else built
+    by ``columns``.  Above the cap the operator's tensor reductions keep
+    memory O(joint_dim).
     """
 
     def __init__(self, box: Box, weights: ContextWeights):
@@ -226,7 +240,11 @@ class _FixedWeightProblem:
         self.context_s = np.repeat(np.arange(self.g.n_contexts), self.op.dims)[self.support]
         self.dense: np.ndarray | None = None
         if self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
-            self.dense = self.op.columns(support=self.support)
+            full = self.op.dense
+            if full is None:
+                self.dense = self.op.columns(support=self.support)
+            else:
+                self.dense = full[self.support].astype(float)
         # The support marginals of the last ``field`` call at a joint, and
         # their ratios to the targets.
         self.m: np.ndarray | None = None
@@ -269,7 +287,7 @@ class _FixedWeightProblem:
         box has a projection (``_projects``); else None."""
         if not _projects(self.g, self.targets):
             return None
-        return _gram_pinv(self.g.cardinalities, self.g.contexts)
+        return _gram_pinv(self.g)
 
     def projection(self, p: np.ndarray) -> np.ndarray | None:
         """The orthogonal projection ``p - M^+ (M p - b)`` of ``p`` onto the
@@ -332,21 +350,30 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
+def _gram_pinv(g: Hypergraph) -> np.ndarray:
+    """``(M M^T)^+`` for the full incidence M of a hypergraph whose dense M
+    exists, made once per cardinalities and context list (``_gram_slot``)
+    from the first such hypergraph's M, which its problems read too;
+    read-only.  ``M^T (M M^T)^+`` is M's pseudo-inverse, so the entropy
+    solver's projection needs no SVD of its own.  Entry (i, j) of ``M M^T``
+    counts the joint outcomes that hit both rows: at most ``joint_dim``,
+    below 2^24 within the dense cap, so single precision adds it exactly,
+    in a quarter of the time of double (0.23 against 0.98 ms on Mermin's
+    80 x 1024 M, 2-core Xeon host)."""
+    slot = _gram_slot(g.cardinalities, g.contexts)
+    if not slot:
+        dense = g.incidence.dense.astype(np.float32)
+        out = np.linalg.pinv((dense @ dense.T).astype(float), hermitian=True)
+        out.flags.writeable = False
+        slot.append(out)
+    return slot[0]
+
+
 @functools.lru_cache(maxsize=64)
-def _gram_pinv(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """``(M M^T)^+`` for the full incidence M of a hypergraph, made once per
-    cardinalities and context list; read-only.  ``M^T (M M^T)^+`` is M's
-    pseudo-inverse, so the entropy solver's projection needs no SVD of its
-    own.  Entry (i, j) of ``M M^T`` counts the joint outcomes that hit both
-    rows, which one ``bincount`` over every joint outcome's pairs of rows
-    gives; the cache holds no box data."""
-    incidence = Hypergraph([(str(i), d) for i, d in enumerate(cards)], contexts).incidence
-    rows = incidence.rows(np.arange(math.prod(cards)))
-    pairs = rows[:, :, None] * incidence.dim + rows[:, None, :]
-    gram = np.bincount(pairs.ravel(), minlength=incidence.dim**2).reshape(incidence.dim, -1)
-    out = np.linalg.pinv(gram.astype(float), hermitian=True)
-    out.flags.writeable = False
-    return out
+def _gram_slot(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
+    """The holder of ``_gram_pinv``'s matrix for one cardinalities and
+    context list, empty until it is first made; the cache holds no box data."""
+    return []
 
 
 def _solve_fixed(
@@ -493,7 +520,7 @@ def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     On an acyclic hypergraph the init is the junction-tree joint.  Otherwise
     the candidate is the parity mixture of a binary box flat on every
     context's parity classes with one heavier-class mass on all contexts
-    (``polytope.parity_mixture``), the isotropic optimizer when the weights
+    (``boxes.parity_mixture``), the isotropic optimizer when the weights
     are invariant; the solver keeps it only if it certifies.
     """
     joint = junction_tree_joint(box)
@@ -545,10 +572,10 @@ def x_fixed(
     certifies, which counts 1 iteration, and a nonnegative projection of an
     iterate onto a noncontextual box's marginals.  A direct sum on a cyclic
     hypergraph is solved one component at a time (see the module
-    docstring): ``iterations`` is the components' sum, and ``trace`` is
-    empty.  The value is clamped at 0, the optimum's lower bound, so
-    rounding never reports a negative divergence; ``[value - duality_gap,
-    value]`` still brackets the optimum.
+    docstring): ``iterations`` is the components' sum, at most
+    ``max_iters``, and ``trace`` is empty.  The value is clamped at 0, the
+    optimum's lower bound, so rounding never reports a negative divergence;
+    ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters)
@@ -567,7 +594,7 @@ def x_fixed(
             share, p = float(w.sum()), np.full(dim, 1.0 / dim)
             if share > 0.0:
                 problem = _FixedWeightProblem(part, ContextWeights._of(w / share))
-                v, p, part_gap, part_iters, _, _ = _solve_fixed(problem, tol, max_iters, *_starts(part))
+                v, p, part_gap, part_iters, _, _ = _solve_fixed(problem, tol, max_iters - iters, *_starts(part))
                 value, gap, iters = value + share * v, gap + share * part_gap, iters + part_iters
             joints.append(p)
         p_flat, converged, trace = _component_product(box.hypergraph, joints), gap <= tol + 1e-14, ()
@@ -617,9 +644,9 @@ def x_max(
     ``converged`` means that it is at most ``tol``.  The loop stops there,
     or after ``max_iters`` iterations.  ``outer_window`` is checked and
     otherwise unused: the loop has no rounds to count.  A direct sum on a
-    cyclic hypergraph is solved one component at a time, and the report
-    takes the largest upper and lower ends, with the latter's weights and
-    zeros on the other contexts.
+    cyclic hypergraph is solved one component at a time, within one budget
+    of ``max_iters`` iterations, and the report takes the largest upper and
+    lower ends, with the latter's weights and zeros on the other contexts.
     """
     require_consistent(box)
     _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
@@ -627,11 +654,12 @@ def x_max(
     check_joint_dim(g, dim_cap)
     start = time.perf_counter()
     parts = _parts(box)
-    solves = []
+    solves, budget = [], max_iters
     for part, _ in parts:
         problem = _FixedWeightProblem(part, ContextWeights.uniform(part.hypergraph.n_contexts))
-        value, p, gap, iters, _, _ = _solve_fixed(problem, tol, max_iters, *_starts(part), ascend=True)
+        value, p, gap, iters, _, _ = _solve_fixed(problem, tol, budget, *_starts(part), ascend=True)
         solves.append((value, value - gap, p, problem.weights, iters))
+        budget -= iters
     uppers, lowers, joints, part_weights, iterations = zip(*solves)
     k = lowers.index(max(lowers))
     weights = np.zeros(g.n_contexts)

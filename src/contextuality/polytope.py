@@ -70,17 +70,19 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy
 
 from .boxes import (
+    PARITY_FLAT_TOL,
     Box,
     DeterministicAssignment,
     Hypergraph,
     check_tolerance,
     junction_tree_joint,
+    parity_mixture,
     require_consistent,
 )
 from .errors import ContextualityError, InvalidBoxError
@@ -291,64 +293,6 @@ def _binary_cycle_cost(box: Box) -> CostReport:
     return CostReport(cost, (cost, cost), box)
 
 
-# Widest bracket, and largest spread of a parity class, that ``_parity_cost`` keeps.
-_PARITY_TOL = 1e-12
-
-
-class ParityMixture(NamedTuple):
-    """A binary box flat on each context's parity classes (see ``parity_mixture``)."""
-
-    heavier: np.ndarray  # 1 on the stacked rows of each context's heavier class, else 0
-    isotropic: bool  # every context's heavier-class mass is one alpha, within _PARITY_TOL
-    top: float  # max beta
-    columns: np.ndarray  # joint indices of the mixture
-    weights: np.ndarray  # their weights, which sum to 1
-
-
-def parity_mixture(box: Box) -> ParityMixture | None:
-    """The parity classification of a binary box, and its symmetric mixture;
-    None unless every observable is binary and each context's even outcomes
-    are equally likely, and so are its odd ones, within ``_PARITY_TOL``.
-
-    These are the isotropic PR, chained, Peres-Mermin and Mermin boxes and
-    everything twirling maps onto them (Masanes, Acin & Gisin 2006).  With
-    y the indicator of each context's heavier class (even on a tie),
-    ``lift(y)`` scores every assignment D by the number beta_D of contexts
-    it hits in that class.  The mixture ``t U(max beta) + (1 - t) U(min beta)``
-    of the uniform distributions on the assignments of highest and lowest
-    beta puts the box's heavier-class mass on those classes in total, with
-    t clipped to [0, 1]: when every context's heavier mass is one alpha,
-    that is alpha clipped to the noncontextual interval
-    ``[min beta / n, max beta / n]``.  ``_parity_cost`` takes it as the
-    cost's witness, and the entropy measures as their isotropic start.
-    """
-    g = box.hypergraph
-    if any(d != 2 for d in g.cardinalities):
-        return None
-    incidence = g.incidence
-    stacked = box.stacked()
-    classes = incidence.parity_classes
-    n = g.n_contexts
-    mass = np.bincount(classes, weights=stacked, minlength=2 * n)
-    mean = mass / np.bincount(classes, minlength=2 * n)
-    if np.abs(stacked - mean[classes]).max() > _PARITY_TOL:
-        return None
-    heavier = np.empty(2 * n, dtype=bool)
-    heavier[0::2] = mass[0::2] >= mass[1::2]
-    heavier[1::2] = ~heavier[0::2]
-    y = heavier[classes].astype(float)
-    beta = incidence.lift(y).ravel()
-    top, bottom = float(beta.max()), float(beta.min())
-    t = 1.0
-    if top > bottom:
-        t = min(1.0, max(0.0, (float(mass[heavier].sum()) - bottom) / (top - bottom)))
-    highest, lowest = np.flatnonzero(beta == top), np.flatnonzero(beta == bottom)
-    weights = np.concatenate([np.full(highest.size, t / highest.size),
-                              np.full(lowest.size, (1.0 - t) / lowest.size)])
-    isotropic = bool(np.ptp(mass[heavier]) <= _PARITY_TOL)
-    return ParityMixture(y, isotropic, top, np.concatenate([highest, lowest]), weights)
-
-
 def _parity_cost(box: Box) -> CostReport | None:
     """The cost of a binary box that is flat on each context's parity classes, from
     its parity inequality and a symmetric witness; None if the two do not meet.
@@ -362,7 +306,7 @@ def _parity_cost(box: Box) -> CostReport | None:
     it is the LP's own optimal dual (Abramsky, Barbosa & Mansfield 2017).
     The witness is the parity mixture, scaled by ``_within`` to fit the
     box; its cost is the upper end.  The report is kept only if the two
-    ends are within ``_PARITY_TOL``, so the value rests on both
+    ends are within ``PARITY_FLAT_TOL``, so the value rests on both
     certificates, never on the box being isotropic.
     """
     g = box.hypergraph
@@ -385,7 +329,7 @@ def _parity_cost(box: Box) -> CostReport | None:
         cost = min(1.0, max(0.0, cost))
         report = CostReport(cost, (0.0, cost), box, lambda: witness)
     lo, hi = report.interval
-    return report if hi - lo <= _PARITY_TOL else None
+    return report if hi - lo <= PARITY_FLAT_TOL else None
 
 
 def _report(

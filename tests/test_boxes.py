@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from test_incidence import hypergraphs
 
@@ -160,6 +160,11 @@ def nudged_pr(eps):
     return cx.Box(pr.hypergraph, dists)
 
 
+# A ternary cycle with a context over all of it; contexts that share no observable.
+TERNARY = cx.Hypergraph([("T0", 3), ("T1", 3), ("B", 2)], [(1, 0), (2, 1), (0, 2), (2, 0, 1)])
+DISJOINT = cx.Hypergraph([("T0", 3), ("B0", 2), ("B1", 2)], [(0,), (2, 1)])
+
+
 @seed(20261106)
 @settings(max_examples=80, deadline=None)
 @given(
@@ -167,10 +172,18 @@ def nudged_pr(eps):
     draw_seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["dense", "sparse", "nudged", "independent"]),
 )
+@example(g=TERNARY, draw_seed=1, kind="nudged")
+@example(g=TERNARY, draw_seed=2, kind="independent")
+@example(g=TERNARY, draw_seed=3, kind="sparse")
+@example(g=DISJOINT, draw_seed=4, kind="independent")
+@example(g=DISJOINT, draw_seed=5, kind="dense")
+@example(g=cx.Hypergraph([("T0", 3), ("T1", 3)], [(1, 0)]), draw_seed=6, kind="nudged")
 def test_consistency_matches_per_pair_oracle(g, draw_seed, kind):
     """``check_consistency`` against ``pair_tvs`` on consistent boxes (of a dense or
     a sparse joint) and inconsistent ones (a consistent box with mass moved
-    inside one context, or independent context distributions)."""
+    inside one context, or independent context distributions).  Besides the
+    drawn hypergraphs, ternary ones and ones with no overlapping pair (whose
+    distance is 0) are always run."""
     rng = np.random.default_rng(draw_seed)
     p = rng.dirichlet(np.ones(g.joint_dim))
     if kind == "sparse":

@@ -319,6 +319,25 @@ class TestDirectSumLaws:
         assert tv <= 1e-6
 
 
+@pytest.mark.parametrize("max_iters", [0, 1, 3, 5, 8, 40])
+def test_split_box_shares_one_iteration_budget(max_iters):
+    """A direct sum solved one component at a time gives each part the
+    iterations the parts before it left, so a report never counts more than
+    ``max_iters``; with enough of them both measures converge."""
+    box = cx.direct_sum(cx.kcbs_box(), cx.chain_box(8, 0.95))
+    assert len(measures._parts(box)) == 2
+    for report in (cx.x_u(box, max_iters=max_iters), cx.x_max(box, max_iters=max_iters)):
+        assert report.iterations <= max_iters
+    short = cx.x_u(box, max_iters=5)
+    assert short.iterations == 5 and not short.converged
+    for solve in (cx.x_u, cx.x_max):
+        full = solve(box)
+        exact = solve(box, max_iters=full.iterations)
+        assert full.converged and exact.converged
+        assert (exact.value, exact.duality_gap, exact.iterations) == (
+            full.value, full.duality_gap, full.iterations)
+
+
 class TestIFixed:
     def test_matches_x_fixed_and_flags_route(self, pr):
         w = cx.ContextWeights.uniform(4)

@@ -1,0 +1,250 @@
+"""What is made once per box or per hypergraph: the one-pass validation, and
+measures that read the same whatever ran before them on the box."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from test_incidence import hypergraphs
+from test_polytope import ternary_cycle_box
+
+import contextuality as cx
+from contextuality import boxes, measures
+from contextuality.sampling import random_consistent_box, random_hypergraph, random_joint
+
+
+def reference_issues(box):
+    """``(context, kind, detail)`` of each issue, each context's vector read on its own."""
+    out = []
+    for ci, vec in enumerate(box.distributions):
+        expected = box.hypergraph.context_dim(ci)
+        if vec.ndim != 1 or vec.size != expected:
+            out.append((ci, "shape", f"length {vec.size}, expected {expected}"))
+            continue
+        if not np.all(np.isfinite(vec)):
+            out.append((ci, "nan", "non-finite entries"))
+            continue
+        if np.any(vec < boxes.NEGATIVE_TOL):
+            out.append((ci, "negative", f"min entry {float(vec.min())!r} below {boxes.NEGATIVE_TOL}"))
+        with np.errstate(over="ignore"):
+            total = float(vec.sum())
+        if abs(total - 1.0) > boxes.NORMALIZATION_TOL:
+            out.append((ci, "normalization", f"sums to {total!r}"))
+    return out
+
+
+def malformed(vec, kind, rng):
+    """``vec`` broken in one way (or kept, for "valid")."""
+    vec = vec.copy()
+    at = int(rng.integers(vec.size))
+    if kind == "nan":
+        vec[at] = np.nan
+    elif kind in ("inf", "-inf"):
+        vec[at] = np.inf if kind == "inf" else -np.inf
+    elif kind == "both-infs":
+        vec[at], vec[(at + 1) % vec.size] = np.inf, -np.inf
+    elif kind == "negative":
+        vec[at] = -1e-6
+    elif kind == "tiny-negative":
+        # Above NEGATIVE_TOL, so only the sum, off by at most 1e-13 more, is read.
+        vec[at] = -1e-13
+    elif kind == "scaled":
+        vec *= float(rng.choice([0.5, 1.0 + 1e-6, 2.0]))
+    elif kind == "near-tolerance":
+        # Off by about the tolerance, on either side: decided by vec.sum().
+        vec *= 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.4, 1.6)) * boxes.NORMALIZATION_TOL
+    elif kind == "huge":
+        vec[:] = 1e308
+    elif kind == "short":
+        vec = vec[:-1]
+    elif kind == "long":
+        vec = np.append(vec, 0.0)
+    elif kind == "2-D":
+        vec = vec.reshape(1, -1)
+    return vec
+
+
+KINDS = ["valid", "nan", "inf", "-inf", "both-infs", "negative", "tiny-negative", "scaled",
+         "near-tolerance", "huge", "short", "long", "2-D"]
+
+
+@seed(20261120)
+@settings(max_examples=150, deadline=None)
+@given(g=hypergraphs(), draw_seed=st.integers(0, 2**32 - 1), broken=st.floats(0.0, 1.0))
+def test_validation_matches_per_context_reference(g, draw_seed, broken):
+    """``validate_box`` reads a box's minima and sums in one pass; its issues,
+    their contexts, kinds, order and wording, match a loop over the contexts.
+    Each context is broken in one of the ``KINDS`` with probability ``broken``."""
+    rng = np.random.default_rng(draw_seed)
+    box = random_consistent_box(g, rng)
+    dists = [malformed(vec, str(rng.choice(KINDS[1:])), rng) if rng.uniform() < broken else vec
+             for vec in box.distributions]
+    box = cx.Box(g, dists)
+    report = cx.validate_box(box)
+    expected = reference_issues(box)
+    assert [(i.context, i.kind, i.detail) for i in report.issues] == expected
+    assert report.ok == (not expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_malformation_reported_as_the_reference(kind, mermin):
+    """Each kind of break on one context of Mermin's box, every other context valid."""
+    rng = np.random.default_rng(7)
+    dists = list(mermin.distributions)
+    dists[2] = malformed(dists[2], kind, rng)
+    box = cx.Box(mermin.hypergraph, dists)
+    issues = [(i.context, i.kind, i.detail) for i in cx.validate_box(box).issues]
+    assert issues == reference_issues(box)
+    if kind not in ("tiny-negative", "near-tolerance"):  # either may leave the box valid
+        assert bool(issues) == (kind != "valid")
+
+
+def fresh(box):
+    """An equal box on an equal, newly built hypergraph: nothing cached."""
+    g = box.hypergraph
+    return cx.Box(cx.Hypergraph(g.observables, g.contexts), [d.copy() for d in box.distributions])
+
+
+def acyclic_box(rng):
+    """A path A - B - C, A ternary, with the context {A} inside {A, B}."""
+    g = cx.Hypergraph([("A", 3), ("B", 2), ("C", 2)], [(0, 1), (1, 2), (0,)])
+    return random_consistent_box(g, rng)
+
+
+def seeded_boxes():
+    """Binary and ternary boxes: contextual mixes (cyclic, with and without
+    zeros), noncontextual full-support boxes, an acyclic one, parity-flat ones
+    (isotropic PM and a chain) and a direct sum of two cyclic parts."""
+    rng = np.random.default_rng(2026)
+
+    def mixed(anchor, weight):
+        return cx.mix(anchor, cx.box_of_joint(random_joint(anchor.hypergraph, rng)), weight)
+
+    return {
+        "pr-mix": mixed(cx.pr_box(), 0.8),
+        "kcbs-mix": mixed(cx.kcbs_box(), 0.9),
+        "ternary-mix": mixed(ternary_cycle_box(4), 0.7),
+        "mermin-noncontextual": cx.box_of_joint(random_joint(cx.mermin_box().hypergraph, rng)),
+        "random-binary": random_consistent_box(random_hypergraph(rng, 5, n_contexts=4), rng),
+        "acyclic": acyclic_box(rng),
+        "pm-flat": cx.pm_box(0.9),
+        "chain-flat": cx.chain_box(5, 0.95),
+        "sum": cx.direct_sum(mixed(cx.pr_box(), 0.9), mixed(ternary_cycle_box(3), 0.8)),
+    }
+
+
+def xu_fields(report):
+    return (report.value, report.duality_gap, report.iterations, report.converged, report.trace,
+            report.optimizer.probabilities.tobytes())
+
+
+def xmax_fields(report):
+    return xu_fields(report) + (report.outer_weights.weights.tobytes(), report.outer_gap)
+
+
+def cost_fields(report):
+    return (report.cost, report.interval, sorted(
+        (key.outputs, weight) for key, weight in report.witness_weights.items()))
+
+
+MEASURES = {
+    "xu": (lambda box: cx.x_u(box, max_iters=3000), xu_fields),
+    "xmax": (lambda box: cx.x_max(box, max_iters=2000), xmax_fields),
+    "cost": (cx.contextuality_cost, cost_fields),
+}
+
+
+@pytest.mark.parametrize("name", list(seeded_boxes()))
+@pytest.mark.parametrize("measure", list(MEASURES))
+def test_reports_are_history_free(name, measure):
+    """Each measure reports bit for bit the same on a fresh box as on an equal
+    box on which the other two measures ran before it, in either order."""
+    box = seeded_boxes()[name]
+    solve, fields = MEASURES[measure]
+    expected = fields(solve(fresh(box)))
+    others = [m for m in MEASURES if m != measure]
+    for order in (others, others[::-1]):
+        used = fresh(box)
+        for other in order:
+            MEASURES[other][0](used)
+        assert fields(solve(used)) == expected, order
+
+
+def cached_arrays(box):
+    """Every array cached on the box, its hypergraph and their shared tables."""
+    g = box.hypergraph
+    out = {"stacked": box.stacked()}
+    joint = boxes.junction_tree_joint(box)
+    if joint is not None:
+        out["tree joint"] = joint
+    mixture = boxes.parity_mixture(box)
+    if mixture is not None:
+        out.update({"heavier": mixture.heavier, "columns": mixture.columns, "weights": mixture.weights})
+    if g.incidence.dense is not None:
+        out["dense"] = g.incidence.dense
+        if box.stacked().min() > 0.0:
+            out["gram"] = measures._gram_pinv(g)
+    if boxes._overlaps(g.contexts):
+        for k, index in enumerate(boxes._overlap_index(g.cardinalities, g.contexts)):
+            if isinstance(index, np.ndarray):
+                out[f"overlap index {k}"] = index
+    return out
+
+
+@pytest.mark.parametrize("name", list(seeded_boxes()))
+def test_cached_arrays_are_read_only(name):
+    box = fresh(seeded_boxes()[name])
+    for solve, _ in MEASURES.values():
+        solve(box)
+    cx.check_consistency(box)
+    arrays = cached_arrays(box)
+    assert "stacked" in arrays
+    for what, array in arrays.items():
+        assert not array.flags.writeable, what
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+
+
+def test_parity_mixture_and_tree_joint_made_once():
+    """The tree joint and the parity mixture are cached on the box: every read is the same object."""
+    flat, acyclic = fresh(cx.pm_box(0.9)), acyclic_box(np.random.default_rng(3))
+    assert boxes.parity_mixture(flat) is boxes.parity_mixture(flat) is not None
+    assert boxes.junction_tree_joint(acyclic) is boxes.junction_tree_joint(acyclic) is not None
+    assert boxes.junction_tree_joint(flat) is None and boxes.parity_mixture(acyclic) is None
+
+
+def test_no_full_dense_matrix_above_the_cap():
+    """PM x PM has 2,304 stacked rows and 2^18 joint cells: its dense M would
+    exceed ``DENSE_ENTRIES_CAP``, so x_u solves it without building one."""
+    box = cx.tensor(cx.pm_box(), cx.pm_box())
+    op = box.hypergraph.incidence
+    assert op.dim * box.hypergraph.joint_dim > boxes.DENSE_ENTRIES_CAP
+    cx.x_u(box, tol=2e-4)
+    assert vars(op).get("dense") is None
+    assert op.dense is None
+
+
+def test_dense_matrix_is_the_incidence():
+    """The cached dense M has the columns of every stacked row, as bytes."""
+    for box in seeded_boxes().values():
+        op = box.hypergraph.incidence
+        assert op.dense is not None and op.dense.dtype == np.uint8
+        assert np.array_equal(op.dense, op.columns(np.arange(op.dim)))
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2, 2), (3, 2, 3, 2), (3, 3, 3)])
+def test_overlap_index_is_linear_in_the_pairs(cards):
+    """The index arrays hold each pair's shared cells twice and each
+    context's rows once per marginal it gives, never more than the pairs'
+    context rows."""
+    k = len(cards)
+    contexts = tuple(itertools.combinations(range(k), 2)) + (tuple(range(k)),)
+    rows, cells, size, left, right, starts = boxes._overlap_index(cards, contexts)
+    pairs = boxes._overlaps(contexts)
+    dims = [int(np.prod([cards[i] for i in c])) for c in contexts]
+    shared = sum(int(np.prod([cards[i] for i in s])) for _, _, s in pairs)
+    assert left.size == right.size == shared and starts.size == len(pairs)
+    assert rows.size == cells.size <= sum(dims[a] + dims[b] for a, b, _ in pairs)
+    assert cells.max() < size and max(left.max(), right.max()) < size

@@ -34,14 +34,19 @@ What a solve reads off its box alone is made once and cached, so
 once and report the same bits.  On the box, for as long as it lives: the
 validation report, the largest shared-marginal distance, the junction-tree
 joint and the parity mixture (see ``boxes.Box``; the joint is the largest,
-one float per joint cell).  On the hypergraph's incidence, for as long as
-the hypergraph lives: the whole dense M, as one byte per entry, where it
-has at most ``DENSE_ENTRIES_CAP`` entries, so at most 1 MB per hypergraph;
-a problem converts its support rows of it to floats, at most 8 MB, freed
-with the problem.  Once per cardinalities and context list, in bounded
+one float per joint cell).  Here, in a map that holds each box weakly, for
+as long as the box lives: its projection prefix, the joint or None that the
+cost's projection route stops at (``projected_joint``), at most one float
+per joint cell, filled by that route or by an ``x_u`` before it whose loop
+is the same solve.  Once per cardinalities and context list, in bounded
 caches that hold no box data: the junction tree, the overlap index of the
-consistency check and the Gram pseudo-inverse of the projection, of at
-most ``DENSE_ENTRIES_CAP`` floats (8 MB) each, 64 of them at most.
+consistency check, and the dense M with the Gram pseudo-inverse of the
+projection (``ContextIncidence.dense`` and ``gram_pinv``), which equal
+hypergraphs built afresh share.  M is one byte per entry, and is held only
+where it has at most ``DENSE_ENTRIES_CAP`` entries (1 MB); the
+pseudo-inverse has at most ``DENSE_ENTRIES_CAP`` floats (8 MB); 64 context
+lists hold them at most, so 576 MB at the very most.  A problem converts
+its support rows of M to floats, at most 8 MB, freed with the problem.
 
 The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
 is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto
@@ -94,7 +99,10 @@ A start that certifies counts 1 iteration.  The same exit serves the
 contextuality cost: ``projected_joint`` runs this loop at uniform weights
 for at most 16 steps, stops once the best lower bound is positive, and
 hands the projection to ``polytope.contextuality_cost`` as a joint with the
-box's marginals, which certifies a cost of 0 there without an LP.
+box's marginals, which certifies a cost of 0 there without an LP.  An
+``x_u`` at the default tol on a box solved whole from the uniform start
+runs the same steps first, so it records where that solve would stop, and
+a cost after it takes no step.
 """
 
 from __future__ import annotations
@@ -103,6 +111,7 @@ import functools
 import math
 import numbers
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -283,11 +292,11 @@ class _FixedWeightProblem:
 
     @cached_property
     def gram(self) -> np.ndarray | None:
-        """``(M M^T)^+`` of the full incidence (see ``_gram_pinv``) where the
-        box has a projection (``_projects``); else None."""
+        """``(M M^T)^+`` of the full incidence (``ContextIncidence.gram_pinv``)
+        where the box has a projection (``_projects``); else None."""
         if not _projects(self.g, self.targets):
             return None
-        return _gram_pinv(self.g)
+        return self.op.gram_pinv
 
     def projection(self, p: np.ndarray) -> np.ndarray | None:
         """The orthogonal projection ``p - M^+ (M p - b)`` of ``p`` onto the
@@ -350,30 +359,17 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
-def _gram_pinv(g: Hypergraph) -> np.ndarray:
-    """``(M M^T)^+`` for the full incidence M of a hypergraph whose dense M
-    exists, made once per cardinalities and context list (``_gram_slot``)
-    from the first such hypergraph's M, which its problems read too;
-    read-only.  ``M^T (M M^T)^+`` is M's pseudo-inverse, so the entropy
-    solver's projection needs no SVD of its own.  Entry (i, j) of ``M M^T``
-    counts the joint outcomes that hit both rows: at most ``joint_dim``,
-    below 2^24 within the dense cap, so single precision adds it exactly,
-    in a quarter of the time of double (0.23 against 0.98 ms on Mermin's
-    80 x 1024 M, 2-core Xeon host)."""
-    slot = _gram_slot(g.cardinalities, g.contexts)
-    if not slot:
-        dense = g.incidence.dense.astype(np.float32)
-        out = np.linalg.pinv((dense @ dense.T).astype(float), hermitian=True)
-        out.flags.writeable = False
-        slot.append(out)
-    return slot[0]
+# Each box's projection prefix: the outcome of ``projected_joint``'s solve, a
+# read-only joint or None, held as long as the box.
+_prefixes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@functools.lru_cache(maxsize=64)
-def _gram_slot(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
-    """The holder of ``_gram_pinv``'s matrix for one cardinalities and
-    context list, empty until it is first made; the cache holds no box data."""
-    return []
+def _record_prefix(box: Box, joint: np.ndarray | None) -> None:
+    """Fill ``box``'s projection prefix (see ``projected_joint``) with
+    ``joint``, made read-only, unless a call before filled it."""
+    if joint is not None:
+        joint.flags.writeable = False
+    _prefixes.setdefault(box, joint)
 
 
 def _solve_fixed(
@@ -382,11 +378,21 @@ def _solve_fixed(
     max_iters: int,
     init: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
-    contextual_exit: bool = False,
     ascend: bool = False,
+    prefix: Box | None = None,
+    prefix_only: bool = False,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     """The solver's loop (see the module docstring): the value, the joint,
     the gap, the iterations, whether the gap met ``tol``, and the trace.
+
+    With ``prefix``, a box whose solve at uniform weights and the default
+    tol this is, from the uniform start, the loop fills the box's projection
+    prefix (``projected_joint``) where that solve would stop: at a loop top
+    whose gap is within ``tol`` or whose best lower bound is positive, or at
+    the top of the step after the last projection, with the iterate if its
+    gap is within ``tol`` (to 1e-14) and None otherwise; or at a projection
+    exit, with the projection.  A candidate that certifies is not that
+    solve, so it fills nothing.  With ``prefix_only`` the loop stops there.
 
     With ``ascend`` the loop also steps the context weights (``x_max``): the
     joint is the iterate of the least ``max_c D_c`` seen, the value
@@ -399,7 +405,9 @@ def _solve_fixed(
         p = _floored_step(candidate, 1.0, 1.0, 1.0)
         value, r, r_max = problem.field(p)
         certified = _gap(r_max) <= tol
-    if not certified:
+    if certified:
+        prefix = None
+    else:
         start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
         p = _floored_step(start, 1.0, 1.0, 1.0)
         value, r, r_max = problem.field(p)
@@ -422,11 +430,14 @@ def _solve_fixed(
         gap = max(upper - lower, 0.0)
     iteration = 0
     for iteration in range(1, max_iters + 1):
+        # A positive lower bound certifies the box contextual: no projection
+        # can follow.
+        if prefix is not None and (gap <= tol or lower > 0.0 or iteration > _PROJECTION_STEPS):
+            _record_prefix(prefix, p if gap <= tol + 1e-14 else None)
+            if prefix_only:
+                break
+            prefix = None
         if gap <= tol:
-            break
-        if contextual_exit and lower > 0.0:
-            # A positive lower bound certifies the box contextual: no
-            # projection can follow.
             break
         if lower <= 0.0 and iteration & (iteration - 1) == 0 and problem.gram is not None:
             # A nonnegative projection onto the box's marginals is a joint
@@ -445,6 +456,8 @@ def _solve_fixed(
                     p, value, lower = q, q_value, q_lower
                     upper, p_upper = value, p
                     gap = max(value - lower, 0.0)
+                    if prefix is not None:
+                        _record_prefix(prefix, p)
                     break
         trial = _floored_step(p, r, omega, r_max)
         trial_value, trial_r, trial_r_max = problem.field(trial)
@@ -496,22 +509,26 @@ def _solve_fixed(
 
 def projected_joint(box: Box) -> np.ndarray | None:
     """A joint with the box's context marginals, from the projection exit of
-    the solver at uniform weights (see the module docstring); None where the
-    exit cannot apply (``_projects``, checked before any matrix is built),
-    and when the solve does not converge within ``_PROJECTION_STEPS`` steps.
+    the solver at uniform weights and the default tol (see the module
+    docstring), read-only; None where the exit cannot apply (``_projects``,
+    checked before any matrix is built), and when the solve does not
+    converge within ``_PROJECTION_STEPS`` steps.
 
     The solve stops as soon as its best lower bound is positive, which
     certifies the box contextual.  Nothing rests on this: the joint is the
     point the solve stopped at, a projection or an iterate, and
     ``polytope.contextuality_cost`` keeps only the cost that its own
-    marginals certify.
+    marginals certify.  The outcome is the box's projection prefix, made
+    once per box: by this call, or by an ``x_u`` before it whose loop is
+    this solve and records it in passing (``_solve_fixed``).
     """
     g = box.hypergraph
     if not _projects(g, box.stacked()):
         return None
-    problem = _FixedWeightProblem(box, ContextWeights.uniform(g.n_contexts))
-    _, p, _, _, converged, _ = _solve_fixed(problem, DEFAULT_TOL, _PROJECTION_STEPS, contextual_exit=True)
-    return p if converged else None
+    if box not in _prefixes:
+        problem = _FixedWeightProblem(box, ContextWeights.uniform(g.n_contexts))
+        _solve_fixed(problem, DEFAULT_TOL, _PROJECTION_STEPS + 1, prefix=box, prefix_only=True)
+    return _prefixes[box]
 
 
 def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -586,7 +603,17 @@ def x_fixed(
     parts = _parts(box)
     if len(parts) == 1:
         problem = _FixedWeightProblem(box, weights)
-        value, p_flat, gap, iters, converged, trace = _solve_fixed(problem, tol, max_iters, *_starts(box))
+        init, candidate = _starts(box)
+        # The loop is the projection route's solve (``projected_joint``) too,
+        # so it fills the box's prefix in passing, once per box.
+        n = box.hypergraph.n_contexts
+        prefix = box if (
+            init is None and tol == DEFAULT_TOL and max_iters >= _PROJECTION_STEPS
+            and box not in _prefixes and bool((weights.weights == 1.0 / n).all())
+            and _projects(box.hypergraph, problem.targets)
+        ) else None
+        value, p_flat, gap, iters, converged, trace = _solve_fixed(
+            problem, tol, max_iters, init, candidate, prefix=prefix)
     else:
         value, gap, iters, joints = 0.0, 0.0, 0, []
         for part, members in parts:

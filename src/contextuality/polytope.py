@@ -22,7 +22,8 @@ And a noncontextual box whose every entry is positive, and whose incidence
 matrix M and ``M M^T`` both fit ``measures.DENSE_ENTRIES_CAP``, gets it from
 the entropy solver's projection of an iterate onto the joints with its
 marginals (``measures.projected_joint``: at most 16 steps at uniform
-weights, stopped once the solver's lower bound is positive), a global
+weights, stopped once the solver's lower bound is positive, and none where
+an ``x_u`` on the box took them first), a global
 section of the box (Abramsky & Brandenburger 2011) that ``_joint_cost``
 certifies as it does the junction-tree joint.  A joint is kept only at a
 cost of at most 1e-9, so one that misses leaves the box to the LP.  Every
@@ -44,10 +45,12 @@ entries come to more than ``JOINT_DIM_CAP``.  On
 M + PM + CH(14, 0.95) (2^33 cells) it took 9 ms, where an LP that priced
 assignments in rounds took 3.2 s (README.md).  The tree of a context list
 is built once (``boxes._junction_tree``), so within the scan the LP is
-nearly as fast as those rounds were: on the 32 cost LPs of one perfbench
+nearly as fast as those rounds were: on 32 boxes of one perfbench
 small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
 23-24 ms, and was slower only on the four 1024-cell Mermin mixes (14
-against 8 ms; best of 7, trees and models warm, 2-core Xeon host).
+against 8 ms; best of 7, trees and models warm, 2-core Xeon host).  Of
+those 32 boxes, 28 now take the projection route, and 4, contextual
+anchored mixes, reach the LP.
 
 Dividing the duals y of the box's rows by the least score of any
 assignment under them, from a min-sum pass over the same tree's cliques

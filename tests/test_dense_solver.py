@@ -9,7 +9,7 @@ from test_incidence import hypergraphs
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
-from contextuality import measures
+from contextuality import boxes, measures
 from contextuality.boxes import ContextIncidence
 
 
@@ -127,6 +127,8 @@ def test_x_max_builds_one_matrix():
     )
     pm = cx.pm_box()
     box = cx.mix(pm, sparse_box(pm.hypergraph, np.random.default_rng(0)), 0.8)
+    # Equal hypergraphs share one dense M: build this one afresh.
+    boxes._dense_matrices.cache_clear()
     with builds as columns:
         cx.x_max(box, outer_window=20)
     assert columns.call_count == 1

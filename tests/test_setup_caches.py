@@ -113,10 +113,44 @@ def acyclic_box(rng):
     return random_consistent_box(g, rng)
 
 
+def uniform_box(g):
+    return cx.Box(g, [np.full(g.context_dim(ci), 1.0 / g.context_dim(ci)) for ci in range(g.n_contexts)])
+
+
+def projection_route_boxes():
+    """Mermin's box and the ternary 4-cycle mixed with one Dirichlet joint's
+    box (seed 0), or with the uniform box, at the given weight: full-support
+    cyclic boxes on which the cost takes the projection route.  The comments
+    give where ``projected_joint``'s solve stops.  None stops at step 2: the
+    iterate there lies in the row space of M, as the uniform start does, so
+    its projection is the start's to rounding."""
+
+    def mixed(anchor, weight, base=None):
+        g = anchor.hypergraph
+        base = base or cx.box_of_joint(random_joint(g, np.random.default_rng(0)))
+        return cx.mix(anchor, base, weight)
+
+    mermin, ternary = cx.mermin_box(), ternary_cycle_box(4)
+    return {
+        "mermin-step-1": mixed(mermin, 0.0),  # a projection at step 1
+        "mermin-step-4": mixed(mermin, 0.14),
+        "mermin-step-8": mixed(mermin, 0.18),
+        "mermin-step-16": mixed(mermin, 0.52),
+        "mermin-miss": mixed(mermin, 0.58),  # noncontextual, no projection within 16 steps
+        "ternary-uniform": uniform_box(ternary.hypergraph),  # the iterate at step 1: x_u = 0
+        "ternary-step-1": mixed(ternary, 0.02, uniform_box(ternary.hypergraph)),
+        "ternary-step-4": mixed(ternary, 0.0),
+        "ternary-step-8": mixed(ternary, 0.14),
+        "ternary-step-16": mixed(ternary, 0.42),
+        "ternary-contextual": mixed(ternary, 0.7),  # a positive lower bound at step 6
+    }
+
+
 def seeded_boxes():
     """Binary and ternary boxes: contextual mixes (cyclic, with and without
     zeros), noncontextual full-support boxes, an acyclic one, parity-flat ones
-    (isotropic PM and a chain) and a direct sum of two cyclic parts."""
+    (isotropic PM and a chain), a direct sum of two cyclic parts, and the
+    ``projection_route_boxes``."""
     rng = np.random.default_rng(2026)
 
     def mixed(anchor, weight):
@@ -132,6 +166,7 @@ def seeded_boxes():
         "pm-flat": cx.pm_box(0.9),
         "chain-flat": cx.chain_box(5, 0.95),
         "sum": cx.direct_sum(mixed(cx.pr_box(), 0.9), mixed(ternary_cycle_box(3), 0.8)),
+        **projection_route_boxes(),
     }
 
 
@@ -185,7 +220,9 @@ def cached_arrays(box):
     if g.incidence.dense is not None:
         out["dense"] = g.incidence.dense
         if box.stacked().min() > 0.0:
-            out["gram"] = measures._gram_pinv(g)
+            out["gram"] = g.incidence.gram_pinv
+    if measures._prefixes.get(box) is not None:
+        out["projection prefix"] = measures._prefixes[box]
     if boxes._overlaps(g.contexts):
         for k, index in enumerate(boxes._overlap_index(g.cardinalities, g.contexts)):
             if isinstance(index, np.ndarray):
@@ -248,3 +285,86 @@ def test_overlap_index_is_linear_in_the_pairs(cards):
     assert left.size == right.size == shared and starts.size == len(pairs)
     assert rows.size == cells.size <= sum(dims[a] + dims[b] for a, b, _ in pairs)
     assert cells.max() < size and max(left.max(), right.max()) < size
+
+
+def test_equal_hypergraphs_share_dense_matrices():
+    """Hypergraphs built separately from one observable and context list share
+    one dense M and one Gram pseudo-inverse, whichever of them made it."""
+    for box in projection_route_boxes().values():
+        g = box.hypergraph
+        first, second = (cx.Hypergraph(g.observables, g.contexts).incidence for _ in range(2))
+        assert first.dense is second.dense is not None
+        assert second.gram_pinv is first.gram_pinv is not None
+
+
+def prefix(box):
+    """The projection prefix held for ``box``: a joint's bytes, None, or "empty"."""
+    if box not in measures._prefixes:
+        return "empty"
+    joint = measures._prefixes[box]
+    return None if joint is None else joint.tobytes()
+
+
+@st.composite
+def prefix_boxes(draw):
+    """Full-support boxes on cyclic hypergraphs of one component: Mermin's,
+    PM's, the ternary 3- and 4-cycle's and ``random_hypergraph`` draws, each
+    anchor mixed with a Dirichlet joint's box or the uniform box, on either
+    side of the noncontextual boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mermin", "pm", "ternary-3", "ternary-4", "random"]))
+    if kind == "random":
+        g = random_hypergraph(rng, int(rng.integers(4, 7)), n_contexts=int(rng.integers(3, 6)))
+        anchor = random_consistent_box(g, rng)
+    else:
+        anchor = {"mermin": cx.mermin_box, "pm": cx.pm_box, "ternary-3": lambda: ternary_cycle_box(3),
+                  "ternary-4": lambda: ternary_cycle_box(4)}[kind]()
+    g = anchor.hypergraph
+    base = uniform_box(g) if draw(st.booleans()) else cx.box_of_joint(random_joint(g, rng))
+    return cx.mix(anchor, base, draw(st.floats(0.0, 0.9)))
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(box=prefix_boxes(), max_iters=st.integers(0, 15), draw_seed=st.integers(0, 2**32 - 1))
+def test_x_u_leaves_the_projection_prefix(box, max_iters, draw_seed):
+    """The prefix that ``x_u`` leaves on a box is bit for bit what
+    ``projected_joint`` makes on an equal fresh box, or None on both, and
+    ``x_u`` leaves one wherever its loop is the projection route's solve
+    (an isotropic box may stop at its parity mixture first, and leave none).
+    Calls whose loop is another solve leave none: another tol, fewer than
+    16 iterations, non-uniform weights, or a direct sum solved by parts."""
+    g = box.hypergraph
+    whole = g.join_tree is None and len(g.components) == 1 and measures._projects(g, box.stacked())
+    used = fresh(box)
+    cx.x_u(used)
+    if whole and measures._starts(box)[1] is None:
+        assert prefix(used) != "empty"
+    if prefix(used) != "empty":
+        expected = measures.projected_joint(fresh(box))
+        assert prefix(used) == (None if expected is None else expected.tobytes())
+        assert measures.projected_joint(used) is measures._prefixes[used]
+    rng = np.random.default_rng(draw_seed)
+    weights = cx.ContextWeights(rng.dirichlet(np.ones(g.n_contexts)))
+    calls = [
+        lambda b: cx.x_u(b, tol=1e-6),
+        lambda b: cx.x_u(b, max_iters=max_iters),
+        lambda b: cx.x_fixed(b, weights),
+    ]
+    for call in calls:
+        other = fresh(box)
+        call(other)
+        assert prefix(other) == "empty"
+    pair = cx.direct_sum(fresh(box), fresh(box))
+    cx.x_u(pair)
+    assert prefix(pair) == "empty"
+
+
+@pytest.mark.parametrize("box", [cx.pm_box(0.9), cx.mermin_box(0.9)], ids=["PM", "M"])
+def test_parity_certified_box_leaves_no_prefix(box):
+    """An isotropic box certified at its parity mixture takes no loop step, so
+    its ``x_u`` is not the projection route's solve and leaves no prefix."""
+    used = fresh(box)
+    assert cx.x_u(used).iterations == 1
+    assert prefix(used) == "empty"
+    assert measures._projects(used.hypergraph, used.stacked())

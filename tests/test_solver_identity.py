@@ -42,7 +42,7 @@ from test_dense_solver import (
 from test_incidence import brute_rows, hypergraphs
 
 import contextuality as cx
-from contextuality import measures
+from contextuality import boxes, measures
 from contextuality.boxes import ContextIncidence
 
 EPS = np.finfo(float).eps
@@ -589,6 +589,8 @@ def test_x_max_support_change_matches_reference(anchor):
         ContextIncidence, "columns", autospec=True, side_effect=ContextIncidence.columns
     )
     with mock.patch.object(measures, "_ETA0", 1e6):
+        # Equal hypergraphs share one dense M: build this one afresh.
+        boxes._dense_matrices.cache_clear()
         with builds as columns:
             report = cx.x_max(box, max_iters=2000, outer_window=8)
         assert columns.call_count == 1

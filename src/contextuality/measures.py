@@ -91,18 +91,20 @@ weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
 it and takes the same steps.  And at iterations 1, 2, 4, 8, ..., while the
 best lower bound is at most 0 on a dense problem whose every target is
-positive, the iterate is projected onto the joints with the box's
-marginals, ``p - M^T (M M^T)^+ (M p - b)``; a nonnegative projection is a
+positive, the iterate is moved onto the joints with the box's marginals
+(``_FixedWeightProblem.projection``): one sweep of iterative proportional
+fitting, which keeps it positive and fits each context in turn (Csiszar
+1975), one multiplicative step toward the marginals, and the orthogonal
+projection ``q - M^T (M M^T)^+ (M q - b)``.  A nonnegative result is a
 noncontextual witness (Abramsky & Brandenburger 2011) whose own certificate,
-counted up to 0, closes the gap.  A contextual box has no such projection.
-A start that certifies counts 1 iteration.  The same exit serves the
+counted up to 0, closes the gap.  A contextual box has no such joint.  A
+start that certifies counts 1 iteration.  The same exit serves the
 contextuality cost: ``projected_joint`` runs this loop at uniform weights
 for at most 16 steps, stops once the best lower bound is positive, and
-hands the projection to ``polytope.contextuality_cost`` as a joint with the
-box's marginals, which certifies a cost of 0 there without an LP.  An
-``x_u`` at the default tol on a box solved whole from the uniform start
-runs the same steps first, so it records where that solve would stop, and
-a cost after it takes no step.
+hands the joint it stops at to ``polytope.contextuality_cost``, which
+certifies a cost of 0 there without an LP.  An ``x_u`` at the default tol
+on a box solved whole from the uniform start runs the same steps first, so
+it records where that solve would stop, and a cost after it takes no step.
 """
 
 from __future__ import annotations
@@ -160,6 +162,10 @@ _EPS = np.finfo(float).eps
 # Steps within which ``projected_joint`` tries the projection, at steps 1, 2,
 # 4, 8 and 16, before the cost leaves the box to its LP.
 _PROJECTION_STEPS = 16
+# The largest exponent of the projection's multiplicative step, so the step
+# never overflows.  It stayed below 5 on every box measured, and is bounded by
+# about the incidence's row count, which can pass the 709 of exp's overflow.
+_EXPONENT_CAP = 64.0
 
 
 def relative_entropy(g, p) -> float:
@@ -254,9 +260,6 @@ class _FixedWeightProblem:
                 self.dense = self.op.columns(support=self.support)
             else:
                 self.dense = full[self.support].astype(float)
-        # The support marginals of the last ``field`` call at a joint, and
-        # their ratios to the targets.
-        self.m: np.ndarray | None = None
         self.reweight(weights.weights)
 
     def reweight(self, weights: np.ndarray) -> None:
@@ -276,8 +279,10 @@ class _FixedWeightProblem:
         its largest entry +inf.
         """
         if p is not None:
-            self.m = self.op.marginals(p)[self.support] if self.dense is None else self.dense @ p
-            self.ratio = self.t_s / self.m
+            # The targets' ratios to the support marginals at ``p``, kept for
+            # calls without ``p`` and for ``divergences``.
+            m = self.op.marginals(p)[self.support] if self.dense is None else self.dense @ p
+            self.ratio = self.t_s / m
             self.log_ratio = np.log2(self.ratio)
         value = float(self.wt_s @ self.log_ratio)
         if not math.isfinite(value):
@@ -299,11 +304,25 @@ class _FixedWeightProblem:
         return self.op.gram_pinv
 
     def projection(self, p: np.ndarray) -> np.ndarray | None:
-        """The orthogonal projection ``p - M^+ (M p - b)`` of ``p`` onto the
-        joints with the box's context marginals, normalized; None if it has a
-        negative entry.  ``M p`` is read from the last ``field`` call, which
-        must have been at ``p``, and ``M^+`` is ``M^T (M M^T)^+``."""
-        q = p - (self.gram @ (self.m - self.t_s)) @ self.dense
+        """A joint with the box's context marginals made from the positive
+        joint ``p``, normalized; None if it has a negative entry.
+
+        Three moves toward the marginals b: one sweep of iterative
+        proportional fitting, ``q <- q * (b_c / (M_c q)) @ M_c`` context by
+        context (``runs``); one multiplicative step in the exponential
+        family, ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)`` and N the
+        joint's size, its exponent clamped at ``_EXPONENT_CAP``; and the
+        orthogonal projection ``q - M^+ (M q - b)``, with
+        ``M^+ = M^T (M M^T)^+``.  The first two keep q positive, so the last
+        one moves less, and goes negative less often, than from ``p``."""
+        q = p.copy()
+        for a, b in self.runs:
+            rows = self.dense[a:b]
+            q *= (self.t_s[a:b] / (rows @ q)) @ rows
+        z = (self.gram @ (self.t_s - self.dense @ q)) @ self.dense
+        z *= q.size
+        q *= np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
+        q -= (self.gram @ (self.dense @ q - self.t_s)) @ self.dense
         if q.min() < 0.0:
             return None
         q /= q.sum()

@@ -20,10 +20,10 @@ and M(0.9) from 0.73 and 1.05 ms by the LP then used within the scan to
 0.25 and 0.27 ms (best of 30, a fresh box each call, 2-core Xeon host).
 And a noncontextual box whose every entry is positive, and whose incidence
 matrix M and ``M M^T`` both fit ``measures.DENSE_ENTRIES_CAP``, gets it from
-the entropy solver's projection of an iterate onto the joints with its
-marginals (``measures.projected_joint``: at most 16 steps at uniform
-weights, stopped once the solver's lower bound is positive, and none where
-an ``x_u`` on the box took them first), a global
+the joint with its marginals that the entropy solver's projection exit
+makes from an iterate (``measures.projected_joint``: at most 16 steps at
+uniform weights, stopped once the solver's lower bound is positive, and
+none where an ``x_u`` on the box took them first), a global
 section of the box (Abramsky & Brandenburger 2011) that ``_joint_cost``
 certifies as it does the junction-tree joint.  A joint is kept only at a
 cost of at most 1e-9, so one that misses leaves the box to the LP.  Every
@@ -50,7 +50,9 @@ small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
 23-24 ms, and was slower only on the four 1024-cell Mermin mixes (14
 against 8 ms; best of 7, trees and models warm, 2-core Xeon host).  Of
 those 32 boxes, 28 now take the projection route, and 4, contextual
-anchored mixes, reach the LP.
+anchored mixes, reach the LP.  On hypergraphs of 4 or 5 observables under
+many contexts the route misses more often: 20 of 324 seeded Dirichlet
+boxes there reach the LP (README.md).
 
 Dividing the duals y of the box's rows by the least score of any
 assignment under them, from a min-sum pass over the same tree's cliques

@@ -764,12 +764,13 @@ def test_isotropic_pm_and_m_run_no_lp(family, alpha, highs_log):
     assert abs(cx.contextuality_cost(box).cost - cost_closed_form(family, alpha)) <= 1e-12
 
 
-def pm_per_context_box():
-    """PM with alpha 0.95, 0.9, ..., 0.7 on its six contexts.  It is consistent,
-    since every two bits of a context are uniform on both parity classes, and
-    flat on each class, but not isotropic."""
+def pm_per_context_box(top, bottom):
+    """PM with alpha from ``top`` down to ``bottom`` in equal steps on its six
+    contexts.  It is consistent, since every two bits of a context are
+    uniform on both parity classes, and flat on each class, but not
+    isotropic.  It is noncontextual when the alphas add up to at most 5."""
     pm = cx.pm_box()
-    parts = zip(np.linspace(0.95, 0.7, 6), pm.distributions, cx.opposite(pm).distributions)
+    parts = zip(np.linspace(top, bottom, 6), pm.distributions, cx.opposite(pm).distributions)
     return cx.Box(pm.hypergraph, [a * d + (1.0 - a) * e for a, d, e in parts])
 
 
@@ -781,7 +782,7 @@ def anchored_mix(anchor, seed):
 @pytest.mark.parametrize(
     "box",
     [anchored_mix(cx.pm_box(), 1), anchored_mix(cx.mermin_box(), 2), ternary_cycle_box(4),
-     cx.direct_sum(cx.mermin_box(0.9), cx.pr_box(0.9)), pm_per_context_box()],
+     cx.direct_sum(cx.mermin_box(0.9), cx.pr_box(0.9)), pm_per_context_box(0.95, 0.85)],
     ids=["PM-mix", "M-mix", "ternary-4-cycle", "M+PR", "PM-per-context"],
 )
 def test_other_boxes_reach_the_lp(box, highs_log):
@@ -789,6 +790,17 @@ def test_other_boxes_reach_the_lp(box, highs_log):
     assert polytope._parity_cost(box) is None
     report = cx.contextuality_cost(box)
     assert highs_log["runs"] > 0
+    assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
+
+
+def test_noncontextual_pm_per_context_takes_the_projection(highs_log):
+    """Alphas 0.95 down to 0.7, which add up to 4.95: noncontextual, with no
+    zero entry, so its cost of 0 comes from the projection route, with no
+    HiGHS run."""
+    box = pm_per_context_box(0.95, 0.7)
+    assert polytope._parity_cost(box) is None
+    report = cx.contextuality_cost(box)
+    assert highs_log["runs"] == 0
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
 
 
@@ -818,12 +830,14 @@ def full_support_boxes(draw):
     Either a Dirichlet joint's box on a cyclic ``random_hypergraph`` draw of
     6 to 9 observables, any of them ternary within 1024 joint cells, with k
     to 2k contexts: noncontextual.  Smaller joints under many contexts
-    leave little room: on 4 and 5 observables, with k/2 + 1 to 2k contexts,
-    12 of 99 such boxes had no nonnegative projection within 16 steps, and
-    went to the LP.  Or an anchor of ``PROJECTION_ANCHORS`` mixed with a
-    Dirichlet joint's box, either at up to 3/4 of the boundary weight w*,
-    so noncontextual, or above w* by 1/20 to 19/20 of the distance to 1,
-    so contextual.  Near w* the projection can miss as well.
+    leave little room: on 4 and 5 observables, up to two of them ternary,
+    with k/2 + 1 to 2k contexts, 9 of 99 and 20 of 324 seeded such boxes
+    found no joint with their marginals within 16 steps, and went to the LP
+    (11 and 30 when the exit projected the iterate alone).  Or an anchor of
+    ``PROJECTION_ANCHORS`` mixed with a Dirichlet joint's box, either at up
+    to 3/4 of the boundary weight w*, so noncontextual, or above w* by 1/20
+    to 19/20 of the distance to 1, so contextual.  Near w* the exit can miss
+    as well.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):

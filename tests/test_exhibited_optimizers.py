@@ -7,6 +7,7 @@ oracle of ``test_solver_identity.py`` without its exits).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from test_dense_solver import shuffled
 from test_junction_tree import ROUNDING
 from test_polytope import ternary_cycle_box
-from test_solver_identity import dense_box, reference_solve_fixed
+from test_solver_identity import dense_box, reference_solve_fixed, reference_sweep
 
 import contextuality as cx
-from contextuality import measures
+from contextuality import boxes, measures
 from contextuality.closed_form import nc_interval, xu_isotropic
 from contextuality.sampling import random_consistent_box, random_hypergraph
 
@@ -149,3 +150,35 @@ def test_isotropic_boxes_certify_at_their_start(family, n):
         report = cx.x_max(box)
         assert report.iterations == 1
         assert abs(report.value - xu_isotropic(box.hypergraph.n_contexts, alpha)) <= 1e-12
+
+
+def test_projection_step_is_clamped():
+    """A triangle of contexts on 11 binary observables, one of them on 10
+    (1024 cells), with ``DENSE_ENTRIES_CAP`` raised so that its 1032 x 2048 M
+    projects.  The box is a joint's with almost all of its mass on one cell;
+    the iterate has almost none there, and puts it where the last context's
+    table has almost none.  After the sweep the step's exponent reaches about
+    1024, past exp's overflow at 709.  Clamped, the projection raises no
+    floating-point error, and what it returns, if anything, is a joint with
+    the box's marginals."""
+    cap = 2**22
+    with mock.patch.object(measures, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap):
+        g = cx.Hypergraph([(f"O{i}", 2) for i in range(11)], [list(range(10)), [9, 10], [10, 0]])
+        joint = np.full(g.joint_dim, 1e-9)
+        joint[0] = 1.0
+        box = cx.box_of_joint(cx.JointDistribution(g, joint / joint.sum()))
+        digits = np.array(list(np.ndindex(g.joint_shape)))
+        head = digits[:, :10].sum(axis=1) == 0
+        p = np.ones(g.joint_dim)
+        p[head & (digits[:, 10] == 0)] = 1e-30
+        p[head & (digits[:, 10] == 1)] = 1e30
+        p /= p.sum()
+        problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(g.n_contexts))
+        assert problem.gram is not None
+        assert reference_sweep(problem, p)[1].max() > 709.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            q = problem.projection(p)
+        if q is not None:
+            assert np.abs(g.incidence.marginals(q) - box.stacked()).max() <= 1e-9
+    # This M and its pseudo-inverse exceed the cap that holds outside the test.
+    boxes._dense_matrices.cache_clear()

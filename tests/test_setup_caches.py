@@ -117,32 +117,54 @@ def uniform_box(g):
     return cx.Box(g, [np.full(g.context_dim(ci), 1.0 / g.context_dim(ci)) for ci in range(g.n_contexts)])
 
 
-def projection_route_boxes():
-    """Mermin's box and the ternary 4-cycle mixed with one Dirichlet joint's
-    box (seed 0), or with the uniform box, at the given weight: full-support
-    cyclic boxes on which the cost takes the projection route.  The comments
-    give where ``projected_joint``'s solve stops.  None stops at step 2: the
-    iterate there lies in the row space of M, as the uniform start does, so
-    its projection is the start's to rounding."""
+# Where ``projected_joint``'s solve stops on each of ``projection_route_boxes``:
+# its step, and whether it leaves a joint with the box's marginals ("joint")
+# or None.  Step 17 is the top of the step after the last projection.
+PROJECTION_STOPS = {
+    "mermin-step-1": (1, "joint"),
+    "mermin-step-4": (4, "joint"),
+    "mermin-step-8": (8, "joint"),
+    "mermin-step-16": (16, "joint"),
+    "mermin-miss": (17, None),
+    "ternary-uniform": (1, "joint"),
+    "ternary-step-1": (1, "joint"),
+    "ternary-step-2": (2, "joint"),
+    "ternary-step-4": (4, "joint"),
+    "ternary-step-8": (8, "joint"),
+    "ternary-step-16": (16, "joint"),
+    "ternary-contextual": (6, None),
+}
 
-    def mixed(anchor, weight, base=None):
+
+def projection_route_boxes():
+    """Mermin's box and the ternary 4-cycle mixed with a Dirichlet joint's box
+    (seed 0 unless given), or with the uniform box, at the given weight:
+    full-support cyclic boxes on which the cost takes the projection route.
+    ``PROJECTION_STOPS`` gives where ``projected_joint``'s solve stops.  Each
+    weight lies inside a band of weights that stop at the same step, at
+    least 0.0015 from either end.  "mermin-miss" is noncontextual (its
+    boundary weight is about 0.6005) and finds no joint with its marginals
+    within 16 steps; "ternary-contextual" has a positive lower bound at
+    step 6."""
+
+    def mixed(anchor, weight, base_seed=0):
         g = anchor.hypergraph
-        base = base or cx.box_of_joint(random_joint(g, np.random.default_rng(0)))
-        return cx.mix(anchor, base, weight)
+        return cx.mix(anchor, cx.box_of_joint(random_joint(g, np.random.default_rng(base_seed))), weight)
 
     mermin, ternary = cx.mermin_box(), ternary_cycle_box(4)
     return {
-        "mermin-step-1": mixed(mermin, 0.0),  # a projection at step 1
-        "mermin-step-4": mixed(mermin, 0.14),
-        "mermin-step-8": mixed(mermin, 0.18),
-        "mermin-step-16": mixed(mermin, 0.52),
-        "mermin-miss": mixed(mermin, 0.58),  # noncontextual, no projection within 16 steps
+        "mermin-step-1": mixed(mermin, 0.0),
+        "mermin-step-4": mixed(mermin, 0.547, base_seed=2),
+        "mermin-step-8": mixed(mermin, 0.575),
+        "mermin-step-16": mixed(mermin, 0.591),
+        "mermin-miss": mixed(mermin, 0.5975),
         "ternary-uniform": uniform_box(ternary.hypergraph),  # the iterate at step 1: x_u = 0
-        "ternary-step-1": mixed(ternary, 0.02, uniform_box(ternary.hypergraph)),
-        "ternary-step-4": mixed(ternary, 0.0),
-        "ternary-step-8": mixed(ternary, 0.14),
-        "ternary-step-16": mixed(ternary, 0.42),
-        "ternary-contextual": mixed(ternary, 0.7),  # a positive lower bound at step 6
+        "ternary-step-1": cx.mix(ternary, uniform_box(ternary.hypergraph), 0.02),
+        "ternary-step-2": mixed(ternary, 0.347, base_seed=1),
+        "ternary-step-4": mixed(ternary, 0.366),
+        "ternary-step-8": mixed(ternary, 0.4),
+        "ternary-step-16": mixed(ternary, 0.44),
+        "ternary-contextual": mixed(ternary, 0.7),
     }
 
 
@@ -295,6 +317,24 @@ def test_equal_hypergraphs_share_dense_matrices():
         first, second = (cx.Hypergraph(g.observables, g.contexts).incidence for _ in range(2))
         assert first.dense is second.dense is not None
         assert second.gram_pinv is first.gram_pinv is not None
+
+
+@pytest.mark.parametrize("name", list(PROJECTION_STOPS))
+def test_projection_route_stops_where_expected(name):
+    """``projected_joint``'s solve stops at the step ``PROJECTION_STOPS`` gives,
+    and leaves a joint with the box's marginals or None, as it says."""
+    box = fresh(projection_route_boxes()[name])
+    g = box.hypergraph
+    problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(g.n_contexts))
+    step = measures._solve_fixed(problem, measures.DEFAULT_TOL, measures._PROJECTION_STEPS + 1,
+                                 prefix=box, prefix_only=True)[3]
+    joint = measures._prefixes[box]
+    assert (step, None if joint is None else "joint") == PROJECTION_STOPS[name]
+    if joint is not None:
+        assert joint.min() >= 0.0
+        assert np.abs(g.incidence.marginals(joint) - box.stacked()).max() <= 1e-12
+    again = measures.projected_joint(fresh(box))
+    assert again is None if joint is None else np.array_equal(again, joint)
 
 
 def prefix(box):

@@ -12,16 +12,18 @@ components on their own (``reference_parts``).  Like ``plain_em`` in
 
 The oracle also has the solver's two exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
-(beta by brute force over every assignment), kept if it certifies, and the
-projection of the iterate onto the box's marginals at iterations 1, 2, 4,
-8, ... while the best lower bound is at most 0, by ``lstsq`` on an
-incidence matrix built from ``brute_rows``.  Where neither exit fires, the
-library must give the same values, gaps, iteration counts, traces and
-optimizers bit for bit, as the loop without the exits does.  Where one
-fires, it must stop at the same iteration with the same convergence, its
-value and gap within 1e-12 of the oracle's, and an optimizer whose context
-marginals match the box within 1e-12 (a projection) or the oracle's
-candidate within 1e-12.
+(beta by brute force over every assignment), kept if it certifies, and a
+joint with the box's marginals made from the iterate at iterations 1, 2, 4,
+8, ... while the best lower bound is at most 0 (``reference_projection``):
+one sweep of iterative proportional fitting over the contexts, one
+multiplicative step toward the marginals and the orthogonal projection, each
+pseudo-inverse by ``lstsq`` on an incidence matrix built from
+``brute_rows``.  Where neither exit fires, the library must give the same
+values, gaps, iteration counts, traces and optimizers bit for bit, as the
+loop without the exits does.  Where one fires, it must stop at the same
+iteration with the same convergence, its value and gap within 1e-12 of the
+oracle's, and an optimizer whose context marginals match the box within
+1e-12 (a projection) or the oracle's candidate within 1e-12.
 """
 
 import math
@@ -145,19 +147,33 @@ def reference_candidate(box):
     return p
 
 
+def reference_sweep(problem, p):
+    """From ``p``: one sweep of iterative proportional fitting, context by
+    context, that rescales each context's marginal to its table; the
+    exponent ``N z`` of the step toward the marginals, with
+    ``z = M^+ (b - M q)`` by ``lstsq`` and N the joint's size, unclamped;
+    and the full incidence M, built from ``brute_rows``."""
+    rows, b = brute_rows(problem.g), problem.targets
+    incidence = np.zeros((b.size, rows.shape[0]))
+    q = p.copy()
+    for hit in rows.T:
+        incidence[hit, np.arange(rows.shape[0])] = 1.0
+        marginal = np.bincount(hit, weights=q, minlength=b.size)
+        q = q * b[hit] / marginal[hit]
+    return q, q.size * np.linalg.lstsq(incidence, b - incidence @ q, rcond=None)[0], incidence
+
+
 def reference_projection(problem, p):
-    """``p - M^+ (M p - b)`` by ``lstsq`` on the full incidence, normalized;
-    None if it has a negative entry, or if the problem is not dense with
-    every row on the support."""
+    """``reference_sweep``, the step ``q * exp(N z)`` with its exponent clamped
+    at ``measures._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``,
+    normalized; None if it has a negative entry, or if the problem is not
+    dense with every row on the support."""
     op = problem.op
     if problem.support.size < op.dim or problem.dense is None or op.dim**2 > measures.DENSE_ENTRIES_CAP:
         return None
-    rows = np.array(brute_rows(problem.g))
-    incidence = np.zeros((op.dim, problem.g.joint_dim))
-    for ci in range(rows.shape[1]):
-        incidence[rows[:, ci], np.arange(rows.shape[0])] = 1.0
-    correction = np.linalg.lstsq(incidence, incidence @ p - problem.targets, rcond=None)[0]
-    q = p - correction
+    q, exponent, incidence = reference_sweep(problem, p)
+    q = q * np.exp(np.minimum(exponent, measures._EXPONENT_CAP))
+    q = q - np.linalg.lstsq(incidence, incidence @ q - problem.targets, rcond=None)[0]
     if q.min() < 0.0:
         return None
     return q / q.sum()

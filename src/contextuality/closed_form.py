@@ -68,11 +68,6 @@ def xu_chain(n: int, alpha: float = 1.0) -> float:
     return xu_isotropic(n, alpha)
 
 
-def xmax_isotropic(n: int, alpha: float) -> float:
-    """X_max equals X_u on isotropic xor-boxes."""
-    return xu_isotropic(n, alpha)
-
-
 def quantum_chain_alpha(n: int) -> float:
     """Mixing weight of the maximally contextual quantum chain box.
 

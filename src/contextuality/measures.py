@@ -10,8 +10,11 @@ gradient coordinate at lambda is ``-log2(e) * r(lambda)`` with
 
     r(lambda) = sum_c w_c * g_c(lambda_c) / p_c(lambda_c),
 
-so ``max r`` gives the duality gap ``(max r - 1) * log2(e)`` for free, and
-``value - gap`` is a lower bound on the optimum at every iterate.  The solver
+so ``max r`` gives the duality gap ``log2(max r)`` for free, and ``value -
+gap`` is a lower bound on the optimum at every iterate: with ``a = w t`` on
+the stacked rows, ``sum a = 1``, so by Jensen's inequality ``F(p') - F(p) >=
+-log2 sum_lambda p'(lambda) r(lambda) >= -log2 max r`` for every joint p'.
+This is tighter than the ``(max r - 1) * log2(e)`` of the tangent.  The solver
 takes one kind of step: the multiplicative step ``p <- p * r`` (an EM /
 iterative-scaling update that never increases F), over-relaxed adaptively
 (Salakhutdinov & Roweis 2003) as ``p <- p * (r / max r)**omega``, with every
@@ -82,14 +85,14 @@ Nothing rests on the theorem in floating point: a box consistent only within
 ``require_consistent``'s tolerance has a larger gap, and the loop steps on
 from a near-optimal point.
 
-The loop can also stop at two exhibited optimizers, each by the same test,
+The loop can also stop at three exhibited optimizers, each by the same test,
 the value within ``tol`` of the best lower bound, so a poor one can only
 fail to stop.  On a cyclic hypergraph, a binary box flat on each context's
 parity classes with one heavier-class mass on every context is tried first
 at its parity mixture (``boxes.parity_mixture``), which at uniform
 weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
-it and takes the same steps.  And at iterations 1, 2, 4, 8, ..., while the
+it and takes the same steps.  At iterations 1, 2, 4, 8, ..., while the
 best lower bound is at most 0 on a dense problem whose every target is
 positive, the iterate is moved onto the joints with the box's marginals
 (``_FixedWeightProblem.projection``): one sweep of iterative proportional
@@ -97,11 +100,25 @@ fitting, which keeps it positive and fits each context in turn (Csiszar
 1975), one multiplicative step toward the marginals, and the orthogonal
 projection ``q - M^T (M M^T)^+ (M q - b)``.  A nonnegative result is a
 noncontextual witness (Abramsky & Brandenburger 2011) whose own certificate,
-counted up to 0, closes the gap.  A contextual box has no such joint.  A
-start that certifies counts 1 iteration.  The same exit serves the
-contextuality cost: ``projected_joint`` runs this loop at uniform weights
-for at most 16 steps, stops once the best lower bound is positive, and
-hands the joint it stops at to ``polytope.contextuality_cost``, which
+counted up to 0, closes the gap.  A contextual box has no such joint.  And
+at iterations 2, 4, 8, ... of ``x_fixed``'s loop on a dense problem, the
+multiplier field picks a face, the cells where r is at least 0.9 of its
+largest entry, and a few Newton steps find the optimizer of F over the
+joints on that face (``_FixedWeightProblem.face_joint``, the
+mixture-proportion problem that mixSQP solves in a few steps: Kim,
+Carbonetto, Stephens & Anitescu 2020).  That joint, zero off the face, is
+floored and normalized like any iterate, and stops the loop only if its own
+field, over every cell, certifies it.  Most contextual boxes that are not
+isotropic stop there at iteration 2, where the loop alone takes tens of
+steps, and near the noncontextual boundary tens of thousands.  The face exit
+waits while a projection tried at the same iteration misses by less than
+``_FACE_MISS`` of negative mass: the box is then about noncontextual, and
+the projection is the likelier exit.  ``x_max`` has the first two exits
+only.  A start that certifies counts 1 iteration, and an exit at iteration k
+counts k: the k - 1 steps before it.  The projection serves the
+contextuality cost as well: ``projected_joint`` runs this loop at uniform
+weights for at most 16 steps, stops once the best lower bound is positive,
+and hands the joint it stops at to ``polytope.contextuality_cost``, which
 certifies a cost of 0 there without an LP.  An ``x_u`` at the default tol
 on a box solved whole from the uniform start runs the same steps first, so
 it records where that solve would stop, and a cost after it takes no step.
@@ -138,7 +155,6 @@ from .errors import InvalidBoxError, NotXorBoxError
 from .inequalities import classify_xor, nc_alpha_interval
 from .symmetry import apply
 
-LOG2E = math.log2(math.e)
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
 # Adaptive over-relaxation of the multiplicative step: the
@@ -166,6 +182,28 @@ _PROJECTION_STEPS = 16
 # never overflows.  It stayed below 5 on every box measured, and is bounded by
 # about the incidence's row count, which can pass the 709 of exp's overflow.
 _EXPONENT_CAP = 64.0
+# The face exit (``_FixedWeightProblem.face_joint``): the cells whose field
+# is at least this share of its largest entry, at most this many Newton steps,
+# each stopped there once its decrement is at most _FACE_DECREMENT, and a
+# step halved at most _FACE_HALVINGS times to keep the joint nonnegative.  On
+# 280 contextual anchor mixes across the noncontextual boundary at tol 1e-9,
+# 0.9 stopped 225 within 4 iterations, with 4,316 iterations in all; 0.8 took
+# 6,397 and the loop alone 43,551.  A try takes 3-5 steps, and a decrement of
+# 1e-10 instead left gaps of up to 5e-9 where 1e-14 leaves 1e-14.
+_FACE_SHARE = 0.9
+_FACE_STEPS = 8
+_FACE_DECREMENT = 1e-14
+_FACE_HALVINGS = 10
+# Where the projection was tried at the same iteration and missed by less
+# negative mass than this, the box is about noncontextual, and the face exit
+# waits.  On small-batch the two noncontextual boxes that certify at the
+# projection's step 8 missed by at most 7e-4 at steps 2 and 4, and each
+# contextual box by at least 8e-2; on the 280 mixes above, every box that
+# certified at a face had missed by at least 1.9e-2.
+_FACE_MISS = 1e-2
+# Eigenvalues of a face's Gram matrix below this share of the largest count
+# as 0, so a face of dependent cells is solved in its span.
+_RANK_RTOL = 1e-10
 
 
 def relative_entropy(g, p) -> float:
@@ -304,8 +342,8 @@ class _FixedWeightProblem:
         return self.op.gram_pinv
 
     def projection(self, p: np.ndarray) -> np.ndarray | None:
-        """A joint with the box's context marginals made from the positive
-        joint ``p``, normalized; None if it has a negative entry.
+        """A vector with the box's context marginals made from the positive
+        joint ``p``: a joint once normalized, unless it has negative entries.
 
         Three moves toward the marginals b: one sweep of iterative
         proportional fitting, ``q <- q * (b_c / (M_c q)) @ M_c`` context by
@@ -323,9 +361,6 @@ class _FixedWeightProblem:
         z *= q.size
         q *= np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
         q -= (self.gram @ (self.dense @ q - self.t_s)) @ self.dense
-        if q.min() < 0.0:
-            return None
-        q /= q.sum()
         return q
 
     @cached_property
@@ -333,6 +368,64 @@ class _FixedWeightProblem:
         """Each context's run ``[start, stop)`` of rows within ``support``."""
         ends = np.searchsorted(self.support, self.op.offsets).tolist()
         return list(zip(ends, ends[1:]))
+
+    def face_joint(self, p: np.ndarray, r: np.ndarray, r_max: float) -> np.ndarray | None:
+        """The optimizer of F over the joints that are zero off the face
+        ``A = {r >= _FACE_SHARE * max r}`` the field picks at ``p``, floored
+        and normalized as an iterate; None where the face leaves a weighted
+        support row without mass, or a step cannot keep the joint
+        nonnegative.
+
+        On A, F is ``-sum_i a_i log2 (L_A x)_i`` up to a constant, with
+        ``a = w t`` on the rows of positive weight and L_A their columns of
+        M.  Newton steps from ``p`` restricted to A keep ``sum x = 1``: each
+        lies in the span of the centered rows ``L_A - mean``, whose
+        orthonormal basis comes from one ``eigh`` of the smaller of their two
+        Gram matrices.  So a face of dependent cells (PM's has 96 of rank
+        33) is solved in its span, and the step is the least-norm one.  A
+        step is halved until the joint stays nonnegative.
+        """
+        face = np.flatnonzero(r >= _FACE_SHARE * r_max)
+        live = self.wt_s > 0.0
+        a = self.wt_s[live]
+        rows = (self.dense if a.size == live.size else self.dense[live])[:, face]
+        x = p[face] / p[face].sum()
+        u = rows @ x
+        if not u.min() > 0.0:
+            return None
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        if face.size <= rows.shape[0]:
+            lam, basis = np.linalg.eigh(centered.T @ centered)
+            basis = basis[:, lam > lam[-1] * _RANK_RTOL]
+            image = centered @ basis
+        else:
+            lam, v = np.linalg.eigh(centered @ centered.T)
+            keep = lam > lam[-1] * _RANK_RTOL
+            image = v[:, keep] * np.sqrt(lam[keep])
+            basis = centered.T @ (v[:, keep] / np.sqrt(lam[keep]))
+        root_a = np.sqrt(a)
+        for _ in range(_FACE_STEPS):
+            # The step ``basis @ c`` moves the marginals by ``image @ c``.
+            grad = (a / u) @ image
+            scaled = image * (root_a / u)[:, None]
+            c = np.linalg.solve(scaled.T @ scaled, grad)
+            d = basis @ c
+            t = 1.0
+            for _ in range(_FACE_HALVINGS):
+                if (x + t * d).min() >= 0.0:
+                    break
+                t *= 0.5
+            else:
+                return None
+            x += t * d
+            u = rows @ x
+            if not u.min() > 0.0:
+                return None
+            if grad @ c <= _FACE_DECREMENT:
+                break
+        q = np.zeros(p.size)
+        q[face] = x
+        return _floored_step(q, 1.0, 1.0, 1.0)
 
     def divergences(self, p: np.ndarray | None = None) -> np.ndarray:
         """Per-context D(g_c || p_c) in bits (+inf where a positive target meets
@@ -360,8 +453,9 @@ def _projects(g: Hypergraph, targets: np.ndarray) -> bool:
 
 
 def _gap(r_max: float) -> float:
-    """Duality gap (bits) of an iterate whose multiplier field peaks at ``r_max``."""
-    return max((r_max - 1.0) * LOG2E, 0.0)
+    """Duality gap (bits) of an iterate whose multiplier field peaks at
+    ``r_max``: ``log2(r_max)``, by Jensen's inequality (module docstring)."""
+    return max(math.log2(r_max), 0.0)
 
 
 def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: float) -> np.ndarray:
@@ -409,9 +503,11 @@ def _solve_fixed(
     prefix (``projected_joint``) where that solve would stop: at a loop top
     whose gap is within ``tol`` or whose best lower bound is positive, or at
     the top of the step after the last projection, with the iterate if its
-    gap is within ``tol`` (to 1e-14) and None otherwise; or at a projection
-    exit, with the projection.  A candidate that certifies is not that
-    solve, so it fills nothing.  With ``prefix_only`` the loop stops there.
+    gap is within ``tol`` (to 1e-14) and its lower bound is at most 0, and
+    None otherwise; at a projection exit, with the projection; or at a face
+    exit, with its joint, or None if its lower bound is positive.  A
+    candidate that certifies is not that solve, so it fills nothing.  With
+    ``prefix_only`` the loop stops there.
 
     With ``ascend`` the loop also steps the context weights (``x_max``): the
     joint is the iterate of the least ``max_c D_c`` seen, the value
@@ -452,19 +548,26 @@ def _solve_fixed(
         # A positive lower bound certifies the box contextual: no projection
         # can follow.
         if prefix is not None and (gap <= tol or lower > 0.0 or iteration > _PROJECTION_STEPS):
-            _record_prefix(prefix, p if gap <= tol + 1e-14 else None)
+            _record_prefix(prefix, p if gap <= tol + 1e-14 and lower <= 0.0 else None)
             if prefix_only:
                 break
             prefix = None
         if gap <= tol:
             break
-        if lower <= 0.0 and iteration & (iteration - 1) == 0 and problem.gram is not None:
+        power = iteration & (iteration - 1) == 0
+        # The projection's negative mass where it is tried, else inf.
+        miss = math.inf
+        if lower <= 0.0 and power and problem.gram is not None:
             # A nonnegative projection onto the box's marginals is a joint
             # whose value is about 0: stop there if it certifies.  Its own
             # bound counts up to 0, a lower bound on any optimum, so
             # rounding cannot lift the bracket off 0.
             q = problem.projection(p)
-            if q is not None:
+            if q.min() < 0.0:
+                miss = -float(q[q < 0.0].sum())
+            else:
+                miss = 0.0
+                q /= q.sum()
                 q_value, _, q_r_max = problem.field(q)
                 q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
                 if ascend:
@@ -477,6 +580,19 @@ def _solve_fixed(
                     gap = max(value - lower, 0.0)
                     if prefix is not None:
                         _record_prefix(prefix, p)
+                    break
+        if not ascend and iteration > 1 and power and problem.dense is not None and miss >= _FACE_MISS:
+            # The optimizer on the face the field picks: stop there if its
+            # own field certifies it against every cell.
+            q = problem.face_joint(p, r, r_max)
+            if q is not None:
+                q_value, _, q_r_max = problem.field(q)
+                q_lower = max(lower, q_value - _gap(q_r_max))
+                if q_value - q_lower <= tol:
+                    p, value, lower = q, q_value, q_lower
+                    gap = max(value - lower, 0.0)
+                    if prefix is not None:
+                        _record_prefix(prefix, None if lower > 0.0 else p)
                     break
         trial = _floored_step(p, r, omega, r_max)
         trial_value, trial_r, trial_r_max = problem.field(trial)
@@ -603,10 +719,13 @@ def x_fixed(
     the uniform joint, or the junction-tree joint on an acyclic hypergraph.
     The solve stops once the value is within ``tol`` of the best lower bound
     seen, or after ``max_iters`` iterations; ``duality_gap`` is that
-    distance.  It can stop so at two exhibited optimizers: an isotropic
+    distance.  It can stop so at three exhibited optimizers: an isotropic
     box's parity mixture, tried before the loop and kept only if it
-    certifies, which counts 1 iteration, and a nonnegative projection of an
-    iterate onto a noncontextual box's marginals.  A direct sum on a cyclic
+    certifies, which counts 1 iteration; a nonnegative projection of an
+    iterate onto a noncontextual box's marginals; and, on a dense problem
+    from iteration 2, the optimizer on the face of cells that the
+    multiplier field picks, floored like an iterate.  An exit at iteration
+    k counts k iterations.  A direct sum on a cyclic
     hypergraph is solved one component at a time (see the module
     docstring): ``iterations`` is the components' sum, at most
     ``max_iters``, and ``trace`` is empty.  The value is clamped at 0, the
@@ -681,8 +800,9 @@ def x_max(
     """Weight-maximized relative entropy of contextuality.
 
     One loop in the joint and the weights (see the module docstring): the
-    ``x_fixed`` loop from the same start, with the same step and both of its
-    exits, plus one multiplicative step on the weights per iteration.  The
+    ``x_fixed`` loop from the same start, with the same step and its parity
+    and projection exits (not its face exit), plus one multiplicative step
+    on the weights per iteration.  The
     value is the least ``max_c D_c`` seen, at the returned optimizer, so it
     bounds the supremum from above as ``x_fixed``'s value bounds its
     optimum; ``duality_gap`` is its distance to the best lower bound
@@ -754,8 +874,9 @@ def verify_equivalence(
     the mutual information directly as
     ``sum_c w_c D(ext_c || sum_c' w_c' ext_c')``; the absolute difference
     from the minimized value is the residual.  Every context marginal of p*
-    is positive: the solver floors every joint entry above 0, and a
-    projection it stops at has the box's marginals, all positive.
+    is positive: the solver floors every joint entry above 0, the face
+    exit's joint included, and a projection it stops at has the box's
+    marginals, all positive.
     """
     report = x_fixed(box, weights, tol=tol)
     g = box.hypergraph

@@ -2,8 +2,9 @@
 
 A noncontextual box with every target positive stops at a projection of an
 iterate onto its marginals, and an isotropic xor box at its parity mixture;
-a contextual box never does, and takes the loop's steps as before (the
-oracle of ``test_solver_identity.py`` without its exits).
+a contextual box never does.  It takes the loop's steps, or stops at the
+optimizer on the face its field picks, where the oracle of
+``test_solver_identity.py`` does.
 """
 
 import math
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
-from test_dense_solver import shuffled
+from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_junction_tree import ROUNDING
 from test_polytope import ternary_cycle_box
-from test_solver_identity import dense_box, reference_solve_fixed, reference_sweep
+from test_solver_identity import assert_same_solve, dense_box, reference_solve_fixed, reference_sweep
 
 import contextuality as cx
 from contextuality import boxes, measures
@@ -97,8 +98,10 @@ def test_noncontextual_boxes_stop_at_their_marginals(box, uniform, draw_seed):
 )
 def test_contextual_boxes_take_the_loops_steps(anchor, anchor_weight, uniform, draw_seed):
     """An anchor mixed with a dense joint's box, where that leaves it
-    contextual: the same value, gap, iterations, trace and optimizer, bit
-    for bit, as the loop without the exits, from the uniform start."""
+    contextual, from the uniform start: never a projection or the isotropic
+    start.  Where the oracle takes the loop's steps, the same value, gap,
+    iterations, trace and optimizer, bit for bit; where it stops at the
+    face exit, the same iteration and a joint within 1e-12."""
     rng = np.random.default_rng(draw_seed)
     box = shuffled(random_consistent_box(anchor.hypergraph, rng, anchor=anchor,
                                          anchor_weight=anchor_weight), rng)
@@ -106,13 +109,11 @@ def test_contextual_boxes_take_the_loops_steps(anchor, anchor_weight, uniform, d
     assume(cx.contextuality_cost(box).cost > 1e-6)
     weights = cx.ContextWeights.uniform(g.n_contexts) if uniform else random_weights(g.n_contexts, rng)
     report = cx.x_fixed(box, weights, tol=1e-9, max_iters=5000)
-    (value, p, gap, iterations, converged, trace), exit = reference_solve_fixed(
-        measures._FixedWeightProblem(box, weights), 1e-9, 5000, exits=False
-    )
-    assert exit is None
-    assert (report.value, report.duality_gap, report.iterations) == (value, gap, iterations)
-    assert (report.converged, report.trace) == (converged, trace)
-    assert np.array_equal(report.optimizer.probabilities, p)
+    expected, exit = reference_solve_fixed(measures._FixedWeightProblem(box, weights), 1e-9, 5000)
+    assert exit in (None, "face")
+    got = (report.value, report.optimizer.probabilities, report.duality_gap, report.iterations,
+           report.converged, report.trace)
+    assert_same_solve(got, expected, exit, box)
 
 
 def isotropic_cases():
@@ -124,8 +125,9 @@ def isotropic_cases():
 def test_isotropic_boxes_certify_at_their_start(family, n):
     """On the criterion-2 grid, x_u is within 1e-12 of ``xu_isotropic`` in one
     iteration, and so is x_max.  At random weights, which the group does not
-    fix, the start does not certify and the solve takes the loop's steps bit
-    for bit where the box is contextual."""
+    fix, the start does not certify where the box is contextual, and the
+    solve takes the loop's steps bit for bit, or stops at the face exit,
+    where the oracle does."""
     rng = np.random.default_rng(31)
     for alpha in CRITERION_2_GRID:
         box = cx.builtin(family, n=n, alpha=alpha)
@@ -139,17 +141,72 @@ def test_isotropic_boxes_certify_at_their_start(family, n):
             continue
         weights = random_weights(n_contexts, rng)
         fixed = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
-        (value, p, gap, iterations, _, trace), _ = reference_solve_fixed(
-            measures._FixedWeightProblem(box, weights), 1e-9, 3000, exits=False
-        )
-        assert (fixed.value, fixed.duality_gap, fixed.iterations, fixed.trace) == (
-            value, gap, iterations, trace)
-        assert np.array_equal(fixed.optimizer.probabilities, p)
+        expected, exit = reference_solve_fixed(measures._FixedWeightProblem(box, weights), 1e-9, 3000)
+        assert exit in (None, "face")
+        got = (fixed.value, fixed.optimizer.probabilities, fixed.duality_gap, fixed.iterations,
+               fixed.converged, fixed.trace)
+        assert_same_solve(got, expected, exit, box)
     for alpha in (0.5, 0.95):
         box = cx.builtin(family, n=n, alpha=alpha)
         report = cx.x_max(box)
         assert report.iterations == 1
         assert abs(report.value - xu_isotropic(box.hypergraph.n_contexts, alpha)) <= 1e-12
+
+
+@st.composite
+def contextual_mixes(draw):
+    """One of ``ANCHORS`` (binary ones and the ternary 4-cycle) mixed at a
+    weight in [0.6, 1) with a dense joint's box, or with a sparse joint's
+    box whose zero cells leave zero entries in every context; shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchor = draw(st.sampled_from(ANCHORS))
+    other = (sparse_box if draw(st.booleans()) else dense_box)(anchor.hypergraph, rng)
+    return shuffled(cx.mix(anchor, other, float(rng.uniform(0.6, 1.0))), rng)
+
+
+@seed(20261120)
+@settings(max_examples=40, deadline=None)
+@given(box=contextual_mixes(), uniform=st.booleans(), draw_seed=st.integers(0, 2**32 - 1))
+def test_face_exit_against_the_loop(box, uniform, draw_seed):
+    """x_fixed at tol 1e-9, uniform or random weights, on a contextual box,
+    against the same solve with the face exit patched off: the values agree
+    within the sum of the two gaps, and each bracket's lower end lies below
+    the other's value.  A face joint whose field peaks at 1 within an ulp
+    has a gap of 0, so its lower end can sit ``ROUNDING`` above the optimum,
+    as the junction-tree joint's can.  The optimizer's context marginals are
+    positive on every row, and ``verify_equivalence`` leaves a residual of
+    at most 1e-9."""
+    g = box.hypergraph
+    assume(cx.contextuality_cost(box).cost > 1e-6)
+    weights = (cx.ContextWeights.uniform(g.n_contexts) if uniform
+               else random_weights(g.n_contexts, np.random.default_rng(draw_seed)))
+    new = cx.x_fixed(box, weights, tol=1e-9, max_iters=20_000)
+    with mock.patch.object(measures._FixedWeightProblem, "face_joint", return_value=None):
+        old = cx.x_fixed(box, weights, tol=1e-9, max_iters=20_000)
+    assert abs(new.value - old.value) <= new.duality_gap + old.duality_gap
+    assert old.value - old.duality_gap <= new.value + ROUNDING
+    assert new.value - new.duality_gap <= old.value + ROUNDING
+    assert g.incidence.marginals(new.optimizer.probabilities).min() > 0.0
+    assert measures.verify_equivalence(box, weights, tol=1e-9).residual <= 1e-9
+
+
+def anchor_mix(anchor, draw):
+    """Draw ``draw`` of the anchor mixes: ``random_consistent_box`` on one
+    ``default_rng(1)``, each at an anchor weight drawn from U(0.8, 1)."""
+    rng = np.random.default_rng(1)
+    for _ in range(draw + 1):
+        weight = rng.uniform(0.8, 1.0)
+        box = random_consistent_box(anchor.hypergraph, rng, anchor=anchor, anchor_weight=weight)
+    return box
+
+
+def test_pm_anchor_draw_36_certifies_on_its_face():
+    """PM mixed at weight 0.99994: the loop alone takes 144,684 iterations to
+    tol 1e-9.  At the face its field picks at iteration 2 it certifies."""
+    report = cx.x_u(anchor_mix(cx.pm_box(), 36), tol=1e-9)
+    assert report.converged and report.iterations <= 16
+    assert report.duality_gap <= 1e-9
+    assert abs(report.value - 0.262636224956) <= 1e-9
 
 
 def test_projection_step_is_clamped():
@@ -159,8 +216,8 @@ def test_projection_step_is_clamped():
     the iterate has almost none there, and puts it where the last context's
     table has almost none.  After the sweep the step's exponent reaches about
     1024, past exp's overflow at 709.  Clamped, the projection raises no
-    floating-point error, and what it returns, if anything, is a joint with
-    the box's marginals."""
+    floating-point error, and what it returns, if nonnegative, is a joint
+    with the box's marginals once normalized."""
     cap = 2**22
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap):
         g = cx.Hypergraph([(f"O{i}", 2) for i in range(11)], [list(range(10)), [9, 10], [10, 0]])
@@ -178,7 +235,7 @@ def test_projection_step_is_clamped():
         assert reference_sweep(problem, p)[1].max() > 709.0
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             q = problem.projection(p)
-        if q is not None:
-            assert np.abs(g.incidence.marginals(q) - box.stacked()).max() <= 1e-9
+        if q.min() >= 0.0:
+            assert np.abs(g.incidence.marginals(q / q.sum()) - box.stacked()).max() <= 1e-9
     # This M and its pseudo-inverse exceed the cap that holds outside the test.
     boxes._dense_matrices.cache_clear()

@@ -10,20 +10,27 @@ step builds a new problem from validated ``ContextWeights``.
 components on their own (``reference_parts``).  Like ``plain_em`` in
 ``test_measures.py`` they are an oracle.
 
-The oracle also has the solver's two exits at an exhibited optimizer,
+The oracle also has the solver's three exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
-(beta by brute force over every assignment), kept if it certifies, and a
-joint with the box's marginals made from the iterate at iterations 1, 2, 4,
-8, ... while the best lower bound is at most 0 (``reference_projection``):
-one sweep of iterative proportional fitting over the contexts, one
+(beta by brute force over every assignment), kept if it certifies; a joint
+with the box's marginals made from the iterate at iterations 1, 2, 4, 8, ...
+while the best lower bound is at most 0 (``reference_projection``): one
+sweep of iterative proportional fitting over the contexts, one
 multiplicative step toward the marginals and the orthogonal projection, each
 pseudo-inverse by ``lstsq`` on an incidence matrix built from
-``brute_rows``.  Where neither exit fires, the library must give the same
-values, gaps, iteration counts, traces and optimizers bit for bit, as the
-loop without the exits does.  Where one fires, it must stop at the same
-iteration with the same convergence, its value and gap within 1e-12 of the
-oracle's, and an optimizer whose context marginals match the box within
-1e-12 (a projection) or the oracle's candidate within 1e-12.
+``brute_rows``; and at iterations 2, 4, 8, ... of ``x_fixed``'s loop, unless
+that projection missed by less negative mass than ``measures._FACE_MISS``,
+the optimizer on the face of cells where the field is at least
+``measures._FACE_SHARE`` of its largest entry (``reference_face``): Newton
+steps in the joint, each the least-norm solution by ``lstsq`` of the
+equality-constrained Newton system on the same incidence.  Every lower end
+is the iterate's value less ``log2(max r)``.  Where no exit fires, the
+library must give the same values, gaps, iteration counts, traces and
+optimizers bit for bit, as the loop without the exits does.  Where one
+fires, it must stop at the same iteration with the same convergence, its
+value and gap within 1e-12 of the oracle's, and an optimizer whose context
+marginals match the box within 1e-12 (a projection) or that is within
+1e-12 of the oracle's candidate or face joint.
 """
 
 import math
@@ -65,8 +72,7 @@ def reference_evaluate(problem, p):
         r = problem.op.lift(y)
     else:
         r = (ratio * problem.w_s) @ problem.dense
-    gap = (float(r.max()) - 1.0) * measures.LOG2E
-    return value, r.reshape(p.shape), max(gap, 0.0)
+    return value, r.reshape(p.shape), max(math.log2(float(r.max())), 0.0)
 
 
 def reference_step(p, r, omega):
@@ -166,22 +172,70 @@ def reference_sweep(problem, p):
 def reference_projection(problem, p):
     """``reference_sweep``, the step ``q * exp(N z)`` with its exponent clamped
     at ``measures._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``,
-    normalized; None if it has a negative entry, or if the problem is not
+    not normalized, negative entries and all; None if the problem is not
     dense with every row on the support."""
     op = problem.op
     if problem.support.size < op.dim or problem.dense is None or op.dim**2 > measures.DENSE_ENTRIES_CAP:
         return None
     q, exponent, incidence = reference_sweep(problem, p)
     q = q * np.exp(np.minimum(exponent, measures._EXPONENT_CAP))
-    q = q - np.linalg.lstsq(incidence, incidence @ q - problem.targets, rcond=None)[0]
-    if q.min() < 0.0:
+    return q - np.linalg.lstsq(incidence, incidence @ q - problem.targets, rcond=None)[0]
+
+
+def reference_face(problem, p, r):
+    """The face exit's joint at the iterate ``p`` with field ``r``, or None.
+
+    The face A holds the cells where r is at least ``measures._FACE_SHARE``
+    of its largest entry.  With L the rows of positive target and weight of
+    the incidence built from ``brute_rows``, restricted to A, and a their
+    weights times targets, the joint x on A starts as ``p`` on A,
+    normalized, and takes at most ``measures._FACE_STEPS`` Newton steps for
+    the maximum of ``sum a log (L x)`` subject to ``sum x = 1``.  Each step d
+    is the least-norm solution, by ``lstsq``, of
+    ``[[H, 1], [1^T, 0]] [d; mu] = [g; 0]`` with ``g = L^T (a / Lx)`` and
+    ``H = L^T diag(a / (Lx)^2) L``, halved until ``x + d >= 0`` at most
+    ``measures._FACE_HALVINGS`` times, and the steps stop after one whose
+    decrement ``g.d`` is at most ``measures._FACE_DECREMENT``.  None if a
+    row of L meets no mass, or no halving keeps x nonnegative.  The joint
+    is x on A and 0 elsewhere, floored and normalized by ``reference_step``."""
+    rows, b = brute_rows(problem.g), problem.targets
+    incidence = np.zeros((b.size, rows.shape[0]))
+    for hit in rows.T:
+        incidence[hit, np.arange(rows.shape[0])] = 1.0
+    graph = problem.g
+    a = np.repeat(problem.weights, [graph.context_dim(ci) for ci in range(graph.n_contexts)]) * b
+    face = np.flatnonzero(r >= measures._FACE_SHARE * r.max())
+    L, a = incidence[a > 0.0][:, face], a[a > 0.0]
+    x = p[face] / p[face].sum()
+    n = face.size
+    for _ in range(measures._FACE_STEPS):
+        u = L @ x
+        if u.min() <= 0.0:
+            return None
+        g = L.T @ (a / u)
+        hessian = L.T @ (L * (a / u**2)[:, None])
+        kkt = np.block([[hessian, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+        d = np.linalg.lstsq(kkt, np.append(g, 0.0), rcond=1e-10)[0][:n]
+        t = 1.0
+        for _ in range(measures._FACE_HALVINGS):
+            if (x + t * d).min() >= 0.0:
+                break
+            t *= 0.5
+        else:
+            return None
+        x = x + t * d
+        if g @ d <= measures._FACE_DECREMENT:
+            break
+    if (L @ x).min() <= 0.0:
         return None
-    return q / q.sum()
+    q = np.zeros(p.size)
+    q[face] = x
+    return reference_step(q, 1.0, 1.0)
 
 
 def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, exits=True):
-    """The solve's fields, and which exit ended it: "candidate", "projection"
-    or None.  ``exits=False`` is the loop without them."""
+    """The solve's fields, and which exit ended it: "candidate", "projection",
+    "face" or None.  ``exits=False`` is the loop without them."""
     g = problem.g
     exit = None
     if exits and candidate is not None:
@@ -199,13 +253,27 @@ def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, ex
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
-        if exits and lower <= 0.0 and math.log2(iteration).is_integer():
+        power = math.log2(iteration).is_integer()
+        miss = math.inf
+        if exits and lower <= 0.0 and power:
             q = reference_projection(problem, p)
             if q is not None:
+                miss = -q[q < 0.0].sum()
+            if miss == 0.0:
+                q = q / q.sum()
                 q_value, _, q_gap = reference_evaluate(problem, q)
                 q_lower = max(lower, min(q_value - q_gap, 0.0))
                 if q_value - q_lower <= tol:
                     p, value, lower, exit = q, q_value, q_lower, "projection"
+                    gap = max(value - lower, 0.0)
+                    break
+        if exits and iteration > 1 and power and problem.dense is not None and miss >= measures._FACE_MISS:
+            q = reference_face(problem, p, r)
+            if q is not None:
+                q_value, _, q_gap = reference_evaluate(problem, q)
+                q_lower = max(lower, q_value - q_gap)
+                if q_value - q_lower <= tol:
+                    p, value, lower, exit = q, q_value, q_lower, "face"
                     gap = max(value - lower, 0.0)
                     break
         trial = reference_step(p, r, omega)
@@ -323,11 +391,11 @@ def reference_divergences(problem, p):
 def reference_ascent(box, tol, max_iters):
     """The loop in the joint and the weights on one connected box, a new
     problem per weight step: the start, the steps in p and the projection
-    exit of ``reference_solve_fixed``, with the least ``max_c D_c`` seen as
-    the upper end and the best ``value - gap`` seen as the lower end.  After
-    each step in p, while the gap is at most half the bracket, the weights'
-    base-2 logarithms move by ``eta * (d - max d)``; eta starts at
-    ``measures._ETA0``, and from the second weight step on is multiplied by
+    exit of ``reference_solve_fixed`` (not its face exit), with the least
+    ``max_c D_c`` seen as the upper end and the best ``value - gap`` seen as
+    the lower end.  After each step in p, while the gap is at most half the
+    bracket, the weights' base-2 logarithms move by ``eta * (d - max d)``;
+    eta starts at ``measures._ETA0``, and from the second weight step on is multiplied by
     0.5 if ``max d - w.d`` grew since the last one, else by 1.1, and clamped
     to [0.05, 64].  Returns ``max_c D_c`` at the upper end's iterate, one
     ``relative_entropy`` per context, and its distance to the lower end, as
@@ -357,7 +425,8 @@ def reference_ascent(box, tol, max_iters):
             break
         if lower <= 0.0 and math.log2(iteration).is_integer():
             q = reference_projection(problem, p)
-            if q is not None:
+            if q is not None and q.min() >= 0.0:
+                q = q / q.sum()
                 q_value, _, q_gap = reference_evaluate(problem, q)
                 q_lower = max(lower, min(q_value - q_gap, 0.0))
                 q_upper = float(reference_divergences(problem, q).max())

@@ -38,14 +38,14 @@ once and report the same bits.  On the box, for as long as it lives: the
 validation report, the largest shared-marginal distance, the junction-tree
 joint and the parity mixture (see ``boxes.Box``; the joint is the largest,
 one float per joint cell).  Here, in a map that holds each box weakly, for
-as long as the box lives: its projection prefix, the joint or None that the
-cost's projection route stops at (``projected_joint``), at most one float
-per joint cell, filled by that route or by an ``x_u`` before it whose loop
-is the same solve.  Once per cardinalities and context list, in bounded
-caches that hold no box data: the junction tree, the overlap index of the
-consistency check, and the dense M with the Gram pseudo-inverse of the
-projection (``ContextIncidence.dense`` and ``gram_pinv``), which equal
-hypergraphs built afresh share.  M is one byte per entry, and is held only
+as long as the box lives: its witness (``projected_joint``), a joint with
+its marginals or None, at most one float per joint cell, made once by
+whichever measure reads it first and read by all three.  Once per
+cardinalities and context list, in bounded caches that hold no box data:
+the junction tree, the overlap index of the consistency check, and the
+dense M with the Gram pseudo-inverse of the projection
+(``ContextIncidence.dense`` and ``gram_pinv``), which equal hypergraphs
+built afresh share.  M is one byte per entry, and is held only
 where it has at most ``DENSE_ENTRIES_CAP`` entries (1 MB); the
 pseudo-inverse has at most ``DENSE_ENTRIES_CAP`` floats (8 MB); 64 context
 lists hold them at most, so 576 MB at the very most.  A problem converts
@@ -92,17 +92,23 @@ parity classes with one heavier-class mass on every context is tried first
 at its parity mixture (``boxes.parity_mixture``), which at uniform
 weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
-it and takes the same steps.  At iterations 1, 2, 4, 8, ..., while the
-best lower bound is at most 0 on a dense problem whose every target is
-positive, the iterate is moved onto the joints with the box's marginals
-(``_FixedWeightProblem.projection``): one sweep of iterative proportional
-fitting, which keeps it positive and fits each context in turn (Csiszar
-1975), one multiplicative step toward the marginals, and the orthogonal
-projection ``q - M^T (M M^T)^+ (M q - b)``.  A nonnegative result is a
-noncontextual witness (Abramsky & Brandenburger 2011) whose own certificate,
-counted up to 0, closes the gap.  A contextual box has no such joint.  And
-at iterations 2, 4, 8, ... of ``x_fixed``'s loop on a dense problem, the
-multiplier field picks a face, the cells where r is at least 0.9 of its
+it and takes the same steps.  Every box whose targets are all positive,
+and whose M and ``M M^T`` fit ``DENSE_ENTRIES_CAP``, has one witness
+(``projected_joint``), made once from the box alone: sweeps of iterative
+proportional fitting from the uniform joint, which keep it positive and fit
+each context in turn (Csiszar 1975; Deming & Stephan 1940), each followed
+by a projection try (``_FixedWeightProblem.projection``): one
+multiplicative step toward the marginals, and the orthogonal projection
+``q - M^T (M M^T)^+ (M q - b)``.  The first nonnegative result is a global
+section of the box (Abramsky & Brandenburger 2011); a contextual box has
+none, and the route gives up once its miss stalls.  The witness stands in
+for the loop's projection at iteration 1, so it is tried after the tree
+joint and the parity mixture, at any weights.  At iterations 2, 4, 8, ...
+the loop tries a projection of its own: a sweep from the iterate, then the
+same try.  Each is tried while the best lower bound is at most 0, and
+stops the loop if its own certificate, counted up to 0, closes the gap.
+And at iterations 2, 4, 8, ... of ``x_fixed``'s loop on a dense problem,
+the multiplier field picks a face, the cells where r is at least 0.9 of its
 largest entry, and a few Newton steps find the optimizer of F over the
 joints on that face (``_FixedWeightProblem.face_joint``, the
 mixture-proportion problem that mixSQP solves in a few steps: Kim,
@@ -114,14 +120,10 @@ steps, and near the noncontextual boundary tens of thousands.  The face exit
 waits while a projection tried at the same iteration misses by less than
 ``_FACE_MISS`` of negative mass: the box is then about noncontextual, and
 the projection is the likelier exit.  ``x_max`` has the first two exits
-only.  A start that certifies counts 1 iteration, and an exit at iteration k
-counts k: the k - 1 steps before it.  The projection serves the
-contextuality cost as well: ``projected_joint`` runs this loop at uniform
-weights for at most 16 steps, stops once the best lower bound is positive,
-and hands the joint it stops at to ``polytope.contextuality_cost``, which
-certifies a cost of 0 there without an LP.  An ``x_u`` at the default tol
-on a box solved whole from the uniform start runs the same steps first, so
-it records where that solve would stop, and a cost after it takes no step.
+only.  A start that certifies counts 1 iteration, and so does the witness;
+an exit at iteration k counts k: the k - 1 steps before it.  The witness
+serves the contextuality cost as well: ``polytope.contextuality_cost``
+certifies a cost of 0 from it without an LP.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ import math
 import numbers
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,9 +177,11 @@ _ETA_SHRINK = 0.5
 _ETA_MIN, _ETA_MAX = 0.05, 64.0
 # The step's floor is _EPS / joint_dim on every coordinate.
 _EPS = np.finfo(float).eps
-# Steps within which ``projected_joint`` tries the projection, at steps 1, 2,
-# 4, 8 and 16, before the cost leaves the box to its LP.
-_PROJECTION_STEPS = 16
+# The witness route's sweeps (``_FixedWeightProblem.witness``): at most this
+# many, each followed by a projection try.  Of 303 seeded noncontextual
+# Dirichlet boxes on 4-5 observables under many contexts, the route missed 7
+# at 8 sweeps and 2 at 16 or 32; the solver's 16 steps before it missed 23.
+_WITNESS_SWEEPS = 16
 # The largest exponent of the projection's multiplicative step, so the step
 # never overflows.  It stayed below 5 on every box measured, and is bounded by
 # about the incidence's row count, which can pass the 709 of exp's overflow.
@@ -284,6 +288,7 @@ class _FixedWeightProblem:
     """
 
     def __init__(self, box: Box, weights: ContextWeights):
+        self.box = box
         self.g = box.hypergraph
         self.op = self.g.incidence
         self.targets = box.stacked()
@@ -341,27 +346,57 @@ class _FixedWeightProblem:
             return None
         return self.op.gram_pinv
 
-    def projection(self, p: np.ndarray) -> np.ndarray | None:
-        """A vector with the box's context marginals made from the positive
-        joint ``p``: a joint once normalized, unless it has negative entries.
-
-        Three moves toward the marginals b: one sweep of iterative
-        proportional fitting, ``q <- q * (b_c / (M_c q)) @ M_c`` context by
-        context (``runs``); one multiplicative step in the exponential
-        family, ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)`` and N the
-        joint's size, its exponent clamped at ``_EXPONENT_CAP``; and the
-        orthogonal projection ``q - M^+ (M q - b)``, with
-        ``M^+ = M^T (M M^T)^+``.  The first two keep q positive, so the last
-        one moves less, and goes negative less often, than from ``p``."""
-        q = p.copy()
+    def sweep(self, q: np.ndarray) -> np.ndarray:
+        """One sweep of iterative proportional fitting on the positive joint
+        ``q``, in place: ``q <- q * (b_c / (M_c q)) @ M_c`` context by context
+        (``runs``), which keeps it positive and fits each context in turn
+        (Csiszar 1975).  Returns ``q``."""
         for a, b in self.runs:
             rows = self.dense[a:b]
             q *= (self.t_s[a:b] / (rows @ q)) @ rows
+        return q
+
+    def projection(self, q: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """The positive joint ``q`` moved onto the box's marginals b, without
+        changing ``q``: ``(joint, 0.0)``, the joint normalized, where the
+        result is nonnegative, else None and its negative mass.
+
+        Two moves: one multiplicative step in the exponential family,
+        ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)`` and N the joint's
+        size, its exponent clamped at ``_EXPONENT_CAP``; then the orthogonal
+        projection ``q - M^+ (M q - b)``, with ``M^+ = M^T (M M^T)^+``.  The
+        step keeps q positive, so the projection moves less, and goes
+        negative less often, than from ``q`` itself.  The loop and the
+        witness route both call it on a joint that ``sweep`` has just fitted."""
         z = (self.gram @ (self.t_s - self.dense @ q)) @ self.dense
         z *= q.size
-        q *= np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
+        q = q * np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
         q -= (self.gram @ (self.dense @ q - self.t_s)) @ self.dense
-        return q
+        if q.min() < 0.0:
+            return None, -float(q[q < 0.0].sum())
+        q /= q.sum()
+        return q, 0.0
+
+    def witness(self) -> np.ndarray | None:
+        """A joint with the box's marginals, or None: the route of
+        ``projected_joint``, on a problem whose ``gram`` is not None.
+
+        ``sweep`` runs from the uniform joint, and after each sweep the swept
+        joint's ``projection`` is tried.  The first nonnegative one is the
+        witness.  The route gives up after ``_WITNESS_SWEEPS`` sweeps, or at a
+        sweep whose projection misses by at least ``_FACE_MISS`` of negative
+        mass and by at least half the previous sweep's miss: a contextual
+        box's miss stalls, and a noncontextual box's shrinks from sweep to
+        sweep.  Only M, the targets and the Gram matrix enter, so the
+        weights do not."""
+        q = np.full(self.g.joint_dim, 1.0 / self.g.joint_dim)
+        last = math.inf
+        for _ in range(_WITNESS_SWEEPS):
+            joint, miss = self.projection(self.sweep(q))
+            if joint is not None or (miss >= _FACE_MISS and miss >= 0.5 * last):
+                return joint
+            last = miss
+        return None
 
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
@@ -472,17 +507,9 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
-# Each box's projection prefix: the outcome of ``projected_joint``'s solve, a
-# read-only joint or None, held as long as the box.
-_prefixes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _record_prefix(box: Box, joint: np.ndarray | None) -> None:
-    """Fill ``box``'s projection prefix (see ``projected_joint``) with
-    ``joint``, made read-only, unless a call before filled it."""
-    if joint is not None:
-        joint.flags.writeable = False
-    _prefixes.setdefault(box, joint)
+# Each box's witness (``projected_joint``): a read-only joint or None, held
+# as long as the box.
+_witnesses: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _solve_fixed(
@@ -492,22 +519,12 @@ def _solve_fixed(
     init: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
     ascend: bool = False,
-    prefix: Box | None = None,
-    prefix_only: bool = False,
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     """The solver's loop (see the module docstring): the value, the joint,
     the gap, the iterations, whether the gap met ``tol``, and the trace.
-
-    With ``prefix``, a box whose solve at uniform weights and the default
-    tol this is, from the uniform start, the loop fills the box's projection
-    prefix (``projected_joint``) where that solve would stop: at a loop top
-    whose gap is within ``tol`` or whose best lower bound is positive, or at
-    the top of the step after the last projection, with the iterate if its
-    gap is within ``tol`` (to 1e-14) and its lower bound is at most 0, and
-    None otherwise; at a projection exit, with the projection; or at a face
-    exit, with its joint, or None if its lower bound is positive.  A
-    candidate that certifies is not that solve, so it fills nothing.  With
-    ``prefix_only`` the loop stops there.
+    Its projection at iteration 1 is the witness of the problem's box
+    (``projected_joint``), whatever the start; those at 2, 4, 8, ... start
+    from the iterate.
 
     With ``ascend`` the loop also steps the context weights (``x_max``): the
     joint is the iterate of the least ``max_c D_c`` seen, the value
@@ -520,9 +537,7 @@ def _solve_fixed(
         p = _floored_step(candidate, 1.0, 1.0, 1.0)
         value, r, r_max = problem.field(p)
         certified = _gap(r_max) <= tol
-    if certified:
-        prefix = None
-    else:
+    if not certified:
         start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
         p = _floored_step(start, 1.0, 1.0, 1.0)
         value, r, r_max = problem.field(p)
@@ -545,42 +560,34 @@ def _solve_fixed(
         gap = max(upper - lower, 0.0)
     iteration = 0
     for iteration in range(1, max_iters + 1):
-        # A positive lower bound certifies the box contextual: no projection
-        # can follow.
-        if prefix is not None and (gap <= tol or lower > 0.0 or iteration > _PROJECTION_STEPS):
-            _record_prefix(prefix, p if gap <= tol + 1e-14 and lower <= 0.0 else None)
-            if prefix_only:
-                break
-            prefix = None
         if gap <= tol:
             break
         power = iteration & (iteration - 1) == 0
         # The projection's negative mass where it is tried, else inf.
-        miss = math.inf
-        if lower <= 0.0 and power and problem.gram is not None:
-            # A nonnegative projection onto the box's marginals is a joint
-            # whose value is about 0: stop there if it certifies.  Its own
-            # bound counts up to 0, a lower bound on any optimum, so
-            # rounding cannot lift the bracket off 0.
-            q = problem.projection(p)
-            if q.min() < 0.0:
-                miss = -float(q[q < 0.0].sum())
-            else:
-                miss = 0.0
-                q /= q.sum()
-                q_value, _, q_r_max = problem.field(q)
-                q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
-                if ascend:
-                    q_value = float(problem.divergences().max())
-                if q_value - q_lower <= tol:
-                    if q_lower > lower:
-                        lower_w = w
-                    p, value, lower = q, q_value, q_lower
-                    upper, p_upper = value, p
-                    gap = max(value - lower, 0.0)
-                    if prefix is not None:
-                        _record_prefix(prefix, p)
-                    break
+        q, miss = None, math.inf
+        if lower <= 0.0 and power:
+            # At iteration 1 the projection is the box's witness, made once
+            # per box from the uniform joint; later ones start from the
+            # iterate.  A positive lower bound certifies the box contextual.
+            if iteration == 1:
+                q = projected_joint(problem.box, problem)
+            elif problem.gram is not None:
+                q, miss = problem.projection(problem.sweep(p.copy()))
+        if q is not None:
+            # A joint with the box's marginals has a value of about 0: stop
+            # there if it certifies.  Its own bound counts up to 0, a lower
+            # bound on any optimum, so rounding cannot lift the bracket off 0.
+            q_value, _, q_r_max = problem.field(q)
+            q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
+            if ascend:
+                q_value = float(problem.divergences().max())
+            if q_value - q_lower <= tol:
+                if q_lower > lower:
+                    lower_w = w
+                p, value, lower = q, q_value, q_lower
+                upper, p_upper = value, p
+                gap = max(value - lower, 0.0)
+                break
         if not ascend and iteration > 1 and power and problem.dense is not None and miss >= _FACE_MISS:
             # The optimizer on the face the field picks: stop there if its
             # own field certifies it against every cell.
@@ -591,8 +598,6 @@ def _solve_fixed(
                 if q_value - q_lower <= tol:
                     p, value, lower = q, q_value, q_lower
                     gap = max(value - lower, 0.0)
-                    if prefix is not None:
-                        _record_prefix(prefix, None if lower > 0.0 else p)
                     break
         trial = _floored_step(p, r, omega, r_max)
         trial_value, trial_r, trial_r_max = problem.field(trial)
@@ -642,28 +647,28 @@ def _solve_fixed(
     return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
-def projected_joint(box: Box) -> np.ndarray | None:
-    """A joint with the box's context marginals, from the projection exit of
-    the solver at uniform weights and the default tol (see the module
-    docstring), read-only; None where the exit cannot apply (``_projects``,
-    checked before any matrix is built), and when the solve does not
-    converge within ``_PROJECTION_STEPS`` steps.
+def projected_joint(box: Box, problem: _FixedWeightProblem | None = None) -> np.ndarray | None:
+    """The box's witness: a read-only joint with its context marginals, or
+    None, made once per box by ``_FixedWeightProblem.witness`` on
+    ``problem`` (any problem of this box, at any weights) or on one of its
+    own.  None where the route cannot run (``_projects``, checked before any
+    matrix is built) and where it finds no joint.
 
-    The solve stops as soon as its best lower bound is positive, which
-    certifies the box contextual.  Nothing rests on this: the joint is the
-    point the solve stopped at, a projection or an iterate, and
-    ``polytope.contextuality_cost`` keeps only the cost that its own
-    marginals certify.  The outcome is the box's projection prefix, made
-    once per box: by this call, or by an ``x_u`` before it whose loop is
-    this solve and records it in passing (``_solve_fixed``).
+    Every measure reads this one joint: the entropy solver tries it at its
+    first iteration, in place of a projection of its own, and
+    ``polytope.contextuality_cost`` certifies a cost of 0 from it.  Nothing
+    rests on the route: each keeps only what its own certificate proves.
     """
-    g = box.hypergraph
-    if not _projects(g, box.stacked()):
-        return None
-    if box not in _prefixes:
-        problem = _FixedWeightProblem(box, ContextWeights.uniform(g.n_contexts))
-        _solve_fixed(problem, DEFAULT_TOL, _PROJECTION_STEPS + 1, prefix=box, prefix_only=True)
-    return _prefixes[box]
+    if box not in _witnesses:
+        joint = None
+        if _projects(box.hypergraph, box.stacked()):
+            if problem is None:
+                problem = _FixedWeightProblem(box, ContextWeights.uniform(box.hypergraph.n_contexts))
+            joint = problem.witness()
+        if joint is not None:
+            joint.flags.writeable = False
+        _witnesses[box] = joint
+    return _witnesses[box]
 
 
 def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -673,7 +678,9 @@ def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     the candidate is the parity mixture of a binary box flat on every
     context's parity classes with one heavier-class mass on all contexts
     (``boxes.parity_mixture``), the isotropic optimizer when the weights
-    are invariant; the solver keeps it only if it certifies.
+    are invariant; the solver keeps it only if it certifies.  The box's
+    witness (``projected_joint``) comes after both, at the loop's first
+    iteration.
     """
     joint = junction_tree_joint(box)
     if joint is not None:
@@ -721,13 +728,15 @@ def x_fixed(
     seen, or after ``max_iters`` iterations; ``duality_gap`` is that
     distance.  It can stop so at three exhibited optimizers: an isotropic
     box's parity mixture, tried before the loop and kept only if it
-    certifies, which counts 1 iteration; a nonnegative projection of an
-    iterate onto a noncontextual box's marginals; and, on a dense problem
-    from iteration 2, the optimizer on the face of cells that the
-    multiplier field picks, floored like an iterate.  An exit at iteration
-    k counts k iterations.  A direct sum on a cyclic
-    hypergraph is solved one component at a time (see the module
-    docstring): ``iterations`` is the components' sum, at most
+    certifies; a joint with a noncontextual box's marginals, the box's
+    witness (``projected_joint``) at iteration 1, so after the parity
+    mixture and at any weights, and at iterations 2, 4, 8, ... a
+    nonnegative projection of the iterate; and, on a dense problem from
+    iteration 2, the optimizer on the face of cells that the multiplier
+    field picks, floored like an iterate.  A start or witness that
+    certifies counts 1 iteration, and an exit at iteration k counts k.  A
+    direct sum on a cyclic hypergraph is solved one component at a time
+    (see the module docstring): ``iterations`` is the components' sum, at most
     ``max_iters``, and ``trace`` is empty.  The value is clamped at 0, the
     optimum's lower bound, so rounding never reports a negative divergence;
     ``[value - duality_gap, value]`` still brackets the optimum.
@@ -741,17 +750,7 @@ def x_fixed(
     parts = _parts(box)
     if len(parts) == 1:
         problem = _FixedWeightProblem(box, weights)
-        init, candidate = _starts(box)
-        # The loop is the projection route's solve (``projected_joint``) too,
-        # so it fills the box's prefix in passing, once per box.
-        n = box.hypergraph.n_contexts
-        prefix = box if (
-            init is None and tol == DEFAULT_TOL and max_iters >= _PROJECTION_STEPS
-            and box not in _prefixes and bool((weights.weights == 1.0 / n).all())
-            and _projects(box.hypergraph, problem.targets)
-        ) else None
-        value, p_flat, gap, iters, converged, trace = _solve_fixed(
-            problem, tol, max_iters, init, candidate, prefix=prefix)
+        value, p_flat, gap, iters, converged, trace = _solve_fixed(problem, tol, max_iters, *_starts(box))
     else:
         value, gap, iters, joints = 0.0, 0.0, 0, []
         for part, members in parts:
@@ -780,16 +779,6 @@ def x_u(box: Box, tol: float = DEFAULT_TOL, **kwargs) -> MeasureReport:
     return x_fixed(box, ContextWeights.uniform(box.hypergraph.n_contexts), tol=tol, **kwargs)
 
 
-def i_fixed(box: Box, weights: ContextWeights, tol: float = DEFAULT_TOL, **kwargs) -> MeasureReport:
-    """Mutual information of contextuality at fixed weights.
-
-    Computed through the equivalence with the divergence minimization; the
-    report's method field records the route.
-    """
-    report = x_fixed(box, weights, tol=tol, **kwargs)
-    return replace(report, method=report.method + "+mutual-information-equivalence")
-
-
 def x_max(
     box: Box,
     tol: float = DEFAULT_TOL,
@@ -802,7 +791,8 @@ def x_max(
     One loop in the joint and the weights (see the module docstring): the
     ``x_fixed`` loop from the same start, with the same step and its parity
     and projection exits (not its face exit), plus one multiplicative step
-    on the weights per iteration.  The
+    on the weights per iteration.  So a noncontextual box whose witness
+    (``projected_joint``) certifies stops at it, at iteration 1.  The
     value is the least ``max_c D_c`` seen, at the returned optimizer, so it
     bounds the supremum from above as ``x_fixed``'s value bounds its
     optimum; ``duality_gap`` is its distance to the best lower bound

@@ -20,12 +20,11 @@ and M(0.9) from 0.73 and 1.05 ms by the LP then used within the scan to
 0.25 and 0.27 ms (best of 30, a fresh box each call, 2-core Xeon host).
 And a noncontextual box whose every entry is positive, and whose incidence
 matrix M and ``M M^T`` both fit ``measures.DENSE_ENTRIES_CAP``, gets it from
-the joint with its marginals that the entropy solver's projection exit
-makes from an iterate (``measures.projected_joint``: at most 16 steps at
-uniform weights, stopped once the solver's lower bound is positive, and
-none where an ``x_u`` on the box took them first), a global
-section of the box (Abramsky & Brandenburger 2011) that ``_joint_cost``
-certifies as it does the junction-tree joint.  A joint is kept only at a
+its witness (``measures.projected_joint``: a joint with its marginals from
+at most 16 sweeps of iterative proportional fitting, each followed by the
+entropy solver's projection try, made once per box and read by ``x_u`` and
+``x_max`` too), a global section of the box (Abramsky & Brandenburger 2011)
+that ``_joint_cost`` certifies as it does the junction-tree joint.  A joint is kept only at a
 cost of at most 1e-9, so one that misses leaves the box to the LP.  Every
 other box is solved by the junction-tree LP, and so is a binary cycle's
 witness when it is first read.  A witness is held as the digits of its
@@ -49,10 +48,10 @@ nearly as fast as those rounds were: on 32 boxes of one perfbench
 small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
 23-24 ms, and was slower only on the four 1024-cell Mermin mixes (14
 against 8 ms; best of 7, trees and models warm, 2-core Xeon host).  Of
-those 32 boxes, 28 now take the projection route, and 4, contextual
-anchored mixes, reach the LP.  On hypergraphs of 4 or 5 observables under
-many contexts the route misses more often: 20 of 324 seeded Dirichlet
-boxes there reach the LP (README.md).
+those 32 boxes, 28 now take the witness route, and 4, contextual anchored
+mixes, reach the LP.  On hypergraphs of 4 or 5 observables under many
+contexts the route misses more often: 2 of 303 seeded noncontextual
+Dirichlet boxes there reach the LP (README.md).
 
 Dividing the duals y of the box's rows by the least score of any
 assignment under them, from a min-sum pass over the same tree's cliques
@@ -251,10 +250,10 @@ def contextuality_cost(box: Box) -> CostReport:
     hypergraph from its junction-tree joint, a binary box within the
     2^10-cell scan that is flat on every context's parity classes from its
     parity inequality and a symmetric witness, when the two meet, and a
-    noncontextual box of full support within the dense caps from the
-    entropy solver's projection onto its marginals, when that is found
-    within 16 steps; every other box is solved by the junction-tree LP (see
-    the module docstring).  Defined only for consistent boxes; inconsistent
+    noncontextual box of full support within the dense caps from its
+    witness, a joint with its marginals (``measures.projected_joint``), when
+    16 sweeps find one; every other box is solved by the junction-tree LP
+    (see the module docstring).  Defined only for consistent boxes; inconsistent
     input is refused rather than given a misleading number.  Refuses a box
     of more than ``boxes.MAX_OBSERVABLES`` observables, and one whose
     junction-tree LP has more variables and matrix entries than

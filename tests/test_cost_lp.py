@@ -795,8 +795,8 @@ def test_other_boxes_reach_the_lp(box, highs_log):
 
 def test_noncontextual_pm_per_context_takes_the_projection(highs_log):
     """Alphas 0.95 down to 0.7, which add up to 4.95: noncontextual, with no
-    zero entry, so its cost of 0 comes from the projection route, with no
-    HiGHS run."""
+    zero entry, so its cost of 0 comes from its witness, with no HiGHS
+    run."""
     box = pm_per_context_box(0.95, 0.7)
     assert polytope._parity_cost(box) is None
     report = cx.contextuality_cost(box)
@@ -804,8 +804,8 @@ def test_noncontextual_pm_per_context_takes_the_projection(highs_log):
     assert abs(report.cost - dense_reference_cost(box)) <= 1e-9
 
 
-# Noncontextual boxes of full support: the entropy solver's projection onto
-# their marginals is the witness, with no LP.
+# Noncontextual boxes of full support: their witness, a joint with their
+# marginals (``measures.projected_joint``), certifies a cost of 0 with no LP.
 
 PROJECTION_ANCHORS = (cx.pm_box(), cx.mermin_box(), ternary_cycle_box(4))
 
@@ -831,13 +831,13 @@ def full_support_boxes(draw):
     6 to 9 observables, any of them ternary within 1024 joint cells, with k
     to 2k contexts: noncontextual.  Smaller joints under many contexts
     leave little room: on 4 and 5 observables, up to two of them ternary,
-    with k/2 + 1 to 2k contexts, 9 of 99 and 20 of 324 seeded such boxes
-    found no joint with their marginals within 16 steps, and went to the LP
-    (11 and 30 when the exit projected the iterate alone).  Or an anchor of
+    with k/2 + 1 to 2k contexts, 2 of 303 seeded such boxes found no
+    witness within 16 sweeps, and went to the LP (23 when the entropy
+    solver's first 16 steps looked for one).  Or an anchor of
     ``PROJECTION_ANCHORS`` mixed with a Dirichlet joint's box, either at up
     to 3/4 of the boundary weight w*, so noncontextual, or above w* by 1/20
-    to 19/20 of the distance to 1, so contextual.  Near w* the exit can miss
-    as well.
+    to 19/20 of the distance to 1, so contextual.  Near w* the route can
+    miss as well.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):

@@ -340,15 +340,6 @@ def test_split_box_shares_one_iteration_budget(max_iters):
             full.value, full.duality_gap, full.iterations)
 
 
-class TestIFixed:
-    def test_matches_x_fixed_and_flags_route(self, pr):
-        w = cx.ContextWeights.uniform(4)
-        xr = cx.x_fixed(pr, w)
-        ir = cx.i_fixed(pr, w)
-        assert ir.value == pytest.approx(xr.value, abs=1e-9)
-        assert "mutual-information" in ir.method
-
-
 class TestVerifyEquivalence:
     def test_pr(self, pr):
         eq = cx.verify_equivalence(pr, cx.ContextWeights.uniform(4))

@@ -2,16 +2,18 @@
 measures that read the same whatever ran before them on the box."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
+from test_cost_lp import pm_per_context_box
 from test_incidence import hypergraphs
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
-from contextuality import boxes, measures
+from contextuality import boxes, measures, polytope
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_joint
 
 
@@ -117,35 +119,37 @@ def uniform_box(g):
     return cx.Box(g, [np.full(g.context_dim(ci), 1.0 / g.context_dim(ci)) for ci in range(g.n_contexts)])
 
 
-# Where ``projected_joint``'s solve stops on each of ``projection_route_boxes``:
-# its step, and whether it leaves a joint with the box's marginals ("joint")
-# or None.  Step 17 is the top of the step after the last projection.
+# The sweep at which the witness route (``projected_joint``) finds a joint
+# with the box's marginals on each of ``projection_route_boxes``, or None
+# where it finds none.
 PROJECTION_STOPS = {
-    "mermin-step-1": (1, "joint"),
-    "mermin-step-4": (4, "joint"),
-    "mermin-step-8": (8, "joint"),
-    "mermin-step-16": (16, "joint"),
-    "mermin-miss": (17, None),
-    "ternary-uniform": (1, "joint"),
-    "ternary-step-1": (1, "joint"),
-    "ternary-step-2": (2, "joint"),
-    "ternary-step-4": (4, "joint"),
-    "ternary-step-8": (8, "joint"),
-    "ternary-step-16": (16, "joint"),
-    "ternary-contextual": (6, None),
+    "mermin-step-1": 1,
+    "mermin-step-4": 2,
+    "mermin-step-8": 2,
+    "mermin-step-16": 5,
+    "mermin-miss": None,
+    "ternary-uniform": 1,
+    "ternary-step-1": 1,
+    "ternary-step-2": 2,
+    "ternary-step-4": 2,
+    "ternary-step-8": 2,
+    "ternary-step-16": 5,
+    "ternary-contextual": None,
 }
 
 
 def projection_route_boxes():
     """Mermin's box and the ternary 4-cycle mixed with a Dirichlet joint's box
     (seed 0 unless given), or with the uniform box, at the given weight:
-    full-support cyclic boxes on which the cost takes the projection route.
-    ``PROJECTION_STOPS`` gives where ``projected_joint``'s solve stops.  Each
-    weight lies inside a band of weights that stop at the same step, at
-    least 0.0015 from either end.  "mermin-miss" is noncontextual (its
-    boundary weight is about 0.6005) and finds no joint with its marginals
-    within 16 steps; "ternary-contextual" has a positive lower bound at
-    step 6."""
+    full-support cyclic boxes on which the cost takes the witness route.
+    ``PROJECTION_STOPS`` gives the sweep at which the route finds a joint.
+    Each name gives the step at which the entropy solver's loop, at uniform
+    weights, found one before the route: each weight lies inside a band of
+    weights that stopped at the same step, at least 0.0015 from either end.
+    "mermin-miss" is noncontextual (its boundary weight is about 0.6005),
+    and the route finds no joint with its marginals within 16 sweeps;
+    "ternary-contextual" is contextual, and its route gives up at its
+    second sweep."""
 
     def mixed(anchor, weight, base_seed=0):
         g = anchor.hypergraph
@@ -171,8 +175,11 @@ def projection_route_boxes():
 def seeded_boxes():
     """Binary and ternary boxes: contextual mixes (cyclic, with and without
     zeros), noncontextual full-support boxes, an acyclic one, parity-flat ones
-    (isotropic PM and a chain), a direct sum of two cyclic parts, and the
-    ``projection_route_boxes``."""
+    (isotropic PM and a chain), a direct sum of two cyclic parts, the
+    ``projection_route_boxes``, and two noncontextual boxes whose witness
+    takes 6 and 5 sweeps: PM with a different alpha on each context, and a
+    Mermin anchor mix whose projections miss by 1.4e-3, then 7e-6, 5.6e-7
+    and 3.8e-7."""
     rng = np.random.default_rng(2026)
 
     def mixed(anchor, weight):
@@ -189,7 +196,18 @@ def seeded_boxes():
         "chain-flat": cx.chain_box(5, 0.95),
         "sum": cx.direct_sum(mixed(cx.pr_box(), 0.9), mixed(ternary_cycle_box(3), 0.8)),
         **projection_route_boxes(),
+        "pm-per-context": pm_per_context_box(0.95, 0.7),
+        "mermin-anchor-30": mermin_anchor_mix(30),
     }
+
+
+def mermin_anchor_mix(draw):
+    """Mermin's box mixed with a Dirichlet joint's box (``default_rng(draw)``)
+    at a weight from ``default_rng(100 + draw).uniform(0.3, 0.9)``."""
+    mermin = cx.mermin_box()
+    weight = float(np.random.default_rng(100 + draw).uniform(0.3, 0.9))
+    return random_consistent_box(mermin.hypergraph, np.random.default_rng(draw), anchor=mermin,
+                                 anchor_weight=weight)
 
 
 def xu_fields(report):
@@ -243,8 +261,8 @@ def cached_arrays(box):
         out["dense"] = g.incidence.dense
         if box.stacked().min() > 0.0:
             out["gram"] = g.incidence.gram_pinv
-    if measures._prefixes.get(box) is not None:
-        out["projection prefix"] = measures._prefixes[box]
+    if measures._witnesses.get(box) is not None:
+        out["witness"] = measures._witnesses[box]
     if boxes._overlaps(g.contexts):
         for k, index in enumerate(boxes._overlap_index(g.cardinalities, g.contexts)):
             if isinstance(index, np.ndarray):
@@ -319,92 +337,79 @@ def test_equal_hypergraphs_share_dense_matrices():
         assert second.gram_pinv is first.gram_pinv is not None
 
 
+def route_sweeps(box):
+    """The witness route's outcome on ``box`` and the sweeps it took."""
+    with mock.patch.object(measures._FixedWeightProblem, "sweep", autospec=True,
+                           side_effect=measures._FixedWeightProblem.sweep) as sweep:
+        joint = measures.projected_joint(box)
+    return joint, sweep.call_count
+
+
+def assert_witness(box, joint):
+    """``joint`` is read-only, nonnegative and has the box's marginals."""
+    assert not joint.flags.writeable
+    assert joint.min() >= 0.0
+    assert np.abs(box.hypergraph.incidence.marginals(joint) - box.stacked()).max() <= 1e-12
+
+
 @pytest.mark.parametrize("name", list(PROJECTION_STOPS))
 def test_projection_route_stops_where_expected(name):
-    """``projected_joint``'s solve stops at the step ``PROJECTION_STOPS`` gives,
-    and leaves a joint with the box's marginals or None, as it says."""
+    """The witness route finds a joint at the sweep ``PROJECTION_STOPS``
+    gives, or finds none; an equal fresh box gets the same joint bit for
+    bit, and the next read of either is the same object, with no sweep."""
     box = fresh(projection_route_boxes()[name])
-    g = box.hypergraph
-    problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(g.n_contexts))
-    step = measures._solve_fixed(problem, measures.DEFAULT_TOL, measures._PROJECTION_STEPS + 1,
-                                 prefix=box, prefix_only=True)[3]
-    joint = measures._prefixes[box]
-    assert (step, None if joint is None else "joint") == PROJECTION_STOPS[name]
-    if joint is not None:
-        assert joint.min() >= 0.0
-        assert np.abs(g.incidence.marginals(joint) - box.stacked()).max() <= 1e-12
-    again = measures.projected_joint(fresh(box))
-    assert again is None if joint is None else np.array_equal(again, joint)
-
-
-def prefix(box):
-    """The projection prefix held for ``box``: a joint's bytes, None, or "empty"."""
-    if box not in measures._prefixes:
-        return "empty"
-    joint = measures._prefixes[box]
-    return None if joint is None else joint.tobytes()
+    joint, sweeps = route_sweeps(box)
+    if PROJECTION_STOPS[name] is None:
+        assert joint is None
+    else:
+        assert sweeps == PROJECTION_STOPS[name]
+        assert_witness(box, joint)
+        assert np.array_equal(measures.projected_joint(fresh(box)), joint)
+    assert route_sweeps(box) == (joint, 0)
 
 
 @st.composite
-def prefix_boxes(draw):
-    """Full-support boxes on cyclic hypergraphs of one component: Mermin's,
-    PM's, the ternary 3- and 4-cycle's and ``random_hypergraph`` draws, each
-    anchor mixed with a Dirichlet joint's box or the uniform box, on either
-    side of the noncontextual boundary."""
+def witness_boxes(draw):
+    """Binary and ternary boxes with no zero entry: the box of a Dirichlet
+    joint on a cyclic hypergraph of 4 or 5 observables, up to two of them
+    ternary, under k/2 + 1 to 2k contexts (noncontextual); or PM's,
+    Mermin's or the ternary 4-cycle's box mixed with a Dirichlet joint's box
+    at a weight in [0, 1), so on either side of the noncontextual
+    boundary."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["mermin", "pm", "ternary-3", "ternary-4", "random"]))
-    if kind == "random":
-        g = random_hypergraph(rng, int(rng.integers(4, 7)), n_contexts=int(rng.integers(3, 6)))
-        anchor = random_consistent_box(g, rng)
-    else:
-        anchor = {"mermin": cx.mermin_box, "pm": cx.pm_box, "ternary-3": lambda: ternary_cycle_box(3),
-                  "ternary-4": lambda: ternary_cycle_box(4)}[kind]()
-    g = anchor.hypergraph
-    base = uniform_box(g) if draw(st.booleans()) else cx.box_of_joint(random_joint(g, rng))
-    return cx.mix(anchor, base, draw(st.floats(0.0, 0.9)))
+    kind = draw(st.sampled_from(["small-joint", "pm", "mermin", "ternary-4"]))
+    if kind == "small-joint":
+        k = draw(st.integers(4, 5))
+        cards = [3] * draw(st.integers(0, 2)) + [2] * k
+        g = random_hypergraph(rng, k, draw(st.integers(k // 2 + 1, 2 * k)))
+        g = cx.Hypergraph([(f"O{i}", cards[i]) for i in range(k)], g.contexts)
+        assume(g.join_tree is None)
+        return cx.box_of_joint(random_joint(g, rng))
+    anchor = {"pm": cx.pm_box, "mermin": cx.mermin_box, "ternary-4": lambda: ternary_cycle_box(4)}[kind]()
+    return cx.mix(anchor, cx.box_of_joint(random_joint(anchor.hypergraph, rng)), draw(st.floats(0.0, 0.99)))
 
 
-@seed(20261020)
-@settings(max_examples=60, deadline=None)
-@given(box=prefix_boxes(), max_iters=st.integers(0, 15), draw_seed=st.integers(0, 2**32 - 1))
-def test_x_u_leaves_the_projection_prefix(box, max_iters, draw_seed):
-    """The prefix that ``x_u`` leaves on a box is bit for bit what
-    ``projected_joint`` makes on an equal fresh box, or None on both, and
-    ``x_u`` leaves one wherever its loop is the projection route's solve
-    (an isotropic box may stop at its parity mixture first, and leave none).
-    Calls whose loop is another solve leave none: another tol, fewer than
-    16 iterations, non-uniform weights, or a direct sum solved by parts."""
-    g = box.hypergraph
-    whole = g.join_tree is None and len(g.components) == 1 and measures._projects(g, box.stacked())
-    used = fresh(box)
-    cx.x_u(used)
-    if whole and measures._starts(box)[1] is None:
-        assert prefix(used) != "empty"
-    if prefix(used) != "empty":
-        expected = measures.projected_joint(fresh(box))
-        assert prefix(used) == (None if expected is None else expected.tobytes())
-        assert measures.projected_joint(used) is measures._prefixes[used]
-    rng = np.random.default_rng(draw_seed)
-    weights = cx.ContextWeights(rng.dirichlet(np.ones(g.n_contexts)))
-    calls = [
-        lambda b: cx.x_u(b, tol=1e-6),
-        lambda b: cx.x_u(b, max_iters=max_iters),
-        lambda b: cx.x_fixed(b, weights),
-    ]
-    for call in calls:
-        other = fresh(box)
-        call(other)
-        assert prefix(other) == "empty"
-    pair = cx.direct_sum(fresh(box), fresh(box))
-    cx.x_u(pair)
-    assert prefix(pair) == "empty"
-
-
-@pytest.mark.parametrize("box", [cx.pm_box(0.9), cx.mermin_box(0.9)], ids=["PM", "M"])
-def test_parity_certified_box_leaves_no_prefix(box):
-    """An isotropic box certified at its parity mixture takes no loop step, so
-    its ``x_u`` is not the projection route's solve and leaves no prefix."""
-    used = fresh(box)
-    assert cx.x_u(used).iterations == 1
-    assert prefix(used) == "empty"
-    assert measures._projects(used.hypergraph, used.stacked())
+@seed(20261120)
+@settings(max_examples=40, deadline=None)
+@given(box=witness_boxes(), order=st.permutations(list(MEASURES)))
+def test_every_measure_reads_one_witness(box, order):
+    """The route runs once per box, whichever measure comes first, and every
+    measure reads its joint: ``x_u`` and ``x_max`` stop at it, at their first
+    iteration, and the cost certifies 0 from it with no LP.  A joint it
+    returns is nonnegative, read-only and has the box's marginals within
+    1e-12, and it returns None on every box the junction-tree LP finds
+    contextual."""
+    box = fresh(box)
+    runs = mock.patch.object(measures._FixedWeightProblem, "witness", autospec=True,
+                             side_effect=measures._FixedWeightProblem.witness)
+    with runs as route:
+        reports = {name: MEASURES[name][0](box) for name in order}
+        joint = measures.projected_joint(box)
+    assert route.call_count == 1
+    if polytope._tree_lp(box).cost > 1e-9:
+        assert joint is None
+    if joint is not None:
+        assert_witness(box, joint)
+        for name in ("xu", "xmax"):
+            assert reports[name].optimizer.probabilities is joint and reports[name].iterations == 1
+        assert reports["cost"].interval == (0.0, reports["cost"].cost) and reports["cost"].cost <= 1e-9

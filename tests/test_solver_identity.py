@@ -13,12 +13,15 @@ components on their own (``reference_parts``).  Like ``plain_em`` in
 The oracle also has the solver's three exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
 (beta by brute force over every assignment), kept if it certifies; a joint
-with the box's marginals made from the iterate at iterations 1, 2, 4, 8, ...
-while the best lower bound is at most 0 (``reference_projection``): one
-sweep of iterative proportional fitting over the contexts, one
-multiplicative step toward the marginals and the orthogonal projection, each
-pseudo-inverse by ``lstsq`` on an incidence matrix built from
-``brute_rows``; and at iterations 2, 4, 8, ... of ``x_fixed``'s loop, unless
+with the box's marginals at iterations 1, 2, 4, 8, ... while the best lower
+bound is at most 0: at iteration 1 the box's witness
+(``reference_witness``: sweeps from the uniform joint, each followed by a
+projection try, under the route's stop rule), later made from the iterate
+(``reference_projection``), each one sweep of iterative proportional
+fitting over the contexts, one multiplicative step toward the marginals and
+the orthogonal projection, each pseudo-inverse by ``lstsq`` on an incidence
+matrix built from ``brute_rows``; and at iterations 2, 4, 8, ... of
+``x_fixed``'s loop, unless
 that projection missed by less negative mass than ``measures._FACE_MISS``,
 the optimizer on the face of cells where the field is at least
 ``measures._FACE_SHARE`` of its largest entry (``reference_face``): Newton
@@ -169,17 +172,49 @@ def reference_sweep(problem, p):
     return q, q.size * np.linalg.lstsq(incidence, b - incidence @ q, rcond=None)[0], incidence
 
 
-def reference_projection(problem, p):
-    """``reference_sweep``, the step ``q * exp(N z)`` with its exponent clamped
-    at ``measures._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``,
-    not normalized, negative entries and all; None if the problem is not
-    dense with every row on the support."""
+def projects(problem):
+    """Whether the problem is dense with every row on the support, and its
+    Gram matrix fits ``measures.DENSE_ENTRIES_CAP``."""
     op = problem.op
-    if problem.support.size < op.dim or problem.dense is None or op.dim**2 > measures.DENSE_ENTRIES_CAP:
-        return None
-    q, exponent, incidence = reference_sweep(problem, p)
+    return problem.support.size == op.dim and problem.dense is not None and op.dim**2 <= measures.DENSE_ENTRIES_CAP
+
+
+def reference_correction(problem, q, exponent, incidence):
+    """The step ``q * exp(N z)`` with its exponent clamped at
+    ``measures._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``, not
+    normalized, negative entries and all."""
     q = q * np.exp(np.minimum(exponent, measures._EXPONENT_CAP))
     return q - np.linalg.lstsq(incidence, incidence @ q - problem.targets, rcond=None)[0]
+
+
+def reference_projection(problem, p):
+    """``reference_sweep`` from ``p``, then ``reference_correction``; None
+    unless the problem ``projects``."""
+    if not projects(problem):
+        return None
+    return reference_correction(problem, *reference_sweep(problem, p))
+
+
+def reference_witness(problem):
+    """The box's witness, or None: ``reference_sweep`` from the uniform joint,
+    at most ``measures._WITNESS_SWEEPS`` times, each followed by
+    ``reference_correction`` of the swept joint.  The first correction with
+    no negative entry, normalized, is the witness.  None unless the problem
+    ``projects``, and at the first correction whose negative mass is at
+    least ``measures._FACE_MISS`` and at least half the one before."""
+    if not projects(problem):
+        return None
+    q, last = np.full(problem.g.joint_dim, 1.0 / problem.g.joint_dim), math.inf
+    for _ in range(measures._WITNESS_SWEEPS):
+        q, exponent, incidence = reference_sweep(problem, q)
+        joint = reference_correction(problem, q, exponent, incidence)
+        miss = -joint[joint < 0.0].sum()
+        if miss == 0.0:
+            return joint / joint.sum()
+        if miss >= measures._FACE_MISS and miss >= 0.5 * last:
+            return None
+        last = miss
+    return None
 
 
 def reference_face(problem, p, r):
@@ -256,7 +291,7 @@ def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, ex
         power = math.log2(iteration).is_integer()
         miss = math.inf
         if exits and lower <= 0.0 and power:
-            q = reference_projection(problem, p)
+            q = reference_witness(problem) if iteration == 1 else reference_projection(problem, p)
             if q is not None:
                 miss = -q[q < 0.0].sum()
             if miss == 0.0:
@@ -424,7 +459,7 @@ def reference_ascent(box, tol, max_iters):
         if gap <= tol:
             break
         if lower <= 0.0 and math.log2(iteration).is_integer():
-            q = reference_projection(problem, p)
+            q = reference_witness(problem) if iteration == 1 else reference_projection(problem, p)
             if q is not None and q.min() >= 0.0:
                 q = q / q.sum()
                 q_value, _, q_gap = reference_evaluate(problem, q)

@@ -183,8 +183,9 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> "ContextIncidence":
-        """The context-incidence operator of this hypergraph, built once."""
-        return ContextIncidence(self)
+        """The context-incidence operator of this hypergraph, shared by equal
+        hypergraphs (see ``_incidence``)."""
+        return _incidence(self.cardinalities, self.contexts)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -223,9 +224,8 @@ class Hypergraph:
     @property
     def junction_tree(self) -> "JunctionTree":
         """A junction tree of the observables, from a min-fill order (see
-        ``JunctionTree``), built once per cardinalities and context list, so
-        equal hypergraphs share it."""
-        return _junction_tree(self.cardinalities, self.contexts)
+        ``JunctionTree``): the incidence's, so equal hypergraphs share it."""
+        return self.incidence.junction_tree
 
     @property
     def join_tree(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
@@ -415,7 +415,7 @@ def _row_major(radices: Sequence[int]) -> np.ndarray:
 
 
 class ContextIncidence:
-    """The context-incidence map M of a hypergraph.
+    """The context-incidence map M of a hypergraph's cardinalities and context list.
 
     Rows of M are the stacked context outcomes: every context's outcome
     vector (row-major in the context's observable order), concatenated in
@@ -431,16 +431,18 @@ class ContextIncidence:
     component factorization and the group action read these tables.
     ``rows`` maps joint indices to their rows through their digits (``digit_rows``).
     ``columns`` builds dense rows of M, on every joint index, only for the
-    caller that asks for them; ``dense`` is the whole of M, built by it once
-    per cardinalities and context list on first use, as one byte per entry,
-    but only where M has at most ``DENSE_ENTRIES_CAP`` entries: 1 MB at
-    most.  ``gram_pinv`` is ``(M M^T)^+``, made from it once as well; both
-    live in one bounded holder per cardinalities and context list
-    (``_dense_matrices``), so equal hypergraphs built afresh share them.
-    The entropy solver reads them on small boxes; the cost LP's rows and its
-    pricing come from ``JunctionTree``.
+    caller that asks for them; ``dense`` is the whole of M, built by it on
+    first use, as one byte per entry, but only where M has at most
+    ``DENSE_ENTRIES_CAP`` entries: 1 MB at most.  ``gram_pinv`` is
+    ``(M M^T)^+``, made from it on first use as well.  The entropy solver
+    reads them on small boxes; the cost LP's rows and its pricing come from
+    ``junction_tree``, and the consistency check reads the overlapping
+    pairs of contexts (``_overlaps``) and their index (``_overlap_index``).
     ``parity_classes`` labels each row with its context's even or odd
     outcomes.  This module is the only code that knows the stacked layout.
+    All of it is index data, read-only, made on first use from the
+    cardinalities and the context list alone, so equal hypergraphs share
+    one incidence (``_incidence``).
 
     ``best_outcome`` finds the best joint outcome lambda of a score
     ``sum_c y_c(lambda_c)`` without building the joint tensor, by the
@@ -449,30 +451,28 @@ class ContextIncidence:
     keeps index order, for the first optimum in row-major order: it
     eliminates the trailing observables one bucket each, whose tables grow
     with the induced width of that order (2 for a chain), and scans the
-    leading ones.  The plan is made once per cardinalities, context list and
-    scan size, and shared by equal hypergraphs.  Refuses, before any table
-    is built, a hypergraph of more than ``MAX_OBSERVABLES`` observables,
-    whose tables numpy cannot hold.
+    leading ones.  Its plan is read at the scan size of each call.  Refuses,
+    before any table is built, a hypergraph of more than ``MAX_OBSERVABLES``
+    observables, whose tables numpy cannot hold.
     """
 
-    def __init__(self, g: Hypergraph):
-        cards = g.cardinalities
+    def __init__(self, cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]):
         if len(cards) > MAX_OBSERVABLES:
             raise CapExceededError(
                 f"hypergraph has {len(cards)} observables; a table holds at most {MAX_OBSERVABLES}"
             )
         self.joint_shape = cards
-        self._joint_dim = g.joint_dim
-        self.contexts = g.contexts
-        self.context_shapes = tuple(tuple(cards[i] for i in ctx) for ctx in g.contexts)
+        self._joint_dim = math.prod(cards)
+        self.contexts = contexts
+        self.context_shapes = tuple(tuple(cards[i] for i in ctx) for ctx in contexts)
         self.dims = tuple(map(math.prod, self.context_shapes))
         self.offsets = tuple(itertools.accumulate(self.dims, initial=0))
         self.dim = self.offsets[-1]
         # Each context's table shape, and the axes its marginal sums out.
         self._table_shapes = tuple(
-            tuple(d if i in ctx else 1 for i, d in enumerate(cards)) for ctx in g.contexts
+            tuple(d if i in ctx else 1 for i, d in enumerate(cards)) for ctx in contexts
         )
-        self._summed = tuple(tuple(i for i in range(len(cards)) if i not in c) for c in g.contexts)
+        self._summed = tuple(tuple(i for i in range(len(cards)) if i not in c) for c in contexts)
 
     def stack(self, parts: Sequence) -> np.ndarray:
         """One vector per context, concatenated in context order (inverse of ``split``)."""
@@ -536,10 +536,9 @@ class ContextIncidence:
         whole and the whole joint may be lifted."""
         return self._joint_dim <= _SCAN_CELLS
 
-    @cached_property
+    @property
     def _elimination(self) -> tuple[_Step, ...]:
-        """The steps of ``best_outcome``, shared by equal hypergraphs (see ``_elimination_plan``),
-        at the scan size of its first use."""
+        """The steps of ``best_outcome`` (``_elimination_plan``) at the scan size of this call."""
         return _elimination_plan(self.joint_shape, self.contexts, _SCAN_CELLS)
 
     def best_outcome(self, y: np.ndarray, sense: str) -> tuple[float, tuple[int, ...]]:
@@ -571,8 +570,12 @@ class ContextIncidence:
     @cached_property
     def _sorted_rows(self) -> np.ndarray:
         """The stacked rows with each context's outcomes row-major in increasing
-        observable order, the order of its table (see ``_table_order``)."""
-        return _table_order(self.joint_shape, self.contexts)
+        observable order, the order of its table.  ``tables`` and ``marginals``
+        read it even where the plan of ``best_outcome`` is refused."""
+        cards = self.joint_shape
+        return _frozen_array(np.concatenate([
+            start + _cells(cards, tuple(sorted(c)), c) for c, start in zip(self.contexts, self.offsets)
+        ]), dtype=np.int64)
 
     def rows(self, joint_indices) -> np.ndarray:
         """Stacked row hit in each context by each joint index: shape ``(..., n_contexts)``."""
@@ -594,6 +597,7 @@ class ContextIncidence:
         out = np.zeros((len(self.joint_shape), len(self.contexts)))
         for ci, (ctx, shape) in enumerate(zip(self.contexts, self.context_shapes)):
             out[list(ctx), ci] = _row_major(shape)
+        out.flags.writeable = False
         return out
 
     def columns(self, support, dtype=float) -> np.ndarray:
@@ -615,24 +619,21 @@ class ContextIncidence:
             out[(table + grid).ravel()] = 1
         return out[: size * n].reshape(size, n)
 
-    @property
+    @cached_property
     def dense(self) -> np.ndarray | None:
         """All of M, ``columns`` on every stacked row, as read-only bytes (0 or
-        1), one per entry, shared by equal hypergraphs; None, with nothing
-        built, where M has more than ``DENSE_ENTRIES_CAP`` entries."""
+        1), one per entry; None, with nothing built, where M has more than
+        ``DENSE_ENTRIES_CAP`` entries."""
         if self.dim * self._joint_dim > DENSE_ENTRIES_CAP:
             return None
-        held = _dense_matrices(self.joint_shape, self.contexts)
-        if held.matrix is None:
-            out = self.columns(np.arange(self.dim), dtype=np.uint8)
-            out.flags.writeable = False
-            held.matrix = out
-        return held.matrix
+        out = self.columns(np.arange(self.dim), dtype=np.uint8)
+        out.flags.writeable = False
+        return out
 
-    @property
+    @cached_property
     def gram_pinv(self) -> np.ndarray:
-        """``(M M^T)^+`` for an M that ``dense`` holds, read-only and shared as
-        it is; asked for only where ``M M^T`` fits ``DENSE_ENTRIES_CAP`` too
+        """``(M M^T)^+`` for an M that ``dense`` holds, read-only; asked for
+        only where ``M M^T`` fits ``DENSE_ENTRIES_CAP`` too
         (``measures._projects``), so it is at most 8 MB.  ``M^T (M M^T)^+``
         is M's pseudo-inverse, so the entropy solver's projection needs no
         SVD of its own.  Entry (i, j) of ``M M^T`` counts the joint outcomes
@@ -640,46 +641,40 @@ class ContextIncidence:
         dense cap, so single precision adds it exactly, in a quarter of the
         time of double (0.23 against 0.98 ms on Mermin's 80 x 1024 M, 2-core
         Xeon host)."""
-        held = _dense_matrices(self.joint_shape, self.contexts)
-        if held.gram is None:
-            dense = self.dense.astype(np.float32)
-            out = np.linalg.pinv((dense @ dense.T).astype(float), hermitian=True)
-            out.flags.writeable = False
-            held.gram = out
-        return held.gram
+        dense = self.dense.astype(np.float32)
+        out = np.linalg.pinv((dense @ dense.T).astype(float), hermitian=True)
+        out.flags.writeable = False
+        return out
 
+    @cached_property
+    def junction_tree(self) -> "JunctionTree":
+        """A junction tree of the observables (see ``JunctionTree``)."""
+        return JunctionTree(self.joint_shape, self.contexts)
 
-class _DenseMatrices:
-    """The dense M of one cardinalities and context list and its Gram
-    pseudo-inverse, each None until ``ContextIncidence`` first makes it."""
+    @cached_property
+    def _overlaps(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The consistency check's overlapping pairs of contexts (see ``_overlaps``)."""
+        return _overlaps(self.contexts)
 
-    __slots__ = ("matrix", "gram")
-
-    def __init__(self):
-        self.matrix: np.ndarray | None = None
-        self.gram: np.ndarray | None = None
+    @cached_property
+    def _overlap_index(self) -> tuple:
+        """The consistency check's index arrays (see ``_overlap_index``)."""
+        return _overlap_index(self.joint_shape, self.contexts)
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_matrices(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> _DenseMatrices:
-    """The holder of ``ContextIncidence.dense`` and ``gram_pinv`` for one
-    cardinalities and context list: index data only, no box data.  Each
-    entry holds at most 1 MB of M and 8 MB of floats, so 576 MB at the very
-    most; one perfbench small-batch pass meets 54 context lists, and every
-    later pass repeats them."""
-    return _DenseMatrices()
-
-
-@functools.lru_cache(maxsize=256)
-def _table_order(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """``ContextIncidence._sorted_rows``, made once per cardinalities and
-    context list, read-only: hypergraphs built afresh share it, as they share
-    ``_elimination_plan``.  It is index data only, and ``tables`` and
-    ``marginals`` read it even where the plan is refused."""
-    starts = itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts), initial=0)
-    return _frozen_array(np.concatenate([
-        start + _cells(cards, tuple(sorted(c)), c) for c, start in zip(contexts, starts)
-    ]), dtype=np.int64)
+def _incidence(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> ContextIncidence:
+    """``Hypergraph.incidence``: one ``ContextIncidence`` per cardinalities and
+    context list, made on first use and shared by every hypergraph with that
+    key, built afresh or with other observable names.  It holds index data
+    only, no box data: at most 1 MB of dense M and 8 MB of Gram
+    pseudo-inverse, a junction-tree LP of at most ``JOINT_DIM_CAP``
+    entries, and index arrays over its stacked rows and pairs of contexts.
+    The cache holds 64 incidences, so 576 MB of dense matrices at the very
+    most, plus those of any incidence that a live hypergraph still holds
+    after its eviction.  One perfbench small-batch pass meets 54 context
+    lists, so nothing there is evicted or rebuilt."""
+    return ContextIncidence(cards, contexts)
 
 
 def _min_fill(
@@ -883,18 +878,6 @@ class JunctionTree:
         return np.array(found, dtype=np.int64).reshape(-1, len(self._cards)), np.array(weights)
 
 
-@functools.lru_cache(maxsize=256)
-def _junction_tree(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> JunctionTree:
-    """``Hypergraph.junction_tree``, made once per cardinalities and context list.
-
-    Boxes on one hypergraph, or on equal ones built afresh, share the tree;
-    the cache holds no box data, and more than the 54 context lists of one
-    perfbench small-batch pass, whose trees took 11.3 ms to build afresh
-    (best of 7, 2-core Xeon host).
-    """
-    return JunctionTree(cards, contexts)
-
-
 @dataclass(frozen=True)
 class DeterministicAssignment:
     """One fixed output per observable; the vertex data of the NC polytope."""
@@ -1093,14 +1076,9 @@ class ConsistencyReport:
     violations: tuple[ConsistencyViolation, ...]
 
 
-@functools.lru_cache(maxsize=256)
 def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """``(a, b, shared observables in increasing order)`` for each pair of
-    contexts that share an observable, ``a < b``, in lexicographic order.
-
-    Made once per context list, so boxes on one hypergraph (or on equal
-    ones) share it; the cache holds indices only, no box data.
-    """
+    contexts that share an observable, ``a < b``, in lexicographic order."""
     out = []
     for a, b in itertools.combinations(range(len(contexts)), 2):
         shared = set(contexts[a]) & set(contexts[b])
@@ -1109,7 +1087,6 @@ def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tu
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=256)
 def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> tuple:
     """Index arrays that give every overlapping pair's shared marginals from
     one ``bincount``: ``(rows, cells, size, left, right, starts)``, read-only.
@@ -1120,10 +1097,9 @@ def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]
     these marginals, that it adds to, each marginal row-major over its
     observables in increasing order.  Pair k of ``_overlaps`` compares the
     cells ``left[starts[k]:starts[k + 1]]`` of its first context's marginal
-    with the cells ``right[...]`` of its second's.  Made once per
-    cardinalities and context list, with no array per pair, so the arrays
-    are linear in the pairs' shared cells and in the contexts' rows times
-    the marginals each gives.
+    with the cells ``right[...]`` of its second's.  There is no array per
+    pair, so the arrays are linear in the pairs' shared cells and in the
+    contexts' rows times the marginals each gives.
     """
     pairs = _overlaps(contexts)
     # Each context's shared sets, and the first cell of each marginal.
@@ -1155,11 +1131,11 @@ def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]
 def _shared_marginal_tvs(box: Box):
     """``(a, b, shared observables, TV distance)`` per pair of overlapping
     contexts, every distance from one ``bincount`` (see ``_overlap_index``)."""
-    g = box.hypergraph
-    pairs = _overlaps(g.contexts)
+    op = box.hypergraph.incidence
+    pairs = op._overlaps
     if not pairs:
         return
-    rows, cells, size, left, right, starts = _overlap_index(g.cardinalities, g.contexts)
+    rows, cells, size, left, right, starts = op._overlap_index
     marginals = np.bincount(cells, box.stacked()[rows], size)
     tvs = 0.5 * np.add.reduceat(np.abs(marginals[left] - marginals[right]), starts)
     for (a, b, shared), tv in zip(pairs, tvs.tolist()):

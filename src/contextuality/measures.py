@@ -41,15 +41,16 @@ one float per joint cell).  Here, in a map that holds each box weakly, for
 as long as the box lives: its witness (``projected_joint``), a joint with
 its marginals or None, at most one float per joint cell, made once by
 whichever measure reads it first and read by all three.  Once per
-cardinalities and context list, in bounded caches that hold no box data:
-the junction tree, the overlap index of the consistency check, and the
-dense M with the Gram pseudo-inverse of the projection
-(``ContextIncidence.dense`` and ``gram_pinv``), which equal hypergraphs
-built afresh share.  M is one byte per entry, and is held only
-where it has at most ``DENSE_ENTRIES_CAP`` entries (1 MB); the
-pseudo-inverse has at most ``DENSE_ENTRIES_CAP`` floats (8 MB); 64 context
-lists hold them at most, so 576 MB at the very most.  A problem converts
-its support rows of M to floats, at most 8 MB, freed with the problem.
+cardinalities and context list, on the incidence that equal hypergraphs
+share (``boxes._incidence``), which holds no box data: the junction tree,
+the overlap index of the consistency check, and the dense M with the Gram
+pseudo-inverse of the projection (``ContextIncidence.dense`` and
+``gram_pinv``).  M is one byte per entry, and is held only where it has at
+most ``DENSE_ENTRIES_CAP`` entries (1 MB); the pseudo-inverse has at most
+``DENSE_ENTRIES_CAP`` floats (8 MB).  The cache holds 64 incidences, so 576
+MB of these at the very most, plus those of any incidence that a live
+hypergraph still holds after its eviction.  A problem converts its support
+rows of M to floats, at most 8 MB, freed with the problem.
 
 The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
 is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto

@@ -43,8 +43,8 @@ for more than 64 observables, or for an LP whose variables and matrix
 entries come to more than ``JOINT_DIM_CAP``.  On
 M + PM + CH(14, 0.95) (2^33 cells) it took 9 ms, where an LP that priced
 assignments in rounds took 3.2 s (README.md).  The tree of a context list
-is built once (``boxes._junction_tree``), so within the scan the LP is
-nearly as fast as those rounds were: on 32 boxes of one perfbench
+is built once, on its shared incidence (``boxes._incidence``), so within
+the scan the LP is nearly as fast as those rounds were: on 32 boxes of one perfbench
 small-batch pass (joints of 16 to 1024 cells) it took 26 ms, against
 23-24 ms, and was slower only on the four 1024-cell Mermin mixes (14
 against 8 ms; best of 7, trees and models warm, 2-core Xeon host).  Of

@@ -213,10 +213,8 @@ def test_eliminated_pricing_matches_primal(scan_cells):
     on joints small enough for the all-columns LP. The LP reads no scan size,
     so both patched scan sizes must give the same checked reports."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
+        # The scan size is read at each call, so every call in the block reads the patched one.
         for box in seeded_boxes(rounds=2):
-            # A fresh hypergraph, so its scan size is the patched one.
-            g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
-            box = cx.Box(g, box.distributions)
             check_report(box, polytope._tree_lp(box))
 
 
@@ -230,10 +228,8 @@ def test_tree_lp_matches_primal(scan_cells, box):
     an ordered bracket, a peeled witness within the box and worth 1 - cost,
     and the same fields from two threads solving at once."""
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
-        # A fresh hypergraph, so its scan size is the patched one.
-        g = cx.Hypergraph(box.hypergraph.observables, box.hypergraph.contexts)
-        box = cx.Box(g, box.distributions)
-        assume(not g.incidence.scans_whole_joint)
+        # The scan size is read at each call, so every call in the block reads the patched one.
+        assume(not box.hypergraph.incidence.scans_whole_joint)
         report = polytope._tree_lp(box)
         fields = cost_fields(report)
         with ThreadPoolExecutor(max_workers=2) as pool:

@@ -125,10 +125,11 @@ def test_x_max_builds_one_matrix():
     builds = mock.patch.object(
         ContextIncidence, "columns", autospec=True, side_effect=ContextIncidence.columns
     )
+    # Equal hypergraphs share one incidence, which a hypergraph keeps from its first read, here
+    # while the box is built: clear the shared ones first, so this M is built afresh.
+    boxes._incidence.cache_clear()
     pm = cx.pm_box()
     box = cx.mix(pm, sparse_box(pm.hypergraph, np.random.default_rng(0)), 0.8)
-    # Equal hypergraphs share one dense M: build this one afresh.
-    boxes._dense_matrices.cache_clear()
     with builds as columns:
         cx.x_max(box, outer_window=20)
     assert columns.call_count == 1

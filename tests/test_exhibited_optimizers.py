@@ -221,10 +221,10 @@ def test_projection_step_is_clamped():
     marginals."""
     cap = 2**22
     # This M and its pseudo-inverse exceed the cap that holds outside the
-    # test, so they go in a holder of their own, and the shared one is kept.
-    own = functools.lru_cache(maxsize=1)(boxes._dense_matrices.__wrapped__)
+    # test, so they go in an incidence of their own, and the shared ones are kept.
+    own = functools.lru_cache(maxsize=1)(boxes._incidence.__wrapped__)
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap), \
-            mock.patch.object(boxes, "_dense_matrices", own):
+            mock.patch.object(boxes, "_incidence", own):
         g = cx.Hypergraph([(f"O{i}", 2) for i in range(11)], [list(range(10)), [9, 10], [10, 0]])
         joint = np.full(g.joint_dim, 1e-9)
         joint[0] = 1.0

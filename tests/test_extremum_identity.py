@@ -160,8 +160,8 @@ def test_extremum_matches_broadcasting_reference(g, scan_cells, draw_seed):
     digits are those of the index."""
     y = weights(g, np.random.default_rng(draw_seed))
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
-        # A fresh hypergraph, so its plan is taken under the patch.
-        op = cx.Hypergraph(g.observables, g.contexts).incidence
+        # The plan is read at each call, so every call in the block takes the patched one.
+        op = g.incidence
         for sense in ("max", "min"):
             best, index = extremum(op, y, sense)
             expected, first = reference_extremum(op, y, sense, scan_cells)

@@ -192,8 +192,7 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
     integer = np.array_equal(y, np.round(y))
     scores = np.array([sequential_sum(y[row]) for row in brute_rows(g)])
     with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells):
-        # A fresh hypergraph, so the elimination plan is made under the patch.
-        g = cx.Hypergraph(g.observables, g.contexts)
+        # The plan is read at each call, so every call in the block takes the patched one.
         op = g.incidence
         if scan_cells == 1:
             # Nothing is scanned: the last step has one cell, no context rows, only messages.
@@ -246,16 +245,17 @@ def test_short_scan_matches_full_scan(g, draw_seed):
     rng = np.random.default_rng(draw_seed)
     op = g.incidence
     assert scan_cells(op)[0] <= 2**10 and scan_cells(op)[1]
-    with mock.patch.object(boxes, "_SCAN_CELLS", 2**14):
-        full = cx.Hypergraph(g.observables, g.contexts).incidence
-        assert scan_cells(full) == (g.joint_dim, False)
     y = stacked_values(g, rng)
     integer = np.array_equal(y, np.round(y))
     scores = op.lift(y).ravel()
+    # The plan is read at each call: the whole-joint scan only inside the block.
+    with mock.patch.object(boxes, "_SCAN_CELLS", 2**14):
+        assert scan_cells(op) == (g.joint_dim, False)
+        references = {sense: extremum(op, y, sense) for sense in ("max", "min")}
 
     # The first optimum in row-major order; its score exact on integer weights.
     for sense, sign in (("max", 1.0), ("min", -1.0)):
-        reference = extremum(full, y, sense)
+        reference = references[sense]
         first = int(np.argmax(sign * scores))
         assert reference == (scores[first], first)
         best, picked = extremum(op, y, sense)
@@ -401,17 +401,17 @@ def test_equal_hypergraphs_share_one_elimination_plan():
     )
     assert cx.chain_box(18).hypergraph.incidence._elimination is not plan
 
-    # A ternary 7-cycle, planned under a patched scan size first, then at the real one.
-    cycle = [(f"O{i}", 3) for i in range(7)], [(i, (i + 1) % 7) for i in range(7)]
+    # A ternary 7-cycle, planned under a patched scan size first, then at the real one:
+    # the plan is read at each call, so the patched one only inside the block.
+    op = cx.Hypergraph([(f"O{i}", 3) for i in range(7)], [(i, (i + 1) % 7) for i in range(7)]).incidence
     with mock.patch.object(boxes, "_SCAN_CELLS", 16):
-        patched_op = cx.Hypergraph(*cycle).incidence
-        patched = patched_op._elimination
-    real_op = cx.Hypergraph(*cycle).incidence
-    real = real_op._elimination
+        patched = op._elimination
+        assert scan_cells(op) == (9, True)
+    real = op._elimination
     assert real is not patched
-    assert (scan_cells(patched_op), scan_cells(real_op)) == ((9, True), (729, True))
+    assert scan_cells(op) == (729, True)
     for steps, cells in ((patched, 16), (real, 2**10)):
-        fresh = boxes._elimination_plan.__wrapped__((3,) * 7, real_op.contexts, cells)
+        fresh = boxes._elimination_plan.__wrapped__((3,) * 7, op.contexts, cells)
         assert same_steps(steps, fresh)
     assert not same_steps(patched, real)
 

@@ -263,8 +263,8 @@ def cached_arrays(box):
             out["gram"] = g.incidence.gram_pinv
     if measures._witnesses.get(box) is not None:
         out["witness"] = measures._witnesses[box]
-    if boxes._overlaps(g.contexts):
-        for k, index in enumerate(boxes._overlap_index(g.cardinalities, g.contexts)):
+    if g.incidence._overlaps:
+        for k, index in enumerate(g.incidence._overlap_index):
             if isinstance(index, np.ndarray):
                 out[f"overlap index {k}"] = index
     return out
@@ -327,14 +327,38 @@ def test_overlap_index_is_linear_in_the_pairs(cards):
     assert cells.max() < size and max(left.max(), right.max()) < size
 
 
-def test_equal_hypergraphs_share_dense_matrices():
-    """Hypergraphs built separately from one observable and context list share
-    one dense M and one Gram pseudo-inverse, whichever of them made it."""
-    for box in projection_route_boxes().values():
-        g = box.hypergraph
-        first, second = (cx.Hypergraph(g.observables, g.contexts).incidence for _ in range(2))
+def incidence_arrays(op):
+    """Every array an incidence holds, once each is made."""
+    out = {"dense": op.dense, "gram": op.gram_pinv, "sorted rows": op._sorted_rows,
+           "parity classes": op.parity_classes, "context strides": op._context_strides}
+    out.update((f"overlap index {k}", a) for k, a in enumerate(op._overlap_index) if isinstance(a, np.ndarray))
+    out.update((f"tree matrix {k}", a) for k, a in enumerate(op.junction_tree.matrix))
+    return out
+
+
+def test_equal_hypergraphs_share_one_incidence():
+    """Hypergraphs with one cardinalities and context list, whatever their
+    observables' names, share one incidence, and with it one dense M, one
+    Gram pseudo-inverse and one junction tree, whichever of them made each.
+    Every array it holds is read-only.  Once the shared incidences are
+    cleared, a fresh hypergraph gets a new incidence, equal by value."""
+    for g in dict.fromkeys(box.hypergraph for box in projection_route_boxes().values()):
+        renamed = [(f"{name}'", card) for name, card in g.observables]
+        first, second = (cx.Hypergraph(obs, g.contexts).incidence for obs in (g.observables, renamed))
+        assert first is second
         assert first.dense is second.dense is not None
         assert second.gram_pinv is first.gram_pinv is not None
+        assert second.junction_tree is first.junction_tree
+        arrays = incidence_arrays(first)
+        for what, array in arrays.items():
+            assert not array.flags.writeable, what
+        boxes._incidence.cache_clear()
+        fresh = cx.Hypergraph(g.observables, g.contexts).incidence
+        assert fresh is not first
+        again = incidence_arrays(fresh)
+        assert again.keys() == arrays.keys()
+        for what, array in again.items():
+            assert array is not arrays[what] and np.array_equal(array, arrays[what]), what
 
 
 def route_sweeps(box):

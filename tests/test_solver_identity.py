@@ -702,15 +702,18 @@ def test_exits_on_sums_match_reference(box, uniform, draw_seed):
 def test_x_max_support_change_matches_reference(anchor):
     """A huge first weight step drives three of the four context weights to
     exactly 0; the reweighted problem keeps the rows and the matrix it was
-    built with."""
+    built with, and builds M once.  The box is on a fresh copy of the
+    anchor's hypergraph: test_exhibited_optimizers.py builds PR's M on its
+    own copy, which equal hypergraphs share."""
+    # Clear the shared incidences before the copy first reads one, so its M is built afresh.
+    boxes._incidence.cache_clear()
+    g = cx.Hypergraph(anchor.hypergraph.observables, anchor.hypergraph.contexts)
     rng = np.random.default_rng(0)
-    box = shuffled(cx.mix(anchor, sparse_box(anchor.hypergraph, rng), 0.7), rng)
+    box = cx.mix(cx.Box(g, anchor.distributions), sparse_box(g, rng), 0.7)
     builds = mock.patch.object(
         ContextIncidence, "columns", autospec=True, side_effect=ContextIncidence.columns
     )
     with mock.patch.object(measures, "_ETA0", 1e6):
-        # Equal hypergraphs share one dense M: build this one afresh.
-        boxes._dense_matrices.cache_clear()
         with builds as columns:
             report = cx.x_max(box, max_iters=2000, outer_window=8)
         assert columns.call_count == 1

@@ -44,7 +44,7 @@ PARITY_TOL = 1e-9
 JOINT_DIM_CAP = 2**22
 # Most observables a hypergraph's tables can have: numpy's limit on array dimensions.
 MAX_OBSERVABLES = 64
-# Most entries (8 MB) of a dense incidence matrix: ``ContextIncidence.dense``
+# Most entries (8 MB of floats) of a dense incidence matrix: ``ContextIncidence.dense``
 # holds the full M only within it, and the entropy solver keeps its support
 # rows dense only within it.  Below it two matrix-vector products beat the
 # incidence's marginal sums and table lift on every box measured, above it the
@@ -407,6 +407,17 @@ def _cells(cards: Sequence[int], scope: tuple[int, ...], observables: Sequence[i
     return out.ravel()
 
 
+def _marginal_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...], homes) -> tuple:
+    """Read-only ``rows`` and ``cells``, and ``firsts``: ``bincount(cells, stacked[rows])``
+    holds, from cell ``firsts[k]`` on, context c's marginal on the observables s,
+    row-major over them, for the kth ``(c, s)`` of ``homes``; ``firsts[-1]`` counts the cells."""
+    offsets = [0, *itertools.accumulate(math.prod(cards[i] for i in ctx) for ctx in contexts)]
+    firsts = [0, *itertools.accumulate(math.prod(cards[i] for i in s) for _, s in homes)]
+    rows = [np.arange(offsets[c], offsets[c + 1]) for c, _ in homes]
+    cells = [first + _cells(cards, contexts[c], s) for (c, s), first in zip(homes, firsts)]
+    return _frozen_array(np.concatenate(rows), np.int64), _frozen_array(np.concatenate(cells), np.int64), firsts
+
+
 def _row_major(radices: Sequence[int]) -> np.ndarray:
     """Multipliers that turn digits over ``radices`` into a row-major index."""
     out = np.ones(len(radices), dtype=np.int64)
@@ -432,10 +443,9 @@ class ContextIncidence:
     ``rows`` maps joint indices to their rows through their digits (``digit_rows``).
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them; ``dense`` is the whole of M, built by it on
-    first use, as one byte per entry, but only where M has at most
-    ``DENSE_ENTRIES_CAP`` entries: 1 MB at most.  ``gram_pinv`` is
-    ``(M M^T)^+``, made from it on first use as well.  The entropy solver
-    reads them on small boxes; the cost LP's rows and its pricing come from
+    first use, as floats, but only where M has at most ``DENSE_ENTRIES_CAP``
+    entries: 8 MB at most.  ``least_norm`` is ``M^+`` in closed form.  The
+    entropy solver reads them on small boxes; the cost LP's rows and its pricing come from
     ``junction_tree``, and the consistency check reads the overlapping
     pairs of contexts (``_overlaps``) and their index (``_overlap_index``).
     ``parity_classes`` labels each row with its context's even or odd
@@ -600,8 +610,8 @@ class ContextIncidence:
         out.flags.writeable = False
         return out
 
-    def columns(self, support, dtype=float) -> np.ndarray:
-        """Dense ``M[support]`` on every joint index, of type ``dtype``.
+    def columns(self, support) -> np.ndarray:
+        """Dense ``M[support]`` as floats, on every joint index.
 
         Each context's table of flat row starts, plus the grid of column
         indices, scatters its 1s into a block of one row per support row and
@@ -614,37 +624,49 @@ class ContextIncidence:
         start = np.full(self.dim, size * n)
         start[support] = np.arange(size) * n
         grid = np.arange(n).reshape(self.joint_shape)
-        out = np.zeros((size + 1) * n, dtype=dtype)
+        out = np.zeros((size + 1) * n)
         for table in self.tables(start):
             out[(table + grid).ravel()] = 1
         return out[: size * n].reshape(size, n)
 
     @cached_property
     def dense(self) -> np.ndarray | None:
-        """All of M, ``columns`` on every stacked row, as read-only bytes (0 or
-        1), one per entry; None, with nothing built, where M has more than
-        ``DENSE_ENTRIES_CAP`` entries."""
+        """All of M, ``columns`` on every stacked row, read-only; None, with
+        nothing built, where M has more than ``DENSE_ENTRIES_CAP`` entries."""
         if self.dim * self._joint_dim > DENSE_ENTRIES_CAP:
             return None
-        out = self.columns(np.arange(self.dim), dtype=np.uint8)
+        out = self.columns(np.arange(self.dim))
         out.flags.writeable = False
         return out
 
+    def least_norm(self, u: np.ndarray) -> np.ndarray:
+        """A stacked y with ``M^T y = M^+ u`` for u in M's range; no matrix is
+        inverted.  ``M^+ M`` is ``sum_T mu(T) E_T`` over the context sets closed
+        under intersection, E_T the mean over the cells off T and, from the
+        largest T down, ``mu(T) = 1 - sum mu(T')`` over T's strict supersets
+        (Moebius inversion, Rota 1964): 0 on a nested context, while disjoint
+        contexts bring in the empty set, whose one cell is the total mass.  One
+        ``bincount`` takes T's marginal from the first context that holds T, one
+        puts it back on that context's rows, scaled by ``mu(T) cells(T) / joint_dim``."""
+        rows, cells, size, scale = self._least_norm_index
+        return np.bincount(rows, (scale * np.bincount(cells, u[rows], size))[cells], self.dim)
+
     @cached_property
-    def gram_pinv(self) -> np.ndarray:
-        """``(M M^T)^+`` for an M that ``dense`` holds, read-only; asked for
-        only where ``M M^T`` fits ``DENSE_ENTRIES_CAP`` too
-        (``measures._projects``), so it is at most 8 MB.  ``M^T (M M^T)^+``
-        is M's pseudo-inverse, so the entropy solver's projection needs no
-        SVD of its own.  Entry (i, j) of ``M M^T`` counts the joint outcomes
-        that hit both rows: at most ``joint_dim``, below 2^24 within the
-        dense cap, so single precision adds it exactly, in a quarter of the
-        time of double (0.23 against 0.98 ms on Mermin's 80 x 1024 M, 2-core
-        Xeon host)."""
-        dense = self.dense.astype(np.float32)
-        out = np.linalg.pinv((dense @ dense.T).astype(float), hermitian=True)
-        out.flags.writeable = False
-        return out
+    def _least_norm_index(self) -> tuple:
+        """``least_norm``'s ``(rows, cells, size, scale)`` (``_marginal_index``), read-only."""
+        sets = [frozenset(c) for c in self.contexts]
+        closed: dict[frozenset[int], None] = {}
+        for c in sets:
+            closed.update(dict.fromkeys([c, *(c & t for t in closed)]))
+        mu: dict[frozenset[int], int] = {}
+        for t in sorted(closed, key=len, reverse=True):
+            mu[t] = 1 - sum(m for s, m in mu.items() if t < s)
+        kept = [t for t, m in mu.items() if m]
+        homes = [(next(i for i, c in enumerate(sets) if t <= c), tuple(sorted(t))) for t in kept]
+        rows, cells, firsts = _marginal_index(self.joint_shape, self.contexts, homes)
+        widths = np.diff(firsts)
+        scale = np.repeat([mu[t] * w / self._joint_dim for t, w in zip(kept, widths.tolist())], widths)
+        return rows, cells, firsts[-1], _frozen_array(scale)
 
     @cached_property
     def junction_tree(self) -> "JunctionTree":
@@ -667,12 +689,12 @@ def _incidence(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) ->
     """``Hypergraph.incidence``: one ``ContextIncidence`` per cardinalities and
     context list, made on first use and shared by every hypergraph with that
     key, built afresh or with other observable names.  It holds index data
-    only, no box data: at most 1 MB of dense M and 8 MB of Gram
-    pseudo-inverse, a junction-tree LP of at most ``JOINT_DIM_CAP``
-    entries, and index arrays over its stacked rows and pairs of contexts.
-    The cache holds 64 incidences, so 576 MB of dense matrices at the very
-    most, plus those of any incidence that a live hypergraph still holds
-    after its eviction.  One perfbench small-batch pass meets 54 context
+    only, no box data: at most 8 MB of dense M (2^20 floats), a
+    junction-tree LP of at most ``JOINT_DIM_CAP`` entries, and index arrays
+    over its stacked rows, its pairs of contexts and their intersections.
+    The cache holds 64 incidences, so 64 x 8 MB = 512 MB of dense matrices
+    at the very most, plus those of any incidence that a live hypergraph
+    still holds after its eviction.  One perfbench small-batch pass meets 54 context
     lists, so nothing there is evicted or rebuilt."""
     return ContextIncidence(cards, contexts)
 
@@ -1092,38 +1114,24 @@ def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]
     one ``bincount``: ``(rows, cells, size, left, right, starts)``, read-only.
 
     Each context's marginal on each observable set it shares with another
-    context is made once, however many pairs share it: ``rows[k]`` is a
-    stacked row and ``cells[k]`` the cell, among the ``size`` cells of all
-    these marginals, that it adds to, each marginal row-major over its
-    observables in increasing order.  Pair k of ``_overlaps`` compares the
-    cells ``left[starts[k]:starts[k + 1]]`` of its first context's marginal
-    with the cells ``right[...]`` of its second's.  There is no array per
-    pair, so the arrays are linear in the pairs' shared cells and in the
-    contexts' rows times the marginals each gives.
+    context is made once, however many pairs share it, among the ``size``
+    cells of all of them (``_marginal_index``).  Pair k of ``_overlaps``
+    compares the cells ``left[starts[k]:starts[k + 1]]`` of its first
+    context's marginal with the cells ``right[...]`` of its second's.  There
+    is no array per pair, so the arrays are linear in the pairs' shared cells
+    and in the contexts' rows times the marginals each gives.
     """
     pairs = _overlaps(contexts)
-    # Each context's shared sets, and the first cell of each marginal.
-    subsets: list[dict[tuple[int, ...], int]] = [{} for _ in contexts]
-    for a, b, shared in pairs:
-        subsets[a][shared] = subsets[b][shared] = 0
-    rows, cells, size, offset = [], [], 0, 0
-    for ctx, found in zip(contexts, subsets):
-        dim = math.prod(cards[i] for i in ctx)
-        for shared in found:
-            found[shared] = size
-            rows.append(np.arange(offset, offset + dim))
-            cells.append(size + _cells(cards, ctx, shared))
-            size += math.prod(cards[i] for i in shared)
-        offset += dim
+    homes = list(dict.fromkeys((c, shared) for a, b, shared in pairs for c in (a, b)))
+    rows, cells, firsts = _marginal_index(cards, contexts, homes)
+    first = dict(zip(homes, firsts))
     widths = [math.prod(cards[i] for i in shared) for _, _, shared in pairs]
     starts = np.cumsum([0] + widths)
     within = np.arange(starts[-1]) - np.repeat(starts[:-1], widths)
     return (
-        _frozen_array(np.concatenate(rows), dtype=np.int64),
-        _frozen_array(np.concatenate(cells), dtype=np.int64),
-        size,
-        _frozen_array(np.repeat([subsets[a][s] for a, _, s in pairs], widths) + within, np.int64),
-        _frozen_array(np.repeat([subsets[b][s] for _, b, s in pairs], widths) + within, np.int64),
+        rows, cells, firsts[-1],
+        _frozen_array(np.repeat([first[a, s] for a, _, s in pairs], widths) + within, np.int64),
+        _frozen_array(np.repeat([first[b, s] for _, b, s in pairs], widths) + within, np.int64),
         _frozen_array(starts[:-1], dtype=np.int64),
     )
 

@@ -43,14 +43,13 @@ its marginals or None, at most one float per joint cell, made once by
 whichever measure reads it first and read by all three.  Once per
 cardinalities and context list, on the incidence that equal hypergraphs
 share (``boxes._incidence``), which holds no box data: the junction tree,
-the overlap index of the consistency check, and the dense M with the Gram
-pseudo-inverse of the projection (``ContextIncidence.dense`` and
-``gram_pinv``).  M is one byte per entry, and is held only where it has at
-most ``DENSE_ENTRIES_CAP`` entries (1 MB); the pseudo-inverse has at most
-``DENSE_ENTRIES_CAP`` floats (8 MB).  The cache holds 64 incidences, so 576
-MB of these at the very most, plus those of any incidence that a live
-hypergraph still holds after its eviction.  A problem converts its support
-rows of M to floats, at most 8 MB, freed with the problem.
+the overlap index of the consistency check, and the dense M with the index
+of the projection's closed form (``ContextIncidence.dense`` and
+``least_norm``).  M is floats, held only where it has at most
+``DENSE_ENTRIES_CAP`` entries: 2^20 x 8 bytes = 8 MB.  The cache holds 64
+incidences, so 64 x 8 MB = 512 MB of M at the very most, plus that of any
+incidence a live hypergraph still holds after its eviction.  A problem reads
+M as it is on full support, else copies its support rows (at most 8 MB).
 
 The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
 is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto
@@ -94,17 +93,18 @@ at its parity mixture (``boxes.parity_mixture``), which at uniform
 weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
 it and takes the same steps.  Every box whose targets are all positive,
-and whose M and ``M M^T`` fit ``DENSE_ENTRIES_CAP``, has one witness
+and whose M fits ``DENSE_ENTRIES_CAP``, has one witness
 (``projected_joint``), made once from the box alone: sweeps of iterative
 proportional fitting from the uniform joint, which keep it positive and fit
 each context in turn (Csiszar 1975; Deming & Stephan 1940), each followed
 by a projection try (``_FixedWeightProblem.projection``): one
 multiplicative step toward the marginals, and the orthogonal projection
-``q - M^T (M M^T)^+ (M q - b)``.  The first nonnegative result is a global
-section of the box (Abramsky & Brandenburger 2011); a contextual box has
-none, and the route gives up once its miss stalls.  The witness stands in
-for the loop's projection at iteration 1, so it is tried after the tree
-joint and the parity mixture, at any weights.  At iterations 2, 4, 8, ...
+``q - M^+ (M q - b)``, M^+ in closed form (``ContextIncidence.least_norm``).
+The first nonnegative result is a global section of the box (Abramsky &
+Brandenburger 2011); a contextual box has none, and the route gives up
+once its miss stalls.  The witness stands in for the loop's projection at
+iteration 1, so it is tried after the tree joint and the parity mixture, at
+any weights.  At iterations 2, 4, 8, ...
 the loop tries a projection of its own: a sweep from the iterate, then the
 same try.  Each is tried while the best lower bound is at most 0, and
 stops the loop if its own certificate, counted up to 0, closes the gap.
@@ -284,8 +284,8 @@ class _FixedWeightProblem:
     ``DENSE_ENTRIES_CAP`` entries they are kept as one dense matrix, so a
     step costs two matrix-vector products: taken from the incidence's
     cached M (``ContextIncidence.dense``) where M fits the cap, else built
-    by ``columns``.  Above the cap the operator's tensor reductions keep
-    memory O(joint_dim).
+    by ``columns``: M itself on full support.  Above the cap the operator's
+    tensor reductions keep memory O(joint_dim).
     """
 
     def __init__(self, box: Box, weights: ContextWeights):
@@ -301,9 +301,9 @@ class _FixedWeightProblem:
         if self.support.size * self.g.joint_dim <= DENSE_ENTRIES_CAP:
             full = self.op.dense
             if full is None:
-                self.dense = self.op.columns(support=self.support)
+                self.dense = self.op.columns(self.support)
             else:
-                self.dense = full[self.support].astype(float)
+                self.dense = full if self.support.size == self.op.dim else full[self.support]
         self.reweight(weights.weights)
 
     def reweight(self, weights: np.ndarray) -> None:
@@ -339,14 +339,6 @@ class _FixedWeightProblem:
             r = (self.ratio * self.w_s) @ self.dense
         return value, r, float(r.max())
 
-    @cached_property
-    def gram(self) -> np.ndarray | None:
-        """``(M M^T)^+`` of the full incidence (``ContextIncidence.gram_pinv``)
-        where the box has a projection (``_projects``); else None."""
-        if not _projects(self.g, self.targets):
-            return None
-        return self.op.gram_pinv
-
     def sweep(self, q: np.ndarray) -> np.ndarray:
         """One sweep of iterative proportional fitting on the positive joint
         ``q``, in place: ``q <- q * (b_c / (M_c q)) @ M_c`` context by context
@@ -365,14 +357,16 @@ class _FixedWeightProblem:
         Two moves: one multiplicative step in the exponential family,
         ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)`` and N the joint's
         size, its exponent clamped at ``_EXPONENT_CAP``; then the orthogonal
-        projection ``q - M^+ (M q - b)``, with ``M^+ = M^T (M M^T)^+``.  The
-        step keeps q positive, so the projection moves less, and goes
-        negative less often, than from ``q`` itself.  The loop and the
-        witness route both call it on a joint that ``sweep`` has just fitted."""
-        z = (self.gram @ (self.t_s - self.dense @ q)) @ self.dense
+        projection ``q - M^+ (M q - b)``, each ``M^+`` in closed form
+        (``ContextIncidence.least_norm``, then M).  The step keeps q
+        positive, so the projection moves less, and goes negative less
+        often, than from ``q`` itself.  The loop and the witness route both
+        call it, where the box projects, on a joint that ``sweep`` has just
+        fitted."""
+        z = self.op.least_norm(self.t_s - self.dense @ q) @ self.dense
         z *= q.size
         q = q * np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
-        q -= (self.gram @ (self.dense @ q - self.t_s)) @ self.dense
+        q -= self.op.least_norm(self.dense @ q - self.t_s) @ self.dense
         if q.min() < 0.0:
             return None, -float(q[q < 0.0].sum())
         q /= q.sum()
@@ -380,7 +374,7 @@ class _FixedWeightProblem:
 
     def witness(self) -> np.ndarray | None:
         """A joint with the box's marginals, or None: the route of
-        ``projected_joint``, on a problem whose ``gram`` is not None.
+        ``projected_joint``, on a problem whose box projects (``_projects``).
 
         ``sweep`` runs from the uniform joint, and after each sweep the swept
         joint's ``projection`` is tried.  The first nonnegative one is the
@@ -388,8 +382,7 @@ class _FixedWeightProblem:
         sweep whose projection misses by at least ``_FACE_MISS`` of negative
         mass and by at least half the previous sweep's miss: a contextual
         box's miss stalls, and a noncontextual box's shrinks from sweep to
-        sweep.  Only M, the targets and the Gram matrix enter, so the
-        weights do not."""
+        sweep.  Only M and the targets enter, so the weights do not."""
         q = np.full(self.g.joint_dim, 1.0 / self.g.joint_dim)
         last = math.inf
         for _ in range(_WITNESS_SWEEPS):
@@ -481,11 +474,9 @@ class _FixedWeightProblem:
 
 def _projects(g: Hypergraph, targets: np.ndarray) -> bool:
     """Whether the solver projects its iterates onto a box's marginals: every
-    target is positive, so the dense matrix is all of M, and both M and
-    ``M M^T`` fit ``DENSE_ENTRIES_CAP``.  Read from the box alone, before any
-    matrix is built."""
-    dim = g.incidence.dim
-    return dim * max(dim, g.joint_dim) <= DENSE_ENTRIES_CAP and bool(targets.min() > 0.0)
+    target is positive, so the dense matrix is all of M, and M fits
+    ``DENSE_ENTRIES_CAP``.  Read from the box alone, before any is built."""
+    return g.incidence.dim * g.joint_dim <= DENSE_ENTRIES_CAP and bool(targets.min() > 0.0)
 
 
 def _gap(r_max: float) -> float:
@@ -572,7 +563,7 @@ def _solve_fixed(
             # iterate.  A positive lower bound certifies the box contextual.
             if iteration == 1:
                 q = projected_joint(problem.box, problem)
-            elif problem.gram is not None:
+            elif _projects(problem.g, problem.targets):
                 q, miss = problem.projection(problem.sweep(p.copy()))
         if q is not None:
             # A joint with the box's marginals has a value of about 0: stop

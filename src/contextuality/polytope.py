@@ -19,7 +19,7 @@ only when the two ends meet within 1e-12.  That took the cost of PM(0.9)
 and M(0.9) from 0.73 and 1.05 ms by the LP then used within the scan to
 0.25 and 0.27 ms (best of 30, a fresh box each call, 2-core Xeon host).
 And a noncontextual box whose every entry is positive, and whose incidence
-matrix M and ``M M^T`` both fit ``measures.DENSE_ENTRIES_CAP``, gets it from
+matrix M fits ``measures.DENSE_ENTRIES_CAP``, gets it from
 its witness (``measures.projected_joint``: a joint with its marginals from
 at most 16 sweeps of iterative proportional fitting, each followed by the
 entropy solver's projection try, made once per box and read by ``x_u`` and

@@ -220,8 +220,8 @@ def test_projection_step_is_clamped():
     floating-point error, and the joint it returns, if any, has the box's
     marginals."""
     cap = 2**22
-    # This M and its pseudo-inverse exceed the cap that holds outside the
-    # test, so they go in an incidence of their own, and the shared ones are kept.
+    # This M exceeds the cap that holds outside the test, so it goes in an
+    # incidence of its own, and the shared ones are kept.
     own = functools.lru_cache(maxsize=1)(boxes._incidence.__wrapped__)
     with mock.patch.object(measures, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap), \
             mock.patch.object(boxes, "_incidence", own):
@@ -236,7 +236,7 @@ def test_projection_step_is_clamped():
         p[head & (digits[:, 10] == 1)] = 1e30
         p /= p.sum()
         problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(g.n_contexts))
-        assert problem.gram is not None
+        assert measures._projects(problem.g, problem.targets)
         assert reference_sweep(problem, p)[1].max() > 709.0
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             q, _ = problem.projection(problem.sweep(p.copy()))

@@ -129,6 +129,14 @@ def test_operator_matches_bruteforce(g, draw_seed):
     assert np.array_equal(op.columns(np.arange(op.dim)), dense)
     support = np.sort(rng.choice(op.dim, size=int(rng.integers(1, op.dim + 1)), replace=False))
     assert np.array_equal(op.columns(support=support), dense[support])
+    assert op.dense.dtype == np.float64 and np.array_equal(op.dense, dense)
+
+    # least_norm: M^+ u for u in M's range, against lstsq, and M (M^+ u) = u.
+    x = rng.normal(size=g.joint_dim)
+    projected = np.linalg.lstsq(dense, dense @ x, rcond=None)[0]
+    assert np.allclose(op.least_norm(dense @ x) @ dense, projected, rtol=0.0, atol=1e-12 * np.abs(projected).max())
+    u = dense @ rng.normal(size=g.joint_dim)
+    assert np.allclose(dense @ (op.least_norm(u) @ dense), u, rtol=0.0, atol=1e-12 * np.abs(u).max())
 
 
 @seed(20261020)

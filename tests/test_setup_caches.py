@@ -260,7 +260,7 @@ def cached_arrays(box):
     if g.incidence.dense is not None:
         out["dense"] = g.incidence.dense
         if box.stacked().min() > 0.0:
-            out["gram"] = g.incidence.gram_pinv
+            out.update(least_norm_arrays(g.incidence))
     if measures._witnesses.get(box) is not None:
         out["witness"] = measures._witnesses[box]
     if g.incidence._overlaps:
@@ -304,10 +304,11 @@ def test_no_full_dense_matrix_above_the_cap():
 
 
 def test_dense_matrix_is_the_incidence():
-    """The cached dense M has the columns of every stacked row, as bytes."""
+    """The cached dense M has the columns of every stacked row, as read-only floats."""
     for box in seeded_boxes().values():
         op = box.hypergraph.incidence
-        assert op.dense is not None and op.dense.dtype == np.uint8
+        assert op.dense is not None and op.dense.dtype == np.float64
+        assert not op.dense.flags.writeable
         assert np.array_equal(op.dense, op.columns(np.arange(op.dim)))
 
 
@@ -327,10 +328,16 @@ def test_overlap_index_is_linear_in_the_pairs(cards):
     assert cells.max() < size and max(left.max(), right.max()) < size
 
 
+def least_norm_arrays(op):
+    """The index arrays of ``least_norm``'s closed form."""
+    return {f"least-norm index {k}": a for k, a in enumerate(op._least_norm_index) if isinstance(a, np.ndarray)}
+
+
 def incidence_arrays(op):
     """Every array an incidence holds, once each is made."""
-    out = {"dense": op.dense, "gram": op.gram_pinv, "sorted rows": op._sorted_rows,
+    out = {"dense": op.dense, "sorted rows": op._sorted_rows,
            "parity classes": op.parity_classes, "context strides": op._context_strides}
+    out.update(least_norm_arrays(op))
     out.update((f"overlap index {k}", a) for k, a in enumerate(op._overlap_index) if isinstance(a, np.ndarray))
     out.update((f"tree matrix {k}", a) for k, a in enumerate(op.junction_tree.matrix))
     return out
@@ -339,7 +346,7 @@ def incidence_arrays(op):
 def test_equal_hypergraphs_share_one_incidence():
     """Hypergraphs with one cardinalities and context list, whatever their
     observables' names, share one incidence, and with it one dense M, one
-    Gram pseudo-inverse and one junction tree, whichever of them made each.
+    index of ``least_norm`` and one junction tree, whichever of them made each.
     Every array it holds is read-only.  Once the shared incidences are
     cleared, a fresh hypergraph gets a new incidence, equal by value."""
     for g in dict.fromkeys(box.hypergraph for box in projection_route_boxes().values()):
@@ -347,7 +354,7 @@ def test_equal_hypergraphs_share_one_incidence():
         first, second = (cx.Hypergraph(obs, g.contexts).incidence for obs in (g.observables, renamed))
         assert first is second
         assert first.dense is second.dense is not None
-        assert second.gram_pinv is first.gram_pinv is not None
+        assert second._least_norm_index is first._least_norm_index is not None
         assert second.junction_tree is first.junction_tree
         arrays = incidence_arrays(first)
         for what, array in arrays.items():

@@ -173,10 +173,8 @@ def reference_sweep(problem, p):
 
 
 def projects(problem):
-    """Whether the problem is dense with every row on the support, and its
-    Gram matrix fits ``measures.DENSE_ENTRIES_CAP``."""
-    op = problem.op
-    return problem.support.size == op.dim and problem.dense is not None and op.dim**2 <= measures.DENSE_ENTRIES_CAP
+    """Whether the problem is dense with every row on the support."""
+    return problem.support.size == problem.op.dim and problem.dense is not None
 
 
 def reference_correction(problem, q, exponent, incidence):

@@ -50,6 +50,24 @@ MAX_OBSERVABLES = 64
 # incidence's marginal sums and table lift on every box measured, above it the
 # gain shrinks and turns into a loss on boxes with many rows per context.
 DENSE_ENTRIES_CAP = 2**20
+# The witness route's fits (``projected_joint``): at most this many, each a
+# sweep followed by a projection try.  Of 303 seeded noncontextual Dirichlet
+# boxes on 4-5 observables under many contexts, the route missed 7 at 8
+# sweeps and 2 at 16 or 32; the entropy solver's 16 steps before it missed 23.
+_WITNESS_SWEEPS = 16
+# The largest exponent of the projection's multiplicative step (``ContextIncidence.fit``),
+# so the step never overflows.  It stayed below 5 on every box measured, and is bounded by
+# about the incidence's row count, which can pass the 709 of exp's overflow.
+_EXPONENT_CAP = 64.0
+# A projection try (``ContextIncidence.fit``) that misses by less negative mass
+# than this marks its box as about noncontextual: the witness route gives up
+# only at a larger miss, and the entropy solver's face exit waits after a try
+# at the same iteration that missed by less.  On small-batch the two
+# noncontextual boxes that certify at the solver's projection at step 8
+# missed by at most 7e-4 at steps 2 and 4, and each contextual box by at least
+# 8e-2; on 280 contextual anchor mixes across the noncontextual boundary,
+# every box that certified at a face had missed by at least 1.9e-2.
+CONTEXTUAL_MISS = 1e-2
 # Largest spread of a parity class that ``parity_mixture`` calls flat, and of
 # the heavier classes' masses that it calls isotropic; the widest bracket that
 # the cost's parity route (``polytope._parity_cost``) keeps.
@@ -444,8 +462,11 @@ class ContextIncidence:
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them; ``dense`` is the whole of M, built by it on
     first use, as floats, but only where M has at most ``DENSE_ENTRIES_CAP``
-    entries: 8 MB at most.  ``least_norm`` is ``M^+`` in closed form.  The
-    entropy solver reads them on small boxes; the cost LP's rows and its pricing come from
+    entries: 8 MB at most.  ``least_norm`` is ``M^+`` in closed form, and
+    ``fit`` moves a joint onto given marginals with both: the step of the
+    witness route (``projected_joint``) and of the entropy solver's own
+    projection tries.  The entropy solver reads them on small boxes; the
+    cost LP's rows and its pricing come from
     ``junction_tree``, and the consistency check reads the overlapping
     pairs of contexts (``_overlaps``) and their index (``_overlap_index``).
     ``parity_classes`` labels each row with its context's even or odd
@@ -650,6 +671,38 @@ class ContextIncidence:
         puts it back on that context's rows, scaled by ``mu(T) cells(T) / joint_dim``."""
         rows, cells, size, scale = self._least_norm_index
         return np.bincount(rows, (scale * np.bincount(cells, u[rows], size))[cells], self.dim)
+
+    def fit(self, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """The positive flat joint ``q`` moved onto the stacked marginals b:
+        ``(joint, 0.0)``, the joint normalized, where the result is
+        nonnegative, else None and its negative mass; ``(None, inf)``, with no
+        M built, where b has a zero entry or ``dense`` is None.
+
+        Three moves.  One sweep of iterative proportional fitting on ``q``, in
+        place: ``q <- q * (b_c / (M_c q)) @ M_c`` on each context's run of
+        rows in turn, which keeps it positive and fits each context (Csiszar
+        1975; Deming & Stephan 1940).  One multiplicative step in the
+        exponential family, ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)``
+        and N the joint's size, its exponent clamped at ``_EXPONENT_CAP``.
+        Then the orthogonal projection ``q - M^+ (M q - b)``, each ``M^+`` in
+        closed form (``least_norm``, then M).  The step keeps q positive, so
+        the projection moves less, and goes negative less often, than from
+        the swept ``q`` itself.  A nonnegative result is a global section of
+        the box b (Abramsky & Brandenburger 2011)."""
+        if not b.min() > 0.0 or self.dense is None:
+            return None, math.inf
+        dense = self.dense
+        for start, stop in zip(self.offsets, self.offsets[1:]):
+            rows = dense[start:stop]
+            q *= (b[start:stop] / (rows @ q)) @ rows
+        z = self.least_norm(b - dense @ q) @ dense
+        z *= q.size
+        q = q * np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
+        q -= self.least_norm(dense @ q - b) @ dense
+        if q.min() < 0.0:
+            return None, -float(q[q < 0.0].sum())
+        q /= q.sum()
+        return q, 0.0
 
     @cached_property
     def _least_norm_index(self) -> tuple:
@@ -937,10 +990,13 @@ class Box:
 
     A box and its arrays are immutable, so what is read off them alone is
     made once, on first use, and held as long as the box: the stacked
-    vector, the validation report, the largest shared-marginal distance, the
-    junction-tree joint (``junction_tree_joint``) and the parity mixture
-    (``parity_mixture``), all read-only.  The joint is the largest, one
-    float per joint cell, at most ``JOINT_DIM_CAP`` of them (32 MB); the
+    vector, the validation report, the largest shared-marginal distance, and
+    the three joints it exhibits, each None where it has none: the
+    junction-tree joint (``junction_tree_joint``), the parity mixture
+    (``parity_mixture``) and the witness (``projected_joint``), all
+    read-only.  The tree joint is the largest, one float per joint cell, at
+    most ``JOINT_DIM_CAP`` of them (32 MB); the witness has one float per
+    column of an M that fits ``DENSE_ENTRIES_CAP``, so at most 8 MB; the
     mixture holds one entry per stacked row and an index and a weight per
     assignment it mixes, at most two per joint cell.
     """
@@ -1006,6 +1062,10 @@ class Box:
     @cached_property
     def _parity_mixture(self) -> ParityMixture | None:
         return _parity_mixture(self)
+
+    @cached_property
+    def _projected_joint(self) -> np.ndarray | None:
+        return _projected_joint(self)
 
 
 @dataclass(frozen=True)
@@ -1382,6 +1442,46 @@ def _parity_mixture(box: Box) -> ParityMixture | None:
     for a in (y, columns, weights):
         a.flags.writeable = False
     return ParityMixture(y, isotropic, top, columns, weights)
+
+
+def projected_joint(box: Box) -> np.ndarray | None:
+    """The box's witness: a flat read-only joint with its context marginals,
+    or None.
+
+    ``ContextIncidence.fit`` runs from the uniform joint, at most
+    ``_WITNESS_SWEEPS`` times, each sweep continuing from the last; the first
+    joint it returns is the witness, a global section of the box.  The route
+    gives up at a try that misses by at least ``CONTEXTUAL_MISS`` of negative
+    mass and by at least half the try before: a contextual box's miss
+    stalls, and a noncontextual box's shrinks from sweep to sweep.  None,
+    before the uniform joint is allocated, where the box has a zero entry or
+    its M exceeds ``DENSE_ENTRIES_CAP``.  Only M and the box enter, so no
+    weights do.
+
+    Every measure reads this one joint: the entropy solver tries it at its
+    first iteration, in place of a projection of its own, and
+    ``polytope.contextuality_cost`` certifies a cost of 0 from it.  Nothing
+    rests on the route: each keeps only what its own certificate proves.
+    Made once per box and cached on it.
+    """
+    return box._projected_joint
+
+
+def _projected_joint(box: Box) -> np.ndarray | None:
+    g, b = box.hypergraph, box.stacked()
+    if not b.min() > 0.0 or g.incidence.dense is None:
+        return None
+    q = np.full(g.joint_dim, 1.0 / g.joint_dim)
+    last = math.inf
+    for _ in range(_WITNESS_SWEEPS):
+        joint, miss = g.incidence.fit(b, q)
+        if joint is not None:
+            joint.flags.writeable = False
+            return joint
+        if miss >= CONTEXTUAL_MISS and miss >= 0.5 * last:
+            return None
+        last = miss
+    return None
 
 
 def opposite(box: Box) -> Box:

@@ -151,9 +151,8 @@ def cmd_measure(args, out=None) -> int:
     if not sources:
         print("error: need at least one box source", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if measure == "xmax" and args.weights != "uniform":
-        print("error: --weights FILE does not apply to xmax, which optimizes the weights",
-              file=sys.stderr)
+    if measure != "xu" and args.weights != "uniform":
+        print(f"error: --weights FILE applies only to xu, not to {measure}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     # Every measure refuses a bad --tol or --max-iters, not only those that read them.
     _check_arguments(args.tol, JOINT_DIM_CAP, max_iters=args.max_iters)
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument(
         "--weights",
         default="uniform",
-        help="'uniform', or a JSON file with one weight per context (xu only)",
+        help="'uniform', or a JSON file with one weight per context (xu only; refused otherwise)",
     )
     p_measure.add_argument("--reference", default=None, help="reference box for beta")
     p_measure.add_argument("--format", choices=("csv", "plain"), default="csv")

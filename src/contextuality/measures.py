@@ -32,24 +32,21 @@ then r and ``max r``, which serves both the gap and the next over-relaxed
 step.  Floored iterates have positive marginals, so no marginal is scanned
 for zeros; a zero one shows as an infinite value.
 
-What a solve reads off its box alone is made once and cached, so
-``x_u``, ``x_max`` and the cost, run on one box in any order, set it up
-once and report the same bits.  On the box, for as long as it lives: the
-validation report, the largest shared-marginal distance, the junction-tree
-joint and the parity mixture (see ``boxes.Box``; the joint is the largest,
-one float per joint cell).  Here, in a map that holds each box weakly, for
-as long as the box lives: its witness (``projected_joint``), a joint with
-its marginals or None, at most one float per joint cell, made once by
-whichever measure reads it first and read by all three.  Once per
-cardinalities and context list, on the incidence that equal hypergraphs
-share (``boxes._incidence``), which holds no box data: the junction tree,
-the overlap index of the consistency check, and the dense M with the index
-of the projection's closed form (``ContextIncidence.dense`` and
-``least_norm``).  M is floats, held only where it has at most
-``DENSE_ENTRIES_CAP`` entries: 2^20 x 8 bytes = 8 MB.  The cache holds 64
-incidences, so 64 x 8 MB = 512 MB of M at the very most, plus that of any
-incidence a live hypergraph still holds after its eviction.  A problem reads
-M as it is on full support, else copies its support rows (at most 8 MB).
+What a solve reads off its box alone is made once and cached, so ``x_u``,
+``x_max`` and the cost, run on one box in any order, set it up once and
+report the same bits.  On the box, for as long as it lives: the validation
+report, the largest shared-marginal distance, and the three joints it
+exhibits, the junction-tree joint, the parity mixture and the witness (see
+``boxes.Box``).  Once per cardinalities and context list, on the incidence
+that equal hypergraphs share (``boxes._incidence``), which holds no box
+data: the junction tree, the overlap index of the consistency check, and
+the dense M with the index of the projection's closed form
+(``ContextIncidence.dense`` and ``least_norm``).  M is floats, held only
+where it has at most ``DENSE_ENTRIES_CAP`` entries: 2^20 x 8 bytes = 8 MB.
+The cache holds 64 incidences, so 64 x 8 MB = 512 MB of M at the very most,
+plus that of any incidence a live hypergraph still holds after its
+eviction.  A problem reads M as it is on full support, else copies its
+support rows (at most 8 MB).
 
 The maximized measure ``sup_w min_p sum_c w_c D_c(p) = min_p max_c D_c(p)``
 is a saddle value (Sion 1958), as channel capacity is (Blahut 1972, Arimoto
@@ -92,22 +89,14 @@ parity classes with one heavier-class mass on every context is tried first
 at its parity mixture (``boxes.parity_mixture``), which at uniform
 weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
-it and takes the same steps.  Every box whose targets are all positive,
-and whose M fits ``DENSE_ENTRIES_CAP``, has one witness
-(``projected_joint``), made once from the box alone: sweeps of iterative
-proportional fitting from the uniform joint, which keep it positive and fit
-each context in turn (Csiszar 1975; Deming & Stephan 1940), each followed
-by a projection try (``_FixedWeightProblem.projection``): one
-multiplicative step toward the marginals, and the orthogonal projection
-``q - M^+ (M q - b)``, M^+ in closed form (``ContextIncidence.least_norm``).
-The first nonnegative result is a global section of the box (Abramsky &
-Brandenburger 2011); a contextual box has none, and the route gives up
-once its miss stalls.  The witness stands in for the loop's projection at
-iteration 1, so it is tried after the tree joint and the parity mixture, at
-any weights.  At iterations 2, 4, 8, ...
-the loop tries a projection of its own: a sweep from the iterate, then the
-same try.  Each is tried while the best lower bound is at most 0, and
-stops the loop if its own certificate, counted up to 0, closes the gap.
+it and takes the same steps.  Then, while the best lower bound is at most
+0, a joint with the box's marginals: at iteration 1 the box's witness
+(``boxes.projected_joint``, a global section found from the uniform joint
+by ``ContextIncidence.fit``; None where the box has a zero entry or M
+exceeds ``DENSE_ENTRIES_CAP``), so after the tree joint and the parity
+mixture, at any weights; at iterations 2, 4, 8, ... one ``fit`` of the
+iterate.  Each stops the loop if its own certificate, counted up to 0,
+closes the gap.
 And at iterations 2, 4, 8, ... of ``x_fixed``'s loop on a dense problem,
 the multiplier field picks a face, the cells where r is at least 0.9 of its
 largest entry, and a few Newton steps find the optimizer of F over the
@@ -118,13 +107,11 @@ floored and normalized like any iterate, and stops the loop only if its own
 field, over every cell, certifies it.  Most contextual boxes that are not
 isotropic stop there at iteration 2, where the loop alone takes tens of
 steps, and near the noncontextual boundary tens of thousands.  The face exit
-waits while a projection tried at the same iteration misses by less than
-``_FACE_MISS`` of negative mass: the box is then about noncontextual, and
-the projection is the likelier exit.  ``x_max`` has the first two exits
-only.  A start that certifies counts 1 iteration, and so does the witness;
-an exit at iteration k counts k: the k - 1 steps before it.  The witness
-serves the contextuality cost as well: ``polytope.contextuality_cost``
-certifies a cost of 0 from it without an LP.
+waits while a fit tried at the same iteration misses by less than
+``boxes.CONTEXTUAL_MISS`` of negative mass: the box is then about
+noncontextual, and the fit is the likelier exit.  ``x_max`` has the first
+two exits only.  A start that certifies counts 1 iteration, and so does the
+witness; an exit at iteration k counts k: the k - 1 steps before it.
 """
 
 from __future__ import annotations
@@ -133,13 +120,13 @@ import functools
 import math
 import numbers
 import time
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .boxes import (
+    CONTEXTUAL_MISS,
     DENSE_ENTRIES_CAP,
     JOINT_DIM_CAP,
     Box,
@@ -150,6 +137,7 @@ from .boxes import (
     junction_tree_joint,
     parity_mixture,
     probability_vector,
+    projected_joint,
     require_consistent,
     split_components,
 )
@@ -178,15 +166,6 @@ _ETA_SHRINK = 0.5
 _ETA_MIN, _ETA_MAX = 0.05, 64.0
 # The step's floor is _EPS / joint_dim on every coordinate.
 _EPS = np.finfo(float).eps
-# The witness route's sweeps (``_FixedWeightProblem.witness``): at most this
-# many, each followed by a projection try.  Of 303 seeded noncontextual
-# Dirichlet boxes on 4-5 observables under many contexts, the route missed 7
-# at 8 sweeps and 2 at 16 or 32; the solver's 16 steps before it missed 23.
-_WITNESS_SWEEPS = 16
-# The largest exponent of the projection's multiplicative step, so the step
-# never overflows.  It stayed below 5 on every box measured, and is bounded by
-# about the incidence's row count, which can pass the 709 of exp's overflow.
-_EXPONENT_CAP = 64.0
 # The face exit (``_FixedWeightProblem.face_joint``): the cells whose field
 # is at least this share of its largest entry, at most this many Newton steps,
 # each stopped there once its decrement is at most _FACE_DECREMENT, and a
@@ -199,13 +178,6 @@ _FACE_SHARE = 0.9
 _FACE_STEPS = 8
 _FACE_DECREMENT = 1e-14
 _FACE_HALVINGS = 10
-# Where the projection was tried at the same iteration and missed by less
-# negative mass than this, the box is about noncontextual, and the face exit
-# waits.  On small-batch the two noncontextual boxes that certify at the
-# projection's step 8 missed by at most 7e-4 at steps 2 and 4, and each
-# contextual box by at least 8e-2; on the 280 mixes above, every box that
-# certified at a face had missed by at least 1.9e-2.
-_FACE_MISS = 1e-2
 # Eigenvalues of a face's Gram matrix below this share of the largest count
 # as 0, so a face of dependent cells is solved in its span.
 _RANK_RTOL = 1e-10
@@ -339,59 +311,6 @@ class _FixedWeightProblem:
             r = (self.ratio * self.w_s) @ self.dense
         return value, r, float(r.max())
 
-    def sweep(self, q: np.ndarray) -> np.ndarray:
-        """One sweep of iterative proportional fitting on the positive joint
-        ``q``, in place: ``q <- q * (b_c / (M_c q)) @ M_c`` context by context
-        (``runs``), which keeps it positive and fits each context in turn
-        (Csiszar 1975).  Returns ``q``."""
-        for a, b in self.runs:
-            rows = self.dense[a:b]
-            q *= (self.t_s[a:b] / (rows @ q)) @ rows
-        return q
-
-    def projection(self, q: np.ndarray) -> tuple[np.ndarray | None, float]:
-        """The positive joint ``q`` moved onto the box's marginals b, without
-        changing ``q``: ``(joint, 0.0)``, the joint normalized, where the
-        result is nonnegative, else None and its negative mass.
-
-        Two moves: one multiplicative step in the exponential family,
-        ``q <- q * exp(N z)`` with ``z = M^+ (b - M q)`` and N the joint's
-        size, its exponent clamped at ``_EXPONENT_CAP``; then the orthogonal
-        projection ``q - M^+ (M q - b)``, each ``M^+`` in closed form
-        (``ContextIncidence.least_norm``, then M).  The step keeps q
-        positive, so the projection moves less, and goes negative less
-        often, than from ``q`` itself.  The loop and the witness route both
-        call it, where the box projects, on a joint that ``sweep`` has just
-        fitted."""
-        z = self.op.least_norm(self.t_s - self.dense @ q) @ self.dense
-        z *= q.size
-        q = q * np.exp(np.minimum(z, _EXPONENT_CAP, out=z), out=z)
-        q -= self.op.least_norm(self.dense @ q - self.t_s) @ self.dense
-        if q.min() < 0.0:
-            return None, -float(q[q < 0.0].sum())
-        q /= q.sum()
-        return q, 0.0
-
-    def witness(self) -> np.ndarray | None:
-        """A joint with the box's marginals, or None: the route of
-        ``projected_joint``, on a problem whose box projects (``_projects``).
-
-        ``sweep`` runs from the uniform joint, and after each sweep the swept
-        joint's ``projection`` is tried.  The first nonnegative one is the
-        witness.  The route gives up after ``_WITNESS_SWEEPS`` sweeps, or at a
-        sweep whose projection misses by at least ``_FACE_MISS`` of negative
-        mass and by at least half the previous sweep's miss: a contextual
-        box's miss stalls, and a noncontextual box's shrinks from sweep to
-        sweep.  Only M and the targets enter, so the weights do not."""
-        q = np.full(self.g.joint_dim, 1.0 / self.g.joint_dim)
-        last = math.inf
-        for _ in range(_WITNESS_SWEEPS):
-            joint, miss = self.projection(self.sweep(q))
-            if joint is not None or (miss >= _FACE_MISS and miss >= 0.5 * last):
-                return joint
-            last = miss
-        return None
-
     @cached_property
     def runs(self) -> list[tuple[int, int]]:
         """Each context's run ``[start, stop)`` of rows within ``support``."""
@@ -472,13 +391,6 @@ class _FixedWeightProblem:
         return np.array([terms[a:b].sum() for a, b in self.runs])
 
 
-def _projects(g: Hypergraph, targets: np.ndarray) -> bool:
-    """Whether the solver projects its iterates onto a box's marginals: every
-    target is positive, so the dense matrix is all of M, and M fits
-    ``DENSE_ENTRIES_CAP``.  Read from the box alone, before any is built."""
-    return g.incidence.dim * g.joint_dim <= DENSE_ENTRIES_CAP and bool(targets.min() > 0.0)
-
-
 def _gap(r_max: float) -> float:
     """Duality gap (bits) of an iterate whose multiplier field peaks at
     ``r_max``: ``log2(r_max)``, by Jensen's inequality (module docstring)."""
@@ -499,11 +411,6 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
-# Each box's witness (``projected_joint``): a read-only joint or None, held
-# as long as the box.
-_witnesses: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _solve_fixed(
     problem: _FixedWeightProblem,
     tol: float,
@@ -514,9 +421,9 @@ def _solve_fixed(
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     """The solver's loop (see the module docstring): the value, the joint,
     the gap, the iterations, whether the gap met ``tol``, and the trace.
-    Its projection at iteration 1 is the witness of the problem's box
-    (``projected_joint``), whatever the start; those at 2, 4, 8, ... start
-    from the iterate.
+    At iteration 1 it tries the witness of the problem's box
+    (``boxes.projected_joint``, cached on the box), whatever the start; at
+    2, 4, 8, ... it tries ``ContextIncidence.fit`` of a copy of the iterate.
 
     With ``ascend`` the loop also steps the context weights (``x_max``): the
     joint is the iterate of the least ``max_c D_c`` seen, the value
@@ -555,16 +462,16 @@ def _solve_fixed(
         if gap <= tol:
             break
         power = iteration & (iteration - 1) == 0
-        # The projection's negative mass where it is tried, else inf.
+        # The fit's negative mass where it is tried, else inf.
         q, miss = None, math.inf
         if lower <= 0.0 and power:
-            # At iteration 1 the projection is the box's witness, made once
+            # At iteration 1 the try is the box's witness, made once
             # per box from the uniform joint; later ones start from the
             # iterate.  A positive lower bound certifies the box contextual.
             if iteration == 1:
-                q = projected_joint(problem.box, problem)
-            elif _projects(problem.g, problem.targets):
-                q, miss = problem.projection(problem.sweep(p.copy()))
+                q = projected_joint(problem.box)
+            else:
+                q, miss = problem.op.fit(problem.targets, p.copy())
         if q is not None:
             # A joint with the box's marginals has a value of about 0: stop
             # there if it certifies.  Its own bound counts up to 0, a lower
@@ -580,7 +487,7 @@ def _solve_fixed(
                 upper, p_upper = value, p
                 gap = max(value - lower, 0.0)
                 break
-        if not ascend and iteration > 1 and power and problem.dense is not None and miss >= _FACE_MISS:
+        if not ascend and iteration > 1 and power and problem.dense is not None and miss >= CONTEXTUAL_MISS:
             # The optimizer on the face the field picks: stop there if its
             # own field certifies it against every cell.
             q = problem.face_joint(p, r, r_max)
@@ -639,30 +546,6 @@ def _solve_fixed(
     return max(value, 0.0), p, gap, iteration, gap <= tol + 1e-14, tuple(trace)
 
 
-def projected_joint(box: Box, problem: _FixedWeightProblem | None = None) -> np.ndarray | None:
-    """The box's witness: a read-only joint with its context marginals, or
-    None, made once per box by ``_FixedWeightProblem.witness`` on
-    ``problem`` (any problem of this box, at any weights) or on one of its
-    own.  None where the route cannot run (``_projects``, checked before any
-    matrix is built) and where it finds no joint.
-
-    Every measure reads this one joint: the entropy solver tries it at its
-    first iteration, in place of a projection of its own, and
-    ``polytope.contextuality_cost`` certifies a cost of 0 from it.  Nothing
-    rests on the route: each keeps only what its own certificate proves.
-    """
-    if box not in _witnesses:
-        joint = None
-        if _projects(box.hypergraph, box.stacked()):
-            if problem is None:
-                problem = _FixedWeightProblem(box, ContextWeights.uniform(box.hypergraph.n_contexts))
-            joint = problem.witness()
-        if joint is not None:
-            joint.flags.writeable = False
-        _witnesses[box] = joint
-    return _witnesses[box]
-
-
 def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The exhibited starts of a box: ``(init, candidate)`` for ``_solve_fixed``.
 
@@ -671,7 +554,7 @@ def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     context's parity classes with one heavier-class mass on all contexts
     (``boxes.parity_mixture``), the isotropic optimizer when the weights
     are invariant; the solver keeps it only if it certifies.  The box's
-    witness (``projected_joint``) comes after both, at the loop's first
+    witness (``boxes.projected_joint``) comes after both, at the loop's first
     iteration.
     """
     joint = junction_tree_joint(box)
@@ -721,11 +604,11 @@ def x_fixed(
     distance.  It can stop so at three exhibited optimizers: an isotropic
     box's parity mixture, tried before the loop and kept only if it
     certifies; a joint with a noncontextual box's marginals, the box's
-    witness (``projected_joint``) at iteration 1, so after the parity
+    witness (``boxes.projected_joint``) at iteration 1, so after the parity
     mixture and at any weights, and at iterations 2, 4, 8, ... a
-    nonnegative projection of the iterate; and, on a dense problem from
-    iteration 2, the optimizer on the face of cells that the multiplier
-    field picks, floored like an iterate.  A start or witness that
+    nonnegative fit of the iterate (``ContextIncidence.fit``); and, on a
+    dense problem from iteration 2, the optimizer on the face of cells that
+    the multiplier field picks, floored like an iterate.  A start or witness that
     certifies counts 1 iteration, and an exit at iteration k counts k.  A
     direct sum on a cyclic hypergraph is solved one component at a time
     (see the module docstring): ``iterations`` is the components' sum, at most
@@ -781,10 +664,10 @@ def x_max(
     """Weight-maximized relative entropy of contextuality.
 
     One loop in the joint and the weights (see the module docstring): the
-    ``x_fixed`` loop from the same start, with the same step and its parity
-    and projection exits (not its face exit), plus one multiplicative step
+    ``x_fixed`` loop from the same start, with the same step and its parity,
+    witness and fit exits (not its face exit), plus one multiplicative step
     on the weights per iteration.  So a noncontextual box whose witness
-    (``projected_joint``) certifies stops at it, at iteration 1.  The
+    (``boxes.projected_joint``) certifies stops at it, at iteration 1.  The
     value is the least ``max_c D_c`` seen, at the returned optimizer, so it
     bounds the supremum from above as ``x_fixed``'s value bounds its
     optimum; ``duality_gap`` is its distance to the best lower bound
@@ -857,7 +740,7 @@ def verify_equivalence(
     ``sum_c w_c D(ext_c || sum_c' w_c' ext_c')``; the absolute difference
     from the minimized value is the residual.  Every context marginal of p*
     is positive: the solver floors every joint entry above 0, the face
-    exit's joint included, and a projection it stops at has the box's
+    exit's joint included, and a fit it stops at has the box's
     marginals, all positive.
     """
     report = x_fixed(box, weights, tol=tol)

@@ -19,12 +19,13 @@ only when the two ends meet within 1e-12.  That took the cost of PM(0.9)
 and M(0.9) from 0.73 and 1.05 ms by the LP then used within the scan to
 0.25 and 0.27 ms (best of 30, a fresh box each call, 2-core Xeon host).
 And a noncontextual box whose every entry is positive, and whose incidence
-matrix M fits ``measures.DENSE_ENTRIES_CAP``, gets it from
-its witness (``measures.projected_joint``: a joint with its marginals from
-at most 16 sweeps of iterative proportional fitting, each followed by the
-entropy solver's projection try, made once per box and read by ``x_u`` and
-``x_max`` too), a global section of the box (Abramsky & Brandenburger 2011)
-that ``_joint_cost`` certifies as it does the junction-tree joint.  A joint is kept only at a
+matrix M fits ``boxes.DENSE_ENTRIES_CAP``, gets it from its witness
+(``boxes.projected_joint``: a joint with its marginals from at most 16
+sweeps of iterative proportional fitting, each followed by a projection
+try, made once per box, cached on it beside the junction-tree joint and
+the parity mixture, and read by ``x_u`` and ``x_max`` too), a global
+section of the box (Abramsky & Brandenburger 2011) that ``_joint_cost``
+certifies as it does the junction-tree joint.  A joint is kept only at a
 cost of at most 1e-9, so one that misses leaves the box to the LP.  Every
 other box is solved by the junction-tree LP, and so is a binary cycle's
 witness when it is first read.  A witness is held as the digits of its
@@ -87,6 +88,7 @@ from .boxes import (
     check_tolerance,
     junction_tree_joint,
     parity_mixture,
+    projected_joint,
     require_consistent,
 )
 from .errors import ContextualityError, InvalidBoxError
@@ -251,7 +253,7 @@ def contextuality_cost(box: Box) -> CostReport:
     2^10-cell scan that is flat on every context's parity classes from its
     parity inequality and a symmetric witness, when the two meet, and a
     noncontextual box of full support within the dense caps from its
-    witness, a joint with its marginals (``measures.projected_joint``), when
+    witness, a joint with its marginals (``boxes.projected_joint``), when
     16 sweeps find one; every other box is solved by the junction-tree LP
     (see the module docstring).  Defined only for consistent boxes; inconsistent
     input is refused rather than given a misleading number.  Refuses a box
@@ -262,8 +264,6 @@ def contextuality_cost(box: Box) -> CostReport:
     require_consistent(box)
     if box.hypergraph.is_binary_cycle:
         return _binary_cycle_cost(box)
-    from .measures import projected_joint  # measures imports this module
-
     return (_joint_cost(box, junction_tree_joint(box)) or _parity_cost(box)
             or _joint_cost(box, projected_joint(box)) or _tree_lp(box))
 

@@ -200,10 +200,12 @@ class TestExitCodes:
         assert "finite" in err
         assert out == ""
 
-    def test_weights_file_with_xmax(self, capsys, tmp_path):
+    @pytest.mark.parametrize("measure", ["xmax", "cost", "beta", "consistency"])
+    def test_weights_file_with_xmax(self, capsys, tmp_path, measure):
+        """Only xu reads a weights file; every other measure refuses one."""
         path = tmp_path / "w.json"
         path.write_text("[NaN, NaN, NaN, NaN]")
-        code, out, err = run_cli(capsys, "measure", "builtin:PR", "xmax", "--weights", str(path))
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", measure, "--weights", str(path))
         assert code == EXIT_INVALID_INPUT
         assert "--weights" in err
         assert out == ""

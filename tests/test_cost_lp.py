@@ -801,7 +801,7 @@ def test_noncontextual_pm_per_context_takes_the_projection(highs_log):
 
 
 # Noncontextual boxes of full support: their witness, a joint with their
-# marginals (``measures.projected_joint``), certifies a cost of 0 with no LP.
+# marginals (``boxes.projected_joint``), certifies a cost of 0 with no LP.
 
 PROJECTION_ANCHORS = (cx.pm_box(), cx.mermin_box(), ternary_cycle_box(4))
 

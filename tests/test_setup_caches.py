@@ -13,7 +13,7 @@ from test_incidence import hypergraphs
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
-from contextuality import boxes, measures, polytope
+from contextuality import boxes, polytope
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_joint
 
 
@@ -261,8 +261,8 @@ def cached_arrays(box):
         out["dense"] = g.incidence.dense
         if box.stacked().min() > 0.0:
             out.update(least_norm_arrays(g.incidence))
-    if measures._witnesses.get(box) is not None:
-        out["witness"] = measures._witnesses[box]
+    if vars(box).get("_projected_joint") is not None:
+        out["witness"] = vars(box)["_projected_joint"]
     if g.incidence._overlaps:
         for k, index in enumerate(g.incidence._overlap_index):
             if isinstance(index, np.ndarray):
@@ -285,11 +285,16 @@ def test_cached_arrays_are_read_only(name):
 
 
 def test_parity_mixture_and_tree_joint_made_once():
-    """The tree joint and the parity mixture are cached on the box: every read is the same object."""
+    """The tree joint, the parity mixture and the witness are cached on the
+    box: every read is the same object, the one the box holds."""
     flat, acyclic = fresh(cx.pm_box(0.9)), acyclic_box(np.random.default_rng(3))
     assert boxes.parity_mixture(flat) is boxes.parity_mixture(flat) is not None
     assert boxes.junction_tree_joint(acyclic) is boxes.junction_tree_joint(acyclic) is not None
     assert boxes.junction_tree_joint(flat) is None and boxes.parity_mixture(acyclic) is None
+    section = fresh(projection_route_boxes()["mermin-step-1"])
+    assert "_projected_joint" not in vars(section)
+    assert boxes.projected_joint(section) is boxes.projected_joint(section) is not None
+    assert vars(section)["_projected_joint"] is boxes.projected_joint(section)
 
 
 def test_no_full_dense_matrix_above_the_cap():
@@ -369,11 +374,12 @@ def test_equal_hypergraphs_share_one_incidence():
 
 
 def route_sweeps(box):
-    """The witness route's outcome on ``box`` and the sweeps it took."""
-    with mock.patch.object(measures._FixedWeightProblem, "sweep", autospec=True,
-                           side_effect=measures._FixedWeightProblem.sweep) as sweep:
-        joint = measures.projected_joint(box)
-    return joint, sweep.call_count
+    """The witness route's outcome on ``box`` and the sweeps it took: one per
+    ``ContextIncidence.fit``."""
+    with mock.patch.object(boxes.ContextIncidence, "fit", autospec=True,
+                           side_effect=boxes.ContextIncidence.fit) as fit:
+        joint = boxes.projected_joint(box)
+    return joint, fit.call_count
 
 
 def assert_witness(box, joint):
@@ -395,7 +401,7 @@ def test_projection_route_stops_where_expected(name):
     else:
         assert sweeps == PROJECTION_STOPS[name]
         assert_witness(box, joint)
-        assert np.array_equal(measures.projected_joint(fresh(box)), joint)
+        assert np.array_equal(boxes.projected_joint(fresh(box)), joint)
     assert route_sweeps(box) == (joint, 0)
 
 
@@ -431,11 +437,9 @@ def test_every_measure_reads_one_witness(box, order):
     1e-12, and it returns None on every box the junction-tree LP finds
     contextual."""
     box = fresh(box)
-    runs = mock.patch.object(measures._FixedWeightProblem, "witness", autospec=True,
-                             side_effect=measures._FixedWeightProblem.witness)
-    with runs as route:
+    with mock.patch.object(boxes, "_projected_joint", side_effect=boxes._projected_joint) as route:
         reports = {name: MEASURES[name][0](box) for name in order}
-        joint = measures.projected_joint(box)
+        joint = boxes.projected_joint(box)
     assert route.call_count == 1
     if polytope._tree_lp(box).cost > 1e-9:
         assert joint is None

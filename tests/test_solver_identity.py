@@ -22,7 +22,7 @@ fitting over the contexts, one multiplicative step toward the marginals and
 the orthogonal projection, each pseudo-inverse by ``lstsq`` on an incidence
 matrix built from ``brute_rows``; and at iterations 2, 4, 8, ... of
 ``x_fixed``'s loop, unless
-that projection missed by less negative mass than ``measures._FACE_MISS``,
+that projection missed by less negative mass than ``boxes.CONTEXTUAL_MISS``,
 the optimizer on the face of cells where the field is at least
 ``measures._FACE_SHARE`` of its largest entry (``reference_face``): Newton
 steps in the joint, each the least-norm solution by ``lstsq`` of the
@@ -179,9 +179,9 @@ def projects(problem):
 
 def reference_correction(problem, q, exponent, incidence):
     """The step ``q * exp(N z)`` with its exponent clamped at
-    ``measures._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``, not
+    ``boxes._EXPONENT_CAP``, then ``q - M^+ (M q - b)`` by ``lstsq``, not
     normalized, negative entries and all."""
-    q = q * np.exp(np.minimum(exponent, measures._EXPONENT_CAP))
+    q = q * np.exp(np.minimum(exponent, boxes._EXPONENT_CAP))
     return q - np.linalg.lstsq(incidence, incidence @ q - problem.targets, rcond=None)[0]
 
 
@@ -195,21 +195,21 @@ def reference_projection(problem, p):
 
 def reference_witness(problem):
     """The box's witness, or None: ``reference_sweep`` from the uniform joint,
-    at most ``measures._WITNESS_SWEEPS`` times, each followed by
+    at most ``boxes._WITNESS_SWEEPS`` times, each followed by
     ``reference_correction`` of the swept joint.  The first correction with
     no negative entry, normalized, is the witness.  None unless the problem
     ``projects``, and at the first correction whose negative mass is at
-    least ``measures._FACE_MISS`` and at least half the one before."""
+    least ``boxes.CONTEXTUAL_MISS`` and at least half the one before."""
     if not projects(problem):
         return None
     q, last = np.full(problem.g.joint_dim, 1.0 / problem.g.joint_dim), math.inf
-    for _ in range(measures._WITNESS_SWEEPS):
+    for _ in range(boxes._WITNESS_SWEEPS):
         q, exponent, incidence = reference_sweep(problem, q)
         joint = reference_correction(problem, q, exponent, incidence)
         miss = -joint[joint < 0.0].sum()
         if miss == 0.0:
             return joint / joint.sum()
-        if miss >= measures._FACE_MISS and miss >= 0.5 * last:
+        if miss >= boxes.CONTEXTUAL_MISS and miss >= 0.5 * last:
             return None
         last = miss
     return None
@@ -300,7 +300,7 @@ def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, ex
                     p, value, lower, exit = q, q_value, q_lower, "projection"
                     gap = max(value - lower, 0.0)
                     break
-        if exits and iteration > 1 and power and problem.dense is not None and miss >= measures._FACE_MISS:
+        if exits and iteration > 1 and power and problem.dense is not None and miss >= boxes.CONTEXTUAL_MISS:
             q = reference_face(problem, p, r)
             if q is not None:
                 q_value, _, q_gap = reference_evaluate(problem, q)

@@ -272,10 +272,11 @@ def check_tolerance(tol: float) -> None:
         raise InvalidBoxError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
-def check_joint_dim(g: Hypergraph, cap: int = JOINT_DIM_CAP) -> None:
-    """Refuse, before any allocation, a hypergraph whose joint tensor exceeds ``cap`` cells."""
-    if g.joint_dim > cap:
-        raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {cap}")
+def check_joint_dim(g: Hypergraph) -> None:
+    """Refuse, before any allocation, a hypergraph whose joint tensor exceeds
+    ``JOINT_DIM_CAP`` cells, read at each call."""
+    if g.joint_dim > JOINT_DIM_CAP:
+        raise CapExceededError(f"joint dimension {g.joint_dim} exceeds cap {JOINT_DIM_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -1268,11 +1269,6 @@ class JointDistribution:
 
     def tensor(self) -> np.ndarray:
         return self.probabilities.reshape(self.hypergraph.joint_shape)
-
-    def allclose(self, other: "JointDistribution", atol: float = 1e-12) -> bool:
-        return self.hypergraph == other.hypergraph and np.allclose(
-            self.probabilities, other.probabilities, rtol=0.0, atol=atol
-        )
 
 
 def marginal(joint: JointDistribution, subset: Sequence[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import JOINT_DIM_CAP, Box, check_consistency
+from .boxes import Box, check_consistency
 from .boxfile import emit_box, parse_box
 from .builders import parse_builtin_uri
 from .errors import CapExceededError, ContextualityError, InvalidBoxError
@@ -40,6 +40,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CAP_EXCEEDED = 4
 
 MEASURES = ("xu", "xmax", "cost", "beta", "consistency")
+# Each measure-specific flag, with the one measure that reads it and its default;
+# every other measure refuses the flag when it is set away from the default.
+_FLAG_READERS = {"weights": ("xu", "uniform"), "reference": ("beta", None)}
 CSV_HEADER = "box,measure,value,certificate,iterations,seconds"
 
 
@@ -151,11 +154,12 @@ def cmd_measure(args, out=None) -> int:
     if not sources:
         print("error: need at least one box source", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if measure != "xu" and args.weights != "uniform":
-        print(f"error: --weights FILE applies only to xu, not to {measure}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    for flag, (reader, default) in _FLAG_READERS.items():
+        if measure != reader and getattr(args, flag) != default:
+            print(f"error: --{flag} applies only to {reader}, not to {measure}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
     # Every measure refuses a bad --tol or --max-iters, not only those that read them.
-    _check_arguments(args.tol, JOINT_DIM_CAP, max_iters=args.max_iters)
+    _check_arguments(args.tol, max_iters=args.max_iters)
     workers = max(1, args.workers)
     if workers == 1 or len(sources) == 1:
         rows = [_measure_one(src, measure, args) for src in sources]
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="'uniform', or a JSON file with one weight per context (xu only; refused otherwise)",
     )
-    p_measure.add_argument("--reference", default=None, help="reference box for beta")
+    p_measure.add_argument("--reference", default=None, help="reference box (beta only; refused otherwise)")
     p_measure.add_argument("--format", choices=("csv", "plain"), default="csv")
     # A string default goes through ``type`` too, so a malformed environment
     # value is reported like a malformed flag (exit code 2).

@@ -87,7 +87,7 @@ the value within ``tol`` of the best lower bound, so a poor one can only
 fail to stop.  On a cyclic hypergraph, a binary box flat on each context's
 parity classes with one heavier-class mass on every context is tried first
 at its parity mixture (``boxes.parity_mixture``), which at uniform
-weights is the isotropic optimizer of ``x_u_isotropic_reduced``; it is kept
+weights is the isotropic optimizer of ``symmetry.x_u_isotropic_reduced``; it is kept
 only if it certifies, so otherwise the loop starts where it would without
 it and takes the same steps.  Then, while the best lower bound is at most
 0, a joint with the box's marginals: at iteration 1 the box's witness
@@ -128,7 +128,6 @@ import numpy as np
 from .boxes import (
     CONTEXTUAL_MISS,
     DENSE_ENTRIES_CAP,
-    JOINT_DIM_CAP,
     Box,
     Hypergraph,
     JointDistribution,
@@ -141,10 +140,7 @@ from .boxes import (
     require_consistent,
     split_components,
 )
-from .closed_form import chi
-from .errors import InvalidBoxError, NotXorBoxError
-from .inequalities import classify_xor, nc_alpha_interval
-from .symmetry import apply
+from .errors import InvalidBoxError
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
@@ -228,8 +224,7 @@ class MeasureReport:
 
     ``[value - duality_gap, value]`` brackets the optimum: the inner minimum
     for fixed weights, the supremum over weights for ``x_max``, whose
-    ``outer_weights`` are the weights of the lower end and whose
-    ``outer_gap`` is 0.  ``trace`` holds the loop's (iteration, value, gap) at
+    ``outer_weights`` are the weights of the lower end.  ``trace`` holds the loop's (iteration, value, gap) at
     iterations 1, 2, 4, ... and the last; a box solved one component at a
     time has an empty trace, and ``iterations`` sums its components'.
     """
@@ -240,9 +235,7 @@ class MeasureReport:
     iterations: int
     wall_time_s: float
     converged: bool
-    method: str
     outer_weights: ContextWeights | None = None
-    outer_gap: float | None = None
     trace: tuple[tuple[int, float, float], ...] = ()
 
 
@@ -576,15 +569,14 @@ def _parts(box: Box) -> tuple[tuple[Box, tuple[int, ...]], ...]:
     return split_components(box) if split else ((box, tuple(range(g.n_contexts))),)
 
 
-def _check_arguments(tol: float, dim_cap: int, **counts: int) -> None:
-    """Refuse a tolerance that is not finite and nonnegative, a count that is
-    not a nonnegative integer, and a ``dim_cap`` that is not an integer (a
-    non-positive one is left to ``check_joint_dim``)."""
+def _check_arguments(tol: float, **counts: int) -> None:
+    """Refuse a tolerance that is not finite and nonnegative, and a count that
+    is not a nonnegative integer."""
     check_tolerance(tol)
-    for name, value in {"dim_cap": dim_cap, **counts}.items():
+    for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidBoxError(f"{name} must be an integer, got {value!r}")
-        if name in counts and value < 0:
+        if value < 0:
             raise InvalidBoxError(f"{name} must be nonnegative, got {value!r}")
 
 
@@ -593,12 +585,10 @@ def x_fixed(
     weights: ContextWeights,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    dim_cap: int = JOINT_DIM_CAP,
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    Solved by the loop of the module docstring (report method "auto") from
-    the uniform joint, or the junction-tree joint on an acyclic hypergraph.
+    Solved by the loop of the module docstring from the uniform joint, or the junction-tree joint on an acyclic hypergraph.
     The solve stops once the value is within ``tol`` of the best lower bound
     seen, or after ``max_iters`` iterations; ``duality_gap`` is that
     distance.  It can stop so at three exhibited optimizers: an isotropic
@@ -617,8 +607,8 @@ def x_fixed(
     ``[value - duality_gap, value]`` still brackets the optimum.
     """
     require_consistent(box)
-    _check_arguments(tol, dim_cap, max_iters=max_iters)
-    check_joint_dim(box.hypergraph, dim_cap)
+    _check_arguments(tol, max_iters=max_iters)
+    check_joint_dim(box.hypergraph)
     if len(weights) != box.hypergraph.n_contexts:
         raise InvalidBoxError("one weight per context required")
     start = time.perf_counter()
@@ -644,21 +634,19 @@ def x_fixed(
         iterations=iters,
         wall_time_s=time.perf_counter() - start,
         converged=converged,
-        method="auto",
         trace=trace,
     )
 
 
-def x_u(box: Box, tol: float = DEFAULT_TOL, **kwargs) -> MeasureReport:
+def x_u(box: Box, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> MeasureReport:
     """Uniform relative entropy of contextuality (weights 1/n)."""
-    return x_fixed(box, ContextWeights.uniform(box.hypergraph.n_contexts), tol=tol, **kwargs)
+    return x_fixed(box, ContextWeights.uniform(box.hypergraph.n_contexts), tol=tol, max_iters=max_iters)
 
 
 def x_max(
     box: Box,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    dim_cap: int = JOINT_DIM_CAP,
     outer_window: int = 200,
 ) -> MeasureReport:
     """Weight-maximized relative entropy of contextuality.
@@ -680,9 +668,9 @@ def x_max(
     lower ends, with the latter's weights and zeros on the other contexts.
     """
     require_consistent(box)
-    _check_arguments(tol, dim_cap, max_iters=max_iters, outer_window=outer_window)
+    _check_arguments(tol, max_iters=max_iters, outer_window=outer_window)
     g = box.hypergraph
-    check_joint_dim(g, dim_cap)
+    check_joint_dim(g)
     start = time.perf_counter()
     parts = _parts(box)
     solves, budget = [], max_iters
@@ -704,9 +692,7 @@ def x_max(
         iterations=sum(iterations),
         wall_time_s=time.perf_counter() - start,
         converged=gap <= tol + 1e-14,
-        method="mw-ascent(auto)",
         outer_weights=ContextWeights._of(weights),
-        outer_gap=0.0,
     )
 
 
@@ -767,31 +753,3 @@ def verify_equivalence(
         measure_report=report,
     )
 
-
-def x_u_isotropic_reduced(
-    reference: Box,
-    alpha: float,
-    group=None,
-) -> float:
-    """Symmetry-reduced X_u for an isotropic family, in closed form.
-
-    For the family ``alpha*ref + (1-alpha)*ref'`` the measure collapses to a
-    single binary divergence ``min_a0 chi(alpha, a0)`` over the non-contextual
-    interval ``[lo, hi]``.  ``chi(alpha, a0)`` is convex in ``a0`` with its
-    minimum at ``a0 = alpha``, so the minimizer is ``alpha`` clipped to the
-    interval; this stays exact for chain sizes far beyond the joint solver.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidBoxError(f"alpha {alpha} outside [0, 1]")
-    profile = classify_xor(reference)
-    if profile is None:
-        raise NotXorBoxError("reduced solver needs an xor-box reference")
-    lo, hi = nc_alpha_interval(profile)
-    if group is not None:
-        for gen in group.generators:
-            if not apply(gen, reference).allclose(reference, atol=1e-9):
-                raise InvalidBoxError("reference is not fixed by the supplied group")
-
-    eps = 1e-15
-    a0 = min(max(alpha, lo), hi)
-    return max(0.0, chi(alpha, min(max(a0, eps), 1.0 - eps)))

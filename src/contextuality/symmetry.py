@@ -11,7 +11,9 @@ stacked context outcomes (see :class:`~contextuality.boxes.ContextIncidence`)
 an element acts as one permutation of rows, ``GroupElement.stacked_source``.
 Averaging a box over a finite group of its automorphisms (twirling) projects
 onto the invariant family; that average is the mean over each stacked row's
-orbit, and the generators alone give the orbits.
+orbit, and the generators alone give the orbits.  On an isotropic family,
+where twirling reduces a box to its mixing weight, X_u has a closed form
+(``x_u_isotropic_reduced``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 
 from .boxes import Box, Hypergraph, require_valid
 from .builders import chain_hypergraph, mermin_hypergraph, pm_hypergraph
-from .errors import CapExceededError, HypergraphMismatchError, InvalidBoxError
-from .inequalities import beta
+from .closed_form import chi
+from .errors import CapExceededError, HypergraphMismatchError, InvalidBoxError, NotXorBoxError
+from .inequalities import beta, classify_xor, nc_alpha_interval
 from .sampling import random_consistent_box
 
 DEFAULT_GROUP_CAP = 2_000_000
@@ -195,13 +198,11 @@ class TwirlGroup:
                 return np.unique(labels, return_inverse=True)[1]
 
 
-def generate_group(
-    generators: list[GroupElement] | tuple[GroupElement, ...],
-    cap: int = DEFAULT_GROUP_CAP,
-) -> TwirlGroup:
+def generate_group(generators: list[GroupElement] | tuple[GroupElement, ...]) -> TwirlGroup:
     """Breadth-first closure of the generators under composition.
 
-    Fails with :class:`CapExceededError` if the order would exceed ``cap``.
+    Fails with :class:`CapExceededError` if the order would exceed
+    ``DEFAULT_GROUP_CAP``, read at each call.
     Inverses come for free: in a finite closed monoid of bijections every
     element's powers cycle back through its inverse.
     """
@@ -222,8 +223,8 @@ def generate_group(
                 product = gen[literals]
                 key = product.tobytes()
                 if key not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceededError(f"group closure exceeded cap {cap}")
+                    if len(elements) >= DEFAULT_GROUP_CAP:
+                        raise CapExceededError(f"group closure exceeded cap {DEFAULT_GROUP_CAP}")
                     elements[key] = _wrap(g, product)
                     new_frontier.append(product)
         frontier = new_frontier
@@ -391,3 +392,32 @@ def isotropic_parameter(box: Box, reference: Box, group: TwirlGroup) -> float:
     if not twirled.allclose(box, atol=ISOTROPY_TOL):
         raise InvalidBoxError("box is not invariant under the reference twirling group")
     return beta(reference, box) / box.hypergraph.n_contexts
+
+
+def x_u_isotropic_reduced(
+    reference: Box,
+    alpha: float,
+    group: TwirlGroup | None = None,
+) -> float:
+    """Symmetry-reduced X_u for an isotropic family, in closed form.
+
+    For the family ``alpha*ref + (1-alpha)*ref'`` the measure collapses to a
+    single binary divergence ``min_a0 chi(alpha, a0)`` over the non-contextual
+    interval ``[lo, hi]``.  ``chi(alpha, a0)`` is convex in ``a0`` with its
+    minimum at ``a0 = alpha``, so the minimizer is ``alpha`` clipped to the
+    interval; this stays exact for chain sizes far beyond the joint solver.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidBoxError(f"alpha {alpha} outside [0, 1]")
+    profile = classify_xor(reference)
+    if profile is None:
+        raise NotXorBoxError("reduced solver needs an xor-box reference")
+    lo, hi = nc_alpha_interval(profile)
+    if group is not None:
+        for gen in group.generators:
+            if not apply(gen, reference).allclose(reference, atol=1e-9):
+                raise InvalidBoxError("reference is not fixed by the supplied group")
+
+    eps = 1e-15
+    a0 = min(max(alpha, lo), hi)
+    return max(0.0, chi(alpha, min(max(a0, eps), 1.0 - eps)))

@@ -24,7 +24,6 @@ from .measures import (
     verify_equivalence,
     x_max,
     x_u,
-    x_u_isotropic_reduced,
 )
 from .polytope import _tree_lp, contextuality_cost, is_noncontextual
 from .sampling import (
@@ -33,7 +32,7 @@ from .sampling import (
     random_hypergraph,
     random_noncontextual_box,
 )
-from .symmetry import builtin_group, invariant_set_check, twirl
+from .symmetry import builtin_group, invariant_set_check, twirl, x_u_isotropic_reduced
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,33 @@ class TestStacked:
                 box.stacked()
 
 
+class TestAllclose:
+    def test_equal_within_atol(self, pr):
+        near = cx.Box(pr.hypergraph, [d + 1e-13 * np.array([1, -1, 0, 0]) for d in pr.distributions])
+        assert pr.allclose(near) and near.allclose(pr)
+        assert not pr.allclose(near, atol=1e-14)
+
+    def test_another_hypergraph_is_not_close(self, pr):
+        renamed = cx.Hypergraph([("B" + name, card) for name, card in pr.hypergraph.observables],
+                                pr.hypergraph.contexts)
+        assert not pr.allclose(cx.Box(renamed, pr.distributions))
+
+    def test_other_shapes_are_not_close(self, pr):
+        short = cx.Box(pr.hypergraph, [d[:3] for d in pr.distributions])
+        assert not pr.allclose(short) and not short.allclose(pr)
+
+    def test_vectors_not_sized_to_contexts_compared_as_they_are(self, pr):
+        # Three entries per context of four outcomes: ``stacked`` refuses these
+        # boxes, so their vectors are compared one by one.
+        short = cx.Box(pr.hypergraph, [d[:3] for d in pr.distributions])
+        with pytest.raises(cx.InvalidBoxError):
+            short.stacked()
+        near = cx.Box(pr.hypergraph, [d[:3] + 1e-13 for d in pr.distributions])
+        far = cx.Box(pr.hypergraph, [d[:3] + np.array([0.0, 0.0, 1e-3]) for d in pr.distributions])
+        assert short.allclose(near)
+        assert not short.allclose(far)
+
+
 class TestValidatedOnce:
     """A box's validity and largest shared-marginal distance are computed once."""
 

@@ -210,6 +210,14 @@ class TestExitCodes:
         assert "--weights" in err
         assert out == ""
 
+    @pytest.mark.parametrize("measure", ["xu", "xmax", "cost", "consistency"])
+    def test_reference_with_other_measures(self, capsys, measure):
+        """Only beta reads a reference box; every other measure refuses one."""
+        code, out, err = run_cli(capsys, "measure", "builtin:PR", measure, "--reference", "builtin:PM")
+        assert code == EXIT_INVALID_INPUT
+        assert "--reference" in err
+        assert out == ""
+
     @pytest.mark.parametrize("content", ['{"a": 1}', "[true, false, false, false]"])
     def test_weights_file_not_a_list_of_numbers(self, capsys, tmp_path, content):
         path = tmp_path / "w.json"

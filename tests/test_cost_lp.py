@@ -21,6 +21,7 @@ from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 import contextuality as cx
 from contextuality import boxes, measures, polytope
 from contextuality.boxes import JOINT_DIM_CAP, JunctionTree, junction_tree_joint
+from contextuality.cli import main
 from contextuality.closed_form import cost_closed_form, nc_interval
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_noncontextual_box
 
@@ -318,6 +319,30 @@ def test_call_after_a_failed_call():
     assert polytope._local.lp is model and model.getNumRow() > 0
     assert cost_fields(polytope._tree_lp(box)) == expected
     assert polytope._local.lp is model
+
+
+class IterationLimited(polytope._Highs):
+    """A model that stops before its first simplex iteration, so its status
+    is not optimal."""
+
+    def run(self):
+        self.setOptionValue("simplex_iteration_limit", 0)
+        return super().run()
+
+
+def test_non_optimal_lp_refused(tmp_path, capsys):
+    """A contextual Mermin mix reaches the tree LP; a HiGHS run that ends
+    short of optimal is refused, and the CLI exits with code 2."""
+    box = anchored_mix(cx.mermin_box(), 2)
+    path = tmp_path / "m.json"
+    cx.emit_box(box, path)
+    with mock.patch.object(polytope, "_Highs", IterationLimited):
+        with pytest.raises(cx.ContextualityError, match="cost LP failed: "):
+            cx.contextuality_cost(box)
+        assert main(["measure", str(path), "cost"]) == 2
+    assert "cost LP failed: " in capsys.readouterr().err
+    # A fresh model, with the library's options, solves it again.
+    assert abs(cx.contextuality_cost(box).cost - dense_reference_cost(box)) <= 1e-9
 
 
 def run_fresh(code, *args):

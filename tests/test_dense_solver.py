@@ -114,6 +114,23 @@ def test_x_fixed_paths_agree(anchor, anchor_weight, draw_seed):
     assert abs(dense.value - implicit.value) <= max(1e-9, dense.duality_gap, implicit.duality_gap)
 
 
+def test_support_rows_agree_where_m_is_over_the_cap():
+    """CH(15) at alpha 1: M has 60 rows of 2^15 cells, over the cap, so the
+    incidence holds no M, but the 30 support rows fit, and the problem builds
+    them alone (``ContextIncidence.columns``)."""
+    box = cx.chain_box(15, 1.0)
+    g = box.hypergraph
+    rng = np.random.default_rng(15)
+    dense, implicit = both_paths(box, cx.ContextWeights(rng.dirichlet(np.ones(g.n_contexts))))
+    assert g.incidence.dense is None
+    assert dense.dense.shape == (30, g.joint_dim)
+    for p in (np.full(g.joint_dim, 1.0 / g.joint_dim), rng.dirichlet(np.ones(g.joint_dim))):
+        (v1, r1, max1), (v2, r2, max2) = dense.field(p), implicit.field(p)
+        assert abs(v1 - v2) <= 1e-12
+        assert abs(max1 - max2) <= 1e-12
+        assert np.max(np.abs(r1 - r2)) <= 1e-12
+
+
 def test_no_dense_matrix_above_cap():
     box = cx.chain_box(16)
     problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(16))

@@ -221,7 +221,6 @@ def test_x_measures_take_no_step(g, kind, draw_seed):
     check_bracket_at_zero(cx.x_u(box))
     report = cx.x_max(box)
     check_bracket_at_zero(report)
-    assert report.outer_gap <= 1e-12
 
 
 @seed(20261104)

@@ -12,7 +12,7 @@ from test_junction_tree import ROUNDING
 from test_polytope import ternary_cycle_box
 
 import contextuality as cx
-from contextuality import closed_form, measures
+from contextuality import boxes, closed_form, measures
 from contextuality.sampling import (
     random_channel_mixture,
     random_consistent_box,
@@ -143,7 +143,23 @@ class TestXFixed:
 
     def test_dim_cap(self):
         with pytest.raises(cx.CapExceededError):
-            cx.x_u(cx.chain_box(30), dim_cap=2**22)
+            cx.x_u(cx.chain_box(30))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [cx.x_u, cx.x_max, lambda box: cx.x_fixed(box, cx.ContextWeights.uniform(4))],
+        ids=["x_u", "x_max", "x_fixed"],
+    )
+    def test_joint_cap_read_at_call_time(self, pr, solve, monkeypatch):
+        # The cap is a module constant: lowered below PR's 16 cells, it refuses
+        # PR before the solver runs.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(measures, "_solve_fixed", no_solve)
+        monkeypatch.setattr(boxes, "JOINT_DIM_CAP", 15)
+        with pytest.raises(cx.CapExceededError, match="joint dimension 16 exceeds cap 15"):
+            solve(pr)
 
     def test_inconsistent_box_refused(self, pr):
         dists = list(pr.distributions)
@@ -184,27 +200,8 @@ class TestXFixed:
         with pytest.raises(cx.InvalidBoxError, match="outer_window"):
             cx.x_max(pr, outer_window=outer_window)
 
-    @pytest.mark.parametrize("dim_cap", [None, 2.0**22, True, "4194304"])
-    @pytest.mark.parametrize(
-        "solve",
-        [cx.x_u, cx.x_max, lambda box, **kw: cx.x_fixed(box, cx.ContextWeights.uniform(4), **kw)],
-        ids=["x_u", "x_max", "x_fixed"],
-    )
-    def test_non_integer_dim_cap_refused(self, pr, solve, dim_cap, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("solver ran")
-
-        monkeypatch.setattr(measures, "_solve_fixed", no_solve)
-        with pytest.raises(cx.InvalidBoxError, match="dim_cap"):
-            solve(pr, dim_cap=dim_cap)
-
-    @pytest.mark.parametrize("dim_cap", [0, -1])
-    def test_non_positive_dim_cap_exceeded(self, pr, dim_cap):
-        with pytest.raises(cx.CapExceededError):
-            cx.x_u(pr, dim_cap=dim_cap)
-
     def test_numpy_integer_arguments_accepted(self, pr):
-        report = cx.x_max(pr, outer_window=np.int64(2), dim_cap=np.int64(16))
+        report = cx.x_max(pr, outer_window=np.int64(2))
         assert report.value > 0.0
 
     def test_numpy_integer_max_iters_accepted(self, pr):
@@ -284,7 +281,6 @@ class TestXmax:
         box = random_noncontextual_box(cx.pr_box().hypergraph, rng)
         report = cx.x_max(box, outer_window=10)
         assert report.value <= 1e-8
-        assert report.outer_gap is not None and report.outer_gap <= 1e-6
 
     def test_direct_sum_max_rule_and_weights(self, pr):
         ds = cx.direct_sum(pr, cx.pr_box(alpha=0.5))
@@ -295,7 +291,6 @@ class TestXmax:
     def test_report_fields(self, pr):
         report = cx.x_max(pr, outer_window=10)
         assert report.outer_weights is not None
-        assert report.method.startswith("mw-ascent")
         assert report.duality_gap >= 0.0
 
 

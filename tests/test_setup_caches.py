@@ -216,7 +216,7 @@ def xu_fields(report):
 
 
 def xmax_fields(report):
-    return xu_fields(report) + (report.outer_weights.weights.tobytes(), report.outer_gap)
+    return xu_fields(report) + (report.outer_weights.weights.tobytes(),)
 
 
 def cost_fields(report):

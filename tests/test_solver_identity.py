@@ -530,13 +530,12 @@ def reference_x_max(box, tol, max_iters):
     p = ascents[0][2] if len(parts) == 1 else reference_product(g, [a[2] for a in ascents])
     gap = max(upper - lowers[k], 0.0)
     return (upper, gap, sum(a[4] for a in ascents), gap <= tol + 1e-14, weights.tobytes(),
-            0.0, p.tobytes()), any(a[5] for a in ascents)
+            p.tobytes()), any(a[5] for a in ascents)
 
 
 def fields(report):
     return (report.value, report.duality_gap, report.iterations, report.converged,
-            report.outer_weights.weights.tobytes(), report.outer_gap,
-            report.optimizer.probabilities.tobytes())
+            report.outer_weights.weights.tobytes(), report.optimizer.probabilities.tobytes())
 
 
 def assert_same_x_max(report, expected, exited):
@@ -547,7 +546,7 @@ def assert_same_x_max(report, expected, exited):
         assert got == expected
         return
     assert (got[2], got[3]) == (expected[2], expected[3])
-    for a, b in ((got[0], expected[0]), (got[1], expected[1]), (got[5], expected[5])):
+    for a, b in ((got[0], expected[0]), (got[1], expected[1])):
         assert abs(a - b) <= 1e-12
     weights = np.frombuffer(got[4]), np.frombuffer(expected[4])
     assert np.abs(weights[0] - weights[1]).max() <= 1e-12

@@ -10,6 +10,7 @@ from test_incidence import hypergraphs
 from test_polytope import vertices
 
 import contextuality as cx
+from contextuality import symmetry
 from contextuality.sampling import random_consistent_box
 from contextuality.symmetry import _binary_flip_element, compose, identity_element, inverse
 
@@ -220,10 +221,11 @@ class TestGenerateGroup:
             images = {element.context_image[0] for element in grp.elements}
             assert images == set(range(n))
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         gens = cx.builtin_generators("PM")
+        monkeypatch.setattr(symmetry, "DEFAULT_GROUP_CAP", 10)
         with pytest.raises(cx.CapExceededError):
-            cx.generate_group(list(gens), cap=10)
+            cx.generate_group(list(gens))
 
     @pytest.mark.parametrize("name,order", [("PM", 1152), ("M", 640)])
     def test_closure_calls_no_constructor(self, name, order, monkeypatch):

@@ -78,8 +78,7 @@ def test_x_max_reaches_previous_ascent(box):
     report = cx.x_max(box, outer_window=40)
     value, gap, upper = previous_x_max(box, outer_window=40)
     assert report.value >= value - 1e-12
-    assert report.outer_gap <= 1e-6
-    lower, top = report.value - report.duality_gap, report.value + report.outer_gap
+    lower, top = report.value - report.duality_gap, report.value
     assert lower <= report.value <= top
     # Each lower bound lies below the other run's upper bound, up to rounding.
     assert value - gap <= top and lower <= upper + 1e-12
@@ -150,7 +149,6 @@ def test_bracket_is_sound(box, draw_seed):
     report = cx.x_max(box)
     lower = report.value - report.duality_gap
     assert report.converged and report.duality_gap <= measures.DEFAULT_TOL
-    assert report.outer_gap == 0.0
     assert abs(report.value - max_divergence(box, report.optimizer.probabilities)) <= 1e-12
     assert lower <= max_divergence(box, cx.x_u(box).optimizer.probabilities) + 1e-12
     assert lower <= cx.x_fixed(box, report.outer_weights).value + 1e-12
@@ -198,7 +196,7 @@ def test_direct_sum_brackets_its_larger_part():
     kcbs = cx.x_max(cx.kcbs_box())
     report = cx.x_max(cx.direct_sum(cx.kcbs_box(), cx.chain_box(8, 0.95)))
     assert abs(report.value - kcbs.value) <= 1e-7
-    assert report.value - report.duality_gap <= kcbs.value <= report.value + report.outer_gap
+    assert report.value - report.duality_gap <= kcbs.value <= report.value
     assert report.converged
 
 

@@ -463,9 +463,10 @@ class ContextIncidence:
     ``columns`` builds dense rows of M, on every joint index, only for the
     caller that asks for them; ``dense`` is the whole of M, built by it on
     first use, as floats, but only where M has at most ``DENSE_ENTRIES_CAP``
-    entries: 8 MB at most.  ``least_norm`` is ``M^+`` in closed form, and
-    ``fit`` moves a joint onto given marginals with both: the step of the
-    witness route (``projected_joint``) and of the entropy solver's own
+    entries: 8 MB at most.  ``dense_rows`` gives a support's rows within the
+    same cap; both read it at call time.  ``least_norm`` is ``M^+`` in
+    closed form, and ``fit`` moves a joint onto given marginals with it and
+    ``dense``: the step of the witness route (``projected_joint``) and of the entropy solver's own
     projection tries.  The entropy solver reads them on small boxes; the
     cost LP's rows and its pricing come from
     ``junction_tree``, and the consistency check reads the overlapping
@@ -651,15 +652,35 @@ class ContextIncidence:
             out[(table + grid).ravel()] = 1
         return out[: size * n].reshape(size, n)
 
-    @cached_property
+    def _fits(self, n_rows: int) -> bool:
+        """Whether ``n_rows`` dense rows of M fit ``DENSE_ENTRIES_CAP``: the
+        one reading of the cap, at call time, so a patch of it holds at once
+        and leaves nothing cached behind."""
+        return n_rows * self._joint_dim <= DENSE_ENTRIES_CAP
+
+    @property
     def dense(self) -> np.ndarray | None:
-        """All of M, ``columns`` on every stacked row, read-only; None, with
-        nothing built, where M has more than ``DENSE_ENTRIES_CAP`` entries."""
-        if self.dim * self._joint_dim > DENSE_ENTRIES_CAP:
-            return None
+        """All of M, ``columns`` on every stacked row, read-only, built once;
+        None, with nothing built, where M has more than ``DENSE_ENTRIES_CAP``
+        entries."""
+        return self._dense if self._fits(self.dim) else None
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         out = self.columns(np.arange(self.dim))
         out.flags.writeable = False
         return out
+
+    def dense_rows(self, support: np.ndarray) -> np.ndarray | None:
+        """Dense ``M[support]`` (increasing rows): ``dense`` itself on every
+        row, its rows where it is held, else built by ``columns``; None, with
+        nothing built, where they have more than ``DENSE_ENTRIES_CAP`` entries."""
+        if not self._fits(support.size):
+            return None
+        full = self.dense
+        if full is None:
+            return self.columns(support)
+        return full if support.size == self.dim else full[support]
 
     def least_norm(self, u: np.ndarray) -> np.ndarray:
         """A stacked y with ``M^T y = M^+ u`` for u in M's range; no matrix is

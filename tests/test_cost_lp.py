@@ -19,7 +19,7 @@ from test_dense_solver import ANCHORS, shuffled, sparse_box
 from test_polytope import dense_reference_cost, seeded_boxes, ternary_cycle_box
 
 import contextuality as cx
-from contextuality import boxes, measures, polytope
+from contextuality import boxes, polytope
 from contextuality.boxes import JOINT_DIM_CAP, JunctionTree, junction_tree_joint
 from contextuality.cli import main
 from contextuality.closed_form import cost_closed_form, nc_interval
@@ -926,7 +926,7 @@ def test_boxes_without_a_projection_build_no_matrix(box):
     ``DENSE_ENTRIES_CAP`` (M + PR: 96 rows of 2^14 cells), is refused the
     projection before any matrix is built, and gets the LP's report."""
     g = box.hypergraph
-    assert box.stacked().min() == 0.0 or g.incidence.dim * g.joint_dim > measures.DENSE_ENTRIES_CAP
+    assert box.stacked().min() == 0.0 or g.incidence.dim * g.joint_dim > boxes.DENSE_ENTRIES_CAP
     expected = cost_fields(polytope._tree_lp(box))
     columns = boxes.ContextIncidence.columns
     with mock.patch.object(boxes.ContextIncidence, "columns", autospec=True, side_effect=columns) as spy:

@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_incidence import hypergraphs
@@ -15,7 +16,7 @@ from contextuality.boxes import ContextIncidence
 
 def implicit_only():
     """Build every problem in the block on the operator's tensor reductions."""
-    return mock.patch.object(measures, "DENSE_ENTRIES_CAP", 0)
+    return mock.patch.object(boxes, "DENSE_ENTRIES_CAP", 0)
 
 
 def both_paths(box, weights):
@@ -134,8 +135,27 @@ def test_support_rows_agree_where_m_is_over_the_cap():
 def test_no_dense_matrix_above_cap():
     box = cx.chain_box(16)
     problem = measures._FixedWeightProblem(box, cx.ContextWeights.uniform(16))
-    assert problem.support.size * box.hypergraph.joint_dim > measures.DENSE_ENTRIES_CAP
+    assert problem.support.size * box.hypergraph.joint_dim > boxes.DENSE_ENTRIES_CAP
     assert problem.dense is None
+
+
+@pytest.mark.parametrize("first_read", ["outside", "inside"])
+def test_dense_cap_read_at_call_time(first_read):
+    """``boxes.DENSE_ENTRIES_CAP`` patched to 0 holds at once for the
+    incidence's M and for a new problem's rows, whether M was read before the
+    patch or first under it; after the patch M is back, and a problem holds
+    it again."""
+    boxes._incidence.cache_clear()
+    box = cx.pr_box(0.9)
+    op, weights = box.hypergraph.incidence, cx.ContextWeights.uniform(4)
+    if first_read == "outside":
+        assert op.dense is not None
+    with mock.patch.object(boxes, "DENSE_ENTRIES_CAP", 0):
+        assert op.dense is None
+        assert measures._FixedWeightProblem(box, weights).dense is None
+    full = op.dense
+    assert full is not None and full.shape == (op.dim, box.hypergraph.joint_dim)
+    assert measures._FixedWeightProblem(box, weights).dense is full
 
 
 def test_x_max_builds_one_matrix():

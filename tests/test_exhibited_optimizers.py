@@ -223,8 +223,7 @@ def test_projection_step_is_clamped():
     # This M exceeds the cap that holds outside the test, so it goes in an
     # incidence of its own, and the shared ones are kept.
     own = functools.lru_cache(maxsize=1)(boxes._incidence.__wrapped__)
-    with mock.patch.object(measures, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap), \
-            mock.patch.object(boxes, "_incidence", own):
+    with mock.patch.object(boxes, "DENSE_ENTRIES_CAP", cap), mock.patch.object(boxes, "_incidence", own):
         g = cx.Hypergraph([(f"O{i}", 2) for i in range(11)], [list(range(10)), [9, 10], [10, 0]])
         joint = np.full(g.joint_dim, 1e-9)
         joint[0] = 1.0

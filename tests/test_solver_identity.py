@@ -10,7 +10,7 @@ step builds a new problem from validated ``ContextWeights``.
 components on their own (``reference_parts``).  Like ``plain_em`` in
 ``test_measures.py`` they are an oracle.
 
-The oracle also has the solver's three exits at an exhibited optimizer,
+The oracle also has the solver's exits at an exhibited optimizer,
 written independently: the isotropic start from ``reference_candidate``
 (beta by brute force over every assignment), kept if it certifies; a joint
 with the box's marginals at iterations 1, 2, 4, 8, ... while the best lower
@@ -20,22 +20,28 @@ projection try, under the route's stop rule), later made from the iterate
 (``reference_projection``), each one sweep of iterative proportional
 fitting over the contexts, one multiplicative step toward the marginals and
 the orthogonal projection, each pseudo-inverse by ``lstsq`` on an incidence
-matrix built from ``brute_rows``; and at iterations 2, 4, 8, ... of
-``x_fixed``'s loop, unless
+matrix built from ``brute_rows`` (``brute_incidence``, made once per
+hypergraph); and at iterations 2, 4, 8, ... of ``x_fixed``'s loop, unless
 that projection missed by less negative mass than ``boxes.CONTEXTUAL_MISS``,
 the optimizer on the face of cells where the field is at least
 ``measures._FACE_SHARE`` of its largest entry (``reference_face``): Newton
 steps in the joint, each the least-norm solution by ``lstsq`` of the
-equality-constrained Newton system on the same incidence.  Every lower end
-is the iterate's value less ``log2(max r)``.  Where no exit fires, the
-library must give the same values, gaps, iteration counts, traces and
-optimizers bit for bit, as the loop without the exits does.  Where one
-fires, it must stop at the same iteration with the same convergence, its
-value and gap within 1e-12 of the oracle's, and an optimizer whose context
-marginals match the box within 1e-12 (a projection) or that is within
-1e-12 of the oracle's candidate or face joint.
+equality-constrained Newton system on the same incidence.  At the same
+iterations under the same rule, ``x_max``'s loop tries instead its saddle
+on a face (``reference_saddle``): Newton steps in the cell space for the
+joint on a face, the weights and the value, each by ``lstsq`` of the
+bordered system on the same incidence, certified by its own two ends.
+Every lower end is the iterate's value less ``log2(max r)``.  Where no exit
+fires, the library must give the same values, gaps, iteration counts,
+traces and optimizers bit for bit, as the loop without the exits does.
+Where one fires, it must stop at the same iteration with the same
+convergence, its value and gap within 1e-12 of the oracle's, and an
+optimizer whose context marginals match the box within 1e-12 (a
+projection) or that is within 1e-12 of the oracle's candidate or face
+joint; for ``x_max``, weights within 1e-12 of the oracle's.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -156,17 +162,28 @@ def reference_candidate(box):
     return p
 
 
+@functools.lru_cache(maxsize=16)
+def brute_incidence(g):
+    """``brute_rows`` of ``g`` and the incidence M they give, one row per
+    stacked context outcome and one column per joint index, made once per
+    hypergraph and read-only."""
+    rows = brute_rows(g)
+    incidence = np.zeros((sum(g.context_dim(ci) for ci in range(g.n_contexts)), rows.shape[0]))
+    for hit in rows.T:
+        incidence[hit, np.arange(rows.shape[0])] = 1.0
+    rows.flags.writeable = incidence.flags.writeable = False
+    return rows, incidence
+
+
 def reference_sweep(problem, p):
     """From ``p``: one sweep of iterative proportional fitting, context by
     context, that rescales each context's marginal to its table; the
     exponent ``N z`` of the step toward the marginals, with
     ``z = M^+ (b - M q)`` by ``lstsq`` and N the joint's size, unclamped;
-    and the full incidence M, built from ``brute_rows``."""
-    rows, b = brute_rows(problem.g), problem.targets
-    incidence = np.zeros((b.size, rows.shape[0]))
+    and the full incidence M (``brute_incidence``)."""
+    (rows, incidence), b = brute_incidence(problem.g), problem.targets
     q = p.copy()
     for hit in rows.T:
-        incidence[hit, np.arange(rows.shape[0])] = 1.0
         marginal = np.bincount(hit, weights=q, minlength=b.size)
         q = q * b[hit] / marginal[hit]
     return q, q.size * np.linalg.lstsq(incidence, b - incidence @ q, rcond=None)[0], incidence
@@ -231,10 +248,7 @@ def reference_face(problem, p, r):
     decrement ``g.d`` is at most ``measures._FACE_DECREMENT``.  None if a
     row of L meets no mass, or no halving keeps x nonnegative.  The joint
     is x on A and 0 elsewhere, floored and normalized by ``reference_step``."""
-    rows, b = brute_rows(problem.g), problem.targets
-    incidence = np.zeros((b.size, rows.shape[0]))
-    for hit in rows.T:
-        incidence[hit, np.arange(rows.shape[0])] = 1.0
+    incidence, b = brute_incidence(problem.g)[1], problem.targets
     graph = problem.g
     a = np.repeat(problem.weights, [graph.context_dim(ci) for ci in range(graph.n_contexts)]) * b
     face = np.flatnonzero(r >= measures._FACE_SHARE * r.max())
@@ -264,6 +278,86 @@ def reference_face(problem, p, r):
     q = np.zeros(p.size)
     q[face] = x
     return reference_step(q, 1.0, 1.0)
+
+
+def reference_saddle(problem, p, r):
+    """The saddle exit's joint and weights at the iterate ``p`` with field
+    ``r``, or None.
+
+    It starts at ``reference_face``'s joint q.  The face A holds the cells
+    where the field at q is at least ``measures._SADDLE_SHARE`` of its
+    largest entry, and x starts as q on A, normalized; every context with
+    positive weight is active.  With L the rows of positive target of the
+    active contexts in the incidence built from ``brute_rows``, restricted
+    to A, t their targets, y = t / (L x) and E each row's active context
+    as an indicator, each Newton step solves, by ``lstsq`` in the cell
+    space, the bordered system
+
+        [[H, -C, 0, 1], [C^T, 0, 1, 0], [1^T, 0, 0, 0], [0, 1^T, 0, 0]] [d; v; V; mu] = [0; D; 0; 1]
+
+    with ``C = L^T diag(y) E``, ``H = L^T diag(y (E w) / Lx) L`` and D the
+    active contexts' divergences in nats: ``r = mu`` on A, ``D_c = V``,
+    ``sum d = 0`` and ``sum v = 1``, linearized at x for the new weights v.
+    If v has a negative entry, those contexts are dropped, their weights
+    set to 0, the rest renormalized, and the step is solved again.  Else w
+    takes v on the active contexts, and d is halved until ``x + d >= 0``
+    at most ``measures._FACE_HALVINGS`` times.  At most
+    ``measures._SADDLE_STEPS`` steps, stopped after a full one whose largest
+    entry of d is at most ``measures._SADDLE_MOVE``.  The joint is x on A,
+    0 elsewhere, floored and normalized by ``reference_step``, and the
+    weights are w normalized.  None where the face joint is None, a row of
+    L meets no mass, or no halving keeps x nonnegative."""
+    q = reference_face(problem, p, r)
+    if q is None:
+        return None
+    r = reference_evaluate(problem, q)[1]
+    face = np.flatnonzero(r >= measures._SADDLE_SHARE * r.max())
+    incidence, graph = brute_incidence(problem.g)[1], problem.g
+    context = np.repeat(np.arange(graph.n_contexts), [graph.context_dim(ci) for ci in range(graph.n_contexts)])
+    x, w = q[face] / q[face].sum(), problem.weights.copy()
+    active = w > 0.0
+    n = face.size
+    for _ in range(measures._SADDLE_STEPS):
+        rows = active[context] & (problem.targets > 0.0)
+        L, t = incidence[rows][:, face], problem.targets[rows]
+        members = np.flatnonzero(active)
+        E = (context[rows][:, None] == members).astype(float)
+        m = members.size
+        u = L @ x
+        if u.min() <= 0.0:
+            return None
+        y = t / u
+        C = L.T @ (y[:, None] * E)
+        H = L.T @ (L * (y * (E @ w[active]) / u)[:, None])
+        kkt = np.zeros((n + m + 2, n + m + 2))
+        kkt[:n, :n], kkt[:n, n:n + m], kkt[:n, -1] = H, -C, 1.0
+        kkt[n:n + m, :n], kkt[n:n + m, n + m] = C.T, 1.0
+        kkt[n + m, :n] = 1.0
+        kkt[-1, n:n + m] = 1.0
+        rhs = np.zeros(n + m + 2)
+        rhs[n:n + m] = E.T @ (t * np.log(y))
+        rhs[-1] = 1.0
+        solved = np.linalg.lstsq(kkt, rhs, rcond=1e-10)[0]
+        v, d = solved[n:n + m], solved[:n]
+        if v.min() <= 0.0:
+            active[members[v <= 0.0]] = False
+            w[members[v <= 0.0]] = 0.0
+            w = w / w.sum()
+            continue
+        w[active] = v
+        step = 1.0
+        for _ in range(measures._FACE_HALVINGS):
+            if (x + step * d).min() >= 0.0:
+                break
+            step *= 0.5
+        else:
+            return None
+        x = x + step * d
+        if step == 1.0 and np.abs(d).max() <= measures._SADDLE_MOVE:
+            break
+    q = np.zeros(p.size)
+    q[face] = x
+    return reference_step(q, 1.0, 1.0), w / w.sum()
 
 
 def reference_solve_fixed(problem, tol, max_iters, init=None, candidate=None, exits=True):
@@ -424,9 +518,13 @@ def reference_divergences(problem, p):
 def reference_ascent(box, tol, max_iters):
     """The loop in the joint and the weights on one connected box, a new
     problem per weight step: the start, the steps in p and the projection
-    exit of ``reference_solve_fixed`` (not its face exit), with the least
-    ``max_c D_c`` seen as the upper end and the best ``value - gap`` seen as
-    the lower end.  After each step in p, while the gap is at most half the
+    exit of ``reference_solve_fixed``, with the least ``max_c D_c`` seen as
+    the upper end and the best ``value - gap`` seen as the lower end.  In
+    place of the face exit, at the same iterations under the same rule,
+    ``reference_saddle`` at the current weights; where its joint's
+    ``max_c D_c`` less its ``value - gap`` at its weights, on a problem
+    built at those weights, is within tol, the loop stops with those two
+    ends and those weights.  After each step in p, while the gap is at most half the
     bracket, the weights' base-2 logarithms move by ``eta * (d - max d)``;
     eta starts at ``measures._ETA0``, and from the second weight step on is multiplied by
     0.5 if ``max d - w.d`` grew since the last one, else by 1.1, and clamped
@@ -456,9 +554,12 @@ def reference_ascent(box, tol, max_iters):
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
-        if lower <= 0.0 and math.log2(iteration).is_integer():
+        power, miss = math.log2(iteration).is_integer(), math.inf
+        if lower <= 0.0 and power:
             q = reference_witness(problem) if iteration == 1 else reference_projection(problem, p)
-            if q is not None and q.min() >= 0.0:
+            if q is not None:
+                miss = -q[q < 0.0].sum()
+            if miss == 0.0:
                 q = q / q.sum()
                 q_value, _, q_gap = reference_evaluate(problem, q)
                 q_lower = max(lower, min(q_value - q_gap, 0.0))
@@ -467,6 +568,17 @@ def reference_ascent(box, tol, max_iters):
                     if q_lower > lower:
                         lower_w = w
                     p_upper, upper, lower, exit = q, q_upper, q_lower, "projection"
+                    gap = max(upper - lower, 0.0)
+                    break
+        if iteration > 1 and power and problem.dense is not None and miss >= boxes.CONTEXTUAL_MISS:
+            found = reference_saddle(problem, p, r)
+            if found is not None:
+                q, q_w = found
+                at_q = measures._FixedWeightProblem(box, cx.ContextWeights(q_w))
+                q_value, _, q_gap = reference_evaluate(at_q, q)
+                q_upper = float(reference_divergences(at_q, q).max())
+                if q_upper - (q_value - q_gap) <= tol:
+                    p_upper, upper, lower, lower_w, exit = q, q_upper, q_value - q_gap, q_w, "saddle"
                     gap = max(upper - lower, 0.0)
                     break
         trial = reference_step(p, r, omega)
@@ -617,7 +729,7 @@ def test_x_fixed_matches_reference(box, draw_seed, implicit):
     it starts from the junction-tree joint, which the tests of
     ``test_junction_tree.py`` cover."""
     weights = sparse_weights(box.hypergraph.n_contexts, np.random.default_rng(draw_seed))
-    with mock.patch.object(measures, "DENSE_ENTRIES_CAP", 0 if implicit else measures.DENSE_ENTRIES_CAP):
+    with mock.patch.object(boxes, "DENSE_ENTRIES_CAP", 0 if implicit else boxes.DENSE_ENTRIES_CAP):
         problem = measures._FixedWeightProblem(box, weights)
         solved = measures._solve_fixed(problem, 1e-9, 3000)
         report = cx.x_fixed(box, weights, tol=1e-9, max_iters=3000)
@@ -714,7 +826,7 @@ def test_x_max_support_change_matches_reference(anchor):
         with builds as columns:
             report = cx.x_max(box, max_iters=2000, outer_window=8)
         assert columns.call_count == 1
-        assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000)[0]
+        assert_same_x_max(report, *reference_x_max(box, measures.DEFAULT_TOL, 2000))
         with implicit_only():
             report = cx.x_max(box, max_iters=2000, outer_window=8)
-            assert fields(report) == reference_x_max(box, measures.DEFAULT_TOL, 2000)[0]
+            assert_same_x_max(report, *reference_x_max(box, measures.DEFAULT_TOL, 2000))

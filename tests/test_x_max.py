@@ -11,13 +11,15 @@ one, and the earlier lower bound must lie below the new upper bound.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_dense_solver import ANCHORS, SUM_ANCHOR, shuffled, sparse_box
-from test_solver_identity import dense_box, max_divergence
+from test_incidence import hypergraphs
+from test_solver_identity import brute_incidence, dense_box, max_divergence
 
 import contextuality as cx
 from contextuality import measures
@@ -82,6 +84,63 @@ def test_x_max_reaches_previous_ascent(box):
     assert lower <= report.value <= top
     # Each lower bound lies below the other run's upper bound, up to rounding.
     assert value - gap <= top and lower <= upper + 1e-12
+
+
+@st.composite
+def saddle_boxes(draw):
+    """Binary and ternary boxes: one of ``ANCHORS`` (the ternary 4-cycle among
+    them) mixed with a dense or a sparse joint's box at a weight in
+    U(0.5, 1), or a dense joint's box on a random hypergraph."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "joint"]))
+    if kind == "joint":
+        return dense_box(draw(hypergraphs()), rng)
+    anchor = ANCHORS[int(rng.integers(len(ANCHORS)))]
+    noise = dense_box if kind == "dense" else sparse_box
+    return shuffled(cx.mix(anchor, noise(anchor.hypergraph, rng), float(rng.uniform(0.5, 1.0))), rng)
+
+
+def lower_end(box, p, weights):
+    """``F_w(p) - log2 max r_w(p)`` at a joint p and weights w, from the
+    incidence of ``brute_rows``: one ``relative_entropy`` per context, and
+    ``r_w = M^T (w t / M p)`` on every cell."""
+    g = box.hypergraph
+    incidence, t = brute_incidence(g)[1], box.stacked()
+    m = incidence @ p
+    bounds = np.cumsum([0] + [g.context_dim(ci) for ci in range(g.n_contexts)])
+    value = sum(w * cx.relative_entropy(t[a:b], m[a:b]) for w, a, b in zip(weights, bounds, bounds[1:]))
+    rows = np.repeat(weights, np.diff(bounds)) * np.divide(t, m, out=np.zeros_like(t), where=t > 0.0)
+    return value - math.log2((incidence.T @ rows).max())
+
+
+@seed(20261120)
+@settings(max_examples=40, deadline=None)
+@given(box=saddle_boxes())
+def test_saddle_exit_against_the_loop(box):
+    """``x_max`` with its saddle exit against the loop with it patched off
+    (at most 3,000 iterations): the brackets ``[value - duality_gap,
+    value]`` overlap.  Where the exit fires, the report's two ends are its
+    own: the value is ``max_c D_c`` at the optimizer, and the lower end is
+    ``F_w - log2 max r_w`` at the optimizer and ``outer_weights``."""
+    saddles = []
+    saddle = measures._FixedWeightProblem.saddle
+
+    def spy(problem, p, r, r_max):
+        found = saddle(problem, p, r, r_max)
+        saddles.append(found)
+        return found
+
+    with mock.patch.object(measures._FixedWeightProblem, "saddle", autospec=True, side_effect=spy):
+        report = cx.x_max(box)
+    with mock.patch.object(measures._FixedWeightProblem, "saddle", return_value=None):
+        loop = cx.x_max(box, max_iters=3000)
+    assert report.value - report.duality_gap <= loop.value + 1e-12
+    assert loop.value - loop.duality_gap <= report.value + 1e-12
+    p, weights = report.optimizer.probabilities, report.outer_weights.weights
+    if any(found is not None and np.array_equal(found[0], p) for found in saddles):
+        assert report.converged and report.duality_gap <= measures.DEFAULT_TOL
+        assert report.value == max_divergence(box, p)
+        assert abs(report.value - report.duality_gap - lower_end(box, p, weights)) <= 1e-12
 
 
 def observable_marginal(box, i):

@@ -173,10 +173,6 @@ class Hypergraph:
         return tuple(card for _, card in self.observables)
 
     @cached_property
-    def context_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(c) for c in self.contexts)
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Number of contexts each observable belongs to."""
         deg = [0] * self.n_observables
@@ -259,7 +255,7 @@ class Hypergraph:
 
     @cached_property
     def _context_index(self) -> dict[frozenset[int], int]:
-        return {s: ci for ci, s in enumerate(self.context_sets)}
+        return {frozenset(c): ci for ci, c in enumerate(self.contexts)}
 
     def find_context(self, observables: Iterable[int]) -> int:
         """Index of the context equal (as a set) to ``observables``; -1 if absent."""
@@ -469,10 +465,12 @@ class ContextIncidence:
     ``dense``: the step of the witness route (``projected_joint``) and of the entropy solver's own
     projection tries.  The entropy solver reads them on small boxes; the
     cost LP's rows and its pricing come from
-    ``junction_tree``, and the consistency check reads the overlapping
-    pairs of contexts (``_overlaps``) and their index (``_overlap_index``).
-    ``parity_classes`` labels each row with its context's even or odd
-    outcomes.  This module is the only code that knows the stacked layout.
+    ``junction_tree``.  The consistency check reads the incidence's one
+    list of overlapping pairs of contexts (``_overlaps``) and its index
+    arrays over those pairs (``_overlap_index``).  ``parity_classes`` labels
+    each row with its context's even or odd outcomes, from which
+    ``context_parities`` reads each context's parity.  This module is the
+    only code that knows the stacked layout.
     All of it is index data, read-only, made on first use from the
     cardinalities and the context list alone, so equal hypergraphs share
     one incidence (``_incidence``).
@@ -750,13 +748,42 @@ class ContextIncidence:
 
     @cached_property
     def _overlaps(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """The consistency check's overlapping pairs of contexts (see ``_overlaps``)."""
-        return _overlaps(self.contexts)
+        """``(a, b, shared observables in increasing order)`` for each pair of
+        contexts that share an observable, ``a < b``, in lexicographic order:
+        the pairs the consistency check compares."""
+        out = []
+        for a, b in itertools.combinations(range(len(self.contexts)), 2):
+            shared = set(self.contexts[a]) & set(self.contexts[b])
+            if shared:
+                out.append((a, b, tuple(sorted(shared))))
+        return tuple(out)
 
     @cached_property
     def _overlap_index(self) -> tuple:
-        """The consistency check's index arrays (see ``_overlap_index``)."""
-        return _overlap_index(self.joint_shape, self.contexts)
+        """Index arrays that give every overlapping pair's shared marginals from
+        one ``bincount``: ``(rows, cells, size, left, right, starts)``, read-only.
+
+        Each context's marginal on each observable set it shares with another
+        context is made once, however many pairs share it, among the ``size``
+        cells of all of them (``_marginal_index``).  Pair k of ``_overlaps``
+        compares the cells ``left[starts[k]:starts[k + 1]]`` of its first
+        context's marginal with the cells ``right[...]`` of its second's.  There
+        is no array per pair, so the arrays are linear in the pairs' shared cells
+        and in the contexts' rows times the marginals each gives.
+        """
+        cards, pairs = self.joint_shape, self._overlaps
+        homes = list(dict.fromkeys((c, shared) for a, b, shared in pairs for c in (a, b)))
+        rows, cells, firsts = _marginal_index(cards, self.contexts, homes)
+        first = dict(zip(homes, firsts))
+        widths = [math.prod(cards[i] for i in shared) for _, _, shared in pairs]
+        starts = np.cumsum([0] + widths)
+        within = np.arange(starts[-1]) - np.repeat(starts[:-1], widths)
+        return (
+            rows, cells, firsts[-1],
+            _frozen_array(np.repeat([first[a, s] for a, _, s in pairs], widths) + within, np.int64),
+            _frozen_array(np.repeat([first[b, s] for _, b, s in pairs], widths) + within, np.int64),
+            _frozen_array(starts[:-1], dtype=np.int64),
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -1180,44 +1207,6 @@ class ConsistencyReport:
     violations: tuple[ConsistencyViolation, ...]
 
 
-def _overlaps(contexts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """``(a, b, shared observables in increasing order)`` for each pair of
-    contexts that share an observable, ``a < b``, in lexicographic order."""
-    out = []
-    for a, b in itertools.combinations(range(len(contexts)), 2):
-        shared = set(contexts[a]) & set(contexts[b])
-        if shared:
-            out.append((a, b, tuple(sorted(shared))))
-    return tuple(out)
-
-
-def _overlap_index(cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]) -> tuple:
-    """Index arrays that give every overlapping pair's shared marginals from
-    one ``bincount``: ``(rows, cells, size, left, right, starts)``, read-only.
-
-    Each context's marginal on each observable set it shares with another
-    context is made once, however many pairs share it, among the ``size``
-    cells of all of them (``_marginal_index``).  Pair k of ``_overlaps``
-    compares the cells ``left[starts[k]:starts[k + 1]]`` of its first
-    context's marginal with the cells ``right[...]`` of its second's.  There
-    is no array per pair, so the arrays are linear in the pairs' shared cells
-    and in the contexts' rows times the marginals each gives.
-    """
-    pairs = _overlaps(contexts)
-    homes = list(dict.fromkeys((c, shared) for a, b, shared in pairs for c in (a, b)))
-    rows, cells, firsts = _marginal_index(cards, contexts, homes)
-    first = dict(zip(homes, firsts))
-    widths = [math.prod(cards[i] for i in shared) for _, _, shared in pairs]
-    starts = np.cumsum([0] + widths)
-    within = np.arange(starts[-1]) - np.repeat(starts[:-1], widths)
-    return (
-        rows, cells, firsts[-1],
-        _frozen_array(np.repeat([first[a, s] for a, _, s in pairs], widths) + within, np.int64),
-        _frozen_array(np.repeat([first[b, s] for _, b, s in pairs], widths) + within, np.int64),
-        _frozen_array(starts[:-1], dtype=np.int64),
-    )
-
-
 def _shared_marginal_tvs(box: Box):
     """``(a, b, shared observables, TV distance)`` per pair of overlapping
     contexts, every distance from one ``bincount`` (see ``_overlap_index``)."""
@@ -1374,29 +1363,29 @@ def parity_distribution(m: int, parity: int) -> np.ndarray:
     return vec
 
 
-@functools.lru_cache(maxsize=64)
-def _parity_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only P_even and P_odd on m bits."""
-    return _frozen_array(parity_distribution(m, 0)), _frozen_array(parity_distribution(m, 1))
+def context_parities(box: Box) -> tuple[int | None, ...]:
+    """Each context's parity: 0/1 if its distribution is P_even/P_odd within
+    ``PARITY_TOL`` on every entry, even tried first, else None.
 
-
-def context_parity(box: Box, ci: int) -> int | None:
-    """0/1 if the context distribution is P_even/P_odd within ``PARITY_TOL``, else None.
-
-    Each entry must be within the tolerance; a NaN entry matches neither parity.
+    A context with a non-binary observable reads None, and so does one with
+    a NaN entry.  One pass over the stacked vector takes each context's
+    largest deviation from both targets.
     """
-    ctx = box.hypergraph.contexts[ci]
-    if any(box.hypergraph.cardinalities[i] != 2 for i in ctx):
-        return None
-    vec = box.distributions[ci]
-    m = len(ctx)
-    if vec.size != 2**m:
-        return None
-    for parity, target in enumerate(_parity_vectors(m)):
-        # A NaN makes the maximum NaN, which compares false.
-        if np.abs(vec - target).max() <= PARITY_TOL:
-            return parity
-    return None
+    op = box.hypergraph.incidence
+    # Every cardinality is at least 2, so a context of m observables is binary
+    # iff it has 2^m outcomes; P_even is then 2 / 2^m on its even outcomes and
+    # 0 on its odd ones.
+    dims = np.array(op.dims)
+    odd = op.parity_classes % 2 == 1
+    mass = np.repeat(2.0 / dims, dims)
+    stacked, starts = box.stacked(), op.offsets[:-1]
+    far_even = np.maximum.reduceat(np.abs(stacked - np.where(odd, 0.0, mass)), starts)
+    far_odd = np.maximum.reduceat(np.abs(stacked - np.where(odd, mass, 0.0)), starts)
+    # A NaN makes a maximum NaN, which compares false.
+    return tuple(
+        None if dim != 2 ** len(ctx) else 0 if e <= PARITY_TOL else 1 if o <= PARITY_TOL else None
+        for ctx, dim, e, o in zip(op.contexts, op.dims, far_even.tolist(), far_odd.tolist())
+    )
 
 
 class ParityMixture(NamedTuple):
@@ -1502,18 +1491,17 @@ def _projected_joint(box: Box) -> np.ndarray | None:
 
 
 def opposite(box: Box) -> Box:
-    """Swap P_even and P_odd on every context of an xor-box."""
+    """Swap P_even and P_odd on every context of an xor-box, whose contexts
+    may differ in size; refuses, naming it, the first context that
+    ``context_parities`` reads as neither."""
     require_valid(box)
-    dists = []
-    for ci in range(box.hypergraph.n_contexts):
-        parity = context_parity(box, ci)
-        if parity is None:
-            raise NotXorBoxError(
-                f"context {ci} is not a parity-class distribution; opposite() needs an xor-box"
-            )
-        m = len(box.hypergraph.contexts[ci])
-        dists.append(parity_distribution(m, 1 - parity))
-    return Box(box.hypergraph, dists)
+    parities = context_parities(box)
+    if None in parities:
+        raise NotXorBoxError(
+            f"context {parities.index(None)} is not a parity-class distribution; opposite() needs an xor-box"
+        )
+    return Box(box.hypergraph, [parity_distribution(len(ctx), 1 - parity)
+                                for ctx, parity in zip(box.hypergraph.contexts, parities)])
 
 
 def _merged_observables(g1: Hypergraph, g2: Hypergraph) -> tuple[tuple[str, int], ...]:

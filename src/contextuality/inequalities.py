@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import PARITY_TOL, Box, require_valid
+from .boxes import Box, context_parities, require_valid
 from .closed_form import nc_interval
 from .errors import HypergraphMismatchError, NotXorBoxError
 from .polytope import optimize_linear
@@ -41,37 +41,18 @@ class XorBoxProfile:
 
 
 def classify_xor(box: Box) -> XorBoxProfile | None:
-    """Profile of ``box`` if every context is P_even or P_odd, else None.
-
-    Parities are read as by :func:`~contextuality.boxes.context_parity`:
-    every entry within ``PARITY_TOL`` of the target, even tried first, and a
-    NaN entry matches neither.  One pass over the stacked vector takes each
-    context's largest deviation from both targets.
-    """
+    """Profile of ``box`` if every context is P_even or P_odd, each read by
+    :func:`~contextuality.boxes.context_parities`, and all contexts have one
+    size; else None."""
     require_valid(box)
+    parities = context_parities(box)
     g = box.hypergraph
-    if any(card != 2 for card in g.cardinalities):
-        return None
     sizes = {len(c) for c in g.contexts}
-    if len(sizes) != 1:
-        return None
-    m = sizes.pop()
-    op = g.incidence
-    # P_even is 2^(1-m) on a context's even outcomes and 0 on its odd ones.
-    odd = op.parity_classes % 2 == 1
-    stacked, starts, mass = box.stacked(), op.offsets[:-1], 2.0 ** (1 - m)
-    far_even = np.maximum.reduceat(np.abs(stacked - np.where(odd, 0.0, mass)), starts)
-    far_odd = np.maximum.reduceat(np.abs(stacked - np.where(odd, mass, 0.0)), starts)
-    # A NaN makes a maximum NaN, which compares false.
-    parities = tuple(
-        0 if e <= PARITY_TOL else 1 if o <= PARITY_TOL else None
-        for e, o in zip(far_even.tolist(), far_odd.tolist())
-    )
-    if None in parities:
+    if None in parities or len(sizes) != 1:
         return None
     return XorBoxProfile(
         n_contexts=g.n_contexts,
-        context_size=m,
+        context_size=sizes.pop(),
         parities=parities,
         degrees=g.degrees,
     )

@@ -848,7 +848,6 @@ def _component_product(g: Hypergraph, parts: list[np.ndarray]) -> np.ndarray:
 class EquivalenceReport:
     residual: float
     mutual_information: float
-    x_value: float
     measure_report: MeasureReport
 
 
@@ -889,7 +888,6 @@ def verify_equivalence(
     return EquivalenceReport(
         residual=abs(mutual - report.value),
         mutual_information=mutual,
-        x_value=report.value,
         measure_report=report,
     )
 

@@ -410,7 +410,6 @@ def is_noncontextual(box: Box, tol: float = 1e-8) -> bool:
 class LinearOptimum:
     value: float
     argopt: DeterministicAssignment
-    direction: str
 
 
 def optimize_linear(
@@ -435,8 +434,4 @@ def optimize_linear(
     value = 0.0
     for term in stacked[g.incidence.digit_rows(digits)].tolist():
         value += term
-    return LinearOptimum(
-        value=value,
-        argopt=DeterministicAssignment._of(digits),
-        direction=direction,
-    )
+    return LinearOptimum(value=value, argopt=DeterministicAssignment._of(digits))

@@ -444,6 +444,25 @@ class TestOpposite:
         with pytest.raises(cx.NotXorBoxError):
             cx.opposite(cx.mix(pr, cx.opposite(pr), 0.9))
 
+    def test_contexts_of_two_sizes(self):
+        """A binary box with a pair and a triple: each context's parity swaps,
+        and twice gives back the box."""
+        g = cx.Hypergraph([(f"O{i}", 2) for i in range(4)], [(0, 1), (1, 2, 3)])
+        box = cx.Box(g, [ODD2, parity_distribution(3, 0)])
+        opp = cx.opposite(box)
+        assert np.array_equal(opp.distributions[0], EVEN2)
+        assert np.array_equal(opp.distributions[1], parity_distribution(3, 1))
+        again = cx.opposite(opp)
+        assert all(np.array_equal(a, b) for a, b in zip(again.distributions, box.distributions))
+
+    def test_ternary_context_named(self):
+        """A context with a ternary observable is no parity class: the error
+        names it, though the context before it is P_even."""
+        g = cx.Hypergraph([("A", 2), ("B", 2), ("C", 3)], [(0, 1), (1, 2)])
+        box = cx.Box(g, [EVEN2, np.full(6, 1.0 / 6)])
+        with pytest.raises(cx.NotXorBoxError, match="^context 1 is not a parity-class distribution"):
+            cx.opposite(box)
+
 
 class TestDirectSum:
     def test_pr_plus_mixed_pr(self, pr):
@@ -541,21 +560,23 @@ class TestParityDistribution:
         assert odd.sum() == 1.0
 
 
+def allclose_parity(vec, m):
+    """0/1 if ``vec`` is within ``PARITY_TOL`` of P_even/P_odd on m bits
+    everywhere (``np.allclose`` with no relative part), else None."""
+    for parity in (0, 1):
+        if np.allclose(vec, parity_distribution(m, parity), rtol=0.0, atol=boxes.PARITY_TOL):
+            return parity
+    return None
+
+
 class TestContextParity:
-    """A context is P_even or P_odd when every entry is within PARITY_TOL of it."""
+    """``context_parities`` reads a context as P_even or P_odd when every entry
+    is within PARITY_TOL of it."""
 
     @staticmethod
     def parity_of(vec):
         g = cx.pr_box().hypergraph
-        return boxes.context_parity(cx.Box(g, [vec, EVEN2, EVEN2, ODD2]), 0)
-
-    @staticmethod
-    def allclose_parity(vec):
-        """The earlier rule: np.allclose against each parity vector."""
-        for parity, target in ((0, EVEN2), (1, ODD2)):
-            if np.allclose(vec, target, rtol=0.0, atol=boxes.PARITY_TOL):
-                return parity
-        return None
+        return boxes.context_parities(cx.Box(g, [vec, EVEN2, EVEN2, ODD2]))[0]
 
     @pytest.mark.parametrize("parity, target", [(0, EVEN2), (1, ODD2)])
     def test_tolerance_boundary(self, parity, target):
@@ -565,12 +586,12 @@ class TestContextParity:
         for off in (tol, -tol):
             vec = target.copy()
             vec[zero] = off
-            assert self.parity_of(vec) == parity == self.allclose_parity(vec)
+            assert self.parity_of(vec) == parity == allclose_parity(vec, 2)
         # One ulp past it: no match.
         for off in (np.nextafter(tol, 1.0), np.nextafter(-tol, -1.0)):
             vec = target.copy()
             vec[zero] = off
-            assert self.parity_of(vec) is None and self.allclose_parity(vec) is None
+            assert self.parity_of(vec) is None and allclose_parity(vec, 2) is None
         assert self.parity_of(target) == parity
 
     def test_nan_matches_neither_parity(self):
@@ -578,15 +599,8 @@ class TestContextParity:
             for at in range(4):
                 vec = target.copy()
                 vec[at] = np.nan
-                assert self.parity_of(vec) is None and self.allclose_parity(vec) is None
+                assert self.parity_of(vec) is None and allclose_parity(vec, 2) is None
         assert self.parity_of(np.full(4, np.nan)) is None
-
-    def test_parity_vectors_are_read_only_copies(self):
-        even, odd = boxes._parity_vectors(3)
-        assert not even.flags.writeable and not odd.flags.writeable
-        assert np.array_equal(even, parity_distribution(3, 0))
-        assert np.array_equal(odd, parity_distribution(3, 1))
-        assert parity_distribution(3, 0).flags.writeable
 
 
 _PR = cx.pr_box()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_boxes import allclose_parity
 from test_polytope import vertices
 
 import contextuality as cx
-from contextuality.boxes import PARITY_TOL, context_parity
+from contextuality.boxes import PARITY_TOL
 from contextuality.sampling import random_consistent_box
 
 
@@ -38,8 +39,8 @@ class TestClassifyXor:
 def test_classify_xor_reads_parities_as_context_parity(build):
     """Seeded xor boxes, each context P_even or P_odd, with mass moved between two
     outcomes of some contexts by just under, at or just over ``PARITY_TOL``: the
-    profile holds the parities ``context_parity`` reads, or is None where it
-    reads None.  Both sides of the tolerance are reached."""
+    profile holds the parities ``allclose_parity`` reads on each context, or is
+    None where it reads None on one.  Both sides of the tolerance are reached."""
     rng = np.random.default_rng(20261030)
     g = build().hypergraph
     m = len(g.contexts[0])
@@ -53,7 +54,7 @@ def test_classify_xor_reads_parities_as_context_parity(build):
             dists[ci][source] -= step
             dists[ci][target] += step
         box = cx.Box(g, dists)
-        parities = tuple(context_parity(box, ci) for ci in range(g.n_contexts))
+        parities = tuple(allclose_parity(d, m) for d in box.distributions)
         profile = cx.classify_xor(box)
         if None in parities:
             assert profile is None

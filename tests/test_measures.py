@@ -347,7 +347,7 @@ class TestVerifyEquivalence:
     def test_noncontextual_both_sides_zero(self, rng):
         box = random_noncontextual_box(cx.pr_box().hypergraph, rng)
         eq = cx.verify_equivalence(box, cx.ContextWeights.uniform(4))
-        assert eq.x_value <= 1e-9
+        assert eq.measure_report.value <= 1e-9
         assert eq.mutual_information <= 1e-6
 
     def test_nonuniform_weights(self, pr):
@@ -358,7 +358,7 @@ class TestVerifyEquivalence:
         # PR's three even contexts admit a common joint: both sides are 0.
         eq = cx.verify_equivalence(pr, cx.ContextWeights([1 / 3, 1 / 3, 1 / 3, 0.0]))
         assert eq.residual <= 1e-8
-        assert eq.x_value <= 1e-7 and eq.mutual_information <= 1e-7
+        assert eq.measure_report.value <= 1e-7 and eq.mutual_information <= 1e-7
 
 
 class TestIsotropicReduced:

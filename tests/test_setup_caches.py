@@ -14,6 +14,7 @@ from test_polytope import ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, polytope
+from contextuality.boxes import ContextIncidence
 from contextuality.sampling import random_consistent_box, random_hypergraph, random_joint
 
 
@@ -324,8 +325,9 @@ def test_overlap_index_is_linear_in_the_pairs(cards):
     context rows."""
     k = len(cards)
     contexts = tuple(itertools.combinations(range(k), 2)) + (tuple(range(k)),)
-    rows, cells, size, left, right, starts = boxes._overlap_index(cards, contexts)
-    pairs = boxes._overlaps(contexts)
+    op = ContextIncidence(cards, contexts)
+    rows, cells, size, left, right, starts = op._overlap_index
+    pairs = op._overlaps
     dims = [int(np.prod([cards[i] for i in c])) for c in contexts]
     shared = sum(int(np.prod([cards[i] for i in s])) for _, _, s in pairs)
     assert left.size == right.size == shared and starts.size == len(pairs)

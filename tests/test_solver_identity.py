@@ -58,6 +58,7 @@ from test_dense_solver import (
     sparse_weights,
 )
 from test_incidence import brute_rows, hypergraphs
+from test_polytope import ternary_cycle_box
 
 import contextuality as cx
 from contextuality import boxes, measures
@@ -446,8 +447,10 @@ def reference_x_fixed(box, weights, tol, max_iters):
     component's box is solved so at its weights divided by their sum s, and
     the report has the s-weighted sums of the values and gaps, the summed
     iterations, an empty trace and the product of the components' joints; a
-    component with s = 0 is not solved and takes the uniform joint.  Returns
-    the fields, and each part's context indices and exit."""
+    component with s = 0 is not solved and takes the uniform joint.  The
+    components share one budget: each may take the iterations of
+    ``max_iters`` that the ones before it left.  Returns the fields, and
+    each part's context indices and exit."""
     parts = reference_parts(box)
     if len(parts) == 1:
         init = measures.junction_tree_joint(box)
@@ -464,7 +467,7 @@ def reference_x_fixed(box, weights, tol, max_iters):
             exits.append((cis, None))
             continue
         solved, part_exits = reference_x_fixed(part, cx.ContextWeights(weights.weights[cis] / share),
-                                               tol, max_iters)
+                                               tol, max_iters - iterations)
         value, gap, iterations = value + share * solved[0], gap + share * solved[2], iterations + solved[3]
         joints.append(solved[1])
         exits.append((cis, part_exits[0][1]))
@@ -628,11 +631,15 @@ def reference_x_max(box, tol, max_iters):
     is connected or acyclic, else on each component's box, reporting the
     largest upper end, the first largest lower end's weights with zeros
     elsewhere, the product of the components' iterates and their summed
-    iterations.  Returns the report's fields, and whether an exit fired in
-    any component."""
+    iterations, within one budget of ``max_iters`` as in
+    ``reference_x_fixed``.  Returns the report's fields, and whether an exit
+    fired in any component."""
     g = box.hypergraph
     parts = reference_parts(box)
-    ascents = [reference_ascent(part, tol, max_iters) for part, _ in parts]
+    ascents, budget = [], max_iters
+    for part, _ in parts:
+        ascents.append(reference_ascent(part, tol, budget))
+        budget -= ascents[-1][4]
     members = [cis for _, cis in parts]
     lowers = [upper - gap for upper, gap, *_ in ascents]
     k = lowers.index(max(lowers))
@@ -753,6 +760,25 @@ def test_x_max_matches_reference(box):
         value, gap = reference[:2]
         assert value - gap <= report.value
         assert report.value - report.duality_gap <= value
+
+
+@pytest.mark.parametrize("max_iters", [5, 40])
+def test_components_share_one_budget(max_iters):
+    """A direct sum whose first component, a ternary-cycle mix, does not reach
+    tol 1e-15 within ``max_iters``: it takes the whole budget and the KCBS mix
+    after it none, in the library and in both oracles alike."""
+    rng = np.random.default_rng(3)
+    box = cx.direct_sum(*(cx.mix(anchor, dense_box(anchor.hypergraph, rng), 0.6)
+                          for anchor in (ternary_cycle_box(4), cx.kcbs_box())))
+    weights = cx.ContextWeights.uniform(box.hypergraph.n_contexts)
+    report = cx.x_fixed(box, weights, tol=1e-15, max_iters=max_iters)
+    expected, exits = reference_x_fixed(box, weights, 1e-15, max_iters)
+    assert report.iterations == expected[3] == max_iters
+    assert_same_x_fixed(report, expected, exits, box)
+    report = cx.x_max(box, tol=1e-15, max_iters=max_iters)
+    expected, exited = reference_x_max(box, 1e-15, max_iters)
+    assert report.iterations == expected[2] == max_iters
+    assert_same_x_max(report, expected, exited)
 
 
 @st.composite

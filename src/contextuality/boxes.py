@@ -1039,8 +1039,9 @@ class Box:
 
     A box and its arrays are immutable, so what is read off them alone is
     made once, on first use, and held as long as the box: the stacked
-    vector, the validation report, the largest shared-marginal distance, and
-    the three joints it exhibits, each None where it has none: the
+    vector, the largest shared-marginal distance, and, each by its one
+    reader (``_held``), the validation report (``validate_box``) and the
+    three joints it exhibits, each None where it has none: the
     junction-tree joint (``junction_tree_joint``), the parity mixture
     (``parity_mixture``) and the witness (``projected_joint``), all
     read-only.  The tree joint is the largest, one float per joint cell, at
@@ -1097,24 +1098,25 @@ class Box:
         return stacked
 
     @cached_property
-    def _validation(self) -> BoxValidationReport:
-        return _validation_report(self)
-
-    @cached_property
     def _max_shared_tv(self) -> float:
         return max((tv for *_, tv in _shared_marginal_tvs(self)), default=0.0)
 
-    @cached_property
-    def _tree_joint(self) -> np.ndarray | None:
-        return _junction_tree_joint(self)
 
-    @cached_property
-    def _parity_mixture(self) -> ParityMixture | None:
-        return _parity_mixture(self)
+def _held(build):
+    """The one reader of what ``build`` makes of a box alone: made on the
+    first read and held on the box, under the reader's name, for as long as
+    the box lives, so every later read returns the same object.  Threads
+    that race on a first read each build, and all return the value held
+    first (``dict.setdefault`` is atomic).  The reader calls ``build`` as
+    its ``__wrapped__``."""
+    name = build.__name__
 
-    @cached_property
-    def _projected_joint(self) -> np.ndarray | None:
-        return _projected_joint(self)
+    @functools.wraps(build)
+    def read(box: Box):
+        held = vars(box)
+        return held[name] if name in held else held.setdefault(name, read.__wrapped__(box))
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -1130,17 +1132,12 @@ class BoxValidationReport:
     issues: tuple[BoxIssue, ...]
 
 
+@_held
 def validate_box(box: Box) -> BoxValidationReport:
-    """Report-style check of the Box invariants (shape, nonnegativity, sums).
-
-    The report is computed once per box and cached on it.
-    """
-    return box._validation
-
-
-def _validation_report(box: Box) -> BoxValidationReport:
-    """Each context's issues, in context order: its shape, or else its
-    finiteness, or else its least entry and its sum.
+    """Report-style check of the Box invariants (shape, nonnegativity, sums):
+    each context's issues, in context order, its shape, or else its
+    finiteness, or else its least entry and its sum.  Made once per box and
+    held on it.
 
     Shapes are checked per context.  The vectors of the right shape, all of
     them being the stacked vector, are then read with one reduction for
@@ -1300,6 +1297,7 @@ def box_of_joint(joint: JointDistribution) -> Box:
     return Box(g, g.incidence.split(g.incidence.marginals(joint.probabilities)))
 
 
+@_held
 def junction_tree_joint(box: Box) -> np.ndarray | None:
     """The junction-tree joint of a box, as a flat read-only vector; None if
     its hypergraph is cyclic or its joint exceeds ``JOINT_DIM_CAP`` cells.
@@ -1310,12 +1308,8 @@ def junction_tree_joint(box: Box) -> np.ndarray | None:
     every consistent box is the box of this joint (Vorob'ev 1962), so it is
     noncontextual; in floating point the marginals match to rounding, and
     callers certify what they report from the joint, not from the theorem.
-    Made once per box and cached on it.
+    Made once per box and held on it.
     """
-    return box._tree_joint
-
-
-def _junction_tree_joint(box: Box) -> np.ndarray | None:
     g = box.hypergraph
     if g.joint_dim > JOINT_DIM_CAP or g.join_tree is None:
         return None
@@ -1398,6 +1392,7 @@ class ParityMixture(NamedTuple):
     weights: np.ndarray  # their weights, which sum to 1
 
 
+@_held
 def parity_mixture(box: Box) -> ParityMixture | None:
     """The parity classification of a binary box, and its symmetric mixture;
     None unless every observable is binary and each context's even outcomes
@@ -1414,12 +1409,8 @@ def parity_mixture(box: Box) -> ParityMixture | None:
     that is alpha clipped to the noncontextual interval
     ``[min beta / n, max beta / n]``.  ``polytope._parity_cost`` takes it as
     the cost's witness, and the entropy measures as their isotropic start.
-    Made once per box and cached on it, its arrays read-only.
+    Made once per box and held on it, its arrays read-only.
     """
-    return box._parity_mixture
-
-
-def _parity_mixture(box: Box) -> ParityMixture | None:
     g = box.hypergraph
     if any(d != 2 for d in g.cardinalities):
         return None
@@ -1450,6 +1441,7 @@ def _parity_mixture(box: Box) -> ParityMixture | None:
     return ParityMixture(y, isotropic, top, columns, weights)
 
 
+@_held
 def projected_joint(box: Box) -> np.ndarray | None:
     """The box's witness: a flat read-only joint with its context marginals,
     or None.
@@ -1468,12 +1460,8 @@ def projected_joint(box: Box) -> np.ndarray | None:
     first iteration, in place of a projection of its own, and
     ``polytope.contextuality_cost`` certifies a cost of 0 from it.  Nothing
     rests on the route: each keeps only what its own certificate proves.
-    Made once per box and cached on it.
+    Made once per box and held on it.
     """
-    return box._projected_joint
-
-
-def _projected_joint(box: Box) -> np.ndarray | None:
     g, b = box.hypergraph, box.stacked()
     if not b.min() > 0.0 or g.incidence.dense is None:
         return None

@@ -82,52 +82,59 @@ Nothing rests on the theorem in floating point: a box consistent only within
 ``require_consistent``'s tolerance has a larger gap, and the loop steps on
 from a near-optimal point.
 
-The loop can also stop at three exhibited optimizers, each by the same test,
-the value within ``tol`` of the best lower bound, so a poor one can only
-fail to stop.  On a cyclic hypergraph, a binary box flat on each context's
-parity classes with one heavier-class mass on every context is tried first
-at its parity mixture (``boxes.parity_mixture``), which at uniform
-weights is the isotropic optimizer of ``symmetry.x_u_isotropic_reduced``; it is kept
-only if it certifies, so otherwise the loop starts where it would without
-it and takes the same steps.  Then, while the best lower bound is at most
-0, a joint with the box's marginals: at iteration 1 the box's witness
-(``boxes.projected_joint``, a global section found from the uniform joint
-by ``ContextIncidence.fit``; None where the box has a zero entry or M
-exceeds ``DENSE_ENTRIES_CAP``), so after the tree joint and the parity
-mixture, at any weights; at iterations 2, 4, 8, ... one ``fit`` of the
-iterate.  Each stops the loop if its own certificate, counted up to 0,
-closes the gap.
-And at iterations 2, 4, 8, ... of ``x_fixed``'s loop on a dense problem,
-the multiplier field picks a face, the cells where r is at least 0.9 of its
-largest entry, and a few Newton steps find the optimizer of F over the
-joints on that face (``_FixedWeightProblem.face_joint``, the
-mixture-proportion problem that mixSQP solves in a few steps: Kim,
-Carbonetto, Stephens & Anitescu 2020).  That joint, zero off the face, is
-floored and normalized like any iterate, and stops the loop only if its own
-field, over every cell, certifies it.  Most contextual boxes that are not
-isotropic stop there at iteration 2, where the loop alone takes tens of
-steps, and near the noncontextual boundary tens of thousands.  The face exit
-waits while a fit tried at the same iteration misses by less than
-``boxes.CONTEXTUAL_MISS`` of negative mass: the box is then about
-noncontextual, and the fit is the likelier exit.  A start that certifies
-counts 1 iteration, and so does the witness; an exit at iteration k counts
-k: the k - 1 steps before it.
+The loop can also stop at an exhibited optimizer, by one rule: both ends
+of the try are read at its own weights, ``F_w - log2 max r_w`` below and
+the value above (``max_c D_c`` for ``x_max``); at the loop's weights the
+best lower bound seen still holds, and a joint with the box's marginals
+counts its lower end up to 0, a lower bound on any optimum, so rounding
+cannot lift the bracket off 0.  The loop stops if the two ends are within
+``tol``; otherwise the problem goes back to the loop's weights, and the
+loop goes on as if the try had not been made: a poor try can only fail to
+stop.
 
-``x_max`` has the first two exits, and in place of the face exit, at the
-same iterations under the same gate, one of its own: the saddle on a face
-(``_FixedWeightProblem.saddle``).  From the face exit's joint at the
-current weights, a few Newton steps on a bordered system find a joint x on
-the face of cells where that joint's field is at least 0.99 of its largest
-entry, weights w and a value V with ``r_w(x) = 1`` on the face and
+On a cyclic hypergraph, a binary box flat on each context's parity classes
+with one heavier-class mass on every context starts at its parity mixture
+(``boxes.parity_mixture``), which at uniform weights is the isotropic
+optimizer of ``symmetry.x_u_isotropic_reduced``, if its own field
+certifies it; otherwise the loop starts where it would without it.  Then
+the tries (``_tries``), each at iterations 1, 2, 4, ...:
+
+- while the best lower bound is at most 0, a joint with the box's
+  marginals: at iteration 1 the box's witness (``boxes.projected_joint``,
+  a global section found from the uniform joint by
+  ``ContextIncidence.fit``; None where the box has a zero entry or M
+  exceeds ``DENSE_ENTRIES_CAP``), so after the tree joint and the parity
+  mixture, at any weights; later one ``fit`` of the iterate;
+- from iteration 2 on a dense problem, unless that fit missed by less than
+  ``boxes.CONTEXTUAL_MISS`` of negative mass (the box is then about
+  noncontextual, and the fit the likelier exit), the face exit for
+  ``x_fixed`` or the saddle for ``x_max``.
+
+The face exit (``_FixedWeightProblem.face_joint``): the multiplier field
+picks a face, the cells where r is at least 0.9 of its largest entry, and
+a few Newton steps find the optimizer of F over the joints on that face
+(the mixture-proportion problem that mixSQP solves in a few steps: Kim,
+Carbonetto, Stephens & Anitescu 2020).  That joint, zero off the face, is
+floored and normalized like any iterate and read at the loop's weights.
+Most contextual boxes that are not isotropic stop there at iteration 2,
+where the loop alone takes tens of steps, and near the noncontextual
+boundary tens of thousands.
+
+The saddle (``_FixedWeightProblem.saddle``): from the face exit's joint at
+the current weights, a few Newton steps on a bordered system find a joint
+x on the face of cells where that joint's field is at least 0.99 of its
+largest entry, weights w and a value V with ``r_w(x) = 1`` on the face and
 ``D_c(x) = V`` on every context of positive weight: the saddle's
-conditions, which are those of channel capacity, on one face.  It stops the
-loop only if its own two ends at the floored x, ``max_c D_c`` over every
-context and ``F_w - log2 max r_w`` over every cell, are within ``tol``, so
-a wrong face or a wrong set of weighted contexts can only fail to stop.
-The report then holds x as the optimizer, w as the weights of both ends
-and their distance as the gap.  On 384 anchor mixes of PR, KCBS, PM, M,
-CH(5) and CH(7) it stops 382 at iteration 2 and the other two by iteration
-8, where the ascent alone took 35 to 29,081 iterations.
+conditions, which are those of channel capacity, on one face.  Its ends
+are read at the floored x and at w, so a wrong face or a wrong set of
+weighted contexts can only fail to stop; where it stops, the report holds
+x as the optimizer, w as the weights of both ends and their distance as
+the gap.  On 384 anchor mixes of PR, KCBS, PM, M, CH(5) and CH(7) it stops
+382 at iteration 2 and the other two by iteration 8, where the ascent
+alone took 35 to 29,081 iterations.
+
+A start that certifies counts 1 iteration, and so does the witness; an
+exit at iteration k counts k: the k - 1 steps before it.
 """
 
 from __future__ import annotations
@@ -136,6 +143,7 @@ import functools
 import math
 import numbers
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -521,6 +529,31 @@ def _floored_step(p: np.ndarray, r: np.ndarray | float, omega: float, r_max: flo
     return q
 
 
+def _tries(
+    problem: _FixedWeightProblem, iteration: int, lower: float, p: np.ndarray, r: np.ndarray, r_max: float, ascend: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """The exhibited joints ``_solve_fixed`` tries at ``iteration``, in the
+    order of the module docstring: ``(q, w, fit)``, with w the context
+    weights both ends of q are read at and ``fit`` whether q has the box's
+    marginals.  Each is made only after the one before it failed to stop the
+    loop, with the problem back at the loop's weights, which the saddle
+    starts from."""
+    if iteration & (iteration - 1):
+        return
+    q, miss = None, math.inf
+    if lower <= 0.0:
+        q, miss = (projected_joint(problem.box), miss) if iteration == 1 else problem.op.fit(problem.targets, p.copy())
+    if q is not None:
+        yield q, problem.weights, True
+    if iteration > 1 and problem.dense is not None and miss >= CONTEXTUAL_MISS:
+        if ascend:
+            q, w = problem.saddle(p, r, r_max) or (None, None)
+        else:
+            q, w = problem.face_joint(p, r, r_max), problem.weights
+        if q is not None:
+            yield q, w, False
+
+
 def _solve_fixed(
     problem: _FixedWeightProblem,
     tol: float,
@@ -531,102 +564,61 @@ def _solve_fixed(
 ) -> tuple[float, np.ndarray, float, int, bool, tuple]:
     """The solver's loop (see the module docstring): the value, the joint,
     the gap, the iterations, whether the gap met ``tol``, and the trace.
-    At iteration 1 it tries the witness of the problem's box
-    (``boxes.projected_joint``, cached on the box), whatever the start; at
-    2, 4, 8, ... it tries ``ContextIncidence.fit`` of a copy of the iterate.
+    It starts at ``candidate`` if its own field certifies it, else at
+    ``init`` or the uniform joint.  Before each step it tries the joints of
+    ``_tries`` by the module docstring's one rule.
 
     With ``ascend`` the loop also steps the context weights (``x_max``): the
     joint is the iterate of the least ``max_c D_c`` seen, the value
     ``max_c D_c`` there, the gap its distance to the best lower bound, and
-    the problem is left at the weights of that bound.  Its face exit is then
-    the saddle (``_FixedWeightProblem.saddle``): where that certifies, the
-    joint, the gap and the weights the problem is left at are the saddle's
-    own, both ends read at that joint.
+    the problem is left at the weights of that bound, a try's own where it
+    stops the loop.
     """
     g = problem.g
-    certified = False
-    if candidate is not None:
-        p = _floored_step(candidate, 1.0, 1.0, 1.0)
-        value, r, r_max = problem.field(p)
-        certified = _gap(r_max) <= tol
-    if not certified:
-        start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
+    loop_start = np.full(g.joint_dim, 1.0 / g.joint_dim) if init is None else init.reshape(-1)
+    for start in ([] if candidate is None else [candidate]) + [loop_start]:
         p = _floored_step(start, 1.0, 1.0, 1.0)
         value, r, r_max = problem.field(p)
+        if _gap(r_max) <= tol:
+            break
 
     trace: list[tuple[int, float, float]] = []
-    next_trace = 1
     omega = 1.0
     gap = _gap(r_max)
     # Every iterate's value minus its gap bounds the optimum from below; the
-    # reported gap is measured against the best of these bounds.
-    lower = value - gap
+    # reported gap is measured against the best of these bounds.  The upper
+    # end is the value, and for ``x_max`` the least ``max_c D_c`` seen.
+    lower, upper, p_upper = value - gap, value, p
     w = lower_w = problem.weights
     if ascend:
-        # The upper end and its iterate; the weights as base-2 logarithms,
-        # so a weight that underflows to 0 can grow back; eta, and the last
-        # weight step's ``max d - w.d``.
-        upper, p_upper = float(problem.divergences().max()), p
-        log_w = np.log2(w)
-        eta, spread = _ETA0, math.inf
+        # The weights as base-2 logarithms, so a weight that underflows to 0
+        # can grow back; eta, and the last weight step's ``max d - w.d``.
+        upper = float(problem.divergences().max())
+        log_w, eta, spread = np.log2(w), _ETA0, math.inf
         gap = max(upper - lower, 0.0)
     iteration = 0
     for iteration in range(1, max_iters + 1):
         if gap <= tol:
             break
-        power = iteration & (iteration - 1) == 0
-        # The fit's negative mass where it is tried, else inf.
-        q, miss = None, math.inf
-        if lower <= 0.0 and power:
-            # At iteration 1 the try is the box's witness, made once
-            # per box from the uniform joint; later ones start from the
-            # iterate.  A positive lower bound certifies the box contextual.
-            if iteration == 1:
-                q = projected_joint(problem.box)
-            else:
-                q, miss = problem.op.fit(problem.targets, p.copy())
-        if q is not None:
-            # A joint with the box's marginals has a value of about 0: stop
-            # there if it certifies.  Its own bound counts up to 0, a lower
-            # bound on any optimum, so rounding cannot lift the bracket off 0.
+        for q, q_w, fit in _tries(problem, iteration, lower, p, r, r_max, ascend):
+            # Both ends of the try at its own weights.  A fit has a value of
+            # about 0, and its lower end counts up to 0, a lower bound on any
+            # optimum, so rounding cannot lift the bracket off 0.  At the
+            # loop's weights the best lower bound seen still holds.
+            problem.reweight(q_w)
             q_value, _, q_r_max = problem.field(q)
-            q_lower = max(lower, min(q_value - _gap(q_r_max), 0.0))
-            if ascend:
-                q_value = float(problem.divergences().max())
-            if q_value - q_lower <= tol:
-                if q_lower > lower:
-                    lower_w = w
-                p, value, lower = q, q_value, q_lower
-                upper, p_upper = value, p
-                gap = max(value - lower, 0.0)
+            q_lower = min(q_value - _gap(q_r_max), 0.0) if fit else q_value - _gap(q_r_max)
+            q_lower = max(lower, q_lower) if q_w is w else q_lower
+            q_upper = float(problem.divergences().max()) if ascend else q_value
+            if q_upper - q_lower <= tol:
+                lower_w = q_w if q_lower > lower or q_w is not w else lower_w
+                p, p_upper, value, upper, lower = q, q, q_upper, q_upper, q_lower
+                gap = max(upper - lower, 0.0)
                 break
-        face_try = iteration > 1 and power and problem.dense is not None and miss >= CONTEXTUAL_MISS
-        if face_try and ascend:
-            # The saddle on the face the field picks: stop there if its own
-            # ends, max_c D_c over every context and F_w less its gap over
-            # every cell, are within tol.
-            found = problem.saddle(p, r, r_max)
-            if found is not None:
-                q, q_w = found
-                problem.reweight(q_w)
-                q_value, _, q_r_max = problem.field(q)
-                q_lower, q_upper = q_value - _gap(q_r_max), float(problem.divergences().max())
-                if q_upper - q_lower <= tol:
-                    p_upper, upper, lower, lower_w = q, q_upper, q_lower, q_w
-                    gap = max(upper - lower, 0.0)
-                    break
-                problem.reweight(w)
-        if face_try and not ascend:
-            # The optimizer on the face the field picks: stop there if its
-            # own field certifies it against every cell.
-            q = problem.face_joint(p, r, r_max)
-            if q is not None:
-                q_value, _, q_r_max = problem.field(q)
-                q_lower = max(lower, q_value - _gap(q_r_max))
-                if q_value - q_lower <= tol:
-                    p, value, lower = q, q_value, q_lower
-                    gap = max(value - lower, 0.0)
-                    break
+            problem.reweight(w)
+        if gap <= tol:
+            # A try stopped the loop.
+            break
         trial = _floored_step(p, r, omega, r_max)
         trial_value, trial_r, trial_r_max = problem.field(trial)
         if omega > 1.0 and not trial_value < value:
@@ -640,29 +632,28 @@ def _solve_fixed(
         bound = value - _gap(r_max)
         if bound > lower:
             lower, lower_w = bound, w
-        if not ascend:
-            gap = max(value - lower, 0.0)
-        else:
+        if ascend:
             d = problem.divergences()
             top = float(d.max())
             if top < upper:
                 upper, p_upper = top, p
-            gap = max(upper - lower, 0.0)
-            if _gap(r_max) <= 0.5 * gap:
-                widened = top - float(w @ d)
-                if spread < math.inf:
-                    factor = _ETA_SHRINK if widened > spread else _ETA_GROWTH
-                    eta = min(max(eta * factor, _ETA_MIN), _ETA_MAX)
-                spread = widened
-                log_w = log_w + eta * (d - top)
-                log_w -= log_w.max()
-                w = np.exp2(log_w)
-                w /= w.sum()
-                problem.reweight(w)
-                value, r, r_max = problem.field()
-        if iteration >= next_trace:
+        else:
+            upper = value
+        gap = max(upper - lower, 0.0)
+        if ascend and _gap(r_max) <= 0.5 * gap:
+            widened = top - float(w @ d)
+            if spread < math.inf:
+                factor = _ETA_SHRINK if widened > spread else _ETA_GROWTH
+                eta = min(max(eta * factor, _ETA_MIN), _ETA_MAX)
+            spread = widened
+            log_w = log_w + eta * (d - top)
+            log_w -= log_w.max()
+            w = np.exp2(log_w)
+            w /= w.sum()
+            problem.reweight(w)
+            value, r, r_max = problem.field()
+        if iteration & (iteration - 1) == 0:
             trace.append((iteration, value, gap))
-            next_trace *= 2
     trace.append((iteration, value, gap))
 
     if ascend:
@@ -682,9 +673,8 @@ def _starts(box: Box) -> tuple[np.ndarray | None, np.ndarray | None]:
     the candidate is the parity mixture of a binary box flat on every
     context's parity classes with one heavier-class mass on all contexts
     (``boxes.parity_mixture``), the isotropic optimizer when the weights
-    are invariant; the solver keeps it only if it certifies.  The box's
-    witness (``boxes.projected_joint``) comes after both, at the loop's first
-    iteration.
+    are invariant; the solver keeps it only if it certifies.  The tries
+    (``_tries``) come after both.
     """
     joint = junction_tree_joint(box)
     if joint is not None:
@@ -724,19 +714,13 @@ def x_fixed(
 ) -> MeasureReport:
     """Relative entropy of contextuality at fixed context weights.
 
-    Solved by the loop of the module docstring from the uniform joint, or the junction-tree joint on an acyclic hypergraph.
-    The solve stops once the value is within ``tol`` of the best lower bound
-    seen, or after ``max_iters`` iterations; ``duality_gap`` is that
-    distance.  It can stop so at three exhibited optimizers: an isotropic
-    box's parity mixture, tried before the loop and kept only if it
-    certifies; a joint with a noncontextual box's marginals, the box's
-    witness (``boxes.projected_joint``) at iteration 1, so after the parity
-    mixture and at any weights, and at iterations 2, 4, 8, ... a
-    nonnegative fit of the iterate (``ContextIncidence.fit``); and, on a
-    dense problem from iteration 2, the optimizer on the face of cells that
-    the multiplier field picks, floored like an iterate.  A start or witness that
-    certifies counts 1 iteration, and an exit at iteration k counts k.  A
-    direct sum on a cyclic hypergraph is solved one component at a time
+    Solved by the loop of the module docstring from the uniform joint, or
+    the junction-tree joint on an acyclic hypergraph.  The solve stops once
+    the value is within ``tol`` of the best lower bound seen, or after
+    ``max_iters`` iterations; ``duality_gap`` is that distance.  It can stop
+    so at an isotropic box's parity mixture, its start where that
+    certifies, or at a try: the box's witness, a fit of the iterate, or the
+    optimizer on the face the multiplier field picks.  A direct sum on a cyclic hypergraph is solved one component at a time
     (see the module docstring): ``iterations`` is the components' sum, at most
     ``max_iters``, and ``trace`` is empty.  The value is clamped at 0, the
     optimum's lower bound, so rounding never reports a negative divergence;
@@ -788,20 +772,18 @@ def x_max(
     """Weight-maximized relative entropy of contextuality.
 
     One loop in the joint and the weights (see the module docstring): the
-    ``x_fixed`` loop from the same start, with the same step and its parity,
-    witness and fit exits, plus one multiplicative step on the weights per
-    iteration.  So a noncontextual box whose witness
+    ``x_fixed`` loop from the same start, with the same step and tries, the
+    saddle in place of the face exit, plus one multiplicative step on the
+    weights per iteration.  So a noncontextual box whose witness
     (``boxes.projected_joint``) certifies stops at it, at iteration 1.  The
     value is the least ``max_c D_c`` seen, at the returned optimizer, so it
     bounds the supremum from above as ``x_fixed``'s value bounds its
     optimum; ``duality_gap`` is its distance to the best lower bound
     ``F_w(p) - gap`` seen, whose weights are ``outer_weights``, and
     ``converged`` means that it is at most ``tol``.  The loop stops there,
-    or after ``max_iters`` iterations.  In place of ``x_fixed``'s face exit,
-    from iteration 2 it can stop at a saddle on a face: a joint and weights
-    whose own two ends, ``max_c D_c`` and ``F_w - log2 max r_w`` at that
-    joint, are within ``tol``; the report holds that joint, those weights
-    and that distance.  ``outer_window`` is checked and
+    or after ``max_iters`` iterations; where it stops at the saddle, the
+    report holds its joint, its weights and the distance of its own two
+    ends.  ``outer_window`` is checked and
     otherwise unused: the loop has no rounds to count.  A direct sum on a
     cyclic hypergraph is solved one component at a time, within one budget
     of ``max_iters`` iterations, and the report takes the largest upper and

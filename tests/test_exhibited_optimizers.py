@@ -242,3 +242,80 @@ def test_projection_step_is_clamped():
         assert miss < math.inf
         if q is not None:
             assert np.abs(g.incidence.marginals(q) - box.stacked()).max() <= 1e-9
+
+
+def _uniform_try(problem, p, r, r_max):
+    """A face joint that does not certify a contextual box: the uniform joint,
+    floored and normalized as an iterate."""
+    return measures._floored_step(np.full(p.size, 1.0 / p.size), 1.0, 1.0, 1.0)
+
+
+def _one_context_try(problem, p, r, r_max):
+    """A saddle that does not certify: the uniform joint, with all weight on
+    context 0."""
+    w = np.zeros(problem.g.n_contexts)
+    w[0] = 1.0
+    return _uniform_try(problem, p, r, r_max), w
+
+
+def _report_fields(report):
+    return (report.value, report.duality_gap, report.iterations, report.converged, report.trace,
+            report.optimizer.probabilities.tobytes(),
+            None if report.outer_weights is None else report.outer_weights.weights.tobytes())
+
+
+@pytest.mark.parametrize("anchor", [cx.pm_box(), cx.kcbs_box(), cx.mermin_box(), cx.chain_box(5)],
+                         ids=["PM", "KCBS", "M", "CH5"])
+def test_a_try_that_does_not_certify_leaves_no_trace(anchor):
+    """With the face exit and the saddle patched to return joints that do not
+    certify, the saddle's at weights of its own, x_u and x_max on contextual
+    anchor mixes match, bit for bit, the solves whose face and saddle tries
+    return None: a try that fails leaves the loop's weights, bound and
+    iterate as it found them."""
+    calls = mock.Mock()
+
+    def counted(try_):
+        def patched(problem, p, r, r_max):
+            calls()
+            return try_(problem, p, r, r_max)
+        return patched
+
+    for draw in range(3):
+        box = anchor_mix(anchor, draw)
+        for solve in (cx.x_u, cx.x_max):
+            with mock.patch.object(measures._FixedWeightProblem, "face_joint", return_value=None), \
+                    mock.patch.object(measures._FixedWeightProblem, "saddle", return_value=None):
+                expected = _report_fields(solve(box, tol=1e-9, max_iters=256))
+            calls.reset_mock()
+            with mock.patch.object(measures._FixedWeightProblem, "face_joint", counted(_uniform_try)), \
+                    mock.patch.object(measures._FixedWeightProblem, "saddle", counted(_one_context_try)):
+                got = _report_fields(solve(box, tol=1e-9, max_iters=256))
+            assert calls.call_count > 0, (draw, solve.__name__)
+            assert got == expected, (draw, solve.__name__)
+
+
+def test_witness_exit_brackets_zero():
+    """On cyclic noncontextual boxes, each a Dirichlet joint's box on a
+    ``random_hypergraph`` draw of 4-7 observables and 3-7 contexts, every
+    ``x_u`` and ``x_max`` report that stops at iteration 1, at the start or
+    the witness, has a lower end of at most 0: the witness's own bound
+    counts up to 0, so rounding cannot lift the bracket off the optimum 0.
+    A report that stops later, through the loop's own bound, is not held to
+    this."""
+    rng = np.random.default_rng(3)
+    stopped = 0
+    for k in range(4, 8):
+        for n in range(3, 8):
+            for _ in range(20):
+                try:
+                    g = random_hypergraph(rng, k, n_contexts=n)
+                except cx.InvalidBoxError:
+                    continue
+                if g.join_tree is not None:
+                    continue
+                box = cx.box_of_joint(cx.JointDistribution(g, rng.dirichlet(np.ones(g.joint_dim))))
+                for report in (cx.x_u(box), cx.x_max(box)):
+                    if report.iterations == 1:
+                        stopped += 1
+                        assert report.value - report.duality_gap <= 0.0, (k, n, report)
+    assert stopped >= 400

@@ -76,8 +76,19 @@ PARITY_FLAT_TOL = 1e-12
 # outright, each by its best completion; the others are eliminated.  The cost's
 # parity route (``polytope._parity_cost``) lifts only joints of at most this
 # many cells.  On CH(14) to CH(20), a scan of 2^10 cells took 17-57% less time
-# than one of 2^14.
+# than one of 2^14.  With merged buckets (``_BUCKET_CELLS``), one pass (p10 of
+# 2,000 calls) took 31-71 us on CH(16/18/20/30/50) and 48 us on M+PM+CH(14) at
+# 2^10; 23-68 and 62 us at 2^8; 65-111 and 72 us at 2^12.  2^8 wins on the
+# chains by 4-9 us and loses on the direct sum by 14 us, so 2^10 stays.
 _SCAN_CELLS = 2**10
+# Most cells of a step of ``best_outcome``'s plan that eliminates more than one
+# observable (``_elimination_plan``).  One pass at 2^1 (one bucket each),
+# 2^4, 2^5, 2^6, 2^7, 2^8, 2^9 and 2^10, in us (p10 of 2,000 calls, scan 2^10):
+# CH(18) 59, 40, 35, 31, 31, 33, 36, 36; CH(50) 215, 122, 95, 77, 72, 72, 79,
+# 100; M+PM+CH(14) 137, 85, 71, 60, 48, 46, 45, 50.  On these three and CH(16),
+# CH(20) and CH(30), 2^7 and 2^8 come within 4 us of each other; 2^7 keeps the
+# smaller tables.
+_BUCKET_CELLS = 2**7
 
 
 def probability_vector(values: Iterable[float], *, what: str = "distribution") -> np.ndarray:
@@ -281,19 +292,23 @@ class _Step:
     ``separator + free``, row-major, whose least entry per separator cell is
     the step's message.
 
-    Row t of ``rows`` is term t's stacked row at each cell; ``inbox`` pairs
-    each earlier step whose message the step adds with that message's cell
-    at each of its cells.  ``strides`` turn the separator's digits into its
-    cell, and ``shape`` holds the free observables' cardinalities.  The
-    index arrays are read-only.
+    The pass keeps one work vector: the stacked scores, a 0.0 at the
+    stacked dimension, then each step's message in turn, this step's from
+    index ``at`` on.  ``terms`` holds the vector's index of each term at
+    each cell: shape ``(terms, cells)``, or ``(layers, terms, cells)`` where
+    an outer bucket of a merged step adds more than one term of its own;
+    each layer sums its terms in order, then the layers add up, innermost
+    first.  ``strides`` turn the separator's digits into its cell, and
+    ``shape`` holds the free observables' cardinalities.  The index array
+    is read-only.
     """
 
     separator: tuple[int, ...]
     free: tuple[int, ...]
     shape: tuple[int, ...]
     strides: tuple[int, ...]
-    rows: np.ndarray
-    inbox: tuple[tuple[int, np.ndarray], ...]
+    terms: np.ndarray
+    at: int
 
     def cell(self, digits: Sequence[int]) -> int:
         """The separator cell of an outcome's digits."""
@@ -306,16 +321,26 @@ class _Step:
 
 
 def _step(
-    cards: Sequence[int], separator: Sequence[int], free: Sequence[int], rows: list, inbox: list
+    cards: Sequence[int], separator: Sequence[int], free: Sequence[int], layers: list,
+    zero: int, at: int,
 ) -> _Step:
-    """A step over ``separator + free`` from its terms' rows at its cells and
-    its ``(earlier step, message cell)`` pairs, its arrays made read-only."""
-    size = math.prod(cards[v] for v in (*separator, *free))
+    """A step over ``separator + free`` whose message goes to ``at``, from its
+    layers, innermost first, each a pair: its contexts' terms, then its
+    messages', every term the work vector's index at each cell.  A layer
+    with no context starts at ``zero``, the index of the vector's 0.0, and
+    a short layer ends with it, so the layers stack.  The index array is
+    made read-only."""
+    pad = np.full(math.prod(cards[v] for v in (*separator, *free)), zero)
+    layers = [[*(contexts or [pad]), *messages] for contexts, messages in layers]
+    # A layer of one term goes on with the sum of the layers inside it while that is one sum.
+    while len(layers) > 1 and len(layers[1]) == 1:
+        layers[0] += layers.pop(1)
+    depth = max(map(len, layers))
+    terms = [layer + [pad] * (depth - len(layer)) for layer in layers]
     return _Step(
         tuple(separator), tuple(free), tuple(cards[v] for v in free),
         tuple(_row_major([cards[v] for v in separator]).tolist()),
-        _frozen_array(rows, dtype=np.int64).reshape(-1, size),
-        tuple((k, _frozen_array(cells, dtype=np.int64)) for k, cells in inbox),
+        _frozen_array(terms[0] if len(terms) == 1 else terms, dtype=np.int64), at,
     )
 
 
@@ -326,47 +351,61 @@ def _min_sum(
     lambda, by a min-sum pass over ``steps`` (Dechter 1999), and with
     ``decode`` the digits of the first outcome that reaches it.
 
-    Each step sums its terms' rows at its cells, adds its inbox's messages
-    in order, and keeps its least entry per separator cell (and with
-    ``decode`` the first free cell that gives it).  The last step's
-    separator is empty, so its one entry is the score; the outcome is
-    decoded from the last step back, each step's free digits from its
-    separator's.
+    Each step gathers its terms from the work vector (see ``_Step``), adds
+    each layer's in order and then the layers, innermost first, and writes
+    its least entry per separator cell to the vector as its message (and
+    with ``decode`` keeps the first free cell that gives it).  The last
+    step's separator is empty, so its one entry, the vector's last, is the
+    score; the outcome is decoded from the last step back, each step's free
+    digits from its separator's.
     """
-    messages: list[np.ndarray] = []
+    work = np.empty(steps[-1].at + 1)
+    work[: y.size] = y
+    work[y.size] = 0.0
     choices: list[np.ndarray] = []
     for step in steps:
-        table = y[step.rows].sum(axis=0)
-        for k, cells in step.inbox:
-            table += messages[k][cells]
+        table = work[step.terms]
+        while table.ndim > 1:
+            # numpy adds terms of one cell pairwise, so those go one at a time.
+            table = (table.sum(axis=-2) if table.shape[-1] > 1
+                     else np.add.accumulate(table, axis=-2)[..., -1, :])
         table = table.reshape(-1, math.prod(step.shape))
-        messages.append(table.min(axis=1))
+        table.min(axis=1, out=work[step.at : step.at + len(table)])
         if decode:
             choices.append(table.argmin(axis=1))
     if not decode:
-        return float(messages[-1][0]), None
+        return float(work[-1]), None
     digits = [0] * sum(len(step.free) for step in steps)
     for step, choice in zip(reversed(steps), reversed(choices)):
         step.place(digits, int(choice[step.cell(digits)]))
-    return float(messages[-1][0]), digits
+    return float(work[-1]), digits
 
 
 @functools.lru_cache(maxsize=64)
 def _elimination_plan(
-    cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...], scan_cells: int
+    cards: tuple[int, ...], contexts: tuple[tuple[int, ...], ...], scan_cells: int,
+    bucket_cells: int,
 ) -> tuple[_Step, ...]:
     """The steps of ``best_outcome`` on a hypergraph, in index order, made once
-    per cardinalities, context list and scan size; they hold index data only.
+    per cardinalities, context list, scan size and bucket size; they hold
+    index data only.
 
     The last step, the scan, has every observable of the longest run of
     leading observables with at most ``scan_cells`` cells free.  The others
     are eliminated before it, last index first: each bucket sums the
     contexts and messages whose highest observable it eliminates, so that
-    observable is the bucket's one free observable and every other one in
-    its scope is decoded before it.  Index order makes every choice, and so
-    the decoded outcome, the first optimum in row-major order.  Refuses,
-    before any index is built, a plan whose largest table, the scan's
-    included, exceeds ``JOINT_DIM_CAP`` cells.
+    observable is the bucket's free observable and every other one in its
+    scope is decoded before it.  A bucket whose last term is the message of
+    the bucket just before it takes that bucket in, as long as the merged
+    table has at most ``bucket_cells`` cells: the step frees both, and adds
+    the inner bucket's whole table where that message was.  Rounding is
+    monotone, so the least entry over the inner observable is the message
+    itself, and the value is the one-bucket plan's bit for bit.  Index
+    order makes every choice, and so the decoded outcome, the first optimum
+    in row-major order; where an outer term rounds two inner sums to one
+    number, a merged step takes the first of them.  Refuses, before any
+    index is built, a plan whose one-bucket tables, the scan's included,
+    exceed ``JOINT_DIM_CAP`` cells.
     """
     prefix = sum(cells <= scan_cells for cells in itertools.accumulate(cards, operator.mul))
 
@@ -383,31 +422,57 @@ def _elimination_plan(
                 f"cells, over the cap {JOINT_DIM_CAP}"
             )
 
-    # Contexts and messages waiting in each bucket; each step's separator,
-    # free observables and terms.
+    # Contexts and messages waiting in each bucket; each bucket's scope,
+    # contexts and the earlier buckets whose messages it adds.
     pending: dict[int, tuple[list, list]] = {v: ([], []) for v in range(-1, len(cards))}
     for ci, ctx in enumerate(contexts):
         pending[home(ctx)][0].append(ci)
-    steps: list[tuple[tuple[int, ...], tuple[int, ...], list, list]] = []
+    buckets: list[tuple[tuple[int, ...], list, list]] = []
     for v in range(len(cards) - 1, prefix - 1, -1):
         cs, ms = pending[v]
-        scope = set().union(*(contexts[ci] for ci in cs), *(steps[m][0] for m in ms))
+        scope = set().union(*(contexts[ci] for ci in cs), *(buckets[m][0][:-1] for m in ms))
         scope = tuple(sorted(scope))
         check(scope)
-        steps.append((scope[:-1], scope[-1:], cs, ms))
-        pending[home(scope[:-1])][1].append(len(steps) - 1)
+        buckets.append((scope, cs, ms))
+        pending[home(scope[:-1])][1].append(len(buckets) - 1)
     check(range(prefix))
-    steps.append(((), tuple(range(prefix)), *pending[-1]))
+
+    # The buckets of each step, innermost first: a bucket joins the step before
+    # it where that step's message is its last term and the merged table fits.
+    groups: list[list[int]] = []
+    for b, (scope, _, ms) in enumerate(buckets):
+        if ms[-1:] == [b - 1] and math.prod(
+            cards[v] for v in (*scope, *(buckets[i][0][-1] for i in groups[-1]))
+        ) <= bucket_cells:
+            groups[-1].append(b)
+        else:
+            groups.append([b])
 
     # Every table is within the cap: the index data.
     offsets = list(itertools.accumulate((math.prod(cards[i] for i in c) for c in contexts),
                                         initial=0))
-    return tuple(
-        _step(cards, separator, free,
-              [offsets[ci] + _cells(cards, separator + free, contexts[ci]) for ci in cs],
-              [(m, _cells(cards, separator + free, steps[m][0])) for m in ms])
-        for separator, free, cs, ms in steps
-    )
+    zero = offsets[-1]
+    steps: list[_Step] = []
+    sent: dict[int, int] = {}
+
+    def layer(scope: tuple[int, ...], cs: list, ms: list) -> tuple[list, list]:
+        return ([offsets[ci] + _cells(cards, scope, contexts[ci]) for ci in cs],
+                [sent[m] + _cells(cards, scope, buckets[m][0][:-1]) for m in ms])
+
+    at = zero + 1
+    for group in groups:
+        separator = buckets[group[-1]][0][:-1]
+        free = tuple(buckets[b][0][-1] for b in reversed(group))
+        layers = []
+        for b in group:
+            _, cs, ms = buckets[b]
+            layers.append(layer(separator + free, cs, ms if b == group[0] else ms[:-1]))
+        steps.append(_step(cards, separator, free, layers, zero, at))
+        sent[group[-1]] = at
+        at += math.prod(cards[v] for v in separator)
+    scan = tuple(range(prefix))
+    steps.append(_step(cards, (), scan, [layer(scan, *pending[-1])], zero, at))
+    return tuple(steps)
 
 
 def _cells(cards: Sequence[int], scope: tuple[int, ...], observables: Sequence[int]) -> np.ndarray:
@@ -480,9 +545,11 @@ class ContextIncidence:
     min-sum pass (``_min_sum``) that also prices the cost LP on the
     junction tree's min-fill plan.  Its own plan (``_elimination_plan``)
     keeps index order, for the first optimum in row-major order: it
-    eliminates the trailing observables one bucket each, whose tables grow
-    with the induced width of that order (2 for a chain), and scans the
-    leading ones.  Its plan is read at the scan size of each call.  Refuses,
+    eliminates the trailing observables in buckets, whose tables grow with
+    the induced width of that order (2 for a chain), a bucket merged with
+    the one its message goes to while their table has at most
+    ``_BUCKET_CELLS`` cells, and scans the leading ones.  Its plan is read
+    at the scan and bucket sizes of each call.  Refuses,
     before any table is built, a hypergraph of more than ``MAX_OBSERVABLES``
     observables, whose tables numpy cannot hold.
     """
@@ -569,8 +636,9 @@ class ContextIncidence:
 
     @property
     def _elimination(self) -> tuple[_Step, ...]:
-        """The steps of ``best_outcome`` (``_elimination_plan``) at the scan size of this call."""
-        return _elimination_plan(self.joint_shape, self.contexts, _SCAN_CELLS)
+        """The steps of ``best_outcome`` (``_elimination_plan``) at the scan and
+        bucket sizes of this call."""
+        return _elimination_plan(self.joint_shape, self.contexts, _SCAN_CELLS, _BUCKET_CELLS)
 
     def best_outcome(self, y: np.ndarray, sense: str) -> tuple[float, tuple[int, ...]]:
         """Best score ``sum_c y_c(lambda_c)`` over joint outcomes lambda, and
@@ -581,8 +649,9 @@ class ContextIncidence:
         the trailing observables, the scan scores every cell of the leading
         ones by its best completion, and the best cell's completion is
         decoded, parents first.  Each cell adds its context terms in context
-        order, then its messages, and every choice takes the first index
-        among ties, so when nothing is eliminated the scores are ``lift(y)``.
+        order, then its messages, a merged bucket's whole table in the place
+        of its message, and every choice takes the first index among ties,
+        so when nothing is eliminated the scores are ``lift(y)``.
         Refuses a ``y`` not shaped ``(dim,)``.
         """
         if sense not in ("max", "min"):
@@ -929,8 +998,7 @@ class JunctionTree:
             separator, parent = self.separators[c], self.parents[c]
             up = _cells(cards, cliques[parent], separator)
             blocks += [(row + _cells(cards, cliques[c], separator), c, 1.0), (row + up, parent, -1.0)]
-            # Clique c's step comes (n - 1 - c)th, leaves first.
-            inbox[parent].append((n - 1 - c, up))
+            inbox[parent].append((c, up))
             row += math.prod(cards[v] for v in separator)
         for home, ctx in zip(self.homes, self._contexts):
             outcome = _cells(cards, cliques[home], ctx)
@@ -945,11 +1013,18 @@ class JunctionTree:
         matrix = starts.astype(np.int32), columns[order].astype(np.int32), values[order]
         for a in matrix:
             a.flags.writeable = False
-        steps = tuple(
-            _step(cards, self.separators[c], cliques[c][len(self.separators[c]):], rows[c], inbox[c])
-            for c in reversed(range(n))
-        )
-        return matrix, steps
+        # Leaves first: each clique's message goes to the work vector after
+        # the stacked scores, their 0.0 and its children's messages.
+        zero = row - self.n_agreements
+        steps, sent, slot = [], {}, zero + 1
+        for c in reversed(range(n)):
+            separator = self.separators[c]
+            messages = [sent[child] + up for child, up in inbox[c]]
+            steps.append(_step(cards, separator, cliques[c][len(separator):],
+                               [(rows[c], messages)], zero, slot))
+            sent[c] = slot
+            slot += math.prod(cards[v] for v in separator)
+        return matrix, tuple(steps)
 
     @property
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

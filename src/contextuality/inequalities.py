@@ -16,7 +16,7 @@ import numpy as np
 from .boxes import Box, context_parities, require_valid
 from .closed_form import nc_interval
 from .errors import HypergraphMismatchError, NotXorBoxError
-from .polytope import optimize_linear
+from .polytope import _optimize_stacked
 
 # Entries above this threshold count as support (guards file round-trips).
 SUPPORT_THRESHOLD = 1e-12
@@ -61,9 +61,12 @@ def classify_xor(box: Box) -> XorBoxProfile | None:
 def support_weights(reference: Box) -> list[np.ndarray]:
     """Per-context 0/1 indicator vectors of the reference supports."""
     require_valid(reference)
-    return [
-        (d > SUPPORT_THRESHOLD).astype(float) for d in reference.distributions
-    ]
+    return reference.hypergraph.incidence.split(_support(reference))
+
+
+def _support(reference: Box) -> np.ndarray:
+    """The reference supports' 0/1 indicator, stacked (``Box.stacked``)."""
+    return (reference.stacked() > SUPPORT_THRESHOLD).astype(float)
 
 
 def beta(reference: Box, box: Box) -> float:
@@ -115,13 +118,15 @@ class BetaBoundsReport:
 
 
 def verify_bounds_by_lp(reference: Box) -> BetaBoundsReport:
-    """Confirm the KS bounds by optimizing beta over the NC polytope vertices."""
+    """Confirm the KS bounds by optimizing beta over the NC polytope vertices:
+    the support indicator, read once off the stacked reference, priced in
+    both senses."""
     profile = classify_xor(reference)
     if profile is None:
         raise NotXorBoxError("bound verification needs an xor-box reference")
-    weights = support_weights(reference)
-    hi = optimize_linear(reference.hypergraph, weights, "max")
-    lo = optimize_linear(reference.hypergraph, weights, "min")
+    support = _support(reference)
+    hi = _optimize_stacked(reference.hypergraph, support, "max")
+    lo = _optimize_stacked(reference.hypergraph, support, "min")
     n = profile.n_contexts
     expected_max = float(n - 1)
     expected_min = 1.0 if n % 2 == 0 else 0.0

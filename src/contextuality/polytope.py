@@ -427,7 +427,11 @@ def optimize_linear(
     non-finite weights, and a hypergraph whose elimination needs a table
     above ``JOINT_DIM_CAP`` cells.
     """
-    stacked = g.incidence.stack(weights)
+    return _optimize_stacked(g, g.incidence.stack(weights), direction)
+
+
+def _optimize_stacked(g: Hypergraph, stacked: np.ndarray, direction: str) -> LinearOptimum:
+    """``optimize_linear`` of weights already stacked (``ContextIncidence.stack``)."""
     if not np.all(np.isfinite(stacked)):
         raise InvalidBoxError("linear weights contain non-finite entries")
     _, digits = g.incidence.best_outcome(stacked, direction)

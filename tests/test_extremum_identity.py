@@ -1,15 +1,18 @@
 """``ContextIncidence.best_outcome`` against the broadcasting elimination it replaced,
-and ``JunctionTree.min_score`` against ``best_outcome``.
+its merged plan against the plan of one bucket per observable, and
+``JunctionTree.min_score`` against ``best_outcome``.
 
 ``reference_extremum`` keeps that code: every bucket's tables and messages
 on all of the joint's axes, with size 1 off the bucket's scope.  The library
-now lays them on each bucket's own axes, from a plan shared by equal
-hypergraphs, and adds every cell's terms in the same order, so the value
-and the joint index must agree bit for bit: the value compared by its hex
-form, which tells -0.0 from 0.0.
+now lays them on each step's own axes, from a plan shared by equal
+hypergraphs, and adds every cell's terms in the same order, a merged
+bucket's whole table where its message was, so the value and the joint
+index must agree bit for bit: the value compared by its hex form, which
+tells -0.0 from 0.0.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from unittest import mock
@@ -169,6 +172,44 @@ def test_extremum_matches_broadcasting_reference(g, scan_cells, draw_seed):
             value, digits = op.best_outcome(y, sense)
             assert value.hex() == best.hex()
             assert digits == tuple(int(d) for d in np.unravel_index(index, g.joint_shape))
+
+
+@seed(20261102)
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.one_of(hypergraphs(), mid_hypergraphs(), st.integers(14, 50).map(
+        lambda n: cx.chain_box(n).hypergraph), direct_sums),
+    scan_cells=st.sampled_from([1, 16, 2**10]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_plan_matches_one_bucket_plan(g, scan_cells, draw_seed):
+    """``best_outcome``'s plan, whose buckets merge up to ``_BUCKET_CELLS`` cells,
+    against the plan of one bucket per observable (``_BUCKET_CELLS`` patched to 1):
+    in both senses the same digits and value, and ``optimize_linear``'s value and
+    argopt, bit for bit.  Only a step that frees one observable may have more
+    than ``_BUCKET_CELLS`` cells."""
+    y = weights(g, np.random.default_rng(draw_seed))
+    op = g.incidence
+    outputs, plans = {}, {}
+    for bucket_cells in (1, boxes._BUCKET_CELLS):
+        with mock.patch.object(boxes, "_SCAN_CELLS", scan_cells), \
+                mock.patch.object(boxes, "_BUCKET_CELLS", bucket_cells):
+            plans[bucket_cells] = op._elimination
+            outputs[bucket_cells] = []
+            for sense in ("max", "min"):
+                value, digits = op.best_outcome(y, sense)
+                result = cx.optimize_linear(g, op.split(y), sense)
+                outputs[bucket_cells].append(
+                    (value.hex(), digits, result.value.hex(), result.argopt.outputs))
+    assert outputs[1] == outputs[boxes._BUCKET_CELLS]
+    *single, scan = plans[1]
+    *merged, last = plans[boxes._BUCKET_CELLS]
+    assert all(len(step.free) == 1 for step in single)
+    assert last.free == scan.free
+    assert sorted(v for step in merged for v in step.free) == sorted(v for step in single for v in step.free)
+    for step in merged:
+        cells = math.prod(g.cardinalities[v] for v in (*step.separator, *step.free))
+        assert len(step.free) == 1 or cells <= boxes._BUCKET_CELLS, (step.free, cells)
 
 
 @pytest.mark.parametrize("sense", ["max", "min"])

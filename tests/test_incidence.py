@@ -203,8 +203,10 @@ def test_elimination_matches_scan(scan_cells, g, draw_seed):
         # The plan is read at each call, so every call in the block takes the patched one.
         op = g.incidence
         if scan_cells == 1:
-            # Nothing is scanned: the last step has one cell, no context rows, only messages.
-            assert op._elimination[-1].rows.shape == (0, 1)
+            # Nothing is scanned: the last step has one cell, no context rows, only messages
+            # after the work vector's 0.0.
+            terms = op._elimination[-1].terms
+            assert terms.shape[1:] == (1,) and terms[0] == op.dim and (terms[1:] > op.dim).all()
 
         # The first optimum in row-major order, and its score.
         for direction, sign in (("max", 1.0), ("min", -1.0)):
@@ -277,6 +279,19 @@ def test_chains_take_the_short_scan(n):
     assert scan_cells(cx.chain_box(n).hypergraph.incidence) == (2**10, True)
 
 
+@pytest.mark.parametrize("n, merged, single", [(14, 2, 5), (18, 3, 9), (20, 3, 11), (50, 9, 41)])
+def test_chain_buckets_merge(n, merged, single):
+    """CH(n) eliminates its trailing observables in steps of at most ``_BUCKET_CELLS``
+    cells, 2^7: five observables each, over a separator of the first and the one
+    before them.  With ``_BUCKET_CELLS`` patched to 1, one bucket per observable."""
+    op = cx.chain_box(n).hypergraph.incidence
+    *buckets, _ = op._elimination
+    assert len(buckets) + 1 == merged
+    assert all(math.prod(step.shape) * 2 ** len(step.separator) <= 2**7 for step in buckets)
+    with mock.patch.object(boxes, "_BUCKET_CELLS", 1):
+        assert len(op._elimination) == single
+
+
 @pytest.mark.parametrize("g", [
     cx.chain_box(10).hypergraph, cx.pm_box().hypergraph, cx.mermin_box().hypergraph,
     cx.kcbs_box().hypergraph,
@@ -290,8 +305,7 @@ def test_small_joints_keep_the_whole_joint_scan(g):
     op = g.incidence
     assert scan_cells(op) == (g.joint_dim, False)
     (scan,) = op._elimination
-    assert scan.inbox == ()
-    assert np.array_equal(scan.rows, op.rows(np.arange(g.joint_dim)).T)
+    assert np.array_equal(scan.terms, op.rows(np.arange(g.joint_dim)).T)
 
 
 @pytest.mark.parametrize("ternary", [False, True])
@@ -388,10 +402,8 @@ def test_equal_hypergraphs_share_one_junction_tree():
 def same_steps(a, b):
     """Whether two plans have the same steps, field by field."""
     return len(a) == len(b) and all(
-        (s.separator, s.free, s.shape, s.strides) == (t.separator, t.free, t.shape, t.strides)
-        and np.array_equal(s.rows, t.rows) and s.rows.shape == t.rows.shape
-        and [k for k, _ in s.inbox] == [k for k, _ in t.inbox]
-        and all(np.array_equal(u, v) for (_, u), (_, v) in zip(s.inbox, t.inbox))
+        (s.separator, s.free, s.shape, s.strides, s.at) == (t.separator, t.free, t.shape, t.strides, t.at)
+        and np.array_equal(s.terms, t.terms) and s.terms.shape == t.terms.shape
         for s, t in zip(a, b)
     )
 
@@ -404,9 +416,7 @@ def test_equal_hypergraphs_share_one_elimination_plan():
     twin = cx.Hypergraph(list(g.observables), [list(ctx) for ctx in g.contexts])
     plan = g.incidence._elimination
     assert twin is not g and twin.incidence._elimination is plan
-    assert not any(
-        a.flags.writeable for step in plan for a in (step.rows, *(cells for _, cells in step.inbox))
-    )
+    assert not any(step.terms.flags.writeable for step in plan)
     assert cx.chain_box(18).hypergraph.incidence._elimination is not plan
 
     # A ternary 7-cycle, planned under a patched scan size first, then at the real one:
@@ -419,7 +429,7 @@ def test_equal_hypergraphs_share_one_elimination_plan():
     assert real is not patched
     assert scan_cells(op) == (729, True)
     for steps, cells in ((patched, 16), (real, 2**10)):
-        fresh = boxes._elimination_plan.__wrapped__((3,) * 7, op.contexts, cells)
+        fresh = boxes._elimination_plan.__wrapped__((3,) * 7, op.contexts, cells, boxes._BUCKET_CELLS)
         assert same_steps(steps, fresh)
     assert not same_steps(patched, real)
 

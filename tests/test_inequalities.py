@@ -9,6 +9,7 @@ from test_polytope import vertices
 
 import contextuality as cx
 from contextuality.boxes import PARITY_TOL
+from contextuality.inequalities import SUPPORT_THRESHOLD, support_weights
 from contextuality.sampling import random_consistent_box
 
 
@@ -166,6 +167,26 @@ class TestBoundsByLp:
         assert report.ok
         assert report.max_beta == expected_max
         assert report.min_beta == expected_min
+
+    @pytest.mark.parametrize("box_fn", [cx.pr_box, cx.pm_box, cx.mermin_box] + [
+        (lambda n: lambda: cx.chain_box(n))(n) for n in range(5, 21)
+    ])
+    def test_matches_support_weights_route(self, box_fn):
+        """The report, field for field, is the one built from ``support_weights``
+        (each context's indicator above ``SUPPORT_THRESHOLD``) and ``optimize_linear``
+        in both senses; values compared by their hex form."""
+        box = box_fn()
+        weights = support_weights(box)
+        for w, d in zip(weights, box.distributions):
+            assert np.array_equal(w, (d > SUPPORT_THRESHOLD).astype(float))
+        hi = cx.optimize_linear(box.hypergraph, weights, "max")
+        lo = cx.optimize_linear(box.hypergraph, weights, "min")
+        report = cx.verify_bounds_by_lp(box)
+        n = box.hypergraph.n_contexts
+        assert (report.max_beta.hex(), report.min_beta.hex()) == (hi.value.hex(), lo.value.hex())
+        assert (report.argmax_outputs, report.argmin_outputs) == (hi.argopt.outputs, lo.argopt.outputs)
+        assert (report.expected_max, report.expected_min) == (n - 1, 1.0 if n % 2 == 0 else 0.0)
+        assert report.ok == (hi.value == n - 1 and lo.value == report.expected_min)
 
     def test_attaining_vertices_recheck(self, pm):
         report = cx.verify_bounds_by_lp(pm)
